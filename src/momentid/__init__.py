@@ -34,6 +34,7 @@ from .linop import (
     conditional_expectation,
     from_kernel,
     hs_norm,
+    singular_values,
     svd,
 )
 from .identcore import (

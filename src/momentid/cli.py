@@ -46,7 +46,11 @@ class UsageError(ValueError):
 
 
 def _plain(value):
-    """Recursively convert numpy scalars and arrays to plain Python."""
+    """Recursively convert numpy scalars and arrays to plain Python.
+
+    Also the ``default`` hook of ``json.dump``, so anything it cannot make
+    JSON-ready raises TypeError.
+    """
     if isinstance(value, np.bool_):
         return bool(value)
     if isinstance(value, np.integer):
@@ -59,7 +63,9 @@ def _plain(value):
         return {k: _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
-    return value
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    raise TypeError(f"not JSON serializable: {type(value)}")
 
 
 @dataclass
@@ -365,18 +371,6 @@ EXPERIMENTS = {
 }
 
 
-def _np_default(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -458,7 +452,7 @@ def _write_report(report: dict, samples, out_dir: str, fmt: str) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{report['experiment']}.json"
     with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True, default=_np_default)
+        json.dump(report, fh, indent=2, sort_keys=True, default=_plain)
         fh.write("\n")
     if fmt == "csv":
         import csv as _csv

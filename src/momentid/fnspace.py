@@ -9,8 +9,9 @@ values tabulated at the grid nodes.
 from __future__ import annotations
 
 import csv
-import json
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -68,7 +69,7 @@ class GridMeasure:
     def is_probability(self) -> bool:
         return abs(float(self.weights.sum()) - 1.0) <= 1e-12
 
-    @property
+    @cached_property
     def axis_sizes(self) -> tuple[int, ...]:
         return tuple(np.unique(self.points[:, k]).size for k in range(self.dim))
 
@@ -160,6 +161,15 @@ class GridFunction:
             raise ValueError("function values must be finite")
         object.__setattr__(self, "values", _readonly(v))
 
+    @classmethod
+    def _trusted(cls, values: np.ndarray, measure: GridMeasure) -> "GridFunction":
+        """Wrap a finite, read-only float array of length ``measure.size``
+        that the library built itself, skipping validation and the copy."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "values", values)
+        object.__setattr__(f, "measure", measure)
+        return f
+
     @staticmethod
     def constant(measure: GridMeasure, c: float) -> "GridFunction":
         return GridFunction(np.full(measure.size, float(c)), measure)
@@ -225,49 +235,86 @@ def norm(f: GridFunction) -> float:
     return float(np.sqrt(np.dot(f.measure.weights, f.values**2)))
 
 
-@dataclass(frozen=True)
 class OrthonormalBasis:
     """Ordered family of grid functions, pairwise orthonormal under the measure.
 
-    May be empty, in which case the measure must be supplied explicitly.
+    The family is stored once as a read-only node-by-element matrix; element
+    grid functions are built from its columns on demand.  May be empty, in
+    which case the measure must be supplied explicitly.
     """
 
-    functions: tuple
-    measure: GridMeasure | None = None
-    ortho_tol: float = DEFAULT_ORTHO_TOL
-    check: bool = True
+    __slots__ = ("measure", "ortho_tol", "_mat")
 
-    def __post_init__(self):
-        fns = tuple(self.functions)
-        mu = self.measure if fns == () else fns[0].measure
+    def __init__(
+        self,
+        functions: Iterable[GridFunction],
+        measure: GridMeasure | None = None,
+        ortho_tol: float = DEFAULT_ORTHO_TOL,
+        check: bool = True,
+    ):
+        fns = tuple(functions)
+        mu = measure if fns == () else fns[0].measure
         if mu is None:
             raise ValueError("an empty basis needs an explicit measure")
         for f in fns:
             if not f.measure.same_as(mu):
                 raise GridMismatchError("basis elements live on different measures")
-        object.__setattr__(self, "functions", fns)
-        object.__setattr__(self, "measure", mu)
-        if self.check and fns:
-            mat = self.matrix()
+        if fns:
+            mat = np.column_stack([f.values for f in fns])
+        else:
+            mat = np.empty((mu.size, 0))
+        self._store(mat, mu, ortho_tol, check)
+
+    @classmethod
+    def from_matrix(
+        cls,
+        mat: np.ndarray,
+        measure: GridMeasure,
+        ortho_tol: float = DEFAULT_ORTHO_TOL,
+        check: bool = True,
+    ) -> "OrthonormalBasis":
+        """Basis whose element j takes the values ``mat[:, j]`` at the nodes."""
+        mat = np.asarray(mat, dtype=float)
+        if mat.ndim != 2 or mat.shape[0] != measure.size:
+            raise GridMismatchError(
+                f"basis matrix shape {mat.shape} does not fit a "
+                f"{measure.size}-point measure"
+            )
+        if not np.all(np.isfinite(mat)):
+            raise ValueError("basis values must be finite")
+        basis = cls.__new__(cls)
+        basis._store(mat, measure, ortho_tol, check)
+        return basis
+
+    def _store(self, mat, mu: GridMeasure, ortho_tol: float, check: bool) -> None:
+        mat = np.array(mat, dtype=float, order="C")
+        mat.flags.writeable = False
+        self._mat = mat
+        self.measure = mu
+        self.ortho_tol = ortho_tol
+        k = mat.shape[1]
+        if check and k:
             gram = (mat * mu.weights[:, None]).T @ mat
-            if not np.allclose(gram, np.eye(len(fns)), rtol=0, atol=self.ortho_tol):
-                worst = np.abs(gram - np.eye(len(fns))).max()
+            if not np.allclose(gram, np.eye(k), rtol=0, atol=ortho_tol):
+                worst = np.abs(gram - np.eye(k)).max()
                 raise ValueError(
                     f"family is not orthonormal (worst Gram defect {worst:.2e})"
                 )
 
     def __len__(self) -> int:
-        return len(self.functions)
+        return self._mat.shape[1]
 
     def __getitem__(self, j: int) -> GridFunction:
-        return self.functions[j]
+        col = np.ascontiguousarray(self._mat[:, operator.index(j)])
+        col.flags.writeable = False
+        return GridFunction._trusted(col, self.measure)
 
     def __iter__(self) -> Iterator[GridFunction]:
-        return iter(self.functions)
+        return (self[j] for j in range(len(self)))
 
     def matrix(self) -> np.ndarray:
-        """Node-by-element array of basis values."""
-        return np.column_stack([f.values for f in self.functions])
+        """Node-by-element array of basis values (read-only, shared)."""
+        return self._mat
 
 
 def gram_schmidt(
@@ -337,32 +384,11 @@ def cosine_basis(measure: GridMeasure, n_funcs: int) -> OrthonormalBasis:
         raise ValueError("cosine basis requires uniform weights")
     wsum = measure.weights.sum()
     t = (np.arange(n) + 0.5) / n
-    fns = []
+    mat = np.empty((n, n_funcs))
     for j in range(n_funcs):
         if j == 0:
-            vals = np.full(n, 1.0 / np.sqrt(wsum))
+            mat[:, j] = 1.0 / np.sqrt(wsum)
         else:
-            vals = np.sqrt(2.0 / wsum) * np.cos(j * np.pi * t)
-        fns.append(GridFunction(vals, measure))
-    return OrthonormalBasis(fns)
+            mat[:, j] = np.sqrt(2.0 / wsum) * np.cos(j * np.pi * t)
+    return OrthonormalBasis.from_matrix(mat, measure)
 
-
-def measure_to_json(mu: GridMeasure) -> dict:
-    return {
-        "points": mu.points.tolist(),
-        "weights": mu.weights.tolist(),
-        "probability": mu.is_probability,
-    }
-
-
-def measure_from_json(payload: dict) -> GridMeasure:
-    return GridMeasure(np.asarray(payload["points"]), np.asarray(payload["weights"]))
-
-
-def function_to_json(f: GridFunction) -> dict:
-    return {"values": f.values.tolist(), "measure": measure_to_json(f.measure)}
-
-
-def dump_json(payload: dict, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)

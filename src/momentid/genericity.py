@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fnspace import OrthonormalBasis
-from .linop import LinearOperator, svd
+from .fnspace import GridMeasure, OrthonormalBasis
+from .linop import LinearOperator, singular_values
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,93 @@ class OperatorDraw:
     c_bound: float | None = None
 
 
-def _sup_bound(basis: OrthonormalBasis, n: int) -> float:
-    return float(max(np.abs(f.values).max() for f in list(basis)[:n]))
+@dataclass(frozen=True)
+class _DrawSetup:
+    """What every draw on one (config, bases) pair shares, validated once."""
+
+    config: GeneratorConfig
+    phi_mat: np.ndarray
+    psi_mat: np.ndarray
+    domain: GridMeasure
+    codomain: GridMeasure
+    c_bound: float | None
+
+
+def _setup_draws(
+    config: GeneratorConfig,
+    bases: tuple[OrthonormalBasis, OrthonormalBasis],
+    c_bound: float | None,
+) -> _DrawSetup:
+    """The per-configuration checks of :func:`draw_operator`: basis length,
+    the compactness decay test, the positivity preconditions and probability
+    grids for the density variant.  The dense-storage axis cap is checked by
+    each draw's LinearOperator against the measures' cached axis sizes."""
+    phi, psi = bases
+    n = config.trunc_n
+    if len(phi) < n or len(psi) < n:
+        raise ValueError("bases must provide at least trunc_n elements")
+    if config.compact and not config.compact_decay_ok():
+        raise ValueError("sigma decay fails the compactness (square-summable) test")
+    phi_mat, psi_mat = phi.matrix()[:, :n], psi.matrix()[:, :n]
+
+    c_used = None
+    if config.positive or config.density:
+        for name, mat in (("phi", phi_mat), ("psi", psi_mat)):
+            lead = mat[:, 0]
+            if np.ptp(lead) > 1e-12 * (1.0 + np.abs(lead).max()):
+                raise ValueError(
+                    f"positivity needs a constant leading element in the "
+                    f"{name} basis"
+                )
+        peaks = (("phi", np.abs(phi_mat).max(axis=0)),
+                 ("psi", np.abs(psi_mat).max(axis=0)))
+        c_used = c_bound if c_bound is not None else 1.1 * float(
+            max(peak.max() for _, peak in peaks)
+        )
+        for name, peak in peaks:
+            over = np.flatnonzero(peak > c_used + 1e-12)
+            if over.size:
+                j = int(over[0])
+                raise ValueError(
+                    f"{name} basis element {j} has sup norm {peak[j]:.6f} "
+                    f"exceeding the bound c = {c_used:.6f}"
+                )
+        if config.density and not (
+            phi.measure.is_probability and psi.measure.is_probability
+        ):
+            raise ValueError("the density variant needs probability grids")
+    return _DrawSetup(config, phi_mat, psi_mat, phi.measure, psi.measure,
+                      c_used)
+
+
+def _draw(setup: _DrawSetup, seed: int) -> OperatorDraw:
+    """One realization on validated bases: the coefficients, the kernel, and
+    the checks that depend on them."""
+    config = setup.config
+    n = config.trunc_n
+    rng = np.random.default_rng(seed)
+    if config.dependent_u:
+        u = np.full(n, rng.uniform(-1.0, 1.0))
+    else:
+        u = rng.uniform(-1.0, 1.0, size=n)
+    lam = u * config.sigma[:n]
+    kappa = config.kappa
+    if config.positive or config.density:
+        lam[0] = (setup.c_bound**2 * np.sum(np.abs(lam[1:]))
+                  + abs(u[0]) * config.sigma[0])
+        if config.density:
+            kappa = 1.0 / lam[0]
+
+    kernel = kappa * (setup.psi_mat * lam[None, :]) @ setup.phi_mat.T
+    op = LinearOperator(kernel, setup.domain, setup.codomain)
+
+    if config.density:
+        rows = op.entries @ setup.domain.weights
+        worst = float(np.abs(rows - 1.0).max())
+        if worst > 1e-12:
+            raise ValueError(f"density kernel row sums deviate by {worst:.2e}")
+    return OperatorDraw(operator=op, lambdas=lam, kappa=kappa, seed=seed,
+                        c_bound=setup.c_bound)
 
 
 def draw_operator(
@@ -86,60 +171,7 @@ def draw_operator(
     additionally rescales kappa so the leading coefficient contributes unit
     kernel row sums.
     """
-    phi, psi = bases
-    n = config.trunc_n
-    if len(phi) < n or len(psi) < n:
-        raise ValueError("bases must provide at least trunc_n elements")
-    if config.compact and not config.compact_decay_ok():
-        raise ValueError("sigma decay fails the compactness (square-summable) test")
-
-    rng = np.random.default_rng(seed)
-    if config.dependent_u:
-        u = np.full(n, rng.uniform(-1.0, 1.0))
-    else:
-        u = rng.uniform(-1.0, 1.0, size=n)
-    lam = u * config.sigma[:n]
-    kappa = config.kappa
-    c_used = None
-
-    positive = config.positive or config.density
-    if positive:
-        for name, basis in (("phi", phi), ("psi", psi)):
-            lead = basis[0].values
-            if np.ptp(lead) > 1e-12 * (1.0 + np.abs(lead).max()):
-                raise ValueError(
-                    f"positivity needs a constant leading element in the "
-                    f"{name} basis"
-                )
-        c_used = c_bound if c_bound is not None else 1.1 * max(
-            _sup_bound(phi, n), _sup_bound(psi, n)
-        )
-        for name, basis in (("phi", phi), ("psi", psi)):
-            for j in range(n):
-                peak = float(np.abs(basis[j].values).max())
-                if peak > c_used + 1e-12:
-                    raise ValueError(
-                        f"{name} basis element {j} has sup norm {peak:.6f} "
-                        f"exceeding the bound c = {c_used:.6f}"
-                    )
-        lam[0] = c_used**2 * np.sum(np.abs(lam[1:])) + abs(u[0]) * config.sigma[0]
-        if config.density:
-            if not (phi.measure.is_probability and psi.measure.is_probability):
-                raise ValueError("the density variant needs probability grids")
-            kappa = 1.0 / lam[0]
-
-    phi_mat = phi.matrix()[:, :n]
-    psi_mat = psi.matrix()[:, :n]
-    kernel = kappa * (psi_mat * lam[None, :]) @ phi_mat.T
-    op = LinearOperator(kernel, phi.measure, psi.measure)
-
-    if config.density:
-        rows = op.entries @ phi.measure.weights
-        worst = float(np.abs(rows - 1.0).max())
-        if worst > 1e-12:
-            raise ValueError(f"density kernel row sums deviate by {worst:.2e}")
-    return OperatorDraw(operator=op, lambdas=lam, kappa=kappa, seed=seed,
-                        c_bound=c_used)
+    return _draw(_setup_draws(config, bases, c_bound), seed)
 
 
 @dataclass
@@ -177,6 +209,7 @@ def mc_injectivity(
     """
     if draws < 1:
         raise ValueError("draws must be at least 1")
+    setup = _setup_draws(config, bases, None)
     children = np.random.SeedSequence(seed).spawn(draws)
     n = config.trunc_n
     sig_min = np.empty(draws)
@@ -184,8 +217,8 @@ def mc_injectivity(
     below = 0
     for i, child in enumerate(children):
         sub_seed = int(child.generate_state(1)[0])
-        draw = draw_operator(config, bases, sub_seed)
-        s = svd(draw.operator).singular_values[:n]
+        draw = _draw(setup, sub_seed)
+        s = singular_values(draw.operator)[:n]
         expected = np.sort(np.abs(draw.kappa * draw.lambdas))[::-1]
         worst_dev = max(worst_dev, float(np.abs(s - expected).max()))
         sig_min[i] = s[-1]

@@ -19,7 +19,13 @@ import numpy as np
 
 from .errors import EmptyNeighborhoodError, GridMismatchError
 from .fnspace import GridFunction, GridMeasure, OrthonormalBasis, norm
-from .linop import LinearOperator, SvdDecomposition, apply, svd
+from .linop import (
+    LinearOperator,
+    SvdDecomposition,
+    apply,
+    singular_values,
+    svd,
+)
 
 
 @dataclass(frozen=True)
@@ -91,7 +97,7 @@ class NonlinearityBound:
 
 def positivity_tol(op: LinearOperator) -> float:
     """Numerical zero scale for codomain norms: 1e-10 (1 + ||m'||)."""
-    return 1e-10 * (1.0 + svd(op).sigma_max)
+    return 1e-10 * (1.0 + float(singular_values(op)[0]))
 
 
 def gateaux_check(
@@ -183,7 +189,7 @@ def rank_condition(
         return RankReport(holds=False, sigma_min=math.nan, sigma_max=math.nan,
                           vacuous=True)
     if subspace is None:
-        s = svd(op).singular_values
+        s = singular_values(op)
         dom_dim = op.domain.size
     else:
         cols = np.column_stack([apply(op, u).values for u in subspace])

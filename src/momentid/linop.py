@@ -157,7 +157,12 @@ def adjoint(op: LinearOperator) -> LinearOperator:
 
 @dataclass(frozen=True)
 class SvdDecomposition:
-    """Weighted singular value decomposition of a grid operator."""
+    """Weighted singular value decomposition of a grid operator.
+
+    The singular functions are matrix-backed bases: column j of
+    ``right_functions.matrix()`` and ``left_functions.matrix()`` holds the
+    j-th right and left singular function at the nodes.
+    """
 
     singular_values: np.ndarray
     right_functions: OrthonormalBasis
@@ -185,6 +190,27 @@ class SvdDecomposition:
         return int(np.sum(self.singular_values <= self.tol * self.sigma_max))
 
 
+def _weighted_svd(op: LinearOperator, compute_uv: bool):
+    """LAPACK SVD of the weight-symmetrized kernel sqrt(w_c) K sqrt(w_d).
+
+    Returns (u, s, vt), or s alone without ``compute_uv``.  Failure to
+    converge and non-finite singular values both raise LinAlgError.
+    """
+    b = (np.sqrt(op.codomain.weights)[:, None] * op.entries
+         * np.sqrt(op.domain.weights)[None, :])
+    try:
+        out = np.linalg.svd(b, full_matrices=False, compute_uv=compute_uv)
+    except np.linalg.LinAlgError as exc:
+        cond = float(np.abs(b).max() / max(np.abs(b).min(), 1e-300))
+        raise np.linalg.LinAlgError(
+            f"SVD failed to converge (entry magnitude ratio {cond:.2e})"
+        ) from exc
+    s = out[1] if compute_uv else out
+    if not np.all(np.isfinite(s)):
+        raise np.linalg.LinAlgError("SVD returned non-finite singular values")
+    return out
+
+
 def svd(op: LinearOperator, tol: float = 1e-12) -> SvdDecomposition:
     """Weighted SVD: op(phi_j) = mu_j psi_j with orthonormal phi on the domain
     and psi on the codomain.
@@ -194,24 +220,21 @@ def svd(op: LinearOperator, tol: float = 1e-12) -> SvdDecomposition:
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    wd = op.domain.weights
-    wc = op.codomain.weights
-    b = np.sqrt(wc)[:, None] * op.entries * np.sqrt(wd)[None, :]
-    try:
-        u, s, vt = np.linalg.svd(b, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        cond = float(np.abs(b).max() / max(np.abs(b).min(), 1e-300))
-        raise np.linalg.LinAlgError(
-            f"SVD failed to converge (entry magnitude ratio {cond:.2e})"
-        ) from exc
-    right = [GridFunction(vt[j] / np.sqrt(wd), op.domain) for j in range(s.size)]
-    left = [GridFunction(u[:, j] / np.sqrt(wc), op.codomain) for j in range(s.size)]
+    u, s, vt = _weighted_svd(op, compute_uv=True)
+    right = vt.T / np.sqrt(op.domain.weights)[:, None]
+    left = u / np.sqrt(op.codomain.weights)[:, None]
     return SvdDecomposition(
         s,
-        OrthonormalBasis(tuple(right), measure=op.domain, check=False),
-        OrthonormalBasis(tuple(left), measure=op.codomain, check=False),
+        OrthonormalBasis.from_matrix(right, op.domain, check=False),
+        OrthonormalBasis.from_matrix(left, op.codomain, check=False),
         tol=tol,
     )
+
+
+def singular_values(op: LinearOperator) -> np.ndarray:
+    """Weighted singular values of ``op``, nonincreasing: the values-only
+    mode of :func:`svd`, which skips the singular functions."""
+    return _weighted_svd(op, compute_uv=False)
 
 
 def hs_norm(op: LinearOperator) -> float:

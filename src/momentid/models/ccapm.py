@@ -26,7 +26,7 @@ import numpy as np
 
 from ..errors import ConvergenceError, GridMismatchError
 from ..fnspace import GridFunction, GridMeasure, inner, norm
-from ..linop import LinearOperator, adjoint, svd
+from ..linop import LinearOperator, adjoint, singular_values
 from ..semiparam import SemiparametricMap, SplitDerivative
 
 
@@ -328,7 +328,7 @@ def completeness_check(op: LinearOperator, tol: float) -> CompletenessReport:
     construction on grids; injectivity additionally requires the domain not
     to exceed the codomain, since a wider domain always has a null space.
     """
-    s = svd(op).singular_values
+    s = singular_values(op)
     smax = float(s[0])
     smin = 0.0 if op.domain.size > op.codomain.size else float(s[-1])
     hs_value = float(

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..errors import GridMismatchError
 from ..fnspace import GridFunction, GridMeasure
-from ..linop import apply, conditional_expectation, svd
+from ..linop import apply, conditional_expectation, singular_values
 from ..semiparam import SemiparametricMap, SplitDerivative, partial_out
 
 
@@ -184,7 +184,7 @@ def diagnose_single_index(
     # renormalize so the subsampled table is again a joint mass ratio
     sub_joint = sub_joint / (sub_v.weights @ sub_joint)[None, :]
     w_to_v = conditional_expectation(sub_joint.T, sub_w, sub_v)
-    s = svd(w_to_v).singular_values
+    s = singular_values(w_to_v)
     ratio = float(s[-1] / s[0]) if s[0] > 0 else 0.0
     complete = sub_w.size <= sub_v.size and ratio > tol
 

@@ -26,8 +26,8 @@ from .fnspace import (
     norm,
     project,
 )
-from .identcore import MomentMap
-from .linop import LinearOperator, apply, svd
+from .identcore import MomentMap, positivity_tol, rank_condition
+from .linop import LinearOperator, SvdDecomposition, apply, svd
 
 
 @dataclass(frozen=True)
@@ -63,6 +63,7 @@ class PartialOutReport:
     eps1 = sqrt(lambda_min / 2) and eps = min(eps1/2, eps1/(2 c_star)) are the
     constants entering the lower bound; c_star is the measured projection
     size inflated ten percent and floored so eps1 / (sqrt(2) c_star) <= 1.
+    ``decomposition`` is the weighted SVD of m_g the range was read from.
     """
 
     gram: np.ndarray
@@ -74,6 +75,7 @@ class PartialOutReport:
     range_tol: float
     range_basis: OrthonormalBasis
     tail_singular_mass: float
+    decomposition: SvdDecomposition
     degenerate: bool = False
 
     def to_json(self) -> dict:
@@ -107,10 +109,8 @@ def partial_out(split: SplitDerivative, range_tol: float) -> PartialOutReport:
     keep = mu > range_tol * mu[0] if mu[0] > 0 else np.zeros(mu.size, dtype=bool)
     tail_mass = float(np.sum(mu[~keep] ** 2))
     degenerate = not bool(keep.any())
-    range_basis = OrthonormalBasis(
-        tuple(f for f, k in zip(dec.left_functions, keep) if k),
-        measure=split.m_g.codomain,
-        check=False,
+    range_basis = OrthonormalBasis.from_matrix(
+        dec.left_functions.matrix()[:, keep], split.m_g.codomain, check=False
     )
     zeta = tuple(project(col, range_basis) for col in split.m_beta)
     resid = [col - z for col, z in zip(split.m_beta, zeta)]
@@ -136,6 +136,7 @@ def partial_out(split: SplitDerivative, range_tol: float) -> PartialOutReport:
         range_tol=range_tol,
         range_basis=range_basis,
         tail_singular_mass=tail_mass,
+        decomposition=dec,
         degenerate=degenerate,
     )
 
@@ -359,12 +360,9 @@ def verify_semiparam_linear(
             partial=report, pos_tol=math.nan,
         )
     rng = np.random.default_rng(seed)
-    dec = svd(model.split.m_g)
+    dec = report.decomposition
     if pos_tol is None:
-        stacked = model.to_moment_map()
-        pos_tol = 1e-10 * (1.0 + svd(stacked.derivative).sigma_max)
-    from .identcore import rank_condition
-
+        pos_tol = positivity_tol(model.to_moment_map().derivative)
     g_rank = rank_condition(model.split.m_g, rank_tol)
     passes = failures = 0
     min_m = math.inf
@@ -437,10 +435,9 @@ def verify_semiparam_nonlinear(
     if g_radius is None:
         g_radius = bound.radius if math.isfinite(bound.radius) else 1.0
     rng = np.random.default_rng(seed)
-    dec = svd(model.split.m_g)
+    dec = report.decomposition
     if pos_tol is None:
-        stacked = model.to_moment_map()
-        pos_tol = 1e-10 * (1.0 + svd(stacked.derivative).sigma_max)
+        pos_tol = positivity_tol(model.to_moment_map().derivative)
     threshold = bound.L / report.eps
     passes = failures = 0
     min_m = math.inf

@@ -208,6 +208,48 @@ def test_orthonormal_basis_rejects_skewed_family():
                           GridFunction([1.0, 0.5], mu)))
 
 
+class TestOrthonormalBasis:
+    def test_matrix_is_stored_once_and_read_only(self):
+        basis = cosine_basis(GridMeasure.uniform(9), 4)
+        mat = basis.matrix()
+        assert basis.matrix() is mat
+        assert mat.shape == (9, 4)
+        assert not mat.flags.writeable
+        with pytest.raises(ValueError):
+            mat[0, 0] = 1.0
+
+    def test_elements_are_the_matrix_columns(self):
+        mu = GridMeasure.uniform(7)
+        basis = cosine_basis(mu, 3)
+        for j, f in enumerate(basis):
+            assert f.measure is mu
+            assert np.array_equal(f.values, basis.matrix()[:, j])
+            assert not f.values.flags.writeable
+        assert np.array_equal(basis[-1].values, basis[2].values)
+        with pytest.raises(IndexError):
+            basis[3]
+
+    def test_from_matrix_validates(self):
+        mu = two_point()
+        mat = np.array([[1.0, 1.0], [1.0, -1.0]])
+        basis = OrthonormalBasis.from_matrix(mat, mu)
+        mat[0, 0] = 5.0  # the basis keeps its own copy
+        assert np.array_equal(basis[0].values, [1.0, 1.0])
+        with pytest.raises(GridMismatchError):
+            OrthonormalBasis.from_matrix(np.ones((3, 1)), mu)
+        with pytest.raises(ValueError, match="finite"):
+            OrthonormalBasis.from_matrix(np.array([[np.nan], [1.0]]), mu,
+                                         check=False)
+        with pytest.raises(ValueError, match="orthonormal"):
+            OrthonormalBasis.from_matrix(np.ones((2, 2)), mu)
+
+    def test_empty_basis_matrix(self):
+        basis = OrthonormalBasis((), measure=two_point())
+        assert len(basis) == 0
+        assert basis.matrix().shape == (2, 0)
+        assert list(basis) == []
+
+
 def test_function_csv_round_trip(tmp_path):
     mu = GridMeasure.uniform(5)
     f = GridFunction(np.linspace(0, 1, 5), mu)

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from momentid.fnspace import GridFunction, GridMeasure, cosine_basis, inner
+from momentid.fnspace import (
+    GridFunction,
+    GridMeasure,
+    OrthonormalBasis,
+    cosine_basis,
+    inner,
+)
 from momentid.genericity import GeneratorConfig, draw_operator, mc_injectivity
 from momentid.linop import apply, svd
 
@@ -150,3 +156,94 @@ class TestMcInjectivity:
                                 tol=1e-12, seed=13)
         assert report.fraction_below_tol == 0.0
         assert report.max_spectrum_deviation <= 1e-10
+
+    @pytest.mark.parametrize("flags", [
+        {},
+        {"positive": True},
+        {"positive": True, "density": True},
+        {"dependent_u": True},
+    ], ids=["plain", "positive", "density", "dependent_u"])
+    def test_matches_reference_loop(self, grid_and_basis, flags):
+        _, basis = grid_and_basis
+        n = 12
+        config = GeneratorConfig(sigma=1.0 / np.arange(1, n + 1) ** 2,
+                                 kappa=1.3, trunc_n=n, compact=True, **flags)
+        draws, tol, seed = 40, 1e-12, 17
+        report = mc_injectivity(config, (basis, basis), draws=draws, tol=tol,
+                                seed=seed)
+        # the reference: one full draw_operator + svd per SeedSequence child
+        ref_min = np.empty(draws)
+        below = 0
+        for i, child in enumerate(np.random.SeedSequence(seed).spawn(draws)):
+            draw = draw_operator(config, (basis, basis),
+                                 int(child.generate_state(1)[0]))
+            s = svd(draw.operator).singular_values[:n]
+            ref_min[i] = s[-1]
+            below += int(s[-1] <= tol * s[0])
+        assert report.fraction_below_tol == below / draws
+        assert np.all(np.abs(report.sigma_min - ref_min) <= 1e-13 * ref_min)
+        assert report.max_spectrum_deviation <= 1e-10
+
+    def test_compact_decay_gate_still_raises(self, grid_and_basis):
+        _, basis = grid_and_basis
+        flat = GeneratorConfig(sigma=np.full(20, 0.5), kappa=1.0, trunc_n=20,
+                               compact=True)
+        with pytest.raises(ValueError, match="decay"):
+            mc_injectivity(flat, (basis, basis), draws=3, tol=1e-12, seed=0)
+
+
+class TestDrawChecks:
+    """Every check of draw_operator still fires on the mc_injectivity path."""
+
+    def test_sup_bound_names_first_offending_element(self, grid_and_basis):
+        _, basis = grid_and_basis
+        config = GeneratorConfig(sigma=np.full(4, 1.0), kappa=1.0, trunc_n=4,
+                                 positive=True)
+        # the constant lead has sup norm 1, the cosines sqrt(2)
+        with pytest.raises(ValueError, match="phi basis element 1 has sup"):
+            draw_operator(config, (basis, basis), seed=0, c_bound=1.2)
+
+    def test_constant_lead_required(self):
+        grid = GridMeasure.uniform(16)
+        basis = OrthonormalBasis(tuple(cosine_basis(grid, 6))[1:])
+        config = GeneratorConfig(sigma=np.full(4, 1.0), kappa=1.0, trunc_n=4,
+                                 positive=True)
+        with pytest.raises(ValueError, match="constant leading"):
+            mc_injectivity(config, (basis, basis), draws=2, tol=1e-12, seed=0)
+
+    def test_density_needs_probability_grids(self):
+        grid = GridMeasure.uniform(16, 0.0, 2.0)
+        basis = cosine_basis(grid, 4)
+        config = GeneratorConfig(sigma=np.full(4, 1.0), kappa=1.0, trunc_n=4,
+                                 positive=True, density=True)
+        with pytest.raises(ValueError, match="probability grids"):
+            mc_injectivity(config, (basis, basis), draws=2, tol=1e-12, seed=0)
+
+    def test_density_row_sums_checked_per_draw(self, grid_and_basis):
+        grid, basis = grid_and_basis
+        # an element not orthogonal to the constant breaks the unit row sums
+        mat = basis.matrix()[:, :3].copy()
+        mat[:, 1] += 0.2
+        skewed = OrthonormalBasis.from_matrix(mat, grid, check=False)
+        config = GeneratorConfig(sigma=np.full(3, 1.0), kappa=1.0, trunc_n=3,
+                                 positive=True, density=True)
+        with pytest.raises(ValueError, match="row sums deviate"):
+            mc_injectivity(config, (skewed, skewed), draws=2, tol=1e-12,
+                           seed=0)
+
+    def test_nonfinite_entries_rejected(self, grid_and_basis):
+        _, basis = grid_and_basis
+        config = GeneratorConfig(sigma=np.full(3, 1e300), kappa=1e300,
+                                 trunc_n=3)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="finite"):
+            mc_injectivity(config, (basis, basis), draws=2, tol=1e-12, seed=0)
+
+    def test_axis_cap_enforced(self):
+        from momentid.linop import MAX_AXIS_POINTS
+
+        grid = GridMeasure.uniform(MAX_AXIS_POINTS + 1)
+        basis = cosine_basis(grid, 2)
+        config = GeneratorConfig(sigma=np.ones(2), kappa=1.0, trunc_n=2)
+        with pytest.raises(ValueError, match="dense-storage cap"):
+            mc_injectivity(config, (basis, basis), draws=1, tol=1e-12, seed=0)

@@ -16,6 +16,7 @@ from momentid.linop import (
     hs_norm,
     operator_from_csv,
     operator_to_csv,
+    singular_values,
     svd,
 )
 
@@ -209,6 +210,47 @@ class TestSvd:
         dec = svd(from_kernel(np.ones((3, 3)), mu, mu), tol=1e-12)
         assert dec.num_numerically_zero() == 2
         assert dec.singular_values.size == 3  # retained, not removed
+
+    @pytest.mark.parametrize("n_dom,n_cod", [(5, 9), (9, 5), (7, 7)])
+    def test_values_only_matches_full(self, n_dom, n_cod):
+        rng = np.random.default_rng(n_dom * 10 + n_cod)
+        op = random_operator(rng, n_dom, n_cod)
+        full = svd(op).singular_values
+        values = singular_values(op)
+        assert values.shape == full.shape == (min(n_dom, n_cod),)
+        assert np.abs(values - full).max() <= 1e-12 * full[0]
+
+    def test_nan_output_raises(self, monkeypatch):
+        op = random_operator(np.random.default_rng(9), 4, 4)
+        real_svd = np.linalg.svd
+
+        def nan_values(b, full_matrices=True, compute_uv=True):
+            out = real_svd(b, full_matrices=full_matrices,
+                           compute_uv=compute_uv)
+            if not compute_uv:
+                return np.full_like(out, np.nan)
+            u, s, vt = out
+            return u, np.full_like(s, np.nan), vt
+
+        monkeypatch.setattr(np.linalg, "svd", nan_values)
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+            svd(op)
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+            singular_values(op)
+
+    def test_nan_singular_functions_raise(self, monkeypatch):
+        op = random_operator(np.random.default_rng(10), 4, 4)
+        real_svd = np.linalg.svd
+
+        def nan_vectors(b, full_matrices=True, compute_uv=True):
+            u, s, vt = real_svd(b, full_matrices=full_matrices)
+            u = u.copy()
+            u[2, 1] = np.nan
+            return u, s, vt
+
+        monkeypatch.setattr(np.linalg, "svd", nan_vectors)
+        with pytest.raises(ValueError, match="finite"):
+            svd(op)
 
 
 class TestHsNorm:

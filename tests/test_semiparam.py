@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+import momentid.semiparam
 from momentid.errors import EmptyNeighborhoodError
 from momentid.fnspace import GridFunction, GridMeasure, inner, norm
 from momentid.identcore import NonlinearityBound
-from momentid.linop import LinearOperator, apply, from_kernel
+from momentid.linop import LinearOperator, apply, from_kernel, svd
 from momentid.semiparam import (
     SemiparametricMap,
     SplitDerivative,
@@ -91,6 +92,16 @@ class TestPartialOut:
             resid = col - zeta
             worst = max(abs(inner(resid, u)) for u in report.range_basis)
             assert worst < 1e-9
+
+    def test_carries_the_decomposition_of_m_g(self):
+        split = random_split(np.random.default_rng(11))
+        report = partial_out(split, 1e-12)
+        dec = report.decomposition
+        assert np.array_equal(dec.singular_values,
+                              svd(split.m_g).singular_values)
+        k = len(report.range_basis)
+        assert np.array_equal(report.range_basis.matrix(),
+                              dec.left_functions.matrix()[:, :k])
 
     def test_rejects_empty_split(self):
         mu = two_point()
@@ -252,3 +263,24 @@ class TestHarnesses:
                     GridFunction(h.values[p:], model.g0.measure)).values
         )
         assert np.abs(img - direct).max() < 1e-12
+
+
+@pytest.mark.parametrize("harness", ["linear", "nonlinear"])
+def test_harnesses_reuse_the_partial_out_svd(harness, monkeypatch):
+    model = make_semiparam_model(np.random.default_rng(12))
+    calls = []
+
+    def counting_svd(op, *args, **kwargs):
+        calls.append(op.shape)
+        return svd(op, *args, **kwargs)
+
+    monkeypatch.setattr(momentid.semiparam, "svd", counting_svd)
+    if harness == "linear":
+        report = verify_semiparam_linear(model, beta_radius=0.2,
+                                         g_radius=0.5, samples=10, seed=1)
+    else:
+        report = verify_semiparam_nonlinear(
+            model, NonlinearityBound(L=0.0, r=2.0), beta_radius=0.2,
+            samples=10, seed=1, g_radius=0.5)
+    assert report.failures == 0
+    assert calls == [model.split.m_g.shape]  # partial_out's, nothing more

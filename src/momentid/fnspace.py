@@ -161,15 +161,6 @@ class GridFunction:
             raise ValueError("function values must be finite")
         object.__setattr__(self, "values", _readonly(v))
 
-    @classmethod
-    def _trusted(cls, values: np.ndarray, measure: GridMeasure) -> "GridFunction":
-        """Wrap a finite, read-only float array of length ``measure.size``
-        that the library built itself, skipping validation and the copy."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "values", values)
-        object.__setattr__(f, "measure", measure)
-        return f
-
     @staticmethod
     def constant(measure: GridMeasure, c: float) -> "GridFunction":
         return GridFunction(np.full(measure.size, float(c)), measure)
@@ -235,6 +226,7 @@ def norm(f: GridFunction) -> float:
     return float(np.sqrt(np.dot(f.measure.weights, f.values**2)))
 
 
+@dataclass(frozen=True, init=False, eq=False)
 class OrthonormalBasis:
     """Ordered family of grid functions, pairwise orthonormal under the measure.
 
@@ -243,7 +235,9 @@ class OrthonormalBasis:
     which case the measure must be supplied explicitly.
     """
 
-    __slots__ = ("measure", "ortho_tol", "_mat")
+    measure: GridMeasure
+    ortho_tol: float
+    _mat: np.ndarray
 
     def __init__(
         self,
@@ -289,9 +283,9 @@ class OrthonormalBasis:
     def _store(self, mat, mu: GridMeasure, ortho_tol: float, check: bool) -> None:
         mat = np.array(mat, dtype=float, order="C")
         mat.flags.writeable = False
-        self._mat = mat
-        self.measure = mu
-        self.ortho_tol = ortho_tol
+        object.__setattr__(self, "_mat", mat)
+        object.__setattr__(self, "measure", mu)
+        object.__setattr__(self, "ortho_tol", ortho_tol)
         k = mat.shape[1]
         if check and k:
             gram = (mat * mu.weights[:, None]).T @ mat
@@ -305,9 +299,7 @@ class OrthonormalBasis:
         return self._mat.shape[1]
 
     def __getitem__(self, j: int) -> GridFunction:
-        col = np.ascontiguousarray(self._mat[:, operator.index(j)])
-        col.flags.writeable = False
-        return GridFunction._trusted(col, self.measure)
+        return GridFunction(self._mat[:, operator.index(j)], self.measure)
 
     def __iter__(self) -> Iterator[GridFunction]:
         return (self[j] for j in range(len(self)))
@@ -378,6 +370,8 @@ def cosine_basis(measure: GridMeasure, n_funcs: int) -> OrthonormalBasis:
     if measure.dim != 1:
         raise ValueError("cosine basis requires a 1-d measure")
     n = measure.size
+    if n_funcs < 1:
+        raise ValueError("cosine basis needs at least one function")
     if n_funcs > n:
         raise ValueError("cannot build more basis functions than grid points")
     if np.ptp(measure.weights) > 1e-14 * measure.weights[0]:

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -242,6 +244,17 @@ class TestOrthonormalBasis:
                                          check=False)
         with pytest.raises(ValueError, match="orthonormal"):
             OrthonormalBasis.from_matrix(np.ones((2, 2)), mu)
+
+    def test_fields_cannot_be_reassigned(self):
+        basis = cosine_basis(GridMeasure.uniform(5), 2)
+        with pytest.raises(FrozenInstanceError):
+            basis.measure = GridMeasure.uniform(5)
+        with pytest.raises(FrozenInstanceError):
+            basis._mat = np.eye(5)
+
+    def test_cosine_basis_rejects_empty_family(self):
+        with pytest.raises(ValueError):
+            cosine_basis(GridMeasure.uniform(5), 0)
 
     def test_empty_basis_matrix(self):
         basis = OrthonormalBasis((), measure=two_point())

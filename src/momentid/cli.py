@@ -371,6 +371,12 @@ EXPERIMENTS = {
 }
 
 
+def _is_int(value) -> bool:
+    """True for a JSON integer; JSON's true and false load as bools, an int
+    subclass, and 21.0 loads as a float, so neither counts."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -391,7 +397,7 @@ def load_config(path: str) -> dict:
     if "seed" not in raw:
         raise UsageError("config must carry an integer seed; wall-clock "
                          "seeding is not supported")
-    if not isinstance(raw["seed"], int):
+    if not _is_int(raw["seed"]):
         raise UsageError("seed must be an integer")
     spec = EXPERIMENTS[raw["experiment"]]
     params = dict(spec["defaults"])
@@ -401,6 +407,11 @@ def load_config(path: str) -> dict:
         raise UsageError(
             f"unknown params for {raw['experiment']}: {sorted(unknown)}"
         )
+    for key, value in extra.items():
+        if _is_int(params[key]) and not _is_int(value):
+            raise UsageError(
+                f"param {key} must be an integer, got {value!r}"
+            )
     params.update(extra)
     for key, value in params.items():
         if isinstance(value, (int, float)) and key.startswith(

@@ -7,6 +7,11 @@ which keeps the map twice differentiable with a curvature constant read off
 the density tables: L1 bounds the density slope in y, L2 bounds the density
 ratio of X given W against the marginal of X, and the curvature constant of
 the map is their product with exponent two.
+
+The outcome density table has a w axis of length n_w, or of length one when
+the outcome law does not depend on the instrument.  A length-one axis
+broadcasts over w, so a w-free design stores, integrates and interpolates
+its CDF once per x rather than once per (x, w).
 """
 
 from __future__ import annotations
@@ -93,10 +98,12 @@ class QuantileIvModel:
     """Tabulated design for the endogenous quantile moment map.
 
     ``f_y`` is the conditional density of the outcome given (x, w) on the y
-    grid, smooth in y.  ``x_ratio`` is the conditional-to-marginal mass ratio
-    of X given W on the two probability grids, so columns average to one
-    under the X measure.  The slope bound L1 and the ratio bound L2 are
-    recomputed from these tables, never taken on trust.
+    grid, smooth in y, of shape (n_y, n_x, n_w); a design whose outcome law
+    does not depend on w may pass (n_y, n_x, 1), which broadcasts over w.
+    ``x_ratio`` is the conditional-to-marginal mass ratio of X given W on the
+    two probability grids, so columns average to one under the X measure.
+    The slope bound L1 and the ratio bound L2 are recomputed from these
+    tables, never taken on trust.
     """
 
     tau: float
@@ -115,8 +122,10 @@ class QuantileIvModel:
             raise ValueError("y grid must be strictly increasing")
         fy = np.asarray(self.f_y, dtype=float)
         nx, nw = self.x_measure.size, self.w_measure.size
-        if fy.shape != (y.size, nx, nw):
-            raise GridMismatchError("f_y table must be (n_y, n_x, n_w)")
+        if fy.shape not in ((y.size, nx, nw), (y.size, nx, 1)):
+            raise GridMismatchError(
+                "f_y table must be (n_y, n_x, n_w) or (n_y, n_x, 1)"
+            )
         if np.any(fy < 0):
             raise ValueError("densities must be nonnegative")
         ratio = np.asarray(self.x_ratio, dtype=float)
@@ -140,7 +149,7 @@ class QuantileIvModel:
         # cumulative trapezoid CDF and its monotone cubic slopes
         increments = (y[1:] - y[:-1])[:, None, None] * (fy[1:] + fy[:-1]) / 2.0
         cdf = np.concatenate(
-            [np.zeros((1, nx, nw)), np.cumsum(increments, axis=0)]
+            [np.zeros((1,) + fy.shape[1:]), np.cumsum(increments, axis=0)]
         )
         object.__setattr__(self, "_cdf", cdf)
         object.__setattr__(self, "_cdf_slopes", _pchip_slopes(y, cdf))
@@ -170,14 +179,14 @@ class QuantileIvModel:
         yq = np.asarray(alpha_values, dtype=float)
         idx = self._locate(yq)
         val, _ = _hermite(self.y_grid, self._cdf, self._cdf_slopes, yq, idx)
-        return val
+        return np.broadcast_to(val, self.x_ratio.shape)
 
     def density_at(self, alpha_values: np.ndarray) -> np.ndarray:
         """f(alpha(x) | x, w), the exact y-derivative of the interpolated CDF."""
         yq = np.asarray(alpha_values, dtype=float)
         idx = self._locate(yq)
         _, der = _hermite(self.y_grid, self._cdf, self._cdf_slopes, yq, idx)
-        return der
+        return np.broadcast_to(der, self.x_ratio.shape)
 
     def quantile_curve(self, tau: float | None = None) -> np.ndarray:
         """Invert the interpolated CDF at the quantile level, per x.
@@ -268,7 +277,7 @@ def gaussian_quantile_model(
     fy_x = phi((yg[:, None] - curve[None, :]) / sigma_u) / sigma_u
     wy = GridMeasure.trapezoid(yg).weights
     fy_x /= np.einsum("y,yx->x", wy, fy_x)[None, :]
-    f_y = np.repeat(fy_x[:, :, None], n_w, axis=2)
+    f_y = fy_x[:, :, None]
 
     seed_alpha = GridFunction(curve, x_measure)
     model = QuantileIvModel(

@@ -25,6 +25,13 @@ class TestConfigValidation:
         with pytest.raises(UsageError, match="seed"):
             load_config(path)
 
+    @pytest.mark.parametrize("seed", [7.0, True])
+    def test_seed_must_be_an_integer(self, tmp_path, seed):
+        path = write_config(
+            tmp_path, {"experiment": "counterexample", "seed": seed})
+        with pytest.raises(UsageError, match="seed must be an integer"):
+            load_config(path)
+
     def test_unknown_experiment(self, tmp_path):
         path = write_config(tmp_path, {"experiment": "nope", "seed": 1})
         with pytest.raises(UsageError, match="unknown experiment"):
@@ -58,6 +65,17 @@ class TestConfigValidation:
         path.write_text("{not json")
         with pytest.raises(UsageError):
             load_config(str(path))
+
+    @pytest.mark.parametrize("value", [21.0, True])
+    def test_integer_param_rejects_non_integers(self, tmp_path, capsys,
+                                                value):
+        path = write_config(
+            tmp_path, {"experiment": "quantile", "seed": 1,
+                       "params": {"n_x": value}})
+        with pytest.raises(UsageError, match="n_x must be an integer"):
+            load_config(path)
+        assert main(["run", path, "--out", str(tmp_path)]) == 2
+        assert "n_x" in capsys.readouterr().err
 
 
 class TestCatalog:

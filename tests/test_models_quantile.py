@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from momentid.errors import GridMismatchError
 from momentid.fnspace import GridFunction, norm
 from momentid.identcore import (
     estimate_nonlinearity,
@@ -122,3 +125,55 @@ def test_quantile_level_enters_eval(model):
     # the 0.5-quantile curve is not the 0.3-quantile curve
     assert np.abs(shifted.quantile_curve(0.5)
                   - shifted.alpha0.values).max() > 0.1
+
+
+def test_w_free_table_matches_repeated_table_bit_for_bit():
+    free = gaussian_quantile_model(n_x=23, n_w=17, n_y=81)
+    n_w = free.w_measure.size
+    assert free.f_y.shape == (81, 23, 1)
+    full = replace(free, f_y=np.repeat(free.f_y, n_w, axis=2))
+    assert full.f_y.shape == (81, 23, n_w)
+    rng = np.random.default_rng(5)
+    points = [free.alpha0.values,
+              free.alpha0.values + rng.uniform(-1.0, 1.0, 23)]
+    for yq in points:
+        assert free.cdf_at(yq).shape == (23, n_w)
+        assert np.array_equal(free.cdf_at(yq), full.cdf_at(yq))
+        assert np.array_equal(free.density_at(yq), full.density_at(yq))
+    assert free.l1 == full.l1
+    assert np.array_equal(free.quantile_curve(), full.quantile_curve())
+    assert np.array_equal(free.quantile_curve(0.3), full.quantile_curve(0.3))
+    free_map, free_bound = quantile_moment_map(free)
+    full_map, full_bound = quantile_moment_map(full)
+    assert free_bound == full_bound
+    assert np.array_equal(free_map.derivative.entries,
+                          full_map.derivative.entries)
+    alpha = GridFunction(points[1], free.x_measure)
+    for point in (free.alpha0, alpha):
+        assert np.array_equal(free_map.eval(point).values,
+                              full_map.eval(point).values)
+
+
+def test_w_axis_must_be_one_or_n_w(model):
+    for k in (2, model.w_measure.size + 1):
+        with pytest.raises(GridMismatchError, match="f_y table"):
+            replace(model, f_y=np.repeat(model.f_y, k, axis=2))
+
+
+def test_quantile_curve_rejects_w_dependent_table(model):
+    f_y = np.repeat(model.f_y, model.w_measure.size, axis=2)
+    # mirror x in one w slice: still a density in y for every x, but the
+    # median curve tanh(x) is odd, so this slice's CDF differs from the rest
+    f_y[:, :, 3] = f_y[:, ::-1, 3]
+    varied = replace(model, f_y=f_y)
+    with pytest.raises(ValueError, match="conditional CDF varies with w"):
+        varied.quantile_curve()
+
+
+def test_fine_grid_keeps_tables_free_of_the_w_axis():
+    n = 481
+    fine = gaussian_quantile_model(n_x=n, n_w=n, n_y=n)
+    mmap, _ = quantile_moment_map(fine)
+    assert norm(mmap.eval(mmap.base_point)) <= 1e-10
+    for table in (fine.f_y, fine._cdf, fine._cdf_slopes):
+        assert table.size <= n * n

@@ -12,8 +12,8 @@ import numpy as np
 
 from momentid.fnspace import GridFunction, norm
 from momentid.identcore import estimate_nonlinearity, gateaux_check, \
-    sample_ellipsoid_deviations
-from momentid.linop import apply, svd
+    sample_ellipsoid_deviations, verify_local_id
+from momentid.linop import svd
 from momentid.models.quantile import gaussian_quantile_model, \
     quantile_moment_map
 
@@ -40,16 +40,16 @@ print(f"\nfinite-difference error of the derivative: "
       f"{gateaux_check(mmap, dirs, [1e-3, 1e-4], richardson=True):.2e}")
 
 # Sample deviations inside the ellipsoid: every one keeps the map away from
-# zero, with the linearization dominating the curvature remainder.
-worst_ratio = 0.0
-min_m = np.inf
-for delta, b in sample_ellipsoid_deviations(dec, bound, 100, rng):
-    m_val = mmap.eval(mmap.base_point + delta)
-    lin = apply(mmap.derivative, delta)
-    worst_ratio = max(worst_ratio, norm(m_val - lin) / norm(lin))
-    min_m = min(min_m, norm(m_val))
-print(f"\n100 ellipsoid deviations: worst remainder/linearization ratio "
-      f"{worst_ratio:.2e} (< 1 everywhere), min ||m|| {min_m:.2e}")
+# zero, with the linearization dominating the curvature remainder.  The
+# verifier makes one attempt per pre-drawn deviation.
+draws = iter(sample_ellipsoid_deviations(dec, bound, 100, rng))
+report = verify_local_id(mmap, bound, 100, 0,
+                         sampler=lambda _: next(draws)[0], budget_factor=1,
+                         keep_rows=True)
+worst_ratio = max(rem / lin for _, lin, rem, _, _ in report.rows)
+print(f"\n{report.samples} ellipsoid deviations, {report.passes} pass: "
+      f"worst remainder/linearization ratio {worst_ratio:.2e} (< 1 "
+      f"everywhere), min ||m|| {report.min_m_norm:.2e}")
 
 # The sampled curvature stays below the density-derived bound.
 devs = [GridFunction(rng.standard_normal(model.x_measure.size) * s,

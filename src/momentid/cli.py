@@ -14,22 +14,24 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import identcore
 from .fnspace import GridFunction, GridMeasure, cosine_basis, norm
 from .genericity import GeneratorConfig, draw_operator, mc_injectivity
 from .identcore import (
     cone_inclusion_suite,
     counterexample,
+    estimate_nonlinearity,
     gateaux_check,
     sample_ellipsoid_deviations,
+    verify_local_id,
 )
-from .linop import LinearOperator, apply, from_kernel, svd
+from .linop import LinearOperator, from_kernel, svd
 from .models.ccapm import (
+    ccapm_moment_map,
     check_global_identification,
     completeness_check,
     fixed_state_completeness_operator,
@@ -84,73 +86,63 @@ class Check:
         return out
 
 
-def _run_counterexample(params: dict, seed: int) -> list[Check]:
+def _run_counterexample(params: dict, seed: int) -> list[tuple]:
     k_min, k_max = params["k_min"], params["k_max"]
+    if k_min > k_max:
+        raise ValueError(f"k_min {k_min} exceeds k_max {k_max}")
     n_terms = params["n_terms"]
-    checks = []
     worst_residual = 0.0
     worst_dev = 0.0
     any_in_set = False
-    L = None
     for k in range(k_min, k_max + 1):
         case = counterexample(k, n_terms=n_terms)
         worst_residual = max(worst_residual, case.m_norm)
         worst_dev = max(worst_dev, abs(case.dev_norm - 2.0 ** (-k / 4.0)))
         any_in_set = any_in_set or case.in_n
-        L = case.L
-    checks.append(Check("zero residual along the sequence",
-                        worst_residual <= 1e-12, worst_residual))
-    checks.append(Check("deviation norm equals tail mass to the 1/4",
-                        worst_dev <= 1e-12, worst_dev))
-    checks.append(Check("sequence stays outside the identification set",
-                        not any_in_set))
-    checks.append(Check("curvature constant at least one", L >= 1.0, L))
-    return checks
+    return [
+        (worst_residual <= 1e-12, worst_residual),
+        (worst_dev <= 1e-12, worst_dev),
+        (not any_in_set, None),
+        (case.L >= 1.0, case.L),
+    ]
 
 
-def _run_quantile(params: dict, seed: int) -> list[Check]:
+def _run_quantile(params: dict, seed: int) -> list[tuple]:
     rng = np.random.default_rng(seed)
     model = gaussian_quantile_model(
         n_x=params["n_x"], n_w=params["n_w"], n_y=params["n_y"],
         rho=params["rho"], tau=params["tau"],
     )
     mmap, bound = quantile_moment_map(model)
-    checks = [Check("model restriction holds at the quantile curve",
-                    norm(mmap.eval(mmap.base_point)) <= 1e-10)]
-    dec = svd(mmap.derivative)
-    fails = 0
-    min_m = np.inf
-    for delta, coeffs in sample_ellipsoid_deviations(
-        dec, bound, params["n_ellipsoid"], rng
-    ):
-        alpha = mmap.base_point + delta
-        m_val = mmap.eval(alpha)
-        lin = apply(mmap.derivative, delta)
-        ok = norm(m_val - lin) < norm(lin) and norm(m_val) > 1e-10
-        fails += 0 if ok else 1
-        min_m = min(min_m, norm(m_val))
-    checks.append(Check("ellipsoid deviations keep the map away from zero",
-                        fails == 0, {"fails": fails, "min_norm": min_m}))
+    results = [(norm(mmap.eval(mmap.base_point)) <= 1e-10, None)]
+    n = params["n_ellipsoid"]
+    draws = iter(sample_ellipsoid_deviations(svd(mmap.derivative), bound, n,
+                                             rng))
+    # the draws are made up front from the run's rng; a budget of one
+    # attempt per draw turns any rejected draw into EmptyNeighborhoodError
+    soundness = verify_local_id(mmap, bound, n, seed,
+                                sampler=lambda _: next(draws)[0],
+                                budget_factor=1, pos_tol=1e-10)
+    results.append((soundness.failures == 0,
+                    {"fails": soundness.failures,
+                     "min_norm": soundness.min_m_norm}))
     devs = [
         GridFunction(rng.standard_normal(model.x_measure.size) * s,
                      model.x_measure)
         for s in rng.uniform(0.05, 0.6, size=params["n_deviations"])
     ]
-    l_hat = identcore.estimate_nonlinearity(mmap, 2.0, devs)
-    checks.append(Check("sampled curvature within the density bounds",
-                        l_hat <= 1.05 * bound.L,
-                        {"l_hat": l_hat, "bound": bound.L}))
+    l_hat = estimate_nonlinearity(mmap, 2.0, devs)
+    results.append((l_hat <= 1.05 * bound.L,
+                    {"l_hat": l_hat, "bound": bound.L}))
     dirs = [GridFunction(rng.standard_normal(model.x_measure.size) * 0.3,
                          model.x_measure) for _ in range(10)]
     err = gateaux_check(mmap, dirs, [1e-3, 1e-4], richardson=True)
-    checks.append(Check("finite differences match the derivative",
-                        err < 1e-5, err))
-    return checks
+    results.append((err < 1e-5, err))
+    return results
 
 
-def _run_single_index(params: dict, seed: int) -> list[Check]:
+def _run_single_index(params: dict, seed: int) -> list[tuple]:
     rhos = np.linspace(0.4, 0.7, params["n_designs"])
-    checks = []
     all_consistent = True
     scalar_worst = 0.0
     twodim_worst = np.inf
@@ -168,43 +160,25 @@ def _run_single_index(params: dict, seed: int) -> list[Check]:
             scalar_worst, d1.lambda_min / max(d1.trace, 1e-300)
         )
         twodim_worst = min(twodim_worst, d2.lambda_min / d2.trace)
-    checks.append(Check("completeness and Gram singularity never conflict",
-                        all_consistent))
-    checks.append(Check("scalar instrument absorbs the parametric columns",
-                        scalar_worst < 1e-8, scalar_worst))
-    checks.append(Check("richer instrument keeps the Gram matrix nonsingular",
-                        twodim_worst > 1e-4, twodim_worst))
-    return checks
+    return [
+        (all_consistent, None),
+        (scalar_worst < 1e-8, scalar_worst),
+        (twodim_worst > 1e-4, twodim_worst),
+    ]
 
 
-def _run_ccapm(params: dict, seed: int) -> list[Check]:
+def _run_ccapm(params: dict, seed: int) -> list[tuple]:
     model = lognormal_ccapm_model(
         n_state=params["n_state"], n_signal=params["n_signal"]
     )
-    checks = []
     pair = perron_frobenius(model, tol=params["pf_tol"])
-    checks.append(Check("power iteration reaches the residual tolerance",
-                        pair.residual <= 1e-10, pair.residual))
-    checks.append(Check("eigenfunction strictly positive",
-                        bool((pair.g.values > 0).all())))
-    checks.append(Check("leading eigenvalue simple", pair.gap < 1.0, pair.gap))
-    checks.append(Check("discount factor recovered",
-                        abs(pair.delta - model.delta0) <= 1e-8,
-                        pair.delta))
     rep = completeness_check(
         fixed_state_completeness_operator(model, model.c_measure.size // 2),
         tol=1e-8,
     )
-    checks.append(Check("conditional expectation injective at the midpoint "
-                        "state", rep.injective, rep.sigma_min))
-    from .models.ccapm import ccapm_moment_map
-
     _, split = ccapm_moment_map(model)
     report = partial_out(split, 1e-12)
     trace = float(np.trace(report.gram))
-    checks.append(Check("partialled Gram matrix nonsingular",
-                        report.lambda_min > 1e-6 * trace,
-                        report.lambda_min / trace))
     cands = [
         (model.delta0, model.gamma0, model.g0 * 2.0),
         (model.delta0, model.gamma0 + 0.5, model.g0),
@@ -212,16 +186,20 @@ def _run_ccapm(params: dict, seed: int) -> list[Check]:
     gid = check_global_identification(model, cands, tol=1e-8)
     accepted = gid.rows[0].get("is_solution") and gid.rows[0].get("scale_ok")
     rejected = not gid.rows[1].get("is_solution")
-    checks.append(Check("scaled truth accepted as the same solution",
-                        bool(accepted)))
-    checks.append(Check("shifted curvature rejected as a non-solution",
-                        bool(rejected)))
-    checks.append(Check("no global identification violations",
-                        gid.violations == 0))
-    return checks
+    return [
+        (pair.residual <= 1e-10, pair.residual),
+        (bool((pair.g.values > 0).all()), None),
+        (pair.gap < 1.0, pair.gap),
+        (abs(pair.delta - model.delta0) <= 1e-8, pair.delta),
+        (rep.injective, rep.sigma_min),
+        (report.lambda_min > 1e-6 * trace, report.lambda_min / trace),
+        (bool(accepted), None),
+        (bool(rejected), None),
+        (gid.violations == 0, None),
+    ]
 
 
-def _run_genericity(params: dict, seed: int) -> tuple[list[Check], np.ndarray]:
+def _run_genericity(params: dict, seed: int) -> tuple[list[tuple], np.ndarray]:
     n = params["trunc_n"]
     grid = GridMeasure.uniform(params["grid_n"])
     basis = cosine_basis(grid, n)
@@ -229,51 +207,34 @@ def _run_genericity(params: dict, seed: int) -> tuple[list[Check], np.ndarray]:
     config = GeneratorConfig(sigma=sigma, kappa=1.0, trunc_n=n, compact=True)
     report = mc_injectivity(config, (basis, basis), params["draws"],
                             params["tol"], seed)
-    checks = [
-        Check("no draw loses injectivity",
-              report.fraction_below_tol == 0.0, report.fraction_below_tol),
-        Check("spectrum equals the drawn coefficients",
-              report.max_spectrum_deviation <= 1e-10,
-              report.max_spectrum_deviation),
-    ]
-    pos = draw_operator(
-        GeneratorConfig(sigma=sigma, kappa=1.0, trunc_n=n, positive=True),
-        (basis, basis), seed,
-    )
-    checks.append(Check("positivity construction keeps the kernel nonnegative",
-                        float(pos.operator.entries.min()) >= 0.0,
-                        float(pos.operator.entries.min())))
-    dens = draw_operator(
-        GeneratorConfig(sigma=sigma, kappa=1.0, trunc_n=n, positive=True,
-                        density=True),
-        (basis, basis), seed,
-    )
+    positive = replace(config, compact=False, positive=True)
+    pos = draw_operator(positive, (basis, basis), seed)
+    dens = draw_operator(replace(positive, density=True), (basis, basis), seed)
     rows = dens.operator.entries @ grid.weights
-    checks.append(Check("density construction has unit row sums",
-                        float(np.abs(rows - 1.0).max()) <= 1e-12,
-                        float(np.abs(rows - 1.0).max())))
-    return checks, report.sigma_min
+    results = [
+        (report.fraction_below_tol == 0.0, report.fraction_below_tol),
+        (report.max_spectrum_deviation <= 1e-10,
+         report.max_spectrum_deviation),
+        (float(pos.operator.entries.min()) >= 0.0,
+         float(pos.operator.entries.min())),
+        (float(np.abs(rows - 1.0).max()) <= 1e-12,
+         float(np.abs(rows - 1.0).max())),
+    ]
+    return results, report.sigma_min
 
 
-def _run_cone_suite(params: dict, seed: int) -> list[Check]:
+def _run_cone_suite(params: dict, seed: int) -> list[tuple]:
     report = cone_inclusion_suite(params["instances"], params["dim"], seed)
-    return [Check("all cone-set inclusions hold",
-                  report.total_violations == 0, report.violations)]
+    return [(report.total_violations == 0, report.violations)]
 
 
-def _run_semiparam_pi(params: dict, seed: int) -> list[Check]:
+def _run_semiparam_pi(params: dict, seed: int) -> list[tuple]:
     mu = GridMeasure([0.0, 1.0], [0.5, 0.5])
     m_g = from_kernel(np.ones((2, 2)), mu, mu)
     split = SplitDerivative(
         m_beta=(GridFunction([1.0, 0.0], mu),), m_g=m_g
     )
     hand = partial_out(split, 1e-12)
-    checks = [
-        Check("hand example Gram entry",
-              abs(hand.gram[0, 0] - 0.25) <= 1e-9, hand.gram[0, 0]),
-        Check("hand example eps1",
-              abs(hand.eps1 - np.sqrt(0.125)) <= 1e-9, hand.eps1),
-    ]
     rng = np.random.default_rng(seed)
     worst_gap = np.inf
     for _ in range(params["n_splits"]):
@@ -291,9 +252,11 @@ def _run_semiparam_pi(params: dict, seed: int) -> list[Check]:
         ratio = split_lower_bound_check(split_i, rep, params["trials"],
                                         int(rng.integers(2**31)))
         worst_gap = min(worst_gap, ratio - rep.eps)
-    checks.append(Check("lower bound holds on random splits",
-                        worst_gap >= -1e-10, worst_gap))
-    return checks
+    return [
+        (abs(hand.gram[0, 0] - 0.25) <= 1e-9, hand.gram[0, 0]),
+        (abs(hand.eps1 - np.sqrt(0.125)) <= 1e-9, hand.eps1),
+        (worst_gap >= -1e-10, worst_gap),
+    ]
 
 
 EXPERIMENTS = {
@@ -408,16 +371,19 @@ def load_config(path: str) -> dict:
             f"unknown params for {raw['experiment']}: {sorted(unknown)}"
         )
     for key, value in extra.items():
-        if _is_int(params[key]) and not _is_int(value):
-            raise UsageError(
-                f"param {key} must be an integer, got {value!r}"
-            )
-    params.update(extra)
-    for key, value in params.items():
-        if isinstance(value, (int, float)) and key.startswith(
-            ("tol", "pf_tol")
-        ) and value <= 0:
+        # every default is an int (a count, at least 1) or a float
+        if _is_int(params[key]):
+            if not _is_int(value):
+                raise UsageError(
+                    f"param {key} must be an integer, got {value!r}"
+                )
+            if value < 1:
+                raise UsageError(f"param {key} must be at least 1, got {value}")
+        elif not (_is_int(value) or isinstance(value, float)):
+            raise UsageError(f"param {key} must be a number, got {value!r}")
+        elif key in ("tol", "pf_tol") and value <= 0:
             raise UsageError(f"tolerance {key} must be positive")
+    params.update(extra)
     return {"experiment": raw["experiment"], "seed": raw["seed"],
             "out_dir": raw.get("out_dir"), "params": params}
 
@@ -435,13 +401,19 @@ def run_experiment(config: dict) -> tuple[dict, np.ndarray | None]:
     start = time.perf_counter()
     samples = None
     try:
-        result = spec["runner"](config["params"], config["seed"])
-        if isinstance(result, tuple):
-            checks, samples = result
-        else:
-            checks = result
+        results = spec["runner"](config["params"], config["seed"])
+        if isinstance(results, tuple):
+            results, samples = results
     except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
         checks = [Check("experiment completed", False, detail=str(exc))]
+    else:
+        if len(results) != len(spec["checks"]):
+            raise RuntimeError(
+                f"{config['experiment']} returned {len(results)} results for "
+                f"{len(spec['checks'])} declared checks"
+            )
+        checks = [Check(name, passed, value) for name, (passed, value)
+                  in zip(spec["checks"], results)]
     n_pass = int(sum(bool(c.passed) for c in checks))
     report = {
         "experiment": config["experiment"],

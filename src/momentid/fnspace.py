@@ -12,7 +12,7 @@ import csv
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -168,14 +168,6 @@ class GridFunction:
     @staticmethod
     def zero(measure: GridMeasure) -> "GridFunction":
         return GridFunction.constant(measure, 0.0)
-
-    @staticmethod
-    def from_callable(measure: GridMeasure, fn: Callable) -> "GridFunction":
-        if measure.dim == 1:
-            vals = np.asarray(fn(measure.coords()), dtype=float)
-        else:
-            vals = np.asarray(fn(measure.points[:, 0], measure.points[:, 1]))
-        return GridFunction(np.broadcast_to(vals, (measure.size,)), measure)
 
     def _check(self, other: "GridFunction") -> None:
         if not self.measure.same_as(other.measure):
@@ -346,11 +338,7 @@ def project(f: GridFunction, basis: OrthonormalBasis) -> GridFunction:
     """Orthogonal projection of f onto the span of the basis."""
     if len(basis) == 0:
         return GridFunction.zero(f.measure)
-    if not f.measure.same_as(basis.measure):
-        raise GridMismatchError("function and basis live on different measures")
-    mat = basis.matrix()
-    coeffs = (mat * basis.measure.weights[:, None]).T @ f.values
-    return GridFunction(mat @ coeffs, f.measure)
+    return GridFunction(basis.matrix() @ fourier_coeffs(f, basis), f.measure)
 
 
 def fourier_coeffs(f: GridFunction, basis: OrthonormalBasis) -> np.ndarray:

@@ -182,15 +182,6 @@ class InjectivityReport:
     max_spectrum_deviation: float
     tail_mass: float
 
-    def to_json(self) -> dict:
-        return {
-            "draws": self.draws,
-            "fraction_below_tol": self.fraction_below_tol,
-            "max_spectrum_deviation": self.max_spectrum_deviation,
-            "tail_mass": self.tail_mass,
-            "sigma_min": self.sigma_min.tolist(),
-        }
-
 
 def mc_injectivity(
     config: GeneratorConfig,

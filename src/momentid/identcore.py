@@ -10,10 +10,11 @@ tangential-cone set inclusions on random finite-dimensional instances.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -95,9 +96,39 @@ class NonlinearityBound:
         return dev_norm <= self.radius
 
 
-def positivity_tol(op: LinearOperator) -> float:
-    """Numerical zero scale for codomain norms: 1e-10 (1 + ||m'||)."""
-    return 1e-10 * (1.0 + float(singular_values(op)[0]))
+def positivity_tol(sigma_max: float) -> float:
+    """Numerical zero scale for codomain norms: 1e-10 (1 + ||m'||), given
+    the largest singular value ||m'|| of the derivative."""
+    return 1e-10 * (1.0 + float(sigma_max))
+
+
+def accepted_draws(
+    draw: Callable[[], object | None],
+    samples: int,
+    budget_factor: int,
+    what: str,
+    hint: str,
+) -> Iterator[tuple[int, object]]:
+    """Budgeted rejection sampling: call ``draw`` until ``samples`` calls
+    have returned something other than None (a rejection).
+
+    Yields each accepted draw with the number of attempts so far, so the
+    caller's own random draws between acceptances keep their order.  Raises
+    EmptyNeighborhoodError, naming the ``what`` counted and the caller's
+    ``hint``, once ``budget_factor * samples`` attempts have not been enough.
+    """
+    accepted = attempts = 0
+    while accepted < samples:
+        if attempts >= budget_factor * samples:
+            raise EmptyNeighborhoodError(
+                f"accepted only {accepted}/{samples} {what} after "
+                f"{attempts} draws; {hint}"
+            )
+        attempts += 1
+        item = draw()
+        if item is not None:
+            accepted += 1
+            yield attempts, item
 
 
 def gateaux_check(
@@ -192,7 +223,9 @@ def rank_condition(
         s = singular_values(op)
         dom_dim = op.domain.size
     else:
-        cols = np.column_stack([apply(op, u).values for u in subspace])
+        if not subspace.measure.same_as(op.domain):
+            raise GridMismatchError("subspace does not live on the operator domain")
+        cols = op.action_matrix() @ subspace.matrix()
         b = np.sqrt(op.codomain.weights)[:, None] * cols
         s = np.linalg.svd(b, compute_uv=False)
         dom_dim = len(subspace)
@@ -321,19 +354,6 @@ class LocalIdReport:
     def all_passed(self) -> bool:
         return self.failures == 0 and self.passes == self.samples
 
-    def to_json(self) -> dict:
-        return {
-            "samples": self.samples,
-            "attempts": self.attempts,
-            "passes": self.passes,
-            "failures": self.failures,
-            "min_m_norm": self.min_m_norm,
-            "min_margin": self.min_margin,
-            "seed": self.seed,
-            "pos_tol": self.pos_tol,
-            "all_passed": self.all_passed,
-        }
-
     def rows_to_csv(self, path: str) -> None:
         """Optional per-sample table: one row per accepted deviation."""
         import csv
@@ -360,76 +380,58 @@ def verify_local_id(
     """Monte Carlo check of the identification inequality on the target set.
 
     Draws deviations, rejects those outside the curvature neighborhood or the
-    identification set, and for every accepted alpha verifies both
-    ||m(alpha) - m'(alpha - alpha0)|| < ||m'(alpha - alpha0)|| and
-    ||m(alpha)|| above numerical-zero scale.  Raises EmptyNeighborhoodError
-    if the rejection budget runs out.
+    identification set ||m' d|| > L ||d||^r, and for every accepted alpha
+    verifies both ||m(alpha) - m'(alpha - alpha0)|| < ||m'(alpha - alpha0)||
+    and ||m(alpha)|| above numerical-zero scale; all codomain norms are the
+    map's own.  Raises EmptyNeighborhoodError if the rejection budget runs
+    out.
     """
     if samples <= 0:
         raise ValueError("samples must be positive")
     rng = np.random.default_rng(rng_seed)
-    dec = svd(mmap.derivative)
-    if pos_tol is None:
-        pos_tol = 1e-10 * (1.0 + dec.sigma_max)
+    op = mmap.derivative
+    dec = None
     if sampler is None:
-        def sampler(r):  # noqa: F811 - deliberate default binding
-            return geometric_deviation_sampler(dec, bound, r)
+        dec = svd(op)
+        sampler = functools.partial(geometric_deviation_sampler, dec, bound)
+    if pos_tol is None:
+        sigma_max = singular_values(op)[0] if dec is None else dec.sigma_max
+        pos_tol = positivity_tol(sigma_max)
 
-    a0 = mmap.base_point
-    accepted = 0
-    attempts = 0
-    passes = 0
-    failures = 0
-    min_m = math.inf
-    min_margin = math.inf
-    rows: list = []
-    budget = budget_factor * samples
-    while accepted < samples:
-        if attempts >= budget:
-            raise EmptyNeighborhoodError(
-                f"accepted only {accepted}/{samples} deviations after "
-                f"{attempts} draws; the sampled neighborhood may be empty "
-                f"for L={bound.L}, r={bound.r}"
-            )
-        attempts += 1
+    def draw():
         delta = sampler(rng)
         dev_norm = mmap.norm_a_of(delta)
         if dev_norm == 0.0:
-            continue
-        if enforce_membership:
-            if not bound.contains_deviation(delta, dev_norm):
-                continue
-            if not in_identification_set(
-                delta, mmap.derivative, bound, norm_a=mmap.norm_a
-            ):
-                continue
-        accepted += 1
-        alpha = a0 + delta
-        m_val = mmap.eval(alpha)
-        lin = apply(mmap.derivative, delta)
-        rem = mmap.norm_b_of(m_val - lin)
+            return None
+        if enforce_membership and not bound.contains_deviation(delta, dev_norm):
+            return None
+        lin = apply(op, delta)
         lin_n = mmap.norm_b_of(lin)
+        if enforce_membership and not lin_n > bound.L * dev_norm**bound.r:
+            return None
+        return delta, dev_norm, lin, lin_n
+
+    a0 = mmap.base_point
+    rows = []
+    for attempts, (delta, dev_norm, lin, lin_n) in accepted_draws(
+        draw, samples, budget_factor, "deviations",
+        f"the sampled neighborhood may be empty for L={bound.L}, r={bound.r}",
+    ):
+        m_val = mmap.eval(a0 + delta)
+        rem = mmap.norm_b_of(m_val - lin)
         m_n = mmap.norm_b_of(m_val)
-        margin = lin_n - rem
-        min_m = min(min_m, m_n)
-        min_margin = min(min_margin, margin)
-        good = rem < lin_n and m_n > pos_tol
-        if good:
-            passes += 1
-        else:
-            failures += 1
-        if keep_rows:
-            rows.append((dev_norm, lin_n, rem, m_n, good))
+        rows.append((dev_norm, lin_n, rem, m_n, rem < lin_n and m_n > pos_tol))
+    passes = sum(row[4] for row in rows)
     return LocalIdReport(
         samples=samples,
         attempts=attempts,
         passes=passes,
-        failures=failures,
-        min_m_norm=min_m,
-        min_margin=min_margin,
+        failures=samples - passes,
+        min_m_norm=min(row[3] for row in rows),
+        min_margin=min(row[1] - row[2] for row in rows),
         seed=rng_seed,
         pos_tol=pos_tol,
-        rows=rows,
+        rows=rows if keep_rows else [],
     )
 
 
@@ -612,7 +614,7 @@ def cone_classify(
     if eta <= 0:
         raise ValueError("eta must be positive")
     if tol is None:
-        tol = positivity_tol(mmap.derivative)
+        tol = positivity_tol(singular_values(mmap.derivative)[0])
     delta = alpha - mmap.base_point
     m_val = mmap.eval(alpha)
     lin = apply(mmap.derivative, delta)
@@ -652,13 +654,6 @@ class ConeSuiteReport:
     @property
     def total_violations(self) -> int:
         return sum(self.violations.values())
-
-    def to_json(self) -> dict:
-        return {
-            "instances": self.instances,
-            "violations": dict(self.violations),
-            "total_violations": self.total_violations,
-        }
 
 
 def cone_inclusion_suite(

@@ -26,7 +26,8 @@ import numpy as np
 
 from ..errors import ConvergenceError, GridMismatchError
 from ..fnspace import GridFunction, GridMeasure, inner, norm
-from ..linop import LinearOperator, adjoint, singular_values
+from ..identcore import rank_condition
+from ..linop import LinearOperator, adjoint, hs_norm
 from ..semiparam import SemiparametricMap, SplitDerivative
 
 
@@ -88,6 +89,11 @@ class CcapmModel:
     def w_measure(self) -> GridMeasure:
         return GridMeasure.tensor(self.omega_measure, self.c_measure)
 
+    def discounted_returns(self) -> np.ndarray:
+        """delta0 R s^(-gamma0) at the truth, per (next state, signal, state)."""
+        return (self.delta0 * self.returns[None, :, :]
+                * (self.states**(-self.gamma0))[:, None, None])
+
     def envelope(self) -> np.ndarray:
         """Dominating table (1 + R)(2 + ln(s)^2) sup_gamma s^(-gamma), per
         (next state, signal, state)."""
@@ -147,7 +153,7 @@ def ccapm_moment_map(
         vals = priced - g.values[None, :]
         return GridFunction(vals.ravel(), mw)
 
-    a0 = model.delta0 * r[None, :, :] * (s**(-model.gamma0))[:, None, None]
+    a0 = model.discounted_returns()
     col_delta = np.einsum("soc,s->oc", p * a0, g0v) / model.delta0
     col_gamma = -np.einsum("soc,s->oc", p * a0, g0v * log_s)
     m_beta = (
@@ -212,15 +218,6 @@ class EigenPair:
     residual: float
     gap: float
     iterations: int
-
-    def to_json(self) -> dict:
-        return {
-            "rho": self.rho,
-            "delta": self.delta,
-            "residual": self.residual,
-            "gap": self.gap,
-            "iterations": self.iterations,
-        }
 
 
 def positive_eigenpair(
@@ -312,14 +309,6 @@ class CompletenessReport:
     sigma_max: float
     hs_value: float
 
-    def to_json(self) -> dict:
-        return {
-            "injective": self.injective,
-            "sigma_min": self.sigma_min,
-            "sigma_max": self.sigma_max,
-            "hs_value": self.hs_value,
-        }
-
 
 def completeness_check(op: LinearOperator, tol: float) -> CompletenessReport:
     """Truncated-injectivity proxy with the squared Hilbert-Schmidt mass.
@@ -328,19 +317,12 @@ def completeness_check(op: LinearOperator, tol: float) -> CompletenessReport:
     construction on grids; injectivity additionally requires the domain not
     to exceed the codomain, since a wider domain always has a null space.
     """
-    s = singular_values(op)
-    smax = float(s[0])
-    smin = 0.0 if op.domain.size > op.codomain.size else float(s[-1])
-    hs_value = float(
-        np.einsum(
-            "s,t,st->", op.codomain.weights, op.domain.weights, op.entries**2
-        )
-    )
+    rank = rank_condition(op, tol)
     return CompletenessReport(
-        injective=smin > tol * smax,
-        sigma_min=smin,
-        sigma_max=smax,
-        hs_value=hs_value,
+        injective=rank.holds,
+        sigma_min=rank.sigma_min,
+        sigma_max=rank.sigma_max,
+        hs_value=hs_norm(op) ** 2,
     )
 
 
@@ -349,11 +331,7 @@ def fixed_state_completeness_operator(
 ) -> LinearOperator:
     """h(next state) -> E[A h | signal, state fixed at the given node]."""
     p = model.cond_mass[:, :, state_index]
-    a0 = (
-        model.delta0
-        * model.returns[:, state_index][None, :]
-        * (model.states**(-model.gamma0))[:, None]
-    )
+    a0 = model.discounted_returns()[:, :, state_index]
     kernel = (p * a0).T / model.c_measure.weights[None, :]
     return LinearOperator(kernel, model.c_measure, model.omega_measure)
 
@@ -367,10 +345,7 @@ def two_argument_completeness_operator(model: CcapmModel) -> LinearOperator:
     n_s, n_o = model.c_measure.size, model.omega_measure.size
     dom = GridMeasure.tensor(model.c_measure, model.c_measure)
     cod = model.w_measure
-    a0 = model.delta0 * model.returns[None, :, :] * (
-        model.states**(-model.gamma0)
-    )[:, None, None]
-    weighted = model.cond_mass * a0  # (s, o, c)
+    weighted = model.cond_mass * model.discounted_returns()  # (s, o, c)
     kernel = np.zeros((n_o * n_s, n_s * n_s))
     for j in range(n_s):
         rows = np.arange(n_o) * n_s + j
@@ -386,10 +361,6 @@ class GlobalIdReport:
     rows: list
     vacuous: bool
     violations: int
-
-    def to_json(self) -> dict:
-        return {"rows": self.rows, "vacuous": self.vacuous,
-                "violations": self.violations}
 
 
 def check_global_identification(

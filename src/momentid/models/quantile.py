@@ -17,7 +17,7 @@ its CDF once per x rather than once per (x, w).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -136,10 +136,7 @@ class QuantileIvModel:
         col = self.x_measure.weights @ ratio
         if np.abs(col - 1.0).max() > 1e-10:
             raise ValueError("x_ratio columns must average to one")
-        wy = np.empty_like(y)
-        wy[1:-1] = (y[2:] - y[:-2]) / 2
-        wy[0] = (y[1] - y[0]) / 2
-        wy[-1] = (y[-1] - y[-2]) / 2
+        wy = GridMeasure.trapezoid(y).weights
         mass = np.einsum("y,yxw->xw", wy, fy)
         if np.abs(mass - 1.0).max() > 1e-10:
             raise ValueError("f_y slices must integrate to one in y")
@@ -290,12 +287,4 @@ def gaussian_quantile_model(
         alpha0=seed_alpha,
     )
     alpha0 = GridFunction(model.quantile_curve(), x_measure)
-    return QuantileIvModel(
-        tau=tau,
-        x_measure=x_measure,
-        w_measure=w_measure,
-        y_grid=yg,
-        f_y=f_y,
-        x_ratio=ratio,
-        alpha0=alpha0,
-    )
+    return replace(model, alpha0=alpha0)

@@ -131,16 +131,6 @@ class IndexDiagnosis:
     lambda_min: float
     trace: float
 
-    def to_json(self) -> dict:
-        return {
-            "w_given_v_complete": self.w_given_v_complete,
-            "pi_singular": self.pi_singular,
-            "consistent": self.consistent,
-            "sigma_min_ratio": self.sigma_min_ratio,
-            "lambda_min": self.lambda_min,
-            "trace": self.trace,
-        }
-
 
 def _subsample_indices(n: int, target: int) -> np.ndarray:
     if n <= target:

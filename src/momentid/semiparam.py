@@ -12,12 +12,12 @@ check those claims by direct sampling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .errors import EmptyNeighborhoodError, GridMismatchError
+from .errors import GridMismatchError
 from .fnspace import (
     GridFunction,
     GridMeasure,
@@ -26,8 +26,19 @@ from .fnspace import (
     norm,
     project,
 )
-from .identcore import MomentMap, positivity_tol, rank_condition
-from .linop import LinearOperator, SvdDecomposition, apply, svd
+from .identcore import (
+    MomentMap,
+    accepted_draws,
+    positivity_tol,
+    rank_condition,
+)
+from .linop import (
+    LinearOperator,
+    SvdDecomposition,
+    apply,
+    singular_values,
+    svd,
+)
 
 
 @dataclass(frozen=True)
@@ -77,20 +88,6 @@ class PartialOutReport:
     tail_singular_mass: float
     decomposition: SvdDecomposition
     degenerate: bool = False
-
-    def to_json(self) -> dict:
-        return {
-            "gram": self.gram.tolist(),
-            "eigenvalues": np.linalg.eigvalsh(self.gram).tolist(),
-            "lambda_min": self.lambda_min,
-            "eps1": self.eps1,
-            "c_star": self.c_star,
-            "eps": self.eps,
-            "range_tol": self.range_tol,
-            "range_dimension": len(self.range_basis),
-            "tail_singular_mass": self.tail_singular_mass,
-            "degenerate": self.degenerate,
-        }
 
 
 def partial_out(split: SplitDerivative, range_tol: float) -> PartialOutReport:
@@ -297,20 +294,6 @@ class SemiparamIdReport:
     def all_passed(self) -> bool:
         return self.pi_nonsingular and self.failures == 0
 
-    def to_json(self) -> dict:
-        return {
-            "pi_nonsingular": self.pi_nonsingular,
-            "samples": self.samples,
-            "passes": self.passes,
-            "failures": self.failures,
-            "min_m_norm": self.min_m_norm,
-            "full_local_id": self.full_local_id,
-            "g_rank_holds": self.g_rank_holds,
-            "pos_tol": self.pos_tol,
-            "all_passed": self.all_passed,
-            "partial": self.partial.to_json(),
-        }
-
 
 def _sample_g_deviation(
     rng: np.random.Generator, dec, g_radius: float, g_norm_of
@@ -322,6 +305,59 @@ def _sample_g_deviation(
     if scale == 0.0:
         return g
     return (rng.uniform(0.05, 1.0) * g_radius / scale) * g
+
+
+def _sample_beta(
+    rng: np.random.Generator, model: SemiparametricMap, beta_radius: float
+) -> np.ndarray:
+    direction = rng.standard_normal(model.split.p)
+    direction /= np.linalg.norm(direction)
+    return model.beta0 + rng.uniform(0.05, 1.0) * beta_radius * direction
+
+
+def _gram_gate(
+    model: SemiparametricMap,
+    range_tol: float,
+    singular_gate: float,
+    pos_tol: float | None,
+) -> SemiparamIdReport:
+    """Partial out m_g and gate on the Gram matrix, for both harnesses.
+
+    A Gram matrix singular against the unpartialled column scale gives the
+    final no-claim report; otherwise the report carries the partial-out
+    result and the positivity tolerance, with nothing sampled yet.
+    """
+    report = partial_out(model.split, range_tol)
+    # gate against the unpartialled column scale: a fully absorbed column
+    # leaves only projection dust in the Gram matrix
+    scale = sum(norm(c) ** 2 for c in model.split.m_beta)
+    no_claim = SemiparamIdReport(
+        pi_nonsingular=False, samples=0, passes=0, failures=0,
+        min_m_norm=math.nan, full_local_id=False, g_rank_holds=False,
+        partial=report, pos_tol=math.nan,
+    )
+    if report.lambda_min <= singular_gate * max(scale, 1e-300):
+        return no_claim
+    if pos_tol is None:
+        stacked = model.to_moment_map().derivative
+        pos_tol = positivity_tol(singular_values(stacked)[0])
+    return replace(no_claim, pi_nonsingular=True, pos_tol=pos_tol)
+
+
+def _tallied(
+    gate: SemiparamIdReport, m_norms: list[float], samples: int, **flags
+) -> SemiparamIdReport:
+    """The gate's report with the pass/fail tally of the sampled ||m||."""
+    passes = sum(m_n > gate.pos_tol for m_n in m_norms)
+    return replace(
+        gate,
+        samples=samples,
+        passes=passes,
+        failures=len(m_norms) - passes,
+        min_m_norm=min(m_norms, default=math.inf),
+        **flags,
+    )
+
 
 def verify_semiparam_linear(
     model: SemiparametricMap,
@@ -349,57 +385,31 @@ def verify_semiparam_linear(
             f"m(beta0, .) is not linear in g (defect {defect:.2e}); "
             "use verify_semiparam_nonlinear with a curvature bound"
         )
-    report = partial_out(model.split, range_tol)
-    # gate against the unpartialled column scale: a fully absorbed column
-    # leaves only projection dust in the Gram matrix
-    scale = sum(norm(c) ** 2 for c in model.split.m_beta)
-    if report.lambda_min <= singular_gate * max(scale, 1e-300):
-        return SemiparamIdReport(
-            pi_nonsingular=False, samples=0, passes=0, failures=0,
-            min_m_norm=math.nan, full_local_id=False, g_rank_holds=False,
-            partial=report, pos_tol=math.nan,
-        )
+    gate = _gram_gate(model, range_tol, singular_gate, pos_tol)
+    if not gate.pi_nonsingular:
+        return gate
     rng = np.random.default_rng(seed)
-    dec = report.decomposition
-    if pos_tol is None:
-        pos_tol = positivity_tol(model.to_moment_map().derivative)
+    dec = gate.partial.decomposition
     g_rank = rank_condition(model.split.m_g, rank_tol)
-    passes = failures = 0
-    min_m = math.inf
+    m_norms = []
     for _ in range(samples):
-        direction = rng.standard_normal(model.split.p)
-        direction /= np.linalg.norm(direction)
-        beta = model.beta0 + rng.uniform(0.05, 1.0) * beta_radius * direction
+        beta = _sample_beta(rng, model, beta_radius)
         g_dev = _sample_g_deviation(rng, dec, g_radius, model.g_norm_of)
-        m_n = norm(model.eval(beta, model.g0 + g_dev))
-        min_m = min(min_m, m_n)
-        if m_n > pos_tol:
-            passes += 1
-        else:
-            failures += 1
-    full_ok = bool(g_rank.holds)
+        m_norms.append(norm(model.eval(beta, model.g0 + g_dev)))
+    g_only = []
     if g_rank.holds:
         for _ in range(samples):
             g_dev = _sample_g_deviation(rng, dec, g_radius, model.g_norm_of)
             if model.g_norm_of(g_dev) == 0.0:
                 continue
-            m_n = norm(model.eval(model.beta0, model.g0 + g_dev))
-            min_m = min(min_m, m_n)
-            if m_n > pos_tol:
-                passes += 1
-            else:
-                failures += 1
-                full_ok = False
-    return SemiparamIdReport(
-        pi_nonsingular=True,
-        samples=samples * (2 if g_rank.holds else 1),
-        passes=passes,
-        failures=failures,
-        min_m_norm=min_m,
+            g_only.append(norm(model.eval(model.beta0, model.g0 + g_dev)))
+    full_ok = bool(g_rank.holds) and all(m_n > gate.pos_tol for m_n in g_only)
+    return _tallied(
+        gate,
+        m_norms + g_only,
+        samples * (2 if g_rank.holds else 1),
         full_local_id=full_ok,
         g_rank_holds=bool(g_rank.holds),
-        partial=report,
-        pos_tol=pos_tol,
     )
 
 
@@ -424,57 +434,29 @@ def verify_semiparam_nonlinear(
     EmptyNeighborhoodError, which usually means the threshold is too strict
     for the sampled decay profile.
     """
-    report = partial_out(model.split, range_tol)
-    scale = sum(norm(c) ** 2 for c in model.split.m_beta)
-    if report.lambda_min <= singular_gate * max(scale, 1e-300):
-        return SemiparamIdReport(
-            pi_nonsingular=False, samples=0, passes=0, failures=0,
-            min_m_norm=math.nan, full_local_id=False, g_rank_holds=False,
-            partial=report, pos_tol=math.nan,
-        )
+    gate = _gram_gate(model, range_tol, singular_gate, pos_tol)
+    if not gate.pi_nonsingular:
+        return gate
     if g_radius is None:
         g_radius = bound.radius if math.isfinite(bound.radius) else 1.0
     rng = np.random.default_rng(seed)
-    dec = report.decomposition
-    if pos_tol is None:
-        pos_tol = positivity_tol(model.to_moment_map().derivative)
-    threshold = bound.L / report.eps
-    passes = failures = 0
-    min_m = math.inf
-    accepted = 0
-    attempts = 0
-    budget = budget_factor * samples
-    while accepted < samples:
-        if attempts >= budget:
-            raise EmptyNeighborhoodError(
-                f"accepted {accepted}/{samples} g-deviations in {attempts} "
-                f"draws; threshold (L/eps) = {threshold:.3e} may be too strict"
-            )
-        attempts += 1
+    dec = gate.partial.decomposition
+    threshold = bound.L / gate.partial.eps
+
+    def draw():
         g_dev = _sample_g_deviation(rng, dec, g_radius, model.g_norm_of)
         dn = model.g_norm_of(g_dev)
         if dn == 0.0 or not bound.contains_deviation(g_dev, dn):
-            continue
+            return None
         if not norm(apply(model.split.m_g, g_dev)) > threshold * dn**bound.r:
-            continue
-        accepted += 1
-        direction = rng.standard_normal(model.split.p)
-        direction /= np.linalg.norm(direction)
-        beta = model.beta0 + rng.uniform(0.05, 1.0) * beta_radius * direction
-        m_n = norm(model.eval(beta, model.g0 + g_dev))
-        min_m = min(min_m, m_n)
-        if m_n > pos_tol:
-            passes += 1
-        else:
-            failures += 1
-    return SemiparamIdReport(
-        pi_nonsingular=True,
-        samples=samples,
-        passes=passes,
-        failures=failures,
-        min_m_norm=min_m,
-        full_local_id=False,
-        g_rank_holds=False,
-        partial=report,
-        pos_tol=pos_tol,
-    )
+            return None
+        return g_dev
+
+    m_norms = []
+    for _, g_dev in accepted_draws(
+        draw, samples, budget_factor, "g-deviations",
+        f"threshold (L/eps) = {threshold:.3e} may be too strict",
+    ):
+        beta = _sample_beta(rng, model, beta_radius)
+        m_norms.append(norm(model.eval(beta, model.g0 + g_dev)))
+    return _tallied(gate, m_norms, samples)

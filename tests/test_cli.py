@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,6 +77,46 @@ class TestConfigValidation:
             load_config(path)
         assert main(["run", path, "--out", str(tmp_path)]) == 2
         assert "n_x" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("value", ["0.6", None, True])
+    def test_float_param_rejects_non_numbers(self, tmp_path, capsys, value):
+        path = write_config(
+            tmp_path, {"experiment": "quantile", "seed": 1,
+                       "params": {"rho": value}})
+        with pytest.raises(UsageError, match="rho must be a number"):
+            load_config(path)
+        assert main(["run", path, "--out", str(tmp_path)]) == 2
+        assert "rho" in capsys.readouterr().err
+
+    def test_float_param_accepts_an_integer(self, tmp_path):
+        path = write_config(
+            tmp_path, {"experiment": "genericity", "seed": 1,
+                       "params": {"tol": 1}})
+        assert load_config(path)["params"]["tol"] == 1
+
+    @pytest.mark.parametrize("experiment, params", [
+        ("semiparam-pi", {"n_splits": 0}),
+        ("single-index", {"n_designs": 0}),
+        ("quantile", {"n_ellipsoid": 0, "n_deviations": 0}),
+        ("genericity", {"draws": -3}),
+    ])
+    def test_integer_param_must_be_at_least_one(self, tmp_path, capsys,
+                                                experiment, params):
+        path = write_config(
+            tmp_path, {"experiment": experiment, "seed": 1,
+                       "params": params})
+        with pytest.raises(UsageError, match="must be at least 1"):
+            load_config(path)
+        assert main(["run", path, "--out", str(tmp_path)]) == 2
+        assert next(iter(params)) in capsys.readouterr().err
+
+    def test_nonpositive_tolerance_rejected(self, tmp_path):
+        path = write_config(
+            tmp_path, {"experiment": "ccapm", "seed": 1,
+                       "params": {"pf_tol": 0.0}})
+        with pytest.raises(UsageError, match="pf_tol must be positive"):
+            load_config(path)
 
 
 class TestCatalog:
@@ -161,6 +202,69 @@ class TestRun:
         report = json.loads((tmp_path / "ccapm.json").read_text())
         assert not report["summary"]["pass"]
         assert any(not c["passed"] for c in report["checks"])
+
+
+    def test_reversed_counterexample_range_is_a_failed_check(self,
+                                                             tmp_path):
+        path = write_config(
+            tmp_path, {"experiment": "counterexample", "seed": 1,
+                       "params": {"k_min": 5, "k_max": 2}})
+        assert main(["run", path, "--out", str(tmp_path)]) == 1
+        report = json.loads((tmp_path / "counterexample.json").read_text())
+        assert report["checks"] == [{
+            "name": "experiment completed", "passed": False,
+            "detail": "k_min 5 exceeds k_max 2"}]
+
+    def test_rejected_ellipsoid_draw_is_a_failed_check(self, tmp_path,
+                                                       monkeypatch):
+        import momentid.cli as cli
+
+        real = cli.sample_ellipsoid_deviations
+
+        def with_a_zero_draw(dec, bound, n, rng):
+            draws = real(dec, bound, n, rng)
+            zero = draws[0][0] - draws[0][0]
+            return [(zero, draws[0][1])] + draws[1:]
+
+        monkeypatch.setattr(cli, "sample_ellipsoid_deviations",
+                            with_a_zero_draw)
+        config = load_config(write_config(
+            tmp_path, {"experiment": "quantile", "seed": 3,
+                       "params": {"n_x": 21, "n_w": 21, "n_y": 41,
+                                  "n_ellipsoid": 5, "n_deviations": 10}}))
+        report, _ = run_experiment(config)
+        assert not report["summary"]["pass"]
+        [check] = report["checks"]
+        assert check["name"] == "experiment completed"
+        assert "accepted only 4/5 deviations after 5 draws" in check["detail"]
+
+    def test_runner_result_count_must_match_the_declaration(self,
+                                                            monkeypatch):
+        spec = dict(EXPERIMENTS["cone-suite"],
+                    runner=lambda params, seed: [(True, None)] * 2)
+        monkeypatch.setitem(EXPERIMENTS, "cone-suite", spec)
+        config = {"experiment": "cone-suite", "seed": 1,
+                  "params": {"instances": 10, "dim": 2}}
+        with pytest.raises(RuntimeError, match="2 results for 1 declared"):
+            run_experiment(config)
+
+
+SHIPPED = sorted(
+    (Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=[p.stem for p in SHIPPED])
+def test_shipped_config_passes_with_its_declared_checks(path):
+    config = load_config(str(path))
+    report, _ = run_experiment(config)
+    assert report["summary"]["pass"]
+    assert [c["name"] for c in report["checks"]] == \
+        EXPERIMENTS[config["experiment"]]["checks"]
+
+
+def test_shipped_configs_cover_every_experiment():
+    assert sorted(json.loads(p.read_text())["experiment"]
+                  for p in SHIPPED) == sorted(EXPERIMENTS)
 
 
 def test_config_hash_ignores_out_dir(tmp_path):

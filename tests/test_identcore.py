@@ -157,6 +157,35 @@ class TestRankCondition:
             rep = rank_condition(op, 1e-10, subspace=empty)
         assert rep.vacuous and not rep.holds
 
+    def test_identity_on_cosine_subspace_holds(self):
+        from momentid.fnspace import cosine_basis
+
+        mu = GridMeasure.uniform(12)
+        rep = rank_condition(LinearOperator.identity(mu), 1e-10,
+                             subspace=cosine_basis(mu, 4))
+        assert rep.holds
+        assert rep.sigma_min == pytest.approx(1.0, abs=1e-12)
+        assert rep.sigma_max == pytest.approx(1.0, abs=1e-12)
+
+    def test_rank_one_kernel_on_two_dim_subspace_fails(self):
+        from momentid.fnspace import cosine_basis
+
+        mu = GridMeasure.uniform(12)
+        op = from_kernel(np.ones((12, 12)), mu, mu)
+        rep = rank_condition(op, 1e-10, subspace=cosine_basis(mu, 2))
+        assert not rep.holds
+        assert rep.sigma_max == pytest.approx(1.0, abs=1e-12)
+        assert rep.sigma_min < 1e-12
+
+    def test_subspace_on_another_grid_is_rejected(self):
+        from momentid.errors import GridMismatchError
+        from momentid.fnspace import cosine_basis
+
+        op = LinearOperator.identity(GridMeasure.uniform(6))
+        with pytest.raises(GridMismatchError):
+            rank_condition(op, 1e-10,
+                           subspace=cosine_basis(GridMeasure.uniform(5), 2))
+
 
 class TestIdentificationSet:
     def test_zero_deviation_excluded(self):
@@ -248,6 +277,85 @@ class TestVerifyLocalId:
         with pytest.raises(EmptyNeighborhoodError):
             verify_local_id(mmap, bound, samples=5, rng_seed=0,
                             budget_factor=10)
+
+    def test_one_derivative_application_per_draw(self, monkeypatch):
+        import momentid.identcore as identcore
+
+        rng = np.random.default_rng(6)
+        mu = GridMeasure(np.arange(4.0), np.full(4, 0.25))
+        mmap = linear_map(rng.standard_normal((4, 4)) + 2 * np.eye(4), mu, mu)
+        calls = []
+
+        def counting_apply(op, f):
+            calls.append(op)
+            return apply(op, f)
+
+        monkeypatch.setattr(identcore, "apply", counting_apply)
+        report = verify_local_id(mmap, NonlinearityBound(L=0.1, r=2.0),
+                                 samples=20, rng_seed=0)
+        derivative_calls = [op for op in calls if op is mmap.derivative]
+        assert report.attempts >= 20
+        assert len(derivative_calls) == report.attempts
+
+    def test_given_sampler_and_pos_tol_need_no_svd(self, monkeypatch):
+        import momentid.identcore as identcore
+
+        def no_svd(op):
+            raise AssertionError("spectrum computed")
+
+        monkeypatch.setattr(identcore, "svd", no_svd)
+        monkeypatch.setattr(identcore, "singular_values", no_svd)
+        mu = GridMeasure(np.arange(3.0), np.full(3, 1 / 3))
+        mmap = linear_map(np.eye(3), mu, mu)
+
+        def sampler(rng):
+            return GridFunction(rng.uniform(-1.0, 1.0, 3), mu)
+
+        report = verify_local_id(mmap, NonlinearityBound(L=0.0, r=1.0),
+                                 samples=10, rng_seed=0, sampler=sampler,
+                                 pos_tol=1e-10)
+        assert report.all_passed and report.pos_tol == 1e-10
+
+    def test_default_pos_tol_is_positivity_tol(self):
+        from momentid.identcore import positivity_tol
+
+        mu = GridMeasure(np.arange(3.0), np.full(3, 1 / 3))
+        mmap = linear_map(3.0 * np.eye(3), mu, mu)
+        sigma_max = svd(mmap.derivative).sigma_max
+        default = verify_local_id(mmap, NonlinearityBound(L=0.0, r=1.0),
+                                  samples=3, rng_seed=0)
+        sampled = verify_local_id(
+            mmap, NonlinearityBound(L=0.0, r=1.0), samples=3, rng_seed=0,
+            sampler=lambda r: GridFunction(r.uniform(-1.0, 1.0, 3), mu))
+        assert default.pos_tol == positivity_tol(sigma_max)
+        assert sampled.pos_tol == pytest.approx(positivity_tol(sigma_max),
+                                                rel=1e-12)
+
+
+class TestAcceptedDraws:
+    def test_yields_each_acceptance_before_the_next_draw(self):
+        from momentid.identcore import accepted_draws
+
+        values = iter([0.1, 0.9, 0.2, 0.3, 0.8, 0.7])
+        log = []
+
+        def draw():
+            u = next(values)
+            log.append(u)
+            return u if u > 0.5 else None
+
+        for attempts, u in accepted_draws(draw, 3, 100, "draws", "hint"):
+            log.append(("accepted", attempts, u))
+        assert log == [0.1, 0.9, ("accepted", 2, 0.9), 0.2, 0.3, 0.8,
+                       ("accepted", 5, 0.8), 0.7, ("accepted", 6, 0.7)]
+
+    def test_budget_names_the_shortfall_and_the_hint(self):
+        from momentid.identcore import accepted_draws
+
+        with pytest.raises(EmptyNeighborhoodError,
+                           match=r"accepted only 0/2 items after 6 draws; "
+                                 r"too strict"):
+            list(accepted_draws(lambda: None, 2, 3, "items", "too strict"))
 
 
 class TestCounterexample:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -284,3 +286,51 @@ def test_harnesses_reuse_the_partial_out_svd(harness, monkeypatch):
             samples=10, seed=1, g_radius=0.5)
     assert report.failures == 0
     assert calls == [model.split.m_g.shape]  # partial_out's, nothing more
+
+
+def test_harnesses_share_the_gram_gate_and_pos_tol():
+    from momentid.identcore import positivity_tol
+
+    model = make_semiparam_model(np.random.default_rng(13))
+    linear = verify_semiparam_linear(model, beta_radius=0.2, g_radius=0.5,
+                                     samples=5, seed=1)
+    nonlinear = verify_semiparam_nonlinear(
+        model, NonlinearityBound(L=0.0, r=2.0), beta_radius=0.2, samples=5,
+        seed=1, g_radius=0.5)
+    sigma_max = svd(model.to_moment_map().derivative).sigma_max
+    assert linear.pos_tol == nonlinear.pos_tol
+    assert linear.pos_tol == pytest.approx(positivity_tol(sigma_max),
+                                           rel=1e-12)
+    assert linear.partial.lambda_min == nonlinear.partial.lambda_min
+
+
+def test_nonlinear_harness_makes_no_claim_on_a_singular_gram_matrix():
+    rng = np.random.default_rng(7)
+    n = 8
+    mu = GridMeasure(np.arange(float(n)), np.full(n, 1 / n))
+    m_g = LinearOperator(rng.standard_normal((n, n)) + 2 * np.eye(n), mu, mu)
+    inside = apply(m_g, GridFunction(rng.standard_normal(n), mu))
+
+    def eval_fn(beta, g):
+        return GridFunction(inside.values * beta[0] + apply(m_g, g).values,
+                            mu)
+
+    model = SemiparametricMap(
+        beta0=np.zeros(1), g0=GridFunction(np.zeros(n), mu), eval_fn=eval_fn,
+        split=SplitDerivative(m_beta=(inside,), m_g=m_g))
+    report = verify_semiparam_nonlinear(
+        model, NonlinearityBound(L=1.0, r=2.0), beta_radius=0.1, samples=5,
+        seed=2)
+    assert not report.pi_nonsingular
+    assert report.samples == report.passes == report.failures == 0
+    assert math.isnan(report.pos_tol) and math.isnan(report.min_m_norm)
+
+
+def test_linear_tally_counts_every_failure():
+    model = make_semiparam_model(np.random.default_rng(6))
+    report = verify_semiparam_linear(model, beta_radius=0.2, g_radius=0.5,
+                                     samples=7, seed=1, pos_tol=1e9)
+    assert report.g_rank_holds and not report.full_local_id
+    assert (report.samples, report.passes, report.failures) == (14, 0, 14)
+    assert 0.0 < report.min_m_norm < 1e9
+    assert not report.all_passed

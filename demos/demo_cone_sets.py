@@ -46,3 +46,8 @@ print(f"\n{report.instances} random instances, violations by check:")
 for name, count in report.violations.items():
     print(f"  {name}: {count}")
 print(f"total violations: {report.total_violations}")
+# Zero violations mean something only if the premises occurred: how many
+# instances met each inclusion's premise, and how many had a zero linear term.
+print("instances meeting each inclusion's premise, and zero linear terms:")
+for name, count in report.premises.items():
+    print(f"  {name}: {count}")

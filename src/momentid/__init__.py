@@ -44,6 +44,7 @@ from .identcore import (
     cone_classify,
     cone_inclusion_suite,
     counterexample,
+    counterexample_cases,
     counterexample_map,
     estimate_nonlinearity,
     gateaux_check,

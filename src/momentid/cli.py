@@ -23,7 +23,7 @@ from .fnspace import GridFunction, GridMeasure, cosine_basis, norm
 from .genericity import GeneratorConfig, draw_operator, mc_injectivity
 from .identcore import (
     cone_inclusion_suite,
-    counterexample,
+    counterexample_cases,
     estimate_nonlinearity,
     gateaux_check,
     sample_ellipsoid_deviations,
@@ -94,10 +94,11 @@ def _run_counterexample(params: dict, seed: int) -> list[tuple]:
     worst_residual = 0.0
     worst_dev = 0.0
     any_in_set = False
-    for k in range(k_min, k_max + 1):
-        case = counterexample(k, n_terms=n_terms)
+    for case in counterexample_cases(range(k_min, k_max + 1),
+                                     n_terms=n_terms):
         worst_residual = max(worst_residual, case.m_norm)
-        worst_dev = max(worst_dev, abs(case.dev_norm - 2.0 ** (-k / 4.0)))
+        worst_dev = max(worst_dev,
+                        abs(case.dev_norm - 2.0 ** (-case.k / 4.0)))
         any_in_set = any_in_set or case.in_n
     return [
         (worst_residual <= 1e-12, worst_residual),

@@ -511,20 +511,20 @@ class CounterexampleCase:
     alpha: np.ndarray
 
 
-def counterexample(
-    k: int,
+def counterexample_cases(
+    ks: Sequence[int],
     p: np.ndarray | None = None,
     f: Callable | None = None,
     n_terms: int = 64,
-) -> CounterexampleCase:
-    """Evaluate the sequence alpha^k = (0,...,0,1,1,...) in the truncated model.
+) -> list[CounterexampleCase]:
+    """``counterexample(k)`` for every k in ``ks``, in order.
 
-    Returns the residual norm (exactly zero), the quartic deviation norm
-    (tail mass to the 1/4 power), membership in the identification set with
-    L = sup|f''|/2, and the measured L itself, which must be at least one.
+    The two 24,001-point scans that validate ``f`` and measure its
+    curvature constant run once for all of them.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    for k in ks:
+        if k < 1:
+            raise ValueError("k must be at least 1")
     if p is None:
         p = dyadic_weights(n_terms)
     else:
@@ -540,20 +540,34 @@ def counterexample(
             f"measured curvature constant {L:.6f} < 1 contradicts f(1) = 0 "
             "with unit slope at 0; check the supplied f"
         )
-    n = p.size
-    alpha = np.zeros(n)
-    if k < n:
+    cases = []
+    for k in ks:
+        alpha = np.zeros(p.size)
         alpha[k:] = 1.0
-    m_norm = sequence_norm_b(p, np.asarray(f(alpha), dtype=float))
-    dev_norm = float(np.dot(p, alpha**4) ** 0.25)
-    return CounterexampleCase(
-        k=k,
-        m_norm=m_norm,
-        dev_norm=dev_norm,
-        in_n=in_counterexample_set(p, alpha, L),
-        L=L,
-        alpha=alpha,
-    )
+        cases.append(CounterexampleCase(
+            k=k,
+            m_norm=sequence_norm_b(p, np.asarray(f(alpha), dtype=float)),
+            dev_norm=float(np.dot(p, alpha**4) ** 0.25),
+            in_n=in_counterexample_set(p, alpha, L),
+            L=L,
+            alpha=alpha,
+        ))
+    return cases
+
+
+def counterexample(
+    k: int,
+    p: np.ndarray | None = None,
+    f: Callable | None = None,
+    n_terms: int = 64,
+) -> CounterexampleCase:
+    """Evaluate the sequence alpha^k = (0,...,0,1,1,...) in the truncated model.
+
+    Returns the residual norm (exactly zero), the quartic deviation norm
+    (tail mass to the 1/4 power), membership in the identification set with
+    L = sup|f''|/2, and the measured L itself, which must be at least one.
+    """
+    return counterexample_cases([k], p, f, n_terms)[0]
 
 
 def counterexample_map(
@@ -646,14 +660,144 @@ _CONE_CHECKS = (
 )
 
 
+# Instances drawn and evaluated together by the cone suite.  The largest
+# buffer is the chunk's (n, dim, dim, dim) quadratic part: 0.5 MB at dim 8,
+# where the whole suite peaks at 0.8 MB of traced memory (1.6 MB with 256).
+CONE_CHUNK = 128
+
+
+@dataclass(frozen=True)
+class ConeChunk:
+    """Random cone-suite instances, each padded to ``dim`` coordinates.
+
+    Instance i maps R^da[i] to R^db[i]: its linear part is
+    ``m_lin[i, :db, :da]``, its quadratic remainder
+    ``quad[i, :db, :da, :da]`` (m(a) = m_lin a + a' quad_b a per output b)
+    and its deviation ``alpha[i, :da]``.  Every entry outside an instance's
+    own block is an exact zero, so the padding changes no norm.
+    """
+
+    da: np.ndarray
+    db: np.ndarray
+    m_lin: np.ndarray
+    quad: np.ndarray
+    alpha: np.ndarray
+    eta: np.ndarray
+
+
+def draw_cone_chunk(rng: np.random.Generator, n: int, dim: int) -> ConeChunk:
+    """Draw ``n`` instances of at most ``dim`` coordinates per side.
+
+    Sizes are uniform on 1..dim; the linear and quadratic parts are standard
+    normal, and with probability 0.15 the first k rows of the linear part
+    vanish (k uniform on 1..db), so rank-deficient and zero linear terms
+    occur.  The deviation is standard normal scaled by 10^U(-3, 0.5), and
+    eta is uniform on [0.05, 1.5].
+    """
+    da = rng.integers(1, dim + 1, size=n)
+    db = rng.integers(1, dim + 1, size=n)
+    coord = np.arange(dim)
+    col = coord < da[:, None]
+    row = coord < db[:, None]
+    # only the live entries are drawn; the padding stays exactly zero
+    lin_live = row[:, :, None] & col[:, None, :]
+    m_lin = np.zeros((n, dim, dim))
+    m_lin[lin_live] = rng.standard_normal(int(np.count_nonzero(lin_live)))
+    deficient = rng.uniform(size=n) < 0.15
+    zeroed = rng.integers(1, db + 1)
+    m_lin[deficient[:, None] & (coord < zeroed[:, None])] = 0.0
+    quad_live = lin_live[:, :, :, None] & col[:, None, None, :]
+    quad = np.zeros((n, dim, dim, dim))
+    quad[quad_live] = rng.standard_normal(int(np.count_nonzero(quad_live)))
+    alpha = np.zeros((n, dim))
+    alpha[col] = rng.standard_normal(int(np.count_nonzero(col)))
+    alpha *= 10.0 ** rng.uniform(-3, 0.5, size=n)[:, None]
+    eta = rng.uniform(0.05, 1.5, size=n)
+    return ConeChunk(da=da, db=db, m_lin=m_lin, quad=quad, alpha=alpha,
+                     eta=eta)
+
+
+@dataclass(frozen=True)
+class ConeChunkFlags:
+    """Per-instance results of one evaluated chunk: the three norms, the
+    four set memberships, and for each of the eight checks whether its
+    premise held and whether the instance violates it."""
+
+    m_norm: np.ndarray
+    linear_norm: np.ndarray
+    remainder_norm: np.ndarray
+    in_n: np.ndarray
+    in_nprime: np.ndarray
+    in_n_eta: np.ndarray
+    in_nprime_eta: np.ndarray
+    premises: dict
+    violations: dict
+
+
+def evaluate_cone_chunk(chunk: ConeChunk, slack: float) -> ConeChunkFlags:
+    """Classify every instance of a chunk against the four cone sets.
+
+    The remainder is m(alpha) - m'alpha as computed, the unrestricted sets
+    use exact positivity of the norms, and each transfer allows the roundoff
+    slack * (1 + largest of the three norms).
+    """
+    alpha = chunk.alpha
+    lin_val = np.matmul(chunk.m_lin, alpha[:, :, None])[:, :, 0]
+    m_val = lin_val + np.einsum("nbij,ni,nj->nb", chunk.quad, alpha, alpha)
+    rem_val = m_val - lin_val
+    m_n = np.linalg.norm(m_val, axis=1)
+    lin_n = np.linalg.norm(lin_val, axis=1)
+    rem_n = np.linalg.norm(rem_val, axis=1)
+    eps = slack * (1.0 + np.maximum(np.maximum(m_n, lin_n), rem_n))
+
+    eta = chunk.eta
+    in_n = m_n > 0.0
+    in_np = lin_n > 0.0
+    in_ne = rem_n <= eta * m_n
+    in_npe = rem_n <= eta * lin_n
+    below = eta < 1.0
+    ratio = np.divide(eta, 1.0 - eta, out=np.zeros_like(eta), where=below)
+    # check -> (premise, conclusion), per instance
+    relations = {
+        "inclusion_eta_rank_in_id": (in_ne & in_np, in_n),
+        "inclusion_etaprime_id_in_rank": (in_npe & in_n, in_np),
+        "inclusion_eta_id_in_rank": (below & in_ne & in_n, in_np),
+        "inclusion_etaprime_rank_in_id": (below & in_npe & in_np, in_n),
+        "equality_eta_rank_vs_id": (below & in_ne, in_np == in_n),
+        "equality_etaprime_rank_vs_id": (below & in_npe, in_np == in_n),
+        "cone_transfer_eta_to_etaprime":
+            (below & in_ne, rem_n <= ratio * lin_n + eps),
+        "cone_transfer_etaprime_to_eta":
+            (below & in_npe, rem_n <= ratio * m_n + eps),
+    }
+    return ConeChunkFlags(
+        m_norm=m_n, linear_norm=lin_n, remainder_norm=rem_n,
+        in_n=in_n, in_nprime=in_np, in_n_eta=in_ne, in_nprime_eta=in_npe,
+        premises={name: p for name, (p, _) in relations.items()},
+        violations={name: p & ~c for name, (p, c) in relations.items()},
+    )
+
+
 @dataclass
 class ConeSuiteReport:
+    """Violation counts per check, and how often each premise held.
+
+    ``premises`` counts, out of ``instances``, the instances where each of
+    the four inclusions had its premise met (the eta < 1 ones only when
+    eta < 1), and the instances whose linear term is exactly zero: a check
+    whose premise is never met proves nothing.
+    """
+
     instances: int
     violations: dict = field(default_factory=dict)
+    premises: dict = field(default_factory=dict)
 
     @property
     def total_violations(self) -> int:
         return sum(self.violations.values())
+
+
+_CONE_INCLUSIONS = _CONE_CHECKS[:4]
 
 
 def cone_inclusion_suite(
@@ -662,59 +806,38 @@ def cone_inclusion_suite(
     """Random finite-dimensional stress test of the cone-set relations.
 
     Each instance draws a linear part, a quadratic remainder vanishing at the
-    base point, a deviation and an eta, then checks every inclusion between
-    the four sets (the eta < 1 ones only when eta < 1), the two equalities
-    that hold for eta < 1, and the two eta/(1-eta) transfers.  The transfers
-    compare norms of the same floating-point vectors, so a roundoff slack
-    proportional to the norm scale is allowed.
+    base point, a deviation and an eta (see ``draw_cone_chunk``), then checks
+    every inclusion between the four sets (the eta < 1 ones only when
+    eta < 1), the two equalities that hold for eta < 1, and the two
+    eta/(1-eta) transfers.  The transfers compare norms of the same
+    floating-point vectors, so a roundoff slack proportional to the norm
+    scale is allowed.
+
+    Instances are drawn and evaluated ``CONE_CHUNK`` at a time, each padded
+    to ``dim`` with exact zeros (``ConeChunk``).  The draws run per chunk,
+    one quantity for the whole chunk at a time, so a seed fixes the
+    instances of each full chunk, and a partial last chunk is not the start
+    of a full one.  The report also counts how often each inclusion's
+    premise held, and how often the linear term was exactly zero
+    (``ConeSuiteReport.premises``).
     """
+    if dim < 1:
+        raise ValueError(f"dim must be at least 1, got {dim}")
     if dim > 8:
         raise ValueError("the suite is desk scale: dim must be at most 8")
     if instances <= 0:
         raise ValueError("instances must be positive")
     rng = np.random.default_rng(rng_seed)
-    report = ConeSuiteReport(instances=instances, violations={c: 0 for c in _CONE_CHECKS})
-    for _ in range(instances):
-        da = int(rng.integers(1, dim + 1))
-        db = int(rng.integers(1, dim + 1))
-        m_lin = rng.standard_normal((db, da))
-        if rng.uniform() < 0.15:  # occasionally rank-deficient linear parts
-            m_lin[: rng.integers(1, db + 1)] = 0.0
-        quad = rng.standard_normal((db, da, da))
-        quad = 0.5 * (quad + np.swapaxes(quad, 1, 2))
-        alpha = rng.standard_normal(da) * 10.0 ** rng.uniform(-3, 0.5)
-        eta = float(rng.uniform(0.05, 1.5))
-
-        lin_val = m_lin @ alpha
-        m_val = lin_val + np.einsum("bij,i,j->b", quad, alpha, alpha)
-        rem_val = m_val - lin_val
-        m_n = float(np.linalg.norm(m_val))
-        lin_n = float(np.linalg.norm(lin_val))
-        rem_n = float(np.linalg.norm(rem_val))
-        eps = slack * (1.0 + max(m_n, lin_n, rem_n))
-
-        in_n = m_n > 0.0
-        in_np = lin_n > 0.0
-        in_ne = rem_n <= eta * m_n
-        in_npe = rem_n <= eta * lin_n
-
-        v = report.violations
-        if in_ne and in_np and not in_n:
-            v["inclusion_eta_rank_in_id"] += 1
-        if in_npe and in_n and not in_np:
-            v["inclusion_etaprime_id_in_rank"] += 1
-        if eta < 1.0:
-            if in_ne and in_n and not in_np:
-                v["inclusion_eta_id_in_rank"] += 1
-            if in_npe and in_np and not in_n:
-                v["inclusion_etaprime_rank_in_id"] += 1
-            if in_ne and (in_np != in_n):
-                v["equality_eta_rank_vs_id"] += 1
-            if in_npe and (in_np != in_n):
-                v["equality_etaprime_rank_vs_id"] += 1
-            ratio = eta / (1.0 - eta)
-            if in_ne and rem_n > ratio * lin_n + eps:
-                v["cone_transfer_eta_to_etaprime"] += 1
-            if in_npe and rem_n > ratio * m_n + eps:
-                v["cone_transfer_etaprime_to_eta"] += 1
-    return report
+    violations = dict.fromkeys(_CONE_CHECKS, 0)
+    premises = dict.fromkeys(_CONE_INCLUSIONS + ("zero_linear_term",), 0)
+    for start in range(0, instances, CONE_CHUNK):
+        n = min(CONE_CHUNK, instances - start)
+        flags = evaluate_cone_chunk(draw_cone_chunk(rng, n, dim), slack)
+        for name in _CONE_CHECKS:
+            violations[name] += int(np.count_nonzero(flags.violations[name]))
+        for name in _CONE_INCLUSIONS:
+            premises[name] += int(np.count_nonzero(flags.premises[name]))
+        premises["zero_linear_term"] += int(
+            np.count_nonzero(flags.linear_norm == 0.0))
+    return ConeSuiteReport(instances=instances, violations=violations,
+                           premises=premises)

@@ -145,6 +145,23 @@ class TestRun:
         assert report["summary"]["pass"]
         assert report["config_sha256"]
 
+    def test_counterexample_validates_f_once_per_run(self, tmp_path,
+                                                     monkeypatch):
+        import momentid.identcore as identcore
+
+        calls = []
+        validate = identcore._validate_counterexample_f
+
+        def counting(f, scan):
+            calls.append(f)
+            validate(f, scan)
+
+        monkeypatch.setattr(identcore, "_validate_counterexample_f", counting)
+        path = write_config(
+            tmp_path, {"experiment": "counterexample", "seed": 3})
+        assert main(["run", path, "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
+
     def test_exit_status_tracks_summary(self, tmp_path, monkeypatch):
         path = write_config(
             tmp_path, {"experiment": "cone-suite", "seed": 3,

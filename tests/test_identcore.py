@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,14 +7,18 @@ import pytest
 from momentid.errors import EmptyNeighborhoodError
 from momentid.fnspace import GridFunction, GridMeasure
 from momentid.identcore import (
+    CONE_CHUNK,
     MomentMap,
     NonlinearityBound,
     cone_classify,
     cone_inclusion_suite,
     counterexample,
+    counterexample_cases,
     counterexample_map,
+    draw_cone_chunk,
     dyadic_weights,
     estimate_nonlinearity,
+    evaluate_cone_chunk,
     gateaux_check,
     in_counterexample_set,
     in_ellipsoid,
@@ -385,6 +390,19 @@ class TestCounterexample:
         assert all(a > b for a, b in zip(devs, devs[1:]))
         assert devs[-1] < 0.13
 
+    def test_cases_match_single_k_calls(self):
+        ks = [1, 3, 12]
+        for case, k in zip(counterexample_cases(ks, n_terms=32), ks):
+            single = counterexample(k, n_terms=32)
+            assert case.k == k
+            assert (case.m_norm, case.dev_norm, case.in_n, case.L) == (
+                single.m_norm, single.dev_norm, single.in_n, single.L)
+            assert np.array_equal(case.alpha, single.alpha)
+
+    def test_cases_reject_any_bad_k(self):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            counterexample_cases([2, 0])
+
     def test_invalid_f_detected(self):
         with pytest.raises(ValueError, match="slope"):
             counterexample(2, f=lambda x: 2.0 * x * (1.0 - x) * np.exp(-x**2))
@@ -468,6 +486,112 @@ class TestConeSets:
     def test_suite_rejects_large_dimension(self):
         with pytest.raises(ValueError):
             cone_inclusion_suite(10, 9, rng_seed=0)
+
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_suite_rejects_dimension_below_one(self, dim):
+        with pytest.raises(ValueError, match="dim must be at least 1"):
+            cone_inclusion_suite(10, dim, rng_seed=0)
+
+    def test_suite_clean_in_one_dimension(self):
+        report = cone_inclusion_suite(500, 1, rng_seed=4)
+        assert report.total_violations == 0
+        assert min(report.premises.values()) > 0
+
+    @pytest.mark.parametrize("instances", [1, CONE_CHUNK + 1])
+    def test_counts_add_up_over_chunks(self, instances):
+        report = cone_inclusion_suite(instances, 5, rng_seed=3)
+        rng = np.random.default_rng(3)
+        sizes = [CONE_CHUNK] * (instances // CONE_CHUNK)
+        sizes += [instances % CONE_CHUNK]  # the partial last chunk
+        flags = [evaluate_cone_chunk(draw_cone_chunk(rng, n, 5), 1e-12)
+                 for n in sizes]
+        assert report.instances == instances
+        assert report.total_violations == 0
+        for name, count in report.violations.items():
+            assert count == sum(int(f.violations[name].sum()) for f in flags)
+        for name in list(report.premises)[:4]:
+            assert report.premises[name] == sum(
+                int(f.premises[name].sum()) for f in flags)
+        assert report.premises["zero_linear_term"] == sum(
+            int((f.linear_norm == 0.0).sum()) for f in flags)
+
+    @pytest.mark.parametrize("dim", [6, 8])
+    def test_suite_premises_are_met(self, dim):
+        # shipped config (dim 6) and acceptance criterion 6 (dim 8): a
+        # relation whose premise never holds would pass vacuously
+        report = cone_inclusion_suite(10_000, dim, rng_seed=20250809)
+        assert report.total_violations == 0
+        zero_lin = report.premises.pop("zero_linear_term")
+        assert len(report.premises) == 4
+        assert min(report.premises.values()) >= 1_000
+        assert zero_lin >= 100
+
+    def test_suite_memory_stays_within_chunk_budget(self):
+        tracemalloc.start()
+        try:
+            cone_inclusion_suite(10_000, 8, rng_seed=20250809)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5e6
+
+
+def reference_cone_flags(m_lin, quad, alpha, eta, slack):
+    """One unpadded instance classified from the cone-set definitions."""
+    lin = m_lin @ alpha
+    m_val = lin + np.einsum("bij,i,j->b", quad, alpha, alpha)
+    m_n = float(np.linalg.norm(m_val))
+    lin_n = float(np.linalg.norm(lin))
+    rem_n = float(np.linalg.norm(m_val - lin))
+    eps = slack * (1.0 + max(m_n, lin_n, rem_n))
+    in_n, in_np = m_n > 0.0, lin_n > 0.0
+    in_ne, in_npe = rem_n <= eta * m_n, rem_n <= eta * lin_n
+    below = eta < 1.0
+    ratio = eta / (1.0 - eta) if below else math.nan
+    violations = {
+        "inclusion_eta_rank_in_id": in_ne and in_np and not in_n,
+        "inclusion_etaprime_id_in_rank": in_npe and in_n and not in_np,
+        "inclusion_eta_id_in_rank": below and in_ne and in_n and not in_np,
+        "inclusion_etaprime_rank_in_id":
+            below and in_npe and in_np and not in_n,
+        "equality_eta_rank_vs_id": below and in_ne and in_np != in_n,
+        "equality_etaprime_rank_vs_id": below and in_npe and in_np != in_n,
+        "cone_transfer_eta_to_etaprime":
+            below and in_ne and rem_n > ratio * lin_n + eps,
+        "cone_transfer_etaprime_to_eta":
+            below and in_npe and rem_n > ratio * m_n + eps,
+    }
+    members = {"in_n": in_n, "in_nprime": in_np, "in_n_eta": in_ne,
+               "in_nprime_eta": in_npe}
+    return (m_n, lin_n, rem_n), members, violations
+
+
+def test_chunk_evaluator_matches_per_instance_reference():
+    dim = 8
+    chunk = draw_cone_chunk(np.random.default_rng(11), CONE_CHUNK, dim)
+    flags = evaluate_cone_chunk(chunk, 1e-12)
+    deficient = 0
+    for i in range(CONE_CHUNK):
+        da, db = int(chunk.da[i]), int(chunk.db[i])
+        m_lin = chunk.m_lin[i, :db, :da]
+        quad = chunk.quad[i, :db, :da, :da]
+        alpha = chunk.alpha[i, :da]
+        # the padding around the instance's own block is exactly zero
+        assert np.count_nonzero(chunk.m_lin[i]) == np.count_nonzero(m_lin)
+        assert np.count_nonzero(chunk.quad[i]) == np.count_nonzero(quad)
+        assert np.count_nonzero(chunk.alpha[i]) == np.count_nonzero(alpha)
+        deficient += not m_lin[0].any()
+        norms, members, violations = reference_cone_flags(
+            m_lin, quad, alpha, float(chunk.eta[i]), 1e-12)
+        got = (flags.m_norm[i], flags.linear_norm[i], flags.remainder_norm[i])
+        assert np.allclose(got, norms, rtol=1e-14, atol=0.0)
+        for name, flag in members.items():
+            assert bool(getattr(flags, name)[i]) == flag, name
+        assert len(violations) == len(flags.violations) == 8
+        for name, flag in violations.items():
+            assert bool(flags.violations[name][i]) == flag, name
+    assert (chunk.da < dim).any() and (chunk.db < dim).any()
+    assert deficient > 0  # the rank-deficient branch was drawn
 
 
 def test_moment_map_rejects_nonzero_base_residual():

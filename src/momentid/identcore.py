@@ -11,10 +11,11 @@ tangential-cone set inclusions on random finite-dimensional instances.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -36,6 +37,11 @@ class MomentMap:
     ``norm_a`` and ``norm_b`` override the default weighted-L2 norms of the
     domain and codomain grids; the sequence-space counterexample uses a
     quartic domain norm, everything else keeps the defaults.
+
+    ``eval_rows``, when given, evaluates a stack of domain value rows
+    (B, n_domain) to codomain value rows (B, n_codomain) in one call.  Each
+    output row must equal, bit for bit, what ``eval_fn`` returns for that
+    row alone; ``eval_many`` relies on it.
     """
 
     base_point: GridFunction
@@ -44,6 +50,7 @@ class MomentMap:
     norm_a: Callable[[GridFunction], float] | None = None
     norm_b: Callable[[GridFunction], float] | None = None
     residual_tol: float = 1e-10
+    eval_rows: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if not self.base_point.measure.same_as(self.derivative.domain):
@@ -61,6 +68,22 @@ class MomentMap:
         if not out.measure.same_as(self.derivative.codomain):
             raise GridMismatchError("eval output does not live on the codomain grid")
         return out
+
+    def eval_many(self, alphas: Sequence[GridFunction]) -> list[GridFunction]:
+        """m at each of ``alphas``, through ``eval_rows`` when the map has
+        one and through ``eval`` one at a time otherwise."""
+        if self.eval_rows is None or not alphas:
+            return [self.eval(a) for a in alphas]
+        dom, cod = self.base_point.measure, self.derivative.codomain
+        if not all(a.measure.same_as(dom) for a in alphas):
+            raise GridMismatchError("alpha does not live on the domain grid")
+        out = self.eval_rows(np.stack([a.values for a in alphas]))
+        if out.shape != (len(alphas), cod.size):
+            raise GridMismatchError(
+                f"eval_rows returned shape {out.shape} for {len(alphas)} "
+                f"rows on a {cod.size}-point codomain"
+            )
+        return [GridFunction(row, cod) for row in out]
 
     def norm_a_of(self, f: GridFunction) -> float:
         return norm(f) if self.norm_a is None else float(self.norm_a(f))
@@ -94,6 +117,21 @@ class NonlinearityBound:
         if self.membership is not None:
             return bool(self.membership(delta))
         return dev_norm <= self.radius
+
+
+# The sampling harnesses evaluate the moment map this many points at a time,
+# building each chunk's inputs only when the chunk runs.
+EVAL_CHUNK = 64
+
+
+def _evaluated(
+    mmap: MomentMap, alphas: Iterable[GridFunction]
+) -> Iterator[GridFunction]:
+    """m at each of ``alphas`` in order, evaluated ``EVAL_CHUNK`` at a time
+    through ``eval_many``; the input is consumed one chunk at a time."""
+    it = iter(alphas)
+    while chunk := list(itertools.islice(it, EVAL_CHUNK)):
+        yield from mmap.eval_many(chunk)
 
 
 def positivity_tol(sigma_max: float) -> float:
@@ -151,9 +189,18 @@ def gateaux_check(
         raise ValueError("steps must be decreasing")
     a0 = mmap.base_point
 
+    def points():
+        # every evaluation central() asks for, in the order it asks
+        for h in directions:
+            for t in steps:
+                for s in (t, t / 2.0) if richardson else (t,):
+                    yield a0 + s * h
+                    yield a0 + (-s) * h
+
+    values = _evaluated(mmap, points())
+
     def central(h: GridFunction, t: float) -> np.ndarray:
-        up = mmap.eval(a0 + t * h)
-        dn = mmap.eval(a0 + (-t) * h)
+        up, dn = next(values), next(values)
         return (up.values - dn.values) / (2.0 * t)
 
     worst = 0.0
@@ -184,11 +231,12 @@ def estimate_nonlinearity(
     a0 = mmap.base_point
     m0 = mmap.eval(a0)
     best = 0.0
-    for d in deviations:
+    values = _evaluated(mmap, (a0 + d for d in deviations))
+    for d, m_val in zip(deviations, values):
         dn = mmap.norm_a_of(d)
         if dn == 0.0:
             raise ValueError("deviations must have nonzero norm")
-        rem = mmap.eval(a0 + d) - m0 - apply(mmap.derivative, d)
+        rem = m_val - m0 - apply(mmap.derivative, d)
         best = max(best, mmap.norm_b_of(rem) / dn**r)
     return best
 
@@ -412,12 +460,15 @@ def verify_local_id(
         return delta, dev_norm, lin, lin_n
 
     a0 = mmap.base_point
-    rows = []
-    for attempts, (delta, dev_norm, lin, lin_n) in accepted_draws(
+    # the draws come first, the map's evaluations after them in chunks
+    accepted = list(accepted_draws(
         draw, samples, budget_factor, "deviations",
         f"the sampled neighborhood may be empty for L={bound.L}, r={bound.r}",
-    ):
-        m_val = mmap.eval(a0 + delta)
+    ))
+    attempts = accepted[-1][0]
+    values = _evaluated(mmap, (a0 + item[0] for _, item in accepted))
+    rows = []
+    for (_, (delta, dev_norm, lin, lin_n)), m_val in zip(accepted, values):
         rem = mmap.norm_b_of(m_val - lin)
         m_n = mmap.norm_b_of(m_val)
         rows.append((dev_norm, lin_n, rem, m_n, rem < lin_n and m_n > pos_tol))

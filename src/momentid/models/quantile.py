@@ -64,33 +64,36 @@ def _hermite(
     f: np.ndarray,
     d: np.ndarray,
     xq: np.ndarray,
-    idx: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cubic Hermite value and first derivative at xq inside cells idx.
+    derivative: bool = False,
+) -> np.ndarray:
+    """Cubic Hermite value, or its first derivative, at the queries xq.
 
-    ``f`` and ``d`` have the grid on axis 0 followed by one batch axis; xq
-    and idx index the batch axis, so entry b is evaluated in column b.
+    ``f`` and ``d`` are (n_grid, n_col, k) tables with the grid on axis 0.
+    ``xq`` has shape (..., n_col): entry [..., c] is evaluated in column c,
+    inside the cell of ``x`` that holds it, and the result has shape
+    (..., n_col, k).  Every entry is computed by the same elementwise
+    operations whatever the leading shape, so a stack of queries gives the
+    same bits as one query at a time.
     """
+    idx = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, x.size - 2)
     cols = np.arange(f.shape[1])
-    f0, f1 = f[idx, cols, ...], f[idx + 1, cols, ...]
-    d0, d1 = d[idx, cols, ...], d[idx + 1, cols, ...]
+    f0, f1 = f[idx, cols], f[idx + 1, cols]
+    d0, d1 = d[idx, cols], d[idx + 1, cols]
     h = x[idx + 1] - x[idx]
-    t = (xq - x[idx]) / h
-    if f0.ndim > 1:
-        t = t.reshape((-1,) + (1,) * (f0.ndim - 1))
-        h = h.reshape((-1,) + (1,) * (f0.ndim - 1))
+    t = ((xq - x[idx]) / h)[..., None]
+    h = h[..., None]
     t2, t3 = t * t, t * t * t
-    h00 = 2 * t3 - 3 * t2 + 1
-    h10 = t3 - 2 * t2 + t
-    h01 = -2 * t3 + 3 * t2
-    h11 = t3 - t2
-    val = h00 * f0 + h * h10 * d0 + h01 * f1 + h * h11 * d1
+    if not derivative:
+        h00 = 2 * t3 - 3 * t2 + 1
+        h10 = t3 - 2 * t2 + t
+        h01 = -2 * t3 + 3 * t2
+        h11 = t3 - t2
+        return h00 * f0 + h * h10 * d0 + h01 * f1 + h * h11 * d1
     g00 = 6 * t2 - 6 * t
     g10 = 3 * t2 - 4 * t + 1
     g01 = -6 * t2 + 6 * t
     g11 = 3 * t2 - 2 * t
-    der = (g00 * f0 + h * g10 * d0 + g01 * f1 + h * g11 * d1) / h
-    return val, der
+    return (g00 * f0 + h * g10 * d0 + g01 * f1 + h * g11 * d1) / h
 
 
 @dataclass(frozen=True)
@@ -162,28 +165,30 @@ class QuantileIvModel:
         """Largest conditional-to-marginal mass ratio across the table."""
         return float(self.x_ratio.max())
 
-    def _locate(self, yq: np.ndarray) -> np.ndarray:
+    def _interpolate(self, alpha_values: np.ndarray,
+                     derivative: bool) -> np.ndarray:
+        """Interpolated CDF, or its y-derivative, at y = alpha(x) for every
+        (x, w): shape (n_x, n_w) for one curve (n_x,), (B, n_x, n_w) for a
+        stack (B, n_x).  A w-free table gives a read-only broadcast over w.
+        """
+        yq = np.asarray(alpha_values, dtype=float)
         y = self.y_grid
         if np.any(yq < y[0]) or np.any(yq > y[-1]):
             raise ValueError(
                 "requested y values leave the tabulated range "
                 f"[{y[0]:.4g}, {y[-1]:.4g}]"
             )
-        return np.clip(np.searchsorted(y, yq, side="right") - 1, 0, y.size - 2)
+        out = _hermite(y, self._cdf, self._cdf_slopes, yq, derivative)
+        return np.broadcast_to(out, out.shape[:-2] + self.x_ratio.shape)
 
     def cdf_at(self, alpha_values: np.ndarray) -> np.ndarray:
-        """F(alpha(x) | x, w) for every (x, w), shape (n_x, n_w)."""
-        yq = np.asarray(alpha_values, dtype=float)
-        idx = self._locate(yq)
-        val, _ = _hermite(self.y_grid, self._cdf, self._cdf_slopes, yq, idx)
-        return np.broadcast_to(val, self.x_ratio.shape)
+        """F(alpha(x) | x, w) for every (x, w), for one curve or a stack."""
+        return self._interpolate(alpha_values, derivative=False)
 
     def density_at(self, alpha_values: np.ndarray) -> np.ndarray:
-        """f(alpha(x) | x, w), the exact y-derivative of the interpolated CDF."""
-        yq = np.asarray(alpha_values, dtype=float)
-        idx = self._locate(yq)
-        _, der = _hermite(self.y_grid, self._cdf, self._cdf_slopes, yq, idx)
-        return np.broadcast_to(der, self.x_ratio.shape)
+        """f(alpha(x) | x, w), the exact y-derivative of the interpolated
+        CDF, in the shapes of ``cdf_at``."""
+        return self._interpolate(alpha_values, derivative=True)
 
     def quantile_curve(self, tau: float | None = None) -> np.ndarray:
         """Invert the interpolated CDF at the quantile level, per x.
@@ -206,6 +211,12 @@ class QuantileIvModel:
         return 0.5 * (lo + hi)
 
 
+# A stack of curves is interpolated in slices of at most this many table
+# cells, so a w-dependent table's (rows, n_x, n_w) temporaries stay near
+# 1 MB each; a w-free table takes a whole harness chunk in one slice.
+SLICE_CELLS = 1 << 17
+
+
 def quantile_moment_map(
     model: QuantileIvModel,
 ) -> tuple[MomentMap, NonlinearityBound]:
@@ -215,19 +226,36 @@ def quantile_moment_map(
     given w and subtracts the quantile level; the derivative is the
     conditional expectation weighted by the conditional density at alpha0.
     The curvature bound is L = L1 L2 with exponent 2 on the whole space.
+    The map's ``eval_rows`` evaluates a stack of curves in one pass of the
+    Hermite kernel, bit-identical to ``eval`` on each curve.
     """
     mx, mw = model.x_measure, model.w_measure
-    wx = mx.weights
+    weighted_ratio = mx.weights[:, None] * model.x_ratio
+    w_free = model.f_y.shape[2] == 1
+    rows_per_slice = max(1, SLICE_CELLS // model.f_y[0].size)
+
+    def eval_rows(alphas: np.ndarray) -> np.ndarray:
+        # einsum sums over x in the order of the per-curve elementwise
+        # product and sum, so a stack reproduces one-curve evaluation bit
+        # for bit; a matmul would not
+        out = np.empty((alphas.shape[0], mw.size))
+        for s in range(0, alphas.shape[0], rows_per_slice):
+            cdf = model.cdf_at(alphas[s:s + rows_per_slice])
+            if w_free:
+                vals = np.einsum("bi,ij->bj", cdf[..., 0], weighted_ratio)
+            else:
+                vals = np.einsum("bij,ij->bj", cdf, weighted_ratio)
+            out[s:s + rows_per_slice] = vals - model.tau
+        return out
 
     def eval_fn(alpha: GridFunction) -> GridFunction:
-        cdf = model.cdf_at(alpha.values)
-        vals = (wx[:, None] * model.x_ratio * cdf).sum(axis=0) - model.tau
-        return GridFunction(vals, mw)
+        return GridFunction(eval_rows(alpha.values[None])[0], mw)
 
     weight = model.density_at(model.alpha0.values)
     derivative = conditional_expectation(model.x_ratio, mx, mw, weight=weight)
     mmap = MomentMap(
-        base_point=model.alpha0, eval_fn=eval_fn, derivative=derivative
+        base_point=model.alpha0, eval_fn=eval_fn, derivative=derivative,
+        eval_rows=eval_rows,
     )
     bound = NonlinearityBound(L=model.l1 * model.l2, r=2.0)
     return mmap, bound
@@ -248,6 +276,13 @@ def gaussian_quantile_model(
     The true quantile curve is recovered from the discretized tables by CDF
     inversion, so the model restriction holds on the grid to rounding error,
     not merely asymptotically.
+
+    This is the truncated Gaussian model: the grids stop at +-x_span, and
+    its ill-posedness is steeper than that of the untruncated design, whose
+    derivative is phi(z_tau)/sigma_u times E[. | W] with singular values
+    rho^k (Mehler's formula; Carrasco, Florens & Renault 2007).  At the
+    default x_span = 3, sigma_6/sigma_0 falls below rho^6/4; at x_span = 7
+    the spectrum matches rho^k to within 2e-3 for k <= 6.
     """
     if not -1 < rho < 1:
         raise ValueError("rho must lie in (-1, 1)")

@@ -20,7 +20,8 @@ import numpy as np
 
 from ..errors import GridMismatchError
 from ..fnspace import GridFunction, GridMeasure
-from ..linop import apply, conditional_expectation, singular_values
+from ..identcore import rank_condition
+from ..linop import apply, conditional_expectation
 from ..semiparam import SemiparametricMap, SplitDerivative, partial_out
 
 
@@ -124,6 +125,14 @@ def single_index_map(
 
 @dataclass(frozen=True)
 class IndexDiagnosis:
+    """Outcome of ``diagnose_single_index``.
+
+    ``sigma_min_ratio`` is sigma_min / sigma_max of the completeness proxy
+    operator as ``rank_condition`` reports them: 0.0 when the instrument
+    grid is larger than the index grid, since such an operator is never
+    injective, and 0.0 for the zero operator.
+    """
+
     w_given_v_complete: bool
     pi_singular: bool
     consistent: bool
@@ -174,18 +183,17 @@ def diagnose_single_index(
     # renormalize so the subsampled table is again a joint mass ratio
     sub_joint = sub_joint / (sub_v.weights @ sub_joint)[None, :]
     w_to_v = conditional_expectation(sub_joint.T, sub_w, sub_v)
-    s = singular_values(w_to_v)
-    ratio = float(s[-1] / s[0]) if s[0] > 0 else 0.0
-    complete = sub_w.size <= sub_v.size and ratio > tol
+    rank = rank_condition(w_to_v, tol)
+    ratio = rank.sigma_min / rank.sigma_max if rank.sigma_max > 0 else 0.0
 
     _, split = single_index_map(model)
     report = partial_out(split, range_tol)
     trace = float(np.trace(report.gram))
     pi_singular = report.lambda_min <= singular_ratio * max(trace, 1e-300)
     return IndexDiagnosis(
-        w_given_v_complete=complete,
+        w_given_v_complete=rank.holds,
         pi_singular=pi_singular,
-        consistent=not (complete and not pi_singular),
+        consistent=not (rank.holds and not pi_singular),
         sigma_min_ratio=ratio,
         lambda_min=report.lambda_min,
         trace=trace,

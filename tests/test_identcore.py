@@ -4,10 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from momentid.errors import EmptyNeighborhoodError
+from momentid.errors import EmptyNeighborhoodError, GridMismatchError
 from momentid.fnspace import GridFunction, GridMeasure
 from momentid.identcore import (
     CONE_CHUNK,
+    EVAL_CHUNK,
     MomentMap,
     NonlinearityBound,
     cone_classify,
@@ -335,6 +336,128 @@ class TestVerifyLocalId:
         assert default.pos_tol == positivity_tol(sigma_max)
         assert sampled.pos_tol == pytest.approx(positivity_tol(sigma_max),
                                                 rel=1e-12)
+
+
+def stacked_linear_map(matrix, mu, calls=None):
+    """linear_map with an eval_rows that records the size of each stack it
+    is given and evaluates it row by row, so it agrees with eval exactly."""
+    base = linear_map(matrix, mu, mu)
+
+    def eval_rows(rows):
+        if calls is not None:
+            calls.append(rows.shape[0])
+        return np.stack([base.eval(GridFunction(row, mu)).values
+                         for row in rows])
+
+    return MomentMap(base.base_point, base.eval_fn, base.derivative,
+                     eval_rows=eval_rows)
+
+
+class TestEvalMany:
+    def test_without_eval_rows_calls_eval_once_per_input(self):
+        mu = unit_grid(3)
+        seen = []
+
+        def eval_fn(alpha):
+            seen.append(alpha)
+            return GridFunction(2.0 * alpha.values, mu)
+
+        mmap = MomentMap(GridFunction.zero(mu), eval_fn,
+                         LinearOperator.identity(mu) * 2.0)
+        seen.clear()
+        alphas = [GridFunction(np.full(3, float(k)), mu) for k in range(5)]
+        out = mmap.eval_many(alphas)
+        assert seen == alphas
+        assert [f.values.tolist() for f in out] == [
+            [2.0 * k] * 3 for k in range(5)]
+        assert mmap.eval_many([]) == []
+
+    def test_eval_rows_matches_eval_row_by_row(self):
+        rng = np.random.default_rng(12)
+        mu = unit_grid(4)
+        calls = []
+        mmap = stacked_linear_map(rng.standard_normal((4, 4)), mu, calls)
+        alphas = [GridFunction(rng.standard_normal(4), mu) for _ in range(7)]
+        out = mmap.eval_many(alphas)
+        assert calls == [7]
+        for alpha, got in zip(alphas, out):
+            assert got.measure.same_as(mmap.derivative.codomain)
+            assert np.array_equal(got.values, mmap.eval(alpha).values)
+        assert mmap.eval_many([]) == [] and calls == [7]
+
+    def test_rejects_inputs_on_another_grid(self):
+        mmap = stacked_linear_map(np.eye(3), unit_grid(3))
+        other = GridMeasure(np.arange(3.0), np.full(3, 2.0))
+        with pytest.raises(GridMismatchError, match="domain grid"):
+            mmap.eval_many([GridFunction.zero(other)])
+
+    def test_rejects_a_stack_of_the_wrong_shape(self):
+        mu = unit_grid(3)
+        base = linear_map(np.eye(3), mu, mu)
+        short = MomentMap(base.base_point, base.eval_fn, base.derivative,
+                          eval_rows=lambda rows: rows[:, :2])
+        with pytest.raises(GridMismatchError, match="eval_rows returned"):
+            short.eval_many([GridFunction.zero(mu)])
+
+    def test_chunk_inputs_are_built_when_the_chunk_runs(self):
+        from momentid.identcore import _evaluated
+
+        mu = unit_grid(2)
+        calls, built = [], []
+        mmap = stacked_linear_map(np.eye(2), mu, calls)
+
+        def inputs(n):
+            for k in range(n):
+                built.append(len(calls))  # stacks evaluated so far
+                yield GridFunction(np.full(2, float(k)), mu)
+
+        out = list(_evaluated(mmap, inputs(200)))
+        assert EVAL_CHUNK == 64
+        assert calls == [64, 64, 64, 8]
+        assert built == [k // 64 for k in range(200)]
+        assert [f.values[0] for f in out] == list(range(200))
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+    def test_harnesses_agree_with_and_without_eval_rows(self, n):
+        rng = np.random.default_rng(13)
+        mu = GridMeasure(np.arange(4.0), np.full(4, 0.25))
+        matrix = rng.standard_normal((4, 4)) + 2 * np.eye(4)
+        calls = []
+        stacked = stacked_linear_map(matrix, mu, calls)
+        plain = linear_map(matrix, mu, mu)
+        devs = [GridFunction(rng.standard_normal(4), mu) for _ in range(n)]
+        assert (estimate_nonlinearity(stacked, 2.0, devs)
+                == estimate_nonlinearity(plain, 2.0, devs))
+        assert calls == [min(EVAL_CHUNK, n - k)
+                         for k in range(0, n, EVAL_CHUNK)]
+        calls.clear()
+        steps = [1e-2, 1e-3]
+        assert (gateaux_check(stacked, devs, steps, richardson=True)
+                == gateaux_check(plain, devs, steps, richardson=True))
+        assert sum(calls) == 8 * n and max(calls) == min(n * 8, EVAL_CHUNK)
+
+
+class TestVerifyLocalIdBatching:
+    def test_every_draw_is_made_before_the_first_evaluation(self):
+        mu = GridMeasure(np.arange(4.0), np.full(4, 0.25))
+        calls, draws = [], []
+        mmap = stacked_linear_map(3.0 * np.eye(4), mu, calls)
+
+        def sampler(rng):
+            draws.append(len(calls))  # stacks evaluated so far
+            return GridFunction(rng.uniform(-1.0, 1.0, 4), mu)
+
+        report = verify_local_id(mmap, NonlinearityBound(L=0.1, r=2.0),
+                                 samples=150, rng_seed=0, sampler=sampler,
+                                 pos_tol=1e-10, keep_rows=True)
+        assert calls == [64, 64, 22]
+        assert draws == [0] * report.attempts
+        plain = verify_local_id(linear_map(3.0 * np.eye(4), mu, mu),
+                                NonlinearityBound(L=0.1, r=2.0), samples=150,
+                                rng_seed=0, sampler=sampler, pos_tol=1e-10,
+                                keep_rows=True)
+        assert plain.attempts == report.attempts
+        assert plain.rows == report.rows
 
 
 class TestAcceptedDraws:

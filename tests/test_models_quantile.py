@@ -1,15 +1,18 @@
 from dataclasses import replace
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 
 from momentid.errors import GridMismatchError
-from momentid.fnspace import GridFunction, norm
+from momentid.fnspace import GridFunction, GridMeasure, norm
 from momentid.identcore import (
+    NonlinearityBound,
     estimate_nonlinearity,
     gateaux_check,
     in_ellipsoid,
     sample_ellipsoid_deviations,
+    verify_local_id,
 )
 from momentid.linop import apply, svd
 from momentid.models.quantile import gaussian_quantile_model, quantile_moment_map
@@ -177,3 +180,190 @@ def test_fine_grid_keeps_tables_free_of_the_w_axis():
     assert norm(mmap.eval(mmap.base_point)) <= 1e-10
     for table in (fine.f_y, fine._cdf, fine._cdf_slopes):
         assert table.size <= n * n
+
+
+# ---------------------------------------------------------------------------
+# Closed-form oracle.  In the Gaussian design (X, W) is bivariate normal with
+# correlation rho and the outcome density at the tau-quantile is
+# phi(z_tau) / sigma_u for every x, so the derivative is that constant times
+# E[. | W].  By Mehler's formula E[. | W] has singular values rho^k and the
+# normalised Hermite polynomials He_k as singular functions on both sides.
+# ---------------------------------------------------------------------------
+
+
+def hermite_he(k, x):
+    """Probabilists' Hermite polynomial He_k at x."""
+    prev, cur = np.ones_like(x), x
+    if k == 0:
+        return prev
+    for j in range(1, k):
+        prev, cur = cur, x * cur - j * prev
+    return cur
+
+
+@pytest.fixture(scope="module", params=[(0.3, 0.25), (0.3, 0.5),
+                                        (0.6, 0.25), (0.6, 0.5)])
+def wide_spectrum(request):
+    rho, tau = request.param
+    wide = gaussian_quantile_model(n_x=121, n_w=121, rho=rho, tau=tau,
+                                   x_span=7.0, y_span=14.5)
+    mmap, _ = quantile_moment_map(wide)
+    return rho, tau, wide, svd(mmap.derivative)
+
+
+def test_singular_value_ratios_are_powers_of_rho(wide_spectrum):
+    rho, _, _, dec = wide_spectrum
+    s = dec.singular_values
+    for k in range(7):
+        assert abs(s[k] / s[0] - rho**k) <= 2e-3, k
+
+
+def test_leading_singular_value_is_the_quantile_density(wide_spectrum):
+    _, tau, _, dec = wide_spectrum
+    sigma_u = 1.0
+    z = NormalDist().inv_cdf(tau)
+    assert dec.sigma_max == pytest.approx(NormalDist().pdf(z) / sigma_u,
+                                          rel=1e-2)
+
+
+def test_singular_functions_are_hermite_polynomials(wide_spectrum):
+    _, _, wide, dec = wide_spectrum
+    sides = ((dec.right_functions, wide.x_measure),
+             (dec.left_functions, wide.w_measure))
+    for basis, measure in sides:
+        x, w = measure.coords(), measure.weights
+        for k in range(6):
+            he = hermite_he(k, x)
+            he = he / np.sqrt(w @ he**2)
+            assert abs(w @ (basis.matrix()[:, k] * he)) >= 0.9999, k
+
+
+@pytest.mark.parametrize("rho", [0.3, 0.6])
+def test_shipped_span_truncates_the_spectrum(rho):
+    # x_span = 3 cuts the Gaussian tails: the sixth ratio falls far below
+    # the untruncated model's rho^6
+    mmap, _ = quantile_moment_map(gaussian_quantile_model(rho=rho))
+    s = svd(mmap.derivative).singular_values
+    assert s[6] / s[0] < rho**6 / 4
+
+
+# ---------------------------------------------------------------------------
+# Stacked evaluation.  A reference written from the cubic Hermite cell
+# formulas, one row and one x at a time, must agree bit for bit with the
+# stacked kernel, and the moment map must equal the per-row elementwise
+# product and sum over x.
+# ---------------------------------------------------------------------------
+
+
+def w_dependent_model():
+    """Outcome law N(0, s(x, w)^2) with a scale that varies with x and w.
+
+    The y grid is symmetric about 0 and holds 0 as a node, so the zero curve
+    is the median for every (x, w) and the moment map vanishes there at
+    tau = 0.5, while the CDF at any other curve differs across w.
+    """
+    base = gaussian_quantile_model(n_x=9, n_w=7, n_y=41)
+    y = base.y_grid
+    scale = np.exp(0.1 * base.x_measure.coords()[:, None]
+                   + 0.3 * base.w_measure.coords()[None, :])
+    f_y = np.exp(-0.5 * (y[:, None, None] / scale) ** 2) / scale
+    f_y /= np.einsum("y,yxw->xw", GridMeasure.trapezoid(y).weights, f_y)
+    return replace(base, f_y=f_y, alpha0=GridFunction.zero(base.x_measure))
+
+
+def reference_rows(model, rows):
+    """CDF and density at every (x, w), and m, for each row of ``rows``."""
+    y, cdf, slopes = model.y_grid, model._cdf, model._cdf_slopes
+    weighted_ratio = model.x_measure.weights[:, None] * model.x_ratio
+    shape = model.x_ratio.shape
+    cdfs, dens, maps = [], [], []
+    for row in rows:
+        c, g = np.empty(shape), np.empty(shape)
+        for i, yq in enumerate(row):
+            k = min(max(int(np.searchsorted(y, yq, side="right")) - 1, 0),
+                    y.size - 2)
+            h = y[k + 1] - y[k]
+            t = (yq - y[k]) / h
+            t2, t3 = t * t, t * t * t
+            f0, f1 = cdf[k, i], cdf[k + 1, i]
+            d0, d1 = slopes[k, i], slopes[k + 1, i]
+            c[i] = ((2 * t3 - 3 * t2 + 1) * f0 + h * (t3 - 2 * t2 + t) * d0
+                    + (-2 * t3 + 3 * t2) * f1 + h * (t3 - t2) * d1)
+            g[i] = ((6 * t2 - 6 * t) * f0 + h * (3 * t2 - 4 * t + 1) * d0
+                    + (-6 * t2 + 6 * t) * f1 + h * (3 * t2 - 2 * t) * d1) / h
+        cdfs.append(c)
+        dens.append(g)
+        maps.append((weighted_ratio * c).sum(axis=0) - model.tau)
+    return np.array(cdfs), np.array(dens), np.array(maps)
+
+
+@pytest.fixture(scope="module", params=["w-dependent", "w-free"])
+def stack_model(request):
+    if request.param == "w-dependent":
+        return w_dependent_model()
+    return gaussian_quantile_model(n_x=9, n_w=7, n_y=41)
+
+
+def query_rows(model, n):
+    rng = np.random.default_rng(n)
+    rows = model.alpha0.values + rng.uniform(-2.0, 2.0, (n, 9))
+    # the range ends and a grid node are cells' edge cases
+    rows[0, :3] = model.y_grid[0], model.y_grid[-1], model.y_grid[7]
+    return rows
+
+
+def test_w_dependent_table_really_varies_with_w():
+    model = w_dependent_model()
+    assert model.f_y.shape == (41, 9, 7)
+    cdf = model.cdf_at(query_rows(model, 1)[0])
+    assert np.abs(cdf - cdf[:, :1]).max() > 0.05
+    mmap, _ = quantile_moment_map(model)
+    assert norm(mmap.eval(mmap.base_point)) <= 1e-10
+
+
+@pytest.mark.parametrize("slice_rows", [None, 64])
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+def test_stacked_evaluation_matches_the_per_row_reference(
+        stack_model, n, slice_rows, monkeypatch):
+    import momentid.models.quantile as quantile
+
+    if slice_rows is not None:
+        # slice the stack 64 rows at a time, as a large w-dependent table is
+        monkeypatch.setattr(quantile, "SLICE_CELLS",
+                            slice_rows * stack_model.f_y[0].size)
+    model = stack_model
+    rows = query_rows(model, n)
+    cdf_ref, dens_ref, map_ref = reference_rows(model, rows)
+    assert np.array_equal(model.cdf_at(rows), cdf_ref)
+    assert np.array_equal(model.density_at(rows), dens_ref)
+    mmap, _ = quantile_moment_map(model)
+    alphas = [GridFunction(row, model.x_measure) for row in rows]
+    stacked = mmap.eval_many(alphas)
+    assert len(stacked) == n
+    for b in (0, n // 2, n - 1):
+        assert np.array_equal(model.cdf_at(rows[b]), cdf_ref[b])
+        assert np.array_equal(model.density_at(rows[b]), dens_ref[b])
+    for b, alpha in enumerate(alphas):
+        assert np.array_equal(stacked[b].values, map_ref[b])
+        assert np.array_equal(mmap.eval(alpha).values, map_ref[b])
+
+
+def test_harnesses_are_bit_identical_with_and_without_stacking(stack_model):
+    model = stack_model
+    mmap, _ = quantile_moment_map(model)
+    plain = replace(mmap, eval_rows=None)
+    rng = np.random.default_rng(21)
+    devs = [GridFunction(rng.standard_normal(9) * s, model.x_measure)
+            for s in rng.uniform(0.05, 0.6, size=130)]
+    assert (estimate_nonlinearity(mmap, 2.0, devs)
+            == estimate_nonlinearity(plain, 2.0, devs))
+    steps = [1e-3, 1e-4]
+    assert (gateaux_check(mmap, devs[:20], steps, richardson=True)
+            == gateaux_check(plain, devs[:20], steps, richardson=True))
+    reports = [
+        verify_local_id(m, NonlinearityBound(L=0.0, r=1.0), 130, 0,
+                        sampler=lambda _, it=iter(devs): next(it),
+                        pos_tol=1e-10, keep_rows=True)
+        for m in (mmap, plain)
+    ]
+    assert reports[0].rows == reports[1].rows

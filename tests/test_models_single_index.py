@@ -81,6 +81,19 @@ class TestDiagnosis:
         assert d.consistent
         assert d.lambda_min > 1e-4 * d.trace
 
+    def test_twodim_ratio_is_zero_by_dimension_count(self, twodim_model):
+        # the proxy keeps 144 instrument nodes and 12 index nodes, so the
+        # operator has a null space and rank_condition reports sigma_min 0
+        d = diagnose_single_index(twodim_model)
+        assert d.sigma_min_ratio == 0.0
+        assert not d.w_given_v_complete
+
+    def test_scalar_ratio_is_positive_and_above_tol(self, scalar_model):
+        d = diagnose_single_index(scalar_model)
+        assert 1e-10 < d.sigma_min_ratio < 1.0
+        assert not diagnose_single_index(
+            scalar_model, tol=d.sigma_min_ratio * 1.01).w_given_v_complete
+
     def test_independent_instrument_not_complete(self):
         model = gaussian_index_design(rho=0.5, w_dim=1)
         # break the dependence: the proxy operator becomes rank one

@@ -51,3 +51,7 @@ print(f"total violations: {report.total_violations}")
 print("instances meeting each inclusion's premise, and zero linear terms:")
 for name, count in report.premises.items():
     print(f"  {name}: {count}")
+# A transfer bound that is never approached proves no more than a looser one.
+print("instances within 1% of each transfer's eta/(1-eta) bound:")
+for name, count in report.near_bound.items():
+    print(f"  {name}: {count}")

@@ -27,6 +27,7 @@ from .fnspace import (
 from .linop import (
     KernelSpec,
     LinearOperator,
+    OperatorStack,
     SvdDecomposition,
     adjoint,
     apply,

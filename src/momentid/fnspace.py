@@ -215,7 +215,13 @@ def inner(f: GridFunction, g: GridFunction, mu: GridMeasure | None = None) -> fl
 
 
 def norm(f: GridFunction) -> float:
-    return float(np.sqrt(np.dot(f.measure.weights, f.values**2)))
+    return weighted_norm(f.values, f.measure.weights)
+
+
+def weighted_norm(values: np.ndarray, weights: np.ndarray) -> float:
+    """Weighted L2 norm of a row of node values: :func:`norm` without the
+    grid function, for callers that hold stacks of validated rows."""
+    return float(np.sqrt(np.dot(weights, values**2)))
 
 
 @dataclass(frozen=True, init=False, eq=False)

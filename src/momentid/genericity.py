@@ -14,7 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fnspace import GridMeasure, OrthonormalBasis
-from .linop import LinearOperator, singular_values
+from .linop import LinearOperator, OperatorStack, singular_values
+
+# mc_injectivity draws and decomposes this many operators at a time.  A
+# chunk's buffers are a few (DRAW_CHUNK, n, n) stacks: about 0.15 MB each
+# at n = 48.
+DRAW_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -85,8 +90,9 @@ def _setup_draws(
 ) -> _DrawSetup:
     """The per-configuration checks of :func:`draw_operator`: basis length,
     the compactness decay test, the positivity preconditions and probability
-    grids for the density variant.  The dense-storage axis cap is checked by
-    each draw's LinearOperator against the measures' cached axis sizes."""
+    grids for the density variant.  The finiteness of the entries and the
+    dense-storage axis cap are checked on each stack of draws
+    (``OperatorStack``)."""
     phi, psi = bases
     n = config.trunc_n
     if len(phi) < n or len(psi) < n:
@@ -125,34 +131,54 @@ def _setup_draws(
                       c_used)
 
 
-def _draw(setup: _DrawSetup, seed: int) -> OperatorDraw:
-    """One realization on validated bases: the coefficients, the kernel, and
-    the checks that depend on them."""
+def _draw_stack(
+    setup: _DrawSetup, seeds: list[int]
+) -> tuple[OperatorStack, np.ndarray, np.ndarray]:
+    """The realizations for ``seeds`` on validated bases, in order: their
+    operators as one stack, the coefficients lambda (one row per draw) and
+    the scales kappa, after the checks that depend on the coefficients.
+
+    Each draw's coefficients come from its own generator, in the order a
+    single draw makes them.
+    """
     config = setup.config
     n = config.trunc_n
-    rng = np.random.default_rng(seed)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     if config.dependent_u:
-        u = np.full(n, rng.uniform(-1.0, 1.0))
+        shared = np.array([rng.uniform(-1.0, 1.0) for rng in rngs])
+        u = np.repeat(shared[:, None], n, axis=1)
     else:
-        u = rng.uniform(-1.0, 1.0, size=n)
+        u = np.stack([rng.uniform(-1.0, 1.0, size=n) for rng in rngs])
     lam = u * config.sigma[:n]
-    kappa = config.kappa
+    kappa = np.full(len(seeds), float(config.kappa))
     if config.positive or config.density:
-        lam[0] = (setup.c_bound**2 * np.sum(np.abs(lam[1:]))
-                  + abs(u[0]) * config.sigma[0])
+        lam[:, 0] = (setup.c_bound**2 * np.sum(np.abs(lam[:, 1:]), axis=1)
+                     + np.abs(u[:, 0]) * config.sigma[0])
         if config.density:
-            kappa = 1.0 / lam[0]
+            kappa = 1.0 / lam[:, 0]
 
-    kernel = kappa * (setup.psi_mat * lam[None, :]) @ setup.phi_mat.T
-    op = LinearOperator(kernel, setup.domain, setup.codomain)
+    # kappa * (psi * lam) @ phi.T for each draw, grouped as one draw groups it
+    kernels = np.matmul(
+        kappa[:, None, None] * (setup.psi_mat[None] * lam[:, None, :]),
+        setup.phi_mat.T)
+    ops = OperatorStack(kernels, setup.domain, setup.codomain)
 
     if config.density:
-        rows = op.entries @ setup.domain.weights
-        worst = float(np.abs(rows - 1.0).max())
-        if worst > 1e-12:
-            raise ValueError(f"density kernel row sums deviate by {worst:.2e}")
-    return OperatorDraw(operator=op, lambdas=lam, kappa=kappa, seed=seed,
-                        c_bound=setup.c_bound)
+        worst = np.abs(ops.entries @ setup.domain.weights - 1.0).max(axis=1)
+        over = np.flatnonzero(worst > 1e-12)
+        if over.size:
+            raise ValueError(
+                f"density kernel row sums deviate by {worst[over[0]]:.2e}")
+    return ops, lam, kappa
+
+
+def _draw(setup: _DrawSetup, seed: int) -> OperatorDraw:
+    """One realization on validated bases: the one-draw case of
+    :func:`_draw_stack`."""
+    ops, lam, kappa = _draw_stack(setup, [seed])
+    op = LinearOperator(ops.entries[0], setup.domain, setup.codomain)
+    return OperatorDraw(operator=op, lambdas=lam[0], kappa=float(kappa[0]),
+                        seed=seed, c_bound=setup.c_bound)
 
 
 def draw_operator(
@@ -197,24 +223,28 @@ def mc_injectivity(
     machine scale on truncations), and sigma_min is the last of them.  The
     report gives the fraction of draws with sigma_min at or below
     tol * sigma_max, predicted to be zero.
+
+    Draw i uses the seed of the i-th child of ``SeedSequence(seed)``, as
+    ``draw_operator`` would.  The draws are made, checked and decomposed
+    ``DRAW_CHUNK`` at a time, with one stacked values-only SVD per chunk.
     """
     if draws < 1:
         raise ValueError("draws must be at least 1")
     setup = _setup_draws(config, bases, None)
-    children = np.random.SeedSequence(seed).spawn(draws)
+    root = np.random.SeedSequence(seed)
     n = config.trunc_n
     sig_min = np.empty(draws)
     worst_dev = 0.0
     below = 0
-    for i, child in enumerate(children):
-        sub_seed = int(child.generate_state(1)[0])
-        draw = _draw(setup, sub_seed)
-        s = singular_values(draw.operator)[:n]
-        expected = np.sort(np.abs(draw.kappa * draw.lambdas))[::-1]
+    for start in range(0, draws, DRAW_CHUNK):
+        children = root.spawn(min(DRAW_CHUNK, draws - start))
+        seeds = [int(child.generate_state(1)[0]) for child in children]
+        ops, lam, kappa = _draw_stack(setup, seeds)
+        s = singular_values(ops)[:, :n]
+        expected = np.sort(np.abs(kappa[:, None] * lam), axis=1)[:, ::-1]
         worst_dev = max(worst_dev, float(np.abs(s - expected).max()))
-        sig_min[i] = s[-1]
-        if s[-1] <= tol * s[0]:
-            below += 1
+        sig_min[start:start + len(seeds)] = s[:, -1]
+        below += int(np.count_nonzero(s[:, -1] <= tol * s[:, 0]))
     return InjectivityReport(
         draws=draws,
         sigma_min=sig_min,

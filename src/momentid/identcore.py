@@ -20,11 +20,18 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import EmptyNeighborhoodError, GridMismatchError
-from .fnspace import GridFunction, GridMeasure, OrthonormalBasis, norm
+from .fnspace import (
+    GridFunction,
+    GridMeasure,
+    OrthonormalBasis,
+    norm,
+    weighted_norm,
+)
 from .linop import (
     LinearOperator,
     SvdDecomposition,
     apply,
+    apply_values,
     singular_values,
     svd,
 )
@@ -41,7 +48,9 @@ class MomentMap:
     ``eval_rows``, when given, evaluates a stack of domain value rows
     (B, n_domain) to codomain value rows (B, n_codomain) in one call.  Each
     output row must equal, bit for bit, what ``eval_fn`` returns for that
-    row alone; ``eval_many`` relies on it.
+    row alone; ``eval_many`` and the sampling harnesses rely on it.  They
+    hand it at most ``EVAL_CHUNK`` rows at a time and check the shape and
+    finiteness of each returned stack once, not row by row.
     """
 
     base_point: GridFunction
@@ -70,26 +79,24 @@ class MomentMap:
         return out
 
     def eval_many(self, alphas: Sequence[GridFunction]) -> list[GridFunction]:
-        """m at each of ``alphas``, through ``eval_rows`` when the map has
-        one and through ``eval`` one at a time otherwise."""
-        if self.eval_rows is None or not alphas:
-            return [self.eval(a) for a in alphas]
-        dom, cod = self.base_point.measure, self.derivative.codomain
-        if not all(a.measure.same_as(dom) for a in alphas):
-            raise GridMismatchError("alpha does not live on the domain grid")
-        out = self.eval_rows(np.stack([a.values for a in alphas]))
-        if out.shape != (len(alphas), cod.size):
-            raise GridMismatchError(
-                f"eval_rows returned shape {out.shape} for {len(alphas)} "
-                f"rows on a {cod.size}-point codomain"
-            )
-        return [GridFunction(row, cod) for row in out]
+        """m at each of ``alphas``, through ``eval_rows`` ``EVAL_CHUNK``
+        points at a time when the map has one and through ``eval`` one at
+        a time otherwise."""
+        return list(_evaluated(self, alphas))
 
     def norm_a_of(self, f: GridFunction) -> float:
         return norm(f) if self.norm_a is None else float(self.norm_a(f))
 
     def norm_b_of(self, f: GridFunction) -> float:
         return norm(f) if self.norm_b is None else float(self.norm_b(f))
+
+    def norm_b_of_row(self, values: np.ndarray) -> float:
+        """``norm_b_of`` on a row of codomain values; only a custom
+        ``norm_b`` is handed it as a grid function."""
+        cod = self.derivative.codomain
+        if self.norm_b is None:
+            return weighted_norm(values, cod.weights)
+        return float(self.norm_b(GridFunction(values, cod)))
 
 
 @dataclass(frozen=True)
@@ -124,14 +131,56 @@ class NonlinearityBound:
 EVAL_CHUNK = 64
 
 
+def _codomain_rows(
+    mmap: MomentMap, points: Iterable[GridFunction | np.ndarray]
+) -> Iterator[np.ndarray]:
+    """Codomain value rows of m at each of ``points``, in order.
+
+    A point is a grid function on the domain grid or a row of its values.
+    The points are consumed ``EVAL_CHUNK`` at a time.  A map with
+    ``eval_rows`` evaluates a chunk in one call; the chunk's input stack is
+    checked for finiteness, and the returned stack for shape and
+    finiteness, once per chunk.  A map without one has ``eval`` called on
+    each point, as a grid function (the caller's own where one was given).
+    """
+    dom, cod = mmap.base_point.measure, mmap.derivative.codomain
+    it = iter(points)
+    while chunk := list(itertools.islice(it, EVAL_CHUNK)):
+        if mmap.eval_rows is None:
+            for p in chunk:
+                if not isinstance(p, GridFunction):
+                    p = GridFunction(p, dom)
+                yield mmap.eval(p).values
+            continue
+        rows = []
+        for p in chunk:
+            if isinstance(p, GridFunction):
+                if not p.measure.same_as(dom):
+                    raise GridMismatchError(
+                        "alpha does not live on the domain grid")
+                p = p.values
+            rows.append(p)
+        rows = np.stack(rows)
+        if not np.all(np.isfinite(rows)):
+            raise ValueError("domain values must be finite")
+        out = np.asarray(mmap.eval_rows(rows), dtype=float)
+        if out.shape != (len(chunk), cod.size):
+            raise GridMismatchError(
+                f"eval_rows returned shape {out.shape} for {len(chunk)} "
+                f"rows on a {cod.size}-point codomain"
+            )
+        if not np.all(np.isfinite(out)):
+            raise ValueError("eval_rows returned values that are not finite")
+        yield from out
+
+
 def _evaluated(
     mmap: MomentMap, alphas: Iterable[GridFunction]
 ) -> Iterator[GridFunction]:
-    """m at each of ``alphas`` in order, evaluated ``EVAL_CHUNK`` at a time
-    through ``eval_many``; the input is consumed one chunk at a time."""
-    it = iter(alphas)
-    while chunk := list(itertools.islice(it, EVAL_CHUNK)):
-        yield from mmap.eval_many(chunk)
+    """m at each of ``alphas`` in order, as grid functions: the rows of
+    ``_codomain_rows``, which consumes the input one chunk at a time."""
+    cod = mmap.derivative.codomain
+    return (GridFunction(row, cod) for row in _codomain_rows(mmap, alphas))
 
 
 def positivity_tol(sigma_max: float) -> float:
@@ -169,6 +218,14 @@ def accepted_draws(
             yield attempts, item
 
 
+def _check_domain(
+    mmap: MomentMap, fns: Sequence[GridFunction], what: str
+) -> None:
+    dom = mmap.base_point.measure
+    if not all(f.measure.same_as(dom) for f in fns):
+        raise GridMismatchError(f"{what} must live on the domain grid")
+
+
 def gateaux_check(
     mmap: MomentMap,
     directions: Sequence[GridFunction],
@@ -177,43 +234,46 @@ def gateaux_check(
 ) -> float:
     """Compare central finite differences of m against the attached derivative.
 
-    Steps must be positive and decreasing.  Returns the worst relative error
-    over the directions at the smallest step; with ``richardson`` each step t
-    combines the t and t/2 central differences to cancel the quadratic error
-    term.
+    Steps must be positive and decreasing, and there must be at least one
+    direction.  Returns the worst relative error over the directions at the
+    smallest step; with ``richardson`` each step t combines the t and t/2
+    central differences to cancel the quadratic error term.
     """
-    steps = list(steps)
+    directions, steps = list(directions), list(steps)
+    if not directions:
+        raise ValueError("directions must not be empty")
     if not steps or any(s <= 0 for s in steps):
         raise ValueError("steps must be positive")
     if any(b >= a for a, b in zip(steps, steps[1:])):
         raise ValueError("steps must be decreasing")
-    a0 = mmap.base_point
+    _check_domain(mmap, directions, "directions")
+    a0 = mmap.base_point.values
 
     def points():
-        # every evaluation central() asks for, in the order it asks
+        # every evaluation central() asks for, in the order it asks; the
+        # rows are a0 + s * h as GridFunction arithmetic forms them
         for h in directions:
             for t in steps:
                 for s in (t, t / 2.0) if richardson else (t,):
-                    yield a0 + s * h
-                    yield a0 + (-s) * h
+                    yield a0 + h.values * float(s)
+                    yield a0 + h.values * float(-s)
 
-    values = _evaluated(mmap, points())
+    values = _codomain_rows(mmap, points())
 
-    def central(h: GridFunction, t: float) -> np.ndarray:
+    def central(t: float) -> np.ndarray:
         up, dn = next(values), next(values)
-        return (up.values - dn.values) / (2.0 * t)
+        return (up - dn) / (2.0 * t)
 
     worst = 0.0
-    cod = mmap.derivative.codomain
     for h in directions:
         exact = apply(mmap.derivative, h)
         scale = max(mmap.norm_b_of(exact), 1e-300)
         err = math.inf
         for t in steps:
-            fd = central(h, t)
+            fd = central(t)
             if richardson:
-                fd = (4.0 * central(h, t / 2.0) - fd) / 3.0
-            err = mmap.norm_b_of(GridFunction(fd - exact.values, cod)) / scale
+                fd = (4.0 * central(t / 2.0) - fd) / 3.0
+            err = mmap.norm_b_of_row(fd - exact.values) / scale
         worst = max(worst, err)
     return worst
 
@@ -224,20 +284,24 @@ def estimate_nonlinearity(
     """Empirical curvature constant: max ||m(a0+d) - m(a0) - m'd|| / ||d||^r.
 
     A lower bound for any valid L on a neighborhood covering the sampled
-    deviations.
+    deviations, of which there must be at least one.
     """
     if r < 1:
         raise ValueError("r must be at least 1")
+    deviations = list(deviations)
+    if not deviations:
+        raise ValueError("deviations must not be empty")
+    _check_domain(mmap, deviations, "deviations")
     a0 = mmap.base_point
-    m0 = mmap.eval(a0)
+    m0 = mmap.eval(a0).values
     best = 0.0
-    values = _evaluated(mmap, (a0 + d for d in deviations))
+    values = _codomain_rows(mmap, (a0.values + d.values for d in deviations))
     for d, m_val in zip(deviations, values):
         dn = mmap.norm_a_of(d)
         if dn == 0.0:
             raise ValueError("deviations must have nonzero norm")
-        rem = m_val - m0 - apply(mmap.derivative, d)
-        best = max(best, mmap.norm_b_of(rem) / dn**r)
+        rem = m_val - m0 - apply_values(mmap.derivative, d.values)
+        best = max(best, mmap.norm_b_of_row(rem) / dn**r)
     return best
 
 
@@ -342,14 +406,17 @@ def sample_ellipsoid_deviations(
     mat = dec.right_functions.matrix()
     out = []
     power = 1.0 / (bound.r - 1.0)
+    profile = decay ** np.arange(k)
+    l_p = bound.L ** (-power)
+    mu_p = mu**power
     for _ in range(n):
-        raw = rng.standard_normal(k) * decay ** np.arange(k)
+        raw = rng.standard_normal(k) * profile
         raw /= np.linalg.norm(raw)
         c = raw * (1.0 - first_mass)
         c[0] += math.copysign(first_mass, raw[0] if raw[0] != 0 else 1.0)
         c /= np.linalg.norm(c)
         s = rng.uniform(*scale_range)
-        b = s * bound.L ** (-power) * mu**power * c
+        b = s * l_p * mu_p * c
         delta = GridFunction(mat @ b, dec.right_functions.measure)
         out.append((delta, b))
     return out
@@ -466,11 +533,12 @@ def verify_local_id(
         f"the sampled neighborhood may be empty for L={bound.L}, r={bound.r}",
     ))
     attempts = accepted[-1][0]
-    values = _evaluated(mmap, (a0 + item[0] for _, item in accepted))
+    values = _codomain_rows(
+        mmap, (a0.values + item[0].values for _, item in accepted))
     rows = []
     for (_, (delta, dev_norm, lin, lin_n)), m_val in zip(accepted, values):
-        rem = mmap.norm_b_of(m_val - lin)
-        m_n = mmap.norm_b_of(m_val)
+        rem = mmap.norm_b_of_row(m_val - lin.values)
+        m_n = mmap.norm_b_of_row(m_val)
         rows.append((dev_norm, lin_n, rem, m_n, rem < lin_n and m_n > pos_tol))
     passes = sum(row[4] for row in rows)
     return LocalIdReport(
@@ -736,6 +804,11 @@ class ConeChunk:
     eta: np.ndarray
 
 
+def _transfer_ratio(eta: np.ndarray) -> np.ndarray:
+    """eta/(1-eta) where eta < 1, and 0 where the transfers do not apply."""
+    return np.divide(eta, 1.0 - eta, out=np.zeros_like(eta), where=eta < 1.0)
+
+
 def draw_cone_chunk(rng: np.random.Generator, n: int, dim: int) -> ConeChunk:
     """Draw ``n`` instances of at most ``dim`` coordinates per side.
 
@@ -744,6 +817,14 @@ def draw_cone_chunk(rng: np.random.Generator, n: int, dim: int) -> ConeChunk:
     vanish (k uniform on 1..db), so rank-deficient and zero linear terms
     occur.  The deviation is standard normal scaled by 10^U(-3, 0.5), and
     eta is uniform on [0.05, 1.5].
+
+    With probability 0.1 the quadratic part is replaced by one with a
+    single nonzero coefficient per output, on the first coordinate squared,
+    whose remainder at the deviation is k times the linear term, with k just
+    inside the premise of one transfer, picked with probability 1/2 each:
+    k = u eta/(1-eta) (zero when eta >= 1) or k = -u eta, for u uniform on
+    [0.99, 1].  Those instances come close to the transfers' eta/(1-eta)
+    bounds, which independent normal parts almost never do.
     """
     da = rng.integers(1, dim + 1, size=n)
     db = rng.integers(1, dim + 1, size=n)
@@ -764,6 +845,14 @@ def draw_cone_chunk(rng: np.random.Generator, n: int, dim: int) -> ConeChunk:
     alpha[col] = rng.standard_normal(int(np.count_nonzero(col)))
     alpha *= 10.0 ** rng.uniform(-3, 0.5, size=n)[:, None]
     eta = rng.uniform(0.05, 1.5, size=n)
+    aligned = np.flatnonzero(rng.uniform(size=n) < 0.1)
+    k = rng.uniform(0.99, 1.0, size=n) * np.where(
+        rng.uniform(size=n) < 0.5, _transfer_ratio(eta), -eta)
+    # quad_b[0, 0] = k lin_b / alpha_0^2, and nothing else, gives rem = k lin
+    a = alpha[aligned]
+    lin = np.matmul(m_lin[aligned], a[:, :, None])[:, :, 0]
+    quad[aligned] = 0.0
+    quad[aligned, :, 0, 0] = (k[aligned] / a[:, 0] ** 2)[:, None] * lin
     return ConeChunk(da=da, db=db, m_lin=m_lin, quad=quad, alpha=alpha,
                      eta=eta)
 
@@ -771,8 +860,10 @@ def draw_cone_chunk(rng: np.random.Generator, n: int, dim: int) -> ConeChunk:
 @dataclass(frozen=True)
 class ConeChunkFlags:
     """Per-instance results of one evaluated chunk: the three norms, the
-    four set memberships, and for each of the eight checks whether its
-    premise held and whether the instance violates it."""
+    four set memberships, for each of the eight checks whether its premise
+    held and whether the instance violates it, and for each of the two
+    transfers whether its premise held with the remainder norm within
+    ``NEAR_BOUND`` of a positive eta/(1-eta) bound."""
 
     m_norm: np.ndarray
     linear_norm: np.ndarray
@@ -783,6 +874,12 @@ class ConeChunkFlags:
     in_nprime_eta: np.ndarray
     premises: dict
     violations: dict
+    near_bound: dict
+
+
+# A transfer's bound counts as approached by an instance whose remainder
+# norm is at least this fraction of it.
+NEAR_BOUND = 0.99
 
 
 def evaluate_cone_chunk(chunk: ConeChunk, slack: float) -> ConeChunkFlags:
@@ -807,7 +904,10 @@ def evaluate_cone_chunk(chunk: ConeChunk, slack: float) -> ConeChunkFlags:
     in_ne = rem_n <= eta * m_n
     in_npe = rem_n <= eta * lin_n
     below = eta < 1.0
-    ratio = np.divide(eta, 1.0 - eta, out=np.zeros_like(eta), where=below)
+    ratio = _transfer_ratio(eta)
+    # the eta/(1-eta) bounds on the remainder norm that the transfers claim
+    bounds = {"cone_transfer_eta_to_etaprime": ratio * lin_n,
+              "cone_transfer_etaprime_to_eta": ratio * m_n}
     # check -> (premise, conclusion), per instance
     relations = {
         "inclusion_eta_rank_in_id": (in_ne & in_np, in_n),
@@ -817,15 +917,21 @@ def evaluate_cone_chunk(chunk: ConeChunk, slack: float) -> ConeChunkFlags:
         "equality_eta_rank_vs_id": (below & in_ne, in_np == in_n),
         "equality_etaprime_rank_vs_id": (below & in_npe, in_np == in_n),
         "cone_transfer_eta_to_etaprime":
-            (below & in_ne, rem_n <= ratio * lin_n + eps),
+            (below & in_ne,
+             rem_n <= bounds["cone_transfer_eta_to_etaprime"] + eps),
         "cone_transfer_etaprime_to_eta":
-            (below & in_npe, rem_n <= ratio * m_n + eps),
+            (below & in_npe,
+             rem_n <= bounds["cone_transfer_etaprime_to_eta"] + eps),
     }
     return ConeChunkFlags(
         m_norm=m_n, linear_norm=lin_n, remainder_norm=rem_n,
         in_n=in_n, in_nprime=in_np, in_n_eta=in_ne, in_nprime_eta=in_npe,
         premises={name: p for name, (p, _) in relations.items()},
         violations={name: p & ~c for name, (p, c) in relations.items()},
+        near_bound={
+            name: relations[name][0] & (b > 0.0) & (rem_n >= NEAR_BOUND * b)
+            for name, b in bounds.items()
+        },
     )
 
 
@@ -836,12 +942,16 @@ class ConeSuiteReport:
     ``premises`` counts, out of ``instances``, the instances where each of
     the four inclusions had its premise met (the eta < 1 ones only when
     eta < 1), and the instances whose linear term is exactly zero: a check
-    whose premise is never met proves nothing.
+    whose premise is never met proves nothing.  ``near_bound`` counts, per
+    transfer, the instances that met its premise and came within
+    ``NEAR_BOUND`` of its eta/(1-eta) bound: a check whose bound is never
+    approached cannot tell that bound from a looser one.
     """
 
     instances: int
     violations: dict = field(default_factory=dict)
     premises: dict = field(default_factory=dict)
+    near_bound: dict = field(default_factory=dict)
 
     @property
     def total_violations(self) -> int:
@@ -849,6 +959,7 @@ class ConeSuiteReport:
 
 
 _CONE_INCLUSIONS = _CONE_CHECKS[:4]
+_CONE_TRANSFERS = _CONE_CHECKS[6:]
 
 
 def cone_inclusion_suite(
@@ -869,8 +980,9 @@ def cone_inclusion_suite(
     one quantity for the whole chunk at a time, so a seed fixes the
     instances of each full chunk, and a partial last chunk is not the start
     of a full one.  The report also counts how often each inclusion's
-    premise held, and how often the linear term was exactly zero
-    (``ConeSuiteReport.premises``).
+    premise held, how often the linear term was exactly zero
+    (``ConeSuiteReport.premises``), and how often each transfer's bound was
+    approached (``ConeSuiteReport.near_bound``).
     """
     if dim < 1:
         raise ValueError(f"dim must be at least 1, got {dim}")
@@ -881,6 +993,7 @@ def cone_inclusion_suite(
     rng = np.random.default_rng(rng_seed)
     violations = dict.fromkeys(_CONE_CHECKS, 0)
     premises = dict.fromkeys(_CONE_INCLUSIONS + ("zero_linear_term",), 0)
+    near_bound = dict.fromkeys(_CONE_TRANSFERS, 0)
     for start in range(0, instances, CONE_CHUNK):
         n = min(CONE_CHUNK, instances - start)
         flags = evaluate_cone_chunk(draw_cone_chunk(rng, n, dim), slack)
@@ -890,5 +1003,7 @@ def cone_inclusion_suite(
             premises[name] += int(np.count_nonzero(flags.premises[name]))
         premises["zero_linear_term"] += int(
             np.count_nonzero(flags.linear_norm == 0.0))
+        for name in _CONE_TRANSFERS:
+            near_bound[name] += int(np.count_nonzero(flags.near_bound[name]))
     return ConeSuiteReport(instances=instances, violations=violations,
-                           premises=premises)
+                           premises=premises, near_bound=near_bound)

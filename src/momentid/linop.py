@@ -35,6 +35,26 @@ class KernelSpec:
         object.__setattr__(self, "values", vals)
 
 
+def _checked_entries(
+    e: np.ndarray, domain: GridMeasure, codomain: GridMeasure, lead: tuple
+) -> np.ndarray:
+    """Kernel tables of shape ``lead + (codomain, domain)``, finite, between
+    grids within the dense-storage cap; raises otherwise."""
+    if e.shape != lead + (codomain.size, domain.size):
+        raise GridMismatchError(
+            f"entries shape {e.shape} does not match "
+            f"codomain x domain = ({codomain.size}, {domain.size})"
+        )
+    if not np.all(np.isfinite(e)):
+        raise ValueError("operator entries must be finite")
+    for mu in (domain, codomain):
+        if max(mu.axis_sizes) > MAX_AXIS_POINTS:
+            raise ValueError(
+                f"grid axis exceeds the dense-storage cap of {MAX_AXIS_POINTS}"
+            )
+    return e
+
+
 @dataclass(frozen=True)
 class LinearOperator:
     """Kernel-table operator from one weighted grid to another."""
@@ -45,18 +65,7 @@ class LinearOperator:
 
     def __post_init__(self):
         e = np.atleast_2d(np.asarray(self.entries, dtype=float))
-        if e.shape != (self.codomain.size, self.domain.size):
-            raise GridMismatchError(
-                f"entries shape {e.shape} does not match "
-                f"codomain x domain = ({self.codomain.size}, {self.domain.size})"
-            )
-        if not np.all(np.isfinite(e)):
-            raise ValueError("operator entries must be finite")
-        for mu in (self.domain, self.codomain):
-            if max(mu.axis_sizes) > MAX_AXIS_POINTS:
-                raise ValueError(
-                    f"grid axis exceeds the dense-storage cap of {MAX_AXIS_POINTS}"
-                )
+        e = _checked_entries(e, self.domain, self.codomain, ())
         object.__setattr__(self, "entries", e)
 
     @property
@@ -98,10 +107,33 @@ class LinearOperator:
         return LinearOperator(np.zeros((cod.size, dom.size)), dom, cod)
 
 
+@dataclass(frozen=True)
+class OperatorStack:
+    """Operators between one pair of grids, their kernel tables stacked:
+    ``entries[b]`` is the table of operator b.  The stack is checked as a
+    whole, with the checks of :class:`LinearOperator`."""
+
+    entries: np.ndarray
+    domain: GridMeasure
+    codomain: GridMeasure
+
+    def __post_init__(self):
+        e = np.asarray(self.entries, dtype=float)
+        e = _checked_entries(e, self.domain, self.codomain, e.shape[:1])
+        object.__setattr__(self, "entries", e)
+
+
 def apply(op: LinearOperator, f: GridFunction) -> GridFunction:
     if not f.measure.same_as(op.domain):
         raise GridMismatchError("function does not live on the operator domain")
-    return GridFunction(op.entries @ (op.domain.weights * f.values), op.codomain)
+    return GridFunction(apply_values(op, f.values), op.codomain)
+
+
+def apply_values(op: LinearOperator, values: np.ndarray) -> np.ndarray:
+    """Codomain node values of ``op`` applied to a row of domain node values:
+    :func:`apply` without the grid functions, for callers that hold rows
+    already checked against the domain grid."""
+    return op.entries @ (op.domain.weights * values)
 
 
 def from_kernel(
@@ -190,11 +222,12 @@ class SvdDecomposition:
         return int(np.sum(self.singular_values <= self.tol * self.sigma_max))
 
 
-def _weighted_svd(op: LinearOperator, compute_uv: bool):
+def _weighted_svd(op: LinearOperator | OperatorStack, compute_uv: bool):
     """LAPACK SVD of the weight-symmetrized kernel sqrt(w_c) K sqrt(w_d).
 
-    Returns (u, s, vt), or s alone without ``compute_uv``.  Failure to
-    converge and non-finite singular values both raise LinAlgError.
+    Returns (u, s, vt), or s alone without ``compute_uv``; for a stack, each
+    has one leading entry per operator.  Failure to converge and non-finite
+    singular values both raise LinAlgError.
     """
     b = (np.sqrt(op.codomain.weights)[:, None] * op.entries
          * np.sqrt(op.domain.weights)[None, :])
@@ -231,9 +264,10 @@ def svd(op: LinearOperator, tol: float = 1e-12) -> SvdDecomposition:
     )
 
 
-def singular_values(op: LinearOperator) -> np.ndarray:
+def singular_values(op: LinearOperator | OperatorStack) -> np.ndarray:
     """Weighted singular values of ``op``, nonincreasing: the values-only
-    mode of :func:`svd`, which skips the singular functions."""
+    mode of :func:`svd`, which skips the singular functions.  A stack gets
+    one row of values per operator, from one stacked LAPACK call."""
     return _weighted_svd(op, compute_uv=False)
 
 

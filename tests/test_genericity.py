@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,13 @@ from momentid.fnspace import (
     cosine_basis,
     inner,
 )
-from momentid.genericity import GeneratorConfig, draw_operator, mc_injectivity
-from momentid.linop import apply, svd
+from momentid.genericity import (
+    DRAW_CHUNK,
+    GeneratorConfig,
+    draw_operator,
+    mc_injectivity,
+)
+from momentid.linop import apply, singular_values, svd
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +136,45 @@ def test_tail_mass_reported():
     assert config.tail_mass() == pytest.approx(np.sum(sigma[20:] ** 2))
 
 
+def reference_draw(config, basis, seed):
+    """One draw written out from the generator's definition, one draw at a
+    time: the coefficients, lambda_0 for the positive variants, and the
+    kernel kappa * (psi * lambda) @ phi.T."""
+    n = config.trunc_n
+    rng = np.random.default_rng(seed)
+    if config.dependent_u:
+        u = np.full(n, rng.uniform(-1.0, 1.0))
+    else:
+        u = rng.uniform(-1.0, 1.0, size=n)
+    lam = u * config.sigma[:n]
+    kappa = config.kappa
+    mat = basis.matrix()[:, :n]
+    if config.positive or config.density:
+        c = 1.1 * float(np.abs(mat).max())
+        lam[0] = c**2 * np.sum(np.abs(lam[1:])) + abs(u[0]) * config.sigma[0]
+        if config.density:
+            kappa = 1.0 / lam[0]
+    return kappa * (mat * lam[None, :]) @ mat.T, lam, kappa
+
+
+@pytest.mark.parametrize("flags", [
+    {},
+    {"positive": True},
+    {"positive": True, "density": True},
+    {"dependent_u": True},
+], ids=["plain", "positive", "density", "dependent_u"])
+def test_draws_match_the_one_at_a_time_reference(grid_and_basis, flags):
+    _, basis = grid_and_basis
+    config = GeneratorConfig(sigma=1.0 / np.arange(1, 13) ** 2, kappa=1.3,
+                             trunc_n=12, **flags)
+    for seed in range(6):
+        draw = draw_operator(config, (basis, basis), seed)
+        kernel, lam, kappa = reference_draw(config, basis, seed)
+        assert np.array_equal(draw.operator.entries, kernel)
+        assert np.array_equal(draw.lambdas, lam)
+        assert draw.kappa == kappa
+
+
 class TestMcInjectivity:
     def test_spectrum_matches_sorted_coefficients(self, grid_and_basis):
         _, basis = grid_and_basis
@@ -183,6 +229,48 @@ class TestMcInjectivity:
         assert report.fraction_below_tol == below / draws
         assert np.all(np.abs(report.sigma_min - ref_min) <= 1e-13 * ref_min)
         assert report.max_spectrum_deviation <= 1e-10
+
+    @pytest.mark.parametrize("draws", [1, 15, 16, 17, 200])
+    @pytest.mark.parametrize("flags", [{}, {"dependent_u": True}],
+                             ids=["plain", "dependent_u"])
+    def test_chunks_reproduce_single_draws_bit_for_bit(
+            self, grid_and_basis, flags, draws):
+        _, basis = grid_and_basis
+        n = 12
+        config = GeneratorConfig(sigma=1.0 / np.arange(1, n + 1) ** 2,
+                                 kappa=1.3, trunc_n=n, **flags)
+        tol, seed = 1e-3, 5
+        report = mc_injectivity(config, (basis, basis), draws=draws, tol=tol,
+                                seed=seed)
+        ref_min = np.empty(draws)
+        below, worst = 0, 0.0
+        for i, child in enumerate(np.random.SeedSequence(seed).spawn(draws)):
+            draw = draw_operator(config, (basis, basis),
+                                 int(child.generate_state(1)[0]))
+            s = singular_values(draw.operator)[:n]
+            expected = np.sort(np.abs(draw.kappa * draw.lambdas))[::-1]
+            worst = max(worst, float(np.abs(s - expected).max()))
+            ref_min[i] = s[-1]
+            below += int(s[-1] <= tol * s[0])
+        assert np.array_equal(report.sigma_min, ref_min)
+        assert report.fraction_below_tol == below / draws
+        assert report.max_spectrum_deviation == worst
+
+    def test_chunk_buffers_stay_small(self):
+        # the genericity-mc benchmark size: 48-point grids, 30 terms
+        basis = cosine_basis(GridMeasure.uniform(48), 30)
+        config = GeneratorConfig(sigma=1.0 / np.arange(1, 31) ** 2,
+                                 kappa=1.0, trunc_n=30, compact=True)
+        mc_injectivity(config, (basis, basis), draws=DRAW_CHUNK, tol=1e-12,
+                       seed=0)  # numpy's lazily built state is not counted
+        tracemalloc.start()
+        try:
+            mc_injectivity(config, (basis, basis), draws=1000, tol=1e-12,
+                           seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1e6
 
     def test_compact_decay_gate_still_raises(self, grid_and_basis):
         _, basis = grid_and_basis

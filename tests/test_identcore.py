@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from momentid.fnspace import GridFunction, GridMeasure
 from momentid.identcore import (
     CONE_CHUNK,
     EVAL_CHUNK,
+    ConeChunk,
     MomentMap,
     NonlinearityBound,
     cone_classify,
@@ -98,6 +100,20 @@ class TestGateaux:
         with pytest.raises(ValueError):
             gateaux_check(mmap, [GridFunction([1.0, 0.0], mu)], [1e-4, 1e-3])
 
+    def test_rejects_no_directions(self):
+        # an empty check would report a worst error of 0, a perfect pass
+        mu = unit_grid(2)
+        mmap = linear_map(np.eye(2), mu, mu)
+        with pytest.raises(ValueError, match="directions"):
+            gateaux_check(mmap, [], [1e-3])
+
+    def test_rejects_directions_on_another_grid(self):
+        mu = unit_grid(2)
+        mmap = linear_map(np.eye(2), mu, mu)
+        other = GridMeasure(np.arange(2.0), np.full(2, 0.5))
+        with pytest.raises(GridMismatchError, match="directions"):
+            gateaux_check(mmap, [GridFunction([1.0, 0.0], other)], [1e-3])
+
 
 class TestEstimateNonlinearity:
     def test_linear_map_gives_zero(self):
@@ -123,6 +139,20 @@ class TestEstimateNonlinearity:
         mmap = linear_map(np.eye(2), mu, mu)
         with pytest.raises(ValueError):
             estimate_nonlinearity(mmap, 2.0, [GridFunction.zero(mu)])
+
+    def test_rejects_no_deviations(self):
+        # an empty estimate would report L = 0, a perfect pass
+        mu = unit_grid(2)
+        mmap = linear_map(np.eye(2), mu, mu)
+        with pytest.raises(ValueError, match="deviations"):
+            estimate_nonlinearity(mmap, 2.0, [])
+
+    def test_rejects_deviations_on_another_grid(self):
+        mu = unit_grid(2)
+        mmap = linear_map(np.eye(2), mu, mu)
+        other = GridMeasure(np.arange(2.0), np.full(2, 0.5))
+        with pytest.raises(GridMismatchError, match="deviations"):
+            estimate_nonlinearity(mmap, 2.0, [GridFunction([1.0, 0.0], other)])
 
 
 class TestRankCondition:
@@ -437,6 +467,88 @@ class TestEvalMany:
         assert sum(calls) == 8 * n and max(calls) == min(n * 8, EVAL_CHUNK)
 
 
+def stacked_square_map(mu, norm_b=None, poison=None):
+    """m(a) = 3a + a^2 on one grid, with a custom codomain norm if given and
+    an eval_rows that evaluates row by row and hands the stack to
+    ``poison`` before returning it."""
+    op = LinearOperator(3.0 * np.eye(mu.size) / mu.weights[None, :], mu, mu)
+
+    def eval_fn(alpha):
+        return GridFunction(apply(op, alpha).values + alpha.values**2, mu)
+
+    def eval_rows(rows):
+        out = np.stack([eval_fn(GridFunction(row, mu)).values
+                        for row in rows])
+        return out if poison is None else poison(out)
+
+    return MomentMap(GridFunction.zero(mu), eval_fn, op, norm_b=norm_b,
+                     eval_rows=eval_rows)
+
+
+HARNESSES = {
+    "verify_local_id": lambda mmap, devs: verify_local_id(
+        mmap, NonlinearityBound(L=0.0, r=1.0), len(devs), 0,
+        sampler=lambda _, it=iter(devs): next(it), pos_tol=1e-10,
+        keep_rows=True).rows,
+    "estimate_nonlinearity":
+        lambda mmap, devs: estimate_nonlinearity(mmap, 2.0, devs),
+    "gateaux_check": lambda mmap, devs: gateaux_check(
+        mmap, devs, [1e-2, 1e-3], richardson=True),
+}
+
+
+class TestStackedHarnessChecks:
+    """The harnesses check each stack eval_rows returns once per chunk."""
+
+    def deviations(self, mu, n=70):
+        rng = np.random.default_rng(14)
+        return [GridFunction(rng.uniform(-0.5, 0.5, mu.size), mu)
+                for _ in range(n)]
+
+    @pytest.mark.parametrize("harness", HARNESSES)
+    def test_non_finite_row_is_rejected(self, harness):
+        mu = GridMeasure(np.arange(4.0), np.full(4, 0.25))
+
+        def poison(out):
+            out[-1, 2] = np.nan
+            return out
+
+        mmap = stacked_square_map(mu, poison=poison)
+        with pytest.raises(ValueError, match="finite"):
+            HARNESSES[harness](mmap, self.deviations(mu))
+
+    @pytest.mark.parametrize("harness", HARNESSES)
+    def test_wrong_shape_stack_is_rejected(self, harness):
+        mu = GridMeasure(np.arange(4.0), np.full(4, 0.25))
+        mmap = stacked_square_map(mu, poison=lambda out: out[:, :-1])
+        with pytest.raises(GridMismatchError, match="eval_rows returned"):
+            HARNESSES[harness](mmap, self.deviations(mu))
+
+    @pytest.mark.parametrize("harness", HARNESSES)
+    def test_custom_norm_b_agrees_with_and_without_eval_rows(self, harness):
+        mu = GridMeasure(np.arange(4.0), np.full(4, 0.25))
+        seen = []
+
+        def sup_norm(f):
+            seen.append(f)
+            return float(np.abs(f.values).max())
+
+        stacked = stacked_square_map(mu, norm_b=sup_norm)
+        plain = replace(stacked, eval_rows=None)
+        devs = self.deviations(mu)
+        # codomain norms per deviation: ||m'd||, the remainder and ||m||;
+        # the remainder; ||m'h|| and one difference error per step
+        per_deviation = {"verify_local_id": 3, "estimate_nonlinearity": 1,
+                         "gateaux_check": 3}[harness]
+        results = []
+        for mmap in (stacked, plain):
+            seen.clear()
+            results.append(HARNESSES[harness](mmap, devs))
+            assert len(seen) == per_deviation * len(devs)
+            assert all(f.measure.same_as(mu) for f in seen)
+        assert results[0] == results[1]
+
+
 class TestVerifyLocalIdBatching:
     def test_every_draw_is_made_before_the_first_evaluation(self):
         mu = GridMeasure(np.arange(4.0), np.full(4, 0.25))
@@ -657,6 +769,59 @@ class TestConeSets:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5e6
+
+
+E2P, P2E = "cone_transfer_eta_to_etaprime", "cone_transfer_etaprime_to_eta"
+
+
+def boundary_chunk(dim):
+    """Two 1-D instances padded to ``dim``, at eta = 1/2 (eta/(1-eta) = 1).
+
+    In the first, m'a = 1 and the remainder 1 point the same way, so
+    ||rem|| = eta ||m|| exactly and the first transfer's bound ||m'a|| is
+    attained.  In the second, m'a = -2 and the remainder 1 point opposite
+    ways, so ||rem|| = eta ||m'a|| exactly and the second transfer's bound
+    ||m|| is attained.
+    """
+    m_lin = np.zeros((2, dim, dim))
+    quad = np.zeros((2, dim, dim, dim))
+    alpha = np.zeros((2, dim))
+    m_lin[:, 0, 0] = 1.0, -2.0
+    quad[:, 0, 0, 0] = 1.0
+    alpha[:, 0] = 1.0
+    return ConeChunk(da=np.ones(2, dtype=int), db=np.ones(2, dtype=int),
+                     m_lin=m_lin, quad=quad, alpha=alpha,
+                     eta=np.full(2, 0.5))
+
+
+@pytest.mark.parametrize("dim", [1, 4])
+def test_transfer_bounds_are_attained_on_the_boundary(dim):
+    chunk = boundary_chunk(dim)
+    flags = evaluate_cone_chunk(chunk, 1e-12)
+    assert flags.linear_norm.tolist() == [1.0, 2.0]
+    assert flags.remainder_norm.tolist() == [1.0, 1.0]
+    assert flags.m_norm.tolist() == [2.0, 1.0]
+    # the eta-sets are closed, so each boundary instance belongs to one
+    assert flags.in_n_eta.tolist() == [True, False]
+    assert flags.in_nprime_eta.tolist() == [False, True]
+    assert flags.premises[E2P].tolist() == [True, False]
+    assert flags.premises[P2E].tolist() == [False, True]
+    assert flags.near_bound[E2P].tolist() == [True, False]
+    assert flags.near_bound[P2E].tolist() == [False, True]
+    assert not any(v.any() for v in flags.violations.values())
+    # each bound is attained: tightened by any margin, it is violated
+    tight = evaluate_cone_chunk(chunk, -1e-9)
+    assert tight.violations[E2P].tolist() == [True, False]
+    assert tight.violations[P2E].tolist() == [False, True]
+
+
+@pytest.mark.parametrize("dim", [6, 8])
+def test_suite_approaches_the_transfer_bounds(dim):
+    # shipped config (dim 6) and acceptance criterion 6 (dim 8): a bound
+    # never approached could not be told from a looser one
+    report = cone_inclusion_suite(10_000, dim, rng_seed=20250809)
+    assert set(report.near_bound) == {E2P, P2E}
+    assert min(report.near_bound.values()) >= 50
 
 
 def reference_cone_flags(m_lin, quad, alpha, eta, slack):

@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 from momentid.errors import DegenerateMarginalError, GridMismatchError
 from momentid.fnspace import GridFunction, GridMeasure, inner, norm
 from momentid.linop import (
+    MAX_AXIS_POINTS,
     KernelSpec,
     LinearOperator,
+    OperatorStack,
     adjoint,
     apply,
     compose,
@@ -251,6 +253,49 @@ class TestSvd:
         monkeypatch.setattr(np.linalg, "svd", nan_vectors)
         with pytest.raises(ValueError, match="finite"):
             svd(op)
+
+
+class TestOperatorStack:
+    @pytest.mark.parametrize("n_dom,n_cod", [(5, 9), (9, 5), (7, 7)])
+    @pytest.mark.parametrize("count", [1, 6])
+    def test_stacked_values_equal_per_operator_values(self, n_dom, n_cod,
+                                                      count):
+        rng = np.random.default_rng(n_dom * 10 + n_cod + count)
+        op = random_operator(rng, n_dom, n_cod)
+        entries = rng.standard_normal((count, n_cod, n_dom))
+        stacked = singular_values(OperatorStack(entries, op.domain,
+                                                op.codomain))
+        assert stacked.shape == (count, min(n_dom, n_cod))
+        for b in range(count):
+            one = LinearOperator(entries[b], op.domain, op.codomain)
+            assert np.array_equal(stacked[b], singular_values(one))
+
+    def test_checks_of_a_single_operator_apply_to_the_stack(self):
+        mu = unit_grid(3)
+        with pytest.raises(GridMismatchError, match="entries shape"):
+            OperatorStack(np.zeros((2, 3, 4)), mu, mu)
+        with pytest.raises(GridMismatchError, match="entries shape"):
+            OperatorStack(np.zeros((3, 3)), mu, mu)
+        bad = np.zeros((2, 3, 3))
+        bad[1, 2, 0] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            OperatorStack(bad, mu, mu)
+        wide = GridMeasure.uniform(MAX_AXIS_POINTS + 1)
+        with pytest.raises(ValueError, match="dense-storage cap"):
+            OperatorStack(np.zeros((1, 3, wide.size)), wide, mu)
+
+    def test_convergence_failure_message_is_shared(self, monkeypatch):
+        op = random_operator(np.random.default_rng(12), 4, 4)
+        stack = OperatorStack(op.entries[None], op.domain, op.codomain)
+
+        def no_convergence(b, full_matrices=True, compute_uv=True):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        for target in (op, stack):
+            with pytest.raises(np.linalg.LinAlgError,
+                               match="entry magnitude ratio"):
+                singular_values(target)
 
 
 class TestHsNorm:

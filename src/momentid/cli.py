@@ -347,13 +347,17 @@ def load_config(path: str) -> dict:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise UsageError(
+            f"config must be a JSON object, got {type(raw).__name__}")
     allowed_top = {"experiment", "seed", "out_dir", "params"}
     unknown = set(raw) - allowed_top
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
     if "experiment" not in raw:
         raise UsageError("config must name an experiment")
-    if raw["experiment"] not in EXPERIMENTS:
+    if not isinstance(raw["experiment"], str) or (
+            raw["experiment"] not in EXPERIMENTS):
         raise UsageError(
             f"unknown experiment {raw['experiment']!r}; "
             f"choose from {sorted(EXPERIMENTS)}"
@@ -363,9 +367,13 @@ def load_config(path: str) -> dict:
                          "seeding is not supported")
     if not _is_int(raw["seed"]):
         raise UsageError("seed must be an integer")
+    if not isinstance(raw.get("out_dir", ""), (str, type(None))):
+        raise UsageError(f"out_dir must be a string, got {raw['out_dir']!r}")
     spec = EXPERIMENTS[raw["experiment"]]
     params = dict(spec["defaults"])
     extra = raw.get("params", {})
+    if not isinstance(extra, dict):
+        raise UsageError(f"params must be a JSON object, got {extra!r}")
     unknown = set(extra) - set(params)
     if unknown:
         raise UsageError(

@@ -8,7 +8,6 @@ values tabulated at the grid nodes.
 
 from __future__ import annotations
 
-import csv
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -129,20 +128,6 @@ class GridMeasure:
             and np.array_equal(self.weights, other.weights)
         )
 
-    def to_csv(self, path: str) -> None:
-        headers = [f"x{k+1}" for k in range(self.dim)] + ["weight"]
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(headers)
-            for p, w in zip(self.points, self.weights):
-                wr.writerow([repr(float(v)) for v in p] + [repr(float(w))])
-
-    @staticmethod
-    def from_csv(path: str) -> "GridMeasure":
-        data = np.genfromtxt(path, delimiter=",", skip_header=1)
-        data = np.atleast_2d(data)
-        return GridMeasure(data[:, :-1], data[:, -1])
-
 
 @dataclass(frozen=True)
 class GridFunction:
@@ -155,7 +140,8 @@ class GridFunction:
         v = np.atleast_1d(np.asarray(self.values, dtype=float))
         if v.shape != (self.measure.size,):
             raise GridMismatchError(
-                f"{v.shape[0]} values for a {self.measure.size}-point measure"
+                f"values shape {v.shape} does not match a "
+                f"{self.measure.size}-point measure"
             )
         if not np.all(np.isfinite(v)):
             raise ValueError("function values must be finite")
@@ -188,22 +174,6 @@ class GridFunction:
 
     def __neg__(self) -> "GridFunction":
         return GridFunction(-self.values, self.measure)
-
-    def to_csv(self, path: str) -> None:
-        headers = [f"x{k+1}" for k in range(self.measure.dim)] + ["value"]
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(headers)
-            for p, v in zip(self.measure.points, self.values):
-                wr.writerow([repr(float(u)) for u in p] + [repr(float(v))])
-
-    @staticmethod
-    def from_csv(path: str, measure: GridMeasure) -> "GridFunction":
-        data = np.atleast_2d(np.genfromtxt(path, delimiter=",", skip_header=1))
-        pts = data[:, :-1]
-        if not np.allclose(pts, measure.points, rtol=0, atol=1e-12):
-            raise GridMismatchError(f"{path} was not tabulated on this measure")
-        return GridFunction(data[:, -1], measure)
 
 
 def inner(f: GridFunction, g: GridFunction, mu: GridMeasure | None = None) -> float:

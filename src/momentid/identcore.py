@@ -318,9 +318,11 @@ def rank_condition(
 ) -> RankReport:
     """Injectivity proxy: smallest singular value above tol * largest.
 
-    With a subspace the operator is restricted to that span first.  An empty
-    subspace makes the condition vacuously true; that case is flagged with a
-    warning and not reported as success.
+    With a subspace the operator is restricted to that span first; a
+    subspace of more than ``MAX_AXIS_POINTS`` elements exceeds the
+    dense-storage cap and raises ValueError.  An empty subspace makes the
+    condition vacuously true; that case is flagged with a warning and not
+    reported as success.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -337,10 +339,13 @@ def rank_condition(
     else:
         if not subspace.measure.same_as(op.domain):
             raise GridMismatchError("subspace does not live on the operator domain")
-        cols = op.action_matrix() @ subspace.matrix()
-        b = np.sqrt(op.codomain.weights)[:, None] * cols
-        s = np.linalg.svd(b, compute_uv=False)
+        # the restriction in subspace coordinates, on a unit-weight grid
         dom_dim = len(subspace)
+        s = singular_values(LinearOperator(
+            op.action_matrix() @ subspace.matrix(),
+            GridMeasure(np.arange(dom_dim, dtype=float), np.ones(dom_dim)),
+            op.codomain,
+        ))
     # a domain larger than the codomain always has a null space
     smin = 0.0 if dom_dim > op.codomain.size else float(s[-1])
     smax = float(s[0])
@@ -468,17 +473,6 @@ class LocalIdReport:
     @property
     def all_passed(self) -> bool:
         return self.failures == 0 and self.passes == self.samples
-
-    def rows_to_csv(self, path: str) -> None:
-        """Optional per-sample table: one row per accepted deviation."""
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["deviation_norm", "linear_norm", "remainder_norm",
-                         "m_norm", "passed"])
-            for row in self.rows:
-                wr.writerow(row)
 
 
 def verify_local_id(
@@ -609,10 +603,6 @@ def quartic_norm(delta: GridFunction) -> float:
     return float(np.dot(delta.measure.weights, delta.values**4) ** 0.25)
 
 
-def sequence_norm_b(p: np.ndarray, values: np.ndarray) -> float:
-    return float(np.sqrt(np.dot(p, values**2)))
-
-
 def in_counterexample_set(p: np.ndarray, alpha: np.ndarray, L: float) -> bool:
     """Strict test (sum p a^2)^(1/2) > L (sum p a^4)^(1/2)."""
     lhs = math.sqrt(float(np.dot(p, alpha**2)))
@@ -665,7 +655,7 @@ def counterexample_cases(
         alpha[k:] = 1.0
         cases.append(CounterexampleCase(
             k=k,
-            m_norm=sequence_norm_b(p, np.asarray(f(alpha), dtype=float)),
+            m_norm=weighted_norm(np.asarray(f(alpha), dtype=float), p),
             dev_norm=float(np.dot(p, alpha**4) ** 0.25),
             in_n=in_counterexample_set(p, alpha, L),
             L=L,

@@ -8,7 +8,6 @@ weighted inner products of the two grids, not the plain Euclidean ones.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -288,27 +287,3 @@ def compose(outer: LinearOperator, inner_op: LinearOperator) -> LinearOperator:
         raise GridMismatchError("composition spaces do not chain")
     kernel = outer.action_matrix() @ inner_op.entries
     return LinearOperator(kernel, inner_op.domain, outer.codomain)
-
-
-def operator_to_csv(op: LinearOperator, basepath: str) -> None:
-    """Round-trippable on-disk form: matrix CSV plus a JSON sidecar."""
-    np.savetxt(basepath + ".csv", op.entries, delimiter=",")
-    op.domain.to_csv(basepath + ".domain.csv")
-    op.codomain.to_csv(basepath + ".codomain.csv")
-    sidecar = {
-        "entries_csv": basepath + ".csv",
-        "domain_csv": basepath + ".domain.csv",
-        "codomain_csv": basepath + ".codomain.csv",
-        "shape": list(op.shape),
-    }
-    with open(basepath + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-
-
-def operator_from_csv(basepath: str) -> LinearOperator:
-    with open(basepath + ".json") as fh:
-        sidecar = json.load(fh)
-    entries = np.atleast_2d(np.loadtxt(sidecar["entries_csv"], delimiter=","))
-    dom = GridMeasure.from_csv(sidecar["domain_csv"])
-    cod = GridMeasure.from_csv(sidecar["codomain_csv"])
-    return LinearOperator(entries, dom, cod)

@@ -24,4 +24,3 @@ from .ccapm import (
     positive_eigenpair,
     two_argument_completeness_operator,
 )
-from .tables import load_density_table, save_density_table

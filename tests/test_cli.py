@@ -118,6 +118,21 @@ class TestConfigValidation:
         with pytest.raises(UsageError, match="pf_tol must be positive"):
             load_config(path)
 
+    @pytest.mark.parametrize("payload, key", [
+        (5, "config must be a JSON object"),
+        ({"experiment": "ccapm", "seed": 1, "params": None}, "params"),
+        ({"experiment": "ccapm", "seed": 1, "params": 7}, "params"),
+        ({"experiment": ["x"], "seed": 1}, "experiment"),
+        ({"experiment": "ccapm", "seed": 1, "out_dir": 3}, "out_dir"),
+    ])
+    def test_malformed_config_is_usage_error(self, tmp_path, capsys,
+                                             payload, key):
+        path = write_config(tmp_path, payload)
+        with pytest.raises(UsageError, match=key):
+            load_config(path)
+        assert main(["run", path, "--out", str(tmp_path)]) == 2
+        assert key in capsys.readouterr().err
+
 
 class TestCatalog:
     def test_seven_experiments(self):

@@ -47,12 +47,10 @@ class TestGridMeasure:
         assert np.allclose(mu.weights, [3.0, 4.0, 6.0, 8.0])
         assert mu.axis_sizes == (2, 2)
 
-    def test_csv_round_trip(self, tmp_path):
-        mu = GridMeasure.tensor(GridMeasure.uniform(3), GridMeasure.uniform(2))
-        path = tmp_path / "measure.csv"
-        mu.to_csv(str(path))
-        back = GridMeasure.from_csv(str(path))
-        assert back.same_as(mu)
+
+def test_function_shape_error_names_the_shape():
+    with pytest.raises(GridMismatchError, match=r"shape \(5, 1\)"):
+        GridFunction(np.zeros((5, 1)), GridMeasure.uniform(5))
 
 
 class TestInner:
@@ -261,12 +259,3 @@ class TestOrthonormalBasis:
         assert len(basis) == 0
         assert basis.matrix().shape == (2, 0)
         assert list(basis) == []
-
-
-def test_function_csv_round_trip(tmp_path):
-    mu = GridMeasure.uniform(5)
-    f = GridFunction(np.linspace(0, 1, 5), mu)
-    path = tmp_path / "f.csv"
-    f.to_csv(str(path))
-    back = GridFunction.from_csv(str(path), mu)
-    assert np.allclose(back.values, f.values)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from momentid.errors import EmptyNeighborhoodError, GridMismatchError
-from momentid.fnspace import GridFunction, GridMeasure
+from momentid.fnspace import GridFunction, GridMeasure, OrthonormalBasis
 from momentid.identcore import (
     CONE_CHUNK,
     EVAL_CHUNK,
@@ -29,7 +29,14 @@ from momentid.identcore import (
     rank_condition,
     verify_local_id,
 )
-from momentid.linop import LinearOperator, apply, from_kernel, svd
+from momentid.linop import (
+    MAX_AXIS_POINTS,
+    LinearOperator,
+    apply,
+    from_kernel,
+    singular_values,
+    svd,
+)
 
 
 def unit_grid(n):
@@ -212,6 +219,33 @@ class TestRankCondition:
         assert not rep.holds
         assert rep.sigma_max == pytest.approx(1.0, abs=1e-12)
         assert rep.sigma_min < 1e-12
+
+    def test_subspace_report_is_the_restricted_operators_spectrum(self):
+        rng = np.random.default_rng(4)
+        mu = GridMeasure(np.arange(9.0), rng.uniform(0.2, 1.0, 9))
+        cod = GridMeasure(np.arange(7.0), rng.uniform(0.2, 1.0, 7))
+        op = from_kernel(rng.standard_normal((7, 9)), mu, cod)
+        q, _ = np.linalg.qr(rng.standard_normal((9, 4)))
+        sub = OrthonormalBasis.from_matrix(q / np.sqrt(mu.weights)[:, None], mu)
+        rep = rank_condition(op, 1e-10, subspace=sub)
+        s = singular_values(LinearOperator(
+            op.action_matrix() @ sub.matrix(),
+            GridMeasure(np.arange(4, dtype=float), np.ones(4)),
+            op.codomain,
+        ))
+        assert rep.sigma_max == s[0] and rep.sigma_min == s[-1]
+
+    def test_subspace_longer_than_the_axis_cap_is_rejected(self):
+        # a 2-d domain with more nodes than one axis may hold
+        side = 23
+        mu = GridMeasure.tensor(GridMeasure.uniform(side),
+                                GridMeasure.uniform(side))
+        k = MAX_AXIS_POINTS + 1
+        assert side**2 >= k
+        sub = OrthonormalBasis.from_matrix(
+            np.eye(mu.size)[:, :k] / np.sqrt(mu.weights)[:, None], mu)
+        with pytest.raises(ValueError, match="dense-storage cap"):
+            rank_condition(LinearOperator.identity(mu), 1e-10, subspace=sub)
 
     def test_subspace_on_another_grid_is_rejected(self):
         from momentid.errors import GridMismatchError
@@ -892,15 +926,10 @@ def test_moment_map_rejects_nonzero_base_residual():
         )
 
 
-def test_local_id_report_rows_csv(tmp_path):
+def test_local_id_report_rows_csv():
     rng = np.random.default_rng(11)
     mu = GridMeasure(np.arange(4.0), np.full(4, 0.25))
     mmap = linear_map(rng.standard_normal((4, 4)) + 2 * np.eye(4), mu, mu)
     report = verify_local_id(mmap, NonlinearityBound(L=0.0, r=1.0),
                              samples=8, rng_seed=0, keep_rows=True)
     assert len(report.rows) == 8
-    path = tmp_path / "rows.csv"
-    report.rows_to_csv(str(path))
-    header, *rows = path.read_text().strip().splitlines()
-    assert header.startswith("deviation_norm")
-    assert len(rows) == 8

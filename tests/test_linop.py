@@ -16,8 +16,6 @@ from momentid.linop import (
     conditional_expectation,
     from_kernel,
     hs_norm,
-    operator_from_csv,
-    operator_to_csv,
     singular_values,
     svd,
 )
@@ -341,17 +339,6 @@ def test_compose_matches_sequential_application():
     f = GridFunction(rng.standard_normal(4), op1.domain)
     assert np.allclose(apply(compose(op2, op1), f).values,
                        apply(op2, apply(op1, f)).values)
-
-
-def test_operator_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(11)
-    op = random_operator(rng, 3, 4)
-    base = str(tmp_path / "op")
-    operator_to_csv(op, base)
-    back = operator_from_csv(base)
-    assert np.allclose(back.entries, op.entries)
-    assert back.domain.same_as(op.domain)
-    assert back.codomain.same_as(op.codomain)
 
 
 def test_zero_kernel_is_zero_operator():

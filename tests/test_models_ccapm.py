@@ -228,13 +228,3 @@ def test_partialled_gram_nonsingular(model, mapped):
 def test_returns_positive_and_envelope_valid(model):
     assert model.returns.min() > 0
     assert model.envelope().min() >= 1.0
-
-
-def test_density_table_round_trip(tmp_path, model):
-    from momentid.models.tables import load_density_table, save_density_table
-
-    base = str(tmp_path / "cond")
-    save_density_table(model.cond_mass, base)
-    back = load_density_table(base)
-    assert back.shape == model.cond_mass.shape
-    assert np.abs(back - model.cond_mass).max() < 1e-15

@@ -21,13 +21,13 @@ lin = np.array([[1.0, 0.3, 0.0], [0.0, 1.2, 0.4], [0.2, 0.0, 0.9]])
 quad = 0.08
 
 
-def eval_fn(alpha):
-    a = alpha.values
-    return GridFunction(lin @ a + quad * np.array([a[0] ** 2, a[1] * a[2],
-                                                   a[2] ** 2]), mu)
+def eval_rows(rows):
+    # one row of domain values per point, one row of map values back
+    a0, a1, a2 = rows.T
+    return rows @ lin.T + quad * np.stack([a0**2, a1 * a2, a2**2], axis=1)
 
 
-mmap = MomentMap(GridFunction.zero(mu), eval_fn,
+mmap = MomentMap(GridFunction.zero(mu), eval_rows,
                  LinearOperator(lin, mu, mu))
 rng = np.random.default_rng(0)
 alpha = GridFunction(rng.standard_normal(3), mu)

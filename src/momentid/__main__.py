@@ -1,0 +1,8 @@
+"""``python -m momentid``: the ``momentid`` console script without installing."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -37,66 +37,57 @@ from .linop import (
 )
 
 
+# m(alpha0) must vanish to this codomain norm.
+RESIDUAL_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class MomentMap:
     """Nonlinear map alpha -> m(alpha) with a base point and attached derivative.
 
-    ``norm_a`` and ``norm_b`` override the default weighted-L2 norms of the
-    domain and codomain grids; the sequence-space counterexample uses a
-    quartic domain norm, everything else keeps the defaults.
+    ``eval_rows`` is the map: it sends a stack of domain value rows
+    (B, n_domain) to the codomain value rows (B, n_codomain) of m at each.
+    It is handed at most ``EVAL_CHUNK`` rows at a time; the shape and
+    finiteness of each returned stack are checked once, not row by row.
 
-    ``eval_rows``, when given, evaluates a stack of domain value rows
-    (B, n_domain) to codomain value rows (B, n_codomain) in one call.  Each
-    output row must equal, bit for bit, what ``eval_fn`` returns for that
-    row alone; ``eval_many`` and the sampling harnesses rely on it.  They
-    hand it at most ``EVAL_CHUNK`` rows at a time and check the shape and
-    finiteness of each returned stack once, not row by row.
+    ``norm_a`` overrides the weighted-L2 norm of the domain grid; the
+    sequence-space counterexample uses a quartic domain norm, everything
+    else keeps the default.  Codomain norms are always weighted L2.
     """
 
     base_point: GridFunction
-    eval_fn: Callable[[GridFunction], GridFunction]
+    eval_rows: Callable[[np.ndarray], np.ndarray]
     derivative: LinearOperator
     norm_a: Callable[[GridFunction], float] | None = None
-    norm_b: Callable[[GridFunction], float] | None = None
-    residual_tol: float = 1e-10
-    eval_rows: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if not self.base_point.measure.same_as(self.derivative.domain):
             raise GridMismatchError("base point does not live on the derivative domain")
-        r0 = self.norm_b_of(self.eval(self.base_point))
-        if r0 > self.residual_tol:
+        r0 = norm(self.eval(self.base_point))
+        if r0 > RESIDUAL_TOL:
             raise ValueError(
                 f"moment map violates m(alpha0) = 0: residual {r0:.3e}"
             )
 
     def eval(self, alpha: GridFunction) -> GridFunction:
-        if not alpha.measure.same_as(self.base_point.measure):
-            raise GridMismatchError("alpha does not live on the domain grid")
-        out = self.eval_fn(alpha)
-        if not out.measure.same_as(self.derivative.codomain):
-            raise GridMismatchError("eval output does not live on the codomain grid")
-        return out
+        return self.eval_many([alpha])[0]
 
-    def eval_many(self, alphas: Sequence[GridFunction]) -> list[GridFunction]:
-        """m at each of ``alphas``, through ``eval_rows`` ``EVAL_CHUNK``
-        points at a time when the map has one and through ``eval`` one at
-        a time otherwise."""
-        return list(_evaluated(self, alphas))
+    def eval_many(self, alphas: Iterable[GridFunction]) -> list[GridFunction]:
+        """m at each of ``alphas``, ``EVAL_CHUNK`` points per ``eval_rows``
+        call; a chunk's points are taken only when the chunk runs."""
+        dom, cod = self.base_point.measure, self.derivative.codomain
+
+        def rows():
+            for alpha in alphas:
+                if not alpha.measure.same_as(dom):
+                    raise GridMismatchError(
+                        "alpha does not live on the domain grid")
+                yield alpha.values
+
+        return [GridFunction(row, cod) for row in _codomain_rows(self, rows())]
 
     def norm_a_of(self, f: GridFunction) -> float:
         return norm(f) if self.norm_a is None else float(self.norm_a(f))
-
-    def norm_b_of(self, f: GridFunction) -> float:
-        return norm(f) if self.norm_b is None else float(self.norm_b(f))
-
-    def norm_b_of_row(self, values: np.ndarray) -> float:
-        """``norm_b_of`` on a row of codomain values; only a custom
-        ``norm_b`` is handed it as a grid function."""
-        cod = self.derivative.codomain
-        if self.norm_b is None:
-            return weighted_norm(values, cod.weights)
-        return float(self.norm_b(GridFunction(values, cod)))
 
 
 @dataclass(frozen=True)
@@ -132,38 +123,19 @@ EVAL_CHUNK = 64
 
 
 def _codomain_rows(
-    mmap: MomentMap, points: Iterable[GridFunction | np.ndarray]
+    mmap: MomentMap, rows: Iterable[np.ndarray]
 ) -> Iterator[np.ndarray]:
-    """Codomain value rows of m at each of ``points``, in order.
-
-    A point is a grid function on the domain grid or a row of its values.
-    The points are consumed ``EVAL_CHUNK`` at a time.  A map with
-    ``eval_rows`` evaluates a chunk in one call; the chunk's input stack is
-    checked for finiteness, and the returned stack for shape and
-    finiteness, once per chunk.  A map without one has ``eval`` called on
-    each point, as a grid function (the caller's own where one was given).
-    """
-    dom, cod = mmap.base_point.measure, mmap.derivative.codomain
-    it = iter(points)
+    """Codomain value rows of m at each of ``rows`` of domain values, in
+    order.  The rows are consumed ``EVAL_CHUNK`` at a time; each chunk is
+    stacked, checked for finiteness, evaluated in one ``eval_rows`` call,
+    and the returned stack checked for shape and finiteness."""
+    cod = mmap.derivative.codomain
+    it = iter(rows)
     while chunk := list(itertools.islice(it, EVAL_CHUNK)):
-        if mmap.eval_rows is None:
-            for p in chunk:
-                if not isinstance(p, GridFunction):
-                    p = GridFunction(p, dom)
-                yield mmap.eval(p).values
-            continue
-        rows = []
-        for p in chunk:
-            if isinstance(p, GridFunction):
-                if not p.measure.same_as(dom):
-                    raise GridMismatchError(
-                        "alpha does not live on the domain grid")
-                p = p.values
-            rows.append(p)
-        rows = np.stack(rows)
-        if not np.all(np.isfinite(rows)):
+        stack = np.stack(chunk)
+        if not np.all(np.isfinite(stack)):
             raise ValueError("domain values must be finite")
-        out = np.asarray(mmap.eval_rows(rows), dtype=float)
+        out = np.asarray(mmap.eval_rows(stack), dtype=float)
         if out.shape != (len(chunk), cod.size):
             raise GridMismatchError(
                 f"eval_rows returned shape {out.shape} for {len(chunk)} "
@@ -172,15 +144,6 @@ def _codomain_rows(
         if not np.all(np.isfinite(out)):
             raise ValueError("eval_rows returned values that are not finite")
         yield from out
-
-
-def _evaluated(
-    mmap: MomentMap, alphas: Iterable[GridFunction]
-) -> Iterator[GridFunction]:
-    """m at each of ``alphas`` in order, as grid functions: the rows of
-    ``_codomain_rows``, which consumes the input one chunk at a time."""
-    cod = mmap.derivative.codomain
-    return (GridFunction(row, cod) for row in _codomain_rows(mmap, alphas))
 
 
 def positivity_tol(sigma_max: float) -> float:
@@ -264,16 +227,17 @@ def gateaux_check(
         up, dn = next(values), next(values)
         return (up - dn) / (2.0 * t)
 
+    w_b = mmap.derivative.codomain.weights
     worst = 0.0
     for h in directions:
         exact = apply(mmap.derivative, h)
-        scale = max(mmap.norm_b_of(exact), 1e-300)
+        scale = max(norm(exact), 1e-300)
         err = math.inf
         for t in steps:
             fd = central(t)
             if richardson:
                 fd = (4.0 * central(t / 2.0) - fd) / 3.0
-            err = mmap.norm_b_of_row(fd - exact.values) / scale
+            err = weighted_norm(fd - exact.values, w_b) / scale
         worst = max(worst, err)
     return worst
 
@@ -294,6 +258,7 @@ def estimate_nonlinearity(
     _check_domain(mmap, deviations, "deviations")
     a0 = mmap.base_point
     m0 = mmap.eval(a0).values
+    w_b = mmap.derivative.codomain.weights
     best = 0.0
     values = _codomain_rows(mmap, (a0.values + d.values for d in deviations))
     for d, m_val in zip(deviations, values):
@@ -301,7 +266,7 @@ def estimate_nonlinearity(
         if dn == 0.0:
             raise ValueError("deviations must have nonzero norm")
         rem = m_val - m0 - apply_values(mmap.derivative, d.values)
-        best = max(best, mmap.norm_b_of_row(rem) / dn**r)
+        best = max(best, weighted_norm(rem, w_b) / dn**r)
     return best
 
 
@@ -371,6 +336,8 @@ def in_ellipsoid(
 
     Membership implies membership of the corresponding deviation in the
     identification set for the same (L, r).  Requires r > 1 and L > 0.
+    The sum runs over the nonzero b_j only, so a zero coefficient on a null
+    direction (mu_j = 0) adds nothing; a nonzero one there is outside.
     """
     if bound.r <= 1 or bound.L <= 0:
         raise ValueError("the ellipsoid test requires r > 1 and L > 0")
@@ -385,8 +352,14 @@ def in_ellipsoid(
             stacklevel=2,
         )
         return True
+    live = b != 0.0
+    if np.any(mu[live] == 0.0):
+        return False
     p = 2.0 / (bound.r - 1.0)
-    return float(np.sum(mu ** (-p) * b**2)) < bound.L ** (-p)
+    # zeros stay in place, so the sum adds its terms in the same order
+    terms = np.zeros_like(b)
+    terms[live] = mu[live] ** (-p) * b[live] ** 2
+    return float(np.sum(terms)) < bound.L ** (-p)
 
 
 def sample_ellipsoid_deviations(
@@ -491,9 +464,8 @@ def verify_local_id(
     Draws deviations, rejects those outside the curvature neighborhood or the
     identification set ||m' d|| > L ||d||^r, and for every accepted alpha
     verifies both ||m(alpha) - m'(alpha - alpha0)|| < ||m'(alpha - alpha0)||
-    and ||m(alpha)|| above numerical-zero scale; all codomain norms are the
-    map's own.  Raises EmptyNeighborhoodError if the rejection budget runs
-    out.
+    and ||m(alpha)|| above numerical-zero scale.  Raises
+    EmptyNeighborhoodError if the rejection budget runs out.
     """
     if samples <= 0:
         raise ValueError("samples must be positive")
@@ -515,7 +487,7 @@ def verify_local_id(
         if enforce_membership and not bound.contains_deviation(delta, dev_norm):
             return None
         lin = apply(op, delta)
-        lin_n = mmap.norm_b_of(lin)
+        lin_n = norm(lin)
         if enforce_membership and not lin_n > bound.L * dev_norm**bound.r:
             return None
         return delta, dev_norm, lin, lin_n
@@ -529,10 +501,11 @@ def verify_local_id(
     attempts = accepted[-1][0]
     values = _codomain_rows(
         mmap, (a0.values + item[0].values for _, item in accepted))
+    w_b = op.codomain.weights
     rows = []
     for (_, (delta, dev_norm, lin, lin_n)), m_val in zip(accepted, values):
-        rem = mmap.norm_b_of_row(m_val - lin.values)
-        m_n = mmap.norm_b_of_row(m_val)
+        rem = weighted_norm(m_val - lin.values, w_b)
+        m_n = weighted_norm(m_val, w_b)
         rows.append((dev_norm, lin_n, rem, m_n, rem < lin_n and m_n > pos_tol))
     passes = sum(row[4] for row in rows)
     return LocalIdReport(
@@ -684,20 +657,19 @@ def counterexample_map(
     f: Callable | None = None,
     n_terms: int = 64,
 ) -> tuple[MomentMap, NonlinearityBound]:
-    """The truncated sequence model as a moment map with quartic domain norm."""
+    """The truncated sequence model as a moment map with quartic domain norm.
+
+    ``f`` acts elementwise and must accept a 2-D stack of sequences, since
+    the map's ``eval_rows`` hands it one.
+    """
     if p is None:
         p = dyadic_weights(n_terms)
     if f is None:
         f = default_counterexample_f
     mu = GridMeasure(np.arange(1, p.size + 1, dtype=float), p)
-    a0 = GridFunction.zero(mu)
-
-    def eval_fn(alpha: GridFunction) -> GridFunction:
-        return GridFunction(np.asarray(f(alpha.values), dtype=float), mu)
-
     mmap = MomentMap(
-        base_point=a0,
-        eval_fn=eval_fn,
+        base_point=GridFunction.zero(mu),
+        eval_rows=lambda rows: np.asarray(f(rows), dtype=float),
         derivative=LinearOperator.identity(mu),
         norm_a=quartic_norm,
     )
@@ -741,9 +713,9 @@ def cone_classify(
     delta = alpha - mmap.base_point
     m_val = mmap.eval(alpha)
     lin = apply(mmap.derivative, delta)
-    m_n = mmap.norm_b_of(m_val)
-    lin_n = mmap.norm_b_of(lin)
-    rem_n = mmap.norm_b_of(m_val - lin)
+    m_n = norm(m_val)
+    lin_n = norm(lin)
+    rem_n = norm(m_val - lin)
     return ConeMembership(
         in_n=m_n > tol,
         in_nprime=lin_n > tol,

@@ -227,7 +227,7 @@ def quantile_moment_map(
     conditional expectation weighted by the conditional density at alpha0.
     The curvature bound is L = L1 L2 with exponent 2 on the whole space.
     The map's ``eval_rows`` evaluates a stack of curves in one pass of the
-    Hermite kernel, bit-identical to ``eval`` on each curve.
+    Hermite kernel, bit-identical to evaluating each curve alone.
     """
     mx, mw = model.x_measure, model.w_measure
     weighted_ratio = mx.weights[:, None] * model.x_ratio
@@ -248,14 +248,10 @@ def quantile_moment_map(
             out[s:s + rows_per_slice] = vals - model.tau
         return out
 
-    def eval_fn(alpha: GridFunction) -> GridFunction:
-        return GridFunction(eval_rows(alpha.values[None])[0], mw)
-
     weight = model.density_at(model.alpha0.values)
     derivative = conditional_expectation(model.x_ratio, mx, mw, weight=weight)
     mmap = MomentMap(
-        base_point=model.alpha0, eval_fn=eval_fn, derivative=derivative,
-        eval_rows=eval_rows,
+        base_point=model.alpha0, eval_rows=eval_rows, derivative=derivative,
     )
     bound = NonlinearityBound(L=model.l1 * model.l2, r=2.0)
     return mmap, bound

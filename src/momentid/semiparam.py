@@ -27,6 +27,7 @@ from .fnspace import (
     project,
 )
 from .identcore import (
+    RESIDUAL_TOL,
     MomentMap,
     accepted_draws,
     positivity_tol,
@@ -197,7 +198,6 @@ class SemiparametricMap:
     eval_fn: Callable[[np.ndarray, GridFunction], GridFunction]
     split: SplitDerivative
     g_norm: Callable[[GridFunction], float] | None = None
-    residual_tol: float = 1e-10
 
     def __post_init__(self):
         b0 = np.atleast_1d(np.asarray(self.beta0, dtype=float))
@@ -207,7 +207,7 @@ class SemiparametricMap:
         if not self.g0.measure.same_as(self.split.m_g.domain):
             raise GridMismatchError("g0 must live on the domain of m_g")
         r0 = norm(self.eval(self.beta0, self.g0))
-        if r0 > self.residual_tol:
+        if r0 > RESIDUAL_TOL:
             raise ValueError(f"map violates m(beta0, g0) = 0: residual {r0:.3e}")
 
     def eval(self, beta: np.ndarray, g: GridFunction) -> GridFunction:
@@ -234,13 +234,11 @@ class SemiparametricMap:
         wts = np.concatenate([np.ones(p), g_mu.weights])
         stacked_mu = GridMeasure(pts, wts)
 
-        def unstack(alpha: GridFunction) -> tuple[np.ndarray, GridFunction]:
-            vals = alpha.values
-            return vals[:p], GridFunction(vals[p:], g_mu)
-
-        def eval_fn(alpha: GridFunction) -> GridFunction:
-            beta, g = unstack(alpha)
-            return self.eval(beta, g)
+        def eval_rows(rows: np.ndarray) -> np.ndarray:
+            return np.stack([
+                self.eval(row[:p], GridFunction(row[p:], g_mu)).values
+                for row in rows
+            ])
 
         kernel = np.hstack(
             [self.split.beta_matrix(), self.split.m_g.entries]
@@ -250,10 +248,7 @@ class SemiparametricMap:
             np.concatenate([self.beta0, self.g0.values]), stacked_mu
         )
         return MomentMap(
-            base_point=base,
-            eval_fn=eval_fn,
-            derivative=derivative,
-            residual_tol=self.residual_tol,
+            base_point=base, eval_rows=eval_rows, derivative=derivative,
         )
 
 

@@ -149,6 +149,18 @@ class TestCatalog:
         main(["list"])
         assert capsys.readouterr().out == first
 
+    def test_python_dash_m_runs_the_console_script(self, capsys,
+                                                   monkeypatch):
+        import runpy
+
+        main(["list"])
+        expected = capsys.readouterr().out
+        monkeypatch.setattr("sys.argv", ["momentid", "list"])
+        with pytest.raises(SystemExit) as stop:
+            runpy.run_module("momentid", run_name="__main__")
+        assert stop.value.code == 0
+        assert capsys.readouterr().out == expected
+
 
 class TestRun:
     def test_counterexample_passes(self, tmp_path):

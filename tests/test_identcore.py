@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -27,12 +28,14 @@ from momentid.identcore import (
     in_ellipsoid,
     in_identification_set,
     rank_condition,
+    sample_ellipsoid_deviations,
     verify_local_id,
 )
 from momentid.linop import (
     MAX_AXIS_POINTS,
     LinearOperator,
     apply,
+    apply_values,
     from_kernel,
     singular_values,
     svd,
@@ -45,9 +48,10 @@ def unit_grid(n):
 
 def linear_map(matrix, mu_a, mu_b):
     op = LinearOperator(matrix / mu_a.weights[None, :], mu_a, mu_b)
+    # row by row, so each row is apply(op, a) bit for bit at any stack size
     return MomentMap(
         base_point=GridFunction.zero(mu_a),
-        eval_fn=lambda a: apply(op, a),
+        eval_rows=lambda rows: np.stack([apply_values(op, a) for a in rows]),
         derivative=op,
     )
 
@@ -55,12 +59,11 @@ def linear_map(matrix, mu_a, mu_b):
 def quadratic_map(matrix, quads, mu_a, mu_b):
     op = LinearOperator(matrix / mu_a.weights[None, :], mu_a, mu_b)
 
-    def eval_fn(alpha):
-        lin = apply(op, alpha).values
-        rem = np.einsum("bij,i,j->b", quads, alpha.values, alpha.values)
-        return GridFunction(lin + rem, mu_b)
+    def eval_rows(rows):
+        lin = rows * mu_a.weights @ op.entries.T
+        return lin + np.einsum("bij,ni,nj->nb", quads, rows, rows)
 
-    return MomentMap(GridFunction.zero(mu_a), eval_fn, op)
+    return MomentMap(GridFunction.zero(mu_a), eval_rows, op)
 
 
 class TestGateaux:
@@ -74,12 +77,7 @@ class TestGateaux:
     def test_error_scales_quadratically(self):
         # cubic map: central differences carry an O(t^2) remainder
         mu = unit_grid(1)
-
-        def eval_fn(alpha):
-            a = alpha.values[0]
-            return GridFunction([a + a**3], mu)
-
-        mmap = MomentMap(GridFunction.zero(mu), eval_fn,
+        mmap = MomentMap(GridFunction.zero(mu), lambda rows: rows + rows**3,
                          LinearOperator.identity(mu))
         h = [GridFunction([1.0], mu)]
         e3 = gateaux_check(mmap, h, [1e-3])
@@ -89,12 +87,7 @@ class TestGateaux:
 
     def test_richardson_refines(self):
         mu = unit_grid(1)
-
-        def eval_fn(alpha):
-            a = alpha.values[0]
-            return GridFunction([math.sin(a)], mu)
-
-        mmap = MomentMap(GridFunction.zero(mu), eval_fn,
+        mmap = MomentMap(GridFunction.zero(mu), np.sin,
                          LinearOperator.identity(mu))
         h = [GridFunction([1.0], mu)]
         plain = gateaux_check(mmap, h, [1e-3])
@@ -132,11 +125,7 @@ class TestEstimateNonlinearity:
 
     def test_scalar_square_map_gives_one(self):
         mu = unit_grid(1)
-
-        def eval_fn(alpha):
-            return GridFunction([alpha.values[0] ** 2], mu)
-
-        mmap = MomentMap(GridFunction.zero(mu), eval_fn,
+        mmap = MomentMap(GridFunction.zero(mu), lambda rows: rows**2,
                          LinearOperator.zero(mu, mu))
         devs = [GridFunction([t], mu) for t in (0.1, -0.7, 2.0)]
         assert estimate_nonlinearity(mmap, 2.0, devs) == pytest.approx(1.0)
@@ -306,6 +295,24 @@ class TestEllipsoid:
         bound = NonlinearityBound(L=2.0, r=2.0)
         assert in_ellipsoid([0.1, 0.05], [1.0, 0.5], bound)
 
+    @pytest.mark.parametrize("r", [2.0, 3.0])
+    def test_null_direction_of_a_rank_deficient_derivative(self, r):
+        bound = NonlinearityBound(L=1.0, r=r)
+        mu = GridMeasure(np.arange(3.0), np.full(3, 0.25))
+        dec = svd(from_kernel(np.diag([8.0, 4.0, 0.0]), mu, mu))
+        assert dec.singular_values[-1] == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # a zero coefficient on the null direction adds nothing
+            assert in_ellipsoid([0.1, 0.0], [1.0, 0.0], bound)
+            # a nonzero one cannot be bounded by the ellipsoid
+            assert not in_ellipsoid([0.1, 0.1], [1.0, 0.0], bound)
+            draws = sample_ellipsoid_deviations(
+                dec, bound, 50, np.random.default_rng(4))
+            for _, b in draws:
+                assert b[-1] == 0.0
+                assert in_ellipsoid(b, dec.singular_values, bound)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             in_ellipsoid([0.1], [1.0], NonlinearityBound(L=0.0, r=2.0))
@@ -404,38 +411,19 @@ class TestVerifyLocalId:
 
 def stacked_linear_map(matrix, mu, calls=None):
     """linear_map with an eval_rows that records the size of each stack it
-    is given and evaluates it row by row, so it agrees with eval exactly."""
+    is given, apart from the single-row evaluations of m(alpha0) that
+    building the map and ``estimate_nonlinearity`` make."""
     base = linear_map(matrix, mu, mu)
 
     def eval_rows(rows):
-        if calls is not None:
+        if calls is not None and rows.any():
             calls.append(rows.shape[0])
-        return np.stack([base.eval(GridFunction(row, mu)).values
-                         for row in rows])
+        return base.eval_rows(rows)
 
-    return MomentMap(base.base_point, base.eval_fn, base.derivative,
-                     eval_rows=eval_rows)
+    return replace(base, eval_rows=eval_rows)
 
 
 class TestEvalMany:
-    def test_without_eval_rows_calls_eval_once_per_input(self):
-        mu = unit_grid(3)
-        seen = []
-
-        def eval_fn(alpha):
-            seen.append(alpha)
-            return GridFunction(2.0 * alpha.values, mu)
-
-        mmap = MomentMap(GridFunction.zero(mu), eval_fn,
-                         LinearOperator.identity(mu) * 2.0)
-        seen.clear()
-        alphas = [GridFunction(np.full(3, float(k)), mu) for k in range(5)]
-        out = mmap.eval_many(alphas)
-        assert seen == alphas
-        assert [f.values.tolist() for f in out] == [
-            [2.0 * k] * 3 for k in range(5)]
-        assert mmap.eval_many([]) == []
-
     def test_eval_rows_matches_eval_row_by_row(self):
         rng = np.random.default_rng(12)
         mu = unit_grid(4)
@@ -444,10 +432,10 @@ class TestEvalMany:
         alphas = [GridFunction(rng.standard_normal(4), mu) for _ in range(7)]
         out = mmap.eval_many(alphas)
         assert calls == [7]
+        assert mmap.eval_many([]) == [] and calls == [7]
         for alpha, got in zip(alphas, out):
             assert got.measure.same_as(mmap.derivative.codomain)
             assert np.array_equal(got.values, mmap.eval(alpha).values)
-        assert mmap.eval_many([]) == [] and calls == [7]
 
     def test_rejects_inputs_on_another_grid(self):
         mmap = stacked_linear_map(np.eye(3), unit_grid(3))
@@ -458,14 +446,30 @@ class TestEvalMany:
     def test_rejects_a_stack_of_the_wrong_shape(self):
         mu = unit_grid(3)
         base = linear_map(np.eye(3), mu, mu)
-        short = MomentMap(base.base_point, base.eval_fn, base.derivative,
-                          eval_rows=lambda rows: rows[:, :2])
+        # right at the base point, so the map can be built
+        short = replace(base, eval_rows=lambda rows: rows[:, :2]
+                        if rows.any() else rows)
         with pytest.raises(GridMismatchError, match="eval_rows returned"):
-            short.eval_many([GridFunction.zero(mu)])
+            short.eval_many([GridFunction.constant(mu, 1.0)])
+
+    @pytest.mark.parametrize("bad, error, match", [
+        (lambda rows: rows[:, :2], GridMismatchError, "eval_rows returned"),
+        (lambda rows: rows + np.nan, ValueError, "not finite"),
+    ], ids=["shape", "nan"])
+    def test_construction_and_eval_check_a_single_point_stack(
+            self, bad, error, match):
+        mu = unit_grid(3)
+        identity = LinearOperator.identity(mu)
+        with pytest.raises(error, match=match):
+            MomentMap(GridFunction.zero(mu), bad, identity)
+        # right at the base point, so the map can be built
+        mmap = MomentMap(GridFunction.zero(mu),
+                         lambda rows: bad(rows) if rows.any() else rows,
+                         identity)
+        with pytest.raises(error, match=match):
+            mmap.eval(GridFunction.constant(mu, 1.0))
 
     def test_chunk_inputs_are_built_when_the_chunk_runs(self):
-        from momentid.identcore import _evaluated
-
         mu = unit_grid(2)
         calls, built = [], []
         mmap = stacked_linear_map(np.eye(2), mu, calls)
@@ -475,7 +479,7 @@ class TestEvalMany:
                 built.append(len(calls))  # stacks evaluated so far
                 yield GridFunction(np.full(2, float(k)), mu)
 
-        out = list(_evaluated(mmap, inputs(200)))
+        out = mmap.eval_many(inputs(200))
         assert EVAL_CHUNK == 64
         assert calls == [64, 64, 64, 8]
         assert built == [k // 64 for k in range(200)]
@@ -488,7 +492,10 @@ class TestEvalMany:
         matrix = rng.standard_normal((4, 4)) + 2 * np.eye(4)
         calls = []
         stacked = stacked_linear_map(matrix, mu, calls)
-        plain = linear_map(matrix, mu, mu)
+        base = linear_map(matrix, mu, mu)
+        # the reference: one row per eval_rows call
+        plain = replace(base, eval_rows=lambda rows: np.stack(
+            [base.eval_rows(row[None])[0] for row in rows]))
         devs = [GridFunction(rng.standard_normal(4), mu) for _ in range(n)]
         assert (estimate_nonlinearity(stacked, 2.0, devs)
                 == estimate_nonlinearity(plain, 2.0, devs))
@@ -501,22 +508,16 @@ class TestEvalMany:
         assert sum(calls) == 8 * n and max(calls) == min(n * 8, EVAL_CHUNK)
 
 
-def stacked_square_map(mu, norm_b=None, poison=None):
-    """m(a) = 3a + a^2 on one grid, with a custom codomain norm if given and
-    an eval_rows that evaluates row by row and hands the stack to
-    ``poison`` before returning it."""
+def stacked_square_map(mu, poison=None):
+    """m(a) = 3a + a^2 on one grid, with an eval_rows that hands each stack
+    other than the base point's to ``poison`` before returning it."""
     op = LinearOperator(3.0 * np.eye(mu.size) / mu.weights[None, :], mu, mu)
 
-    def eval_fn(alpha):
-        return GridFunction(apply(op, alpha).values + alpha.values**2, mu)
-
     def eval_rows(rows):
-        out = np.stack([eval_fn(GridFunction(row, mu)).values
-                        for row in rows])
-        return out if poison is None else poison(out)
+        out = 3.0 * rows + rows**2
+        return out if poison is None or not rows.any() else poison(out)
 
-    return MomentMap(GridFunction.zero(mu), eval_fn, op, norm_b=norm_b,
-                     eval_rows=eval_rows)
+    return MomentMap(GridFunction.zero(mu), eval_rows, op)
 
 
 HARNESSES = {
@@ -557,30 +558,6 @@ class TestStackedHarnessChecks:
         mmap = stacked_square_map(mu, poison=lambda out: out[:, :-1])
         with pytest.raises(GridMismatchError, match="eval_rows returned"):
             HARNESSES[harness](mmap, self.deviations(mu))
-
-    @pytest.mark.parametrize("harness", HARNESSES)
-    def test_custom_norm_b_agrees_with_and_without_eval_rows(self, harness):
-        mu = GridMeasure(np.arange(4.0), np.full(4, 0.25))
-        seen = []
-
-        def sup_norm(f):
-            seen.append(f)
-            return float(np.abs(f.values).max())
-
-        stacked = stacked_square_map(mu, norm_b=sup_norm)
-        plain = replace(stacked, eval_rows=None)
-        devs = self.deviations(mu)
-        # codomain norms per deviation: ||m'd||, the remainder and ||m||;
-        # the remainder; ||m'h|| and one difference error per step
-        per_deviation = {"verify_local_id": 3, "estimate_nonlinearity": 1,
-                         "gateaux_check": 3}[harness]
-        results = []
-        for mmap in (stacked, plain):
-            seen.clear()
-            results.append(HARNESSES[harness](mmap, devs))
-            assert len(seen) == per_deviation * len(devs)
-            assert all(f.measure.same_as(mu) for f in seen)
-        assert results[0] == results[1]
 
 
 class TestVerifyLocalIdBatching:
@@ -921,7 +898,7 @@ def test_moment_map_rejects_nonzero_base_residual():
     with pytest.raises(ValueError, match="m\\(alpha0\\)"):
         MomentMap(
             base_point=GridFunction.zero(mu),
-            eval_fn=lambda a: GridFunction.constant(mu, 1.0),
+            eval_rows=np.ones_like,
             derivative=LinearOperator.identity(mu),
         )
 

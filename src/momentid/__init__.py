@@ -19,19 +19,16 @@ from .fnspace import (
     OrthonormalBasis,
     cosine_basis,
     fourier_coeffs,
-    gram_schmidt,
     inner,
     norm,
     project,
 )
 from .linop import (
-    KernelSpec,
     LinearOperator,
     OperatorStack,
     SvdDecomposition,
     adjoint,
     apply,
-    compose,
     conditional_expectation,
     from_kernel,
     hs_norm,

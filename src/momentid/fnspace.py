@@ -172,9 +172,6 @@ class GridFunction:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "GridFunction":
-        return GridFunction(-self.values, self.measure)
-
 
 def inner(f: GridFunction, g: GridFunction, mu: GridMeasure | None = None) -> float:
     """Weighted inner product sum_i w_i f_i g_i."""
@@ -275,39 +272,6 @@ class OrthonormalBasis:
     def matrix(self) -> np.ndarray:
         """Node-by-element array of basis values (read-only, shared)."""
         return self._mat
-
-
-def gram_schmidt(
-    fs: Iterable[GridFunction],
-    mu: GridMeasure,
-    tol: float = 1e-10,
-    ortho_tol: float = DEFAULT_ORTHO_TOL,
-) -> tuple[OrthonormalBasis, list[int]]:
-    """Orthonormalize a family by modified Gram-Schmidt with reorthogonalization.
-
-    Elements whose residual norm falls below ``tol`` are dropped; the second
-    return value lists their indices in the input order.  An empty input
-    yields an empty basis, not an error.
-    """
-    if tol <= 0:
-        raise ValueError("drop tolerance must be positive")
-    fs = list(fs)
-    kept: list[GridFunction] = []
-    dropped: list[int] = []
-    for idx, f in enumerate(fs):
-        if not f.measure.same_as(mu):
-            raise GridMismatchError("input functions must live on the given measure")
-        v = f.values.copy()
-        w = mu.weights
-        for _ in range(2):  # MGS with one reorthogonalization pass
-            for q in kept:
-                v -= np.dot(w, v * q.values) * q.values
-        r = float(np.sqrt(np.dot(w, v * v)))
-        if r < tol:
-            dropped.append(idx)
-            continue
-        kept.append(GridFunction(v / r, mu))
-    return OrthonormalBasis(tuple(kept), measure=mu, ortho_tol=ortho_tol), dropped
 
 
 def project(f: GridFunction, basis: OrthonormalBasis) -> GridFunction:

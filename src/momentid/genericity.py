@@ -42,6 +42,11 @@ class GeneratorConfig:
             raise ValueError("kappa must be positive")
         if self.trunc_n < 1:
             raise ValueError("trunc_n must be at least 1")
+        if self.compact and self.trunc_n < 2:
+            raise ValueError(
+                "the compactness test fits a slope to log sigma_j^2 and needs "
+                f"trunc_n >= 2 points, got trunc_n = {self.trunc_n}"
+            )
         if s.size < self.trunc_n:
             raise ValueError("sigma must provide at least trunc_n entries")
         object.__setattr__(self, "sigma", s)
@@ -172,15 +177,6 @@ def _draw_stack(
     return ops, lam, kappa
 
 
-def _draw(setup: _DrawSetup, seed: int) -> OperatorDraw:
-    """One realization on validated bases: the one-draw case of
-    :func:`_draw_stack`."""
-    ops, lam, kappa = _draw_stack(setup, [seed])
-    op = LinearOperator(ops.entries[0], setup.domain, setup.codomain)
-    return OperatorDraw(operator=op, lambdas=lam[0], kappa=float(kappa[0]),
-                        seed=seed, c_bound=setup.c_bound)
-
-
 def draw_operator(
     config: GeneratorConfig,
     bases: tuple[OrthonormalBasis, OrthonormalBasis],
@@ -195,9 +191,13 @@ def draw_operator(
     and makes the kernel nonnegative at every node pair; c defaults to the
     measured sup bound of the bases plus ten percent.  The density flag
     additionally rescales kappa so the leading coefficient contributes unit
-    kernel row sums.
+    kernel row sums.  This is the one-draw case of :func:`_draw_stack`.
     """
-    return _draw(_setup_draws(config, bases, c_bound), seed)
+    setup = _setup_draws(config, bases, c_bound)
+    ops, lam, kappa = _draw_stack(setup, [seed])
+    op = LinearOperator(ops.entries[0], setup.domain, setup.codomain)
+    return OperatorDraw(operator=op, lambdas=lam[0], kappa=float(kappa[0]),
+                        seed=seed, c_bound=setup.c_bound)
 
 
 @dataclass

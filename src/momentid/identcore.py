@@ -92,16 +92,12 @@ class MomentMap:
 
 @dataclass(frozen=True)
 class NonlinearityBound:
-    """Curvature constant L, exponent r and the neighborhood where they apply.
-
-    The neighborhood is a deviation-norm ball of the given radius unless a
-    custom membership predicate replaces it.
-    """
+    """Curvature constant L, exponent r and the radius of the deviation-norm
+    ball where they apply."""
 
     L: float
     r: float
     radius: float = math.inf
-    membership: Callable[[GridFunction], bool] | None = None
 
     def __post_init__(self):
         if self.L < 0:
@@ -111,10 +107,13 @@ class NonlinearityBound:
         if self.radius <= 0:
             raise ValueError("neighborhood radius must be positive")
 
-    def contains_deviation(self, delta: GridFunction, dev_norm: float) -> bool:
-        if self.membership is not None:
-            return bool(self.membership(delta))
+    def contains_deviation(self, dev_norm: float) -> bool:
         return dev_norm <= self.radius
+
+    def separates(self, lin_norm: float, dev_norm: float) -> bool:
+        """The identification-set test ||m' d|| > L ||d||^r, given the two
+        norms ||m' d|| and ||d||."""
+        return lin_norm > self.L * dev_norm**self.r
 
 
 # The sampling harnesses evaluate the moment map this many points at a time,
@@ -325,8 +324,7 @@ def in_identification_set(
 ) -> bool:
     """Strict test ||m' d|| > L ||d||^r; the zero deviation is excluded."""
     dev = norm(delta) if norm_a is None else float(norm_a(delta))
-    lin = norm(apply(op, delta))
-    return lin > bound.L * dev**bound.r
+    return bound.separates(norm(apply(op, delta)), dev)
 
 
 def in_ellipsoid(
@@ -484,11 +482,11 @@ def verify_local_id(
         dev_norm = mmap.norm_a_of(delta)
         if dev_norm == 0.0:
             return None
-        if enforce_membership and not bound.contains_deviation(delta, dev_norm):
+        if enforce_membership and not bound.contains_deviation(dev_norm):
             return None
         lin = apply(op, delta)
         lin_n = norm(lin)
-        if enforce_membership and not lin_n > bound.L * dev_norm**bound.r:
+        if enforce_membership and not bound.separates(lin_n, dev_norm):
             return None
         return delta, dev_norm, lin, lin_n
 
@@ -604,15 +602,20 @@ def counterexample_cases(
     The two 24,001-point scans that validate ``f`` and measure its
     curvature constant run once for all of them.
     """
-    for k in ks:
-        if k < 1:
-            raise ValueError("k must be at least 1")
     if p is None:
         p = dyadic_weights(n_terms)
     else:
         p = np.asarray(p, dtype=float)
         if abs(p.sum() - 1.0) > 1e-12:
             raise ValueError("weights must sum to one")
+    for k in ks:
+        if k < 1:
+            raise ValueError("k must be at least 1")
+        if k >= p.size:
+            raise ValueError(
+                f"k = {k} must be below n_terms = {p.size}: alpha^k is "
+                "zero beyond the last term"
+            )
     if f is None:
         f = default_counterexample_f
     _validate_counterexample_f(f, np.linspace(-6.0, 6.0, 24001))
@@ -697,14 +700,24 @@ class ConeMembership:
     deviation_norm: float
 
 
+def cone_flags(m_n, lin_n, rem_n, eta, tol):
+    """Membership in N, N', N_eta and N'_eta from the defining norms
+    ||m(a)||, ||m'(a - a0)|| and the remainder ||m(a) - m'(a - a0)||.
+
+    N and N' ask for the first two norms above ``tol``; the eta-sets compare
+    the remainder against eta times each.  The arguments may be scalars or
+    arrays of instances alike.
+    """
+    return m_n > tol, lin_n > tol, rem_n <= eta * m_n, rem_n <= eta * lin_n
+
+
 def cone_classify(
     mmap: MomentMap, alpha: GridFunction, eta: float, tol: float | None = None
 ) -> ConeMembership:
     """Evaluate the defining norms of the cone sets and set the four flags.
 
-    The unrestricted sets use numerical positivity (norm above tol); the
-    eta-sets are the inequality comparisons of the remainder against eta
-    times the map norm and the linearization norm respectively.
+    The one-instance case of :func:`cone_flags`, whose tolerance defaults
+    to ``positivity_tol`` of the derivative.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
@@ -717,10 +730,7 @@ def cone_classify(
     lin_n = norm(lin)
     rem_n = norm(m_val - lin)
     return ConeMembership(
-        in_n=m_n > tol,
-        in_nprime=lin_n > tol,
-        in_n_eta=rem_n <= eta * m_n,
-        in_nprime_eta=rem_n <= eta * lin_n,
+        *cone_flags(m_n, lin_n, rem_n, eta, tol),
         eta=eta,
         m_norm=m_n,
         linear_norm=lin_n,
@@ -861,10 +871,7 @@ def evaluate_cone_chunk(chunk: ConeChunk, slack: float) -> ConeChunkFlags:
     eps = slack * (1.0 + np.maximum(np.maximum(m_n, lin_n), rem_n))
 
     eta = chunk.eta
-    in_n = m_n > 0.0
-    in_np = lin_n > 0.0
-    in_ne = rem_n <= eta * m_n
-    in_npe = rem_n <= eta * lin_n
+    in_n, in_np, in_ne, in_npe = cone_flags(m_n, lin_n, rem_n, eta, 0.0)
     below = eta < 1.0
     ratio = _transfer_ratio(eta)
     # the eta/(1-eta) bounds on the remainder norm that the transfers claim

@@ -18,22 +18,6 @@ from .fnspace import GridFunction, GridMeasure, OrthonormalBasis
 MAX_AXIS_POINTS = 512
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """Tabulated kernel values on codomain x domain nodes (density-ratio units)."""
-
-    values: np.ndarray
-    nonnegative: bool = False
-
-    def __post_init__(self):
-        vals = np.atleast_2d(np.asarray(self.values, dtype=float))
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("kernel entries must be finite")
-        if self.nonnegative and np.any(vals < 0):
-            raise ValueError("kernel flagged nonnegative has negative entries")
-        object.__setattr__(self, "values", vals)
-
-
 def _checked_entries(
     e: np.ndarray, domain: GridMeasure, codomain: GridMeasure, lead: tuple
 ) -> np.ndarray:
@@ -75,27 +59,10 @@ class LinearOperator:
         """Matrix sending node values to node values (weights absorbed)."""
         return self.entries * self.domain.weights[None, :]
 
-    def __call__(self, f: GridFunction) -> GridFunction:
-        return apply(self, f)
-
-    def __add__(self, other: "LinearOperator") -> "LinearOperator":
-        self._check_compatible(other)
-        return LinearOperator(self.entries + other.entries, self.domain, self.codomain)
-
-    def __sub__(self, other: "LinearOperator") -> "LinearOperator":
-        self._check_compatible(other)
-        return LinearOperator(self.entries - other.entries, self.domain, self.codomain)
-
     def __mul__(self, c: float) -> "LinearOperator":
         return LinearOperator(self.entries * float(c), self.domain, self.codomain)
 
     __rmul__ = __mul__
-
-    def _check_compatible(self, other: "LinearOperator") -> None:
-        if not (
-            self.domain.same_as(other.domain) and self.codomain.same_as(other.codomain)
-        ):
-            raise GridMismatchError("operators act between different spaces")
 
     @staticmethod
     def identity(mu: GridMeasure) -> "LinearOperator":
@@ -136,12 +103,10 @@ def apply_values(op: LinearOperator, values: np.ndarray) -> np.ndarray:
 
 
 def from_kernel(
-    kernel: KernelSpec | np.ndarray, dom: GridMeasure, cod: GridMeasure
+    kernel: np.ndarray, dom: GridMeasure, cod: GridMeasure
 ) -> LinearOperator:
     """Integral operator (T g)(s) = sum_t w_t K(s, t) g(t)."""
-    if not isinstance(kernel, KernelSpec):
-        kernel = KernelSpec(np.asarray(kernel))
-    return LinearOperator(kernel.values, dom, cod)
+    return LinearOperator(kernel, dom, cod)
 
 
 def conditional_expectation(
@@ -279,11 +244,3 @@ def hs_norm(op: LinearOperator) -> float:
             )
         )
     )
-
-
-def compose(outer: LinearOperator, inner_op: LinearOperator) -> LinearOperator:
-    """Operator composition outer(inner_op(.))."""
-    if not inner_op.codomain.same_as(outer.domain):
-        raise GridMismatchError("composition spaces do not chain")
-    kernel = outer.action_matrix() @ inner_op.entries
-    return LinearOperator(kernel, inner_op.domain, outer.codomain)

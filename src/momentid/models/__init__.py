@@ -17,10 +17,8 @@ from .ccapm import (
     ccapm_moment_map,
     check_global_identification,
     completeness_check,
-    conditioning_operator,
     fixed_state_completeness_operator,
     lognormal_ccapm_model,
     perron_frobenius,
     positive_eigenpair,
-    two_argument_completeness_operator,
 )

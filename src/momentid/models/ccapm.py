@@ -178,17 +178,6 @@ def ccapm_moment_map(
     return smap, split
 
 
-def conditioning_operator(model: CcapmModel) -> LinearOperator:
-    """Averaging over the signal: functions on (signal, state) down to state."""
-    n_s, n_o = model.c_measure.size, model.omega_measure.size
-    mo = model.omega_measure.weights
-    kernel = np.zeros((n_s, n_o * n_s))
-    for j in range(n_o):
-        block = slice(j * n_s, (j + 1) * n_s)
-        kernel[:, block] = np.diag(mo[j] / (mo[j] * model.c_measure.weights))
-    return LinearOperator(kernel, model.w_measure, model.c_measure)
-
-
 def build_pf_operator(model: CcapmModel) -> LinearOperator:
     """Positive-kernel operator of the state-conditioned pricing equation.
 
@@ -334,26 +323,6 @@ def fixed_state_completeness_operator(
     a0 = model.discounted_returns()[:, :, state_index]
     kernel = (p * a0).T / model.c_measure.weights[None, :]
     return LinearOperator(kernel, model.c_measure, model.omega_measure)
-
-
-def two_argument_completeness_operator(model: CcapmModel) -> LinearOperator:
-    """h(next state, state) -> E[A h | signal, state].
-
-    Block diagonal over the current state: the instrument vector contains
-    the state, so only the next-state argument is averaged.
-    """
-    n_s, n_o = model.c_measure.size, model.omega_measure.size
-    dom = GridMeasure.tensor(model.c_measure, model.c_measure)
-    cod = model.w_measure
-    weighted = model.cond_mass * model.discounted_returns()  # (s, o, c)
-    kernel = np.zeros((n_o * n_s, n_s * n_s))
-    for j in range(n_s):
-        rows = np.arange(n_o) * n_s + j
-        cols = np.arange(n_s) * n_s + j
-        kernel[np.ix_(rows, cols)] = (
-            weighted[:, :, j].T / (dom.weights[cols])[None, :]
-        )
-    return LinearOperator(kernel, dom, cod)
 
 
 @dataclass

@@ -29,6 +29,7 @@ from .fnspace import (
 from .identcore import (
     RESIDUAL_TOL,
     MomentMap,
+    NonlinearityBound,
     accepted_draws,
     positivity_tol,
     rank_condition,
@@ -410,7 +411,7 @@ def verify_semiparam_linear(
 
 def verify_semiparam_nonlinear(
     model: SemiparametricMap,
-    bound,
+    bound: NonlinearityBound,
     beta_radius: float,
     samples: int,
     seed: int,
@@ -436,21 +437,22 @@ def verify_semiparam_nonlinear(
         g_radius = bound.radius if math.isfinite(bound.radius) else 1.0
     rng = np.random.default_rng(seed)
     dec = gate.partial.decomposition
-    threshold = bound.L / gate.partial.eps
+    # the curvature-adjusted set is the identification set of L / eps
+    adjusted = replace(bound, L=bound.L / gate.partial.eps)
 
     def draw():
         g_dev = _sample_g_deviation(rng, dec, g_radius, model.g_norm_of)
         dn = model.g_norm_of(g_dev)
-        if dn == 0.0 or not bound.contains_deviation(g_dev, dn):
+        if dn == 0.0 or not bound.contains_deviation(dn):
             return None
-        if not norm(apply(model.split.m_g, g_dev)) > threshold * dn**bound.r:
+        if not adjusted.separates(norm(apply(model.split.m_g, g_dev)), dn):
             return None
         return g_dev
 
     m_norms = []
     for _, g_dev in accepted_draws(
         draw, samples, budget_factor, "g-deviations",
-        f"threshold (L/eps) = {threshold:.3e} may be too strict",
+        f"threshold (L/eps) = {adjusted.L:.3e} may be too strict",
     ):
         beta = _sample_beta(rng, model, beta_radius)
         m_norms.append(norm(model.eval(beta, model.g0 + g_dev)))

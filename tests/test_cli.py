@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -258,6 +259,45 @@ class TestRun:
         assert report["checks"] == [{
             "name": "experiment completed", "passed": False,
             "detail": "k_min 5 exceeds k_max 2"}]
+
+    @pytest.mark.parametrize("params, detail", [
+        ({"k_max": 70}, "k = 64 must be below n_terms = 64"),
+        ({"n_terms": 1}, "k = 2 must be below n_terms = 1"),
+    ], ids=["k_max-past-the-terms", "one-term"])
+    def test_counterexample_k_past_the_terms_is_a_failed_check(
+            self, tmp_path, params, detail):
+        path = write_config(
+            tmp_path, {"experiment": "counterexample", "seed": 1,
+                       "params": params})
+        assert main(["run", path, "--out", str(tmp_path)]) == 1
+        report = json.loads((tmp_path / "counterexample.json").read_text())
+        [check] = report["checks"]
+        assert check["name"] == "experiment completed"
+        assert check["detail"].startswith(detail)
+
+    @pytest.mark.parametrize("params", [{"k_max": 63}, {"n_terms": 13}],
+                             ids=["k_max-63", "n_terms-13"])
+    def test_counterexample_last_term_passes(self, tmp_path, params):
+        # k = n_terms - 1 sets only the last, tail-folded term
+        path = write_config(
+            tmp_path, {"experiment": "counterexample", "seed": 1,
+                       "params": params})
+        assert main(["run", path, "--out", str(tmp_path)]) == 0
+
+    def test_genericity_single_term_names_trunc_n(self, tmp_path, capfd):
+        # a slope fit through one point used to warn and make LAPACK
+        # complain on stderr before failing with an unrelated message
+        path = write_config(
+            tmp_path, {"experiment": "genericity", "seed": 1,
+                       "params": {"trunc_n": 1}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", path, "--out", str(tmp_path)]) == 1
+        report = json.loads((tmp_path / "genericity.json").read_text())
+        [check] = report["checks"]
+        assert check["name"] == "experiment completed"
+        assert "trunc_n" in check["detail"]
+        assert capfd.readouterr().err == ""
 
     def test_rejected_ellipsoid_draw_is_a_failed_check(self, tmp_path,
                                                        monkeypatch):

@@ -12,7 +12,6 @@ from momentid.fnspace import (
     OrthonormalBasis,
     cosine_basis,
     fourier_coeffs,
-    gram_schmidt,
     inner,
     norm,
     project,
@@ -76,39 +75,6 @@ class TestInner:
         g = GridFunction([1.0, 2.0], two_point((0.25, 0.75)))
         with pytest.raises(GridMismatchError):
             inner(f, g)
-
-
-class TestGramSchmidt:
-    def test_orthonormal_input_fixed_up_to_sign(self):
-        mu = two_point()
-        u1 = GridFunction([1.0, 1.0], mu)
-        u2 = GridFunction([1.0, -1.0], mu)
-        basis, dropped = gram_schmidt([u1, u2], mu)
-        assert dropped == []
-        for orig, new in zip((u1, u2), basis):
-            assert abs(abs(inner(orig, new)) - 1.0) < 1e-12
-
-    def test_hand_case(self):
-        mu = two_point()
-        basis, dropped = gram_schmidt(
-            [GridFunction([1.0, 1.0], mu), GridFunction([1.0, 0.0], mu)], mu
-        )
-        assert dropped == []
-        assert np.allclose(basis[0].values, [1.0, 1.0])
-        assert np.allclose(basis[1].values, [1.0, -1.0])
-
-    def test_collinear_input_dropped(self):
-        mu = two_point()
-        basis, dropped = gram_schmidt(
-            [GridFunction([1.0, 1.0], mu), GridFunction([2.0, 2.0], mu)],
-            mu, tol=1e-10,
-        )
-        assert len(basis) == 1
-        assert dropped == [1]
-
-    def test_empty_input_is_not_an_error(self):
-        basis, dropped = gram_schmidt([], two_point())
-        assert len(basis) == 0 and dropped == []
 
 
 class TestProject:

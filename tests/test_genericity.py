@@ -130,6 +130,12 @@ def test_compact_decay_gate():
         draw_operator(flat, (basis, basis), seed=0)
 
 
+def test_compact_decay_gate_needs_two_terms():
+    # the gate fits a slope; one point would leave it undetermined
+    with pytest.raises(ValueError, match="trunc_n >= 2"):
+        GeneratorConfig(sigma=np.ones(3), kappa=1.0, trunc_n=1, compact=True)
+
+
 def test_tail_mass_reported():
     sigma = 1.0 / np.arange(1, 31) ** 2
     config = GeneratorConfig(sigma=sigma, kappa=1.0, trunc_n=20)

@@ -5,9 +5,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from momentid.errors import EmptyNeighborhoodError, GridMismatchError
-from momentid.fnspace import GridFunction, GridMeasure, OrthonormalBasis
+from momentid.fnspace import GridFunction, GridMeasure, OrthonormalBasis, norm
 from momentid.identcore import (
     CONE_CHUNK,
     EVAL_CHUNK,
@@ -27,6 +29,7 @@ from momentid.identcore import (
     in_counterexample_set,
     in_ellipsoid,
     in_identification_set,
+    positivity_tol,
     rank_condition,
     sample_ellipsoid_deviations,
     verify_local_id,
@@ -348,11 +351,10 @@ class TestVerifyLocalId:
     def test_empty_neighborhood_diagnostic(self):
         mu = GridMeasure(np.arange(3.0), np.full(3, 1 / 3))
         mmap = linear_map(np.eye(3), mu, mu)
-        bound = NonlinearityBound(
-            L=1.0, r=2.0, membership=lambda d: False
-        )
+        bound = NonlinearityBound(L=1.0, r=2.0)
         with pytest.raises(EmptyNeighborhoodError):
             verify_local_id(mmap, bound, samples=5, rng_seed=0,
+                            sampler=lambda rng: GridFunction.zero(mu),
                             budget_factor=10)
 
     def test_one_derivative_application_per_draw(self, monkeypatch):
@@ -649,6 +651,13 @@ class TestCounterexample:
         with pytest.raises(ValueError, match="k must be at least 1"):
             counterexample_cases([2, 0])
 
+    def test_cases_reject_k_past_the_last_term(self):
+        # alpha^k would be all zero: no term left to set to one
+        with pytest.raises(ValueError,
+                           match="k = 8 must be below n_terms = 8"):
+            counterexample_cases([3, 8], n_terms=8)
+        assert counterexample_cases([7], n_terms=8)[0].dev_norm == 2.0 ** -1.75
+
     def test_invalid_f_detected(self):
         with pytest.raises(ValueError, match="slope"):
             counterexample(2, f=lambda x: 2.0 * x * (1.0 - x) * np.exp(-x**2))
@@ -910,3 +919,105 @@ def test_local_id_report_rows_csv():
     report = verify_local_id(mmap, NonlinearityBound(L=0.0, r=1.0),
                              samples=8, rng_seed=0, keep_rows=True)
     assert len(report.rows) == 8
+
+
+# ---------------------------------------------------------------------------
+# Invariance: verdicts must not depend on the order of the grid nodes or on
+# the scale of the moment map.  Only draws whose comparisons clear a relative
+# margin of 1e-9 are compared, so that roundoff cannot flip a verdict.
+# ---------------------------------------------------------------------------
+
+MARGIN = 1e-9
+
+
+def relative_margin(a, b):
+    return abs(a - b) / max(abs(a), abs(b), 1e-300)
+
+
+def permuted(mu, perm):
+    return GridMeasure(mu.coords()[perm], mu.weights[perm])
+
+
+@st.composite
+def grids_and_permutations(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    n_a, n_b = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(seed)
+    mu_a = GridMeasure(np.arange(float(n_a)), rng.uniform(0.2, 2.0, n_a))
+    mu_b = GridMeasure(np.arange(float(n_b)), rng.uniform(0.2, 2.0, n_b))
+    perm_a = np.array(draw(st.permutations(range(n_a))))
+    perm_b = np.array(draw(st.permutations(range(n_b))))
+    return rng, mu_a, mu_b, perm_a, perm_b
+
+
+@settings(max_examples=80, deadline=None)
+@given(setup=grids_and_permutations(), c=st.floats(1e-3, 1e3))
+def test_identification_set_invariant_under_node_order_and_scale(setup, c):
+    rng, mu_a, mu_b, pa, pb = setup
+    kernel = rng.standard_normal((mu_b.size, mu_a.size))
+    values = rng.standard_normal(mu_a.size) * 10.0 ** rng.uniform(-2, 1)
+    bound = NonlinearityBound(L=float(rng.uniform(0.1, 3.0)),
+                              r=float(rng.choice([1.0, 1.5, 2.0, 3.0])))
+    op = LinearOperator(kernel, mu_a, mu_b)
+    delta = GridFunction(values, mu_a)
+    assume(relative_margin(norm(apply(op, delta)),
+                           bound.L * norm(delta) ** bound.r) > MARGIN)
+    verdict = in_identification_set(delta, op, bound)
+
+    mu_pa, mu_pb = permuted(mu_a, pa), permuted(mu_b, pb)
+    op_p = LinearOperator(kernel[np.ix_(pb, pa)], mu_pa, mu_pb)
+    assert in_identification_set(
+        GridFunction(values[pa], mu_pa), op_p, bound) == verdict
+    assert in_identification_set(
+        delta, c * op, replace(bound, L=c * bound.L)) == verdict
+
+
+def cone_margin(cm, tol):
+    """Smallest relative margin among the four cone-set comparisons."""
+    return min(
+        relative_margin(cm.m_norm, tol),
+        relative_margin(cm.linear_norm, tol),
+        relative_margin(cm.remainder_norm, cm.eta * cm.m_norm),
+        relative_margin(cm.remainder_norm, cm.eta * cm.linear_norm),
+    )
+
+
+def cone_verdict(cm):
+    return cm.in_n, cm.in_nprime, cm.in_n_eta, cm.in_nprime_eta
+
+
+@settings(max_examples=80, deadline=None)
+@given(setup=grids_and_permutations(), c=st.floats(1e-3, 1e3))
+def test_cone_flags_invariant_under_node_order_and_scale(setup, c):
+    # the permuted map gets the default positivity_tol of its own
+    # derivative; the scaled map gets c times the original tolerance, since
+    # the default 1e-10 (1 + sigma_max) keeps a floor of 1e-10 that does
+    # not scale with m
+    rng, mu_a, mu_b, pa, pb = setup
+    n_a, n_b = mu_a.size, mu_b.size
+    # a zero derivative now and then puts instances outside N'
+    matrix = rng.standard_normal((n_b, n_a)) * (rng.uniform() > 0.2)
+    quads = rng.standard_normal((n_b, n_a, n_a))
+    values = rng.standard_normal(n_a) * 10.0 ** rng.uniform(-3, 0.5)
+    eta = float(rng.uniform(0.05, 1.5))
+
+    def classify(mmap, alpha, tol=None):
+        if tol is None:
+            tol = positivity_tol(singular_values(mmap.derivative)[0])
+        cm = cone_classify(mmap, GridFunction(alpha, mmap.base_point.measure),
+                           eta, tol)
+        return cm, cone_margin(cm, tol)
+
+    mmap = quadratic_map(matrix, quads, mu_a, mu_b)
+    tol = positivity_tol(singular_values(mmap.derivative)[0])
+    cm, margin = classify(mmap, values)
+    mu_pa, mu_pb = permuted(mu_a, pa), permuted(mu_b, pb)
+    cm_p, margin_p = classify(
+        quadratic_map(matrix[np.ix_(pb, pa)], quads[np.ix_(pb, pa, pa)],
+                      mu_pa, mu_pb),
+        values[pa])
+    cm_c, margin_c = classify(
+        quadratic_map(c * matrix, c * quads, mu_a, mu_b), values, c * tol)
+    assume(min(margin, margin_p, margin_c) > MARGIN)
+    assert cone_verdict(cm_p) == cone_verdict(cm)
+    assert cone_verdict(cm_c) == cone_verdict(cm)

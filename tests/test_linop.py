@@ -7,12 +7,10 @@ from momentid.errors import DegenerateMarginalError, GridMismatchError
 from momentid.fnspace import GridFunction, GridMeasure, inner, norm
 from momentid.linop import (
     MAX_AXIS_POINTS,
-    KernelSpec,
     LinearOperator,
     OperatorStack,
     adjoint,
     apply,
-    compose,
     conditional_expectation,
     from_kernel,
     hs_norm,
@@ -83,12 +81,7 @@ class TestFromKernel:
     def test_nonfinite_rejected(self):
         mu = unit_grid(2)
         with pytest.raises(ValueError):
-            from_kernel(KernelSpec(np.array([[1.0, np.inf], [0.0, 0.0]])),
-                        mu, mu)
-
-    def test_nonnegative_flag(self):
-        with pytest.raises(ValueError):
-            KernelSpec(np.array([[1.0, -2.0]]), nonnegative=True)
+            from_kernel(np.array([[1.0, np.inf], [0.0, 0.0]]), mu, mu)
 
 
 class TestConditionalExpectation:
@@ -329,16 +322,6 @@ def test_adjoint_duality_property(seed):
     lhs = inner(apply(op, f), g)
     rhs = inner(f, apply(adjoint(op), g))
     assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs) + abs(rhs))
-
-
-def test_compose_matches_sequential_application():
-    rng = np.random.default_rng(10)
-    op1 = random_operator(rng, 4, 6)
-    op2 = LinearOperator(rng.standard_normal((3, 6)), op1.codomain,
-                         unit_grid(3))
-    f = GridFunction(rng.standard_normal(4), op1.domain)
-    assert np.allclose(apply(compose(op2, op1), f).values,
-                       apply(op2, apply(op1, f)).values)
 
 
 def test_zero_kernel_is_zero_operator():

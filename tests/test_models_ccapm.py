@@ -3,18 +3,16 @@ import pytest
 
 from momentid.errors import ConvergenceError
 from momentid.fnspace import GridFunction, GridMeasure, inner, norm
-from momentid.linop import LinearOperator, apply, compose, hs_norm, svd
+from momentid.linop import LinearOperator, hs_norm, svd
 from momentid.models.ccapm import (
     build_pf_operator,
     ccapm_moment_map,
     check_global_identification,
     completeness_check,
-    conditioning_operator,
     fixed_state_completeness_operator,
     lognormal_ccapm_model,
     perron_frobenius,
     positive_eigenpair,
-    two_argument_completeness_operator,
 )
 from momentid.semiparam import partial_out
 
@@ -134,8 +132,12 @@ class TestPerronFrobenius:
         # conditioning the second-kind operator down to the current state
         # reproduces delta0 * T - I exactly on the grid
         _, split = mapped
-        cond = conditioning_operator(model)
-        lhs = compose(cond, split.m_g)
+        n_s = model.c_measure.size
+        # the signal-weighted sum of the (signal, state) rows of m_g
+        lhs = LinearOperator(
+            np.einsum("o,ocs->cs", model.omega_measure.weights,
+                      split.m_g.entries.reshape(-1, n_s, n_s)),
+            model.c_measure, model.c_measure)
         t_op = build_pf_operator(model)
         rhs = model.delta0 * t_op.entries - LinearOperator.identity(
             model.c_measure).entries
@@ -179,20 +181,6 @@ class TestCompleteness:
         rep = completeness_check(op, tol=1e-8)
         assert rep.injective
         assert rep.sigma_min > 0
-
-    def test_two_argument_operator_blocks(self, model):
-        op = two_argument_completeness_operator(model)
-        n_s = model.c_measure.size
-        rng = np.random.default_rng(2)
-        h = rng.standard_normal((n_s, n_s))
-        out = apply(op, GridFunction(h.ravel(), op.domain))
-        # block structure: column j of the two-argument table is priced by
-        # the fixed-state operator at state j
-        j = n_s // 3
-        block = fixed_state_completeness_operator(model, j)
-        direct = apply(block, GridFunction(h[:, j], model.c_measure)).values
-        got = out.values.reshape(model.omega_measure.size, n_s)[:, j]
-        assert np.abs(got - direct).max() < 1e-10
 
 
 class TestGlobalIdentification:

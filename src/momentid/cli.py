@@ -341,6 +341,16 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_seed(seed) -> int:
+    """A config or ``--seed`` seed: numpy's generators take only
+    non-negative integers."""
+    if not _is_int(seed):
+        raise UsageError("seed must be an integer")
+    if seed < 0:
+        raise UsageError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -365,8 +375,7 @@ def load_config(path: str) -> dict:
     if "seed" not in raw:
         raise UsageError("config must carry an integer seed; wall-clock "
                          "seeding is not supported")
-    if not _is_int(raw["seed"]):
-        raise UsageError("seed must be an integer")
+    _check_seed(raw["seed"])
     if not isinstance(raw.get("out_dir", ""), (str, type(None))):
         raise UsageError(f"out_dir must be a string, got {raw['out_dir']!r}")
     spec = EXPERIMENTS[raw["experiment"]]
@@ -488,11 +497,11 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         config = load_config(args.config)
+        if args.seed is not None:
+            config["seed"] = _check_seed(args.seed)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        config["seed"] = args.seed
     out_dir = args.out or config.get("out_dir") or "."
     report, samples = run_experiment(config)
     path = _write_report(report, samples, out_dir, args.format)

@@ -20,6 +20,9 @@ from .linop import LinearOperator, OperatorStack, singular_values
 # chunk's buffers are a few (DRAW_CHUNK, n, n) stacks: about 0.15 MB each
 # at n = 48.
 DRAW_CHUNK = 8
+# mc_injectivity sets up the generators of this many draws at a time (a
+# multiple of DRAW_CHUNK); a block's uniforms take 0.25 MB at trunc_n = 30.
+SEED_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -87,6 +90,11 @@ class _DrawSetup:
     codomain: GridMeasure
     c_bound: float | None
 
+    @property
+    def u_width(self) -> int:
+        """Uniforms per draw: one shared by every term, or one per term."""
+        return 1 if self.config.dependent_u else self.config.trunc_n
+
 
 def _setup_draws(
     config: GeneratorConfig,
@@ -137,25 +145,21 @@ def _setup_draws(
 
 
 def _draw_stack(
-    setup: _DrawSetup, seeds: list[int]
+    setup: _DrawSetup, u: np.ndarray
 ) -> tuple[OperatorStack, np.ndarray, np.ndarray]:
-    """The realizations for ``seeds`` on validated bases, in order: their
-    operators as one stack, the coefficients lambda (one row per draw) and
-    the scales kappa, after the checks that depend on the coefficients.
+    """The realizations for the uniforms ``u`` on validated bases, in order:
+    their operators as one stack, the coefficients lambda (one row per draw)
+    and the scales kappa, after the checks that depend on the coefficients.
 
-    Each draw's coefficients come from its own generator, in the order a
-    single draw makes them.
+    Row i of ``u`` holds draw i's ``setup.u_width`` uniforms on [-1, 1]:
+    what ``np.random.default_rng(seed).uniform(-1, 1, size=u_width)`` gives
+    for the draw's seed.  The generators are set up in bulk by
+    ``_seedbulk``, bit for bit as one ``default_rng`` per draw would.
     """
     config = setup.config
     n = config.trunc_n
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    if config.dependent_u:
-        shared = np.array([rng.uniform(-1.0, 1.0) for rng in rngs])
-        u = np.repeat(shared[:, None], n, axis=1)
-    else:
-        u = np.stack([rng.uniform(-1.0, 1.0, size=n) for rng in rngs])
     lam = u * config.sigma[:n]
-    kappa = np.full(len(seeds), float(config.kappa))
+    kappa = np.full(len(u), float(config.kappa))
     if config.positive or config.density:
         lam[:, 0] = (setup.c_bound**2 * np.sum(np.abs(lam[:, 1:]), axis=1)
                      + np.abs(u[:, 0]) * config.sigma[0])
@@ -193,8 +197,11 @@ def draw_operator(
     additionally rescales kappa so the leading coefficient contributes unit
     kernel row sums.  This is the one-draw case of :func:`_draw_stack`.
     """
+    from . import _seedbulk  # see mc_injectivity
+
     setup = _setup_draws(config, bases, c_bound)
-    ops, lam, kappa = _draw_stack(setup, [seed])
+    ops, lam, kappa = _draw_stack(setup,
+                                  _seedbulk.uniforms(seed, setup.u_width))
     op = LinearOperator(ops.entries[0], setup.domain, setup.codomain)
     return OperatorDraw(operator=op, lambdas=lam[0], kappa=float(kappa[0]),
                         seed=seed, c_bound=setup.c_bound)
@@ -224,27 +231,37 @@ def mc_injectivity(
     report gives the fraction of draws with sigma_min at or below
     tol * sigma_max, predicted to be zero.
 
-    Draw i uses the seed of the i-th child of ``SeedSequence(seed)``, as
-    ``draw_operator`` would.  The draws are made, checked and decomposed
-    ``DRAW_CHUNK`` at a time, with one stacked values-only SVD per chunk.
+    Draw i is ``draw_operator`` at the seed of the i-th child of
+    ``SeedSequence(seed)``, bit for bit.  The generators of ``SEED_BLOCK``
+    draws are set up at once: the child seeds and the PCG64 states are
+    hashed as arrays, and one generator is re-stated per draw.  The draws
+    are then made, checked and decomposed ``DRAW_CHUNK`` at a time, with one
+    stacked values-only SVD per chunk.
     """
+    # Imported here rather than with the package: the module's import moved
+    # the process heap layout that the quantile-fine benchmark's memory
+    # probe is sensitive to.
+    from . import _seedbulk
+
     if draws < 1:
         raise ValueError("draws must be at least 1")
     setup = _setup_draws(config, bases, None)
-    root = np.random.SeedSequence(seed)
     n = config.trunc_n
     sig_min = np.empty(draws)
     worst_dev = 0.0
     below = 0
-    for start in range(0, draws, DRAW_CHUNK):
-        children = root.spawn(min(DRAW_CHUNK, draws - start))
-        seeds = [int(child.generate_state(1)[0]) for child in children]
-        ops, lam, kappa = _draw_stack(setup, seeds)
-        s = singular_values(ops)[:, :n]
-        expected = np.sort(np.abs(kappa[:, None] * lam), axis=1)[:, ::-1]
-        worst_dev = max(worst_dev, float(np.abs(s - expected).max()))
-        sig_min[start:start + len(seeds)] = s[:, -1]
-        below += int(np.count_nonzero(s[:, -1] <= tol * s[:, 0]))
+    for block in range(0, draws, SEED_BLOCK):
+        u = _seedbulk.spawned_uniforms(seed, block,
+                                       min(block + SEED_BLOCK, draws),
+                                       setup.u_width)
+        for start in range(0, len(u), DRAW_CHUNK):
+            ops, lam, kappa = _draw_stack(setup, u[start:start + DRAW_CHUNK])
+            s = singular_values(ops)[:, :n]
+            expected = np.sort(np.abs(kappa[:, None] * lam), axis=1)[:, ::-1]
+            worst_dev = max(worst_dev, float(np.abs(s - expected).max()))
+            first = block + start
+            sig_min[first:first + len(s)] = s[:, -1]
+            below += int(np.count_nonzero(s[:, -1] <= tol * s[:, 0]))
     return InjectivityReport(
         draws=draws,
         sigma_min=sig_min,

@@ -34,6 +34,17 @@ class TestConfigValidation:
         with pytest.raises(UsageError, match="seed must be an integer"):
             load_config(path)
 
+    @pytest.mark.parametrize("experiment", [
+        "genericity", "quantile", "cone-suite", "semiparam-pi"])
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys,
+                                            experiment):
+        path = write_config(tmp_path, {"experiment": experiment, "seed": -1})
+        with pytest.raises(UsageError, match="non-negative, got -1"):
+            load_config(path)
+        assert main(["run", path, "--out", str(tmp_path)]) == 2
+        assert "got -1" in capsys.readouterr().err
+        assert not (tmp_path / f"{experiment}.json").exists()
+
     def test_unknown_experiment(self, tmp_path):
         path = write_config(tmp_path, {"experiment": "nope", "seed": 1})
         with pytest.raises(UsageError, match="unknown experiment"):
@@ -207,6 +218,12 @@ class TestRun:
         main(["run", path, "--out", str(tmp_path), "--seed", "99"])
         report = json.loads((tmp_path / "cone-suite.json").read_text())
         assert report["config"]["seed"] == 99
+
+    def test_negative_seed_override_is_a_usage_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"experiment": "ccapm", "seed": 3})
+        assert main(["run", path, "--out", str(tmp_path), "--seed", "-3"]) == 2
+        assert "seed must be non-negative, got -3" in capsys.readouterr().err
+        assert not (tmp_path / "ccapm.json").exists()
 
     def test_reports_deterministic_modulo_wall_time(self, tmp_path):
         config = load_config(write_config(

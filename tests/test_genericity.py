@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from momentid import _seedbulk
 from momentid.fnspace import (
     GridFunction,
     GridMeasure,
@@ -12,6 +13,7 @@ from momentid.fnspace import (
 )
 from momentid.genericity import (
     DRAW_CHUNK,
+    SEED_BLOCK,
     GeneratorConfig,
     draw_operator,
     mc_injectivity,
@@ -181,6 +183,67 @@ def test_draws_match_the_one_at_a_time_reference(grid_and_basis, flags):
         assert draw.kappa == kappa
 
 
+# Seeds at the word boundaries of numpy's seed hashing: one to eight 32-bit
+# words, so roots both shorter and longer than the four-word pool.
+EDGE_SEEDS = [0, 1, 2**31 - 1, 2**32 - 1, 2**32 + 5, 2**64 + 1, 2**128 - 1,
+              2**200 + 17, 20250809]
+
+
+@pytest.mark.filterwarnings("error")
+class TestBulkSetupMatchesNumpy:
+    """The bulk generator set-up against numpy itself, not against
+    draw_operator, which shares it."""
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    def test_child_seeds(self, seed):
+        children = np.random.SeedSequence(seed).spawn(SEED_BLOCK + 6)
+        expected = np.array([c.generate_state(1)[0] for c in children])
+        assert np.array_equal(
+            _seedbulk.spawned_seeds(seed, 0, SEED_BLOCK), expected[:-6])
+        # a block that crosses the mc_injectivity block boundary
+        assert np.array_equal(
+            _seedbulk.spawned_seeds(seed, SEED_BLOCK - 5, SEED_BLOCK + 6),
+            expected[-11:])
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    def test_generators(self, seed):
+        for width in (1, 2, 30):
+            assert np.array_equal(
+                _seedbulk.uniforms(seed, width)[0],
+                np.random.default_rng(seed).uniform(-1.0, 1.0, size=width))
+        # the dependent_u draw is numpy's scalar draw
+        assert _seedbulk.uniforms(seed, 1)[0, 0] == \
+            np.random.default_rng(seed).uniform(-1.0, 1.0)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 + 1, 20250809])
+    @pytest.mark.parametrize("width", [1, 12])
+    def test_spawned_generators(self, seed, width):
+        start, stop = SEED_BLOCK - 3, SEED_BLOCK + 4
+        rows = _seedbulk.spawned_uniforms(seed, start, stop, width)
+        children = np.random.SeedSequence(seed).spawn(stop)[start:]
+        for row, child in zip(rows, children, strict=True):
+            rng = np.random.default_rng(child.generate_state(1)[0])
+            if width == 1:
+                assert row[0] == rng.uniform(-1.0, 1.0)
+            else:
+                assert np.array_equal(row, rng.uniform(-1.0, 1.0, size=width))
+
+    def test_negative_seed_raises_as_numpy_does(self, grid_and_basis):
+        _, basis = grid_and_basis
+        with pytest.raises(ValueError, match="non-negative"):
+            np.random.default_rng(-1)
+        with pytest.raises(ValueError, match="non-negative"):
+            _seedbulk.uniforms(-1, 3)
+        with pytest.raises(ValueError, match="non-negative"):
+            _seedbulk.spawned_seeds(-1, 0, 2)
+        config = GeneratorConfig(sigma=np.ones(3), kappa=1.0, trunc_n=3)
+        with pytest.raises(ValueError, match="non-negative"):
+            draw_operator(config, (basis, basis), seed=-1)
+        with pytest.raises(ValueError, match="non-negative"):
+            mc_injectivity(config, (basis, basis), draws=2, tol=1e-12,
+                           seed=-1)
+
+
 class TestMcInjectivity:
     def test_spectrum_matches_sorted_coefficients(self, grid_and_basis):
         _, basis = grid_and_basis
@@ -236,7 +299,7 @@ class TestMcInjectivity:
         assert np.all(np.abs(report.sigma_min - ref_min) <= 1e-13 * ref_min)
         assert report.max_spectrum_deviation <= 1e-10
 
-    @pytest.mark.parametrize("draws", [1, 15, 16, 17, 200])
+    @pytest.mark.parametrize("draws", [1, 15, 16, 17, 200, SEED_BLOCK + 1])
     @pytest.mark.parametrize("flags", [{}, {"dependent_u": True}],
                              ids=["plain", "dependent_u"])
     def test_chunks_reproduce_single_draws_bit_for_bit(

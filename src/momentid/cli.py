@@ -5,6 +5,9 @@ makes about it and writes a machine-readable report.  Configs are JSON with
 a mandatory seed; reports echo the config, embed its hash, and are byte
 identical across runs up to the wall-time field.  The process exits zero
 exactly when every check passes.
+
+Each ``_run_<experiment>`` imports the library modules it uses in its own
+body, so a process compiles only the experiment it runs.
 """
 
 from __future__ import annotations
@@ -12,35 +15,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-
-from .fnspace import GridFunction, GridMeasure, cosine_basis, norm
-from .genericity import GeneratorConfig, draw_operator, mc_injectivity
-from .identcore import (
-    cone_inclusion_suite,
-    counterexample_cases,
-    estimate_nonlinearity,
-    gateaux_check,
-    sample_ellipsoid_deviations,
-    verify_local_id,
-)
-from .linop import LinearOperator, from_kernel, svd
-from .models.ccapm import (
-    ccapm_moment_map,
-    check_global_identification,
-    completeness_check,
-    fixed_state_completeness_operator,
-    lognormal_ccapm_model,
-    perron_frobenius,
-)
-from .models.quantile import gaussian_quantile_model, quantile_moment_map
-from .models.single_index import diagnose_single_index, gaussian_index_design
-from .semiparam import SplitDerivative, partial_out, split_lower_bound_check
 
 
 class UsageError(ValueError):
@@ -87,6 +68,8 @@ class Check:
 
 
 def _run_counterexample(params: dict, seed: int) -> list[tuple]:
+    from .identcore import counterexample_cases
+
     k_min, k_max = params["k_min"], params["k_max"]
     if k_min > k_max:
         raise ValueError(f"k_min {k_min} exceeds k_max {k_max}")
@@ -109,6 +92,12 @@ def _run_counterexample(params: dict, seed: int) -> list[tuple]:
 
 
 def _run_quantile(params: dict, seed: int) -> list[tuple]:
+    from .fnspace import GridFunction, norm
+    from .identcore import (estimate_nonlinearity, gateaux_check,
+                            sample_ellipsoid_deviations, verify_local_id)
+    from .linop import svd
+    from .models.quantile import gaussian_quantile_model, quantile_moment_map
+
     rng = np.random.default_rng(seed)
     model = gaussian_quantile_model(
         n_x=params["n_x"], n_w=params["n_w"], n_y=params["n_y"],
@@ -143,6 +132,9 @@ def _run_quantile(params: dict, seed: int) -> list[tuple]:
 
 
 def _run_single_index(params: dict, seed: int) -> list[tuple]:
+    from .models.single_index import (diagnose_single_index,
+                                       gaussian_index_design)
+
     rhos = np.linspace(0.4, 0.7, params["n_designs"])
     all_consistent = True
     scalar_worst = 0.0
@@ -169,6 +161,12 @@ def _run_single_index(params: dict, seed: int) -> list[tuple]:
 
 
 def _run_ccapm(params: dict, seed: int) -> list[tuple]:
+    from .models.ccapm import (ccapm_moment_map, check_global_identification,
+                               completeness_check,
+                               fixed_state_completeness_operator,
+                               lognormal_ccapm_model, perron_frobenius)
+    from .semiparam import partial_out
+
     model = lognormal_ccapm_model(
         n_state=params["n_state"], n_signal=params["n_signal"]
     )
@@ -201,6 +199,9 @@ def _run_ccapm(params: dict, seed: int) -> list[tuple]:
 
 
 def _run_genericity(params: dict, seed: int) -> tuple[list[tuple], np.ndarray]:
+    from .fnspace import GridMeasure, cosine_basis
+    from .genericity import GeneratorConfig, draw_operator, mc_injectivity
+
     n = params["trunc_n"]
     grid = GridMeasure.uniform(params["grid_n"])
     basis = cosine_basis(grid, n)
@@ -225,11 +226,17 @@ def _run_genericity(params: dict, seed: int) -> tuple[list[tuple], np.ndarray]:
 
 
 def _run_cone_suite(params: dict, seed: int) -> list[tuple]:
+    from .identcore import cone_inclusion_suite
+
     report = cone_inclusion_suite(params["instances"], params["dim"], seed)
     return [(report.total_violations == 0, report.violations)]
 
 
 def _run_semiparam_pi(params: dict, seed: int) -> list[tuple]:
+    from .fnspace import GridFunction, GridMeasure
+    from .linop import LinearOperator, from_kernel
+    from .semiparam import SplitDerivative, partial_out, split_lower_bound_check
+
     mu = GridMeasure([0.0, 1.0], [0.5, 0.5])
     m_g = from_kernel(np.ones((2, 2)), mu, mu)
     split = SplitDerivative(
@@ -399,6 +406,9 @@ def load_config(path: str) -> dict:
                 raise UsageError(f"param {key} must be at least 1, got {value}")
         elif not (_is_int(value) or isinstance(value, float)):
             raise UsageError(f"param {key} must be a number, got {value!r}")
+        elif isinstance(value, float) and not math.isfinite(value):
+            # json.load reads NaN, Infinity and -Infinity as floats
+            raise UsageError(f"param {key} must be finite, got {value!r}")
         elif key in ("tol", "pf_tol") and value <= 0:
             raise UsageError(f"tolerance {key} must be positive")
     params.update(extra)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -122,6 +125,22 @@ class TestConfigValidation:
             load_config(path)
         assert main(["run", path, "--out", str(tmp_path)]) == 2
         assert next(iter(params)) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment, key, value", [
+        ("genericity", "tol", float("nan")),
+        ("ccapm", "pf_tol", float("inf")),
+        ("quantile", "rho", float("-inf")),
+    ])
+    def test_float_param_must_be_finite(self, tmp_path, capsys, experiment,
+                                        key, value):
+        # NaN made "no draw loses injectivity" pass vacuously
+        path = write_config(
+            tmp_path, {"experiment": experiment, "seed": 1,
+                       "params": {key: value}})
+        with pytest.raises(UsageError, match=f"{key} must be finite"):
+            load_config(path)
+        assert main(["run", path, "--out", str(tmp_path)]) == 2
+        assert key in capsys.readouterr().err
 
     def test_nonpositive_tolerance_rejected(self, tmp_path):
         path = write_config(
@@ -318,16 +337,16 @@ class TestRun:
 
     def test_rejected_ellipsoid_draw_is_a_failed_check(self, tmp_path,
                                                        monkeypatch):
-        import momentid.cli as cli
+        import momentid.identcore as identcore
 
-        real = cli.sample_ellipsoid_deviations
+        real = identcore.sample_ellipsoid_deviations
 
         def with_a_zero_draw(dec, bound, n, rng):
             draws = real(dec, bound, n, rng)
             zero = draws[0][0] - draws[0][0]
             return [(zero, draws[0][1])] + draws[1:]
 
-        monkeypatch.setattr(cli, "sample_ellipsoid_deviations",
+        monkeypatch.setattr(identcore, "sample_ellipsoid_deviations",
                             with_a_zero_draw)
         config = load_config(write_config(
             tmp_path, {"experiment": "quantile", "seed": 3,
@@ -374,3 +393,36 @@ def test_config_hash_ignores_out_dir(tmp_path):
     c2 = load_config(write_config(tmp_path, {**base, "out_dir": "/tmp/x"},
                                   "b.json"))
     assert config_hash(c1) == config_hash(c2)
+
+
+IMPORT_SCOPE = """
+import json, sys
+from momentid.cli import main
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "momentid")
+
+before = loaded()
+assert main(["run", sys.argv[1], "--out", sys.argv[2]]) == 0
+print(json.dumps([before, loaded()]))
+"""
+
+
+def test_cli_imports_only_the_experiment_that_runs(tmp_path):
+    # start-up cost: importing the CLI loads no library module, and a run
+    # loads only what its runner uses
+    import momentid
+
+    path = write_config(
+        tmp_path, {"experiment": "genericity", "seed": 1,
+                   "params": {"draws": 5, "grid_n": 16, "trunc_n": 8}})
+    src = str(Path(momentid.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", IMPORT_SCOPE, path, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, check=True)
+    before, after = json.loads(out.stdout.splitlines()[-1])
+    assert before == ["momentid", "momentid.cli"]
+    assert sorted(set(after) - set(before)) == [
+        "momentid._seedbulk", "momentid.errors", "momentid.fnspace",
+        "momentid.genericity", "momentid.linop"]

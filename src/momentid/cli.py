@@ -234,11 +234,11 @@ def _run_cone_suite(params: dict, seed: int) -> list[tuple]:
 
 def _run_semiparam_pi(params: dict, seed: int) -> list[tuple]:
     from .fnspace import GridFunction, GridMeasure
-    from .linop import LinearOperator, from_kernel
+    from .linop import LinearOperator
     from .semiparam import SplitDerivative, partial_out, split_lower_bound_check
 
     mu = GridMeasure([0.0, 1.0], [0.5, 0.5])
-    m_g = from_kernel(np.ones((2, 2)), mu, mu)
+    m_g = LinearOperator(np.ones((2, 2)), mu, mu)
     split = SplitDerivative(
         m_beta=(GridFunction([1.0, 0.0], mu),), m_g=m_g
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -72,8 +72,8 @@ class GridMeasure:
     def axis_sizes(self) -> tuple[int, ...]:
         return tuple(np.unique(self.points[:, k]).size for k in range(self.dim))
 
-    def coords(self, axis: int = 0) -> np.ndarray:
-        return self.points[:, axis]
+    def coords(self) -> np.ndarray:
+        return self.points[:, 0]
 
     @staticmethod
     def uniform(n: int, a: float = 0.0, b: float = 1.0) -> "GridMeasure":
@@ -97,7 +97,7 @@ class GridMeasure:
 
     @staticmethod
     def from_density(
-        points: Sequence[float], density: Sequence[float], normalize: bool = True
+        points: Sequence[float], density: Sequence[float]
     ) -> "GridMeasure":
         """Probability measure with trapezoid quadrature times a density."""
         base = GridMeasure.trapezoid(points)
@@ -105,9 +105,7 @@ class GridMeasure:
         if np.any(d <= 0):
             raise ValueError("density must be strictly positive on the grid")
         w = base.weights * d
-        if normalize:
-            w = w / w.sum()
-        return GridMeasure(base.points[:, 0], w)
+        return GridMeasure(base.points[:, 0], w / w.sum())
 
     @staticmethod
     def tensor(mx: "GridMeasure", my: "GridMeasure") -> "GridMeasure":
@@ -173,12 +171,10 @@ class GridFunction:
     __rmul__ = __mul__
 
 
-def inner(f: GridFunction, g: GridFunction, mu: GridMeasure | None = None) -> float:
+def inner(f: GridFunction, g: GridFunction) -> float:
     """Weighted inner product sum_i w_i f_i g_i."""
-    mu = mu or f.measure
-    if not (f.measure.same_as(mu) and g.measure.same_as(mu)):
-        raise GridMismatchError("inner product operands must share one measure")
-    return float(np.dot(mu.weights, f.values * g.values))
+    f._check(g)
+    return float(np.dot(f.measure.weights, f.values * g.values))
 
 
 def norm(f: GridFunction) -> float:
@@ -195,45 +191,19 @@ def weighted_norm(values: np.ndarray, weights: np.ndarray) -> float:
 class OrthonormalBasis:
     """Ordered family of grid functions, pairwise orthonormal under the measure.
 
-    The family is stored once as a read-only node-by-element matrix; element
-    grid functions are built from its columns on demand.  May be empty, in
-    which case the measure must be supplied explicitly.
+    Built from its node-by-element matrix: element j takes the values
+    ``mat[:, j]`` at the nodes.  The basis keeps a read-only copy of the
+    matrix and builds element grid functions from its columns on demand.
+    It may have no elements.  ``check=False`` skips the orthonormality
+    test, for columns orthonormal by construction (singular functions).
     """
 
     measure: GridMeasure
-    ortho_tol: float
     _mat: np.ndarray
 
-    def __init__(
-        self,
-        functions: Iterable[GridFunction],
-        measure: GridMeasure | None = None,
-        ortho_tol: float = DEFAULT_ORTHO_TOL,
-        check: bool = True,
-    ):
-        fns = tuple(functions)
-        mu = measure if fns == () else fns[0].measure
-        if mu is None:
-            raise ValueError("an empty basis needs an explicit measure")
-        for f in fns:
-            if not f.measure.same_as(mu):
-                raise GridMismatchError("basis elements live on different measures")
-        if fns:
-            mat = np.column_stack([f.values for f in fns])
-        else:
-            mat = np.empty((mu.size, 0))
-        self._store(mat, mu, ortho_tol, check)
-
-    @classmethod
-    def from_matrix(
-        cls,
-        mat: np.ndarray,
-        measure: GridMeasure,
-        ortho_tol: float = DEFAULT_ORTHO_TOL,
-        check: bool = True,
-    ) -> "OrthonormalBasis":
-        """Basis whose element j takes the values ``mat[:, j]`` at the nodes."""
-        mat = np.asarray(mat, dtype=float)
+    def __init__(self, mat: np.ndarray, measure: GridMeasure,
+                 check: bool = True):
+        mat = np.array(mat, dtype=float, order="C")
         if mat.ndim != 2 or mat.shape[0] != measure.size:
             raise GridMismatchError(
                 f"basis matrix shape {mat.shape} does not fit a "
@@ -241,20 +211,13 @@ class OrthonormalBasis:
             )
         if not np.all(np.isfinite(mat)):
             raise ValueError("basis values must be finite")
-        basis = cls.__new__(cls)
-        basis._store(mat, measure, ortho_tol, check)
-        return basis
-
-    def _store(self, mat, mu: GridMeasure, ortho_tol: float, check: bool) -> None:
-        mat = np.array(mat, dtype=float, order="C")
         mat.flags.writeable = False
         object.__setattr__(self, "_mat", mat)
-        object.__setattr__(self, "measure", mu)
-        object.__setattr__(self, "ortho_tol", ortho_tol)
+        object.__setattr__(self, "measure", measure)
         k = mat.shape[1]
         if check and k:
-            gram = (mat * mu.weights[:, None]).T @ mat
-            if not np.allclose(gram, np.eye(k), rtol=0, atol=ortho_tol):
+            gram = (mat * measure.weights[:, None]).T @ mat
+            if not np.allclose(gram, np.eye(k), rtol=0, atol=DEFAULT_ORTHO_TOL):
                 worst = np.abs(gram - np.eye(k)).max()
                 raise ValueError(
                     f"family is not orthonormal (worst Gram defect {worst:.2e})"
@@ -312,5 +275,5 @@ def cosine_basis(measure: GridMeasure, n_funcs: int) -> OrthonormalBasis:
             mat[:, j] = 1.0 / np.sqrt(wsum)
         else:
             mat[:, j] = np.sqrt(2.0 / wsum) * np.cos(j * np.pi * t)
-    return OrthonormalBasis.from_matrix(mat, measure)
+    return OrthonormalBasis(mat, measure)
 

@@ -76,7 +76,7 @@ class OperatorDraw:
     lambdas: np.ndarray
     kappa: float
     seed: int
-    c_bound: float | None = None
+    c_bound: float | None
 
 
 @dataclass(frozen=True)
@@ -99,11 +99,11 @@ class _DrawSetup:
 def _setup_draws(
     config: GeneratorConfig,
     bases: tuple[OrthonormalBasis, OrthonormalBasis],
-    c_bound: float | None,
 ) -> _DrawSetup:
     """The per-configuration checks of :func:`draw_operator`: basis length,
     the compactness decay test, the positivity preconditions and probability
-    grids for the density variant.  The finiteness of the entries and the
+    grids for the density variant; with positivity, also the sup bound c of
+    the bases plus ten percent.  The finiteness of the entries and the
     dense-storage axis cap are checked on each stack of draws
     (``OperatorStack``)."""
     phi, psi = bases
@@ -114,7 +114,7 @@ def _setup_draws(
         raise ValueError("sigma decay fails the compactness (square-summable) test")
     phi_mat, psi_mat = phi.matrix()[:, :n], psi.matrix()[:, :n]
 
-    c_used = None
+    c_bound = None
     if config.positive or config.density:
         for name, mat in (("phi", phi_mat), ("psi", psi_mat)):
             lead = mat[:, 0]
@@ -123,25 +123,14 @@ def _setup_draws(
                     f"positivity needs a constant leading element in the "
                     f"{name} basis"
                 )
-        peaks = (("phi", np.abs(phi_mat).max(axis=0)),
-                 ("psi", np.abs(psi_mat).max(axis=0)))
-        c_used = c_bound if c_bound is not None else 1.1 * float(
-            max(peak.max() for _, peak in peaks)
-        )
-        for name, peak in peaks:
-            over = np.flatnonzero(peak > c_used + 1e-12)
-            if over.size:
-                j = int(over[0])
-                raise ValueError(
-                    f"{name} basis element {j} has sup norm {peak[j]:.6f} "
-                    f"exceeding the bound c = {c_used:.6f}"
-                )
+        c_bound = 1.1 * float(max(np.abs(phi_mat).max(),
+                                  np.abs(psi_mat).max()))
         if config.density and not (
             phi.measure.is_probability and psi.measure.is_probability
         ):
             raise ValueError("the density variant needs probability grids")
     return _DrawSetup(config, phi_mat, psi_mat, phi.measure, psi.measure,
-                      c_used)
+                      c_bound)
 
 
 def _draw_stack(
@@ -185,21 +174,20 @@ def draw_operator(
     config: GeneratorConfig,
     bases: tuple[OrthonormalBasis, OrthonormalBasis],
     seed: int,
-    c_bound: float | None = None,
 ) -> OperatorDraw:
     """One realization of the random operator on the supplied bases.
 
     With the positive flag the zeroth basis elements must be the constant
     function and the leading coefficient is replaced by
     c^2 sum_{j>=1} |lambda_j| + |u_0| sigma_0, which dominates the mixed terms
-    and makes the kernel nonnegative at every node pair; c defaults to the
-    measured sup bound of the bases plus ten percent.  The density flag
+    and makes the kernel nonnegative at every node pair; c is the measured
+    sup bound of the bases plus ten percent.  The density flag
     additionally rescales kappa so the leading coefficient contributes unit
     kernel row sums.  This is the one-draw case of :func:`_draw_stack`.
     """
     from . import _seedbulk  # see mc_injectivity
 
-    setup = _setup_draws(config, bases, c_bound)
+    setup = _setup_draws(config, bases)
     ops, lam, kappa = _draw_stack(setup,
                                   _seedbulk.uniforms(seed, setup.u_width))
     op = LinearOperator(ops.entries[0], setup.domain, setup.codomain)
@@ -245,7 +233,7 @@ def mc_injectivity(
 
     if draws < 1:
         raise ValueError("draws must be at least 1")
-    setup = _setup_draws(config, bases, None)
+    setup = _setup_draws(config, bases)
     n = config.trunc_n
     sig_min = np.empty(draws)
     worst_dev = 0.0

@@ -102,13 +102,6 @@ def apply_values(op: LinearOperator, values: np.ndarray) -> np.ndarray:
     return op.entries @ (op.domain.weights * values)
 
 
-def from_kernel(
-    kernel: np.ndarray, dom: GridMeasure, cod: GridMeasure
-) -> LinearOperator:
-    """Integral operator (T g)(s) = sum_t w_t K(s, t) g(t)."""
-    return LinearOperator(kernel, dom, cod)
-
-
 def conditional_expectation(
     joint: np.ndarray,
     dom: GridMeasure,
@@ -163,7 +156,7 @@ class SvdDecomposition:
     singular_values: np.ndarray
     right_functions: OrthonormalBasis
     left_functions: OrthonormalBasis
-    tol: float = 0.0
+    tol: float
 
     def __post_init__(self):
         s = np.asarray(self.singular_values, dtype=float)
@@ -222,9 +215,9 @@ def svd(op: LinearOperator, tol: float = 1e-12) -> SvdDecomposition:
     left = u / np.sqrt(op.codomain.weights)[:, None]
     return SvdDecomposition(
         s,
-        OrthonormalBasis.from_matrix(right, op.domain, check=False),
-        OrthonormalBasis.from_matrix(left, op.codomain, check=False),
-        tol=tol,
+        OrthonormalBasis(right, op.domain, check=False),
+        OrthonormalBasis(left, op.codomain, check=False),
+        tol,
     )
 
 

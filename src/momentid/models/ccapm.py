@@ -213,13 +213,12 @@ def positive_eigenpair(
     op: LinearOperator,
     tol: float = 1e-12,
     max_iter: int = 10000,
-    oracle_max: int = 256,
 ) -> EigenPair:
     """Power iteration for the leading eigenpair of a positive operator.
 
     Starts from the constant function, normalizes in the weighted norm of
     the grid, and stops when ||Tg / rho - g|| falls below tol.  The dual
-    eigenfunction comes from the adjoint; on grids up to ``oracle_max`` the
+    eigenfunction comes from the adjoint; on grids of up to 256 nodes the
     full spectrum is computed densely and the gap |rho_2| / rho_1 certifies
     that the leading eigenvalue is simple.
     """
@@ -259,7 +258,7 @@ def positive_eigenpair(
             f"primal and dual eigenvalues disagree: {rho} vs {rho_d}"
         )
     gap = math.nan
-    if op.domain.size <= oracle_max:
+    if op.domain.size <= 256:
         eigs = np.linalg.eigvals(amat)
         mags = np.sort(np.abs(eigs))[::-1]
         gap = float(mags[1] / mags[0]) if mags.size > 1 else 0.0
@@ -278,17 +277,9 @@ def positive_eigenpair(
     )
 
 
-def perron_frobenius(
-    model: CcapmModel, tol: float = 1e-12, max_iter: int = 10000
-) -> EigenPair:
+def perron_frobenius(model: CcapmModel, tol: float = 1e-12) -> EigenPair:
     """Unique positive eigenpair of the model's state-conditioned operator."""
-    op = build_pf_operator(model)
-    if np.any(op.entries <= 0):
-        raise ValueError(
-            "pricing kernel is not strictly positive at all grid nodes; the "
-            "positive-eigenpair hypotheses fail on this design"
-        )
-    return positive_eigenpair(op, tol=tol, max_iter=max_iter)
+    return positive_eigenpair(build_pf_operator(model), tol=tol)
 
 
 @dataclass(frozen=True)

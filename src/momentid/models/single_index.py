@@ -42,7 +42,6 @@ class SingleIndexModel:
     x2: np.ndarray
     g0: Callable
     g0_prime: Callable
-    c_g: float
 
     def __post_init__(self):
         b0 = np.atleast_1d(np.asarray(self.beta0, dtype=float))
@@ -60,8 +59,6 @@ class SingleIndexModel:
         gp = np.asarray(self.g0_prime(self.v_measure.coords()), dtype=float)
         if not np.all(np.isfinite(gp)):
             raise ValueError("g0_prime must be finite on the index grid")
-        if self.c_g <= 0:
-            raise ValueError("the Lipschitz constant of g0_prime must be positive")
         object.__setattr__(self, "beta0", b0)
         object.__setattr__(self, "joint_ratio", ratio)
         object.__setattr__(self, "x2", x2)
@@ -148,29 +145,26 @@ def _subsample_indices(n: int, target: int) -> np.ndarray:
 
 
 def diagnose_single_index(
-    model: SingleIndexModel,
-    tol: float = 1e-10,
-    proxy_points: int = 12,
-    range_tol: float = 1e-8,
-    singular_ratio: float = 1e-6,
+    model: SingleIndexModel, tol: float = 1e-10
 ) -> IndexDiagnosis:
     """Joint completeness / Gram-singularity diagnosis of the index design.
 
     The completeness proxy tests injectivity of b(W) -> E[b(W)|V] on a
-    coarse subsample of the grids; truncated injectivity is only meaningful
-    near the operator's numerical rank, and the structural question (scalar
-    instrument versus richer instrument) is already visible at desk
-    resolution.  A domain larger than the codomain can never be injective,
-    so two-dimensional instrument grids fail the proxy by dimension count.
-    The Gram matrix is computed on the full grids; ``consistent`` is the
-    contrapositive gate: completeness and a nonsingular Gram matrix must
-    never hold together.
+    coarse subsample of the grids, at most 12 index nodes and 12^d
+    instrument nodes for a d-dimensional instrument; truncated injectivity
+    is only meaningful near the operator's numerical rank, and the
+    structural question (scalar instrument versus richer instrument) is
+    already visible at desk resolution.  A domain larger than the codomain
+    can never be injective, so two-dimensional instrument grids fail the
+    proxy by dimension count.  The Gram matrix is computed on the full
+    grids, on the range of m_g above 1e-8 times its largest singular value,
+    and is singular when its smallest eigenvalue is at most 1e-6 times its
+    trace; ``consistent`` is the contrapositive gate: completeness and a
+    nonsingular Gram matrix must never hold together.
     """
     supported = np.flatnonzero(model.joint_ratio.max(axis=1) > 0)
-    iv = supported[_subsample_indices(supported.size, proxy_points)]
-    iw = _subsample_indices(
-        model.w_measure.size, proxy_points**model.w_measure.dim
-    )
+    iv = supported[_subsample_indices(supported.size, 12)]
+    iw = _subsample_indices(model.w_measure.size, 12**model.w_measure.dim)
     sub_v = GridMeasure(
         model.v_measure.points[iv],
         model.v_measure.weights[iv] / model.v_measure.weights[iv].sum(),
@@ -187,9 +181,9 @@ def diagnose_single_index(
     ratio = rank.sigma_min / rank.sigma_max if rank.sigma_max > 0 else 0.0
 
     _, split = single_index_map(model)
-    report = partial_out(split, range_tol)
+    report = partial_out(split, 1e-8)
     trace = float(np.trace(report.gram))
-    pi_singular = report.lambda_min <= singular_ratio * max(trace, 1e-300)
+    pi_singular = report.lambda_min <= 1e-6 * max(trace, 1e-300)
     return IndexDiagnosis(
         w_given_v_complete=rank.holds,
         pi_singular=pi_singular,
@@ -258,11 +252,9 @@ def gaussian_index_design(
     if link == "softplus":
         g0 = lambda v: np.logaddexp(0.0, v)  # noqa: E731
         g0p = lambda v: 1.0 / (1.0 + np.exp(-v))  # noqa: E731
-        c_g = 0.25
     elif link == "sin":
         g0 = lambda v: v + 0.5 * np.sin(v)  # noqa: E731
         g0p = lambda v: 1.0 + 0.5 * np.cos(v)  # noqa: E731
-        c_g = 0.5
     else:
         raise ValueError(f"unknown link {link!r}")
 
@@ -276,5 +268,4 @@ def gaussian_index_design(
         x2=x2,
         g0=g0,
         g0_prime=g0p,
-        c_g=c_g,
     )

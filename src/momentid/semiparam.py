@@ -89,7 +89,7 @@ class PartialOutReport:
     range_basis: OrthonormalBasis
     tail_singular_mass: float
     decomposition: SvdDecomposition
-    degenerate: bool = False
+    degenerate: bool
 
 
 def partial_out(split: SplitDerivative, range_tol: float) -> PartialOutReport:
@@ -108,7 +108,7 @@ def partial_out(split: SplitDerivative, range_tol: float) -> PartialOutReport:
     keep = mu > range_tol * mu[0] if mu[0] > 0 else np.zeros(mu.size, dtype=bool)
     tail_mass = float(np.sum(mu[~keep] ** 2))
     degenerate = not bool(keep.any())
-    range_basis = OrthonormalBasis.from_matrix(
+    range_basis = OrthonormalBasis(
         dec.left_functions.matrix()[:, keep], split.m_g.codomain, check=False
     )
     zeta = tuple(project(col, range_basis) for col in split.m_beta)
@@ -253,15 +253,14 @@ class SemiparametricMap:
         )
 
 
-def linearity_in_g_check(
-    model: SemiparametricMap, seed: int = 0, trials: int = 4, tol: float = 1e-9
-) -> float:
-    """Largest relative additivity/homogeneity defect of g -> m(beta0, g)."""
+def linearity_in_g_check(model: SemiparametricMap, seed: int = 0) -> float:
+    """Largest relative additivity/homogeneity defect of g -> m(beta0, g)
+    over four random pairs of directions."""
     rng = np.random.default_rng(seed)
     g_mu = model.g0.measure
     m0 = model.eval(model.beta0, model.g0)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(4):
         d1 = GridFunction(rng.standard_normal(g_mu.size), g_mu)
         d2 = GridFunction(rng.standard_normal(g_mu.size), g_mu)
         a, b = rng.uniform(-2, 2, size=2)
@@ -312,18 +311,17 @@ def _sample_beta(
 
 
 def _gram_gate(
-    model: SemiparametricMap,
-    range_tol: float,
-    singular_gate: float,
-    pos_tol: float | None,
+    model: SemiparametricMap, pos_tol: float | None
 ) -> SemiparamIdReport:
     """Partial out m_g and gate on the Gram matrix, for both harnesses.
 
-    A Gram matrix singular against the unpartialled column scale gives the
-    final no-claim report; otherwise the report carries the partial-out
-    result and the positivity tolerance, with nothing sampled yet.
+    The range of m_g keeps the singular values above 1e-12 times the
+    largest.  A Gram matrix whose smallest eigenvalue is at most 1e-10
+    times the unpartialled column scale gives the final no-claim report;
+    otherwise the report carries the partial-out result and the positivity
+    tolerance, with nothing sampled yet.
     """
-    report = partial_out(model.split, range_tol)
+    report = partial_out(model.split, 1e-12)
     # gate against the unpartialled column scale: a fully absorbed column
     # leaves only projection dust in the Gram matrix
     scale = sum(norm(c) ** 2 for c in model.split.m_beta)
@@ -332,7 +330,7 @@ def _gram_gate(
         min_m_norm=math.nan, full_local_id=False, g_rank_holds=False,
         partial=report, pos_tol=math.nan,
     )
-    if report.lambda_min <= singular_gate * max(scale, 1e-300):
+    if report.lambda_min <= 1e-10 * max(scale, 1e-300):
         return no_claim
     if pos_tol is None:
         stacked = model.to_moment_map().derivative
@@ -361,19 +359,17 @@ def verify_semiparam_linear(
     g_radius: float,
     samples: int,
     seed: int,
-    range_tol: float = 1e-12,
-    singular_gate: float = 1e-10,
     pos_tol: float | None = None,
-    rank_tol: float = 1e-10,
 ) -> SemiparamIdReport:
     """Sampling harness for parametric identification with g linear.
 
     Requires linearity of g -> m(beta0, g); checks that every sampled
     (beta, g) with beta != beta0 in the product neighborhood keeps
     ||m(beta, g)|| above numerical zero.  When the rank condition for m_g
-    also holds, samples with beta = beta0 and g != g0 are asserted nonzero
-    too, upgrading the claim to full local identification.  With a singular
-    Gram matrix the precondition gate fails and no claim is made.
+    also holds at tolerance 1e-10, samples with beta = beta0 and g != g0
+    are asserted nonzero too, upgrading the claim to full local
+    identification.  With a singular Gram matrix the precondition gate
+    fails and no claim is made.
     """
     defect = linearity_in_g_check(model, seed=seed)
     if defect > 1e-9:
@@ -381,12 +377,12 @@ def verify_semiparam_linear(
             f"m(beta0, .) is not linear in g (defect {defect:.2e}); "
             "use verify_semiparam_nonlinear with a curvature bound"
         )
-    gate = _gram_gate(model, range_tol, singular_gate, pos_tol)
+    gate = _gram_gate(model, pos_tol)
     if not gate.pi_nonsingular:
         return gate
     rng = np.random.default_rng(seed)
     dec = gate.partial.decomposition
-    g_rank = rank_condition(model.split.m_g, rank_tol)
+    g_rank = rank_condition(model.split.m_g, 1e-10)
     m_norms = []
     for _ in range(samples):
         beta = _sample_beta(rng, model, beta_radius)
@@ -416,9 +412,6 @@ def verify_semiparam_nonlinear(
     samples: int,
     seed: int,
     g_radius: float | None = None,
-    range_tol: float = 1e-12,
-    singular_gate: float = 1e-10,
-    pos_tol: float | None = None,
     budget_factor: int = 200,
 ) -> SemiparamIdReport:
     """Like the linear harness, but g-deviations are restricted by rejection
@@ -430,7 +423,7 @@ def verify_semiparam_nonlinear(
     EmptyNeighborhoodError, which usually means the threshold is too strict
     for the sampled decay profile.
     """
-    gate = _gram_gate(model, range_tol, singular_gate, pos_tol)
+    gate = _gram_gate(model, None)
     if not gate.pi_nonsingular:
         return gate
     if g_radius is None:

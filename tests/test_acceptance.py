@@ -17,7 +17,7 @@ from momentid.identcore import (
     gateaux_check,
     sample_ellipsoid_deviations,
 )
-from momentid.linop import LinearOperator, apply, from_kernel, svd
+from momentid.linop import LinearOperator, apply, svd
 from momentid.models.ccapm import (
     build_pf_operator,
     ccapm_moment_map,
@@ -99,7 +99,7 @@ def test_criterion_03_svd_oracle_equivalence():
                           rng.uniform(0.2, 2.0, n_dom))
         cod = GridMeasure(np.arange(float(n_cod)),
                           rng.uniform(0.2, 2.0, n_cod))
-        op = from_kernel(rng.standard_normal((n_cod, n_dom)), dom, cod)
+        op = LinearOperator(rng.standard_normal((n_cod, n_dom)), dom, cod)
         dec = svd(op)
         # independent oracle: dense eigendecomposition of the weighted Gram
         b = (np.sqrt(cod.weights)[:, None] * op.entries
@@ -156,7 +156,7 @@ def test_criterion_05_partialled_lower_bound_suite():
     mu = GridMeasure([0.0, 1.0], [0.5, 0.5])
     split = SplitDerivative(
         m_beta=(GridFunction([1.0, 0.0], mu),),
-        m_g=from_kernel(np.ones((2, 2)), mu, mu),
+        m_g=LinearOperator(np.ones((2, 2)), mu, mu),
     )
     hand = partial_out(split, 1e-12)
     hand_ok = (abs(hand.gram[0, 0] - 0.25) <= 1e-9

@@ -207,18 +207,20 @@ class TestRun:
                                                      monkeypatch):
         import momentid.identcore as identcore
 
-        calls = []
-        validate = identcore._validate_counterexample_f
+        scans = []
+        f = identcore.default_counterexample_f
 
-        def counting(f, scan):
-            calls.append(f)
-            validate(f, scan)
+        def counting(x):
+            if np.size(x) == 24001:
+                scans.append(x)
+            return f(x)
 
-        monkeypatch.setattr(identcore, "_validate_counterexample_f", counting)
+        monkeypatch.setattr(identcore, "default_counterexample_f", counting)
         path = write_config(
             tmp_path, {"experiment": "counterexample", "seed": 3})
         assert main(["run", path, "--out", str(tmp_path)]) == 0
-        assert len(calls) == 1
+        # one scan both checks f and measures its curvature constant
+        assert len(scans) == 1
 
     def test_exit_status_tracks_summary(self, tmp_path, monkeypatch):
         path = write_config(
@@ -426,3 +428,22 @@ def test_cli_imports_only_the_experiment_that_runs(tmp_path):
     assert sorted(set(after) - set(before)) == [
         "momentid._seedbulk", "momentid.errors", "momentid.fnspace",
         "momentid.genericity", "momentid.linop"]
+
+
+def test_every_benchmark_span_target_resolves():
+    # bench/spans.py wraps these attributes by name; without this test only
+    # the benchmark's own self-test would notice a renamed target
+    import importlib
+    import importlib.util
+
+    path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TARGETS
+    for name, module_name, attr_path in spans.TARGETS:
+        owner = importlib.import_module(module_name)
+        for part in attr_path.split("."):
+            assert hasattr(owner, part), f"{name}: no {module_name}.{attr_path}"
+            owner = getattr(owner, part)
+        assert callable(owner), name

@@ -83,25 +83,14 @@ def test_positive_flag_kernel_nonnegative(grid_and_basis):
     sigma = 1.0 / np.arange(1, 9) ** 2
     config = GeneratorConfig(sigma=sigma, kappa=1.0, trunc_n=8, positive=True)
     for seed in range(10):
-        draw = draw_operator(config, (basis, basis), seed=seed, c_bound=1.5)
+        draw = draw_operator(config, (basis, basis), seed=seed)
         assert draw.operator.entries.min() >= 0.0  # grid scan oracle
-
-
-def test_positive_flag_requires_bounded_bases(grid_and_basis):
-    _, basis = grid_and_basis
-    sigma = np.full(4, 1.0)
-    config = GeneratorConfig(sigma=sigma, kappa=1.0, trunc_n=4, positive=True)
-    with pytest.raises(ValueError, match="sup norm"):
-        draw_operator(config, (basis, basis), seed=0, c_bound=1.2)
 
 
 def test_positive_flag_requires_constant_lead():
     grid = GridMeasure.uniform(16)
-    shifted = cosine_basis(grid, 6)
-    rotated = tuple(shifted)[1:]  # drop the constant
-    from momentid.fnspace import OrthonormalBasis
-
-    basis = OrthonormalBasis(rotated)
+    # drop the constant
+    basis = OrthonormalBasis(cosine_basis(grid, 6).matrix()[:, 1:], grid)
     config = GeneratorConfig(sigma=np.full(4, 1.0), kappa=1.0, trunc_n=4,
                              positive=True)
     with pytest.raises(ValueError, match="constant leading"):
@@ -352,17 +341,9 @@ class TestMcInjectivity:
 class TestDrawChecks:
     """Every check of draw_operator still fires on the mc_injectivity path."""
 
-    def test_sup_bound_names_first_offending_element(self, grid_and_basis):
-        _, basis = grid_and_basis
-        config = GeneratorConfig(sigma=np.full(4, 1.0), kappa=1.0, trunc_n=4,
-                                 positive=True)
-        # the constant lead has sup norm 1, the cosines sqrt(2)
-        with pytest.raises(ValueError, match="phi basis element 1 has sup"):
-            draw_operator(config, (basis, basis), seed=0, c_bound=1.2)
-
     def test_constant_lead_required(self):
         grid = GridMeasure.uniform(16)
-        basis = OrthonormalBasis(tuple(cosine_basis(grid, 6))[1:])
+        basis = OrthonormalBasis(cosine_basis(grid, 6).matrix()[:, 1:], grid)
         config = GeneratorConfig(sigma=np.full(4, 1.0), kappa=1.0, trunc_n=4,
                                  positive=True)
         with pytest.raises(ValueError, match="constant leading"):
@@ -381,7 +362,7 @@ class TestDrawChecks:
         # an element not orthogonal to the constant breaks the unit row sums
         mat = basis.matrix()[:, :3].copy()
         mat[:, 1] += 0.2
-        skewed = OrthonormalBasis.from_matrix(mat, grid, check=False)
+        skewed = OrthonormalBasis(mat, grid, check=False)
         config = GeneratorConfig(sigma=np.full(3, 1.0), kappa=1.0, trunc_n=3,
                                  positive=True, density=True)
         with pytest.raises(ValueError, match="row sums deviate"):

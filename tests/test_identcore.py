@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from momentid.errors import EmptyNeighborhoodError, GridMismatchError
-from momentid.fnspace import GridFunction, GridMeasure, OrthonormalBasis, norm
+from momentid.fnspace import GridFunction, GridMeasure, norm
 from momentid.identcore import (
     CONE_CHUNK,
     EVAL_CHUNK,
@@ -26,7 +26,6 @@ from momentid.identcore import (
     estimate_nonlinearity,
     evaluate_cone_chunk,
     gateaux_check,
-    in_counterexample_set,
     in_ellipsoid,
     in_identification_set,
     positivity_tol,
@@ -35,11 +34,9 @@ from momentid.identcore import (
     verify_local_id,
 )
 from momentid.linop import (
-    MAX_AXIS_POINTS,
     LinearOperator,
     apply,
     apply_values,
-    from_kernel,
     singular_values,
     svd,
 )
@@ -162,14 +159,14 @@ class TestRankCondition:
 
     def test_rank_one_fails(self):
         mu = GridMeasure(np.arange(4.0), np.full(4, 0.25))
-        rep = rank_condition(from_kernel(np.ones((4, 4)), mu, mu), 1e-10)
+        rep = rank_condition(LinearOperator(np.ones((4, 4)), mu, mu), 1e-10)
         assert not rep.holds
         assert rep.sigma_min < 1e-12
 
     def test_matches_oracle_on_random_kernel(self):
         rng = np.random.default_rng(2)
         mu = GridMeasure(np.arange(6.0), rng.uniform(0.2, 1.0, 6))
-        op = from_kernel(rng.standard_normal((6, 6)) + 3 * np.eye(6), mu, mu)
+        op = LinearOperator(rng.standard_normal((6, 6)) + 3 * np.eye(6), mu, mu)
         rep = rank_condition(op, 1e-10)
         assert rep.holds
         assert rep.sigma_min == pytest.approx(
@@ -181,72 +178,6 @@ class TestRankCondition:
         cod = unit_grid(3)
         op = LinearOperator(rng.standard_normal((3, 5)), dom, cod)
         assert not rank_condition(op, 1e-10).holds
-
-    def test_empty_subspace_warns_and_is_not_success(self):
-        from momentid.fnspace import OrthonormalBasis
-
-        mu = unit_grid(3)
-        op = LinearOperator.identity(mu)
-        empty = OrthonormalBasis((), measure=mu)
-        with pytest.warns(UserWarning, match="vacuous"):
-            rep = rank_condition(op, 1e-10, subspace=empty)
-        assert rep.vacuous and not rep.holds
-
-    def test_identity_on_cosine_subspace_holds(self):
-        from momentid.fnspace import cosine_basis
-
-        mu = GridMeasure.uniform(12)
-        rep = rank_condition(LinearOperator.identity(mu), 1e-10,
-                             subspace=cosine_basis(mu, 4))
-        assert rep.holds
-        assert rep.sigma_min == pytest.approx(1.0, abs=1e-12)
-        assert rep.sigma_max == pytest.approx(1.0, abs=1e-12)
-
-    def test_rank_one_kernel_on_two_dim_subspace_fails(self):
-        from momentid.fnspace import cosine_basis
-
-        mu = GridMeasure.uniform(12)
-        op = from_kernel(np.ones((12, 12)), mu, mu)
-        rep = rank_condition(op, 1e-10, subspace=cosine_basis(mu, 2))
-        assert not rep.holds
-        assert rep.sigma_max == pytest.approx(1.0, abs=1e-12)
-        assert rep.sigma_min < 1e-12
-
-    def test_subspace_report_is_the_restricted_operators_spectrum(self):
-        rng = np.random.default_rng(4)
-        mu = GridMeasure(np.arange(9.0), rng.uniform(0.2, 1.0, 9))
-        cod = GridMeasure(np.arange(7.0), rng.uniform(0.2, 1.0, 7))
-        op = from_kernel(rng.standard_normal((7, 9)), mu, cod)
-        q, _ = np.linalg.qr(rng.standard_normal((9, 4)))
-        sub = OrthonormalBasis.from_matrix(q / np.sqrt(mu.weights)[:, None], mu)
-        rep = rank_condition(op, 1e-10, subspace=sub)
-        s = singular_values(LinearOperator(
-            op.action_matrix() @ sub.matrix(),
-            GridMeasure(np.arange(4, dtype=float), np.ones(4)),
-            op.codomain,
-        ))
-        assert rep.sigma_max == s[0] and rep.sigma_min == s[-1]
-
-    def test_subspace_longer_than_the_axis_cap_is_rejected(self):
-        # a 2-d domain with more nodes than one axis may hold
-        side = 23
-        mu = GridMeasure.tensor(GridMeasure.uniform(side),
-                                GridMeasure.uniform(side))
-        k = MAX_AXIS_POINTS + 1
-        assert side**2 >= k
-        sub = OrthonormalBasis.from_matrix(
-            np.eye(mu.size)[:, :k] / np.sqrt(mu.weights)[:, None], mu)
-        with pytest.raises(ValueError, match="dense-storage cap"):
-            rank_condition(LinearOperator.identity(mu), 1e-10, subspace=sub)
-
-    def test_subspace_on_another_grid_is_rejected(self):
-        from momentid.errors import GridMismatchError
-        from momentid.fnspace import cosine_basis
-
-        op = LinearOperator.identity(GridMeasure.uniform(6))
-        with pytest.raises(GridMismatchError):
-            rank_condition(op, 1e-10,
-                           subspace=cosine_basis(GridMeasure.uniform(5), 2))
 
 
 class TestIdentificationSet:
@@ -273,7 +204,7 @@ class TestIdentificationSet:
     def test_star_shaped_for_r_above_one(self):
         rng = np.random.default_rng(4)
         mu = unit_grid(3)
-        op = from_kernel(rng.standard_normal((3, 3)) + 2 * np.eye(3), mu, mu)
+        op = LinearOperator(rng.standard_normal((3, 3)) + 2 * np.eye(3), mu, mu)
         bound = NonlinearityBound(L=0.8, r=2.0)
         for _ in range(50):
             d = GridFunction(rng.standard_normal(3), mu)
@@ -302,7 +233,7 @@ class TestEllipsoid:
     def test_null_direction_of_a_rank_deficient_derivative(self, r):
         bound = NonlinearityBound(L=1.0, r=r)
         mu = GridMeasure(np.arange(3.0), np.full(3, 0.25))
-        dec = svd(from_kernel(np.diag([8.0, 4.0, 0.0]), mu, mu))
+        dec = svd(LinearOperator(np.diag([8.0, 4.0, 0.0]), mu, mu))
         assert dec.singular_values[-1] == 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -325,7 +256,7 @@ class TestEllipsoid:
     def test_membership_implies_identification_set(self):
         rng = np.random.default_rng(5)
         mu = GridMeasure(np.arange(5.0), np.full(5, 0.2))
-        op = from_kernel(rng.standard_normal((5, 5)) + 2 * np.eye(5), mu, mu)
+        op = LinearOperator(rng.standard_normal((5, 5)) + 2 * np.eye(5), mu, mu)
         dec = svd(op)
         bound = NonlinearityBound(L=1.5, r=2.0)
         hits = 0
@@ -525,8 +456,7 @@ def stacked_square_map(mu, poison=None):
 HARNESSES = {
     "verify_local_id": lambda mmap, devs: verify_local_id(
         mmap, NonlinearityBound(L=0.0, r=1.0), len(devs), 0,
-        sampler=lambda _, it=iter(devs): next(it), pos_tol=1e-10,
-        keep_rows=True).rows,
+        sampler=lambda _, it=iter(devs): next(it), pos_tol=1e-10).rows,
     "estimate_nonlinearity":
         lambda mmap, devs: estimate_nonlinearity(mmap, 2.0, devs),
     "gateaux_check": lambda mmap, devs: gateaux_check(
@@ -574,13 +504,12 @@ class TestVerifyLocalIdBatching:
 
         report = verify_local_id(mmap, NonlinearityBound(L=0.1, r=2.0),
                                  samples=150, rng_seed=0, sampler=sampler,
-                                 pos_tol=1e-10, keep_rows=True)
+                                 pos_tol=1e-10)
         assert calls == [64, 64, 22]
         assert draws == [0] * report.attempts
         plain = verify_local_id(linear_map(3.0 * np.eye(4), mu, mu),
                                 NonlinearityBound(L=0.1, r=2.0), samples=150,
-                                rng_seed=0, sampler=sampler, pos_tol=1e-10,
-                                keep_rows=True)
+                                rng_seed=0, sampler=sampler, pos_tol=1e-10)
         assert plain.attempts == report.attempts
         assert plain.rows == report.rows
 
@@ -628,10 +557,11 @@ class TestCounterexample:
         assert not case.in_n
 
     def test_small_uniform_sequences_are_inside(self):
-        case = counterexample(3)
-        p = dyadic_weights(64)
-        alpha = np.full(64, 0.5 / case.L)
-        assert in_counterexample_set(p, alpha, case.L)
+        mmap, bound = counterexample_map()
+        alpha = GridFunction(np.full(64, 0.5 / bound.L),
+                             mmap.base_point.measure)
+        lin = norm(apply(mmap.derivative, alpha))
+        assert bound.separates(lin, mmap.norm_a_of(alpha))
 
     def test_deviation_norm_decreasing_to_zero(self):
         devs = [counterexample(k).dev_norm for k in range(1, 13)]
@@ -659,10 +589,24 @@ class TestCounterexample:
         assert counterexample_cases([7], n_terms=8)[0].dev_norm == 2.0 ** -1.75
 
     def test_invalid_f_detected(self):
-        with pytest.raises(ValueError, match="slope"):
-            counterexample(2, f=lambda x: 2.0 * x * (1.0 - x) * np.exp(-x**2))
-        with pytest.raises(ValueError, match="vanish"):
-            counterexample(2, f=lambda x: (x - 0.5) * (x - 1.0))
+        # the map and the cases share one check of f
+        for build in (lambda f: counterexample(2, f=f), counterexample_map):
+            with pytest.raises(ValueError, match="slope"):
+                build(lambda x: 2.0 * x * (1.0 - x) * np.exp(-x**2))
+            with pytest.raises(ValueError, match="slope"):
+                build(lambda x: 0.1 * x * (1.0 - x))
+            with pytest.raises(ValueError, match="vanish"):
+                build(lambda x: (x - 0.5) * (x - 1.0))
+
+    def test_cases_are_read_through_the_map(self):
+        mmap, bound = counterexample_map(n_terms=32)
+        for case in counterexample_cases([1, 5, 20], n_terms=32):
+            alpha = GridFunction(case.alpha, mmap.base_point.measure)
+            assert case.m_norm == norm(mmap.eval(alpha)) == 0.0
+            assert case.dev_norm == mmap.norm_a_of(alpha)
+            assert case.L == bound.L
+            assert case.in_n == bound.separates(
+                norm(apply(mmap.derivative, alpha)), case.dev_norm)
 
     def test_map_passes_inside_the_set(self):
         mmap, bound = counterexample_map()
@@ -917,7 +861,7 @@ def test_local_id_report_rows_csv():
     mu = GridMeasure(np.arange(4.0), np.full(4, 0.25))
     mmap = linear_map(rng.standard_normal((4, 4)) + 2 * np.eye(4), mu, mu)
     report = verify_local_id(mmap, NonlinearityBound(L=0.0, r=1.0),
-                             samples=8, rng_seed=0, keep_rows=True)
+                             samples=8, rng_seed=0)
     assert len(report.rows) == 8
 
 

@@ -365,7 +365,7 @@ def test_harnesses_are_bit_identical_with_and_without_stacking(stack_model):
     reports = [
         verify_local_id(m, NonlinearityBound(L=0.0, r=1.0), 130, 0,
                         sampler=lambda _, it=iter(devs): next(it),
-                        pos_tol=1e-10, keep_rows=True)
+                        pos_tol=1e-10)
         for m in (mmap, plain)
     ]
     assert reports[0].rows == reports[1].rows

@@ -41,7 +41,6 @@ def test_linear_link_collapses_to_linear_iv(scalar_model):
         x2=scalar_model.x2,
         g0=lambda v: 2.0 + 3.0 * v,
         g0_prime=lambda v: np.full_like(np.asarray(v, dtype=float), 3.0),
-        c_g=1e-12,
     )
     _, split = single_index_map(model)
     # m_beta_k = -x2_k(w) * slope since E[g0'(V)|W] is the constant slope
@@ -106,7 +105,6 @@ class TestDiagnosis:
             x2=model.x2,
             g0=model.g0,
             g0_prime=model.g0_prime,
-            c_g=model.c_g,
         )
         d = diagnose_single_index(indep)
         assert not d.w_given_v_complete

@@ -7,7 +7,7 @@ import momentid.semiparam
 from momentid.errors import EmptyNeighborhoodError
 from momentid.fnspace import GridFunction, GridMeasure, inner, norm
 from momentid.identcore import NonlinearityBound
-from momentid.linop import LinearOperator, apply, from_kernel, svd
+from momentid.linop import LinearOperator, apply, svd
 from momentid.semiparam import (
     SemiparametricMap,
     SplitDerivative,
@@ -26,7 +26,7 @@ def two_point():
 def hand_split():
     """Range of m_g is the constants; single column b = (1, 0)."""
     mu = two_point()
-    m_g = from_kernel(np.ones((2, 2)), mu, mu)
+    m_g = LinearOperator(np.ones((2, 2)), mu, mu)
     return SplitDerivative(m_beta=(GridFunction([1.0, 0.0], mu),), m_g=m_g)
 
 
@@ -50,7 +50,7 @@ class TestPartialOut:
 
     def test_orthogonal_columns_give_plain_gram(self):
         mu = two_point()
-        m_g = from_kernel(np.ones((2, 2)), mu, mu)  # range = constants
+        m_g = LinearOperator(np.ones((2, 2)), mu, mu)  # range = constants
         col = GridFunction([1.0, -1.0], mu)  # orthogonal to constants
         split = SplitDerivative(m_beta=(col,), m_g=m_g)
         report = partial_out(split, 1e-12)
@@ -59,7 +59,7 @@ class TestPartialOut:
 
     def test_absorbed_column_gives_zero_gram(self):
         mu = two_point()
-        m_g = from_kernel(np.ones((2, 2)), mu, mu)
+        m_g = LinearOperator(np.ones((2, 2)), mu, mu)
         split = SplitDerivative(m_beta=(GridFunction([2.0, 2.0], mu),),
                                 m_g=m_g)
         report = partial_out(split, 1e-12)
@@ -108,8 +108,8 @@ class TestPartialOut:
     def test_rejects_empty_split(self):
         mu = two_point()
         with pytest.raises(ValueError):
-            SplitDerivative(m_beta=(), m_g=from_kernel(np.ones((2, 2)),
-                                                       mu, mu))
+            SplitDerivative(m_beta=(), m_g=LinearOperator(np.ones((2, 2)),
+                                                          mu, mu))
 
 
 class TestLowerBound:

@@ -22,7 +22,7 @@ from momentid.models.ccapm import (
 from momentid.semiparam import partial_out
 
 model = lognormal_ccapm_model()  # desk scale: more signal nodes than states
-smap, split = ccapm_moment_map(model)
+smap = ccapm_moment_map(model)
 
 print(f"true discount factor {model.delta0}, curvature {model.gamma0}")
 print(f"pricing residual at the truth: "
@@ -32,7 +32,7 @@ print(f"and at twice g (scale is not identified): "
 
 # The second-kind operator in g has a one-dimensional null space spanned by
 # the truth: uniqueness up to scale in operator form.
-dec = svd(split.m_g)
+dec = svd(smap.split.m_g)
 print(f"\nsmallest two singular values of the g-derivative: "
       f"{dec.singular_values[-1]:.2e}, {dec.singular_values[-2]:.2e}")
 
@@ -57,7 +57,7 @@ comp = completeness_check(
     tol=1e-8)
 print(f"\ncompleteness proxy at the midpoint state: {comp.injective} "
       f"(sigma_min {comp.sigma_min:.2e})")
-gram = partial_out(split, 1e-12)
+gram = partial_out(smap.split, 1e-12)
 print(f"Gram matrix eigenvalues: "
       f"{np.linalg.eigvalsh(gram.gram).round(6).tolist()}")
 

@@ -38,7 +38,8 @@ print(f"completeness proxy: {d2.w_given_v_complete} (a function of two "
 print(f"Gram matrix: lambda_min/trace = {d2.lambda_min / d2.trace:.3f} "
       "-> nonsingular")
 
-smap, split = single_index_map(rich)
+smap = single_index_map(rich)
+split = smap.split
 report = partial_out(split, range_tol=1e-12)
 print(f"\npartialled-out constants: eps1 = {report.eps1:.4f}, "
       f"C* = {report.c_star:.4f}, eps = {report.eps:.4f}")

@@ -175,8 +175,7 @@ def _run_ccapm(params: dict, seed: int) -> list[tuple]:
         fixed_state_completeness_operator(model, model.c_measure.size // 2),
         tol=1e-8,
     )
-    _, split = ccapm_moment_map(model)
-    report = partial_out(split, 1e-12)
+    report = partial_out(ccapm_moment_map(model).split, 1e-12)
     trace = float(np.trace(report.gram))
     cands = [
         (model.delta0, model.gamma0, model.g0 * 2.0),

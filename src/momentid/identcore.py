@@ -83,7 +83,8 @@ class MomentMap:
                         "alpha does not live on the domain grid")
                 yield alpha.values
 
-        return [GridFunction(row, cod) for row in _codomain_rows(self, rows())]
+        return [GridFunction(row, cod)
+                for row in _codomain_rows(self.eval_rows, cod, rows())]
 
     def norm_a_of(self, f: GridFunction) -> float:
         return norm(f) if self.norm_a is None else float(self.norm_a(f))
@@ -121,19 +122,21 @@ EVAL_CHUNK = 64
 
 
 def _codomain_rows(
-    mmap: MomentMap, rows: Iterable[np.ndarray]
+    eval_rows: Callable[[np.ndarray], np.ndarray],
+    cod: GridMeasure,
+    rows: Iterable[np.ndarray],
 ) -> Iterator[np.ndarray]:
-    """Codomain value rows of m at each of ``rows`` of domain values, in
-    order.  The rows are consumed ``EVAL_CHUNK`` at a time; each chunk is
-    stacked, checked for finiteness, evaluated in one ``eval_rows`` call,
-    and the returned stack checked for shape and finiteness."""
-    cod = mmap.derivative.codomain
+    """Value rows on the codomain ``cod`` of the map ``eval_rows`` at each
+    of ``rows`` of domain values, in order.  The rows are consumed
+    ``EVAL_CHUNK`` at a time; each chunk is stacked, checked for finiteness,
+    evaluated in one ``eval_rows`` call, and the returned stack checked for
+    shape and finiteness."""
     it = iter(rows)
     while chunk := list(itertools.islice(it, EVAL_CHUNK)):
         stack = np.stack(chunk)
         if not np.all(np.isfinite(stack)):
             raise ValueError("domain values must be finite")
-        out = np.asarray(mmap.eval_rows(stack), dtype=float)
+        out = np.asarray(eval_rows(stack), dtype=float)
         if out.shape != (len(chunk), cod.size):
             raise GridMismatchError(
                 f"eval_rows returned shape {out.shape} for {len(chunk)} "
@@ -219,7 +222,8 @@ def gateaux_check(
                     yield a0 + h.values * float(s)
                     yield a0 + h.values * float(-s)
 
-    values = _codomain_rows(mmap, points())
+    values = _codomain_rows(mmap.eval_rows, mmap.derivative.codomain,
+                            points())
 
     def central(t: float) -> np.ndarray:
         up, dn = next(values), next(values)
@@ -258,7 +262,8 @@ def estimate_nonlinearity(
     m0 = mmap.eval(a0).values
     w_b = mmap.derivative.codomain.weights
     best = 0.0
-    values = _codomain_rows(mmap, (a0.values + d.values for d in deviations))
+    values = _codomain_rows(mmap.eval_rows, mmap.derivative.codomain,
+                            (a0.values + d.values for d in deviations))
     for d, m_val in zip(deviations, values):
         dn = mmap.norm_a_of(d)
         if dn == 0.0:
@@ -284,13 +289,6 @@ def rank_condition(op: LinearOperator, tol: float) -> RankReport:
     smin = 0.0 if op.domain.size > op.codomain.size else float(s[-1])
     smax = float(s[0])
     return RankReport(holds=smin > tol * smax, sigma_min=smin, sigma_max=smax)
-
-
-def in_identification_set(
-    delta: GridFunction, op: LinearOperator, bound: NonlinearityBound
-) -> bool:
-    """Strict test ||m' d|| > L ||d||^r; the zero deviation is excluded."""
-    return bound.separates(norm(apply(op, delta)), norm(delta))
 
 
 def in_ellipsoid(
@@ -461,7 +459,8 @@ def verify_local_id(
     ))
     attempts = accepted[-1][0]
     values = _codomain_rows(
-        mmap, (a0.values + item[0].values for _, item in accepted))
+        mmap.eval_rows, op.codomain,
+        (a0.values + item[0].values for _, item in accepted))
     w_b = op.codomain.weights
     rows = []
     for (_, (delta, dev_norm, lin, lin_n)), m_val in zip(accepted, values):

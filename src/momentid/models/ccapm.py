@@ -118,17 +118,15 @@ class CcapmModel:
         return g_norm
 
 
-def ccapm_moment_map(
-    model: CcapmModel,
-) -> tuple[SemiparametricMap, SplitDerivative]:
+def ccapm_moment_map(model: CcapmModel) -> SemiparametricMap:
     """Pricing map over ((delta, gamma), g) with its split derivative.
 
-    eval averages R delta s^(-gamma) g(s) over the transition mass given each
-    instrument node and subtracts g at the current state.  The parametric
-    columns are the derivative in (delta, gamma); the nonparametric operator
-    is the conditional expectation minus evaluation at the current state.
-    Curvatures outside the envelope window raise, since the dominating table
-    is no longer valid there.
+    The map averages R delta s^(-gamma) g(s) over the transition mass given
+    each instrument node and subtracts g at the current state, in one
+    einsum per stack of rows.  The parametric columns are the derivative in
+    (delta, gamma); the nonparametric operator is the conditional
+    expectation minus evaluation at the current state.  Curvatures outside
+    the envelope window raise: the dominating table is not valid there.
     """
     mw = model.w_measure
     mc = model.c_measure
@@ -139,19 +137,20 @@ def ccapm_moment_map(
     g0v = model.g0.values
     log_s = np.log(s)
 
-    def eval_fn(beta: np.ndarray, g: GridFunction) -> GridFunction:
-        delta, gamma = float(beta[0]), float(beta[1])
-        if abs(gamma - model.gamma0) > model.window:
+    def eval_rows(rows: np.ndarray) -> np.ndarray:
+        delta, gamma, g = rows[:, 0], rows[:, 1], rows[:, 2:]
+        outside = np.abs(gamma - model.gamma0) > model.window
+        if outside.any():
             raise ValueError(
-                f"gamma = {gamma:.4f} leaves the envelope window "
-                f"[{model.gamma0 - model.window:.4f}, "
+                f"gamma = {gamma[outside.argmax()]:.4f} leaves the envelope "
+                f"window [{model.gamma0 - model.window:.4f}, "
                 f"{model.gamma0 + model.window:.4f}]"
             )
-        if delta <= 0:
+        if np.any(delta <= 0):
             raise ValueError("the discount factor must be positive")
-        priced = delta * r * np.einsum("soc,s->oc", p, s**(-gamma) * g.values)
-        vals = priced - g.values[None, :]
-        return GridFunction(vals.ravel(), mw)
+        priced = delta[:, None, None] * r * np.einsum(
+            "soc,bs->boc", p, s ** (-gamma[:, None]) * g)
+        return (priced - g[:, None, :]).reshape(len(rows), -1)
 
     a0 = model.discounted_returns()
     col_delta = np.einsum("soc,s->oc", p * a0, g0v) / model.delta0
@@ -167,15 +166,13 @@ def ccapm_moment_map(
     t2 = np.tile(np.diag(1.0 / mc.weights), (n_o, 1))
     m_g = LinearOperator(t1 - t2, mc, mw)
 
-    split = SplitDerivative(m_beta=m_beta, m_g=m_g)
-    smap = SemiparametricMap(
+    return SemiparametricMap(
         beta0=np.array([model.delta0, model.gamma0]),
         g0=model.g0,
-        eval_fn=eval_fn,
-        split=split,
+        eval_rows=eval_rows,
+        split=SplitDerivative(m_beta=m_beta, m_g=m_g),
         g_norm=model.g_space_norm(),
     )
-    return smap, split
 
 
 def build_pf_operator(model: CcapmModel) -> LinearOperator:
@@ -336,9 +333,8 @@ def check_global_identification(
     delta and gamma and match g0 up to scale; an accepted pair also gets the
     ratio-identity check that states^(gamma - gamma0) times g0/g is constant.
     """
-    smap, _ = ccapm_moment_map(model)
-    scale = 1.0 + norm(smap.eval(np.array([model.delta0, model.gamma0]),
-                                 model.g0 * 2.0))
+    smap = ccapm_moment_map(model)
+    scale = 1.0 + norm(smap.eval(smap.beta0, model.g0 * 2.0))
     rows = []
     violations = 0
     any_solution = False

@@ -68,15 +68,13 @@ class SingleIndexModel:
         return self.beta0.size
 
 
-def single_index_map(
-    model: SingleIndexModel,
-) -> tuple[SemiparametricMap, SplitDerivative]:
+def single_index_map(model: SingleIndexModel) -> SemiparametricMap:
     """Moment map over (beta, g) and its split derivative at the truth.
 
-    eval integrates g0(v) - g(v + x2(w)^T (beta - beta0)) against the
-    conditional mass of the index given each instrument value; g is a grid
-    function interpolated linearly for the shifted index, and shifts that
-    leave the tabulated index range raise.  The derivative splits into
+    The map integrates g0(v) - g(v + x2(w)^T (beta - beta0)) against the
+    conditional mass of the index given each instrument value, row by row;
+    g is interpolated linearly for the shifted index, and shifts that leave
+    the tabulated index range raise.  The derivative splits into
     m_g h = -E[h(V)|W] and columns -x2_k(w) E[g0'(V)|W=w].
     """
     mv, mw = model.v_measure, model.w_measure
@@ -96,28 +94,29 @@ def single_index_map(
     m_beta = tuple(
         GridFunction(-model.x2[:, k] * u, mw) for k in range(model.p)
     )
-    split = SplitDerivative(m_beta=m_beta, m_g=m_g)
     g0_v = np.asarray(model.g0(vg), dtype=float)
+    g0_inner = g0_v[inner][:, None]
 
-    def eval_fn(beta: np.ndarray, g: GridFunction) -> GridFunction:
-        shift = model.x2 @ (np.asarray(beta, dtype=float) - model.beta0)
-        pts = vg_inner[:, None] + shift[None, :]
-        if pts.min() < vg[0] or pts.max() > vg[-1]:
-            raise ValueError(
-                "index values leave the tabulated domain "
-                f"[{vg[0]:.4g}, {vg[-1]:.4g}]; shrink the beta deviation"
-            )
-        g_shift = np.interp(pts, vg, g.values)
-        vals = (mass_inner * (g0_v[inner][:, None] - g_shift)).sum(axis=0)
-        return GridFunction(vals, mw)
+    def eval_rows(rows: np.ndarray) -> np.ndarray:
+        out = np.empty((len(rows), mw.size))
+        for b, row in enumerate(rows):
+            shift = model.x2 @ (row[:model.p] - model.beta0)
+            pts = vg_inner[:, None] + shift[None, :]
+            if pts.min() < vg[0] or pts.max() > vg[-1]:
+                raise ValueError(
+                    "index values leave the tabulated domain "
+                    f"[{vg[0]:.4g}, {vg[-1]:.4g}]; shrink the beta deviation"
+                )
+            g_shift = np.interp(pts, vg, row[model.p:])
+            out[b] = (mass_inner * (g0_inner - g_shift)).sum(axis=0)
+        return out
 
-    smap = SemiparametricMap(
+    return SemiparametricMap(
         beta0=model.beta0,
         g0=GridFunction(g0_v, mv),
-        eval_fn=eval_fn,
-        split=split,
+        eval_rows=eval_rows,
+        split=SplitDerivative(m_beta=m_beta, m_g=m_g),
     )
-    return smap, split
 
 
 @dataclass(frozen=True)
@@ -180,8 +179,7 @@ def diagnose_single_index(
     rank = rank_condition(w_to_v, tol)
     ratio = rank.sigma_min / rank.sigma_max if rank.sigma_max > 0 else 0.0
 
-    _, split = single_index_map(model)
-    report = partial_out(split, 1e-8)
+    report = partial_out(single_index_map(model).split, 1e-8)
     trace = float(np.trace(report.gram))
     pi_singular = report.lambda_min <= 1e-6 * max(trace, 1e-300)
     return IndexDiagnosis(

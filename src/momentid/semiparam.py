@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -25,11 +25,13 @@ from .fnspace import (
     inner,
     norm,
     project,
+    weighted_norm,
 )
 from .identcore import (
     RESIDUAL_TOL,
     MomentMap,
     NonlinearityBound,
+    _codomain_rows,
     accepted_draws,
     positivity_tol,
     rank_condition,
@@ -118,9 +120,7 @@ def partial_out(split: SplitDerivative, range_tol: float) -> PartialOutReport:
     for j in range(p):
         for k in range(j, p):
             gram[j, k] = gram[k, j] = inner(resid[j], resid[k])
-    gram = 0.5 * (gram + gram.T)
-    lam_min = float(np.linalg.eigvalsh(gram)[0])
-    lam_min = max(lam_min, 0.0)
+    lam_min = max(float(np.linalg.eigvalsh(gram)[0]), 0.0)
     eps1 = math.sqrt(lam_min / 2.0)
     c_star = 1.1 * math.sqrt(sum(norm(z) ** 2 for z in zeta))
     c_star = max(c_star, eps1 / math.sqrt(2.0))
@@ -158,7 +158,6 @@ def split_lower_bound_check(
     bmat = split.beta_matrix()
     w = split.m_g.codomain.weights
     k = len(report.range_basis)
-    min_ratio = math.inf
 
     a_draws = rng.standard_normal((p, trials))
     a_draws[:, : max(trials // 20, 1)] = 0.0  # include pure-zeta cases
@@ -174,9 +173,7 @@ def split_lower_bound_check(
     dvals[:, : max((trials - half) // 20, 1)] = 0.0  # include pure-a cases
     zeta_vals[:, half:] = split.m_g.action_matrix() @ dvals
     zeta_norms = np.concatenate(
-        [zeta_norms_first,
-         np.sqrt(w @ zeta_vals[:, half:] ** 2)]
-    )
+        [zeta_norms_first, np.sqrt(w @ zeta_vals[:, half:] ** 2)])
     denom = np.linalg.norm(a_draws, axis=0) + zeta_norms
     vals = bmat @ a_draws + zeta_vals
     ratios = np.sqrt(w @ vals**2)
@@ -192,11 +189,16 @@ def split_lower_bound_check(
 
 @dataclass(frozen=True)
 class SemiparametricMap:
-    """Moment map over (beta, g) with its split derivative at the truth."""
+    """Moment map over (beta, g) with its split derivative at the truth.
+
+    ``eval_rows`` is the map under the ``MomentMap`` contract: a stack of
+    (beta, g) rows (B, p + n_g), beta's p coordinates first and g's values
+    on the domain grid of m_g after them, to the codomain rows of m.
+    """
 
     beta0: np.ndarray
     g0: GridFunction
-    eval_fn: Callable[[np.ndarray, GridFunction], GridFunction]
+    eval_rows: Callable[[np.ndarray], np.ndarray]
     split: SplitDerivative
     g_norm: Callable[[GridFunction], float] | None = None
 
@@ -212,13 +214,21 @@ class SemiparametricMap:
             raise ValueError(f"map violates m(beta0, g0) = 0: residual {r0:.3e}")
 
     def eval(self, beta: np.ndarray, g: GridFunction) -> GridFunction:
-        return self.eval_fn(np.asarray(beta, dtype=float), g)
+        """m(beta, g), evaluated as a one-row stack."""
+        row = np.concatenate([np.atleast_1d(beta), g.values])
+        (m_val,) = self.eval_stack([row])
+        return GridFunction(m_val, self.split.m_g.codomain)
+
+    def eval_stack(self, rows: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+        """Codomain value rows of m at each of ``rows``, in order."""
+        return _codomain_rows(self.eval_rows, self.split.m_g.codomain, rows)
 
     def g_norm_of(self, f: GridFunction) -> float:
         return norm(f) if self.g_norm is None else float(self.g_norm(f))
 
     def to_moment_map(self) -> MomentMap:
-        """Stack (beta, g) into one grid function so the generic map tools apply.
+        """The same map, and the same ``eval_rows``, as a ``MomentMap`` on the
+        stacked (beta, g) grid, so the generic map tools apply.
 
         The beta coordinates get unit weights at sentinel support points below
         the g grid; the stacked weighted norm is then the product norm
@@ -234,42 +244,41 @@ class SemiparametricMap:
         pts = np.concatenate([sentinels[::-1], g_mu.coords()])
         wts = np.concatenate([np.ones(p), g_mu.weights])
         stacked_mu = GridMeasure(pts, wts)
-
-        def eval_rows(rows: np.ndarray) -> np.ndarray:
-            return np.stack([
-                self.eval(row[:p], GridFunction(row[p:], g_mu)).values
-                for row in rows
-            ])
-
-        kernel = np.hstack(
-            [self.split.beta_matrix(), self.split.m_g.entries]
-        )
+        kernel = np.hstack([self.split.beta_matrix(), self.split.m_g.entries])
         derivative = LinearOperator(kernel, stacked_mu, self.split.m_g.codomain)
-        base = GridFunction(
-            np.concatenate([self.beta0, self.g0.values]), stacked_mu
-        )
+        base = GridFunction(np.concatenate([self.beta0, self.g0.values]),
+                            stacked_mu)
         return MomentMap(
-            base_point=base, eval_rows=eval_rows, derivative=derivative,
+            base_point=base, eval_rows=self.eval_rows, derivative=derivative,
         )
+
+
+def _m_norms(model: SemiparametricMap, points: Iterable) -> list[float]:
+    """||m(beta, g0 + d)|| at each (beta, d) of ``points``, in order."""
+    w = model.split.m_g.codomain.weights
+    rows = (np.concatenate([beta, model.g0.values + d.values])
+            for beta, d in points)
+    return [weighted_norm(m_val, w) for m_val in model.eval_stack(rows)]
 
 
 def linearity_in_g_check(model: SemiparametricMap, seed: int = 0) -> float:
     """Largest relative additivity/homogeneity defect of g -> m(beta0, g)
-    over four random pairs of directions."""
+    over four random pairs of directions, all drawn before m is evaluated."""
     rng = np.random.default_rng(seed)
-    g_mu = model.g0.measure
-    m0 = model.eval(model.beta0, model.g0)
-    worst = 0.0
+    g0 = model.g0.values
+    coefs, gs = [], [g0]
     for _ in range(4):
-        d1 = GridFunction(rng.standard_normal(g_mu.size), g_mu)
-        d2 = GridFunction(rng.standard_normal(g_mu.size), g_mu)
+        d1, d2 = rng.standard_normal(g0.size), rng.standard_normal(g0.size)
         a, b = rng.uniform(-2, 2, size=2)
-        lhs = model.eval(model.beta0, model.g0 + a * d1 + b * d2) - m0
-        r1 = model.eval(model.beta0, model.g0 + d1) - m0
-        r2 = model.eval(model.beta0, model.g0 + d2) - m0
-        rhs = a * r1 + b * r2
-        scale = max(norm(rhs), 1e-12)
-        worst = max(worst, norm(lhs - rhs) / scale)
+        coefs.append((a, b))
+        gs += [g0 + d1 * a + d2 * b, g0 + d1, g0 + d2]
+    m0, *m = model.eval_stack(np.concatenate([model.beta0, g]) for g in gs)
+    w = model.split.m_g.codomain.weights
+    worst = 0.0
+    for (a, b), lhs, r1, r2 in zip(coefs, m[0::3], m[1::3], m[2::3]):
+        rhs = (r1 - m0) * a + (r2 - m0) * b
+        scale = max(weighted_norm(rhs, w), 1e-12)
+        worst = max(worst, weighted_norm(lhs - m0 - rhs, w) / scale)
     return worst
 
 
@@ -383,26 +392,22 @@ def verify_semiparam_linear(
     rng = np.random.default_rng(seed)
     dec = gate.partial.decomposition
     g_rank = rank_condition(model.split.m_g, 1e-10)
-    m_norms = []
-    for _ in range(samples):
-        beta = _sample_beta(rng, model, beta_radius)
-        g_dev = _sample_g_deviation(rng, dec, g_radius, model.g_norm_of)
-        m_norms.append(norm(model.eval(beta, model.g0 + g_dev)))
-    g_only = []
+    # the draws come first, the map's evaluations after them in chunks
+    points = [
+        (_sample_beta(rng, model, beta_radius),
+         _sample_g_deviation(rng, dec, g_radius, model.g_norm_of))
+        for _ in range(samples)
+    ]
     if g_rank.holds:
         for _ in range(samples):
             g_dev = _sample_g_deviation(rng, dec, g_radius, model.g_norm_of)
-            if model.g_norm_of(g_dev) == 0.0:
-                continue
-            g_only.append(norm(model.eval(model.beta0, model.g0 + g_dev)))
-    full_ok = bool(g_rank.holds) and all(m_n > gate.pos_tol for m_n in g_only)
-    return _tallied(
-        gate,
-        m_norms + g_only,
-        samples * (2 if g_rank.holds else 1),
-        full_local_id=full_ok,
-        g_rank_holds=bool(g_rank.holds),
-    )
+            if model.g_norm_of(g_dev) != 0.0:
+                points.append((model.beta0, g_dev))
+    m_norms = _m_norms(model, points)
+    full_ok = bool(g_rank.holds) and all(
+        m_n > gate.pos_tol for m_n in m_norms[samples:])
+    return _tallied(gate, m_norms, samples * (2 if g_rank.holds else 1),
+                    full_local_id=full_ok, g_rank_holds=bool(g_rank.holds))
 
 
 def verify_semiparam_nonlinear(
@@ -442,11 +447,12 @@ def verify_semiparam_nonlinear(
             return None
         return g_dev
 
-    m_norms = []
-    for _, g_dev in accepted_draws(
-        draw, samples, budget_factor, "g-deviations",
-        f"threshold (L/eps) = {adjusted.L:.3e} may be too strict",
-    ):
-        beta = _sample_beta(rng, model, beta_radius)
-        m_norms.append(norm(model.eval(beta, model.g0 + g_dev)))
-    return _tallied(gate, m_norms, samples)
+    # each accepted g-deviation's beta is drawn right after it
+    points = [
+        (_sample_beta(rng, model, beta_radius), g_dev)
+        for _, g_dev in accepted_draws(
+            draw, samples, budget_factor, "g-deviations",
+            f"threshold (L/eps) = {adjusted.L:.3e} may be too strict",
+        )
+    ]
+    return _tallied(gate, _m_norms(model, points), samples)

@@ -258,7 +258,7 @@ def test_criterion_09_pricing_identification_harness():
         fixed_state_completeness_operator(model, model.c_measure.size // 2),
         tol=1e-8,
     )
-    _, split = ccapm_moment_map(model)
+    split = ccapm_moment_map(model).split
     gram_rep = partial_out(split, 1e-12)
     trace = float(np.trace(gram_rep.gram))
     gid = check_global_identification(
@@ -291,7 +291,7 @@ def test_criterion_10_derivative_fidelity():
     q_err = gateaux_check(q_map, q_dirs, [1e-3, 1e-4], richardson=True)
 
     ccapm = lognormal_ccapm_model()
-    smap, _ = ccapm_moment_map(ccapm)
+    smap = ccapm_moment_map(ccapm)
     mm = smap.to_moment_map()
     mu = mm.base_point.measure
     c_dirs = [GridFunction(rng.standard_normal(mu.size) * 0.2, mu)

@@ -27,7 +27,6 @@ from momentid.identcore import (
     evaluate_cone_chunk,
     gateaux_check,
     in_ellipsoid,
-    in_identification_set,
     positivity_tol,
     rank_condition,
     sample_ellipsoid_deviations,
@@ -185,21 +184,24 @@ class TestIdentificationSet:
         mu = unit_grid(2)
         op = LinearOperator.identity(mu)
         bound = NonlinearityBound(L=0.0, r=1.0)
-        assert not in_identification_set(GridFunction.zero(mu), op, bound)
+        d = GridFunction.zero(mu)
+        assert not bound.separates(norm(apply(op, d)), norm(d))
 
     def test_linear_case_needs_only_nonzero_image(self):
         mu = unit_grid(2)
         op = LinearOperator.identity(mu)
         bound = NonlinearityBound(L=0.0, r=1.0)
-        assert in_identification_set(GridFunction([1.0, 0.0], mu), op, bound)
+        d = GridFunction([1.0, 0.0], mu)
+        assert bound.separates(norm(apply(op, d)), norm(d))
 
     def test_norm_arithmetic(self):
         # identity, L=1, r=2: ||d|| = 0.5 gives 0.5 > 0.25
         mu = GridMeasure([0.0], [1.0])
         op = LinearOperator.identity(mu)
         bound = NonlinearityBound(L=1.0, r=2.0)
-        assert in_identification_set(GridFunction([0.5], mu), op, bound)
-        assert not in_identification_set(GridFunction([1.0], mu), op, bound)
+        half, one = GridFunction([0.5], mu), GridFunction([1.0], mu)
+        assert bound.separates(norm(apply(op, half)), norm(half))
+        assert not bound.separates(norm(apply(op, one)), norm(one))
 
     def test_star_shaped_for_r_above_one(self):
         rng = np.random.default_rng(4)
@@ -208,9 +210,11 @@ class TestIdentificationSet:
         bound = NonlinearityBound(L=0.8, r=2.0)
         for _ in range(50):
             d = GridFunction(rng.standard_normal(3), mu)
-            if in_identification_set(d, op, bound):
+            if bound.separates(norm(apply(op, d)), norm(d)):
                 for lam in rng.uniform(0.01, 1.0, 5):
-                    assert in_identification_set(lam * d, op, bound)
+                    d_lam = lam * d
+                    assert bound.separates(norm(apply(op, d_lam)),
+                                           norm(d_lam))
 
 
 class TestEllipsoid:
@@ -265,7 +269,7 @@ class TestEllipsoid:
             if in_ellipsoid(b, dec.singular_values, bound):
                 hits += 1
                 delta = GridFunction(dec.right_functions.matrix() @ b, mu)
-                assert in_identification_set(delta, op, bound)
+                assert bound.separates(norm(apply(op, delta)), norm(delta))
         assert hits > 0
 
 
@@ -906,14 +910,15 @@ def test_identification_set_invariant_under_node_order_and_scale(setup, c):
     delta = GridFunction(values, mu_a)
     assume(relative_margin(norm(apply(op, delta)),
                            bound.L * norm(delta) ** bound.r) > MARGIN)
-    verdict = in_identification_set(delta, op, bound)
+    verdict = bound.separates(norm(apply(op, delta)), norm(delta))
 
     mu_pa, mu_pb = permuted(mu_a, pa), permuted(mu_b, pb)
     op_p = LinearOperator(kernel[np.ix_(pb, pa)], mu_pa, mu_pb)
-    assert in_identification_set(
-        GridFunction(values[pa], mu_pa), op_p, bound) == verdict
-    assert in_identification_set(
-        delta, c * op, replace(bound, L=c * bound.L)) == verdict
+    delta_p = GridFunction(values[pa], mu_pa)
+    assert bound.separates(
+        norm(apply(op_p, delta_p)), norm(delta_p)) == verdict
+    assert replace(bound, L=c * bound.L).separates(
+        norm(apply(c * op, delta)), norm(delta)) == verdict
 
 
 def cone_margin(cm, tol):

@@ -33,18 +33,18 @@ def unit_grid(n):
 
 class TestMomentMap:
     def test_restriction_holds_at_truth(self, model, mapped):
-        smap, _ = mapped
+        smap = mapped
         assert norm(smap.eval(smap.beta0, model.g0)) <= 1e-12
 
     def test_scale_non_identification(self, model, mapped):
-        smap, _ = mapped
+        smap = mapped
         for c in (2.0, 0.3):
             assert norm(smap.eval(smap.beta0, model.g0 * c)) <= 1e-12
 
     def test_derivative_matches_finite_differences(self, mapped):
         from momentid.identcore import gateaux_check
 
-        smap, _ = mapped
+        smap = mapped
         mm = smap.to_moment_map()
         rng = np.random.default_rng(0)
         mu = mm.base_point.measure
@@ -53,9 +53,36 @@ class TestMomentMap:
         assert gateaux_check(mm, dirs, [1e-3, 1e-4], richardson=True) < 1e-5
 
     def test_envelope_window_guard(self, model, mapped):
-        smap, _ = mapped
+        smap = mapped
         with pytest.raises(ValueError, match="envelope window"):
             smap.eval(np.array([model.delta0, model.gamma0 + 2.0]), model.g0)
+
+    def test_stack_equals_rows(self, model, mapped):
+        # 65 rows cross EVAL_CHUNK, so eval_stack makes a 64- and a 1-row call
+        rng = np.random.default_rng(3)
+        n = model.c_measure.size
+        rows = np.column_stack([
+            model.delta0 + rng.uniform(-0.2, 0.2, 65),
+            model.gamma0 + rng.uniform(-model.window, model.window, 65),
+            model.g0.values * rng.uniform(0.5, 2.0, (65, n)),
+        ])
+        one_by_one = np.stack([mapped.eval_rows(row[None])[0]
+                               for row in rows])
+        assert np.array_equal(mapped.eval_rows(rows), one_by_one)
+        assert np.array_equal(np.stack(list(mapped.eval_stack(rows))),
+                              one_by_one)
+
+    @pytest.mark.parametrize("column, offset, match", [
+        (1, 1.5, "gamma = 3.5000 leaves the envelope window"),
+        (0, -0.96, "discount factor must be positive"),
+    ], ids=["gamma", "delta"])
+    def test_stack_checks_a_bad_row_past_the_first(
+            self, model, mapped, column, offset, match):
+        rows = np.tile(np.concatenate([mapped.beta0, model.g0.values]),
+                       (65, 1))
+        rows[40, column] += offset
+        with pytest.raises(ValueError, match=match):
+            mapped.eval_rows(rows)
 
     def test_g_norm_dominates_plain_norm(self, model):
         # the envelope is at least one, so the weighted norm is too
@@ -66,7 +93,7 @@ class TestMomentMap:
         assert g_norm(g) >= norm(g) * 0.99
 
     def test_m_g_null_space_is_the_scale_direction(self, model, mapped):
-        _, split = mapped
+        split = mapped.split
         dec = svd(split.m_g)
         # exactly one vanishing singular value, matching uniqueness up to
         # scale of the second-kind solution
@@ -131,7 +158,7 @@ class TestPerronFrobenius:
                                                           mapped):
         # conditioning the second-kind operator down to the current state
         # reproduces delta0 * T - I exactly on the grid
-        _, split = mapped
+        split = mapped.split
         n_s = model.c_measure.size
         # the signal-weighted sum of the (signal, state) rows of m_g
         lhs = LinearOperator(
@@ -207,7 +234,7 @@ class TestGlobalIdentification:
 
 
 def test_partialled_gram_nonsingular(model, mapped):
-    _, split = mapped
+    split = mapped.split
     report = partial_out(split, 1e-12)
     trace = float(np.trace(report.gram))
     assert report.lambda_min > 1e-6 * trace

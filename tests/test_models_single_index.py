@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,12 +25,12 @@ def twodim_model():
 
 
 def test_eval_vanishes_at_truth(twodim_model):
-    smap, _ = single_index_map(twodim_model)
+    smap = single_index_map(twodim_model)
     assert norm(smap.eval(smap.beta0, smap.g0)) <= 1e-12
 
 
 def test_map_linear_in_g(twodim_model):
-    smap, _ = single_index_map(twodim_model)
+    smap = single_index_map(twodim_model)
     assert linearity_in_g_check(smap, seed=0) < 1e-12
 
 
@@ -42,14 +44,14 @@ def test_linear_link_collapses_to_linear_iv(scalar_model):
         g0=lambda v: 2.0 + 3.0 * v,
         g0_prime=lambda v: np.full_like(np.asarray(v, dtype=float), 3.0),
     )
-    _, split = single_index_map(model)
+    split = single_index_map(model).split
     # m_beta_k = -x2_k(w) * slope since E[g0'(V)|W] is the constant slope
     for k, col in enumerate(split.m_beta):
         assert np.allclose(col.values, -3.0 * model.x2[:, k], atol=1e-10)
 
 
 def test_m_g_matches_direct_conditional_expectation(scalar_model):
-    _, split = single_index_map(scalar_model)
+    split = single_index_map(scalar_model).split
     rng = np.random.default_rng(0)
     h = GridFunction(rng.standard_normal(scalar_model.v_measure.size),
                      scalar_model.v_measure)
@@ -60,9 +62,46 @@ def test_m_g_matches_direct_conditional_expectation(scalar_model):
 
 
 def test_domain_guard_on_large_beta_shift(twodim_model):
-    smap, _ = single_index_map(twodim_model)
+    smap = single_index_map(twodim_model)
     with pytest.raises(ValueError, match="tabulated domain"):
         smap.eval(smap.beta0 + np.array([5.0, 5.0]), smap.g0)
+
+
+@pytest.fixture(scope="module")
+def unit_shift_map():
+    """Index map on a dyadic grid whose first regressor loads 1 at every
+    instrument node and whose second loads 0: a beta shift (t, s) moves
+    every index node by exactly t."""
+    design = gaussian_index_design(rho=0.5, w_dim=1, n_v=33, n_w=29,
+                                   v_pad=0.5)
+    n_w = design.w_measure.size
+    x2 = np.column_stack([np.ones(n_w), np.zeros(n_w)])
+    return single_index_map(replace(design, x2=x2))
+
+
+def test_stack_equals_rows(unit_shift_map):
+    smap = unit_shift_map
+    vg = smap.g0.measure.coords()
+    assert (vg[0], vg[-1]) == (-4.0, 4.0) and np.all(np.diff(vg) == 0.25)
+    rng = np.random.default_rng(4)
+    # the mass sits on [-3.5, 3.5]: shifts of -0.5, 0.25 and 0.5 land it
+    # exactly on the first node, on interior nodes and on the last node
+    shifts = np.concatenate([[-0.5, 0.25, 0.5], rng.uniform(-0.5, 0.5, 62)])
+    betas = smap.beta0 + np.column_stack(
+        [shifts, rng.uniform(-1.0, 1.0, 65)])
+    gs = smap.g0.values + rng.standard_normal((65, vg.size))
+    rows = np.hstack([betas, gs])
+    one_by_one = np.stack([smap.eval_rows(row[None])[0] for row in rows])
+    assert np.array_equal(smap.eval_rows(rows), one_by_one)
+    assert np.array_equal(np.stack(list(smap.eval_stack(rows))), one_by_one)
+
+
+def test_stack_checks_a_bad_row_past_the_first(unit_shift_map):
+    smap = unit_shift_map
+    rows = np.tile(np.concatenate([smap.beta0, smap.g0.values]), (65, 1))
+    rows[40, 0] += 0.75
+    with pytest.raises(ValueError, match="tabulated domain"):
+        smap.eval_rows(rows)
 
 
 class TestDiagnosis:
@@ -123,7 +162,7 @@ class TestDiagnosis:
 def test_partialled_gram_scale_free_of_loading_constant():
     # proportional second column keeps the Gram matrix exactly rank one
     model = gaussian_index_design(rho=0.55, w_dim=1, proportional_c=0.3)
-    _, split = single_index_map(model)
+    split = single_index_map(model).split
     report = partial_out(split, 1e-8)
     eigs = np.linalg.eigvalsh(report.gram)
     assert eigs[0] <= 1e-10 * max(eigs[1], 1e-300)

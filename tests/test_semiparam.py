@@ -1,4 +1,6 @@
+import functools
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ import pytest
 import momentid.semiparam
 from momentid.errors import EmptyNeighborhoodError
 from momentid.fnspace import GridFunction, GridMeasure, inner, norm
-from momentid.identcore import NonlinearityBound
+from momentid.identcore import EVAL_CHUNK, NonlinearityBound
 from momentid.linop import LinearOperator, apply, svd
 from momentid.semiparam import (
     SemiparametricMap,
@@ -159,6 +161,11 @@ class TestLowerBound:
             assert ratio >= report.eps - 1e-10
 
 
+def apply_rows(op, rows):
+    """``apply_values`` of ``op`` to each row of a stack of domain values."""
+    return (rows * op.domain.weights) @ op.entries.T
+
+
 def make_semiparam_model(rng, n=10, p=2, nonlinear=0.0):
     """Synthetic map: linear in g, optional curvature in g via `nonlinear`.
 
@@ -178,18 +185,23 @@ def make_semiparam_model(rng, n=10, p=2, nonlinear=0.0):
     g0 = GridFunction(rng.standard_normal(n), dom)
     bmat = np.column_stack([c.values for c in cols])
 
-    def eval_fn(beta, g):
+    def eval_row(beta, g):
         dg = g - g0
-        vals = (
+        return (
             bmat @ (beta - beta0)
             + 0.5 * bmat @ ((beta - beta0) ** 2)
             + apply(m_g, dg).values
             + nonlinear * norm(dg) ** 2
         )
-        return GridFunction(vals, cod)
+
+    def eval_rows(rows):
+        # row by row, so each row is bit for bit the same at any stack size
+        return np.stack([eval_row(row[:p], GridFunction(row[p:], dom))
+                         for row in rows])
 
     split = SplitDerivative(m_beta=cols, m_g=m_g)
-    return SemiparametricMap(beta0=beta0, g0=g0, eval_fn=eval_fn, split=split)
+    return SemiparametricMap(beta0=beta0, g0=g0, eval_rows=eval_rows,
+                             split=split)
 
 
 class TestHarnesses:
@@ -224,11 +236,10 @@ class TestHarnesses:
         beta0 = np.zeros(1)
         g0 = GridFunction(np.zeros(n), dom)
 
-        def eval_fn(beta, g):
-            return GridFunction(
-                inside.values * beta[0] + apply(m_g, g).values, cod)
+        def eval_rows(rows):
+            return rows[:, :1] * inside.values + apply_rows(m_g, rows[:, 1:])
 
-        model = SemiparametricMap(beta0=beta0, g0=g0, eval_fn=eval_fn,
+        model = SemiparametricMap(beta0=beta0, g0=g0, eval_rows=eval_rows,
                                   split=split)
         report = verify_semiparam_linear(model, 0.1, 0.1, 5, seed=2)
         assert not report.pi_nonsingular
@@ -311,13 +322,12 @@ def test_nonlinear_harness_makes_no_claim_on_a_singular_gram_matrix():
     m_g = LinearOperator(rng.standard_normal((n, n)) + 2 * np.eye(n), mu, mu)
     inside = apply(m_g, GridFunction(rng.standard_normal(n), mu))
 
-    def eval_fn(beta, g):
-        return GridFunction(inside.values * beta[0] + apply(m_g, g).values,
-                            mu)
+    def eval_rows(rows):
+        return rows[:, :1] * inside.values + apply_rows(m_g, rows[:, 1:])
 
     model = SemiparametricMap(
-        beta0=np.zeros(1), g0=GridFunction(np.zeros(n), mu), eval_fn=eval_fn,
-        split=SplitDerivative(m_beta=(inside,), m_g=m_g))
+        beta0=np.zeros(1), g0=GridFunction(np.zeros(n), mu),
+        eval_rows=eval_rows, split=SplitDerivative(m_beta=(inside,), m_g=m_g))
     report = verify_semiparam_nonlinear(
         model, NonlinearityBound(L=1.0, r=2.0), beta_radius=0.1, samples=5,
         seed=2)
@@ -334,3 +344,129 @@ def test_linear_tally_counts_every_failure():
     assert (report.samples, report.passes, report.failures) == (14, 0, 14)
     assert 0.0 < report.min_m_norm < 1e9
     assert not report.all_passed
+
+
+@functools.cache
+def ccapm_map():
+    from momentid.models.ccapm import ccapm_moment_map, lognormal_ccapm_model
+
+    return ccapm_moment_map(lognormal_ccapm_model())
+
+
+SEMIPARAM_MODELS = {
+    # a vectorised eval_rows; g is identified only up to scale, so the
+    # linear harness draws no g-only deviations
+    "ccapm": ccapm_map,
+    # g is identified, so the linear harness adds the g-only deviations
+    "synthetic": lambda: make_semiparam_model(np.random.default_rng(15)),
+}
+
+SEMIPARAM_HARNESSES = {
+    "linear": lambda model, n: verify_semiparam_linear(
+        model, beta_radius=0.1, g_radius=0.5, samples=n, seed=1),
+    "nonlinear": lambda model, n: verify_semiparam_nonlinear(
+        model, NonlinearityBound(L=0.0, r=2.0), beta_radius=0.1, samples=n,
+        seed=1, g_radius=0.5),
+}
+
+
+def one_row_per_call(model):
+    """The reference: ``model`` with one row per ``eval_rows`` call."""
+    return replace(model, eval_rows=lambda rows: np.stack(
+        [model.eval_rows(row[None])[0] for row in rows]))
+
+
+def recording(model, calls, draws):
+    """``model`` with an eval_rows that records, per call, the stack size
+    and how many draws had been made when it was called."""
+
+    def eval_rows(rows):
+        calls.append((len(rows), len(draws)))
+        return model.eval_rows(rows)
+
+    return replace(model, eval_rows=eval_rows)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65])
+@pytest.mark.parametrize("harness", SEMIPARAM_HARNESSES)
+@pytest.mark.parametrize("which", SEMIPARAM_MODELS)
+def test_harnesses_agree_with_one_row_per_call(which, harness, n,
+                                               monkeypatch):
+    model = SEMIPARAM_MODELS[which]()
+    calls, draws = [], []
+    for name in ("_sample_beta", "_sample_g_deviation"):
+        sampler = getattr(momentid.semiparam, name)
+
+        def counted(*args, sampler=sampler):
+            draws.append(None)
+            return sampler(*args)
+
+        monkeypatch.setattr(momentid.semiparam, name, counted)
+    stacked = recording(model, calls, draws)
+    calls.clear()  # the m(beta0, g0) = 0 check of the construction
+    got = SEMIPARAM_HARNESSES[harness](stacked, n)
+    drawn = len(draws)
+    want = SEMIPARAM_HARNESSES[harness](one_row_per_call(model), n)
+    for field in fields(got):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if field.name == "partial":
+            assert np.array_equal(a.gram, b.gram) and a.eps == b.eps
+        else:
+            assert a == b, field.name
+    assert max(rows for rows, _ in calls) <= EVAL_CHUNK
+    # the linear harness's linearity check evaluates before any sample is
+    # drawn; every sample is evaluated after the last draw
+    assert {seen for _, seen in calls} <= {0, drawn}
+    # and in full chunks
+    total = got.passes + got.failures
+    assert total >= n
+    assert [rows for rows, seen in calls if seen == drawn] == [
+        min(EVAL_CHUNK, total - k) for k in range(0, total, EVAL_CHUNK)]
+
+
+@pytest.mark.parametrize("harness", SEMIPARAM_HARNESSES)
+def test_harnesses_keep_the_per_point_draw_order(harness):
+    """The rows evaluated are those of a loop that evaluated each point as
+    soon as it was drawn: per sample, beta then g for the linear harness
+    (then the g-only draws), the accepted g then beta for the nonlinear."""
+    model = SEMIPARAM_MODELS["synthetic"]()
+    seen = []
+
+    def eval_rows(rows):
+        seen.extend(rows)
+        return model.eval_rows(rows)
+
+    SEMIPARAM_HARNESSES[harness](replace(model, eval_rows=eval_rows), 5)
+    rng = np.random.default_rng(1)
+    dec = partial_out(model.split, 1e-12).decomposition
+
+    def g_dev():
+        return momentid.semiparam._sample_g_deviation(
+            rng, dec, 0.5, model.g_norm_of)
+
+    def beta():
+        return momentid.semiparam._sample_beta(rng, model, 0.1)
+
+    if harness == "linear":
+        points = [(beta(), g_dev()) for _ in range(5)]
+        points += [(model.beta0, g_dev()) for _ in range(5)]
+    else:
+        points = []
+        for _ in range(5):
+            g = g_dev()  # L = 0 accepts every nonzero deviation
+            points.append((beta(), g))
+    want = [np.concatenate([b, model.g0.values + g.values])
+            for b, g in points]
+    assert np.array_equal(np.array(seen[-len(want):]), np.array(want))
+
+
+@pytest.mark.parametrize("which", SEMIPARAM_MODELS)
+def test_linearity_check_draws_first_and_agrees_with_one_row_per_call(
+        which):
+    model = SEMIPARAM_MODELS[which]()
+    calls = []
+    stacked = recording(model, calls, [])
+    calls.clear()
+    assert (linearity_in_g_check(stacked, seed=3)
+            == linearity_in_g_check(one_row_per_call(model), seed=3))
+    assert calls == [(13, 0)]  # m(beta0, g0), then three per draw

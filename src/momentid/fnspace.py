@@ -44,14 +44,14 @@ class GridMeasure:
             raise GridMismatchError(
                 f"weights shape {w.shape} does not match {pts.shape[0]} points"
             )
-        if not np.all(np.isfinite(pts)) or not np.all(np.isfinite(w)):
+        if not np.isfinite(pts).all() or not np.isfinite(w).all():
             raise ValueError("points and weights must be finite")
-        if np.any(w <= 0):
+        if (w <= 0).any():
             raise ValueError("all weights must be positive")
         order = np.lexsort(pts.T)
-        if pts.shape[0] > 1 and np.any(
-            np.all(np.diff(pts[order], axis=0) == 0.0, axis=1)
-        ):
+        if pts.shape[0] > 1 and (
+            np.diff(pts[order], axis=0) == 0.0
+        ).all(axis=1).any():
             raise ValueError("support points must be pairwise distinct")
         object.__setattr__(self, "points", _readonly(pts))
         object.__setattr__(self, "weights", _readonly(w))
@@ -70,7 +70,10 @@ class GridMeasure:
 
     @cached_property
     def axis_sizes(self) -> tuple[int, ...]:
-        return tuple(np.unique(self.points[:, k]).size for k in range(self.dim))
+        """Number of distinct values on each coordinate axis."""
+        # steps between sorted values; np.unique would import numpy.ma
+        steps = np.diff(np.sort(self.points, axis=0), axis=0)
+        return tuple(((steps != 0.0).sum(axis=0) + (self.size > 0)).tolist())
 
     def coords(self) -> np.ndarray:
         return self.points[:, 0]
@@ -84,28 +87,20 @@ class GridMeasure:
 
     @staticmethod
     def trapezoid(points: Sequence[float]) -> "GridMeasure":
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 1 or pts.size < 2:
-            raise ValueError("trapezoid rule needs a sorted 1-d grid")
-        if np.any(np.diff(pts) <= 0):
-            raise ValueError("trapezoid grid must be strictly increasing")
-        w = np.empty_like(pts)
-        w[1:-1] = (pts[2:] - pts[:-2]) / 2.0
-        w[0] = (pts[1] - pts[0]) / 2.0
-        w[-1] = (pts[-1] - pts[-2]) / 2.0
-        return GridMeasure(pts, w)
+        """The trapezoid rule on a strictly increasing 1-d grid."""
+        return GridMeasure(points, trapezoid_weights(points))
 
     @staticmethod
     def from_density(
         points: Sequence[float], density: Sequence[float]
     ) -> "GridMeasure":
         """Probability measure with trapezoid quadrature times a density."""
-        base = GridMeasure.trapezoid(points)
+        quad = trapezoid_weights(points)
         d = np.asarray(density, dtype=float)
-        if np.any(d <= 0):
+        if (d <= 0).any():
             raise ValueError("density must be strictly positive on the grid")
-        w = base.weights * d
-        return GridMeasure(base.points[:, 0], w / w.sum())
+        w = quad * d
+        return GridMeasure(points, w / w.sum())
 
     @staticmethod
     def tensor(mx: "GridMeasure", my: "GridMeasure") -> "GridMeasure":
@@ -127,6 +122,23 @@ class GridMeasure:
         )
 
 
+def trapezoid_weights(points: Sequence[float]) -> np.ndarray:
+    """Trapezoid-rule weights of a strictly increasing 1-d grid: the weights
+    of ``GridMeasure.trapezoid(points)``, for callers that need only them."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 1 or pts.size < 2:
+        raise ValueError("trapezoid rule needs a sorted 1-d grid")
+    if (np.diff(pts) <= 0).any():
+        raise ValueError("trapezoid grid must be strictly increasing")
+    w = np.empty_like(pts)
+    w[1:-1] = (pts[2:] - pts[:-2]) / 2.0
+    w[0] = (pts[1] - pts[0]) / 2.0
+    w[-1] = (pts[-1] - pts[-2]) / 2.0
+    if not np.isfinite(w).all():
+        raise ValueError("points and weights must be finite")
+    return w
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """Real values tabulated at the nodes of a grid measure."""
@@ -141,7 +153,7 @@ class GridFunction:
                 f"values shape {v.shape} does not match a "
                 f"{self.measure.size}-point measure"
             )
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("function values must be finite")
         object.__setattr__(self, "values", _readonly(v))
 
@@ -209,7 +221,7 @@ class OrthonormalBasis:
                 f"basis matrix shape {mat.shape} does not fit a "
                 f"{measure.size}-point measure"
             )
-        if not np.all(np.isfinite(mat)):
+        if not np.isfinite(mat).all():
             raise ValueError("basis values must be finite")
         mat.flags.writeable = False
         object.__setattr__(self, "_mat", mat)

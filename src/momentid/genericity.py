@@ -39,7 +39,7 @@ class GeneratorConfig:
 
     def __post_init__(self):
         s = np.atleast_1d(np.asarray(self.sigma, dtype=float))
-        if np.any(s <= 0):
+        if (s <= 0).any():
             raise ValueError("sigma entries must be positive")
         if self.kappa <= 0:
             raise ValueError("kappa must be positive")

@@ -134,7 +134,7 @@ def _codomain_rows(
     it = iter(rows)
     while chunk := list(itertools.islice(it, EVAL_CHUNK)):
         stack = np.stack(chunk)
-        if not np.all(np.isfinite(stack)):
+        if not np.isfinite(stack).all():
             raise ValueError("domain values must be finite")
         out = np.asarray(eval_rows(stack), dtype=float)
         if out.shape != (len(chunk), cod.size):
@@ -142,7 +142,7 @@ def _codomain_rows(
                 f"eval_rows returned shape {out.shape} for {len(chunk)} "
                 f"rows on a {cod.size}-point codomain"
             )
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise ValueError("eval_rows returned values that are not finite")
         yield from out
 
@@ -280,13 +280,24 @@ class RankReport:
     sigma_max: float
 
 
-def rank_condition(op: LinearOperator, tol: float) -> RankReport:
-    """Injectivity proxy: smallest singular value above tol * largest."""
+def rank_condition(
+    op: LinearOperator | SvdDecomposition, tol: float
+) -> RankReport:
+    """Injectivity proxy: smallest singular value above tol * largest.
+
+    Given the operator's decomposition, its singular values are read from
+    it instead of computed again.
+    """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    s = singular_values(op)
+    if isinstance(op, SvdDecomposition):
+        s = op.singular_values
+        dom, cod = op.right_functions.measure, op.left_functions.measure
+    else:
+        s = singular_values(op)
+        dom, cod = op.domain, op.codomain
     # a domain larger than the codomain always has a null space
-    smin = 0.0 if op.domain.size > op.codomain.size else float(s[-1])
+    smin = 0.0 if dom.size > cod.size else float(s[-1])
     smax = float(s[0])
     return RankReport(holds=smin > tol * smax, sigma_min=smin, sigma_max=smax)
 
@@ -315,7 +326,7 @@ def in_ellipsoid(
         )
         return True
     live = b != 0.0
-    if np.any(mu[live] == 0.0):
+    if (mu[live] == 0.0).any():
         return False
     p = 2.0 / (bound.r - 1.0)
     # zeros stay in place, so the sum adds its terms in the same order
@@ -506,7 +517,7 @@ def measure_curvature_constant(f: Callable) -> float:
     1 and nowhere else, and of unit slope at 0."""
     scan = np.linspace(-6.0, 6.0, 24001)
     vals = np.asarray(f(scan), dtype=float)
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise ValueError("f must be finite on the scan range")
     for root in (0.0, 1.0):
         if abs(float(f(root))) > 1e-12:
@@ -701,6 +712,24 @@ def _transfer_ratio(eta: np.ndarray) -> np.ndarray:
     return np.divide(eta, 1.0 - eta, out=np.zeros_like(eta), where=eta < 1.0)
 
 
+@functools.lru_cache(maxsize=8)
+def _live_masks(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Live-entry masks of one cone instance padded to ``dim`` coordinates,
+    for every size: the (dim,) mask of the first k coordinates at row
+    k - 1, and for sizes (da, db) the linear part's (dim, dim) and the
+    quadratic part's (dim, dim, dim) masks at row (db - 1) dim + (da - 1).
+    Read-only, built once per dim."""
+    coord = np.arange(dim)
+    col = coord < coord[:, None] + 1
+    lin = col[:, None, :, None] & col[None, :, None, :]
+    quad = lin[..., None] & col[None, :, None, None, :]
+    masks = (col, lin.reshape(dim * dim, dim, dim),
+             quad.reshape(dim * dim, dim, dim, dim))
+    for mask in masks:
+        mask.flags.writeable = False
+    return masks
+
+
 def draw_cone_chunk(rng: np.random.Generator, n: int, dim: int) -> ConeChunk:
     """Draw ``n`` instances of at most ``dim`` coordinates per side.
 
@@ -720,17 +749,17 @@ def draw_cone_chunk(rng: np.random.Generator, n: int, dim: int) -> ConeChunk:
     """
     da = rng.integers(1, dim + 1, size=n)
     db = rng.integers(1, dim + 1, size=n)
-    coord = np.arange(dim)
-    col = coord < da[:, None]
-    row = coord < db[:, None]
+    col_masks, lin_masks, quad_masks = _live_masks(dim)
+    pair = (db - 1) * dim + (da - 1)
+    col = col_masks.take(da - 1, axis=0)
     # only the live entries are drawn; the padding stays exactly zero
-    lin_live = row[:, :, None] & col[:, None, :]
+    lin_live = lin_masks.take(pair, axis=0)
     m_lin = np.zeros((n, dim, dim))
     m_lin[lin_live] = rng.standard_normal(int(np.count_nonzero(lin_live)))
     deficient = rng.uniform(size=n) < 0.15
     zeroed = rng.integers(1, db + 1)
-    m_lin[deficient[:, None] & (coord < zeroed[:, None])] = 0.0
-    quad_live = lin_live[:, :, :, None] & col[:, None, None, :]
+    m_lin[deficient[:, None] & col_masks.take(zeroed - 1, axis=0)] = 0.0
+    quad_live = quad_masks.take(pair, axis=0)
     quad = np.zeros((n, dim, dim, dim))
     quad[quad_live] = rng.standard_normal(int(np.count_nonzero(quad_live)))
     alpha = np.zeros((n, dim))
@@ -874,21 +903,22 @@ def cone_inclusion_suite(
     if instances <= 0:
         raise ValueError("instances must be positive")
     rng = np.random.default_rng(rng_seed)
-    violations, premises, near_bound = {}, {}, {}
-
-    def tally(counts: dict, name: str, hits: np.ndarray) -> None:
-        counts[name] = counts.get(name, 0) + int(np.count_nonzero(hits))
-
+    totals = 0
     for start in range(0, instances, CONE_CHUNK):
         n = min(CONE_CHUNK, instances - start)
         flags = evaluate_cone_chunk(draw_cone_chunk(rng, n, dim), 1e-12)
-        for name, hits in flags.violations.items():
-            tally(violations, name, hits)
-        for name, hits in flags.premises.items():
-            if name.startswith("inclusion_"):
-                tally(premises, name, hits)
-        tally(premises, "zero_linear_term", flags.linear_norm == 0.0)
-        for name, hits in flags.near_bound.items():
-            tally(near_bound, name, hits)
-    return ConeSuiteReport(instances=instances, violations=violations,
-                           premises=premises, near_bound=near_bound)
+        # (report field, count name, per-instance hits), in report order
+        tallied = [("violations", name, hits)
+                   for name, hits in flags.violations.items()]
+        tallied += [("premises", name, hits)
+                    for name, hits in flags.premises.items()
+                    if name.startswith("inclusion_")]
+        tallied.append(("premises", "zero_linear_term",
+                        flags.linear_norm == 0.0))
+        tallied += [("near_bound", name, hits)
+                    for name, hits in flags.near_bound.items()]
+        totals = totals + np.stack([hits for *_, hits in tallied]).sum(axis=1)
+    counts = {"violations": {}, "premises": {}, "near_bound": {}}
+    for (field, name, _), total in zip(tallied, totals.tolist()):
+        counts[field][name] = total
+    return ConeSuiteReport(instances=instances, **counts)

@@ -28,7 +28,7 @@ def _checked_entries(
             f"entries shape {e.shape} does not match "
             f"codomain x domain = ({codomain.size}, {domain.size})"
         )
-    if not np.all(np.isfinite(e)):
+    if not np.isfinite(e).all():
         raise ValueError("operator entries must be finite")
     for mu in (domain, codomain):
         if max(mu.axis_sizes) > MAX_AXIS_POINTS:
@@ -122,7 +122,7 @@ def conditional_expectation(
             f"joint table shape {joint.shape} != (dom, cod) = "
             f"({dom.size}, {cod.size})"
         )
-    if np.any(joint < 0):
+    if (joint < 0).any():
         raise ValueError("joint density table must be nonnegative")
     marg = dom.weights @ joint
     bad = np.flatnonzero(marg <= 0)
@@ -160,7 +160,7 @@ class SvdDecomposition:
 
     def __post_init__(self):
         s = np.asarray(self.singular_values, dtype=float)
-        if np.any(s < 0) or np.any(np.diff(s) > 0):
+        if (s < 0).any() or (np.diff(s) > 0).any():
             raise ValueError("singular values must be nonnegative and nonincreasing")
         object.__setattr__(self, "singular_values", s)
 
@@ -196,7 +196,7 @@ def _weighted_svd(op: LinearOperator | OperatorStack, compute_uv: bool):
             f"SVD failed to converge (entry magnitude ratio {cond:.2e})"
         ) from exc
     s = out[1] if compute_uv else out
-    if not np.all(np.isfinite(s)):
+    if not np.isfinite(s).all():
         raise np.linalg.LinAlgError("SVD returned non-finite singular values")
     return out
 

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..errors import ConvergenceError, GridMismatchError
-from ..fnspace import GridFunction, GridMeasure, inner, norm
+from ..fnspace import GridFunction, GridMeasure, inner, norm, trapezoid_weights
 from ..identcore import rank_condition
 from ..linop import LinearOperator, adjoint, hs_norm
 from ..semiparam import SemiparametricMap, SplitDerivative
@@ -62,16 +62,16 @@ class CcapmModel:
         p = np.asarray(self.cond_mass, dtype=float)
         if p.shape != (n_s, n_o, n_s):
             raise GridMismatchError("cond_mass must be (n_state, n_signal, n_state)")
-        if np.any(p < 0):
+        if (p < 0).any():
             raise ValueError("transition masses must be nonnegative")
         if np.abs(p.sum(axis=0) - 1.0).max() > 1e-12:
             raise ValueError("transition masses must sum to one per column")
         r = np.asarray(self.returns, dtype=float)
         if r.shape != (n_o, n_s):
             raise GridMismatchError("returns must be (n_signal, n_state)")
-        if np.any(r <= 0):
+        if (r <= 0).any():
             raise ValueError("gross returns must be positive")
-        if np.any(self.g0.values <= 0):
+        if (self.g0.values <= 0).any():
             raise ValueError("g0 must be strictly positive on the grid")
         if abs(norm(self.g0) - 1.0) > 1e-10:
             raise ValueError("g0 must have unit norm under the state measure")
@@ -146,7 +146,7 @@ def ccapm_moment_map(model: CcapmModel) -> SemiparametricMap:
                 f"window [{model.gamma0 - model.window:.4f}, "
                 f"{model.gamma0 + model.window:.4f}]"
             )
-        if np.any(delta <= 0):
+        if (delta <= 0).any():
             raise ValueError("the discount factor must be positive")
         priced = delta[:, None, None] * r * np.einsum(
             "soc,bs->boc", p, s ** (-gamma[:, None]) * g)
@@ -221,7 +221,7 @@ def positive_eigenpair(
     """
     if not op.domain.same_as(op.codomain):
         raise GridMismatchError("eigenproblem needs matching domain and codomain")
-    if np.any(op.entries <= 0):
+    if (op.entries <= 0).any():
         raise ValueError(
             "kernel must be strictly positive at every node pair for the "
             "positive-eigenpair guarantee"
@@ -247,7 +247,7 @@ def positive_eigenpair(
         )
 
     rho, v, res, iters = iterate(amat)
-    if np.any(v <= 0):
+    if (v <= 0).any():
         raise ValueError("computed eigenfunction is not strictly positive")
     rho_d, dual, _, _ = iterate(adjoint(op).action_matrix())
     if abs(rho_d - rho) > 1e-8 * abs(rho):
@@ -339,7 +339,7 @@ def check_global_identification(
     violations = 0
     any_solution = False
     for delta, gamma, g in candidates:
-        if np.any(g.values <= 0):
+        if (g.values <= 0).any():
             raise ValueError("candidate g must be bounded away from zero")
         m_n = norm(smap.eval(np.array([delta, gamma]), g))
         row = {"delta": delta, "gamma": gamma, "moment_norm": m_n}
@@ -389,14 +389,14 @@ def lognormal_ccapm_model(
     sigma_tot = math.hypot(sigma_signal, sigma_noise)
     s_x = sigma_tot / math.sqrt(1.0 - phi * phi)
     xg = np.linspace(mean_growth - span * s_x, mean_growth + span * s_x, n_state)
-    quad_x = GridMeasure.trapezoid(xg).weights
+    quad_x = trapezoid_weights(xg)
     stat = np.exp(-0.5 * ((xg - mean_growth) / s_x) ** 2)
     mass_c = quad_x * stat
     mass_c /= mass_c.sum()
     c_measure = GridMeasure(np.exp(xg), mass_c)
 
     og = np.linspace(-span, span, n_signal)
-    quad_o = GridMeasure.trapezoid(og).weights
+    quad_o = trapezoid_weights(og)
     mass_o = quad_o * np.exp(-0.5 * og**2)
     mass_o /= mass_o.sum()
     omega_measure = GridMeasure(og, mass_o)
@@ -413,7 +413,7 @@ def lognormal_ccapm_model(
         g0_raw = 1.0 + 0.5 * np.exp(-0.5 * ((xg - mean_growth) / s_x) ** 2)
     else:
         g0_raw = np.asarray(g0_fn(states), dtype=float)
-        if np.any(g0_raw <= 0):
+        if (g0_raw <= 0).any():
             raise ValueError("g0_fn must be strictly positive on the grid")
     g0_vals = g0_raw / math.sqrt(np.dot(mass_c, g0_raw**2))
     g0 = GridFunction(g0_vals, c_measure)

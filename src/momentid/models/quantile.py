@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..errors import GridMismatchError
-from ..fnspace import GridFunction, GridMeasure
+from ..fnspace import GridFunction, GridMeasure, trapezoid_weights
 from ..identcore import MomentMap, NonlinearityBound
 from ..linop import conditional_expectation
 
@@ -121,7 +121,7 @@ class QuantileIvModel:
         if not 0.0 < self.tau < 1.0:
             raise ValueError("tau must lie strictly between 0 and 1")
         y = np.asarray(self.y_grid, dtype=float)
-        if np.any(np.diff(y) <= 0):
+        if (np.diff(y) <= 0).any():
             raise ValueError("y grid must be strictly increasing")
         fy = np.asarray(self.f_y, dtype=float)
         nx, nw = self.x_measure.size, self.w_measure.size
@@ -129,17 +129,17 @@ class QuantileIvModel:
             raise GridMismatchError(
                 "f_y table must be (n_y, n_x, n_w) or (n_y, n_x, 1)"
             )
-        if np.any(fy < 0):
+        if (fy < 0).any():
             raise ValueError("densities must be nonnegative")
         ratio = np.asarray(self.x_ratio, dtype=float)
         if ratio.shape != (nx, nw):
             raise GridMismatchError("x_ratio table must be (n_x, n_w)")
-        if np.any(ratio < 0):
+        if (ratio < 0).any():
             raise ValueError("density ratios must be nonnegative")
         col = self.x_measure.weights @ ratio
         if np.abs(col - 1.0).max() > 1e-10:
             raise ValueError("x_ratio columns must average to one")
-        wy = GridMeasure.trapezoid(y).weights
+        wy = trapezoid_weights(y)
         mass = np.einsum("y,yxw->xw", wy, fy)
         if np.abs(mass - 1.0).max() > 1e-10:
             raise ValueError("f_y slices must integrate to one in y")
@@ -173,7 +173,7 @@ class QuantileIvModel:
         """
         yq = np.asarray(alpha_values, dtype=float)
         y = self.y_grid
-        if np.any(yq < y[0]) or np.any(yq > y[-1]):
+        if (yq < y[0]).any() or (yq > y[-1]).any():
             raise ValueError(
                 "requested y values leave the tabulated range "
                 f"[{y[0]:.4g}, {y[-1]:.4g}]"
@@ -293,7 +293,7 @@ def gaussian_quantile_model(
     w_measure = GridMeasure.from_density(wg, phi(wg))
 
     # conditional mass of X given W, normalized per column
-    quad = GridMeasure.trapezoid(xg).weights
+    quad = trapezoid_weights(xg)
     s = math.sqrt(1 - rho * rho)
     cond = phi((xg[:, None] - rho * wg[None, :]) / s) / s
     cond_mass = quad[:, None] * cond
@@ -303,7 +303,7 @@ def gaussian_quantile_model(
     # outcome density: location family around the median curve, w-free
     curve = np.tanh(xg)  # bounded inside the y range with room for deviations
     fy_x = phi((yg[:, None] - curve[None, :]) / sigma_u) / sigma_u
-    wy = GridMeasure.trapezoid(yg).weights
+    wy = trapezoid_weights(yg)
     fy_x /= np.einsum("y,yx->x", wy, fy_x)[None, :]
     f_y = fy_x[:, :, None]
 

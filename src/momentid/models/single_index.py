@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from ..errors import GridMismatchError
-from ..fnspace import GridFunction, GridMeasure
+from ..fnspace import GridFunction, GridMeasure, trapezoid_weights
 from ..identcore import rank_condition
 from ..linop import apply, conditional_expectation
 from ..semiparam import SemiparametricMap, SplitDerivative, partial_out
@@ -48,7 +48,7 @@ class SingleIndexModel:
         ratio = np.asarray(self.joint_ratio, dtype=float)
         if ratio.shape != (self.v_measure.size, self.w_measure.size):
             raise GridMismatchError("joint_ratio must be (n_v, n_w)")
-        if np.any(ratio < 0):
+        if (ratio < 0).any():
             raise ValueError("joint mass ratios must be nonnegative")
         col = self.v_measure.weights @ ratio
         if np.abs(col - 1.0).max() > 1e-10:
@@ -57,7 +57,7 @@ class SingleIndexModel:
         if x2.shape != (self.w_measure.size, b0.size):
             raise GridMismatchError("x2 must be (n_w, p)")
         gp = np.asarray(self.g0_prime(self.v_measure.coords()), dtype=float)
-        if not np.all(np.isfinite(gp)):
+        if not np.isfinite(gp).all():
             raise ValueError("g0_prime must be finite on the index grid")
         object.__setattr__(self, "beta0", b0)
         object.__setattr__(self, "joint_ratio", ratio)
@@ -66,6 +66,21 @@ class SingleIndexModel:
     @property
     def p(self) -> int:
         return self.beta0.size
+
+
+def _split_derivative(model: SingleIndexModel) -> SplitDerivative:
+    """The split derivative of ``single_index_map(model)`` at the truth,
+    which ``diagnose_single_index`` partials out without building the map."""
+    mv, mw = model.v_measure, model.w_measure
+    m_g = -1.0 * conditional_expectation(model.joint_ratio, mv, mw)
+    g0p = GridFunction(
+        np.asarray(model.g0_prime(mv.coords()), dtype=float), mv
+    )
+    u = apply(-1.0 * m_g, g0p).values  # E[g0'(V) | W]
+    m_beta = tuple(
+        GridFunction(-model.x2[:, k] * u, mw) for k in range(model.p)
+    )
+    return SplitDerivative(m_beta=m_beta, m_g=m_g)
 
 
 def single_index_map(model: SingleIndexModel) -> SemiparametricMap:
@@ -77,6 +92,7 @@ def single_index_map(model: SingleIndexModel) -> SemiparametricMap:
     the tabulated index range raise.  The derivative splits into
     m_g h = -E[h(V)|W] and columns -x2_k(w) E[g0'(V)|W=w].
     """
+    split = _split_derivative(model)
     mv, mw = model.v_measure, model.w_measure
     vg = mv.coords()
     cond_mass = mv.weights[:, None] * model.joint_ratio
@@ -85,15 +101,6 @@ def single_index_map(model: SingleIndexModel) -> SemiparametricMap:
     inner = np.flatnonzero(cond_mass.max(axis=1) > 0)
     vg_inner = vg[inner]
     mass_inner = cond_mass[inner]
-
-    m_g = -1.0 * conditional_expectation(model.joint_ratio, mv, mw)
-    g0p = GridFunction(
-        np.asarray(model.g0_prime(vg), dtype=float), mv
-    )
-    u = apply(-1.0 * m_g, g0p).values  # E[g0'(V) | W]
-    m_beta = tuple(
-        GridFunction(-model.x2[:, k] * u, mw) for k in range(model.p)
-    )
     g0_v = np.asarray(model.g0(vg), dtype=float)
     g0_inner = g0_v[inner][:, None]
 
@@ -115,7 +122,7 @@ def single_index_map(model: SingleIndexModel) -> SemiparametricMap:
         beta0=model.beta0,
         g0=GridFunction(g0_v, mv),
         eval_rows=eval_rows,
-        split=SplitDerivative(m_beta=m_beta, m_g=m_g),
+        split=split,
     )
 
 
@@ -140,7 +147,9 @@ class IndexDiagnosis:
 def _subsample_indices(n: int, target: int) -> np.ndarray:
     if n <= target:
         return np.arange(n)
-    return np.unique(np.linspace(0, n - 1, target).round().astype(int))
+    # the nodes are more than one apart, so their rounded values are
+    # distinct and increasing: no deduplication (np.unique) is needed
+    return np.linspace(0, n - 1, target).round().astype(int)
 
 
 def diagnose_single_index(
@@ -179,7 +188,7 @@ def diagnose_single_index(
     rank = rank_condition(w_to_v, tol)
     ratio = rank.sigma_min / rank.sigma_max if rank.sigma_max > 0 else 0.0
 
-    report = partial_out(single_index_map(model).split, 1e-8)
+    report = partial_out(_split_derivative(model), 1e-8)
     trace = float(np.trace(report.gram))
     pi_singular = report.lambda_min <= 1e-6 * max(trace, 1e-300)
     return IndexDiagnosis(
@@ -222,7 +231,7 @@ def gaussian_index_design(
     # pad the index grid so eval can shift the index with beta deviations
     vg = np.linspace(-span - v_pad, span + v_pad, n_v)
     v_measure = GridMeasure.from_density(vg, phi(vg))
-    quad_v = GridMeasure.trapezoid(vg).weights
+    quad_v = trapezoid_weights(vg)
 
     if w_dim == 1:
         wg = np.linspace(-span, span, n_w)

@@ -226,9 +226,8 @@ class SemiparametricMap:
     def g_norm_of(self, f: GridFunction) -> float:
         return norm(f) if self.g_norm is None else float(self.g_norm(f))
 
-    def to_moment_map(self) -> MomentMap:
-        """The same map, and the same ``eval_rows``, as a ``MomentMap`` on the
-        stacked (beta, g) grid, so the generic map tools apply.
+    def stacked_derivative(self) -> LinearOperator:
+        """The split derivative as one operator on the stacked (beta, g) grid.
 
         The beta coordinates get unit weights at sentinel support points below
         the g grid; the stacked weighted norm is then the product norm
@@ -243,11 +242,17 @@ class SemiparametricMap:
         sentinels = lo - span * (np.arange(p, dtype=float) + 1.0)
         pts = np.concatenate([sentinels[::-1], g_mu.coords()])
         wts = np.concatenate([np.ones(p), g_mu.weights])
-        stacked_mu = GridMeasure(pts, wts)
         kernel = np.hstack([self.split.beta_matrix(), self.split.m_g.entries])
-        derivative = LinearOperator(kernel, stacked_mu, self.split.m_g.codomain)
+        return LinearOperator(kernel, GridMeasure(pts, wts),
+                              self.split.m_g.codomain)
+
+    def to_moment_map(self) -> MomentMap:
+        """The same map, and the same ``eval_rows``, as a ``MomentMap`` on the
+        stacked (beta, g) grid of :meth:`stacked_derivative`, so the generic
+        map tools apply."""
+        derivative = self.stacked_derivative()
         base = GridFunction(np.concatenate([self.beta0, self.g0.values]),
-                            stacked_mu)
+                            derivative.domain)
         return MomentMap(
             base_point=base, eval_rows=self.eval_rows, derivative=derivative,
         )
@@ -342,8 +347,8 @@ def _gram_gate(
     if report.lambda_min <= 1e-10 * max(scale, 1e-300):
         return no_claim
     if pos_tol is None:
-        stacked = model.to_moment_map().derivative
-        pos_tol = positivity_tol(singular_values(stacked)[0])
+        pos_tol = positivity_tol(
+            singular_values(model.stacked_derivative())[0])
     return replace(no_claim, pi_nonsingular=True, pos_tol=pos_tol)
 
 
@@ -391,7 +396,7 @@ def verify_semiparam_linear(
         return gate
     rng = np.random.default_rng(seed)
     dec = gate.partial.decomposition
-    g_rank = rank_condition(model.split.m_g, 1e-10)
+    g_rank = rank_condition(dec, 1e-10)
     # the draws come first, the map's evaluations after them in chunks
     points = [
         (_sample_beta(rng, model, beta_radius),

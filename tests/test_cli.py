@@ -430,6 +430,30 @@ def test_cli_imports_only_the_experiment_that_runs(tmp_path):
         "momentid.genericity", "momentid.linop"]
 
 
+NUMPY_MA_SCOPE = """
+import sys
+from momentid.cli import main
+
+before = "numpy.ma" in sys.modules
+assert main(["run", sys.argv[1], "--out", sys.argv[2]]) == 0
+print(before, "numpy.ma" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=[p.stem for p in SHIPPED])
+def test_shipped_config_runs_without_numpy_ma(path, tmp_path):
+    # start-up cost: np.unique imports numpy.ma on first use, about 11 ms
+    # per process, and no run needs it
+    import momentid
+
+    src = str(Path(momentid.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", NUMPY_MA_SCOPE, str(path), str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "False False"
+
+
 def test_every_benchmark_span_target_resolves():
     # bench/spans.py wraps these attributes by name; without this test only
     # the benchmark's own self-test would notice a renamed target

@@ -15,6 +15,7 @@ from momentid.fnspace import (
     inner,
     norm,
     project,
+    trapezoid_weights,
 )
 
 
@@ -45,6 +46,83 @@ class TestGridMeasure:
         assert mu.dim == 2
         assert np.allclose(mu.weights, [3.0, 4.0, 6.0, 8.0])
         assert mu.axis_sizes == (2, 2)
+
+
+def reference_trapezoid(points):
+    """The trapezoid measure as it was built before ``trapezoid_weights``:
+    its own grid checks, its weights, then a whole ``GridMeasure``."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 1 or pts.size < 2:
+        raise ValueError("trapezoid rule needs a sorted 1-d grid")
+    if np.any(np.diff(pts) <= 0):
+        raise ValueError("trapezoid grid must be strictly increasing")
+    w = np.empty_like(pts)
+    w[1:-1] = (pts[2:] - pts[:-2]) / 2.0
+    w[0] = (pts[1] - pts[0]) / 2.0
+    w[-1] = (pts[-1] - pts[-2]) / 2.0
+    return GridMeasure(pts, w)
+
+
+TRAPEZOID_GRIDS = {
+    "two": [0.0, 1.0],
+    "uneven": [0.0, 1.0, 3.0],
+    "linspace": np.linspace(-7.5, 7.5, 161),
+    "exp": np.exp(np.linspace(-0.2, 0.3, 21)),
+    "random": np.sort(np.random.default_rng(5).uniform(-3.0, 2.0, 40)),
+    "list": [-1.5, -0.25, 0.125, 4.0],
+}
+
+
+class TestTrapezoidWeights:
+    # bit for bit: the weights are a property of the float arithmetic, so
+    # the CI's numpy-floor job runs these too
+
+    @pytest.mark.parametrize("grid", TRAPEZOID_GRIDS)
+    def test_weights_equal_the_measure_they_replace(self, grid):
+        pts = TRAPEZOID_GRIDS[grid]
+        want = reference_trapezoid(pts)
+        got = trapezoid_weights(pts)
+        assert got.dtype == want.weights.dtype
+        assert np.array_equal(got, want.weights)
+        assert GridMeasure.trapezoid(pts).same_as(want)
+
+    @pytest.mark.parametrize("grid", TRAPEZOID_GRIDS)
+    def test_from_density_builds_the_same_measure(self, grid):
+        pts = np.asarray(TRAPEZOID_GRIDS[grid], dtype=float)
+        density = np.exp(-0.5 * pts**2) + 0.1
+        base = reference_trapezoid(pts)
+        w = base.weights * density
+        want = GridMeasure(base.points[:, 0], w / w.sum())
+        assert GridMeasure.from_density(pts, density).same_as(want)
+
+    @pytest.mark.parametrize("pts", [
+        [1.0], [], [[0.0, 1.0], [1.0, 2.0]], [0.0, 2.0, 1.0],
+        [0.0, 0.0, 1.0], [0.0, np.nan, 1.0], [0.0, np.inf],
+        [-np.inf, 0.0, 1.0], [0.0, np.inf, 1.0],
+    ], ids=["one-point", "empty", "2-d", "unsorted", "repeated", "nan",
+            "inf-last", "inf-first", "inf-inside"])
+    def test_rejects_what_the_measure_rejected(self, pts):
+        with pytest.raises(ValueError) as want:
+            reference_trapezoid(pts)
+        with pytest.raises(ValueError) as got:
+            trapezoid_weights(pts)
+        assert str(got.value) == str(want.value)
+        with pytest.raises(ValueError) as got:
+            GridMeasure.trapezoid(pts)
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("pts", [
+    np.zeros((0, 1)), [[0.0]], [[-0.0, 1.0], [0.0, 2.0], [1.0, 2.0]],
+    np.round(np.random.default_rng(2).uniform(0, 4, (30, 2))).astype(float)
+    + np.arange(30)[:, None] * [0.0, 1e-3],
+])
+def test_axis_sizes_count_distinct_values(pts):
+    pts = np.asarray(pts, dtype=float)
+    mu = GridMeasure(pts, np.ones(len(pts)))
+    assert mu.axis_sizes == tuple(
+        np.unique(pts[:, k]).size for k in range(pts.shape[1]))
+    assert all(type(n) is int for n in mu.axis_sizes)
 
 
 def test_function_shape_error_names_the_shape():

@@ -177,6 +177,31 @@ class TestRankCondition:
         cod = unit_grid(3)
         op = LinearOperator(rng.standard_normal((3, 5)), dom, cod)
         assert not rank_condition(op, 1e-10).holds
+        rep = rank_condition(svd(op), 1e-10)
+        assert not rep.holds and rep.sigma_min == 0.0
+
+    @pytest.mark.parametrize("shape", [(6, 6), (9, 4), (4, 9), (5, 5)])
+    def test_decomposition_reads_the_same_verdict(self, shape):
+        # the decomposition's values come from the full SVD, the operator's
+        # from the values-only one: the verdict and the rule for a wide
+        # domain are the same
+        rng = np.random.default_rng(sum(shape))
+        cod, dom = (GridMeasure(np.arange(float(n)), rng.uniform(0.2, 1.0, n))
+                    for n in shape)
+        kernel = rng.standard_normal(shape)
+        if shape == (5, 5):
+            kernel[:, -1] = kernel[:, 0]  # rank deficient
+        op = LinearOperator(kernel, dom, cod)
+        want, got = rank_condition(op, 1e-10), rank_condition(svd(op), 1e-10)
+        assert got.holds == want.holds == (shape in [(6, 6), (9, 4)])
+        assert got.sigma_max == pytest.approx(want.sigma_max, rel=1e-12)
+        assert got.sigma_min == pytest.approx(want.sigma_min, rel=1e-9,
+                                              abs=1e-14 * want.sigma_max)
+
+    def test_decomposition_tolerance_must_be_positive(self):
+        op = LinearOperator.identity(unit_grid(2))
+        with pytest.raises(ValueError, match="tol must be positive"):
+            rank_condition(svd(op), 0.0)
 
 
 class TestIdentificationSet:
@@ -820,6 +845,88 @@ def reference_cone_flags(m_lin, quad, alpha, eta, slack):
     members = {"in_n": in_n, "in_nprime": in_np, "in_n_eta": in_ne,
                "in_nprime_eta": in_npe}
     return (m_n, lin_n, rem_n), members, violations
+
+
+def broadcast_cone_chunk(rng, n, dim):
+    """``draw_cone_chunk`` as it built the live-entry masks before the
+    per-dim tables: by broadcasting the instances' sizes, per chunk."""
+    da = rng.integers(1, dim + 1, size=n)
+    db = rng.integers(1, dim + 1, size=n)
+    coord = np.arange(dim)
+    col = coord < da[:, None]
+    row = coord < db[:, None]
+    lin_live = row[:, :, None] & col[:, None, :]
+    m_lin = np.zeros((n, dim, dim))
+    m_lin[lin_live] = rng.standard_normal(int(np.count_nonzero(lin_live)))
+    deficient = rng.uniform(size=n) < 0.15
+    zeroed = rng.integers(1, db + 1)
+    m_lin[deficient[:, None] & (coord < zeroed[:, None])] = 0.0
+    quad_live = lin_live[:, :, :, None] & col[:, None, None, :]
+    quad = np.zeros((n, dim, dim, dim))
+    quad[quad_live] = rng.standard_normal(int(np.count_nonzero(quad_live)))
+    alpha = np.zeros((n, dim))
+    alpha[col] = rng.standard_normal(int(np.count_nonzero(col)))
+    alpha *= 10.0 ** rng.uniform(-3, 0.5, size=n)[:, None]
+    eta = rng.uniform(0.05, 1.5, size=n)
+    aligned = np.flatnonzero(rng.uniform(size=n) < 0.1)
+    ratio = np.divide(eta, 1.0 - eta, out=np.zeros_like(eta),
+                      where=eta < 1.0)
+    k = rng.uniform(0.99, 1.0, size=n) * np.where(
+        rng.uniform(size=n) < 0.5, ratio, -eta)
+    a = alpha[aligned]
+    lin = np.matmul(m_lin[aligned], a[:, :, None])[:, :, 0]
+    quad[aligned] = 0.0
+    quad[aligned, :, 0, 0] = (k[aligned] / a[:, 0] ** 2)[:, None] * lin
+    return ConeChunk(da=da, db=db, m_lin=m_lin, quad=quad, alpha=alpha,
+                     eta=eta)
+
+
+@pytest.mark.parametrize("n", [1, 37, CONE_CHUNK])
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_cone_chunk_tables_match_broadcast_masks(dim, n):
+    # bit for bit, and the generator left in the same state: mask
+    # assignment order is a property of the numpy build, so the CI's
+    # numpy-floor job runs this too
+    rng, ref_rng = (np.random.default_rng(100 * dim + n) for _ in range(2))
+    for _ in range(2):
+        got = draw_cone_chunk(rng, n, dim)
+        want = broadcast_cone_chunk(ref_rng, n, dim)
+        for name in ("da", "db", "m_lin", "quad", "alpha", "eta"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert np.array_equal(a, b), name
+            assert np.array_equal(np.signbit(a), np.signbit(b)), name
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("dim", [6, 8])
+def test_suite_counts_match_one_count_per_check(dim):
+    # the reference tallies each check's hits on its own, on chunks drawn
+    # with the broadcast masks; the counts and their order are the same
+    instances, seed = 10_000, 20250809
+    rng = np.random.default_rng(seed)
+    want = {"violations": {}, "premises": {}, "near_bound": {}}
+
+    def tally(field, name, hits):
+        counts = want[field]
+        counts[name] = counts.get(name, 0) + int(np.count_nonzero(hits))
+
+    for start in range(0, instances, CONE_CHUNK):
+        n = min(CONE_CHUNK, instances - start)
+        flags = evaluate_cone_chunk(broadcast_cone_chunk(rng, n, dim), 1e-12)
+        for name, hits in flags.violations.items():
+            tally("violations", name, hits)
+        for name, hits in flags.premises.items():
+            if name.startswith("inclusion_"):
+                tally("premises", name, hits)
+        tally("premises", "zero_linear_term", flags.linear_norm == 0.0)
+        for name, hits in flags.near_bound.items():
+            tally("near_bound", name, hits)
+    report = cone_inclusion_suite(instances, dim, seed)
+    for field, counts in want.items():
+        got = getattr(report, field)
+        assert list(got.items()) == list(counts.items()), field
+        assert all(type(c) is int for c in got.values()), field
 
 
 def test_chunk_evaluator_matches_per_instance_reference():

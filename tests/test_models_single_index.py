@@ -166,3 +166,37 @@ def test_partialled_gram_scale_free_of_loading_constant():
     report = partial_out(split, 1e-8)
     eigs = np.linalg.eigvalsh(report.gram)
     assert eigs[0] <= 1e-10 * max(eigs[1], 1e-300)
+
+
+def map_based_diagnosis(model, tol=1e-10):
+    """``diagnose_single_index`` with its Gram matrix read from the split of
+    the whole map, built and checked at its base point; the completeness
+    proxy does not touch the map and is taken as computed."""
+    got = diagnose_single_index(model, tol)
+    report = partial_out(single_index_map(model).split, 1e-8)
+    trace = float(np.trace(report.gram))
+    pi_singular = report.lambda_min <= 1e-6 * max(trace, 1e-300)
+    return replace(
+        got, pi_singular=pi_singular,
+        consistent=not (got.w_given_v_complete and not pi_singular),
+        lambda_min=report.lambda_min, trace=trace)
+
+
+@pytest.mark.parametrize("w_dim, link", [
+    (1, "softplus"), (1, "sin"), (2, "softplus"), (2, "sin")])
+@pytest.mark.parametrize("rho", [0.4, 0.7])
+def test_split_only_diagnosis_matches_the_map(w_dim, link, rho):
+    sizes = {} if w_dim == 1 else {"n_v": 49, "n_w": 15}
+    model = gaussian_index_design(rho=rho, w_dim=w_dim, link=link, **sizes)
+    assert diagnose_single_index(model) == map_based_diagnosis(model)
+
+
+@pytest.mark.parametrize("target", [1, 2, 7, 12, 144])
+def test_subsample_indices_are_the_distinct_rounded_nodes(target):
+    from momentid.models.single_index import _subsample_indices
+
+    for n in range(1, target + 400):
+        got = _subsample_indices(n, target)
+        want = np.arange(n) if n <= target else np.unique(
+            np.linspace(0, n - 1, target).round().astype(int))
+        assert got.dtype == want.dtype and np.array_equal(got, want), n

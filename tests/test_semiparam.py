@@ -315,6 +315,69 @@ def test_harnesses_share_the_gram_gate_and_pos_tol():
     assert linear.partial.lambda_min == nonlinear.partial.lambda_min
 
 
+def test_stacked_derivative_is_the_moment_map_derivative():
+    model = make_semiparam_model(np.random.default_rng(14))
+    stacked, mm = model.stacked_derivative(), model.to_moment_map()
+    assert stacked.domain.same_as(mm.derivative.domain)
+    assert stacked.codomain.same_as(mm.derivative.codomain)
+    assert np.array_equal(stacked.entries, mm.derivative.entries)
+    assert mm.base_point.measure.same_as(stacked.domain)
+
+
+def test_linear_harness_decomposes_m_g_once(monkeypatch):
+    # the rank condition for m_g reads partial_out's decomposition; the
+    # only values-only decomposition left is the stacked derivative's
+    import momentid.identcore
+    from momentid.linop import singular_values
+
+    model = ccapm_map()
+    calls = []
+
+    def counted(kind, fn):
+        def wrapper(op, *args, **kwargs):
+            calls.append((kind, op.shape))
+            return fn(op, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(momentid.semiparam, "svd", counted("svd", svd))
+    for module in (momentid.semiparam, momentid.identcore):
+        monkeypatch.setattr(module, "singular_values",
+                            counted("values", singular_values))
+    verify_semiparam_linear(model, beta_radius=0.1, g_radius=0.5,
+                            samples=10, seed=1)
+    n_cod, n_g = model.split.m_g.shape
+    assert calls == [("svd", (n_cod, n_g)),
+                     ("values", (n_cod, model.split.p + n_g))]
+
+
+@pytest.mark.parametrize("which, verdict", [
+    ("ccapm", False), ("synthetic", True)])
+def test_linear_harness_rank_verdicts_match_the_operator(which, verdict):
+    # the verdicts read from the decomposition are those of the operator's
+    # own values-only rank condition
+    from momentid.identcore import rank_condition
+
+    model = SEMIPARAM_MODELS[which]()
+    report = verify_semiparam_linear(model, beta_radius=0.1, g_radius=0.5,
+                                     samples=20, seed=1)
+    assert rank_condition(model.split.m_g, 1e-10).holds == verdict
+    assert report.g_rank_holds == report.full_local_id == verdict
+    assert report.failures == 0
+    assert report.samples == 20 * (2 if verdict else 1)
+
+
+def test_ccapm_linear_harness_evaluates_no_extra_row():
+    # the linearity check's 13 rows, then the 10 samples: the positivity
+    # tolerance is read from the stacked derivative without building a
+    # MomentMap, whose construction would evaluate m(beta0, g0) again
+    calls = []
+    model = recording(ccapm_map(), calls, [])
+    calls.clear()  # the m(beta0, g0) = 0 check of the construction
+    verify_semiparam_linear(model, beta_radius=0.1, g_radius=0.5,
+                            samples=10, seed=1)
+    assert [rows for rows, _ in calls] == [13, 10]
+
+
 def test_nonlinear_harness_makes_no_claim_on_a_singular_gram_matrix():
     rng = np.random.default_rng(7)
     n = 8

@@ -65,7 +65,7 @@ candidates = [
     (model.delta0, model.gamma0, model.g0 * 2.0),
     (model.delta0, model.gamma0 + 0.5, model.g0),
 ]
-gid = check_global_identification(model, candidates, tol=1e-8)
+gid = check_global_identification(smap, candidates)
 for row in gid.rows:
     verdict = ("solution, matches the truth up to scale"
                if row["is_solution"] else "not a solution")

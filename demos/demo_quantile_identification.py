@@ -44,7 +44,8 @@ print(f"\nfinite-difference error of the derivative: "
 # verifier makes one attempt per pre-drawn deviation.
 draws = iter(sample_ellipsoid_deviations(dec, bound, 100, rng))
 report = verify_local_id(mmap, bound, 100, 0,
-                         sampler=lambda _: next(draws)[0], budget_factor=1)
+                         sampler=lambda _: next(draws)[0], budget_factor=1,
+                         dec=dec)
 worst_ratio = max(rem / lin for _, lin, rem, _, _ in report.rows)
 print(f"\n{report.samples} ellipsoid deviations, {report.passes} pass: "
       f"worst remainder/linearization ratio {worst_ratio:.2e} (< 1 "

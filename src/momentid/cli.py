@@ -106,13 +106,13 @@ def _run_quantile(params: dict, seed: int) -> list[tuple]:
     mmap, bound = quantile_moment_map(model)
     results = [(norm(mmap.eval(mmap.base_point)) <= 1e-10, None)]
     n = params["n_ellipsoid"]
-    draws = iter(sample_ellipsoid_deviations(svd(mmap.derivative), bound, n,
-                                             rng))
+    dec = svd(mmap.derivative)
+    draws = iter(sample_ellipsoid_deviations(dec, bound, n, rng))
     # the draws are made up front from the run's rng; a budget of one
     # attempt per draw turns any rejected draw into EmptyNeighborhoodError
     soundness = verify_local_id(mmap, bound, n, seed,
                                 sampler=lambda _: next(draws)[0],
-                                budget_factor=1, pos_tol=1e-10)
+                                budget_factor=1, dec=dec)
     results.append((soundness.failures == 0,
                     {"fails": soundness.failures,
                      "min_norm": soundness.min_m_norm}))
@@ -175,13 +175,14 @@ def _run_ccapm(params: dict, seed: int) -> list[tuple]:
         fixed_state_completeness_operator(model, model.c_measure.size // 2),
         tol=1e-8,
     )
-    report = partial_out(ccapm_moment_map(model).split, 1e-12)
+    smap = ccapm_moment_map(model)
+    report = partial_out(smap.split, 1e-12)
     trace = float(np.trace(report.gram))
     cands = [
         (model.delta0, model.gamma0, model.g0 * 2.0),
         (model.delta0, model.gamma0 + 0.5, model.g0),
     ]
-    gid = check_global_identification(model, cands, tol=1e-8)
+    gid = check_global_identification(smap, cands)
     accepted = gid.rows[0].get("is_solution") and gid.rows[0].get("scale_ok")
     rejected = not gid.rows[1].get("is_solution")
     return [

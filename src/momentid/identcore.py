@@ -92,23 +92,17 @@ class MomentMap:
 
 @dataclass(frozen=True)
 class NonlinearityBound:
-    """Curvature constant L, exponent r and the radius of the deviation-norm
-    ball where they apply."""
+    """Curvature constant L and exponent r of the remainder bound
+    ||m(a) - m(a0) - m'(a - a0)|| <= L ||a - a0||^r."""
 
     L: float
     r: float
-    radius: float = math.inf
 
     def __post_init__(self):
         if self.L < 0:
             raise ValueError("L must be nonnegative")
         if self.r < 1:
             raise ValueError("r must be at least 1")
-        if self.radius <= 0:
-            raise ValueError("neighborhood radius must be positive")
-
-    def contains_deviation(self, dev_norm: float) -> bool:
-        return dev_norm <= self.radius
 
     def separates(self, lin_norm: float, dev_norm: float) -> bool:
         """The identification-set test ||m' d|| > L ||d||^r, given the two
@@ -148,9 +142,16 @@ def _codomain_rows(
 
 
 def positivity_tol(sigma_max: float) -> float:
-    """Numerical zero scale for codomain norms: 1e-10 (1 + ||m'||), given
-    the largest singular value ||m'|| of the derivative."""
-    return 1e-10 * (1.0 + float(sigma_max))
+    """The zero rule's coefficient 1e-10 sigma_max of the derivative."""
+    return 1e-10 * float(sigma_max)
+
+
+def zero_threshold(sigma_max: float, dev_norm):
+    """The one zero rule: ||m(alpha)|| is nonzero above this threshold,
+    1e-10 sigma_max ||d||, with ||d|| the weighted-L2 norm of alpha - alpha0
+    on the derivative's domain grid, where sigma_max is taken.  Scaling m
+    moves norm and threshold alike; sigma_max = 0 is exact positivity."""
+    return positivity_tol(sigma_max) * dev_norm
 
 
 def accepted_draws(
@@ -378,9 +379,9 @@ def geometric_deviation_sampler(
 ) -> GridFunction:
     """Random deviation with singular-basis coefficients decaying as 0.7^j.
 
-    The magnitude is drawn below one, the neighborhood radius and the
-    direction's own identification-set cap, which keeps rejection rates
-    low; membership is still verified by the caller, never assumed.
+    The magnitude is drawn below one and below the direction's own
+    identification-set cap, which keeps rejection rates low; membership is
+    still verified by the caller, never assumed.
     """
     mu = dec.singular_values
     k = mu.size
@@ -391,7 +392,7 @@ def geometric_deviation_sampler(
         raw[0] = 1.0
         nrm = 1.0
     raw /= nrm
-    cap = min(1.0, bound.radius)
+    cap = 1.0
     if bound.L > 0 and bound.r > 1:
         mu_dir = float(np.sqrt(np.sum((mu * raw) ** 2)))
         if mu_dir > 0:
@@ -409,7 +410,7 @@ class LocalIdReport:
     min_m_norm: float
     min_margin: float
     seed: int
-    pos_tol: float
+    pos_tol: float  # the zero rule's coefficient positivity_tol(sigma_max)
     rows: list
 
     @property
@@ -425,36 +426,31 @@ def verify_local_id(
     sampler: Callable[[np.random.Generator], GridFunction] | None = None,
     enforce_membership: bool = True,
     budget_factor: int = 200,
-    pos_tol: float | None = None,
+    dec: SvdDecomposition | None = None,
 ) -> LocalIdReport:
     """Monte Carlo check of the identification inequality on the target set.
 
-    Draws deviations, rejects those outside the curvature neighborhood or the
-    identification set ||m' d|| > L ||d||^r, and for every accepted alpha
-    verifies both ||m(alpha) - m'(alpha - alpha0)|| < ||m'(alpha - alpha0)||
-    and ||m(alpha)|| above numerical-zero scale.  Raises
-    EmptyNeighborhoodError if the rejection budget runs out.  The report's
-    ``rows`` hold (||d||, ||m'd||, remainder norm, ||m||, passed) per
-    accepted deviation.
+    Draws deviations, rejects those outside the identification set
+    ||m' d|| > L ||d||^r, and for every accepted alpha verifies both
+    ||m(alpha) - m'(alpha - alpha0)|| < ||m'(alpha - alpha0)|| and
+    ||m(alpha)|| above the zero rule.  ``dec`` is the derivative's SVD, if
+    the caller holds it.  Raises EmptyNeighborhoodError if the rejection
+    budget runs out.  The report's ``rows`` hold (||d||, ||m'd||, remainder
+    norm, ||m||, passed) per accepted deviation.
     """
     if samples <= 0:
         raise ValueError("samples must be positive")
     rng = np.random.default_rng(rng_seed)
     op = mmap.derivative
-    dec = None
-    if sampler is None:
+    if dec is None:
         dec = svd(op)
+    if sampler is None:
         sampler = functools.partial(geometric_deviation_sampler, dec, bound)
-    if pos_tol is None:
-        sigma_max = singular_values(op)[0] if dec is None else dec.sigma_max
-        pos_tol = positivity_tol(sigma_max)
 
     def draw():
         delta = sampler(rng)
         dev_norm = mmap.norm_a_of(delta)
         if dev_norm == 0.0:
-            return None
-        if enforce_membership and not bound.contains_deviation(dev_norm):
             return None
         lin = apply(op, delta)
         lin_n = norm(lin)
@@ -477,7 +473,10 @@ def verify_local_id(
     for (_, (delta, dev_norm, lin, lin_n)), m_val in zip(accepted, values):
         rem = weighted_norm(m_val - lin.values, w_b)
         m_n = weighted_norm(m_val, w_b)
-        rows.append((dev_norm, lin_n, rem, m_n, rem < lin_n and m_n > pos_tol))
+        # the rule's ||d|| is weighted L2: dev_norm unless norm_a is set
+        zero = zero_threshold(
+            dec.sigma_max, dev_norm if mmap.norm_a is None else norm(delta))
+        rows.append((dev_norm, lin_n, rem, m_n, rem < lin_n and m_n > zero))
     passes = sum(row[4] for row in rows)
     return LocalIdReport(
         samples=samples,
@@ -487,7 +486,7 @@ def verify_local_id(
         min_m_norm=min(row[3] for row in rows),
         min_margin=min(row[1] - row[2] for row in rows),
         seed=rng_seed,
-        pos_tol=pos_tol,
+        pos_tol=zero_threshold(dec.sigma_max, 1.0),
         rows=rows,
     )
 
@@ -611,16 +610,15 @@ def counterexample_cases(
     return cases
 
 
-def counterexample(
-    k: int, f: Callable | None = None, n_terms: int = 64
-) -> CounterexampleCase:
-    """Evaluate the sequence alpha^k = (0,...,0,1,1,...) in the truncated model.
+def counterexample(k: int) -> CounterexampleCase:
+    """Evaluate the sequence alpha^k = (0,...,0,1,1,...) in the truncated
+    model of the default f on 64 terms: ``counterexample_cases([k])[0]``.
 
     Returns the residual norm (exactly zero), the quartic deviation norm
     (tail mass to the 1/4 power), membership in the identification set with
     L = sup|f''|/2, and the measured L itself, which must be at least one.
     """
-    return counterexample_cases([k], f, n_terms)[0]
+    return counterexample_cases([k])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -643,37 +641,36 @@ class ConeMembership:
     deviation_norm: float
 
 
-def cone_flags(m_n, lin_n, rem_n, eta, tol):
+def cone_flags(m_n, lin_n, rem_n, eta, zero):
     """Membership in N, N', N_eta and N'_eta from the defining norms
     ||m(a)||, ||m'(a - a0)|| and the remainder ||m(a) - m'(a - a0)||.
 
-    N and N' ask for the first two norms above ``tol``; the eta-sets compare
-    the remainder against eta times each.  The arguments may be scalars or
-    arrays of instances alike.
+    N and N' ask for the first two norms above the numerical zero ``zero``;
+    the eta-sets compare the remainder against eta times each.  The
+    arguments may be scalars or arrays of instances alike.
     """
-    return m_n > tol, lin_n > tol, rem_n <= eta * m_n, rem_n <= eta * lin_n
+    return m_n > zero, lin_n > zero, rem_n <= eta * m_n, rem_n <= eta * lin_n
 
 
 def cone_classify(
-    mmap: MomentMap, alpha: GridFunction, eta: float, tol: float | None = None
+    mmap: MomentMap, alpha: GridFunction, eta: float
 ) -> ConeMembership:
     """Evaluate the defining norms of the cone sets and set the four flags.
 
-    The one-instance case of :func:`cone_flags`, whose tolerance defaults
-    to ``positivity_tol`` of the derivative.
+    The one-instance case of :func:`cone_flags`, with numerical zero set by
+    the zero rule (``zero_threshold``) at the deviation alpha - alpha0.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
-    if tol is None:
-        tol = positivity_tol(singular_values(mmap.derivative)[0])
     delta = alpha - mmap.base_point
     m_val = mmap.eval(alpha)
     lin = apply(mmap.derivative, delta)
     m_n = norm(m_val)
     lin_n = norm(lin)
     rem_n = norm(m_val - lin)
+    zero = zero_threshold(singular_values(mmap.derivative)[0], norm(delta))
     return ConeMembership(
-        *cone_flags(m_n, lin_n, rem_n, eta, tol),
+        *cone_flags(m_n, lin_n, rem_n, eta, zero),
         eta=eta,
         m_norm=m_n,
         linear_norm=lin_n,

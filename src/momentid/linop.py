@@ -186,8 +186,8 @@ def _weighted_svd(op: LinearOperator | OperatorStack, compute_uv: bool):
     has one leading entry per operator.  Failure to converge and non-finite
     singular values both raise LinAlgError.
     """
-    b = (np.sqrt(op.codomain.weights)[:, None] * op.entries
-         * np.sqrt(op.domain.weights)[None, :])
+    b = np.sqrt(op.codomain.weights)[:, None] * op.entries
+    b *= np.sqrt(op.domain.weights)[None, :]
     try:
         out = np.linalg.svd(b, full_matrices=False, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
@@ -201,23 +201,22 @@ def _weighted_svd(op: LinearOperator | OperatorStack, compute_uv: bool):
     return out
 
 
-def svd(op: LinearOperator, tol: float = 1e-12) -> SvdDecomposition:
+def svd(op: LinearOperator) -> SvdDecomposition:
     """Weighted SVD: op(phi_j) = mu_j psi_j with orthonormal phi on the domain
     and psi on the codomain.
 
-    Values at or below ``tol * mu_1`` are reported as numerically zero by the
+    Values at or below 1e-12 mu_1 are reported as numerically zero by the
     decomposition but are retained in the spectrum.
     """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
     u, s, vt = _weighted_svd(op, compute_uv=True)
-    right = vt.T / np.sqrt(op.domain.weights)[:, None]
-    left = u / np.sqrt(op.codomain.weights)[:, None]
+    # scaled in place: the bases copy what they are given
+    vt /= np.sqrt(op.domain.weights)[None, :]
+    u /= np.sqrt(op.codomain.weights)[:, None]
     return SvdDecomposition(
         s,
-        OrthonormalBasis(right, op.domain, check=False),
-        OrthonormalBasis(left, op.codomain, check=False),
-        tol,
+        OrthonormalBasis(vt.T, op.domain, check=False),
+        OrthonormalBasis(u, op.codomain, check=False),
+        1e-12,
     )
 
 

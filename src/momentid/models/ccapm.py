@@ -320,21 +320,27 @@ class GlobalIdReport:
     violations: int
 
 
+# Global screen tolerance: relative moment norm, delta, gamma, 1 - cosine.
+GLOBAL_ID_TOL = 1e-8
+
+
 def check_global_identification(
-    model: CcapmModel,
+    smap: SemiparametricMap,
     candidates: Sequence[tuple[float, float, GridFunction]],
-    tol: float = 1e-8,
 ) -> GlobalIdReport:
     """Screen candidate (delta, gamma, g) triples against the pricing map.
 
-    Candidates must be bounded away from zero.  Those violating the moment
-    equation are reported as non-solutions, which is informative, not a
-    failure.  Every candidate that does satisfy it must match the truth in
-    delta and gamma and match g0 up to scale; an accepted pair also gets the
+    The truth is that of ``smap``, a ``ccapm_moment_map``: its beta0 is
+    (delta0, gamma0) and its g0 lives on the growth states.  Candidates
+    must be bounded away from zero.  Those violating the moment equation
+    are reported as non-solutions, which is informative, not a failure.
+    Every candidate that does satisfy it must match the truth in delta and
+    gamma and match g0 up to scale; an accepted pair also gets the
     ratio-identity check that states^(gamma - gamma0) times g0/g is constant.
     """
-    smap = ccapm_moment_map(model)
-    scale = 1.0 + norm(smap.eval(smap.beta0, model.g0 * 2.0))
+    tol, g0 = GLOBAL_ID_TOL, smap.g0
+    delta0, gamma0 = smap.beta0.tolist()
+    scale = 1.0 + norm(smap.eval(smap.beta0, g0 * 2.0))
     rows = []
     violations = 0
     any_solution = False
@@ -349,12 +355,12 @@ def check_global_identification(
             continue
         any_solution = True
         row["is_solution"] = True
-        cosine = inner(g, model.g0) / (norm(g) * norm(model.g0))
-        ratio = model.states ** (gamma - model.gamma0) * model.g0.values / g.values
+        cosine = inner(g, g0) / (norm(g) * norm(g0))
+        ratio = g0.measure.coords() ** (gamma - gamma0) * g0.values / g.values
         spread = float(np.ptp(ratio) / np.abs(ratio).mean())
         row.update(
-            gamma_ok=abs(gamma - model.gamma0) <= tol,
-            delta_ok=abs(delta - model.delta0) <= tol,
+            gamma_ok=abs(gamma - gamma0) <= tol,
+            delta_ok=abs(delta - delta0) <= tol,
             scale_ok=cosine >= 1.0 - tol,
             cosine=float(cosine),
             ratio_spread=spread,

@@ -190,13 +190,12 @@ class QuantileIvModel:
         CDF, in the shapes of ``cdf_at``."""
         return self._interpolate(alpha_values, derivative=True)
 
-    def quantile_curve(self, tau: float | None = None) -> np.ndarray:
-        """Invert the interpolated CDF at the quantile level, per x.
+    def quantile_curve(self) -> np.ndarray:
+        """Invert the interpolated CDF at the quantile level tau, per x.
 
         Requires the conditional CDF not to depend on w (checked), which the
         synthetic designs guarantee by construction.
         """
-        tau = self.tau if tau is None else tau
         spread = np.abs(self._cdf - self._cdf[:, :, :1]).max()
         if spread > 1e-9:
             raise ValueError("conditional CDF varies with w; no common quantile")
@@ -205,7 +204,7 @@ class QuantileIvModel:
         for _ in range(90):
             mid = 0.5 * (lo + hi)
             val = self.cdf_at(mid)[:, 0]
-            lower = val < tau
+            lower = val < self.tau
             lo = np.where(lower, mid, lo)
             hi = np.where(lower, hi, mid)
         return 0.5 * (lo + hi)

@@ -33,8 +33,8 @@ from .identcore import (
     NonlinearityBound,
     _codomain_rows,
     accepted_draws,
-    positivity_tol,
     rank_condition,
+    zero_threshold,
 )
 from .linop import (
     LinearOperator,
@@ -151,7 +151,7 @@ def split_lower_bound_check(
     Half of the draws build zeta from coefficients on the truncated range
     basis, half push random domain functions through m_g.  Returns the
     minimum observed ratio and raises if it undercuts report.eps beyond
-    floating slack.
+    floating slack, or if no trial has a nonzero |a| + ||zeta||.
     """
     rng = np.random.default_rng(seed)
     p = split.p
@@ -178,7 +178,10 @@ def split_lower_bound_check(
     vals = bmat @ a_draws + zeta_vals
     ratios = np.sqrt(w @ vals**2)
     live = denom > 0
-    min_ratio = float((ratios[live] / denom[live]).min()) if live.any() else math.inf
+    if not live.any():  # trials = 1 draws only a = 0 and zeta = 0
+        raise ValueError(f"no trial has a nonzero |a| + ||zeta|| at trials "
+                         f"= {trials}: the bound was not checked")
+    min_ratio = float((ratios[live] / denom[live]).min())
     if min_ratio < report.eps - 1e-10:
         raise RuntimeError(
             f"lower bound violated: min ratio {min_ratio:.3e} < eps "
@@ -258,12 +261,18 @@ class SemiparametricMap:
         )
 
 
-def _m_norms(model: SemiparametricMap, points: Iterable) -> list[float]:
-    """||m(beta, g0 + d)|| at each (beta, d) of ``points``, in order."""
+def _m_norms(model: SemiparametricMap, points: list, sigma_max: float):
+    """(||m(beta, g0 + d)||, above the zero rule) at each (beta, d) of
+    ``points``, in order; the rule takes ||d|| as the norm
+    sqrt(|beta - beta0|^2 + ||d||^2) of ``stacked_derivative``."""
     w = model.split.m_g.codomain.weights
     rows = (np.concatenate([beta, model.g0.values + d.values])
             for beta, d in points)
-    return [weighted_norm(m_val, w) for m_val in model.eval_stack(rows)]
+    devs = [math.hypot(float(np.linalg.norm(beta - model.beta0)), norm(d))
+            for beta, d in points]
+    m_norms = (weighted_norm(m_val, w) for m_val in model.eval_stack(rows))
+    return [(m_n, m_n > zero_threshold(sigma_max, dn))
+            for m_n, dn in zip(m_norms, devs)]
 
 
 def linearity_in_g_check(model: SemiparametricMap, seed: int = 0) -> float:
@@ -297,7 +306,7 @@ class SemiparamIdReport:
     full_local_id: bool
     g_rank_holds: bool
     partial: PartialOutReport
-    pos_tol: float
+    pos_tol: float  # positivity_tol of the stacked derivative, or NaN
 
     @property
     def all_passed(self) -> bool:
@@ -324,45 +333,38 @@ def _sample_beta(
     return model.beta0 + rng.uniform(0.05, 1.0) * beta_radius * direction
 
 
-def _gram_gate(
-    model: SemiparametricMap, pos_tol: float | None
-) -> SemiparamIdReport:
+def _gram_gate(model: SemiparametricMap) -> tuple[SemiparamIdReport, float]:
     """Partial out m_g and gate on the Gram matrix, for both harnesses.
 
     The range of m_g keeps the singular values above 1e-12 times the
     largest.  A Gram matrix whose smallest eigenvalue is at most 1e-10
-    times the unpartialled column scale gives the final no-claim report;
-    otherwise the report carries the partial-out result and the positivity
-    tolerance, with nothing sampled yet.
+    times the unpartialled column scale gives the final no-claim report
+    and a NaN sigma_max; otherwise the stacked derivative's sigma_max.
     """
     report = partial_out(model.split, 1e-12)
     # gate against the unpartialled column scale: a fully absorbed column
     # leaves only projection dust in the Gram matrix
     scale = sum(norm(c) ** 2 for c in model.split.m_beta)
-    no_claim = SemiparamIdReport(
-        pi_nonsingular=False, samples=0, passes=0, failures=0,
+    claim = report.lambda_min > 1e-10 * max(scale, 1e-300)
+    sigma_max = (float(singular_values(model.stacked_derivative())[0])
+                 if claim else math.nan)
+    return SemiparamIdReport(
+        pi_nonsingular=claim, samples=0, passes=0, failures=0,
         min_m_norm=math.nan, full_local_id=False, g_rank_holds=False,
-        partial=report, pos_tol=math.nan,
-    )
-    if report.lambda_min <= 1e-10 * max(scale, 1e-300):
-        return no_claim
-    if pos_tol is None:
-        pos_tol = positivity_tol(
-            singular_values(model.stacked_derivative())[0])
-    return replace(no_claim, pi_nonsingular=True, pos_tol=pos_tol)
+        partial=report, pos_tol=zero_threshold(sigma_max, 1.0),
+    ), sigma_max
 
 
-def _tallied(
-    gate: SemiparamIdReport, m_norms: list[float], samples: int, **flags
-) -> SemiparamIdReport:
+def _tallied(gate: SemiparamIdReport, tallies: list, samples: int,
+             **flags) -> SemiparamIdReport:
     """The gate's report with the pass/fail tally of the sampled ||m||."""
-    passes = sum(m_n > gate.pos_tol for m_n in m_norms)
+    passes = sum(nonzero for _, nonzero in tallies)
     return replace(
         gate,
         samples=samples,
         passes=passes,
-        failures=len(m_norms) - passes,
-        min_m_norm=min(m_norms, default=math.inf),
+        failures=len(tallies) - passes,
+        min_m_norm=min((m_n for m_n, _ in tallies), default=math.inf),
         **flags,
     )
 
@@ -373,17 +375,16 @@ def verify_semiparam_linear(
     g_radius: float,
     samples: int,
     seed: int,
-    pos_tol: float | None = None,
 ) -> SemiparamIdReport:
     """Sampling harness for parametric identification with g linear.
 
     Requires linearity of g -> m(beta0, g); checks that every sampled
     (beta, g) with beta != beta0 in the product neighborhood keeps
-    ||m(beta, g)|| above numerical zero.  When the rank condition for m_g
-    also holds at tolerance 1e-10, samples with beta = beta0 and g != g0
-    are asserted nonzero too, upgrading the claim to full local
-    identification.  With a singular Gram matrix the precondition gate
-    fails and no claim is made.
+    ||m(beta, g)|| above the zero rule (``zero_threshold``) of the stacked
+    derivative.  When the rank condition for m_g also holds at tolerance
+    1e-10, samples with beta = beta0 and g != g0 are asserted nonzero too,
+    upgrading the claim to full local identification.  With a singular
+    Gram matrix the precondition gate fails and no claim is made.
     """
     defect = linearity_in_g_check(model, seed=seed)
     if defect > 1e-9:
@@ -391,7 +392,7 @@ def verify_semiparam_linear(
             f"m(beta0, .) is not linear in g (defect {defect:.2e}); "
             "use verify_semiparam_nonlinear with a curvature bound"
         )
-    gate = _gram_gate(model, pos_tol)
+    gate, sigma_max = _gram_gate(model)
     if not gate.pi_nonsingular:
         return gate
     rng = np.random.default_rng(seed)
@@ -408,10 +409,10 @@ def verify_semiparam_linear(
             g_dev = _sample_g_deviation(rng, dec, g_radius, model.g_norm_of)
             if model.g_norm_of(g_dev) != 0.0:
                 points.append((model.beta0, g_dev))
-    m_norms = _m_norms(model, points)
+    tallies = _m_norms(model, points, sigma_max)
     full_ok = bool(g_rank.holds) and all(
-        m_n > gate.pos_tol for m_n in m_norms[samples:])
-    return _tallied(gate, m_norms, samples * (2 if g_rank.holds else 1),
+        nonzero for _, nonzero in tallies[samples:])
+    return _tallied(gate, tallies, samples * (2 if g_rank.holds else 1),
                     full_local_id=full_ok, g_rank_holds=bool(g_rank.holds))
 
 
@@ -419,25 +420,22 @@ def verify_semiparam_nonlinear(
     model: SemiparametricMap,
     bound: NonlinearityBound,
     beta_radius: float,
+    g_radius: float,
     samples: int,
     seed: int,
-    g_radius: float | None = None,
-    budget_factor: int = 200,
 ) -> SemiparamIdReport:
     """Like the linear harness, but g-deviations are restricted by rejection
     to the curvature-adjusted identification set
     ||m_g d|| > (L / eps) ||d||^r with eps from the partialled-out report.
 
     With L = 0 the restriction is vacuous and the behavior reduces to the
-    linear harness.  An exhausted rejection budget raises
-    EmptyNeighborhoodError, which usually means the threshold is too strict
-    for the sampled decay profile.
+    linear harness.  An exhausted rejection budget of 200 draws per sample
+    raises EmptyNeighborhoodError, which usually means the threshold is too
+    strict for the sampled decay profile.
     """
-    gate = _gram_gate(model, None)
+    gate, sigma_max = _gram_gate(model)
     if not gate.pi_nonsingular:
         return gate
-    if g_radius is None:
-        g_radius = bound.radius if math.isfinite(bound.radius) else 1.0
     rng = np.random.default_rng(seed)
     dec = gate.partial.decomposition
     # the curvature-adjusted set is the identification set of L / eps
@@ -446,9 +444,8 @@ def verify_semiparam_nonlinear(
     def draw():
         g_dev = _sample_g_deviation(rng, dec, g_radius, model.g_norm_of)
         dn = model.g_norm_of(g_dev)
-        if dn == 0.0 or not bound.contains_deviation(dn):
-            return None
-        if not adjusted.separates(norm(apply(model.split.m_g, g_dev)), dn):
+        if dn == 0.0 or not adjusted.separates(
+                norm(apply(model.split.m_g, g_dev)), dn):
             return None
         return g_dev
 
@@ -456,8 +453,8 @@ def verify_semiparam_nonlinear(
     points = [
         (_sample_beta(rng, model, beta_radius), g_dev)
         for _, g_dev in accepted_draws(
-            draw, samples, budget_factor, "g-deviations",
+            draw, samples, 200, "g-deviations",
             f"threshold (L/eps) = {adjusted.L:.3e} may be too strict",
         )
     ]
-    return _tallied(gate, _m_norms(model, points), samples)
+    return _tallied(gate, _m_norms(model, points, sigma_max), samples)

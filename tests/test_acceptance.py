@@ -258,14 +258,13 @@ def test_criterion_09_pricing_identification_harness():
         fixed_state_completeness_operator(model, model.c_measure.size // 2),
         tol=1e-8,
     )
-    split = ccapm_moment_map(model).split
-    gram_rep = partial_out(split, 1e-12)
+    smap = ccapm_moment_map(model)
+    gram_rep = partial_out(smap.split, 1e-12)
     trace = float(np.trace(gram_rep.gram))
     gid = check_global_identification(
-        model,
+        smap,
         [(model.delta0, model.gamma0, model.g0 * 2.0),
          (model.delta0, model.gamma0 + 0.5, model.g0)],
-        tol=1e-8,
     )
     accepted = (gid.rows[0]["is_solution"] and gid.rows[0]["scale_ok"]
                 and gid.rows[0]["gamma_ok"] and gid.rows[0]["delta_ok"])

@@ -18,6 +18,9 @@ from momentid.cli import (
 )
 
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -222,6 +225,56 @@ class TestRun:
         # one scan both checks f and measures its curvature constant
         assert len(scans) == 1
 
+    def test_ccapm_builds_its_pricing_map_once(self, monkeypatch):
+        from momentid.semiparam import SemiparametricMap
+
+        built = []
+        post_init = SemiparametricMap.__post_init__
+
+        def counting(smap):
+            built.append(smap)
+            post_init(smap)
+
+        monkeypatch.setattr(SemiparametricMap, "__post_init__", counting)
+        report, _ = run_experiment(load_config(str(CONFIGS / "ccapm.json")))
+        assert report["summary"]["pass"]
+        assert len(built) == 1
+
+    def test_quantile_decomposes_the_derivative_once(self, monkeypatch):
+        import momentid.identcore as identcore
+        import momentid.linop as linop
+
+        calls = []
+
+        def counted(kind, fn):
+            def wrapper(op, *args, **kwargs):
+                calls.append((kind, op.shape))
+                return fn(op, *args, **kwargs)
+            return wrapper
+
+        for module in (linop, identcore):
+            monkeypatch.setattr(module, "svd", counted("svd", linop.svd))
+            monkeypatch.setattr(module, "singular_values",
+                                counted("values", linop.singular_values))
+        config = load_config(str(CONFIGS / "quantile.json"))
+        report, _ = run_experiment(config)
+        assert report["summary"]["pass"]
+        params = config["params"]
+        # the derivative maps the x grid to the w grid
+        assert calls == [("svd", (params["n_w"], params["n_x"]))]
+
+    def test_semiparam_single_trial_is_a_failed_check(self, tmp_path):
+        # the one trial of each split has a = 0 and zeta = 0, so the lower
+        # bound used to pass unchecked with the value inf
+        path = write_config(
+            tmp_path, {"experiment": "semiparam-pi", "seed": 3,
+                       "params": {"trials": 1}})
+        assert main(["run", path, "--out", str(tmp_path)]) == 1
+        report = json.loads((tmp_path / "semiparam-pi.json").read_text())
+        [check] = report["checks"]
+        assert check["name"] == "experiment completed"
+        assert "trials = 1" in check["detail"]
+
     def test_exit_status_tracks_summary(self, tmp_path, monkeypatch):
         path = write_config(
             tmp_path, {"experiment": "cone-suite", "seed": 3,
@@ -371,8 +424,7 @@ class TestRun:
             run_experiment(config)
 
 
-SHIPPED = sorted(
-    (Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+SHIPPED = sorted(CONFIGS.glob("*.json"))
 
 
 @pytest.mark.parametrize("path", SHIPPED, ids=[p.stem for p in SHIPPED])

@@ -31,6 +31,7 @@ from momentid.identcore import (
     rank_condition,
     sample_ellipsoid_deviations,
     verify_local_id,
+    zero_threshold,
 )
 from momentid.linop import (
     LinearOperator,
@@ -336,24 +337,27 @@ class TestVerifyLocalId:
         assert report.attempts >= 20
         assert len(derivative_calls) == report.attempts
 
-    def test_given_sampler_and_pos_tol_need_no_svd(self, monkeypatch):
+    def test_given_sampler_and_dec_need_no_svd(self, monkeypatch):
         import momentid.identcore as identcore
+
+        mu = GridMeasure(np.arange(3.0), np.full(3, 1 / 3))
+        mmap = linear_map(2.0 * np.eye(3), mu, mu)
+        dec = svd(mmap.derivative)
 
         def no_svd(op):
             raise AssertionError("spectrum computed")
 
         monkeypatch.setattr(identcore, "svd", no_svd)
         monkeypatch.setattr(identcore, "singular_values", no_svd)
-        mu = GridMeasure(np.arange(3.0), np.full(3, 1 / 3))
-        mmap = linear_map(np.eye(3), mu, mu)
 
         def sampler(rng):
             return GridFunction(rng.uniform(-1.0, 1.0, 3), mu)
 
         report = verify_local_id(mmap, NonlinearityBound(L=0.0, r=1.0),
                                  samples=10, rng_seed=0, sampler=sampler,
-                                 pos_tol=1e-10)
-        assert report.all_passed and report.pos_tol == 1e-10
+                                 dec=dec)
+        assert report.all_passed
+        assert report.pos_tol == positivity_tol(dec.sigma_max)
 
     def test_default_pos_tol_is_positivity_tol(self):
         from momentid.identcore import positivity_tol
@@ -485,7 +489,7 @@ def stacked_square_map(mu, poison=None):
 HARNESSES = {
     "verify_local_id": lambda mmap, devs: verify_local_id(
         mmap, NonlinearityBound(L=0.0, r=1.0), len(devs), 0,
-        sampler=lambda _, it=iter(devs): next(it), pos_tol=1e-10).rows,
+        sampler=lambda _, it=iter(devs): next(it)).rows,
     "estimate_nonlinearity":
         lambda mmap, devs: estimate_nonlinearity(mmap, 2.0, devs),
     "gateaux_check": lambda mmap, devs: gateaux_check(
@@ -532,13 +536,12 @@ class TestVerifyLocalIdBatching:
             return GridFunction(rng.uniform(-1.0, 1.0, 4), mu)
 
         report = verify_local_id(mmap, NonlinearityBound(L=0.1, r=2.0),
-                                 samples=150, rng_seed=0, sampler=sampler,
-                                 pos_tol=1e-10)
+                                 samples=150, rng_seed=0, sampler=sampler)
         assert calls == [64, 64, 22]
         assert draws == [0] * report.attempts
         plain = verify_local_id(linear_map(3.0 * np.eye(4), mu, mu),
                                 NonlinearityBound(L=0.1, r=2.0), samples=150,
-                                rng_seed=0, sampler=sampler, pos_tol=1e-10)
+                                rng_seed=0, sampler=sampler)
         assert plain.attempts == report.attempts
         assert plain.rows == report.rows
 
@@ -599,8 +602,8 @@ class TestCounterexample:
 
     def test_cases_match_single_k_calls(self):
         ks = [1, 3, 12]
-        for case, k in zip(counterexample_cases(ks, n_terms=32), ks):
-            single = counterexample(k, n_terms=32)
+        for case, k in zip(counterexample_cases(ks), ks):
+            single = counterexample(k)
             assert case.k == k
             assert (case.m_norm, case.dev_norm, case.in_n, case.L) == (
                 single.m_norm, single.dev_norm, single.in_n, single.L)
@@ -619,7 +622,8 @@ class TestCounterexample:
 
     def test_invalid_f_detected(self):
         # the map and the cases share one check of f
-        for build in (lambda f: counterexample(2, f=f), counterexample_map):
+        for build in (lambda f: counterexample_cases([2], f=f),
+                      counterexample_map):
             with pytest.raises(ValueError, match="slope"):
                 build(lambda x: 2.0 * x * (1.0 - x) * np.exp(-x**2))
             with pytest.raises(ValueError, match="slope"):
@@ -696,14 +700,17 @@ class TestConeSets:
                                  mu_a, mu_b)
             alpha = GridFunction(rng.standard_normal(3), mu_a)
             eta = float(rng.uniform(0.05, 1.4))
-            cm = cone_classify(mmap, alpha, eta, tol=0.0)
+            cm = cone_classify(mmap, alpha, eta)
             m_val = mmap.eval(alpha).values
             lin = apply(mmap.derivative, alpha).values
             m_n = np.linalg.norm(m_val)
             lin_n = np.linalg.norm(lin)
             rem_n = np.linalg.norm(m_val - lin)
-            assert cm.in_n == (m_n > 0)
-            assert cm.in_nprime == (lin_n > 0)
+            # on unit grids the weighted SVD is the plain one
+            zero = 1e-10 * np.linalg.svd(mmap.derivative.entries,
+                                         compute_uv=False)[0] * norm(alpha)
+            assert cm.in_n == (m_n > zero)
+            assert cm.in_nprime == (lin_n > zero)
             assert cm.in_n_eta == (rem_n <= eta * m_n)
             assert cm.in_nprime_eta == (rem_n <= eta * lin_n)
 
@@ -1045,10 +1052,8 @@ def cone_verdict(cm):
 @settings(max_examples=80, deadline=None)
 @given(setup=grids_and_permutations(), c=st.floats(1e-3, 1e3))
 def test_cone_flags_invariant_under_node_order_and_scale(setup, c):
-    # the permuted map gets the default positivity_tol of its own
-    # derivative; the scaled map gets c times the original tolerance, since
-    # the default 1e-10 (1 + sigma_max) keeps a floor of 1e-10 that does
-    # not scale with m
+    # every map, permuted or scaled, is classified by the default zero rule
+    # of its own derivative
     rng, mu_a, mu_b, pa, pb = setup
     n_a, n_b = mu_a.size, mu_b.size
     # a zero derivative now and then puts instances outside N'
@@ -1057,15 +1062,14 @@ def test_cone_flags_invariant_under_node_order_and_scale(setup, c):
     values = rng.standard_normal(n_a) * 10.0 ** rng.uniform(-3, 0.5)
     eta = float(rng.uniform(0.05, 1.5))
 
-    def classify(mmap, alpha, tol=None):
-        if tol is None:
-            tol = positivity_tol(singular_values(mmap.derivative)[0])
-        cm = cone_classify(mmap, GridFunction(alpha, mmap.base_point.measure),
-                           eta, tol)
-        return cm, cone_margin(cm, tol)
+    def classify(mmap, alpha):
+        delta = GridFunction(alpha, mmap.base_point.measure)
+        cm = cone_classify(mmap, delta, eta)
+        zero = zero_threshold(singular_values(mmap.derivative)[0],
+                              norm(delta))
+        return cm, cone_margin(cm, zero)
 
     mmap = quadratic_map(matrix, quads, mu_a, mu_b)
-    tol = positivity_tol(singular_values(mmap.derivative)[0])
     cm, margin = classify(mmap, values)
     mu_pa, mu_pb = permuted(mu_a, pa), permuted(mu_b, pb)
     cm_p, margin_p = classify(
@@ -1073,7 +1077,60 @@ def test_cone_flags_invariant_under_node_order_and_scale(setup, c):
                       mu_pa, mu_pb),
         values[pa])
     cm_c, margin_c = classify(
-        quadratic_map(c * matrix, c * quads, mu_a, mu_b), values, c * tol)
+        quadratic_map(c * matrix, c * quads, mu_a, mu_b), values)
     assume(min(margin, margin_p, margin_c) > MARGIN)
     assert cone_verdict(cm_p) == cone_verdict(cm)
     assert cone_verdict(cm_c) == cone_verdict(cm)
+
+
+def test_cone_flags_scale_free_at_zero_derivative():
+    # the counterexample hypothesis found against the old rule's absolute
+    # floor of 1e-10: one node, m'(a0) = 0 and ||m(a)|| = 1e-8, so that
+    # 2^-9 m fell below the floor and out of N
+    mu = unit_grid(1)
+    alpha = GridFunction([1e-4], mu)
+    mmap = quadratic_map(np.zeros((1, 1)), np.ones((1, 1, 1)), mu, mu)
+    scaled = quadratic_map(np.zeros((1, 1)), np.full((1, 1, 1), 2.0**-9),
+                           mu, mu)
+    cm = cone_classify(mmap, alpha, 0.5)
+    cm_c = cone_classify(scaled, alpha, 0.5)
+    assert cm.m_norm == pytest.approx(1e-8)
+    assert cm_c.m_norm == pytest.approx(2.0**-9 * 1e-8)
+    # in N, outside N' (zero linear term), and the remainder m is in neither
+    # eta-set at eta = 1/2
+    assert cone_verdict(cm_c) == cone_verdict(cm) == (True, False, False,
+                                                      False)
+
+
+@pytest.mark.parametrize("ratio, in_n", [(3e-10, True), (3e-11, False)])
+def test_zero_rule_sits_at_1e10_sigma_max_times_deviation_norm(ratio, in_n):
+    # sigma_max = 1 and ||d|| = t, with a zero linear term along d, so
+    # ||m|| / (sigma_max ||d||) = ratio lands on either side of 1e-10
+    mu, t = unit_grid(2), 1e-3
+    quads = np.zeros((2, 2, 2))
+    quads[1, 1, 1] = ratio / t
+    mmap = quadratic_map(np.diag([1.0, 0.0]), quads, mu, mu)
+    cm = cone_classify(mmap, GridFunction([0.0, t], mu), 0.5)
+    assert cm.m_norm == pytest.approx(ratio * t)
+    assert cm.in_n == in_n and not cm.in_nprime
+
+
+@pytest.mark.parametrize("quad_scale", [0.0, 3.0], ids=["linear", "curved"])
+def test_local_id_verdicts_scale_free(quad_scale):
+    # c = 1e-12 puts every ||c m(alpha)|| far below the old rule's floor
+    rng = np.random.default_rng(31)
+    mu = GridMeasure(np.arange(4.0), rng.uniform(0.2, 2.0, 4))
+    matrix = rng.standard_normal((4, 4)) + 2 * np.eye(4)
+    quads = quad_scale * rng.standard_normal((4, 4, 4))
+
+    def report(c):
+        return verify_local_id(
+            quadratic_map(c * matrix, c * quads, mu, mu),
+            NonlinearityBound(L=0.0, r=1.0), samples=40, rng_seed=3,
+            sampler=lambda r: GridFunction(r.uniform(-1.0, 1.0, 4), mu),
+            enforce_membership=False)
+
+    plain, scaled = report(1.0), report(1e-12)
+    assert plain.passes > 0
+    assert [row[4] for row in scaled.rows] == [row[4] for row in plain.rows]
+    assert scaled.all_passed == plain.all_passed == (quad_scale == 0.0)

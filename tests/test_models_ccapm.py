@@ -211,25 +211,25 @@ class TestCompleteness:
 
 
 class TestGlobalIdentification:
-    def test_scaled_truth_accepted(self, model):
+    def test_scaled_truth_accepted(self, model, mapped):
         report = check_global_identification(
-            model, [(model.delta0, model.gamma0, model.g0 * 2.0)], tol=1e-8)
+            mapped, [(model.delta0, model.gamma0, model.g0 * 2.0)])
         row = report.rows[0]
         assert row["is_solution"] and row["scale_ok"]
         assert row["gamma_ok"] and row["delta_ok"]
         assert row["ratio_spread"] < 1e-8
         assert report.violations == 0
 
-    def test_shifted_curvature_rejected(self, model):
+    def test_shifted_curvature_rejected(self, model, mapped):
         report = check_global_identification(
-            model, [(model.delta0, model.gamma0 + 0.5, model.g0)], tol=1e-8)
+            mapped, [(model.delta0, model.gamma0 + 0.5, model.g0)])
         assert not report.rows[0]["is_solution"]
         assert report.vacuous
 
-    def test_candidate_must_be_positive(self, model):
+    def test_candidate_must_be_positive(self, model, mapped):
         bad = GridFunction(np.zeros(model.c_measure.size), model.c_measure)
         with pytest.raises(ValueError, match="bounded away"):
-            check_global_identification(model,
+            check_global_identification(mapped,
                                         [(model.delta0, model.gamma0, bad)])
 
 

@@ -126,7 +126,7 @@ def test_quantile_level_enters_eval(model):
     mmap, _ = quantile_moment_map(shifted)
     assert norm(mmap.eval(mmap.base_point)) <= 1e-10
     # the 0.5-quantile curve is not the 0.3-quantile curve
-    assert np.abs(shifted.quantile_curve(0.5)
+    assert np.abs(replace(shifted, tau=0.5).quantile_curve()
                   - shifted.alpha0.values).max() > 0.1
 
 
@@ -145,7 +145,8 @@ def test_w_free_table_matches_repeated_table_bit_for_bit():
         assert np.array_equal(free.density_at(yq), full.density_at(yq))
     assert free.l1 == full.l1
     assert np.array_equal(free.quantile_curve(), full.quantile_curve())
-    assert np.array_equal(free.quantile_curve(0.3), full.quantile_curve(0.3))
+    assert np.array_equal(replace(free, tau=0.3).quantile_curve(),
+                          replace(full, tau=0.3).quantile_curve())
     free_map, free_bound = quantile_moment_map(free)
     full_map, full_bound = quantile_moment_map(full)
     assert free_bound == full_bound
@@ -364,8 +365,7 @@ def test_harnesses_are_bit_identical_with_and_without_stacking(stack_model):
             == gateaux_check(plain, devs[:20], steps, richardson=True))
     reports = [
         verify_local_id(m, NonlinearityBound(L=0.0, r=1.0), 130, 0,
-                        sampler=lambda _, it=iter(devs): next(it),
-                        pos_tol=1e-10)
+                        sampler=lambda _, it=iter(devs): next(it))
         for m in (mmap, plain)
     ]
     assert reports[0].rows == reports[1].rows

@@ -160,6 +160,14 @@ class TestLowerBound:
                 split, report, 5000, seed=int(rng.integers(2**31)))
             assert ratio >= report.eps - 1e-10
 
+    def test_one_trial_checks_nothing_and_says_so(self):
+        # the only trial has a = 0 and zeta = 0: no ratio can be formed
+        split = random_split(np.random.default_rng(4))
+        report = partial_out(split, 1e-12)
+        with pytest.raises(ValueError, match="trials = 1"):
+            split_lower_bound_check(split, report, 1, seed=3)
+        assert split_lower_bound_check(split, report, 2, seed=3) < math.inf
+
 
 def apply_rows(op, rows):
     """``apply_values`` of ``op`` to each row of a stack of domain values."""
@@ -256,11 +264,11 @@ class TestHarnesses:
     def test_nonlinear_threshold_can_empty_the_set(self):
         rng = np.random.default_rng(9)
         model = make_semiparam_model(rng)
-        giant = NonlinearityBound(L=1e9, r=2.0, radius=1e-3)
-        with pytest.raises(EmptyNeighborhoodError):
+        giant = NonlinearityBound(L=1e9, r=2.0)
+        with pytest.raises(EmptyNeighborhoodError,
+                           match="after 2000 draws"):
             verify_semiparam_nonlinear(model, giant, beta_radius=0.1,
-                                       samples=10, seed=4, g_radius=1e-3,
-                                       budget_factor=20)
+                                       samples=10, seed=4, g_radius=1e-3)
 
     def test_stacked_map_matches_split(self):
         rng = np.random.default_rng(10)
@@ -393,19 +401,45 @@ def test_nonlinear_harness_makes_no_claim_on_a_singular_gram_matrix():
         eval_rows=eval_rows, split=SplitDerivative(m_beta=(inside,), m_g=m_g))
     report = verify_semiparam_nonlinear(
         model, NonlinearityBound(L=1.0, r=2.0), beta_radius=0.1, samples=5,
-        seed=2)
+        seed=2, g_radius=0.5)
     assert not report.pi_nonsingular
     assert report.samples == report.passes == report.failures == 0
     assert math.isnan(report.pos_tol) and math.isnan(report.min_m_norm)
 
 
+def scaled_model(model, c):
+    """``model`` with m and its split derivative both scaled by c."""
+    split = SplitDerivative(m_beta=tuple(c * col for col in model.split.m_beta),
+                            m_g=model.split.m_g * c)
+    return replace(model, eval_rows=lambda rows: c * model.eval_rows(rows),
+                   split=split)
+
+
+@pytest.mark.parametrize("which", ["ccapm", "synthetic"])
+def test_linear_harness_verdicts_scale_free(which):
+    # c = 1e-12 puts every sampled ||c m|| far below the old rule's floor
+    model = SEMIPARAM_MODELS[which]()
+    plain = verify_semiparam_linear(model, beta_radius=0.1, g_radius=0.5,
+                                    samples=20, seed=1)
+    scaled = verify_semiparam_linear(scaled_model(model, 1e-12),
+                                     beta_radius=0.1, g_radius=0.5,
+                                     samples=20, seed=1)
+    assert plain.all_passed
+    assert ((scaled.samples, scaled.passes, scaled.full_local_id)
+            == (plain.samples, plain.passes, plain.full_local_id))
+    assert scaled.pos_tol == pytest.approx(1e-12 * plain.pos_tol)
+
+
 def test_linear_tally_counts_every_failure():
+    # m scaled by 1e-30 against the unscaled split: every sampled ||m|| is
+    # positive but below the zero rule of the split's derivative
     model = make_semiparam_model(np.random.default_rng(6))
-    report = verify_semiparam_linear(model, beta_radius=0.2, g_radius=0.5,
-                                     samples=7, seed=1, pos_tol=1e9)
+    tiny = replace(model, eval_rows=lambda rows: 1e-30 * model.eval_rows(rows))
+    report = verify_semiparam_linear(tiny, beta_radius=0.2, g_radius=0.5,
+                                     samples=7, seed=1)
     assert report.g_rank_holds and not report.full_local_id
     assert (report.samples, report.passes, report.failures) == (14, 0, 14)
-    assert 0.0 < report.min_m_norm < 1e9
+    assert 0.0 < report.min_m_norm < report.pos_tol
     assert not report.all_passed
 
 

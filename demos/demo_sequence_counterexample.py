@@ -37,29 +37,17 @@ print("which is exactly what excludes it from the identified set.\n")
 mmap, bound = counterexample_map()
 mu = mmap.base_point.measure
 cap = 0.9 / bound.L
-
-
-def sampler(rng):
-    return GridFunction(rng.uniform(-cap, cap, mu.size), mu)
-
-
-report = verify_local_id(mmap, bound, samples=300, rng_seed=7,
-                         sampler=sampler)
+rng = np.random.default_rng(7)
+inside = [GridFunction(rng.uniform(-cap, cap, mu.size), mu)
+          for _ in range(300)]
+report = verify_local_id(mmap, bound, inside)
 print(f"sampling the restricted set: {report.passes}/{report.samples} "
       f"deviations keep ||m|| > 0 (min {report.min_m_norm:.3e})")
 
 # On a plain open ball the guarantee is gone: the tail sequences above are
 # inside any ball and are zeros of the map.
-holes = iter(range(12, 40))
-
-
-def ball_sampler(rng):
-    alpha = np.zeros(mu.size)
-    alpha[next(holes):] = 1.0
-    return GridFunction(alpha, mu)
-
-
-ball = verify_local_id(mmap, bound, samples=5, rng_seed=7,
-                       sampler=ball_sampler, enforce_membership=False)
+holes = [GridFunction((np.arange(mu.size) >= k).astype(float), mu)
+         for k in range(12, 17)]
+ball = verify_local_id(mmap, bound, holes)
 print(f"sampling an open ball instead: {ball.failures}/{ball.samples} "
       "draws are zeros of the map arbitrarily close to the truth")

@@ -9,9 +9,5 @@ class DegenerateMarginalError(ValueError):
     """A conditional expectation has zero marginal mass at some point."""
 
 
-class EmptyNeighborhoodError(RuntimeError):
-    """Rejection sampling exhausted its budget without hitting the target set."""
-
-
 class ConvergenceError(RuntimeError):
     """An iterative solver did not reach its tolerance within the budget."""

@@ -86,11 +86,6 @@ class GridMeasure:
         return GridMeasure(pts, np.full(n, h))
 
     @staticmethod
-    def trapezoid(points: Sequence[float]) -> "GridMeasure":
-        """The trapezoid rule on a strictly increasing 1-d grid."""
-        return GridMeasure(points, trapezoid_weights(points))
-
-    @staticmethod
     def from_density(
         points: Sequence[float], density: Sequence[float]
     ) -> "GridMeasure":
@@ -123,8 +118,8 @@ class GridMeasure:
 
 
 def trapezoid_weights(points: Sequence[float]) -> np.ndarray:
-    """Trapezoid-rule weights of a strictly increasing 1-d grid: the weights
-    of ``GridMeasure.trapezoid(points)``, for callers that need only them."""
+    """Trapezoid-rule weights of a strictly increasing 1-d grid; the
+    trapezoid measure is ``GridMeasure(points, trapezoid_weights(points))``."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 1 or pts.size < 2:
         raise ValueError("trapezoid rule needs a sorted 1-d grid")

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import EmptyNeighborhoodError, GridMismatchError
+from .errors import GridMismatchError
 from .fnspace import (
     GridFunction,
     GridMeasure,
@@ -154,35 +154,6 @@ def zero_threshold(sigma_max: float, dev_norm):
     return positivity_tol(sigma_max) * dev_norm
 
 
-def accepted_draws(
-    draw: Callable[[], object | None],
-    samples: int,
-    budget_factor: int,
-    what: str,
-    hint: str,
-) -> Iterator[tuple[int, object]]:
-    """Budgeted rejection sampling: call ``draw`` until ``samples`` calls
-    have returned something other than None (a rejection).
-
-    Yields each accepted draw with the number of attempts so far, so the
-    caller's own random draws between acceptances keep their order.  Raises
-    EmptyNeighborhoodError, naming the ``what`` counted and the caller's
-    ``hint``, once ``budget_factor * samples`` attempts have not been enough.
-    """
-    accepted = attempts = 0
-    while accepted < samples:
-        if attempts >= budget_factor * samples:
-            raise EmptyNeighborhoodError(
-                f"accepted only {accepted}/{samples} {what} after "
-                f"{attempts} draws; {hint}"
-            )
-        attempts += 1
-        item = draw()
-        if item is not None:
-            accepted += 1
-            yield attempts, item
-
-
 def _check_domain(
     mmap: MomentMap, fns: Sequence[GridFunction], what: str
 ) -> None:
@@ -194,23 +165,21 @@ def _check_domain(
 def gateaux_check(
     mmap: MomentMap,
     directions: Sequence[GridFunction],
-    steps: Sequence[float],
-    richardson: bool = False,
+    step: float,
 ) -> float:
-    """Compare central finite differences of m against the attached derivative.
+    """Compare finite differences of m against the attached derivative.
 
-    Steps must be positive and decreasing, and there must be at least one
-    direction.  Returns the worst relative error over the directions at the
-    smallest step; with ``richardson`` each step t combines the t and t/2
-    central differences to cancel the quadratic error term.
+    The step t must be positive, and there must be at least one direction.
+    Each direction's difference quotient is the Richardson combination
+    (4 D(t/2) - D(t)) / 3 of the central differences D at t and t/2, which
+    cancels their quadratic error term.  Returns the worst relative error
+    over the directions.
     """
-    directions, steps = list(directions), list(steps)
+    directions = list(directions)
     if not directions:
         raise ValueError("directions must not be empty")
-    if not steps or any(s <= 0 for s in steps):
-        raise ValueError("steps must be positive")
-    if any(b >= a for a, b in zip(steps, steps[1:])):
-        raise ValueError("steps must be decreasing")
+    if not step > 0:
+        raise ValueError("step must be positive")
     _check_domain(mmap, directions, "directions")
     a0 = mmap.base_point.values
 
@@ -218,10 +187,9 @@ def gateaux_check(
         # every evaluation central() asks for, in the order it asks; the
         # rows are a0 + s * h as GridFunction arithmetic forms them
         for h in directions:
-            for t in steps:
-                for s in (t, t / 2.0) if richardson else (t,):
-                    yield a0 + h.values * float(s)
-                    yield a0 + h.values * float(-s)
+            for s in (step, step / 2.0):
+                yield a0 + h.values * float(s)
+                yield a0 + h.values * float(-s)
 
     values = _codomain_rows(mmap.eval_rows, mmap.derivative.codomain,
                             points())
@@ -235,13 +203,9 @@ def gateaux_check(
     for h in directions:
         exact = apply(mmap.derivative, h)
         scale = max(norm(exact), 1e-300)
-        err = math.inf
-        for t in steps:
-            fd = central(t)
-            if richardson:
-                fd = (4.0 * central(t / 2.0) - fd) / 3.0
-            err = weighted_norm(fd - exact.values, w_b) / scale
-        worst = max(worst, err)
+        fd = central(step)
+        fd = (4.0 * central(step / 2.0) - fd) / 3.0
+        worst = max(worst, weighted_norm(fd - exact.values, w_b) / scale)
     return worst
 
 
@@ -372,120 +336,69 @@ def sample_ellipsoid_deviations(
     return out
 
 
-def geometric_deviation_sampler(
-    dec: SvdDecomposition,
-    bound: NonlinearityBound,
-    rng: np.random.Generator,
-) -> GridFunction:
-    """Random deviation with singular-basis coefficients decaying as 0.7^j.
-
-    The magnitude is drawn below one and below the direction's own
-    identification-set cap, which keeps rejection rates low; membership is
-    still verified by the caller, never assumed.
-    """
-    mu = dec.singular_values
-    k = mu.size
-    mat = dec.right_functions.matrix()
-    raw = rng.standard_normal(k) * 0.7 ** np.arange(k)
-    nrm = np.linalg.norm(raw)
-    if nrm == 0.0:
-        raw[0] = 1.0
-        nrm = 1.0
-    raw /= nrm
-    cap = 1.0
-    if bound.L > 0 and bound.r > 1:
-        mu_dir = float(np.sqrt(np.sum((mu * raw) ** 2)))
-        if mu_dir > 0:
-            cap = min(cap, 0.95 * (mu_dir / bound.L) ** (1.0 / (bound.r - 1.0)))
-    s = rng.uniform(0.05, 1.0) * cap
-    return GridFunction(mat @ (s * raw), dec.right_functions.measure)
-
-
 @dataclass
 class LocalIdReport:
     samples: int
-    attempts: int
     passes: int
     failures: int
     min_m_norm: float
     min_margin: float
-    seed: int
     pos_tol: float  # the zero rule's coefficient positivity_tol(sigma_max)
     rows: list
 
     @property
     def all_passed(self) -> bool:
-        return self.failures == 0 and self.passes == self.samples
+        return self.failures == 0
 
 
 def verify_local_id(
     mmap: MomentMap,
     bound: NonlinearityBound,
-    samples: int,
-    rng_seed: int,
-    sampler: Callable[[np.random.Generator], GridFunction] | None = None,
-    enforce_membership: bool = True,
-    budget_factor: int = 200,
+    deviations: Sequence[GridFunction],
     dec: SvdDecomposition | None = None,
 ) -> LocalIdReport:
-    """Monte Carlo check of the identification inequality on the target set.
+    """Check the identification inequality at each of the given deviations.
 
-    Draws deviations, rejects those outside the identification set
-    ||m' d|| > L ||d||^r, and for every accepted alpha verifies both
-    ||m(alpha) - m'(alpha - alpha0)|| < ||m'(alpha - alpha0)|| and
-    ||m(alpha)|| above the zero rule.  ``dec`` is the derivative's SVD, if
-    the caller holds it.  Raises EmptyNeighborhoodError if the rejection
-    budget runs out.  The report's ``rows`` hold (||d||, ||m'd||, remainder
-    norm, ||m||, passed) per accepted deviation.
+    A deviation d passes when it lies in the identification set
+    ||m' d|| > L ||d||^r (``bound.separates``), the remainder
+    ||m(alpha) - m' d|| is below ||m' d||, and ||m(alpha)|| is above the
+    zero rule, at alpha = alpha0 + d.  A deviation outside the set, the
+    zero deviation included, is a failed row.  There must be at least one
+    deviation.  ``dec`` is the derivative's SVD, if the caller holds it.
+    The report's ``rows`` hold (||d||, ||m'd||, remainder norm, ||m||,
+    passed) per deviation, in order.
     """
-    if samples <= 0:
-        raise ValueError("samples must be positive")
-    rng = np.random.default_rng(rng_seed)
+    deviations = list(deviations)
+    if not deviations:
+        raise ValueError("deviations must not be empty")
+    _check_domain(mmap, deviations, "deviations")
     op = mmap.derivative
     if dec is None:
         dec = svd(op)
-    if sampler is None:
-        sampler = functools.partial(geometric_deviation_sampler, dec, bound)
-
-    def draw():
-        delta = sampler(rng)
-        dev_norm = mmap.norm_a_of(delta)
-        if dev_norm == 0.0:
-            return None
-        lin = apply(op, delta)
-        lin_n = norm(lin)
-        if enforce_membership and not bound.separates(lin_n, dev_norm):
-            return None
-        return delta, dev_norm, lin, lin_n
-
     a0 = mmap.base_point
-    # the draws come first, the map's evaluations after them in chunks
-    accepted = list(accepted_draws(
-        draw, samples, budget_factor, "deviations",
-        f"the sampled neighborhood may be empty for L={bound.L}, r={bound.r}",
-    ))
-    attempts = accepted[-1][0]
-    values = _codomain_rows(
-        mmap.eval_rows, op.codomain,
-        (a0.values + item[0].values for _, item in accepted))
+    values = _codomain_rows(mmap.eval_rows, op.codomain,
+                            (a0.values + d.values for d in deviations))
     w_b = op.codomain.weights
     rows = []
-    for (_, (delta, dev_norm, lin, lin_n)), m_val in zip(accepted, values):
+    for delta, m_val in zip(deviations, values):
+        dev_norm = mmap.norm_a_of(delta)
+        lin = apply(op, delta)
+        lin_n = norm(lin)
         rem = weighted_norm(m_val - lin.values, w_b)
         m_n = weighted_norm(m_val, w_b)
         # the rule's ||d|| is weighted L2: dev_norm unless norm_a is set
         zero = zero_threshold(
             dec.sigma_max, dev_norm if mmap.norm_a is None else norm(delta))
-        rows.append((dev_norm, lin_n, rem, m_n, rem < lin_n and m_n > zero))
+        rows.append((dev_norm, lin_n, rem, m_n,
+                     bound.separates(lin_n, dev_norm) and rem < lin_n
+                     and m_n > zero))
     passes = sum(row[4] for row in rows)
     return LocalIdReport(
-        samples=samples,
-        attempts=attempts,
+        samples=len(rows),
         passes=passes,
-        failures=samples - passes,
+        failures=len(rows) - passes,
         min_m_norm=min(row[3] for row in rows),
         min_margin=min(row[1] - row[2] for row in rows),
-        seed=rng_seed,
         pos_tol=zero_threshold(dec.sigma_max, 1.0),
         rows=rows,
     )

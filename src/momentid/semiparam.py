@@ -5,14 +5,14 @@ linear operator in g.  Projecting the columns onto the closure of the
 operator's range leaves a residual Gram matrix; when that matrix is
 nonsingular, a computable constant eps bounds ||m'(alpha - alpha0)|| from
 below by eps (|beta - beta0| + ||m'_g (g - g0)||), which is what makes beta
-locally identifiable without identifying g.  The verification harnesses here
-check those claims by direct sampling.
+locally identifiable without identifying g.  The verification harness here
+checks that claim by direct sampling.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -30,16 +30,13 @@ from .fnspace import (
 from .identcore import (
     RESIDUAL_TOL,
     MomentMap,
-    NonlinearityBound,
     _codomain_rows,
-    accepted_draws,
     rank_condition,
     zero_threshold,
 )
 from .linop import (
     LinearOperator,
     SvdDecomposition,
-    apply,
     singular_values,
     svd,
 )
@@ -333,42 +330,6 @@ def _sample_beta(
     return model.beta0 + rng.uniform(0.05, 1.0) * beta_radius * direction
 
 
-def _gram_gate(model: SemiparametricMap) -> tuple[SemiparamIdReport, float]:
-    """Partial out m_g and gate on the Gram matrix, for both harnesses.
-
-    The range of m_g keeps the singular values above 1e-12 times the
-    largest.  A Gram matrix whose smallest eigenvalue is at most 1e-10
-    times the unpartialled column scale gives the final no-claim report
-    and a NaN sigma_max; otherwise the stacked derivative's sigma_max.
-    """
-    report = partial_out(model.split, 1e-12)
-    # gate against the unpartialled column scale: a fully absorbed column
-    # leaves only projection dust in the Gram matrix
-    scale = sum(norm(c) ** 2 for c in model.split.m_beta)
-    claim = report.lambda_min > 1e-10 * max(scale, 1e-300)
-    sigma_max = (float(singular_values(model.stacked_derivative())[0])
-                 if claim else math.nan)
-    return SemiparamIdReport(
-        pi_nonsingular=claim, samples=0, passes=0, failures=0,
-        min_m_norm=math.nan, full_local_id=False, g_rank_holds=False,
-        partial=report, pos_tol=zero_threshold(sigma_max, 1.0),
-    ), sigma_max
-
-
-def _tallied(gate: SemiparamIdReport, tallies: list, samples: int,
-             **flags) -> SemiparamIdReport:
-    """The gate's report with the pass/fail tally of the sampled ||m||."""
-    passes = sum(nonzero for _, nonzero in tallies)
-    return replace(
-        gate,
-        samples=samples,
-        passes=passes,
-        failures=len(tallies) - passes,
-        min_m_norm=min((m_n for m_n, _ in tallies), default=math.inf),
-        **flags,
-    )
-
-
 def verify_semiparam_linear(
     model: SemiparametricMap,
     beta_radius: float,
@@ -378,25 +339,36 @@ def verify_semiparam_linear(
 ) -> SemiparamIdReport:
     """Sampling harness for parametric identification with g linear.
 
-    Requires linearity of g -> m(beta0, g); checks that every sampled
-    (beta, g) with beta != beta0 in the product neighborhood keeps
-    ||m(beta, g)|| above the zero rule (``zero_threshold``) of the stacked
-    derivative.  When the rank condition for m_g also holds at tolerance
-    1e-10, samples with beta = beta0 and g != g0 are asserted nonzero too,
-    upgrading the claim to full local identification.  With a singular
-    Gram matrix the precondition gate fails and no claim is made.
+    Requires linearity of g -> m(beta0, g).  Partials m_g out, keeping the
+    singular values above 1e-12 times the largest as its range; a Gram
+    matrix whose smallest eigenvalue is at most 1e-10 times the
+    unpartialled column scale fails the precondition gate, and no claim is
+    made.  Otherwise checks that every sampled (beta, g) with beta != beta0
+    in the product neighborhood keeps ||m(beta, g)|| above the zero rule
+    (``zero_threshold``) of the stacked derivative.  When the rank
+    condition for m_g also holds at tolerance 1e-10, samples with
+    beta = beta0 and g != g0 are asserted nonzero too, upgrading the claim
+    to full local identification.
     """
     defect = linearity_in_g_check(model, seed=seed)
     if defect > 1e-9:
         raise ValueError(
-            f"m(beta0, .) is not linear in g (defect {defect:.2e}); "
-            "use verify_semiparam_nonlinear with a curvature bound"
+            f"m(beta0, .) is not linear in g (defect {defect:.2e}); the "
+            "harness covers no map nonlinear in g"
         )
-    gate, sigma_max = _gram_gate(model)
-    if not gate.pi_nonsingular:
-        return gate
+    partial = partial_out(model.split, 1e-12)
+    # gate against the unpartialled column scale: a fully absorbed column
+    # leaves only projection dust in the Gram matrix
+    scale = sum(norm(c) ** 2 for c in model.split.m_beta)
+    if not partial.lambda_min > 1e-10 * max(scale, 1e-300):
+        return SemiparamIdReport(
+            pi_nonsingular=False, samples=0, passes=0, failures=0,
+            min_m_norm=math.nan, full_local_id=False, g_rank_holds=False,
+            partial=partial, pos_tol=math.nan,
+        )
+    sigma_max = float(singular_values(model.stacked_derivative())[0])
     rng = np.random.default_rng(seed)
-    dec = gate.partial.decomposition
+    dec = partial.decomposition
     g_rank = rank_condition(dec, 1e-10)
     # the draws come first, the map's evaluations after them in chunks
     points = [
@@ -410,51 +382,16 @@ def verify_semiparam_linear(
             if model.g_norm_of(g_dev) != 0.0:
                 points.append((model.beta0, g_dev))
     tallies = _m_norms(model, points, sigma_max)
-    full_ok = bool(g_rank.holds) and all(
-        nonzero for _, nonzero in tallies[samples:])
-    return _tallied(gate, tallies, samples * (2 if g_rank.holds else 1),
-                    full_local_id=full_ok, g_rank_holds=bool(g_rank.holds))
-
-
-def verify_semiparam_nonlinear(
-    model: SemiparametricMap,
-    bound: NonlinearityBound,
-    beta_radius: float,
-    g_radius: float,
-    samples: int,
-    seed: int,
-) -> SemiparamIdReport:
-    """Like the linear harness, but g-deviations are restricted by rejection
-    to the curvature-adjusted identification set
-    ||m_g d|| > (L / eps) ||d||^r with eps from the partialled-out report.
-
-    With L = 0 the restriction is vacuous and the behavior reduces to the
-    linear harness.  An exhausted rejection budget of 200 draws per sample
-    raises EmptyNeighborhoodError, which usually means the threshold is too
-    strict for the sampled decay profile.
-    """
-    gate, sigma_max = _gram_gate(model)
-    if not gate.pi_nonsingular:
-        return gate
-    rng = np.random.default_rng(seed)
-    dec = gate.partial.decomposition
-    # the curvature-adjusted set is the identification set of L / eps
-    adjusted = replace(bound, L=bound.L / gate.partial.eps)
-
-    def draw():
-        g_dev = _sample_g_deviation(rng, dec, g_radius, model.g_norm_of)
-        dn = model.g_norm_of(g_dev)
-        if dn == 0.0 or not adjusted.separates(
-                norm(apply(model.split.m_g, g_dev)), dn):
-            return None
-        return g_dev
-
-    # each accepted g-deviation's beta is drawn right after it
-    points = [
-        (_sample_beta(rng, model, beta_radius), g_dev)
-        for _, g_dev in accepted_draws(
-            draw, samples, 200, "g-deviations",
-            f"threshold (L/eps) = {adjusted.L:.3e} may be too strict",
-        )
-    ]
-    return _tallied(gate, _m_norms(model, points, sigma_max), samples)
+    passes = sum(nonzero for _, nonzero in tallies)
+    return SemiparamIdReport(
+        pi_nonsingular=True,
+        samples=samples * (2 if g_rank.holds else 1),
+        passes=passes,
+        failures=len(tallies) - passes,
+        min_m_norm=min((m_n for m_n, _ in tallies), default=math.inf),
+        full_local_id=bool(g_rank.holds) and all(
+            nonzero for _, nonzero in tallies[samples:]),
+        g_rank_holds=bool(g_rank.holds),
+        partial=partial,
+        pos_tol=zero_threshold(sigma_max, 1.0),
+    )

@@ -409,9 +409,9 @@ class TestRun:
                                   "n_ellipsoid": 5, "n_deviations": 10}}))
         report, _ = run_experiment(config)
         assert not report["summary"]["pass"]
-        [check] = report["checks"]
-        assert check["name"] == "experiment completed"
-        assert "accepted only 4/5 deviations after 5 draws" in check["detail"]
+        checks = {c["name"]: c for c in report["checks"]}
+        check = checks["ellipsoid deviations keep the map away from zero"]
+        assert not check["passed"] and check["value"]["fails"] == 1
 
     def test_runner_result_count_must_match_the_declaration(self,
                                                             monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from momentid.errors import EmptyNeighborhoodError, GridMismatchError
+from momentid.errors import GridMismatchError
 from momentid.fnspace import GridFunction, GridMeasure, norm
 from momentid.identcore import (
     CONE_CHUNK,
@@ -72,47 +72,48 @@ class TestGateaux:
         mu = unit_grid(4)
         mmap = linear_map(rng.standard_normal((4, 4)), mu, mu)
         dirs = [GridFunction(rng.standard_normal(4), mu) for _ in range(3)]
-        assert gateaux_check(mmap, dirs, [1e-2, 1e-3]) <= 1e-12
+        assert gateaux_check(mmap, dirs, 1e-3) <= 1e-12
 
-    def test_error_scales_quadratically(self):
-        # cubic map: central differences carry an O(t^2) remainder
+    def test_error_scales_as_the_fourth_power(self):
+        # m(x) = x + x^5: the central difference at t is 1 + t^4, so the
+        # Richardson combination of t and t/2 is 1 - t^4 / 4
         mu = unit_grid(1)
-        mmap = MomentMap(GridFunction.zero(mu), lambda rows: rows + rows**3,
+        mmap = MomentMap(GridFunction.zero(mu), lambda rows: rows + rows**5,
                          LinearOperator.identity(mu))
         h = [GridFunction([1.0], mu)]
-        e3 = gateaux_check(mmap, h, [1e-3])
-        e4 = gateaux_check(mmap, h, [1e-3, 1e-4])
-        assert e4 < e3
-        assert e4 == pytest.approx(1e-8, rel=0.1)
+        assert gateaux_check(mmap, h, 1e-1) == pytest.approx(2.5e-5, rel=1e-3)
+        assert gateaux_check(mmap, h, 1e-2) == pytest.approx(2.5e-9, rel=1e-3)
 
     def test_richardson_refines(self):
         mu = unit_grid(1)
         mmap = MomentMap(GridFunction.zero(mu), np.sin,
                          LinearOperator.identity(mu))
         h = [GridFunction([1.0], mu)]
-        plain = gateaux_check(mmap, h, [1e-3])
-        refined = gateaux_check(mmap, h, [1e-3], richardson=True)
-        assert refined < plain * 1e-3
+        t = 1e-3
+        plain = abs((np.sin(t) - np.sin(-t)) / (2.0 * t) - 1.0)
+        assert plain == pytest.approx(t**2 / 6.0, rel=1e-3)
+        assert gateaux_check(mmap, h, t) < plain * 1e-3
 
-    def test_rejects_increasing_steps(self):
+    def test_rejects_a_step_that_is_not_positive(self):
         mu = unit_grid(2)
         mmap = linear_map(np.eye(2), mu, mu)
-        with pytest.raises(ValueError):
-            gateaux_check(mmap, [GridFunction([1.0, 0.0], mu)], [1e-4, 1e-3])
+        for step in (0.0, -1e-3, np.nan):
+            with pytest.raises(ValueError, match="step must be positive"):
+                gateaux_check(mmap, [GridFunction([1.0, 0.0], mu)], step)
 
     def test_rejects_no_directions(self):
         # an empty check would report a worst error of 0, a perfect pass
         mu = unit_grid(2)
         mmap = linear_map(np.eye(2), mu, mu)
         with pytest.raises(ValueError, match="directions"):
-            gateaux_check(mmap, [], [1e-3])
+            gateaux_check(mmap, [], 1e-3)
 
     def test_rejects_directions_on_another_grid(self):
         mu = unit_grid(2)
         mmap = linear_map(np.eye(2), mu, mu)
         other = GridMeasure(np.arange(2.0), np.full(2, 0.5))
         with pytest.raises(GridMismatchError, match="directions"):
-            gateaux_check(mmap, [GridFunction([1.0, 0.0], other)], [1e-3])
+            gateaux_check(mmap, [GridFunction([1.0, 0.0], other)], 1e-3)
 
 
 class TestEstimateNonlinearity:
@@ -299,24 +300,61 @@ class TestEllipsoid:
         assert hits > 0
 
 
+def random_deviations(rng, mu, n, scale=1.0):
+    return [GridFunction(scale * rng.uniform(-1.0, 1.0, mu.size), mu)
+            for _ in range(n)]
+
+
 class TestVerifyLocalId:
     def test_linear_injective_all_pass(self):
         rng = np.random.default_rng(6)
         mu = GridMeasure(np.arange(4.0), np.full(4, 0.25))
         mmap = linear_map(rng.standard_normal((4, 4)) + 2 * np.eye(4), mu, mu)
         report = verify_local_id(mmap, NonlinearityBound(L=0.0, r=1.0),
-                                 samples=50, rng_seed=0)
-        assert report.all_passed
+                                 random_deviations(rng, mu, 50))
+        assert report.all_passed and report.samples == 50
         assert report.min_m_norm > report.pos_tol
 
-    def test_empty_neighborhood_diagnostic(self):
+    def test_deviation_outside_the_set_is_a_failed_row(self):
+        # ||m'd|| = ||d||, so d is in the set iff ||d|| < 1 at L = 1, r = 2;
+        # the linear map keeps m(alpha) = m'd, so only membership can fail
         mu = GridMeasure(np.arange(3.0), np.full(3, 1 / 3))
         mmap = linear_map(np.eye(3), mu, mu)
-        bound = NonlinearityBound(L=1.0, r=2.0)
-        with pytest.raises(EmptyNeighborhoodError):
-            verify_local_id(mmap, bound, samples=5, rng_seed=0,
-                            sampler=lambda rng: GridFunction.zero(mu),
-                            budget_factor=10)
+        unit = GridFunction(np.ones(3), mu)
+        report = verify_local_id(mmap, NonlinearityBound(L=1.0, r=2.0),
+                                 [0.5 * unit, 2.0 * unit, 0.9 * unit])
+        assert [row[4] for row in report.rows] == [True, False, True]
+        assert (report.samples, report.passes, report.failures) == (3, 2, 1)
+        assert not report.all_passed
+        dev_n, lin_n, rem, m_n, _ = report.rows[1]
+        assert dev_n == lin_n == m_n == pytest.approx(2.0)
+        assert rem < lin_n and m_n > report.pos_tol * dev_n
+
+    def test_zero_deviation_is_a_failed_row(self):
+        mu = GridMeasure(np.arange(3.0), np.full(3, 1 / 3))
+        mmap = linear_map(np.eye(3), mu, mu)
+        devs = [GridFunction.zero(mu), GridFunction([0.1, 0.0, 0.2], mu)]
+        for bound in (NonlinearityBound(L=1.0, r=2.0),
+                      NonlinearityBound(L=0.0, r=1.0)):
+            report = verify_local_id(mmap, bound, devs)
+            assert report.rows[0] == (0.0, 0.0, 0.0, 0.0, False)
+            assert report.rows[1][4]
+            assert (report.passes, report.failures) == (1, 1)
+
+    def test_rejects_no_deviations(self):
+        # an empty check would report no failures, a perfect pass
+        mu = unit_grid(2)
+        mmap = linear_map(np.eye(2), mu, mu)
+        with pytest.raises(ValueError, match="deviations"):
+            verify_local_id(mmap, NonlinearityBound(L=0.0, r=1.0), [])
+
+    def test_rejects_deviations_on_another_grid(self):
+        mu = unit_grid(2)
+        mmap = linear_map(np.eye(2), mu, mu)
+        other = GridMeasure(np.arange(2.0), np.full(2, 0.5))
+        with pytest.raises(GridMismatchError, match="deviations"):
+            verify_local_id(mmap, NonlinearityBound(L=0.0, r=1.0),
+                            [GridFunction([1.0, 0.0], other)])
 
     def test_one_derivative_application_per_draw(self, monkeypatch):
         import momentid.identcore as identcore
@@ -332,12 +370,11 @@ class TestVerifyLocalId:
 
         monkeypatch.setattr(identcore, "apply", counting_apply)
         report = verify_local_id(mmap, NonlinearityBound(L=0.1, r=2.0),
-                                 samples=20, rng_seed=0)
+                                 random_deviations(rng, mu, 20))
         derivative_calls = [op for op in calls if op is mmap.derivative]
-        assert report.attempts >= 20
-        assert len(derivative_calls) == report.attempts
+        assert report.samples == len(derivative_calls) == 20
 
-    def test_given_sampler_and_dec_need_no_svd(self, monkeypatch):
+    def test_given_dec_needs_no_svd(self, monkeypatch):
         import momentid.identcore as identcore
 
         mu = GridMeasure(np.arange(3.0), np.full(3, 1 / 3))
@@ -349,30 +386,20 @@ class TestVerifyLocalId:
 
         monkeypatch.setattr(identcore, "svd", no_svd)
         monkeypatch.setattr(identcore, "singular_values", no_svd)
-
-        def sampler(rng):
-            return GridFunction(rng.uniform(-1.0, 1.0, 3), mu)
-
-        report = verify_local_id(mmap, NonlinearityBound(L=0.0, r=1.0),
-                                 samples=10, rng_seed=0, sampler=sampler,
-                                 dec=dec)
+        report = verify_local_id(
+            mmap, NonlinearityBound(L=0.0, r=1.0),
+            random_deviations(np.random.default_rng(0), mu, 10), dec=dec)
         assert report.all_passed
         assert report.pos_tol == positivity_tol(dec.sigma_max)
 
     def test_default_pos_tol_is_positivity_tol(self):
-        from momentid.identcore import positivity_tol
-
         mu = GridMeasure(np.arange(3.0), np.full(3, 1 / 3))
         mmap = linear_map(3.0 * np.eye(3), mu, mu)
         sigma_max = svd(mmap.derivative).sigma_max
-        default = verify_local_id(mmap, NonlinearityBound(L=0.0, r=1.0),
-                                  samples=3, rng_seed=0)
-        sampled = verify_local_id(
-            mmap, NonlinearityBound(L=0.0, r=1.0), samples=3, rng_seed=0,
-            sampler=lambda r: GridFunction(r.uniform(-1.0, 1.0, 3), mu))
-        assert default.pos_tol == positivity_tol(sigma_max)
-        assert sampled.pos_tol == pytest.approx(positivity_tol(sigma_max),
-                                                rel=1e-12)
+        report = verify_local_id(
+            mmap, NonlinearityBound(L=0.0, r=1.0),
+            random_deviations(np.random.default_rng(0), mu, 3))
+        assert report.pos_tol == positivity_tol(sigma_max)
 
 
 def stacked_linear_map(matrix, mu, calls=None):
@@ -468,10 +495,9 @@ class TestEvalMany:
         assert calls == [min(EVAL_CHUNK, n - k)
                          for k in range(0, n, EVAL_CHUNK)]
         calls.clear()
-        steps = [1e-2, 1e-3]
-        assert (gateaux_check(stacked, devs, steps, richardson=True)
-                == gateaux_check(plain, devs, steps, richardson=True))
-        assert sum(calls) == 8 * n and max(calls) == min(n * 8, EVAL_CHUNK)
+        assert (gateaux_check(stacked, devs, 1e-3)
+                == gateaux_check(plain, devs, 1e-3))
+        assert sum(calls) == 4 * n and max(calls) == min(n * 4, EVAL_CHUNK)
 
 
 def stacked_square_map(mu, poison=None):
@@ -488,12 +514,10 @@ def stacked_square_map(mu, poison=None):
 
 HARNESSES = {
     "verify_local_id": lambda mmap, devs: verify_local_id(
-        mmap, NonlinearityBound(L=0.0, r=1.0), len(devs), 0,
-        sampler=lambda _, it=iter(devs): next(it)).rows,
+        mmap, NonlinearityBound(L=0.0, r=1.0), devs).rows,
     "estimate_nonlinearity":
         lambda mmap, devs: estimate_nonlinearity(mmap, 2.0, devs),
-    "gateaux_check": lambda mmap, devs: gateaux_check(
-        mmap, devs, [1e-2, 1e-3], richardson=True),
+    "gateaux_check": lambda mmap, devs: gateaux_check(mmap, devs, 1e-3),
 }
 
 
@@ -528,48 +552,22 @@ class TestStackedHarnessChecks:
 class TestVerifyLocalIdBatching:
     def test_every_draw_is_made_before_the_first_evaluation(self):
         mu = GridMeasure(np.arange(4.0), np.full(4, 0.25))
+        bound = NonlinearityBound(L=0.1, r=2.0)
         calls, draws = [], []
         mmap = stacked_linear_map(3.0 * np.eye(4), mu, calls)
 
-        def sampler(rng):
-            draws.append(len(calls))  # stacks evaluated so far
-            return GridFunction(rng.uniform(-1.0, 1.0, 4), mu)
+        def deviations(rng):
+            for _ in range(150):
+                draws.append(len(calls))  # stacks evaluated so far
+                yield GridFunction(rng.uniform(-1.0, 1.0, 4), mu)
 
-        report = verify_local_id(mmap, NonlinearityBound(L=0.1, r=2.0),
-                                 samples=150, rng_seed=0, sampler=sampler)
+        report = verify_local_id(mmap, bound,
+                                 deviations(np.random.default_rng(0)))
         assert calls == [64, 64, 22]
-        assert draws == [0] * report.attempts
-        plain = verify_local_id(linear_map(3.0 * np.eye(4), mu, mu),
-                                NonlinearityBound(L=0.1, r=2.0), samples=150,
-                                rng_seed=0, sampler=sampler)
-        assert plain.attempts == report.attempts
+        assert draws == [0] * 150
+        plain = verify_local_id(linear_map(3.0 * np.eye(4), mu, mu), bound,
+                                list(deviations(np.random.default_rng(0))))
         assert plain.rows == report.rows
-
-
-class TestAcceptedDraws:
-    def test_yields_each_acceptance_before_the_next_draw(self):
-        from momentid.identcore import accepted_draws
-
-        values = iter([0.1, 0.9, 0.2, 0.3, 0.8, 0.7])
-        log = []
-
-        def draw():
-            u = next(values)
-            log.append(u)
-            return u if u > 0.5 else None
-
-        for attempts, u in accepted_draws(draw, 3, 100, "draws", "hint"):
-            log.append(("accepted", attempts, u))
-        assert log == [0.1, 0.9, ("accepted", 2, 0.9), 0.2, 0.3, 0.8,
-                       ("accepted", 5, 0.8), 0.7, ("accepted", 6, 0.7)]
-
-    def test_budget_names_the_shortfall_and_the_hint(self):
-        from momentid.identcore import accepted_draws
-
-        with pytest.raises(EmptyNeighborhoodError,
-                           match=r"accepted only 0/2 items after 6 draws; "
-                                 r"too strict"):
-            list(accepted_draws(lambda: None, 2, 3, "items", "too strict"))
 
 
 class TestCounterexample:
@@ -645,30 +643,20 @@ class TestCounterexample:
         mmap, bound = counterexample_map()
         mu = mmap.base_point.measure
         cap = 0.9 / bound.L
-
-        def sampler(rng):
-            return GridFunction(rng.uniform(-cap, cap, mu.size), mu)
-
-        report = verify_local_id(mmap, bound, samples=100, rng_seed=1,
-                                 sampler=sampler)
+        report = verify_local_id(mmap, bound, random_deviations(
+            np.random.default_rng(1), mu, 100, scale=cap))
         assert report.all_passed
 
     def test_map_fails_on_open_balls(self):
         mmap, bound = counterexample_map()
         mu = mmap.base_point.measure
         p = mu.weights
-        holes = iter(range(10, 40))
-        norms = []
-
-        def sampler(rng):
-            alpha = np.zeros(mu.size)
-            alpha[next(holes):] = 1.0
-            norms.append(float(np.dot(p, alpha**4) ** 0.25))
-            return GridFunction(alpha, mu)
-
-        report = verify_local_id(mmap, bound, samples=5, rng_seed=2,
-                                 sampler=sampler, enforce_membership=False)
+        holes = [GridFunction((np.arange(mu.size) >= k).astype(float), mu)
+                 for k in range(10, 15)]
+        norms = [float(np.dot(p, h.values**4) ** 0.25) for h in holes]
+        report = verify_local_id(mmap, bound, holes)
         assert report.failures == 5  # zeros of the map arbitrarily close
+        assert all(row[3] == 0.0 for row in report.rows)
         assert max(norms) < 0.2  # inside a small open ball around the truth
 
 
@@ -979,7 +967,7 @@ def test_local_id_report_rows_csv():
     mu = GridMeasure(np.arange(4.0), np.full(4, 0.25))
     mmap = linear_map(rng.standard_normal((4, 4)) + 2 * np.eye(4), mu, mu)
     report = verify_local_id(mmap, NonlinearityBound(L=0.0, r=1.0),
-                             samples=8, rng_seed=0)
+                             random_deviations(rng, mu, 8))
     assert len(report.rows) == 8
 
 
@@ -1126,9 +1114,8 @@ def test_local_id_verdicts_scale_free(quad_scale):
     def report(c):
         return verify_local_id(
             quadratic_map(c * matrix, c * quads, mu, mu),
-            NonlinearityBound(L=0.0, r=1.0), samples=40, rng_seed=3,
-            sampler=lambda r: GridFunction(r.uniform(-1.0, 1.0, 4), mu),
-            enforce_membership=False)
+            NonlinearityBound(L=0.0, r=1.0),
+            random_deviations(np.random.default_rng(3), mu, 40))
 
     plain, scaled = report(1.0), report(1e-12)
     assert plain.passes > 0

@@ -50,7 +50,7 @@ class TestMomentMap:
         mu = mm.base_point.measure
         dirs = [GridFunction(rng.standard_normal(mu.size) * 0.2, mu)
                 for _ in range(10)]
-        assert gateaux_check(mm, dirs, [1e-3, 1e-4], richardson=True) < 1e-5
+        assert gateaux_check(mm, dirs, 1e-4) < 1e-5
 
     def test_envelope_window_guard(self, model, mapped):
         smap = mapped

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 import momentid.semiparam
-from momentid.errors import EmptyNeighborhoodError
 from momentid.fnspace import GridFunction, GridMeasure, inner, norm
-from momentid.identcore import EVAL_CHUNK, NonlinearityBound
+from momentid.identcore import EVAL_CHUNK, positivity_tol
 from momentid.linop import LinearOperator, apply, svd
 from momentid.semiparam import (
     SemiparametricMap,
@@ -17,7 +16,6 @@ from momentid.semiparam import (
     partial_out,
     split_lower_bound_check,
     verify_semiparam_linear,
-    verify_semiparam_nonlinear,
 )
 
 
@@ -251,24 +249,9 @@ class TestHarnesses:
                                   split=split)
         report = verify_semiparam_linear(model, 0.1, 0.1, 5, seed=2)
         assert not report.pi_nonsingular
-        assert report.samples == 0  # no claim made
-
-    def test_nonlinear_reduces_to_linear_when_l_zero(self):
-        rng = np.random.default_rng(8)
-        model = make_semiparam_model(rng)
-        rep = verify_semiparam_nonlinear(
-            model, NonlinearityBound(L=0.0, r=2.0), beta_radius=0.2,
-            samples=30, seed=3, g_radius=0.5)
-        assert rep.failures == 0
-
-    def test_nonlinear_threshold_can_empty_the_set(self):
-        rng = np.random.default_rng(9)
-        model = make_semiparam_model(rng)
-        giant = NonlinearityBound(L=1e9, r=2.0)
-        with pytest.raises(EmptyNeighborhoodError,
-                           match="after 2000 draws"):
-            verify_semiparam_nonlinear(model, giant, beta_radius=0.1,
-                                       samples=10, seed=4, g_radius=1e-3)
+        # no claim made
+        assert report.samples == report.passes == report.failures == 0
+        assert math.isnan(report.pos_tol) and math.isnan(report.min_m_norm)
 
     def test_stacked_map_matches_split(self):
         rng = np.random.default_rng(10)
@@ -286,7 +269,7 @@ class TestHarnesses:
         assert np.abs(img - direct).max() < 1e-12
 
 
-@pytest.mark.parametrize("harness", ["linear", "nonlinear"])
+@pytest.mark.parametrize("harness", ["linear"])
 def test_harnesses_reuse_the_partial_out_svd(harness, monkeypatch):
     model = make_semiparam_model(np.random.default_rng(12))
     calls = []
@@ -296,31 +279,14 @@ def test_harnesses_reuse_the_partial_out_svd(harness, monkeypatch):
         return svd(op, *args, **kwargs)
 
     monkeypatch.setattr(momentid.semiparam, "svd", counting_svd)
-    if harness == "linear":
-        report = verify_semiparam_linear(model, beta_radius=0.2,
-                                         g_radius=0.5, samples=10, seed=1)
-    else:
-        report = verify_semiparam_nonlinear(
-            model, NonlinearityBound(L=0.0, r=2.0), beta_radius=0.2,
-            samples=10, seed=1, g_radius=0.5)
+    report = verify_semiparam_linear(model, beta_radius=0.2, g_radius=0.5,
+                                     samples=10, seed=1)
     assert report.failures == 0
     assert calls == [model.split.m_g.shape]  # partial_out's, nothing more
-
-
-def test_harnesses_share_the_gram_gate_and_pos_tol():
-    from momentid.identcore import positivity_tol
-
-    model = make_semiparam_model(np.random.default_rng(13))
-    linear = verify_semiparam_linear(model, beta_radius=0.2, g_radius=0.5,
-                                     samples=5, seed=1)
-    nonlinear = verify_semiparam_nonlinear(
-        model, NonlinearityBound(L=0.0, r=2.0), beta_radius=0.2, samples=5,
-        seed=1, g_radius=0.5)
-    sigma_max = svd(model.to_moment_map().derivative).sigma_max
-    assert linear.pos_tol == nonlinear.pos_tol
-    assert linear.pos_tol == pytest.approx(positivity_tol(sigma_max),
+    # the zero rule reads sigma_max from the stacked derivative
+    sigma_max = svd(model.stacked_derivative()).sigma_max
+    assert report.pos_tol == pytest.approx(positivity_tol(sigma_max),
                                            rel=1e-12)
-    assert linear.partial.lambda_min == nonlinear.partial.lambda_min
 
 
 def test_stacked_derivative_is_the_moment_map_derivative():
@@ -386,27 +352,6 @@ def test_ccapm_linear_harness_evaluates_no_extra_row():
     assert [rows for rows, _ in calls] == [13, 10]
 
 
-def test_nonlinear_harness_makes_no_claim_on_a_singular_gram_matrix():
-    rng = np.random.default_rng(7)
-    n = 8
-    mu = GridMeasure(np.arange(float(n)), np.full(n, 1 / n))
-    m_g = LinearOperator(rng.standard_normal((n, n)) + 2 * np.eye(n), mu, mu)
-    inside = apply(m_g, GridFunction(rng.standard_normal(n), mu))
-
-    def eval_rows(rows):
-        return rows[:, :1] * inside.values + apply_rows(m_g, rows[:, 1:])
-
-    model = SemiparametricMap(
-        beta0=np.zeros(1), g0=GridFunction(np.zeros(n), mu),
-        eval_rows=eval_rows, split=SplitDerivative(m_beta=(inside,), m_g=m_g))
-    report = verify_semiparam_nonlinear(
-        model, NonlinearityBound(L=1.0, r=2.0), beta_radius=0.1, samples=5,
-        seed=2, g_radius=0.5)
-    assert not report.pi_nonsingular
-    assert report.samples == report.passes == report.failures == 0
-    assert math.isnan(report.pos_tol) and math.isnan(report.min_m_norm)
-
-
 def scaled_model(model, c):
     """``model`` with m and its split derivative both scaled by c."""
     split = SplitDerivative(m_beta=tuple(c * col for col in model.split.m_beta),
@@ -461,9 +406,6 @@ SEMIPARAM_MODELS = {
 SEMIPARAM_HARNESSES = {
     "linear": lambda model, n: verify_semiparam_linear(
         model, beta_radius=0.1, g_radius=0.5, samples=n, seed=1),
-    "nonlinear": lambda model, n: verify_semiparam_nonlinear(
-        model, NonlinearityBound(L=0.0, r=2.0), beta_radius=0.1, samples=n,
-        seed=1, g_radius=0.5),
 }
 
 
@@ -524,8 +466,8 @@ def test_harnesses_agree_with_one_row_per_call(which, harness, n,
 @pytest.mark.parametrize("harness", SEMIPARAM_HARNESSES)
 def test_harnesses_keep_the_per_point_draw_order(harness):
     """The rows evaluated are those of a loop that evaluated each point as
-    soon as it was drawn: per sample, beta then g for the linear harness
-    (then the g-only draws), the accepted g then beta for the nonlinear."""
+    soon as it was drawn: per sample, beta then g, then the g-only
+    draws."""
     model = SEMIPARAM_MODELS["synthetic"]()
     seen = []
 
@@ -544,14 +486,8 @@ def test_harnesses_keep_the_per_point_draw_order(harness):
     def beta():
         return momentid.semiparam._sample_beta(rng, model, 0.1)
 
-    if harness == "linear":
-        points = [(beta(), g_dev()) for _ in range(5)]
-        points += [(model.beta0, g_dev()) for _ in range(5)]
-    else:
-        points = []
-        for _ in range(5):
-            g = g_dev()  # L = 0 accepts every nonzero deviation
-            points.append((beta(), g))
+    points = [(beta(), g_dev()) for _ in range(5)]
+    points += [(model.beta0, g_dev()) for _ in range(5)]
     want = [np.concatenate([b, model.g0.values + g.values])
             for b, g in points]
     assert np.array_equal(np.array(seen[-len(want):]), np.array(want))

@@ -158,7 +158,7 @@ def test_allowlist_names_only_values_without_a_caller():
 def test_scan_sees_defaults_fields_and_calls():
     values = settable_values()
     assert values["identcore:verify_local_id(dec)"] == (
-        "verify_local_id", 7, False)
+        "verify_local_id", 3, False)
     assert values["fnspace:OrthonormalBasis(check)"][:2] == (
         "OrthonormalBasis", 2)
     assert values["identcore:MomentMap(norm_a)"] == ("MomentMap", 3, True)

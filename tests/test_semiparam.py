@@ -7,7 +7,12 @@ import pytest
 
 import momentid.semiparam
 from momentid.fnspace import GridFunction, GridMeasure, inner, norm
-from momentid.identcore import EVAL_CHUNK, positivity_tol
+from momentid.identcore import (
+    EVAL_CHUNK,
+    NonlinearityBound,
+    positivity_tol,
+    verify_local_id,
+)
 from momentid.linop import LinearOperator, apply, svd
 from momentid.semiparam import (
     SemiparametricMap,
@@ -289,6 +294,27 @@ def test_harnesses_reuse_the_partial_out_svd(harness, monkeypatch):
                                            rel=1e-12)
 
 
+def test_harnesses_share_the_gram_gate_and_pos_tol():
+    """The semiparametric harness and verify_local_id on the stacked
+    moment map read the same zero rule, and its Gram gate is partial_out's
+    at the harness's range tolerance."""
+    model = make_semiparam_model(np.random.default_rng(13))
+    linear = verify_semiparam_linear(model, beta_radius=0.2, g_radius=0.5,
+                                     samples=5, seed=1)
+    mm = model.to_moment_map()
+    rng = np.random.default_rng(1)
+    devs = [GridFunction(0.1 * rng.standard_normal(mm.base_point.measure.size),
+                         mm.base_point.measure) for _ in range(3)]
+    local = verify_local_id(mm, NonlinearityBound(L=0.0, r=2.0), devs)
+    sigma_max = svd(mm.derivative).sigma_max
+    assert linear.pos_tol == pytest.approx(local.pos_tol, rel=1e-12)
+    assert linear.pos_tol == pytest.approx(positivity_tol(sigma_max),
+                                           rel=1e-12)
+    assert linear.pi_nonsingular
+    assert (linear.partial.lambda_min
+            == partial_out(model.split, 1e-12).lambda_min)
+
+
 def test_stacked_derivative_is_the_moment_map_derivative():
     model = make_semiparam_model(np.random.default_rng(14))
     stacked, mm = model.stacked_derivative(), model.to_moment_map()
@@ -350,6 +376,29 @@ def test_ccapm_linear_harness_evaluates_no_extra_row():
     verify_semiparam_linear(model, beta_radius=0.1, g_radius=0.5,
                             samples=10, seed=1)
     assert [rows for rows, _ in calls] == [13, 10]
+
+
+def test_nonlinear_harness_makes_no_claim_on_a_singular_gram_matrix():
+    """No claim on a singular Gram matrix when one measure serves as the
+    domain and the codomain of m_g: the sample counts are zero and the
+    zero rule and smallest ||m|| are NaN."""
+    rng = np.random.default_rng(7)
+    n = 8
+    mu = GridMeasure(np.arange(float(n)), np.full(n, 1 / n))
+    m_g = LinearOperator(rng.standard_normal((n, n)) + 2 * np.eye(n), mu, mu)
+    inside = apply(m_g, GridFunction(rng.standard_normal(n), mu))
+
+    def eval_rows(rows):
+        return rows[:, :1] * inside.values + apply_rows(m_g, rows[:, 1:])
+
+    model = SemiparametricMap(
+        beta0=np.zeros(1), g0=GridFunction(np.zeros(n), mu),
+        eval_rows=eval_rows, split=SplitDerivative(m_beta=(inside,), m_g=m_g))
+    report = verify_semiparam_linear(model, beta_radius=0.1, g_radius=0.5,
+                                     samples=5, seed=2)
+    assert not report.pi_nonsingular
+    assert report.samples == report.passes == report.failures == 0
+    assert math.isnan(report.pos_tol) and math.isnan(report.min_m_norm)
 
 
 def scaled_model(model, c):

@@ -10,7 +10,7 @@ curvature constant L1 L2.
 
 import numpy as np
 
-from momentid.fnspace import GridFunction, norm
+from momentid.fnspace import FunctionStack, norm
 from momentid.identcore import estimate_nonlinearity, gateaux_check, \
     sample_ellipsoid_deviations, verify_local_id
 from momentid.linop import svd
@@ -34,14 +34,14 @@ print(np.array2string(dec.singular_values[:8], precision=5))
 
 # A finite-difference check of the attached derivative.
 rng = np.random.default_rng(0)
-dirs = [GridFunction(rng.standard_normal(model.x_measure.size) * 0.3,
-                     model.x_measure) for _ in range(5)]
+dirs = FunctionStack(rng.standard_normal((5, model.x_measure.size)) * 0.3,
+                     model.x_measure)
 print(f"\nfinite-difference error of the derivative: "
       f"{gateaux_check(mmap, dirs, 1e-4):.2e}")
 
 # Sample deviations inside the ellipsoid: every one keeps the map away from
 # zero, with the linearization dominating the curvature remainder.
-ellipsoid = [d for d, _ in sample_ellipsoid_deviations(dec, bound, 100, rng)]
+ellipsoid, _ = sample_ellipsoid_deviations(dec, bound, 100, rng)
 report = verify_local_id(mmap, bound, ellipsoid, dec=dec)
 worst_ratio = max(rem / lin for _, lin, rem, _, _ in report.rows)
 print(f"\n{report.samples} ellipsoid deviations, {report.passes} pass: "
@@ -49,8 +49,9 @@ print(f"\n{report.samples} ellipsoid deviations, {report.passes} pass: "
       f"everywhere), min ||m|| {report.min_m_norm:.2e}")
 
 # The sampled curvature stays below the density-derived bound.
-devs = [GridFunction(rng.standard_normal(model.x_measure.size) * s,
-                     model.x_measure)
-        for s in rng.uniform(0.05, 0.6, size=200)]
+scales = rng.uniform(0.05, 0.6, size=200)
+devs = FunctionStack(
+    rng.standard_normal((200, model.x_measure.size)) * scales[:, None],
+    model.x_measure)
 print(f"sampled curvature constant: "
       f"{estimate_nonlinearity(mmap, 2.0, devs):.4f} <= L = {bound.L:.3f}")

@@ -14,7 +14,7 @@ from momentid.identcore import (
     counterexample_map,
     verify_local_id,
 )
-from momentid.fnspace import GridFunction
+from momentid.fnspace import FunctionStack
 
 # The model maps a sequence (a_1, a_2, ...) to (f(a_1), f(a_2), ...) with a
 # smooth f vanishing exactly at 0 and 1 and unit slope at 0.  Weights 2^-j
@@ -38,16 +38,15 @@ mmap, bound = counterexample_map()
 mu = mmap.base_point.measure
 cap = 0.9 / bound.L
 rng = np.random.default_rng(7)
-inside = [GridFunction(rng.uniform(-cap, cap, mu.size), mu)
-          for _ in range(300)]
+inside = FunctionStack(rng.uniform(-cap, cap, (300, mu.size)), mu)
 report = verify_local_id(mmap, bound, inside)
 print(f"sampling the restricted set: {report.passes}/{report.samples} "
       f"deviations keep ||m|| > 0 (min {report.min_m_norm:.3e})")
 
 # On a plain open ball the guarantee is gone: the tail sequences above are
 # inside any ball and are zeros of the map.
-holes = [GridFunction((np.arange(mu.size) >= k).astype(float), mu)
-         for k in range(12, 17)]
+holes = FunctionStack(
+    (np.arange(mu.size) >= np.arange(12, 17)[:, None]).astype(float), mu)
 ball = verify_local_id(mmap, bound, holes)
 print(f"sampling an open ball instead: {ball.failures}/{ball.samples} "
       "draws are zeros of the map arbitrarily close to the truth")

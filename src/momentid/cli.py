@@ -92,7 +92,7 @@ def _run_counterexample(params: dict, seed: int) -> list[tuple]:
 
 
 def _run_quantile(params: dict, seed: int) -> list[tuple]:
-    from .fnspace import GridFunction, norm
+    from .fnspace import FunctionStack, norm
     from .identcore import (estimate_nonlinearity, gateaux_check,
                             sample_ellipsoid_deviations, verify_local_id)
     from .linop import svd
@@ -105,23 +105,22 @@ def _run_quantile(params: dict, seed: int) -> list[tuple]:
     )
     mmap, bound = quantile_moment_map(model)
     results = [(norm(mmap.eval(mmap.base_point)) <= 1e-10, None)]
-    n = params["n_ellipsoid"]
     dec = svd(mmap.derivative)
-    inside = [d for d, _ in sample_ellipsoid_deviations(dec, bound, n, rng)]
+    inside, _ = sample_ellipsoid_deviations(dec, bound, params["n_ellipsoid"],
+                                            rng)
     soundness = verify_local_id(mmap, bound, inside, dec=dec)
     results.append((soundness.failures == 0,
                     {"fails": soundness.failures,
                      "min_norm": soundness.min_m_norm}))
-    devs = [
-        GridFunction(rng.standard_normal(model.x_measure.size) * s,
-                     model.x_measure)
-        for s in rng.uniform(0.05, 0.6, size=params["n_deviations"])
-    ]
+    mu = model.x_measure
+    # the stream of one uniform scale per deviation, then its row
+    scales = rng.uniform(0.05, 0.6, params["n_deviations"])
+    devs = FunctionStack(
+        rng.standard_normal((scales.size, mu.size)) * scales[:, None], mu)
     l_hat = estimate_nonlinearity(mmap, 2.0, devs)
     results.append((l_hat <= 1.05 * bound.L,
                     {"l_hat": l_hat, "bound": bound.L}))
-    dirs = [GridFunction(rng.standard_normal(model.x_measure.size) * 0.3,
-                         model.x_measure) for _ in range(10)]
+    dirs = FunctionStack(rng.standard_normal((10, mu.size)) * 0.3, mu)
     err = gateaux_check(mmap, dirs, 1e-4)
     results.append((err < 1e-5, err))
     return results

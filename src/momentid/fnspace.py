@@ -178,6 +178,38 @@ class GridFunction:
     __rmul__ = __mul__
 
 
+@dataclass(frozen=True)
+class FunctionStack:
+    """Grid functions on one measure, their values stacked: ``values[b]``
+    is function b.  The stack holds at least one function and is checked as
+    a whole, with the checks of :class:`GridFunction`; its values are
+    read-only."""
+
+    values: np.ndarray
+    measure: GridMeasure
+
+    def __post_init__(self):
+        v = np.asarray(self.values, dtype=float)
+        if v.ndim != 2:
+            raise GridMismatchError(
+                f"a function stack needs a 2-d (functions, nodes) array, "
+                f"got shape {v.shape}"
+            )
+        if v.shape[0] == 0:
+            raise ValueError("a function stack needs at least one function")
+        if v.shape[1] != self.measure.size:
+            raise GridMismatchError(
+                f"values shape {v.shape} does not match a "
+                f"{self.measure.size}-point measure"
+            )
+        if not np.isfinite(v).all():
+            raise ValueError("function values must be finite")
+        object.__setattr__(self, "values", _readonly(v))
+
+    def __len__(self) -> int:
+        return self.values.shape[0]
+
+
 def inner(f: GridFunction, g: GridFunction) -> float:
     """Weighted inner product sum_i w_i f_i g_i."""
     f._check(g)
@@ -192,6 +224,13 @@ def weighted_norm(values: np.ndarray, weights: np.ndarray) -> float:
     """Weighted L2 norm of a row of node values: :func:`norm` without the
     grid function, for callers that hold stacks of validated rows."""
     return float(np.sqrt(np.dot(weights, values**2)))
+
+
+def weighted_norms(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """:func:`weighted_norm` of each row of a (B, n) stack.  Each row takes
+    one dot product, as :func:`weighted_norm` does, so each norm has its
+    bits; a matrix product across the rows would not."""
+    return np.sqrt(np.matmul((rows * rows)[:, None, :], weights[:, None]))[:, 0, 0]
 
 
 @dataclass(frozen=True, init=False, eq=False)

@@ -21,16 +21,17 @@ import numpy as np
 
 from .errors import GridMismatchError
 from .fnspace import (
+    FunctionStack,
     GridFunction,
     GridMeasure,
     norm,
-    weighted_norm,
+    weighted_norms,
 )
 from .linop import (
     LinearOperator,
     SvdDecomposition,
     apply,
-    apply_values,
+    apply_rows,
     singular_values,
     svd,
 )
@@ -49,15 +50,16 @@ class MomentMap:
     It is handed at most ``EVAL_CHUNK`` rows at a time; the shape and
     finiteness of each returned stack are checked once, not row by row.
 
-    ``norm_a`` overrides the weighted-L2 norm of the domain grid; the
-    sequence-space counterexample uses a quartic domain norm, everything
+    ``norm_a`` overrides the weighted-L2 norm of the domain grid: it maps a
+    :class:`FunctionStack` of deviations to their norms, one per function.
+    The sequence-space counterexample uses a quartic domain norm, everything
     else keeps the default.  Codomain norms are always weighted L2.
     """
 
     base_point: GridFunction
     eval_rows: Callable[[np.ndarray], np.ndarray]
     derivative: LinearOperator
-    norm_a: Callable[[GridFunction], float] | None = None
+    norm_a: Callable[[FunctionStack], np.ndarray] | None = None
 
     def __post_init__(self):
         if not self.base_point.measure.same_as(self.derivative.domain):
@@ -87,7 +89,19 @@ class MomentMap:
                 for row in _codomain_rows(self.eval_rows, cod, rows())]
 
     def norm_a_of(self, f: GridFunction) -> float:
-        return norm(f) if self.norm_a is None else float(self.norm_a(f))
+        """The domain norm of one deviation, as a one-function stack."""
+        return float(self.norm_a_rows(FunctionStack(f.values[None], f.measure))[0])
+
+    def norm_a_rows(self, devs: FunctionStack) -> np.ndarray:
+        """The domain norm of each deviation of ``devs``: ``norm_a``, or the
+        weighted-L2 norm of the stack's grid."""
+        if self.norm_a is None:
+            return weighted_norms(devs.values, devs.measure.weights)
+        out = np.asarray(self.norm_a(devs), dtype=float)
+        if out.shape != (len(devs),):
+            raise GridMismatchError(
+                f"norm_a returned shape {out.shape} for {len(devs)} deviations")
+        return out
 
 
 @dataclass(frozen=True)
@@ -115,30 +129,52 @@ class NonlinearityBound:
 EVAL_CHUNK = 64
 
 
+def _codomain_chunks(
+    eval_rows: Callable[[np.ndarray], np.ndarray],
+    cod: GridMeasure,
+    rows: Iterable[np.ndarray] | np.ndarray,
+) -> Iterator[np.ndarray]:
+    """Value stacks on the codomain ``cod`` of the map ``eval_rows`` at
+    ``rows`` of domain values, one stack per ``EVAL_CHUNK`` rows, in order.
+    A (B, n) array is cut into chunks; any other iterable of rows is
+    consumed a chunk at a time, each chunk stacked only when it runs.  Each
+    chunk is checked for finiteness, evaluated in one ``eval_rows`` call,
+    and the returned stack checked for shape and finiteness."""
+    if isinstance(rows, np.ndarray):
+        chunks = (rows[i:i + EVAL_CHUNK]
+                  for i in range(0, len(rows), EVAL_CHUNK))
+    else:
+        it = iter(rows)
+        chunks = map(np.stack, iter(
+            lambda: list(itertools.islice(it, EVAL_CHUNK)), []))
+    for stack in chunks:
+        if not np.isfinite(stack).all():
+            raise ValueError("domain values must be finite")
+        out = np.asarray(eval_rows(stack), dtype=float)
+        if out.shape != (len(stack), cod.size):
+            raise GridMismatchError(
+                f"eval_rows returned shape {out.shape} for {len(stack)} "
+                f"rows on a {cod.size}-point codomain"
+            )
+        if not np.isfinite(out).all():
+            raise ValueError("eval_rows returned values that are not finite")
+        yield out
+
+
 def _codomain_rows(
     eval_rows: Callable[[np.ndarray], np.ndarray],
     cod: GridMeasure,
     rows: Iterable[np.ndarray],
 ) -> Iterator[np.ndarray]:
-    """Value rows on the codomain ``cod`` of the map ``eval_rows`` at each
-    of ``rows`` of domain values, in order.  The rows are consumed
-    ``EVAL_CHUNK`` at a time; each chunk is stacked, checked for finiteness,
-    evaluated in one ``eval_rows`` call, and the returned stack checked for
-    shape and finiteness."""
-    it = iter(rows)
-    while chunk := list(itertools.islice(it, EVAL_CHUNK)):
-        stack = np.stack(chunk)
-        if not np.isfinite(stack).all():
-            raise ValueError("domain values must be finite")
-        out = np.asarray(eval_rows(stack), dtype=float)
-        if out.shape != (len(chunk), cod.size):
-            raise GridMismatchError(
-                f"eval_rows returned shape {out.shape} for {len(chunk)} "
-                f"rows on a {cod.size}-point codomain"
-            )
-        if not np.isfinite(out).all():
-            raise ValueError("eval_rows returned values that are not finite")
+    """The rows of the stacks of :func:`_codomain_chunks`, one by one."""
+    for out in _codomain_chunks(eval_rows, cod, rows):
         yield from out
+
+
+def _eval_stack(mmap: MomentMap, rows: np.ndarray) -> np.ndarray:
+    """m at each row of a (B, n_domain) stack, as a (B, n_codomain) stack."""
+    return np.concatenate(list(
+        _codomain_chunks(mmap.eval_rows, mmap.derivative.codomain, rows)))
 
 
 def positivity_tol(sigma_max: float) -> float:
@@ -154,88 +190,61 @@ def zero_threshold(sigma_max: float, dev_norm):
     return positivity_tol(sigma_max) * dev_norm
 
 
-def _check_domain(
-    mmap: MomentMap, fns: Sequence[GridFunction], what: str
-) -> None:
-    dom = mmap.base_point.measure
-    if not all(f.measure.same_as(dom) for f in fns):
+def _check_domain(mmap: MomentMap, stack: FunctionStack, what: str) -> None:
+    if not stack.measure.same_as(mmap.base_point.measure):
         raise GridMismatchError(f"{what} must live on the domain grid")
 
 
 def gateaux_check(
     mmap: MomentMap,
-    directions: Sequence[GridFunction],
+    directions: FunctionStack,
     step: float,
 ) -> float:
     """Compare finite differences of m against the attached derivative.
 
-    The step t must be positive, and there must be at least one direction.
-    Each direction's difference quotient is the Richardson combination
-    (4 D(t/2) - D(t)) / 3 of the central differences D at t and t/2, which
-    cancels their quadratic error term.  Returns the worst relative error
-    over the directions.
+    The step t must be positive.  Each direction's difference quotient is
+    the Richardson combination (4 D(t/2) - D(t)) / 3 of the central
+    differences D at t and t/2, which cancels their quadratic error term.
+    Returns the worst relative error over the directions.
     """
-    directions = list(directions)
-    if not directions:
-        raise ValueError("directions must not be empty")
     if not step > 0:
         raise ValueError("step must be positive")
     _check_domain(mmap, directions, "directions")
-    a0 = mmap.base_point.values
-
-    def points():
-        # every evaluation central() asks for, in the order it asks; the
-        # rows are a0 + s * h as GridFunction arithmetic forms them
-        for h in directions:
-            for s in (step, step / 2.0):
-                yield a0 + h.values * float(s)
-                yield a0 + h.values * float(-s)
-
-    values = _codomain_rows(mmap.eval_rows, mmap.derivative.codomain,
-                            points())
-
-    def central(t: float) -> np.ndarray:
-        up, dn = next(values), next(values)
-        return (up - dn) / (2.0 * t)
-
+    h = directions.values
+    # per direction, the points a0 + s h at s = t, -t, t/2, -t/2, in order
+    shifts = np.array([step, -step, step / 2.0, -step / 2.0])[None, :, None]
+    points = mmap.base_point.values + h[:, None, :] * shifts
+    m = _eval_stack(mmap, points.reshape(-1, h.shape[1]))
+    m = m.reshape(len(h), 4, -1)
+    fd = (m[:, 0] - m[:, 1]) / (2.0 * step)
+    fd = (4.0 * ((m[:, 2] - m[:, 3]) / (2.0 * (step / 2.0))) - fd) / 3.0
+    exact = apply_rows(mmap.derivative, h)
     w_b = mmap.derivative.codomain.weights
-    worst = 0.0
-    for h in directions:
-        exact = apply(mmap.derivative, h)
-        scale = max(norm(exact), 1e-300)
-        fd = central(step)
-        fd = (4.0 * central(step / 2.0) - fd) / 3.0
-        worst = max(worst, weighted_norm(fd - exact.values, w_b) / scale)
-    return worst
+    errs = weighted_norms(fd - exact, w_b).tolist()
+    scales = weighted_norms(exact, w_b).tolist()
+    return max(0.0, *(e / max(s, 1e-300) for e, s in zip(errs, scales)))
 
 
 def estimate_nonlinearity(
-    mmap: MomentMap, r: float, deviations: Sequence[GridFunction]
+    mmap: MomentMap, r: float, deviations: FunctionStack
 ) -> float:
     """Empirical curvature constant: max ||m(a0+d) - m(a0) - m'd|| / ||d||^r.
 
     A lower bound for any valid L on a neighborhood covering the sampled
-    deviations, of which there must be at least one.
+    deviations.
     """
     if r < 1:
         raise ValueError("r must be at least 1")
-    deviations = list(deviations)
-    if not deviations:
-        raise ValueError("deviations must not be empty")
     _check_domain(mmap, deviations, "deviations")
+    dev_norms = mmap.norm_a_rows(deviations).tolist()
+    if 0.0 in dev_norms:
+        raise ValueError("deviations must have nonzero norm")
     a0 = mmap.base_point
     m0 = mmap.eval(a0).values
-    w_b = mmap.derivative.codomain.weights
-    best = 0.0
-    values = _codomain_rows(mmap.eval_rows, mmap.derivative.codomain,
-                            (a0.values + d.values for d in deviations))
-    for d, m_val in zip(deviations, values):
-        dn = mmap.norm_a_of(d)
-        if dn == 0.0:
-            raise ValueError("deviations must have nonzero norm")
-        rem = m_val - m0 - apply_values(mmap.derivative, d.values)
-        best = max(best, weighted_norm(rem, w_b) / dn**r)
-    return best
+    d = deviations.values
+    rem = _eval_stack(mmap, a0.values + d) - m0 - apply_rows(mmap.derivative, d)
+    rem_norms = weighted_norms(rem, mmap.derivative.codomain.weights).tolist()
+    return max(0.0, *(rn / dn**r for rn, dn in zip(rem_norms, dev_norms)))
 
 
 @dataclass(frozen=True)
@@ -305,35 +314,35 @@ def sample_ellipsoid_deviations(
     bound: NonlinearityBound,
     n: int,
     rng: np.random.Generator,
-) -> list[tuple[GridFunction, np.ndarray]]:
-    """Draw deviations strictly inside the source-condition ellipsoid.
+) -> tuple[FunctionStack, np.ndarray]:
+    """Draw ``n`` deviations strictly inside the source-condition ellipsoid.
 
     Coefficients follow a geometric decay 0.75^j over the singular basis,
     with a share of 0.3 guaranteed on the leading component, so the image
     norm never falls to numerical-zero scale; each deviation is scaled to a
-    uniform fraction in [0.2, 0.9] of the ellipsoid's extent.
+    uniform fraction in [0.2, 0.9] of the ellipsoid's extent.  Returns the
+    deviations as one stack and their (n, k) singular-basis coefficients.
     """
     if bound.r <= 1 or bound.L <= 0:
         raise ValueError("ellipsoid sampling requires r > 1 and L > 0")
     mu = dec.singular_values
     k = mu.size
-    mat = dec.right_functions.matrix()
-    out = []
     power = 1.0 / (bound.r - 1.0)
     profile = 0.75 ** np.arange(k)
     l_p = bound.L ** (-power)
     mu_p = mu**power
-    for _ in range(n):
+    coefs = np.empty((n, k))
+    for b in coefs:
         raw = rng.standard_normal(k) * profile
         raw /= np.linalg.norm(raw)
         c = raw * 0.7
         c[0] += math.copysign(0.3, raw[0] if raw[0] != 0 else 1.0)
         c /= np.linalg.norm(c)
         s = rng.uniform(0.2, 0.9)
-        b = s * l_p * mu_p * c
-        delta = GridFunction(mat @ b, dec.right_functions.measure)
-        out.append((delta, b))
-    return out
+        b[:] = s * l_p * mu_p * c
+    # one matrix-vector product per draw, as mat @ b would take
+    rows = np.matmul(dec.right_functions.matrix(), coefs[:, :, None])
+    return FunctionStack(rows[:, :, 0], dec.right_functions.measure), coefs
 
 
 @dataclass
@@ -354,7 +363,7 @@ class LocalIdReport:
 def verify_local_id(
     mmap: MomentMap,
     bound: NonlinearityBound,
-    deviations: Sequence[GridFunction],
+    deviations: FunctionStack,
     dec: SvdDecomposition | None = None,
 ) -> LocalIdReport:
     """Check the identification inequality at each of the given deviations.
@@ -363,35 +372,29 @@ def verify_local_id(
     ||m' d|| > L ||d||^r (``bound.separates``), the remainder
     ||m(alpha) - m' d|| is below ||m' d||, and ||m(alpha)|| is above the
     zero rule, at alpha = alpha0 + d.  A deviation outside the set, the
-    zero deviation included, is a failed row.  There must be at least one
-    deviation.  ``dec`` is the derivative's SVD, if the caller holds it.
-    The report's ``rows`` hold (||d||, ||m'd||, remainder norm, ||m||,
-    passed) per deviation, in order.
+    zero deviation included, is a failed row.  ``dec`` is the derivative's
+    SVD, if the caller holds it.  The report's ``rows`` hold (||d||,
+    ||m'd||, remainder norm, ||m||, passed) per deviation, in order.
     """
-    deviations = list(deviations)
-    if not deviations:
-        raise ValueError("deviations must not be empty")
     _check_domain(mmap, deviations, "deviations")
     op = mmap.derivative
     if dec is None:
         dec = svd(op)
-    a0 = mmap.base_point
-    values = _codomain_rows(mmap.eval_rows, op.codomain,
-                            (a0.values + d.values for d in deviations))
+    d = deviations.values
+    m_vals = _eval_stack(mmap, mmap.base_point.values + d)
+    lin = apply_rows(op, d)
     w_b = op.codomain.weights
+    # the zero rule's ||d|| is weighted L2, whatever norm_a is
+    l2 = weighted_norms(d, deviations.measure.weights)
+    dev = l2 if mmap.norm_a is None else mmap.norm_a_rows(deviations)
     rows = []
-    for delta, m_val in zip(deviations, values):
-        dev_norm = mmap.norm_a_of(delta)
-        lin = apply(op, delta)
-        lin_n = norm(lin)
-        rem = weighted_norm(m_val - lin.values, w_b)
-        m_n = weighted_norm(m_val, w_b)
-        # the rule's ||d|| is weighted L2: dev_norm unless norm_a is set
-        zero = zero_threshold(
-            dec.sigma_max, dev_norm if mmap.norm_a is None else norm(delta))
-        rows.append((dev_norm, lin_n, rem, m_n,
-                     bound.separates(lin_n, dev_norm) and rem < lin_n
-                     and m_n > zero))
+    for dev_n, lin_n, rem, m_n, l2_n in zip(
+            dev.tolist(), weighted_norms(lin, w_b).tolist(),
+            weighted_norms(m_vals - lin, w_b).tolist(),
+            weighted_norms(m_vals, w_b).tolist(), l2.tolist()):
+        rows.append((dev_n, lin_n, rem, m_n,
+                     bound.separates(lin_n, dev_n) and rem < lin_n
+                     and m_n > zero_threshold(dec.sigma_max, l2_n)))
     passes = sum(row[4] for row in rows)
     return LocalIdReport(
         samples=len(rows),
@@ -449,9 +452,12 @@ def measure_curvature_constant(f: Callable) -> float:
     return float(np.abs(second).max() / 2.0)
 
 
-def quartic_norm(delta: GridFunction) -> float:
-    """(sum_j p_j d_j^4)^(1/4), the stronger norm of the counterexample domain."""
-    return float(np.dot(delta.measure.weights, delta.values**4) ** 0.25)
+def quartic_norm(devs: FunctionStack) -> np.ndarray:
+    """(sum_j p_j d_j^4)^(1/4) of each deviation of ``devs``, the stronger
+    norm of the counterexample domain.  Each sum is one dot product, and
+    each root is taken on its own: an array power may round otherwise."""
+    sums = np.matmul((devs.values**4)[:, None, :], devs.measure.weights[:, None])
+    return np.array([x ** 0.25 for x in sums.ravel().tolist()])
 
 
 def counterexample_map(

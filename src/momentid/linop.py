@@ -102,6 +102,13 @@ def apply_values(op: LinearOperator, values: np.ndarray) -> np.ndarray:
     return op.entries @ (op.domain.weights * values)
 
 
+def apply_rows(op: LinearOperator, rows: np.ndarray) -> np.ndarray:
+    """:func:`apply_values` of each row of a (B, n_domain) stack.  Each row
+    takes one matrix-vector product, as :func:`apply_values` does, so each
+    result row has its bits; a matrix product across the rows would not."""
+    return np.matmul(op.entries, (op.domain.weights * rows)[:, :, None])[:, :, 0]
+
+
 def conditional_expectation(
     joint: np.ndarray,
     dom: GridMeasure,

@@ -8,7 +8,14 @@ import time
 
 import numpy as np
 
-from momentid.fnspace import GridFunction, GridMeasure, cosine_basis, inner, norm
+from momentid.fnspace import (
+    FunctionStack,
+    GridFunction,
+    GridMeasure,
+    cosine_basis,
+    inner,
+    norm,
+)
 from momentid.genericity import GeneratorConfig, draw_operator, mc_injectivity
 from momentid.identcore import (
     cone_inclusion_suite,
@@ -67,18 +74,19 @@ def test_criterion_02_ellipsoid_soundness_on_quantile_model():
     dec = svd(mmap.derivative)
     fails = 0
     min_m = np.inf
-    for delta, b in sample_ellipsoid_deviations(dec, bound, 200, rng):
+    inside, _ = sample_ellipsoid_deviations(dec, bound, 200, rng)
+    for values in inside.values:
+        delta = GridFunction(values, inside.measure)
         alpha = mmap.base_point + delta
         m_val = mmap.eval(alpha)
         lin = apply(mmap.derivative, delta)
         if not (norm(m_val - lin) < norm(lin) and norm(m_val) > 1e-10):
             fails += 1
         min_m = min(min_m, norm(m_val))
-    devs = [
-        GridFunction(rng.standard_normal(model.x_measure.size) * s,
-                     model.x_measure)
-        for s in rng.uniform(0.05, 0.6, size=500)
-    ]
+    scales = rng.uniform(0.05, 0.6, size=500)
+    devs = FunctionStack(
+        rng.standard_normal((500, model.x_measure.size)) * scales[:, None],
+        model.x_measure)
     l_hat = estimate_nonlinearity(mmap, 2.0, devs)
     elapsed = time.perf_counter() - start
     ok = fails == 0 and l_hat <= 1.05 * bound.L and elapsed < 30.0
@@ -282,19 +290,16 @@ def test_criterion_10_derivative_fidelity():
     rng = np.random.default_rng(10)
     model = gaussian_quantile_model(n_x=61, n_w=61)
     q_map, _ = quantile_moment_map(model)
-    q_dirs = [
-        GridFunction(rng.standard_normal(model.x_measure.size) * 0.3,
-                     model.x_measure)
-        for _ in range(10)
-    ]
+    q_dirs = FunctionStack(
+        rng.standard_normal((10, model.x_measure.size)) * 0.3,
+        model.x_measure)
     q_err = gateaux_check(q_map, q_dirs, 1e-4)
 
     ccapm = lognormal_ccapm_model()
     smap = ccapm_moment_map(ccapm)
     mm = smap.to_moment_map()
     mu = mm.base_point.measure
-    c_dirs = [GridFunction(rng.standard_normal(mu.size) * 0.2, mu)
-              for _ in range(10)]
+    c_dirs = FunctionStack(rng.standard_normal((10, mu.size)) * 0.2, mu)
     c_err = gateaux_check(mm, c_dirs, 1e-4)
     ok = q_err < 1e-5 and c_err < 1e-5
     report(10, ok,

@@ -16,6 +16,7 @@ from momentid.cli import (
     main,
     run_experiment,
 )
+from momentid.fnspace import FunctionStack
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -397,9 +398,10 @@ class TestRun:
         real = identcore.sample_ellipsoid_deviations
 
         def with_a_zero_draw(dec, bound, n, rng):
-            draws = real(dec, bound, n, rng)
-            zero = draws[0][0] - draws[0][0]
-            return [(zero, draws[0][1])] + draws[1:]
+            devs, coefs = real(dec, bound, n, rng)
+            values = devs.values.copy()
+            values[0] = 0.0
+            return FunctionStack(values, devs.measure), coefs
 
         monkeypatch.setattr(identcore, "sample_ellipsoid_deviations",
                             with_a_zero_draw)

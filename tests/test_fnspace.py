@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from momentid.errors import GridMismatchError
 from momentid.fnspace import (
+    FunctionStack,
     GridFunction,
     GridMeasure,
     OrthonormalBasis,
@@ -16,6 +17,8 @@ from momentid.fnspace import (
     norm,
     project,
     trapezoid_weights,
+    weighted_norm,
+    weighted_norms,
 )
 
 
@@ -126,6 +129,39 @@ def test_axis_sizes_count_distinct_values(pts):
 def test_function_shape_error_names_the_shape():
     with pytest.raises(GridMismatchError, match=r"shape \(5, 1\)"):
         GridFunction(np.zeros((5, 1)), GridMeasure.uniform(5))
+
+
+class TestFunctionStack:
+    @pytest.mark.parametrize("values, error, match", [
+        (np.zeros(3), GridMismatchError, r"2-d .* got shape \(3,\)"),
+        (np.zeros((0, 3)), ValueError, "at least one function"),
+        (np.zeros((2, 4)), GridMismatchError,
+         r"shape \(2, 4\) does not match a 3-point measure"),
+        ([[0.0, np.nan, 1.0]], ValueError, "must be finite"),
+        ([[0.0, 1.0, 2.0], [np.inf, 0.0, 0.0]], ValueError, "must be finite"),
+    ], ids=["1-d", "no rows", "width", "nan", "inf"])
+    def test_rejects_a_bad_stack(self, values, error, match):
+        with pytest.raises(error, match=match):
+            FunctionStack(values, GridMeasure.uniform(3))
+
+    def test_values_are_a_read_only_copy(self):
+        raw = np.arange(6.0).reshape(2, 3)
+        stack = FunctionStack(raw, GridMeasure.uniform(3))
+        raw[0, 0] = 7.0
+        assert stack.values[0, 0] == 0.0 and len(stack) == 2
+        assert not stack.values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            stack.values[1, 1] = 1.0
+        with pytest.raises(FrozenInstanceError):
+            stack.values = raw
+
+    def test_row_norms_are_weighted_norm_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        w = rng.uniform(0.1, 2.0, 201)
+        rows = rng.standard_normal((70, 201)) * 10.0 ** rng.uniform(
+            -3, 3, (70, 1))
+        assert np.array_equal(weighted_norms(rows, w),
+                              [weighted_norm(row, w) for row in rows])
 
 
 class TestInner:

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from momentid.errors import GridMismatchError
-from momentid.fnspace import GridFunction, GridMeasure, norm
+from momentid.fnspace import FunctionStack, GridFunction, GridMeasure, norm
 from momentid.identcore import (
     CONE_CHUNK,
     EVAL_CHUNK,
@@ -36,6 +36,7 @@ from momentid.identcore import (
 from momentid.linop import (
     LinearOperator,
     apply,
+    apply_rows,
     apply_values,
     singular_values,
     svd,
@@ -71,7 +72,7 @@ class TestGateaux:
         rng = np.random.default_rng(0)
         mu = unit_grid(4)
         mmap = linear_map(rng.standard_normal((4, 4)), mu, mu)
-        dirs = [GridFunction(rng.standard_normal(4), mu) for _ in range(3)]
+        dirs = FunctionStack(rng.standard_normal((3, 4)), mu)
         assert gateaux_check(mmap, dirs, 1e-3) <= 1e-12
 
     def test_error_scales_as_the_fourth_power(self):
@@ -80,7 +81,7 @@ class TestGateaux:
         mu = unit_grid(1)
         mmap = MomentMap(GridFunction.zero(mu), lambda rows: rows + rows**5,
                          LinearOperator.identity(mu))
-        h = [GridFunction([1.0], mu)]
+        h = FunctionStack([[1.0]], mu)
         assert gateaux_check(mmap, h, 1e-1) == pytest.approx(2.5e-5, rel=1e-3)
         assert gateaux_check(mmap, h, 1e-2) == pytest.approx(2.5e-9, rel=1e-3)
 
@@ -88,7 +89,7 @@ class TestGateaux:
         mu = unit_grid(1)
         mmap = MomentMap(GridFunction.zero(mu), np.sin,
                          LinearOperator.identity(mu))
-        h = [GridFunction([1.0], mu)]
+        h = FunctionStack([[1.0]], mu)
         t = 1e-3
         plain = abs((np.sin(t) - np.sin(-t)) / (2.0 * t) - 1.0)
         assert plain == pytest.approx(t**2 / 6.0, rel=1e-3)
@@ -99,21 +100,21 @@ class TestGateaux:
         mmap = linear_map(np.eye(2), mu, mu)
         for step in (0.0, -1e-3, np.nan):
             with pytest.raises(ValueError, match="step must be positive"):
-                gateaux_check(mmap, [GridFunction([1.0, 0.0], mu)], step)
+                gateaux_check(mmap, FunctionStack([[1.0, 0.0]], mu), step)
 
     def test_rejects_no_directions(self):
         # an empty check would report a worst error of 0, a perfect pass
         mu = unit_grid(2)
         mmap = linear_map(np.eye(2), mu, mu)
-        with pytest.raises(ValueError, match="directions"):
-            gateaux_check(mmap, [], 1e-3)
+        with pytest.raises(ValueError, match="at least one function"):
+            gateaux_check(mmap, FunctionStack(np.empty((0, 2)), mu), 1e-3)
 
     def test_rejects_directions_on_another_grid(self):
         mu = unit_grid(2)
         mmap = linear_map(np.eye(2), mu, mu)
         other = GridMeasure(np.arange(2.0), np.full(2, 0.5))
         with pytest.raises(GridMismatchError, match="directions"):
-            gateaux_check(mmap, [GridFunction([1.0, 0.0], other)], 1e-3)
+            gateaux_check(mmap, FunctionStack([[1.0, 0.0]], other), 1e-3)
 
 
 class TestEstimateNonlinearity:
@@ -121,35 +122,35 @@ class TestEstimateNonlinearity:
         rng = np.random.default_rng(1)
         mu = unit_grid(3)
         mmap = linear_map(rng.standard_normal((3, 3)), mu, mu)
-        devs = [GridFunction(rng.standard_normal(3), mu) for _ in range(5)]
+        devs = FunctionStack(rng.standard_normal((5, 3)), mu)
         assert estimate_nonlinearity(mmap, 2.0, devs) <= 1e-12
 
     def test_scalar_square_map_gives_one(self):
         mu = unit_grid(1)
         mmap = MomentMap(GridFunction.zero(mu), lambda rows: rows**2,
                          LinearOperator.zero(mu, mu))
-        devs = [GridFunction([t], mu) for t in (0.1, -0.7, 2.0)]
+        devs = FunctionStack([[0.1], [-0.7], [2.0]], mu)
         assert estimate_nonlinearity(mmap, 2.0, devs) == pytest.approx(1.0)
 
     def test_zero_deviation_rejected(self):
         mu = unit_grid(2)
         mmap = linear_map(np.eye(2), mu, mu)
         with pytest.raises(ValueError):
-            estimate_nonlinearity(mmap, 2.0, [GridFunction.zero(mu)])
+            estimate_nonlinearity(mmap, 2.0, FunctionStack(np.zeros((1, 2)), mu))
 
     def test_rejects_no_deviations(self):
         # an empty estimate would report L = 0, a perfect pass
         mu = unit_grid(2)
         mmap = linear_map(np.eye(2), mu, mu)
-        with pytest.raises(ValueError, match="deviations"):
-            estimate_nonlinearity(mmap, 2.0, [])
+        with pytest.raises(ValueError, match="at least one function"):
+            estimate_nonlinearity(mmap, 2.0, FunctionStack(np.empty((0, 2)), mu))
 
     def test_rejects_deviations_on_another_grid(self):
         mu = unit_grid(2)
         mmap = linear_map(np.eye(2), mu, mu)
         other = GridMeasure(np.arange(2.0), np.full(2, 0.5))
         with pytest.raises(GridMismatchError, match="deviations"):
-            estimate_nonlinearity(mmap, 2.0, [GridFunction([1.0, 0.0], other)])
+            estimate_nonlinearity(mmap, 2.0, FunctionStack([[1.0, 0.0]], other))
 
 
 class TestRankCondition:
@@ -272,9 +273,9 @@ class TestEllipsoid:
             assert in_ellipsoid([0.1, 0.0], [1.0, 0.0], bound)
             # a nonzero one cannot be bounded by the ellipsoid
             assert not in_ellipsoid([0.1, 0.1], [1.0, 0.0], bound)
-            draws = sample_ellipsoid_deviations(
+            _, coefs = sample_ellipsoid_deviations(
                 dec, bound, 50, np.random.default_rng(4))
-            for _, b in draws:
+            for b in coefs:
                 assert b[-1] == 0.0
                 assert in_ellipsoid(b, dec.singular_values, bound)
 
@@ -301,8 +302,7 @@ class TestEllipsoid:
 
 
 def random_deviations(rng, mu, n, scale=1.0):
-    return [GridFunction(scale * rng.uniform(-1.0, 1.0, mu.size), mu)
-            for _ in range(n)]
+    return FunctionStack(scale * rng.uniform(-1.0, 1.0, (n, mu.size)), mu)
 
 
 class TestVerifyLocalId:
@@ -320,9 +320,9 @@ class TestVerifyLocalId:
         # the linear map keeps m(alpha) = m'd, so only membership can fail
         mu = GridMeasure(np.arange(3.0), np.full(3, 1 / 3))
         mmap = linear_map(np.eye(3), mu, mu)
-        unit = GridFunction(np.ones(3), mu)
         report = verify_local_id(mmap, NonlinearityBound(L=1.0, r=2.0),
-                                 [0.5 * unit, 2.0 * unit, 0.9 * unit])
+                                 FunctionStack(np.outer([0.5, 2.0, 0.9],
+                                                        np.ones(3)), mu))
         assert [row[4] for row in report.rows] == [True, False, True]
         assert (report.samples, report.passes, report.failures) == (3, 2, 1)
         assert not report.all_passed
@@ -333,7 +333,7 @@ class TestVerifyLocalId:
     def test_zero_deviation_is_a_failed_row(self):
         mu = GridMeasure(np.arange(3.0), np.full(3, 1 / 3))
         mmap = linear_map(np.eye(3), mu, mu)
-        devs = [GridFunction.zero(mu), GridFunction([0.1, 0.0, 0.2], mu)]
+        devs = FunctionStack([[0.0, 0.0, 0.0], [0.1, 0.0, 0.2]], mu)
         for bound in (NonlinearityBound(L=1.0, r=2.0),
                       NonlinearityBound(L=0.0, r=1.0)):
             report = verify_local_id(mmap, bound, devs)
@@ -345,8 +345,9 @@ class TestVerifyLocalId:
         # an empty check would report no failures, a perfect pass
         mu = unit_grid(2)
         mmap = linear_map(np.eye(2), mu, mu)
-        with pytest.raises(ValueError, match="deviations"):
-            verify_local_id(mmap, NonlinearityBound(L=0.0, r=1.0), [])
+        with pytest.raises(ValueError, match="at least one function"):
+            verify_local_id(mmap, NonlinearityBound(L=0.0, r=1.0),
+                            FunctionStack(np.empty((0, 2)), mu))
 
     def test_rejects_deviations_on_another_grid(self):
         mu = unit_grid(2)
@@ -354,9 +355,10 @@ class TestVerifyLocalId:
         other = GridMeasure(np.arange(2.0), np.full(2, 0.5))
         with pytest.raises(GridMismatchError, match="deviations"):
             verify_local_id(mmap, NonlinearityBound(L=0.0, r=1.0),
-                            [GridFunction([1.0, 0.0], other)])
+                            FunctionStack([[1.0, 0.0]], other))
 
     def test_one_derivative_application_per_draw(self, monkeypatch):
+        # one batched application covers every row; none is made per row
         import momentid.identcore as identcore
 
         rng = np.random.default_rng(6)
@@ -364,15 +366,18 @@ class TestVerifyLocalId:
         mmap = linear_map(rng.standard_normal((4, 4)) + 2 * np.eye(4), mu, mu)
         calls = []
 
-        def counting_apply(op, f):
-            calls.append(op)
-            return apply(op, f)
+        def counting_apply_rows(op, rows):
+            calls.append((op, rows.shape[0]))
+            return apply_rows(op, rows)
 
-        monkeypatch.setattr(identcore, "apply", counting_apply)
+        def no_apply(op, f):
+            raise AssertionError("per-row apply")
+
+        monkeypatch.setattr(identcore, "apply_rows", counting_apply_rows)
+        monkeypatch.setattr(identcore, "apply", no_apply)
         report = verify_local_id(mmap, NonlinearityBound(L=0.1, r=2.0),
                                  random_deviations(rng, mu, 20))
-        derivative_calls = [op for op in calls if op is mmap.derivative]
-        assert report.samples == len(derivative_calls) == 20
+        assert calls == [(mmap.derivative, 20)] and report.samples == 20
 
     def test_given_dec_needs_no_svd(self, monkeypatch):
         import momentid.identcore as identcore
@@ -489,7 +494,7 @@ class TestEvalMany:
         # the reference: one row per eval_rows call
         plain = replace(base, eval_rows=lambda rows: np.stack(
             [base.eval_rows(row[None])[0] for row in rows]))
-        devs = [GridFunction(rng.standard_normal(4), mu) for _ in range(n)]
+        devs = FunctionStack(rng.standard_normal((n, 4)), mu)
         assert (estimate_nonlinearity(stacked, 2.0, devs)
                 == estimate_nonlinearity(plain, 2.0, devs))
         assert calls == [min(EVAL_CHUNK, n - k)
@@ -526,8 +531,7 @@ class TestStackedHarnessChecks:
 
     def deviations(self, mu, n=70):
         rng = np.random.default_rng(14)
-        return [GridFunction(rng.uniform(-0.5, 0.5, mu.size), mu)
-                for _ in range(n)]
+        return FunctionStack(rng.uniform(-0.5, 0.5, (n, mu.size)), mu)
 
     @pytest.mark.parametrize("harness", HARNESSES)
     def test_non_finite_row_is_rejected(self, harness):
@@ -553,20 +557,14 @@ class TestVerifyLocalIdBatching:
     def test_every_draw_is_made_before_the_first_evaluation(self):
         mu = GridMeasure(np.arange(4.0), np.full(4, 0.25))
         bound = NonlinearityBound(L=0.1, r=2.0)
-        calls, draws = [], []
+        calls = []
         mmap = stacked_linear_map(3.0 * np.eye(4), mu, calls)
-
-        def deviations(rng):
-            for _ in range(150):
-                draws.append(len(calls))  # stacks evaluated so far
-                yield GridFunction(rng.uniform(-1.0, 1.0, 4), mu)
-
-        report = verify_local_id(mmap, bound,
-                                 deviations(np.random.default_rng(0)))
+        # a stack is drawn whole before it is passed
+        devs = random_deviations(np.random.default_rng(0), mu, 150)
+        report = verify_local_id(mmap, bound, devs)
         assert calls == [64, 64, 22]
-        assert draws == [0] * 150
         plain = verify_local_id(linear_map(3.0 * np.eye(4), mu, mu), bound,
-                                list(deviations(np.random.default_rng(0))))
+                                devs)
         assert plain.rows == report.rows
 
 
@@ -651,9 +649,10 @@ class TestCounterexample:
         mmap, bound = counterexample_map()
         mu = mmap.base_point.measure
         p = mu.weights
-        holes = [GridFunction((np.arange(mu.size) >= k).astype(float), mu)
-                 for k in range(10, 15)]
-        norms = [float(np.dot(p, h.values**4) ** 0.25) for h in holes]
+        holes = FunctionStack(
+            (np.arange(mu.size) >= np.arange(10, 15)[:, None]).astype(float),
+            mu)
+        norms = [float(np.dot(p, h**4) ** 0.25) for h in holes.values]
         report = verify_local_id(mmap, bound, holes)
         assert report.failures == 5  # zeros of the map arbitrarily close
         assert all(row[3] == 0.0 for row in report.rows)
@@ -1069,6 +1068,67 @@ def test_cone_flags_invariant_under_node_order_and_scale(setup, c):
     assume(min(margin, margin_p, margin_c) > MARGIN)
     assert cone_verdict(cm_p) == cone_verdict(cm)
     assert cone_verdict(cm_c) == cone_verdict(cm)
+
+
+def local_id_margin(report, bound):
+    """Smallest relative margin among the three comparisons behind the
+    verdicts of a report on a map without ``norm_a``."""
+    return min(min(relative_margin(lin, bound.L * dev**bound.r),
+                   relative_margin(rem, lin),
+                   relative_margin(m_n, report.pos_tol * dev))
+               for dev, lin, rem, m_n, _ in report.rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(setup=grids_and_permutations(), c=st.floats(1e-3, 1e3))
+def test_local_id_verdicts_invariant_under_node_order_and_scale(setup, c):
+    # m is scaled by c and L with it; each map reads its own zero rule
+    rng, mu_a, mu_b, pa, pb = setup
+    matrix = rng.standard_normal((mu_b.size, mu_a.size))
+    quads = rng.standard_normal((mu_b.size, mu_a.size, mu_a.size))
+    values = (rng.standard_normal((12, mu_a.size))
+              * 10.0 ** rng.uniform(-3, 0.5, (12, 1)))
+    bound = NonlinearityBound(L=float(rng.uniform(0.1, 3.0)),
+                              r=float(rng.choice([1.0, 1.5, 2.0, 3.0])))
+    mu_pa, mu_pb = permuted(mu_a, pa), permuted(mu_b, pb)
+    cases = [
+        (quadratic_map(matrix, quads, mu_a, mu_b), bound,
+         FunctionStack(values, mu_a)),
+        (quadratic_map(matrix[np.ix_(pb, pa)], quads[np.ix_(pb, pa, pa)],
+                       mu_pa, mu_pb), bound,
+         FunctionStack(values[:, pa], mu_pa)),
+        (quadratic_map(c * matrix, c * quads, mu_a, mu_b),
+         replace(bound, L=c * bound.L), FunctionStack(values, mu_a)),
+    ]
+    reports = [(verify_local_id(mmap, b, devs), b) for mmap, b, devs in cases]
+    assume(min(local_id_margin(rep, b) for rep, b in reports) > MARGIN)
+    plain, permuted_nodes, scaled = (rep for rep, _ in reports)
+    for rep in (permuted_nodes, scaled):
+        assert (rep.passes, rep.failures) == (plain.passes, plain.failures)
+        assert [row[4] for row in rep.rows] == [row[4] for row in plain.rows]
+
+
+@settings(max_examples=80, deadline=None)
+@given(setup=grids_and_permutations(), c=st.floats(1e-3, 1e3))
+def test_nonlinearity_estimate_scales_with_the_map(setup, c):
+    rng, mu_a, mu_b, _, _ = setup
+    matrix = rng.standard_normal((mu_b.size, mu_a.size))
+    quads = rng.standard_normal((mu_b.size, mu_a.size, mu_a.size))
+    values = (rng.standard_normal((12, mu_a.size))
+              * 10.0 ** rng.uniform(-1, 0.5, (12, 1)))
+    # the remainder m(a) - m'a is formed by cancellation: keep it well
+    # above the roundoff of the linear term
+    w_b = mu_b.weights
+    lin = np.sqrt((values @ matrix.T) ** 2 @ w_b)
+    quad = np.sqrt(np.einsum("bij,ni,nj->nb", quads, values, values) ** 2
+                   @ w_b)
+    assume((quad >= 1e-3 * lin).all())
+    devs = FunctionStack(values, mu_a)
+    plain = estimate_nonlinearity(quadratic_map(matrix, quads, mu_a, mu_b),
+                                  2.0, devs)
+    scaled = estimate_nonlinearity(
+        quadratic_map(c * matrix, c * quads, mu_a, mu_b), 2.0, devs)
+    assert scaled == pytest.approx(c * plain, rel=1e-12)
 
 
 def test_cone_flags_scale_free_at_zero_derivative():

@@ -11,6 +11,8 @@ from momentid.linop import (
     OperatorStack,
     adjoint,
     apply,
+    apply_rows,
+    apply_values,
     conditional_expectation,
     hs_norm,
     singular_values,
@@ -59,6 +61,14 @@ class TestApply:
         op = random_operator(np.random.default_rng(0), 4, 3)
         with pytest.raises(GridMismatchError):
             apply(op, GridFunction(np.zeros(3), op.codomain))
+
+    @pytest.mark.parametrize("n_dom, n_cod", [(201, 201), (61, 121), (9, 1)])
+    def test_apply_rows_is_apply_values_bit_for_bit(self, n_dom, n_cod):
+        rng = np.random.default_rng(n_dom + n_cod)
+        op = random_operator(rng, n_dom, n_cod)
+        rows = rng.standard_normal((70, n_dom))
+        assert np.array_equal(apply_rows(op, rows),
+                              [apply_values(op, row) for row in rows])
 
 
 class TestFromKernel:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from momentid.errors import ConvergenceError
-from momentid.fnspace import GridFunction, GridMeasure, inner, norm
+from momentid.fnspace import FunctionStack, GridFunction, GridMeasure, inner, norm
 from momentid.linop import LinearOperator, hs_norm, svd
 from momentid.models.ccapm import (
     build_pf_operator,
@@ -48,8 +48,7 @@ class TestMomentMap:
         mm = smap.to_moment_map()
         rng = np.random.default_rng(0)
         mu = mm.base_point.measure
-        dirs = [GridFunction(rng.standard_normal(mu.size) * 0.2, mu)
-                for _ in range(10)]
+        dirs = FunctionStack(rng.standard_normal((10, mu.size)) * 0.2, mu)
         assert gateaux_check(mm, dirs, 1e-4) < 1e-5
 
     def test_envelope_window_guard(self, model, mapped):

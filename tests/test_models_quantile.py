@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from momentid.errors import GridMismatchError
-from momentid.fnspace import GridFunction, norm, trapezoid_weights
+from momentid.fnspace import FunctionStack, GridFunction, norm, trapezoid_weights
 from momentid.identcore import (
     NonlinearityBound,
     estimate_nonlinearity,
@@ -49,11 +49,10 @@ def test_bounds_recomputed_from_tables(model):
 def test_curvature_estimate_within_bound(model, mapped):
     mmap, bound = mapped
     rng = np.random.default_rng(0)
-    devs = [
-        GridFunction(rng.standard_normal(model.x_measure.size) * s,
-                     model.x_measure)
-        for s in rng.uniform(0.05, 0.6, size=100)
-    ]
+    scales = rng.uniform(0.05, 0.6, size=100)
+    devs = FunctionStack(
+        rng.standard_normal((100, model.x_measure.size)) * scales[:, None],
+        model.x_measure)
     l_hat = estimate_nonlinearity(mmap, 2.0, devs)
     assert l_hat <= 1.05 * bound.L
 
@@ -61,11 +60,9 @@ def test_curvature_estimate_within_bound(model, mapped):
 def test_derivative_matches_finite_differences(model, mapped):
     mmap, _ = mapped
     rng = np.random.default_rng(1)
-    dirs = [
-        GridFunction(rng.standard_normal(model.x_measure.size) * 0.3,
-                     model.x_measure)
-        for _ in range(10)
-    ]
+    dirs = FunctionStack(
+        rng.standard_normal((10, model.x_measure.size)) * 0.3,
+        model.x_measure)
     err = gateaux_check(mmap, dirs, 1e-4)
     assert err < 1e-5
 
@@ -102,7 +99,9 @@ def test_ellipsoid_deviations_locally_identified(mapped):
     mmap, bound = mapped
     dec = svd(mmap.derivative)
     rng = np.random.default_rng(4)
-    for delta, b in sample_ellipsoid_deviations(dec, bound, 60, rng):
+    inside, coefs = sample_ellipsoid_deviations(dec, bound, 60, rng)
+    for values, b in zip(inside.values, coefs):
+        delta = GridFunction(values, inside.measure)
         assert in_ellipsoid(b, dec.singular_values, bound)
         alpha = mmap.base_point + delta
         m_val = mmap.eval(alpha)
@@ -356,12 +355,14 @@ def test_harnesses_are_bit_identical_with_and_without_stacking(stack_model):
     plain = replace(mmap, eval_rows=lambda rows: np.stack(
         [mmap.eval_rows(row[None])[0] for row in rows]))
     rng = np.random.default_rng(21)
-    devs = [GridFunction(rng.standard_normal(9) * s, model.x_measure)
-            for s in rng.uniform(0.05, 0.6, size=130)]
+    scales = rng.uniform(0.05, 0.6, size=130)
+    devs = FunctionStack(rng.standard_normal((130, 9)) * scales[:, None],
+                         model.x_measure)
+    dirs = FunctionStack(devs.values[:20], model.x_measure)
     assert (estimate_nonlinearity(mmap, 2.0, devs)
             == estimate_nonlinearity(plain, 2.0, devs))
-    assert (gateaux_check(mmap, devs[:20], 1e-4)
-            == gateaux_check(plain, devs[:20], 1e-4))
+    assert (gateaux_check(mmap, dirs, 1e-4)
+            == gateaux_check(plain, dirs, 1e-4))
     reports = [verify_local_id(m, NonlinearityBound(L=0.0, r=1.0), devs)
                for m in (mmap, plain)]
     assert reports[0].rows == reports[1].rows

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import momentid.semiparam
-from momentid.fnspace import GridFunction, GridMeasure, inner, norm
+from momentid.fnspace import FunctionStack, GridFunction, GridMeasure, inner, norm
 from momentid.identcore import (
     EVAL_CHUNK,
     NonlinearityBound,
@@ -303,8 +303,8 @@ def test_harnesses_share_the_gram_gate_and_pos_tol():
                                      samples=5, seed=1)
     mm = model.to_moment_map()
     rng = np.random.default_rng(1)
-    devs = [GridFunction(0.1 * rng.standard_normal(mm.base_point.measure.size),
-                         mm.base_point.measure) for _ in range(3)]
+    mu = mm.base_point.measure
+    devs = FunctionStack(0.1 * rng.standard_normal((3, mu.size)), mu)
     local = verify_local_id(mm, NonlinearityBound(L=0.0, r=2.0), devs)
     sigma_max = svd(mm.derivative).sigma_max
     assert linear.pos_tol == pytest.approx(local.pos_tol, rel=1e-12)

@@ -115,8 +115,9 @@ def _run_quantile(params: dict, seed: int) -> list[tuple]:
     mu = model.x_measure
     # the stream of one uniform scale per deviation, then its row
     scales = rng.uniform(0.05, 0.6, params["n_deviations"])
-    devs = FunctionStack(
-        rng.standard_normal((scales.size, mu.size)) * scales[:, None], mu)
+    devs = rng.standard_normal((scales.size, mu.size))
+    devs *= scales[:, None]
+    devs = FunctionStack(devs, mu)
     l_hat = estimate_nonlinearity(mmap, 2.0, devs)
     results.append((l_hat <= 1.05 * bound.L,
                     {"l_hat": l_hat, "bound": bound.L}))

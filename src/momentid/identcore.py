@@ -132,22 +132,13 @@ EVAL_CHUNK = 64
 def _codomain_chunks(
     eval_rows: Callable[[np.ndarray], np.ndarray],
     cod: GridMeasure,
-    rows: Iterable[np.ndarray] | np.ndarray,
+    stacks: Iterable[np.ndarray],
 ) -> Iterator[np.ndarray]:
-    """Value stacks on the codomain ``cod`` of the map ``eval_rows`` at
-    ``rows`` of domain values, one stack per ``EVAL_CHUNK`` rows, in order.
-    A (B, n) array is cut into chunks; any other iterable of rows is
-    consumed a chunk at a time, each chunk stacked only when it runs.  Each
-    chunk is checked for finiteness, evaluated in one ``eval_rows`` call,
-    and the returned stack checked for shape and finiteness."""
-    if isinstance(rows, np.ndarray):
-        chunks = (rows[i:i + EVAL_CHUNK]
-                  for i in range(0, len(rows), EVAL_CHUNK))
-    else:
-        it = iter(rows)
-        chunks = map(np.stack, iter(
-            lambda: list(itertools.islice(it, EVAL_CHUNK)), []))
-    for stack in chunks:
+    """Value stacks on the codomain ``cod`` of the map ``eval_rows`` at each
+    of ``stacks`` of domain value rows, in order.  Each stack is checked for
+    finiteness, evaluated in one ``eval_rows`` call, and the returned stack
+    checked for shape and finiteness."""
+    for stack in stacks:
         if not np.isfinite(stack).all():
             raise ValueError("domain values must be finite")
         out = np.asarray(eval_rows(stack), dtype=float)
@@ -166,15 +157,31 @@ def _codomain_rows(
     cod: GridMeasure,
     rows: Iterable[np.ndarray],
 ) -> Iterator[np.ndarray]:
-    """The rows of the stacks of :func:`_codomain_chunks`, one by one."""
-    for out in _codomain_chunks(eval_rows, cod, rows):
+    """Value rows on the codomain ``cod`` of the map ``eval_rows`` at each
+    of ``rows`` of domain values, in order.  The rows are consumed
+    ``EVAL_CHUNK`` at a time, each chunk stacked only when it runs and
+    evaluated by :func:`_codomain_chunks`."""
+    it = iter(rows)
+    stacks = map(np.stack, iter(
+        lambda: list(itertools.islice(it, EVAL_CHUNK)), []))
+    for out in _codomain_chunks(eval_rows, cod, stacks):
         yield from out
 
 
-def _eval_stack(mmap: MomentMap, rows: np.ndarray) -> np.ndarray:
-    """m at each row of a (B, n_domain) stack, as a (B, n_codomain) stack."""
-    return np.concatenate(list(
-        _codomain_chunks(mmap.eval_rows, mmap.derivative.codomain, rows)))
+def _chunks(rows: np.ndarray, size: int) -> list[np.ndarray]:
+    """Consecutive views of at most ``size`` rows of a stack."""
+    return [rows[i:i + size] for i in range(0, len(rows), size)]
+
+
+def _chunks_at(
+    mmap: MomentMap, devs: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(d, m(alpha0 + d)) for each ``EVAL_CHUNK`` rows d of a deviation
+    stack, so that no harness holds a temporary of the whole stack."""
+    chunks = _chunks(devs, EVAL_CHUNK)
+    a0 = mmap.base_point.values
+    return zip(chunks, _codomain_chunks(
+        mmap.eval_rows, mmap.derivative.codomain, (a0 + d for d in chunks)))
 
 
 def positivity_tol(sigma_max: float) -> float:
@@ -210,19 +217,25 @@ def gateaux_check(
     if not step > 0:
         raise ValueError("step must be positive")
     _check_domain(mmap, directions, "directions")
-    h = directions.values
-    # per direction, the points a0 + s h at s = t, -t, t/2, -t/2, in order
+    # the points a0 + s h at s = t, -t, t/2, -t/2 of each direction, in
+    # order: EVAL_CHUNK // 4 directions make one EVAL_CHUNK-point stack
     shifts = np.array([step, -step, step / 2.0, -step / 2.0])[None, :, None]
-    points = mmap.base_point.values + h[:, None, :] * shifts
-    m = _eval_stack(mmap, points.reshape(-1, h.shape[1]))
-    m = m.reshape(len(h), 4, -1)
-    fd = (m[:, 0] - m[:, 1]) / (2.0 * step)
-    fd = (4.0 * ((m[:, 2] - m[:, 3]) / (2.0 * (step / 2.0))) - fd) / 3.0
-    exact = apply_rows(mmap.derivative, h)
+    chunks = _chunks(directions.values, EVAL_CHUNK // 4)
+    a0 = mmap.base_point.values
+    points = (a0 + (h[:, None, :] * shifts).reshape(-1, a0.size)
+              for h in chunks)
     w_b = mmap.derivative.codomain.weights
-    errs = weighted_norms(fd - exact, w_b).tolist()
-    scales = weighted_norms(exact, w_b).tolist()
-    return max(0.0, *(e / max(s, 1e-300) for e, s in zip(errs, scales)))
+    worst = 0.0
+    for h, m in zip(chunks, _codomain_chunks(
+            mmap.eval_rows, mmap.derivative.codomain, points)):
+        m = m.reshape(len(h), 4, -1)
+        fd = (m[:, 0] - m[:, 1]) / (2.0 * step)
+        fd = (4.0 * ((m[:, 2] - m[:, 3]) / (2.0 * (step / 2.0))) - fd) / 3.0
+        exact = apply_rows(mmap.derivative, h)
+        errs = weighted_norms(fd - exact, w_b).tolist()
+        scales = weighted_norms(exact, w_b).tolist()
+        worst = max(worst, *(e / max(s, 1e-300) for e, s in zip(errs, scales)))
+    return worst
 
 
 def estimate_nonlinearity(
@@ -239,11 +252,12 @@ def estimate_nonlinearity(
     dev_norms = mmap.norm_a_rows(deviations).tolist()
     if 0.0 in dev_norms:
         raise ValueError("deviations must have nonzero norm")
-    a0 = mmap.base_point
-    m0 = mmap.eval(a0).values
-    d = deviations.values
-    rem = _eval_stack(mmap, a0.values + d) - m0 - apply_rows(mmap.derivative, d)
-    rem_norms = weighted_norms(rem, mmap.derivative.codomain.weights).tolist()
+    m0 = mmap.eval(mmap.base_point).values
+    w_b = mmap.derivative.codomain.weights
+    rem_norms = []
+    for d, m in _chunks_at(mmap, deviations.values):
+        rem = m - m0 - apply_rows(mmap.derivative, d)
+        rem_norms += weighted_norms(rem, w_b).tolist()
     return max(0.0, *(rn / dn**r for rn, dn in zip(rem_norms, dev_norms)))
 
 
@@ -380,21 +394,20 @@ def verify_local_id(
     op = mmap.derivative
     if dec is None:
         dec = svd(op)
-    d = deviations.values
-    m_vals = _eval_stack(mmap, mmap.base_point.values + d)
-    lin = apply_rows(op, d)
-    w_b = op.codomain.weights
+    w_a, w_b = deviations.measure.weights, op.codomain.weights
     # the zero rule's ||d|| is weighted L2, whatever norm_a is
-    l2 = weighted_norms(d, deviations.measure.weights)
-    dev = l2 if mmap.norm_a is None else mmap.norm_a_rows(deviations)
-    rows = []
-    for dev_n, lin_n, rem, m_n, l2_n in zip(
-            dev.tolist(), weighted_norms(lin, w_b).tolist(),
-            weighted_norms(m_vals - lin, w_b).tolist(),
-            weighted_norms(m_vals, w_b).tolist(), l2.tolist()):
-        rows.append((dev_n, lin_n, rem, m_n,
-                     bound.separates(lin_n, dev_n) and rem < lin_n
-                     and m_n > zero_threshold(dec.sigma_max, l2_n)))
+    l2s, lins, rems, ms = [], [], [], []
+    for d, m in _chunks_at(mmap, deviations.values):
+        lin = apply_rows(op, d)
+        l2s += weighted_norms(d, w_a).tolist()
+        lins += weighted_norms(lin, w_b).tolist()
+        rems += weighted_norms(m - lin, w_b).tolist()
+        ms += weighted_norms(m, w_b).tolist()
+    devs = l2s if mmap.norm_a is None else mmap.norm_a_rows(deviations).tolist()
+    rows = [(dev_n, lin_n, rem, m_n,
+             bound.separates(lin_n, dev_n) and rem < lin_n
+             and m_n > zero_threshold(dec.sigma_max, l2_n))
+            for dev_n, lin_n, rem, m_n, l2_n in zip(devs, lins, rems, ms, l2s)]
     passes = sum(row[4] for row in rows)
     return LocalIdReport(
         samples=len(rows),

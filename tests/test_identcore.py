@@ -553,6 +553,15 @@ class TestStackedHarnessChecks:
             HARNESSES[harness](mmap, self.deviations(mu))
 
 
+def test_norm_a_must_give_one_norm_per_deviation():
+    mu = unit_grid(3)
+    mmap = replace(linear_map(np.eye(3), mu, mu),
+                   norm_a=lambda devs: float(np.abs(devs.values).max()))
+    with pytest.raises(GridMismatchError, match="norm_a returned shape"):
+        estimate_nonlinearity(mmap, 2.0, random_deviations(
+            np.random.default_rng(0), mu, 4))
+
+
 class TestVerifyLocalIdBatching:
     def test_every_draw_is_made_before_the_first_evaluation(self):
         mu = GridMeasure(np.arange(4.0), np.full(4, 0.25))

@@ -11,7 +11,6 @@ tangential-cone set inclusions on random finite-dimensional instances.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -71,22 +70,12 @@ class MomentMap:
             )
 
     def eval(self, alpha: GridFunction) -> GridFunction:
-        return self.eval_many([alpha])[0]
-
-    def eval_many(self, alphas: Iterable[GridFunction]) -> list[GridFunction]:
-        """m at each of ``alphas``, ``EVAL_CHUNK`` points per ``eval_rows``
-        call; a chunk's points are taken only when the chunk runs."""
-        dom, cod = self.base_point.measure, self.derivative.codomain
-
-        def rows():
-            for alpha in alphas:
-                if not alpha.measure.same_as(dom):
-                    raise GridMismatchError(
-                        "alpha does not live on the domain grid")
-                yield alpha.values
-
-        return [GridFunction(row, cod)
-                for row in _codomain_rows(self.eval_rows, cod, rows())]
+        """m(alpha), evaluated as a one-row stack."""
+        if not alpha.measure.same_as(self.base_point.measure):
+            raise GridMismatchError("alpha does not live on the domain grid")
+        cod = self.derivative.codomain
+        return GridFunction(
+            _eval_stack(self.eval_rows, cod, alpha.values[None])[0], cod)
 
     def norm_a_of(self, f: GridFunction) -> float:
         """The domain norm of one deviation, as a one-function stack."""
@@ -124,8 +113,7 @@ class NonlinearityBound:
         return lin_norm > self.L * dev_norm**self.r
 
 
-# The sampling harnesses evaluate the moment map this many points at a time,
-# building each chunk's inputs only when the chunk runs.
+# Every evaluation hands a map's eval_rows at most this many rows at a time.
 EVAL_CHUNK = 64
 
 
@@ -152,25 +140,17 @@ def _codomain_chunks(
         yield out
 
 
-def _codomain_rows(
-    eval_rows: Callable[[np.ndarray], np.ndarray],
-    cod: GridMeasure,
-    rows: Iterable[np.ndarray],
-) -> Iterator[np.ndarray]:
-    """Value rows on the codomain ``cod`` of the map ``eval_rows`` at each
-    of ``rows`` of domain values, in order.  The rows are consumed
-    ``EVAL_CHUNK`` at a time, each chunk stacked only when it runs and
-    evaluated by :func:`_codomain_chunks`."""
-    it = iter(rows)
-    stacks = map(np.stack, iter(
-        lambda: list(itertools.islice(it, EVAL_CHUNK)), []))
-    for out in _codomain_chunks(eval_rows, cod, stacks):
-        yield from out
-
-
 def _chunks(rows: np.ndarray, size: int) -> list[np.ndarray]:
     """Consecutive views of at most ``size`` rows of a stack."""
     return [rows[i:i + size] for i in range(0, len(rows), size)]
+
+
+def _eval_stack(eval_rows: Callable, cod: GridMeasure, rows: np.ndarray):
+    """The (B, n_codomain) values of the map ``eval_rows`` at each row of a
+    (B, n) stack, ``EVAL_CHUNK`` rows per :func:`_codomain_chunks` call.
+    A stack of one chunk is not copied."""
+    out = list(_codomain_chunks(eval_rows, cod, _chunks(rows, EVAL_CHUNK)))
+    return out[0] if len(out) == 1 else np.concatenate(out)
 
 
 def _chunks_at(
@@ -518,7 +498,7 @@ def counterexample_cases(
 ) -> list[CounterexampleCase]:
     """``counterexample(k)`` for every k in ``ks``, in order, read through
     one ``counterexample_map``: its evaluation, its quartic deviation norm
-    and its bound's identification-set test."""
+    and its bound's identification-set test, each on the whole stack."""
     for k in ks:
         if k < 1:
             raise ValueError("k must be at least 1")
@@ -529,17 +509,19 @@ def counterexample_cases(
             )
     mmap, bound = counterexample_map(f, n_terms)
     # alpha^k: zero in the first k terms, one in the rest
-    alphas = [GridFunction((np.arange(n_terms) >= k).astype(float),
-                           mmap.base_point.measure) for k in ks]
-    cases = []
-    for k, alpha, m_val in zip(ks, alphas, mmap.eval_many(alphas)):
-        dev = mmap.norm_a_of(alpha)
-        lin = norm(apply(mmap.derivative, alpha))
-        cases.append(CounterexampleCase(
-            k=k, m_norm=norm(m_val), dev_norm=dev,
-            in_n=bound.separates(lin, dev), L=bound.L, alpha=alpha.values,
-        ))
-    return cases
+    alphas = FunctionStack(np.arange(n_terms) >= np.asarray(ks)[:, None],
+                           mmap.base_point.measure)
+    cod = mmap.derivative.codomain
+    m_norms = weighted_norms(_eval_stack(mmap.eval_rows, cod, alphas.values),
+                             cod.weights).tolist()
+    lins = weighted_norms(apply_rows(mmap.derivative, alphas.values),
+                          cod.weights).tolist()
+    return [CounterexampleCase(k=k, m_norm=m_n, dev_norm=dev,
+                               in_n=bound.separates(lin, dev), L=bound.L,
+                               alpha=alpha)
+            for k, alpha, m_n, lin, dev in zip(
+                ks, alphas.values, m_norms, lins,
+                mmap.norm_a_rows(alphas).tolist())]
 
 
 def counterexample(k: int) -> CounterexampleCase:

@@ -25,7 +25,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..errors import ConvergenceError, GridMismatchError
-from ..fnspace import GridFunction, GridMeasure, inner, norm, trapezoid_weights
+from ..fnspace import (GridFunction, GridMeasure, inner, norm,
+                       trapezoid_weights, weighted_norms)
 from ..identcore import rank_condition
 from ..linop import LinearOperator, adjoint, hs_norm
 from ..semiparam import SemiparametricMap, SplitDerivative
@@ -340,36 +341,33 @@ def check_global_identification(
     """
     tol, g0 = GLOBAL_ID_TOL, smap.g0
     delta0, gamma0 = smap.beta0.tolist()
-    scale = 1.0 + norm(smap.eval(smap.beta0, g0 * 2.0))
+    if any((g.values <= 0).any() for _, _, g in candidates):
+        raise ValueError("candidate g must be bounded away from zero")
+    # m at (beta0, 2 g0), which sets the scale, and at each candidate
+    points = [(*smap.beta0, *(g0.values * 2.0))]
+    points += [(delta, gamma, *g.values) for delta, gamma, g in candidates]
+    scale, *m_norms = weighted_norms(smap.eval_stack(np.array(points)),
+                                     smap.split.m_g.codomain.weights).tolist()
     rows = []
-    violations = 0
-    any_solution = False
-    for delta, gamma, g in candidates:
-        if (g.values <= 0).any():
-            raise ValueError("candidate g must be bounded away from zero")
-        m_n = norm(smap.eval(np.array([delta, gamma]), g))
-        row = {"delta": delta, "gamma": gamma, "moment_norm": m_n}
-        if m_n > tol * scale:
-            row["is_solution"] = False
-            rows.append(row)
+    for (delta, gamma, g), m_n in zip(candidates, m_norms):
+        rows.append({"delta": delta, "gamma": gamma, "moment_norm": m_n,
+                     "is_solution": m_n <= tol * (1.0 + scale)})
+        if not rows[-1]["is_solution"]:
             continue
-        any_solution = True
-        row["is_solution"] = True
         cosine = inner(g, g0) / (norm(g) * norm(g0))
         ratio = g0.measure.coords() ** (gamma - gamma0) * g0.values / g.values
         spread = float(np.ptp(ratio) / np.abs(ratio).mean())
-        row.update(
+        rows[-1].update(
             gamma_ok=abs(gamma - gamma0) <= tol,
             delta_ok=abs(delta - delta0) <= tol,
             scale_ok=cosine >= 1.0 - tol,
             cosine=float(cosine),
             ratio_spread=spread,
         )
-        if not (row["gamma_ok"] and row["delta_ok"] and row["scale_ok"]):
-            violations += 1
-        rows.append(row)
-    return GlobalIdReport(rows=rows, vacuous=not any_solution,
-                          violations=violations)
+    solutions = [row for row in rows if row["is_solution"]]
+    return GlobalIdReport(rows=rows, vacuous=not solutions, violations=sum(
+        not (row["gamma_ok"] and row["delta_ok"] and row["scale_ok"])
+        for row in solutions))
 
 
 def lognormal_ccapm_model(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -25,12 +25,14 @@ from .fnspace import (
     inner,
     norm,
     project,
-    weighted_norm,
+    weighted_norms,
 )
 from .identcore import (
+    EVAL_CHUNK,
     RESIDUAL_TOL,
     MomentMap,
-    _codomain_rows,
+    _chunks,
+    _eval_stack,
     rank_condition,
     zero_threshold,
 )
@@ -216,12 +218,14 @@ class SemiparametricMap:
     def eval(self, beta: np.ndarray, g: GridFunction) -> GridFunction:
         """m(beta, g), evaluated as a one-row stack."""
         row = np.concatenate([np.atleast_1d(beta), g.values])
-        (m_val,) = self.eval_stack([row])
-        return GridFunction(m_val, self.split.m_g.codomain)
+        return GridFunction(self.eval_stack(row[None])[0],
+                            self.split.m_g.codomain)
 
-    def eval_stack(self, rows: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
-        """Codomain value rows of m at each of ``rows``, in order."""
-        return _codomain_rows(self.eval_rows, self.split.m_g.codomain, rows)
+    def eval_stack(self, rows: np.ndarray) -> np.ndarray:
+        """The (B, n_codomain) values of m at each row of a (B, p + n_g)
+        stack of (beta, g) rows, ``EVAL_CHUNK`` rows per ``eval_rows``
+        call."""
+        return _eval_stack(self.eval_rows, self.split.m_g.codomain, rows)
 
     def g_norm_of(self, f: GridFunction) -> float:
         return norm(f) if self.g_norm is None else float(self.g_norm(f))
@@ -258,18 +262,27 @@ class SemiparametricMap:
         )
 
 
-def _m_norms(model: SemiparametricMap, points: list, sigma_max: float):
-    """(||m(beta, g0 + d)||, above the zero rule) at each (beta, d) of
-    ``points``, in order; the rule takes ||d|| as the norm
-    sqrt(|beta - beta0|^2 + ||d||^2) of ``stacked_derivative``."""
-    w = model.split.m_g.codomain.weights
-    rows = (np.concatenate([beta, model.g0.values + d.values])
-            for beta, d in points)
-    devs = [math.hypot(float(np.linalg.norm(beta - model.beta0)), norm(d))
-            for beta, d in points]
-    m_norms = (weighted_norm(m_val, w) for m_val in model.eval_stack(rows))
-    return [(m_n, m_n > zero_threshold(sigma_max, dn))
-            for m_n, dn in zip(m_norms, devs)]
+def _m_norms(model: SemiparametricMap, betas: np.ndarray, devs: np.ndarray,
+             factors: np.ndarray, sigma_max: float):
+    """||m(beta, g0 + d)|| and whether it is above the zero rule, for each
+    row beta of ``betas`` and d of ``devs``, once each row d is scaled in
+    place by its entry of ``factors``.  The rule takes ||d|| as the norm
+    sqrt(|beta - beta0|^2 + ||d||^2) of ``stacked_derivative``.  The rows
+    are scaled, evaluated and normed one ``EVAL_CHUNK`` at a time."""
+    w_g, w = model.g0.measure.weights, model.split.m_g.codomain.weights
+    m_norms, dev_norms = [], []
+    chunks = (_chunks(a, EVAL_CHUNK) for a in (betas, devs, factors))
+    for b, d, f in zip(*chunks):
+        d *= f[:, None]
+        db = b - model.beta0
+        # one dot product per row, as np.linalg.norm of one row takes
+        beta_norms = np.sqrt(np.matmul(db[:, None, :], db[:, :, None]))
+        dev_norms += map(math.hypot, beta_norms.ravel().tolist(),
+                         weighted_norms(d, w_g).tolist())
+        m_norms += weighted_norms(model.eval_stack(
+            np.hstack([b, model.g0.values + d])), w).tolist()
+    zero = zero_threshold(sigma_max, np.array(dev_norms))
+    return m_norms, (np.array(m_norms) > zero).tolist()
 
 
 def linearity_in_g_check(model: SemiparametricMap, seed: int = 0) -> float:
@@ -277,20 +290,22 @@ def linearity_in_g_check(model: SemiparametricMap, seed: int = 0) -> float:
     over four random pairs of directions, all drawn before m is evaluated."""
     rng = np.random.default_rng(seed)
     g0 = model.g0.values
-    coefs, gs = [], [g0]
-    for _ in range(4):
-        d1, d2 = rng.standard_normal(g0.size), rng.standard_normal(g0.size)
-        a, b = rng.uniform(-2, 2, size=2)
-        coefs.append((a, b))
-        gs += [g0 + d1 * a + d2 * b, g0 + d1, g0 + d2]
-    m0, *m = model.eval_stack(np.concatenate([model.beta0, g]) for g in gs)
+    d1, d2 = np.empty((2, 4, g0.size))
+    ab = np.empty((4, 2))
+    for i in range(4):
+        d1[i] = rng.standard_normal(g0.size)
+        d2[i] = rng.standard_normal(g0.size)
+        ab[i] = rng.uniform(-2, 2, size=2)
+    a, b = ab[:, :1], ab[:, 1:]
+    # beta0 with g0, then per draw with g0 + a d1 + b d2, g0 + d1 and g0 + d2
+    gs = np.stack([g0 + d1 * a + d2 * b, g0 + d1, g0 + d2], axis=1)
+    m = model.eval_stack(np.hstack([np.tile(model.beta0, (13, 1)),
+                                    np.vstack([g0, *gs])]))
+    m0, lhs, r1, r2 = m[0], m[1::3], m[2::3], m[3::3]
+    rhs = (r1 - m0) * a + (r2 - m0) * b
     w = model.split.m_g.codomain.weights
-    worst = 0.0
-    for (a, b), lhs, r1, r2 in zip(coefs, m[0::3], m[1::3], m[2::3]):
-        rhs = (r1 - m0) * a + (r2 - m0) * b
-        scale = max(weighted_norm(rhs, w), 1e-12)
-        worst = max(worst, weighted_norm(lhs - m0 - rhs, w) / scale)
-    return worst
+    scales = np.maximum(weighted_norms(rhs, w), 1e-12)
+    return max(0.0, *(weighted_norms(lhs - m0 - rhs, w) / scales).tolist())
 
 
 @dataclass
@@ -311,15 +326,18 @@ class SemiparamIdReport:
 
 
 def _sample_g_deviation(
-    rng: np.random.Generator, dec, g_radius: float, g_norm_of
-) -> GridFunction:
+    rng: np.random.Generator, dec, g_radius: float, g_norm_of, out: np.ndarray
+) -> float:
+    """Draw a g direction into ``out`` and return the factor that scales it
+    to a uniform fraction in [0.05, 1] of ``g_radius`` under ``g_norm_of``;
+    a direction of zero norm keeps its scale."""
     mu = dec.right_functions.measure
     raw = rng.standard_normal(mu.size) * 0.7 ** np.arange(mu.size)
-    g = GridFunction(dec.right_functions.matrix() @ raw, mu)
-    scale = g_norm_of(g)
+    out[:] = dec.right_functions.matrix() @ raw
+    scale = g_norm_of(GridFunction(out, mu))
     if scale == 0.0:
-        return g
-    return (rng.uniform(0.05, 1.0) * g_radius / scale) * g
+        return 1.0
+    return rng.uniform(0.05, 1.0) * g_radius / scale
 
 
 def _sample_beta(
@@ -346,9 +364,10 @@ def verify_semiparam_linear(
     made.  Otherwise checks that every sampled (beta, g) with beta != beta0
     in the product neighborhood keeps ||m(beta, g)|| above the zero rule
     (``zero_threshold``) of the stacked derivative.  When the rank
-    condition for m_g also holds at tolerance 1e-10, samples with
-    beta = beta0 and g != g0 are asserted nonzero too, upgrading the claim
-    to full local identification.
+    condition for m_g also holds at tolerance 1e-10, as many samples with
+    beta = beta0 are asserted nonzero too, upgrading the claim to full
+    local identification.  Every drawn sample is a checked row, a g
+    deviation of zero norm included.
     """
     defect = linearity_in_g_check(model, seed=seed)
     if defect > 1e-9:
@@ -370,27 +389,25 @@ def verify_semiparam_linear(
     rng = np.random.default_rng(seed)
     dec = partial.decomposition
     g_rank = rank_condition(dec, 1e-10)
-    # the draws come first, the map's evaluations after them in chunks
-    points = [
-        (_sample_beta(rng, model, beta_radius),
-         _sample_g_deviation(rng, dec, g_radius, model.g_norm_of))
-        for _ in range(samples)
-    ]
-    if g_rank.holds:
-        for _ in range(samples):
-            g_dev = _sample_g_deviation(rng, dec, g_radius, model.g_norm_of)
-            if model.g_norm_of(g_dev) != 0.0:
-                points.append((model.beta0, g_dev))
-    tallies = _m_norms(model, points, sigma_max)
-    passes = sum(nonzero for _, nonzero in tallies)
+    # the draws come first, per (beta, g) sample and then per g-only
+    # sample; the arithmetic on them runs after the last draw
+    n_rows = samples * (2 if g_rank.holds else 1)
+    betas = np.tile(model.beta0, (n_rows, 1))
+    devs, factors = np.empty((n_rows, model.g0.measure.size)), np.empty(n_rows)
+    for i in range(n_rows):
+        if i < samples:
+            betas[i] = _sample_beta(rng, model, beta_radius)
+        factors[i] = _sample_g_deviation(rng, dec, g_radius, model.g_norm_of,
+                                         devs[i])
+    m_norms, nonzero = _m_norms(model, betas, devs, factors, sigma_max)
+    passes = sum(nonzero)
     return SemiparamIdReport(
         pi_nonsingular=True,
-        samples=samples * (2 if g_rank.holds else 1),
+        samples=n_rows,
         passes=passes,
-        failures=len(tallies) - passes,
-        min_m_norm=min((m_n for m_n, _ in tallies), default=math.inf),
-        full_local_id=bool(g_rank.holds) and all(
-            nonzero for _, nonzero in tallies[samples:]),
+        failures=n_rows - passes,
+        min_m_norm=min(m_norms, default=math.inf),
+        full_local_id=bool(g_rank.holds) and all(nonzero[samples:]),
         g_rank_holds=bool(g_rank.holds),
         partial=partial,
         pos_tol=zero_threshold(sigma_max, 1.0),

@@ -16,6 +16,7 @@ from momentid.identcore import (
     ConeChunk,
     MomentMap,
     NonlinearityBound,
+    _eval_stack,
     cone_classify,
     cone_inclusion_suite,
     counterexample,
@@ -422,24 +423,27 @@ def stacked_linear_map(matrix, mu, calls=None):
 
 
 class TestEvalMany:
+    """Every evaluation of a map is an array stack: ``eval`` is a one-row
+    stack, and ``_eval_stack`` hands ``eval_rows`` a whole stack."""
+
     def test_eval_rows_matches_eval_row_by_row(self):
         rng = np.random.default_rng(12)
         mu = unit_grid(4)
         calls = []
         mmap = stacked_linear_map(rng.standard_normal((4, 4)), mu, calls)
-        alphas = [GridFunction(rng.standard_normal(4), mu) for _ in range(7)]
-        out = mmap.eval_many(alphas)
-        assert calls == [7]
-        assert mmap.eval_many([]) == [] and calls == [7]
-        for alpha, got in zip(alphas, out):
-            assert got.measure.same_as(mmap.derivative.codomain)
-            assert np.array_equal(got.values, mmap.eval(alpha).values)
+        rows = rng.standard_normal((7, 4))
+        out = _eval_stack(mmap.eval_rows, mmap.derivative.codomain, rows)
+        assert calls == [7] and out.shape == (7, 4)
+        for row, got in zip(rows, out):
+            assert np.array_equal(got,
+                                  mmap.eval(GridFunction(row, mu)).values)
+        assert calls == [7] + [1] * 7
 
     def test_rejects_inputs_on_another_grid(self):
         mmap = stacked_linear_map(np.eye(3), unit_grid(3))
         other = GridMeasure(np.arange(3.0), np.full(3, 2.0))
         with pytest.raises(GridMismatchError, match="domain grid"):
-            mmap.eval_many([GridFunction.zero(other)])
+            mmap.eval(GridFunction.zero(other))
 
     def test_rejects_a_stack_of_the_wrong_shape(self):
         mu = unit_grid(3)
@@ -448,7 +452,7 @@ class TestEvalMany:
         short = replace(base, eval_rows=lambda rows: rows[:, :2]
                         if rows.any() else rows)
         with pytest.raises(GridMismatchError, match="eval_rows returned"):
-            short.eval_many([GridFunction.constant(mu, 1.0)])
+            short.eval(GridFunction.constant(mu, 1.0))
 
     @pytest.mark.parametrize("bad, error, match", [
         (lambda rows: rows[:, :2], GridMismatchError, "eval_rows returned"),
@@ -466,22 +470,6 @@ class TestEvalMany:
                          identity)
         with pytest.raises(error, match=match):
             mmap.eval(GridFunction.constant(mu, 1.0))
-
-    def test_chunk_inputs_are_built_when_the_chunk_runs(self):
-        mu = unit_grid(2)
-        calls, built = [], []
-        mmap = stacked_linear_map(np.eye(2), mu, calls)
-
-        def inputs(n):
-            for k in range(n):
-                built.append(len(calls))  # stacks evaluated so far
-                yield GridFunction(np.full(2, float(k)), mu)
-
-        out = mmap.eval_many(inputs(200))
-        assert EVAL_CHUNK == 64
-        assert calls == [64, 64, 64, 8]
-        assert built == [k // 64 for k in range(200)]
-        assert [f.values[0] for f in out] == list(range(200))
 
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
     def test_harnesses_agree_with_and_without_eval_rows(self, n):

@@ -8,6 +8,7 @@ from momentid.errors import GridMismatchError
 from momentid.fnspace import FunctionStack, GridFunction, norm, trapezoid_weights
 from momentid.identcore import (
     NonlinearityBound,
+    _eval_stack,
     estimate_nonlinearity,
     gateaux_check,
     in_ellipsoid,
@@ -337,15 +338,14 @@ def test_stacked_evaluation_matches_the_per_row_reference(
     assert np.array_equal(model.cdf_at(rows), cdf_ref)
     assert np.array_equal(model.density_at(rows), dens_ref)
     mmap, _ = quantile_moment_map(model)
-    alphas = [GridFunction(row, model.x_measure) for row in rows]
-    stacked = mmap.eval_many(alphas)
-    assert len(stacked) == n
+    stacked = _eval_stack(mmap.eval_rows, mmap.derivative.codomain, rows)
+    assert np.array_equal(stacked, map_ref)
     for b in (0, n // 2, n - 1):
         assert np.array_equal(model.cdf_at(rows[b]), cdf_ref[b])
         assert np.array_equal(model.density_at(rows[b]), dens_ref[b])
-    for b, alpha in enumerate(alphas):
-        assert np.array_equal(stacked[b].values, map_ref[b])
-        assert np.array_equal(mmap.eval(alpha).values, map_ref[b])
+    for b, row in enumerate(rows):
+        assert np.array_equal(
+            mmap.eval(GridFunction(row, model.x_measure)).values, map_ref[b])
 
 
 def test_harnesses_are_bit_identical_with_and_without_stacking(stack_model):

@@ -424,6 +424,20 @@ def test_linear_harness_verdicts_scale_free(which):
     assert scaled.pos_tol == pytest.approx(1e-12 * plain.pos_tol)
 
 
+def test_linear_harness_checks_a_zero_norm_g_deviation():
+    """A g-only draw whose g norm is zero is a checked row, not dropped:
+    each of the 20 drawn samples reaches eval_rows and the tally."""
+    calls = []
+    model = recording(replace(SEMIPARAM_MODELS["synthetic"](),
+                              g_norm=lambda g: 0.0), calls, [])
+    calls.clear()  # the m(beta0, g0) = 0 check of the construction
+    report = verify_semiparam_linear(model, 0.1, 0.5, 10, seed=1)
+    assert report.g_rank_holds
+    assert report.samples == report.passes + report.failures == 20
+    # the linearity check's 13 rows, then the 20 sample rows
+    assert [rows for rows, _ in calls] == [13, 20]
+
+
 def test_linear_tally_counts_every_failure():
     # m scaled by 1e-30 against the unscaled split: every sampled ||m|| is
     # positive but below the zero rule of the split's derivative
@@ -529,16 +543,16 @@ def test_harnesses_keep_the_per_point_draw_order(harness):
     dec = partial_out(model.split, 1e-12).decomposition
 
     def g_dev():
-        return momentid.semiparam._sample_g_deviation(
-            rng, dec, 0.5, model.g_norm_of)
+        out = np.empty(model.g0.measure.size)
+        return out * momentid.semiparam._sample_g_deviation(
+            rng, dec, 0.5, model.g_norm_of, out)
 
     def beta():
         return momentid.semiparam._sample_beta(rng, model, 0.1)
 
     points = [(beta(), g_dev()) for _ in range(5)]
     points += [(model.beta0, g_dev()) for _ in range(5)]
-    want = [np.concatenate([b, model.g0.values + g.values])
-            for b, g in points]
+    want = [np.concatenate([b, model.g0.values + g]) for b, g in points]
     assert np.array_equal(np.array(seen[-len(want):]), np.array(want))
 
 

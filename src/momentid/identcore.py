@@ -11,7 +11,6 @@ tangential-cone set inclusions on random finite-dimensional instances.
 from __future__ import annotations
 
 import functools
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
@@ -303,6 +302,13 @@ def in_ellipsoid(
     return float(np.sum(terms)) < bound.L ** (-p)
 
 
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """The (n, 1) Euclidean norms of the rows of ``a``: one dot product per
+    row, the one ``np.linalg.norm`` takes on a single row, so each norm
+    has that call's bits."""
+    return np.sqrt(np.matmul(a[:, None, :], a[:, :, None]))[:, 0]
+
+
 def sample_ellipsoid_deviations(
     dec: SvdDecomposition,
     bound: NonlinearityBound,
@@ -325,15 +331,18 @@ def sample_ellipsoid_deviations(
     profile = 0.75 ** np.arange(k)
     l_p = bound.L ** (-power)
     mu_p = mu**power
-    coefs = np.empty((n, k))
-    for b in coefs:
-        raw = rng.standard_normal(k) * profile
-        raw /= np.linalg.norm(raw)
-        c = raw * 0.7
-        c[0] += math.copysign(0.3, raw[0] if raw[0] != 0 else 1.0)
-        c /= np.linalg.norm(c)
-        s = rng.uniform(0.2, 0.9)
-        b[:] = s * l_p * mu_p * c
+    # two generator calls per draw, in the order of a draw at a time
+    raw, s = np.empty((n, k)), []
+    for row in raw:
+        rng.standard_normal(out=row)
+        s.append(rng.uniform(0.2, 0.9))
+    raw *= profile
+    raw /= _row_norms(raw)
+    c = raw * 0.7
+    # 0.3 toward the sign of the leading draw, + for a zero one
+    c[:, 0] += np.where(raw[:, 0] < 0, -0.3, 0.3)
+    c /= _row_norms(c)
+    coefs = (np.array(s) * l_p)[:, None] * mu_p * c
     # one matrix-vector product per draw, as mat @ b would take
     rows = np.matmul(dec.right_functions.matrix(), coefs[:, :, None])
     return FunctionStack(rows[:, :, 0], dec.right_functions.measure), coefs

@@ -333,14 +333,18 @@ def check_global_identification(
 
     The truth is that of ``smap``, a ``ccapm_moment_map``: its beta0 is
     (delta0, gamma0) and its g0 lives on the growth states.  Candidates
-    must be bounded away from zero.  Those violating the moment equation
-    are reported as non-solutions, which is informative, not a failure.
+    must live on that grid, the domain of m_g, and be bounded away from
+    zero.  Those violating the moment equation are reported as
+    non-solutions, which is informative, not a failure.
     Every candidate that does satisfy it must match the truth in delta and
     gamma and match g0 up to scale; an accepted pair also gets the
     ratio-identity check that states^(gamma - gamma0) times g0/g is constant.
     """
     tol, g0 = GLOBAL_ID_TOL, smap.g0
     delta0, gamma0 = smap.beta0.tolist()
+    domain = smap.split.m_g.domain
+    if not all(g.measure.same_as(domain) for _, _, g in candidates):
+        raise GridMismatchError("candidate g must live on the domain of m_g")
     if any((g.values <= 0).any() for _, _, g in candidates):
         raise ValueError("candidate g must be bounded away from zero")
     # m at (beta0, 2 g0), which sets the scale, and at each candidate

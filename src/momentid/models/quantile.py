@@ -17,7 +17,7 @@ its CDF once per x rather than once per (x, w).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,29 +59,29 @@ def _pchip_slopes(x: np.ndarray, f: np.ndarray) -> np.ndarray:
     return d
 
 
-def _hermite(
-    x: np.ndarray,
-    f: np.ndarray,
-    d: np.ndarray,
-    xq: np.ndarray,
-    derivative: bool = False,
-) -> np.ndarray:
-    """Cubic Hermite value, or its first derivative, at the queries xq.
+def _cells(x: np.ndarray, xq: np.ndarray) -> np.ndarray:
+    """Index of the cell of the strictly increasing grid ``x`` that holds
+    each query, clipped to [0, n - 2]: the value of
+    ``np.clip(np.searchsorted(x, xq, "right") - 1, 0, n - 2)``.
 
-    ``f`` and ``d`` are (n_grid, n_col, k) tables with the grid on axis 0.
-    ``xq`` has shape (..., n_col): entry [..., c] is evaluated in column c,
-    inside the cell of ``x`` that holds it, and the result has shape
-    (..., n_col, k).  Every entry is computed by the same elementwise
-    operations whatever the leading shape, so a stack of queries gives the
-    same bits as one query at a time.
+    The first guess reads the cell off the grid's mean spacing, which is
+    exact on a uniform grid up to rounding; each correction pass then
+    moves every query whose cell is still off by one node.  Queries must
+    not be NaN.
     """
-    idx = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, x.size - 2)
-    cols = np.arange(f.shape[1])
-    f0, f1 = f[idx, cols], f[idx + 1, cols]
-    d0, d1 = d[idx, cols], d[idx + 1, cols]
-    h = x[idx + 1] - x[idx]
-    t = ((xq - x[idx]) / h)[..., None]
-    h = h[..., None]
+    last = x.size - 2
+    step = (x[-1] - x[0]) / (last + 1)
+    idx = np.clip((xq - x[0]) / step, 0, last).astype(np.intp)
+    while (down := (x[idx] > xq) & (idx > 0)).any():
+        idx -= down
+    while (up := (x[idx + 1] <= xq) & (idx < last)).any():
+        idx += up
+    return idx
+
+
+def _cubic(t, h, f0, d0, f1, d1, derivative: bool):
+    """Cubic Hermite value, or its first derivative, at the fraction t of a
+    cell of width h with end values f0, f1 and end slopes d0, d1."""
     t2, t3 = t * t, t * t * t
     if not derivative:
         h00 = 2 * t3 - 3 * t2 + 1
@@ -94,6 +94,67 @@ def _hermite(
     g01 = -6 * t2 + 6 * t
     g11 = 3 * t2 - 2 * t
     return (g00 * f0 + h * g10 * d0 + g01 * f1 + h * g11 * d1) / h
+
+
+def _hermite(
+    x: np.ndarray,
+    f: np.ndarray,
+    d: np.ndarray,
+    xq: np.ndarray,
+    derivative: bool,
+) -> np.ndarray:
+    """Cubic Hermite value, or its first derivative, at the queries xq.
+
+    ``f`` and ``d`` are (n_grid, n_col, k) tables with the grid on axis 0.
+    ``xq`` has shape (..., n_col): entry [..., c] is evaluated in column c,
+    inside the cell of ``x`` that holds it, and the result has shape
+    (..., n_col, k).  Every entry is computed by the same elementwise
+    operations whatever the leading shape, so a stack of queries gives the
+    same bits as one query at a time.
+    """
+    idx = _cells(x, xq)
+    n_col, k = f.shape[1:]
+    # row idx * n_col + col of the (n_grid * n_col, k) views is [idx, col]
+    flat = idx * n_col + np.arange(n_col)
+    f_rows, d_rows = f.reshape(-1, k), d.reshape(-1, k)
+    f0, f1 = f_rows[flat], f_rows[flat + n_col]
+    d0, d1 = d_rows[flat], d_rows[flat + n_col]
+    h = x[idx + 1] - x[idx]
+    t = ((xq - x[idx]) / h)[..., None]
+    return _cubic(t, h[..., None], f0, d0, f1, d1, derivative)
+
+
+def _bisect_cdf(y: np.ndarray, cdf: np.ndarray, slopes: np.ndarray,
+                level: float) -> np.ndarray:
+    """Per column of the (n_y, n_col) tables, the point where the
+    interpolated CDF crosses ``level``, by 90 halvings of [y[0], y[-1]].
+
+    Each step evaluates the expression ``_hermite`` evaluates, on the same
+    operands, so it gives the bits of a full ``cdf_at`` call.  A column's
+    cell and operands are looked up again only when its midpoint leaves
+    the cell it was in.  All 90 steps run: at tau = 0.5 the bracket of the
+    node where the curve is zero halves through every one of them, so the
+    step count is part of the result.
+    """
+    n_col = cdf.shape[1]
+    lo, hi = np.full(n_col, y[0]), np.full(n_col, y[-1])
+    # [y0, y1) is each column's current cell; an empty one forces a lookup
+    y0, y1 = np.full(n_col, np.inf), np.full(n_col, -np.inf)
+    h, f0, f1, d0, d1 = np.empty((5, n_col))
+    for _ in range(90):
+        mid = 0.5 * (lo + hi)
+        moved = np.flatnonzero((mid < y0) | (mid >= y1))
+        if moved.size:
+            c = _cells(y, mid[moved])
+            y0[moved], y1[moved] = y[c], y[c + 1]
+            h[moved] = y[c + 1] - y[c]
+            f0[moved], f1[moved] = cdf[c, moved], cdf[c + 1, moved]
+            d0[moved], d1[moved] = slopes[c, moved], slopes[c + 1, moved]
+        val = _cubic((mid - y0) / h, h, f0, d0, f1, d1, derivative=False)
+        lower = val < level
+        lo = np.where(lower, mid, lo)
+        hi = np.where(lower, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)
@@ -173,7 +234,10 @@ class QuantileIvModel:
         """
         yq = np.asarray(alpha_values, dtype=float)
         y = self.y_grid
-        if (yq < y[0]).any() or (yq > y[-1]).any():
+        if not ((yq >= y[0]) & (yq <= y[-1])).all():
+            if not np.isfinite(yq).all():
+                raise ValueError("requested y values must be finite, "
+                                 "not NaN or inf")
             raise ValueError(
                 "requested y values leave the tabulated range "
                 f"[{y[0]:.4g}, {y[-1]:.4g}]"
@@ -199,15 +263,8 @@ class QuantileIvModel:
         spread = np.abs(self._cdf - self._cdf[:, :, :1]).max()
         if spread > 1e-9:
             raise ValueError("conditional CDF varies with w; no common quantile")
-        lo = np.full(self.x_measure.size, self.y_grid[0])
-        hi = np.full(self.x_measure.size, self.y_grid[-1])
-        for _ in range(90):
-            mid = 0.5 * (lo + hi)
-            val = self.cdf_at(mid)[:, 0]
-            lower = val < self.tau
-            lo = np.where(lower, mid, lo)
-            hi = np.where(lower, hi, mid)
-        return 0.5 * (lo + hi)
+        return _bisect_cdf(self.y_grid, self._cdf[:, :, 0],
+                           self._cdf_slopes[:, :, 0], self.tau)
 
 
 # A stack of curves is interpolated in slices of at most this many table
@@ -306,7 +363,6 @@ def gaussian_quantile_model(
     fy_x /= np.einsum("y,yx->x", wy, fy_x)[None, :]
     f_y = fy_x[:, :, None]
 
-    seed_alpha = GridFunction(curve, x_measure)
     model = QuantileIvModel(
         tau=tau,
         x_measure=x_measure,
@@ -314,7 +370,11 @@ def gaussian_quantile_model(
         y_grid=yg,
         f_y=f_y,
         x_ratio=ratio,
-        alpha0=seed_alpha,
+        alpha0=GridFunction(curve, x_measure),
     )
+    # no check or table of the model reads alpha0, so the inverted curve
+    # replaces the seed in place rather than through a second validation
+    # and tabulation by dataclasses.replace
     alpha0 = GridFunction(model.quantile_curve(), x_measure)
-    return replace(model, alpha0=alpha0)
+    object.__setattr__(model, "alpha0", alpha0)
+    return model

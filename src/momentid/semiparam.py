@@ -33,6 +33,7 @@ from .identcore import (
     MomentMap,
     _chunks,
     _eval_stack,
+    _row_norms,
     rank_condition,
     zero_threshold,
 )
@@ -217,6 +218,8 @@ class SemiparametricMap:
 
     def eval(self, beta: np.ndarray, g: GridFunction) -> GridFunction:
         """m(beta, g), evaluated as a one-row stack."""
+        if not g.measure.same_as(self.split.m_g.domain):
+            raise GridMismatchError("g must live on the domain of m_g")
         row = np.concatenate([np.atleast_1d(beta), g.values])
         return GridFunction(self.eval_stack(row[None])[0],
                             self.split.m_g.codomain)
@@ -274,9 +277,7 @@ def _m_norms(model: SemiparametricMap, betas: np.ndarray, devs: np.ndarray,
     chunks = (_chunks(a, EVAL_CHUNK) for a in (betas, devs, factors))
     for b, d, f in zip(*chunks):
         d *= f[:, None]
-        db = b - model.beta0
-        # one dot product per row, as np.linalg.norm of one row takes
-        beta_norms = np.sqrt(np.matmul(db[:, None, :], db[:, :, None]))
+        beta_norms = _row_norms(b - model.beta0)
         dev_norms += map(math.hypot, beta_norms.ravel().tolist(),
                          weighted_norms(d, w_g).tolist())
         m_norms += weighted_norms(model.eval_stack(

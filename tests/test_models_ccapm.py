@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from momentid.errors import ConvergenceError
+from momentid.errors import ConvergenceError, GridMismatchError
 from momentid.fnspace import FunctionStack, GridFunction, GridMeasure, inner, norm
 from momentid.linop import LinearOperator, hs_norm, svd
 from momentid.models.ccapm import (
@@ -224,6 +226,24 @@ class TestGlobalIdentification:
             mapped, [(model.delta0, model.gamma0 + 0.5, model.g0)])
         assert not report.rows[0]["is_solution"]
         assert report.vacuous
+
+    def test_candidate_must_live_on_the_state_grid(self, model, mapped):
+        calls = []
+
+        def eval_rows(rows):
+            calls.append(len(rows))
+            return mapped.eval_rows(rows)
+
+        smap = replace(mapped, eval_rows=eval_rows)
+        calls.clear()  # the m(beta0, g0) = 0 check of the construction
+        # g0's values, positive, on a uniform grid of the same size
+        moved = GridFunction(model.g0.values,
+                             GridMeasure.uniform(model.g0.measure.size))
+        candidates = [(model.delta0, model.gamma0, model.g0 * 2.0),
+                      (model.delta0, model.gamma0, moved)]
+        with pytest.raises(GridMismatchError, match="domain of m_g"):
+            check_global_identification(smap, candidates)
+        assert calls == []
 
     def test_candidate_must_be_positive(self, model, mapped):
         bad = GridFunction(np.zeros(model.c_measure.size), model.c_measure)

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 from statistics import NormalDist
 
@@ -16,7 +17,12 @@ from momentid.identcore import (
     verify_local_id,
 )
 from momentid.linop import apply, svd
-from momentid.models.quantile import gaussian_quantile_model, quantile_moment_map
+from momentid.models.quantile import (
+    QuantileIvModel,
+    _cells,
+    gaussian_quantile_model,
+    quantile_moment_map,
+)
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +125,19 @@ def test_extrapolation_guard(model, mapped):
     )
     with pytest.raises(ValueError, match="tabulated range"):
         mmap.eval(wild)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_queries_are_rejected(model, bad):
+    curve = model.alpha0.values.copy()
+    curve[3] = bad
+    for at in (model.cdf_at, model.density_at):
+        for yq in (curve, np.stack([model.alpha0.values, curve])):
+            # a ValueError, and no cast warning before it
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="must be finite"):
+                    at(yq)
 
 
 def test_quantile_level_enters_eval(model):
@@ -366,3 +385,89 @@ def test_harnesses_are_bit_identical_with_and_without_stacking(stack_model):
     reports = [verify_local_id(m, NonlinearityBound(L=0.0, r=1.0), devs)
                for m in (mmap, plain)]
     assert reports[0].rows == reports[1].rows
+
+
+# ---------------------------------------------------------------------------
+# Cell lookup and bisection.  The Hermite kernel finds cells from the grid's
+# mean spacing and the bisection reuses a column's cell while its midpoint
+# stays inside; both must give the bits of the np.searchsorted lookup and
+# of the 90 full CDF evaluations they replaced.
+# ---------------------------------------------------------------------------
+
+
+CELL_GRIDS = {
+    "uniform": np.linspace(-7.5, 7.5, 241),
+    "sinh": np.sinh(np.linspace(-3.0, 3.0, 101)),
+    "random": np.cumsum(np.random.default_rng(8).uniform(1e-3, 1.0, 80)),
+}
+
+
+@pytest.mark.parametrize("grid", CELL_GRIDS)
+def test_cell_lookup_equals_clipped_searchsorted(grid):
+    y = CELL_GRIDS[grid]
+    span = y[-1] - y[0]
+    rng = np.random.default_rng(9)
+    queries = np.concatenate([
+        y,
+        np.nextafter(y, -np.inf),
+        np.nextafter(y, np.inf),
+        [y[0], y[-1], y[0] - 0.5 * span, y[-1] + 0.5 * span],
+        rng.uniform(y[0] - 0.1 * span, y[-1] + 0.1 * span, 2000),
+    ])
+    expected = np.clip(np.searchsorted(y, queries, "right") - 1, 0,
+                       y.size - 2)
+    assert np.array_equal(_cells(y, queries), expected)
+    # any query shape, one cell per entry
+    assert np.array_equal(_cells(y, np.stack([queries, queries[::-1]])),
+                          np.stack([expected, expected[::-1]]))
+
+
+def old_quantile_curve(model):
+    """``quantile_curve`` as it was: 90 halvings, each a full CDF
+    evaluation with an np.searchsorted lookup and 2-D fancy indexes, read
+    at w = 0."""
+    y, cdf, slopes = model.y_grid, model._cdf, model._cdf_slopes
+    cols = np.arange(cdf.shape[1])
+    lo, hi = np.full(cols.size, y[0]), np.full(cols.size, y[-1])
+    for _ in range(90):
+        mid = 0.5 * (lo + hi)
+        idx = np.clip(np.searchsorted(y, mid, side="right") - 1, 0,
+                      y.size - 2)
+        f0, f1 = cdf[idx, cols], cdf[idx + 1, cols]
+        d0, d1 = slopes[idx, cols], slopes[idx + 1, cols]
+        h = y[idx + 1] - y[idx]
+        t = ((mid - y[idx]) / h)[..., None]
+        h = h[..., None]
+        t2, t3 = t * t, t * t * t
+        val = ((2 * t3 - 3 * t2 + 1) * f0 + h * (t3 - 2 * t2 + t) * d0
+               + (-2 * t3 + 3 * t2) * f1 + h * (t3 - t2) * d1)[:, 0]
+        lower = val < model.tau
+        lo = np.where(lower, mid, lo)
+        hi = np.where(lower, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.6])
+@pytest.mark.parametrize("tau", [0.1, 0.3, 0.5, 0.9])
+@pytest.mark.parametrize("sizes", [(61, 61, 121), (201, 201, 241),
+                                   (481, 61, 481), (21, 21, 41)])
+def test_alpha0_equals_the_old_bisection_loop(sizes, tau, rho):
+    n_x, n_w, n_y = sizes
+    model = gaussian_quantile_model(n_x=n_x, n_w=n_w, n_y=n_y, rho=rho,
+                                    tau=tau)
+    old = old_quantile_curve(model)
+    assert np.array_equal(model.alpha0.values, old)
+    assert np.array_equal(model.quantile_curve(), old)
+
+
+def test_one_model_build_runs_post_init_once(monkeypatch):
+    built = []
+    post_init = QuantileIvModel.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(QuantileIvModel, "__post_init__", counted)
+    model = gaussian_quantile_model(n_x=21, n_w=21, n_y=41)
+    assert len(built) == 1 and built[0] is model

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import momentid.semiparam
+from momentid.errors import GridMismatchError
 from momentid.fnspace import FunctionStack, GridFunction, GridMeasure, inner, norm
 from momentid.identcore import (
     EVAL_CHUNK,
@@ -452,6 +453,19 @@ def test_linear_tally_counts_every_failure():
 
 
 @functools.cache
+def test_eval_rejects_a_g_on_another_grid_before_evaluating():
+    # g0's values on a uniform grid of the same size: the values fit, the
+    # nodes and weights are not those of the domain of m_g
+    calls = []
+    model = recording(ccapm_map(), calls, [])
+    calls.clear()  # the m(beta0, g0) = 0 check of the construction
+    g = GridFunction(model.g0.values,
+                     GridMeasure.uniform(model.g0.measure.size))
+    with pytest.raises(GridMismatchError, match="domain of m_g"):
+        model.eval(model.beta0, g)
+    assert calls == []
+
+
 def ccapm_map():
     from momentid.models.ccapm import ccapm_moment_map, lognormal_ccapm_model
 

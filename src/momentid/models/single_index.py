@@ -12,6 +12,7 @@ harness treats that as a hard invariant.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -62,6 +63,8 @@ class SingleIndexModel:
         object.__setattr__(self, "beta0", b0)
         object.__setattr__(self, "joint_ratio", ratio)
         object.__setattr__(self, "x2", x2)
+        # the split derivative reads g0' here rather than evaluating it again
+        object.__setattr__(self, "_g0_prime_values", gp)
 
     @property
     def p(self) -> int:
@@ -72,11 +75,10 @@ def _split_derivative(model: SingleIndexModel) -> SplitDerivative:
     """The split derivative of ``single_index_map(model)`` at the truth,
     which ``diagnose_single_index`` partials out without building the map."""
     mv, mw = model.v_measure, model.w_measure
-    m_g = -1.0 * conditional_expectation(model.joint_ratio, mv, mw)
-    g0p = GridFunction(
-        np.asarray(model.g0_prime(mv.coords()), dtype=float), mv
-    )
-    u = apply(-1.0 * m_g, g0p).values  # E[g0'(V) | W]
+    cond = conditional_expectation(model.joint_ratio, mv, mw)
+    # E[g0'(V) | W], from the operator whose negative is m_g
+    u = apply(cond, GridFunction(model._g0_prime_values, mv)).values
+    m_g = -1.0 * cond
     m_beta = tuple(
         GridFunction(-model.x2[:, k] * u, mw) for k in range(model.p)
     )
@@ -152,6 +154,17 @@ def _subsample_indices(n: int, target: int) -> np.ndarray:
     return np.linspace(0, n - 1, target).round().astype(int)
 
 
+def _subgrid(mu: GridMeasure, idx: np.ndarray) -> GridMeasure:
+    """The nodes ``idx`` of ``mu`` with their weights renormalized to one,
+    memoised on ``mu`` itself, so designs that share a grid share it."""
+    memo = vars(mu).setdefault("_subgrids", {})
+    key = idx.tobytes()
+    if key not in memo:
+        w = mu.weights[idx]
+        memo[key] = GridMeasure(mu.points[idx], w / w.sum())
+    return memo[key]
+
+
 def diagnose_single_index(
     model: SingleIndexModel, tol: float = 1e-10
 ) -> IndexDiagnosis:
@@ -173,14 +186,8 @@ def diagnose_single_index(
     supported = np.flatnonzero(model.joint_ratio.max(axis=1) > 0)
     iv = supported[_subsample_indices(supported.size, 12)]
     iw = _subsample_indices(model.w_measure.size, 12**model.w_measure.dim)
-    sub_v = GridMeasure(
-        model.v_measure.points[iv],
-        model.v_measure.weights[iv] / model.v_measure.weights[iv].sum(),
-    )
-    sub_w = GridMeasure(
-        model.w_measure.points[iw],
-        model.w_measure.weights[iw] / model.w_measure.weights[iw].sum(),
-    )
+    sub_v = _subgrid(model.v_measure, iv)
+    sub_w = _subgrid(model.w_measure, iw)
     sub_joint = model.joint_ratio[np.ix_(iv, iw)]
     # renormalize so the subsampled table is again a joint mass ratio
     sub_joint = sub_joint / (sub_v.weights @ sub_joint)[None, :]
@@ -201,6 +208,40 @@ def diagnose_single_index(
     )
 
 
+def _phi(z):
+    return np.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
+
+
+# typed, so that n_v=41.0 still reaches np.linspace and raises there
+@functools.lru_cache(maxsize=8, typed=True)
+def _index_grids(w_dim, n_v, n_w, span, v_pad, proportional_c):
+    """The rho- and link-free part of ``gaussian_index_design``: the index
+    grid, its trapezoid weights, the index and instrument measures, the
+    index as a function of the instrument, and the regressors x2.  The
+    arrays are read-only, so every design built at one key shares them."""
+    # pad the index grid so eval can shift the index with beta deviations
+    vg = np.linspace(-span - v_pad, span + v_pad, n_v)
+    v_measure = GridMeasure.from_density(vg, _phi(vg))
+    quad_v = trapezoid_weights(vg)
+    wg = np.linspace(-span, span, n_w)
+    if w_dim == 1:
+        w_measure = GridMeasure.from_density(wg, _phi(wg))
+        index_of_w = wg
+        x2 = np.column_stack([wg, proportional_c * wg])
+    else:
+        axis = GridMeasure.from_density(wg, _phi(wg))
+        w_measure = GridMeasure.tensor(axis, axis)
+        w1 = w_measure.points[:, 0]
+        w2 = w_measure.points[:, 1]
+        index_of_w = (w1 + w2) / math.sqrt(2.0)
+        # no nonzero combination of these loadings is a function of the
+        # index alone, which is what keeps the partialled Gram nonsingular
+        x2 = np.column_stack([w1, w2**2 - 1.0])
+    for a in (vg, quad_v, index_of_w, x2):
+        a.flags.writeable = False
+    return vg, quad_v, v_measure, w_measure, index_of_w, x2
+
+
 def gaussian_index_design(
     rho: float = 0.5,
     w_dim: int = 1,
@@ -218,39 +259,20 @@ def gaussian_index_design(
     transform of W (the fully absorbed case); with a two-dimensional
     instrument each regressor loads on its own coordinate while the index
     depends only on the average, which is the exclusion structure that makes
-    the partialled-out Gram matrix nonsingular.
+    the partialled-out Gram matrix nonsingular.  Designs built with the
+    same grid arguments share their measures and ``x2``, which are
+    read-only.
     """
     if w_dim not in (1, 2):
         raise ValueError("w_dim must be 1 or 2")
     if not 0 < abs(rho) < 1:
         raise ValueError("rho must lie in (-1, 0) or (0, 1)")
 
-    def phi(z):
-        return np.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
-
-    # pad the index grid so eval can shift the index with beta deviations
-    vg = np.linspace(-span - v_pad, span + v_pad, n_v)
-    v_measure = GridMeasure.from_density(vg, phi(vg))
-    quad_v = trapezoid_weights(vg)
-
-    if w_dim == 1:
-        wg = np.linspace(-span, span, n_w)
-        w_measure = GridMeasure.from_density(wg, phi(wg))
-        index_of_w = wg
-        x2 = np.column_stack([wg, proportional_c * wg])
-    else:
-        wg = np.linspace(-span, span, n_w)
-        axis = GridMeasure.from_density(wg, phi(wg))
-        w_measure = GridMeasure.tensor(axis, axis)
-        w1 = w_measure.points[:, 0]
-        w2 = w_measure.points[:, 1]
-        index_of_w = (w1 + w2) / math.sqrt(2.0)
-        # no nonzero combination of these loadings is a function of the
-        # index alone, which is what keeps the partialled Gram nonsingular
-        x2 = np.column_stack([w1, w2**2 - 1.0])
-
+    vg, quad_v, v_measure, w_measure, index_of_w, x2 = _index_grids(
+        w_dim, n_v, n_w, span, v_pad, proportional_c
+    )
     s = math.sqrt(1 - rho * rho)
-    cond = phi((vg[:, None] - rho * index_of_w[None, :]) / s) / s
+    cond = _phi((vg[:, None] - rho * index_of_w[None, :]) / s) / s
     cond[np.abs(vg) > span] = 0.0  # index mass stays off the padded edges
     cond_mass = quad_v[:, None] * cond
     cond_mass /= cond_mass.sum(axis=0, keepdims=True)

@@ -1,17 +1,30 @@
+import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from momentid.fnspace import GridFunction, norm
-from momentid.linop import apply
+from momentid.cli import load_config, run_experiment
+from momentid.fnspace import GridFunction, GridMeasure, norm, trapezoid_weights
+from momentid.identcore import rank_condition
+from momentid.linop import apply, conditional_expectation
 from momentid.models.single_index import (
+    IndexDiagnosis,
     SingleIndexModel,
+    _index_grids,
+    _subsample_indices,
     diagnose_single_index,
     gaussian_index_design,
     single_index_map,
 )
-from momentid.semiparam import linearity_in_g_check, partial_out
+from momentid.semiparam import (SplitDerivative, linearity_in_g_check,
+                                 partial_out)
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# the grid sizes and rho values of the shipped single-index run
+SHIPPED_SIZES = {1: {}, 2: {"n_v": 49, "n_w": 15}}
+SHIPPED_RHOS = np.linspace(0.4, 0.7, 10)
 
 
 @pytest.fixture(scope="module")
@@ -193,10 +206,145 @@ def test_split_only_diagnosis_matches_the_map(w_dim, link, rho):
 
 @pytest.mark.parametrize("target", [1, 2, 7, 12, 144])
 def test_subsample_indices_are_the_distinct_rounded_nodes(target):
-    from momentid.models.single_index import _subsample_indices
-
     for n in range(1, target + 400):
         got = _subsample_indices(n, target)
         want = np.arange(n) if n <= target else np.unique(
             np.linspace(0, n - 1, target).round().astype(int))
         assert got.dtype == want.dtype and np.array_equal(got, want), n
+
+
+def old_gaussian_index_design(rho, w_dim, link, n_v=41, n_w=21, span=3.5,
+                              v_pad=1.0, loading=0.6, proportional_c=0.7):
+    """``gaussian_index_design`` as it was: every call builds and checks
+    its own grids."""
+
+    def phi(z):
+        return np.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
+
+    vg = np.linspace(-span - v_pad, span + v_pad, n_v)
+    v_measure = GridMeasure.from_density(vg, phi(vg))
+    quad_v = trapezoid_weights(vg)
+    if w_dim == 1:
+        wg = np.linspace(-span, span, n_w)
+        w_measure = GridMeasure.from_density(wg, phi(wg))
+        index_of_w = wg
+        x2 = np.column_stack([wg, proportional_c * wg])
+    else:
+        wg = np.linspace(-span, span, n_w)
+        axis = GridMeasure.from_density(wg, phi(wg))
+        w_measure = GridMeasure.tensor(axis, axis)
+        w1 = w_measure.points[:, 0]
+        w2 = w_measure.points[:, 1]
+        index_of_w = (w1 + w2) / math.sqrt(2.0)
+        x2 = np.column_stack([w1, w2**2 - 1.0])
+    s = math.sqrt(1 - rho * rho)
+    cond = phi((vg[:, None] - rho * index_of_w[None, :]) / s) / s
+    cond[np.abs(vg) > span] = 0.0
+    cond_mass = quad_v[:, None] * cond
+    cond_mass /= cond_mass.sum(axis=0, keepdims=True)
+    joint_ratio = cond_mass / v_measure.weights[:, None]
+    if link == "softplus":
+        g0 = lambda v: np.logaddexp(0.0, v)  # noqa: E731
+        g0p = lambda v: 1.0 / (1.0 + np.exp(-v))  # noqa: E731
+    else:
+        g0 = lambda v: v + 0.5 * np.sin(v)  # noqa: E731
+        g0p = lambda v: 1.0 + 0.5 * np.cos(v)  # noqa: E731
+    return SingleIndexModel(
+        beta0=np.full(2, loading), v_measure=v_measure, w_measure=w_measure,
+        joint_ratio=joint_ratio, x2=x2, g0=g0, g0_prime=g0p)
+
+
+def old_diagnosis(model, tol=1e-10):
+    """``diagnose_single_index`` as it was: fresh proxy grids on every
+    call, and E[g0'(V) | W] read through the negative of m_g."""
+    supported = np.flatnonzero(model.joint_ratio.max(axis=1) > 0)
+    iv = supported[_subsample_indices(supported.size, 12)]
+    iw = _subsample_indices(model.w_measure.size, 12**model.w_measure.dim)
+    mv, mw = model.v_measure, model.w_measure
+    sub_v = GridMeasure(mv.points[iv], mv.weights[iv] / mv.weights[iv].sum())
+    sub_w = GridMeasure(mw.points[iw], mw.weights[iw] / mw.weights[iw].sum())
+    sub_joint = model.joint_ratio[np.ix_(iv, iw)]
+    sub_joint = sub_joint / (sub_v.weights @ sub_joint)[None, :]
+    rank = rank_condition(
+        conditional_expectation(sub_joint.T, sub_w, sub_v), tol)
+    ratio = rank.sigma_min / rank.sigma_max if rank.sigma_max > 0 else 0.0
+
+    m_g = -1.0 * conditional_expectation(model.joint_ratio, mv, mw)
+    g0p = GridFunction(np.asarray(model.g0_prime(mv.coords()), dtype=float),
+                       mv)
+    u = apply(-1.0 * m_g, g0p).values
+    m_beta = tuple(GridFunction(-model.x2[:, k] * u, mw)
+                   for k in range(model.p))
+    report = partial_out(SplitDerivative(m_beta=m_beta, m_g=m_g), 1e-8)
+    trace = float(np.trace(report.gram))
+    pi_singular = report.lambda_min <= 1e-6 * max(trace, 1e-300)
+    return IndexDiagnosis(
+        w_given_v_complete=rank.holds, pi_singular=pi_singular,
+        consistent=not (rank.holds and not pi_singular),
+        sigma_min_ratio=ratio, lambda_min=report.lambda_min, trace=trace)
+
+
+def assert_same_design(got, want):
+    assert got.v_measure.same_as(want.v_measure)
+    assert got.w_measure.same_as(want.w_measure)
+    for name in ("beta0", "joint_ratio", "x2"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@pytest.mark.parametrize("w_dim", [1, 2])
+@pytest.mark.parametrize("link", ["softplus", "sin"])
+def test_shared_grids_keep_every_diagnosis_bit(w_dim, link):
+    sizes = SHIPPED_SIZES[w_dim]
+    for rho in SHIPPED_RHOS:
+        model = gaussian_index_design(rho=float(rho), w_dim=w_dim, link=link,
+                                      **sizes)
+        fresh = old_gaussian_index_design(float(rho), w_dim, link, **sizes)
+        assert_same_design(model, fresh)
+        assert diagnose_single_index(model) == old_diagnosis(fresh), rho
+
+
+def test_one_run_builds_each_grid_once(monkeypatch):
+    built = []
+    post_init = GridMeasure.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    config = load_config(str(CONFIGS / "single-index.json"))
+    _index_grids.cache_clear()
+    monkeypatch.setattr(GridMeasure, "__post_init__", counted)
+    report, _ = run_experiment(config)
+    assert report["summary"]["pass"]
+    # per w_dim: the index grid, the instrument grid (and for w_dim 2 its
+    # axis), and the two proxy subgrids
+    assert len(built) == 9
+
+
+def test_designs_share_read_only_grids():
+    for w_dim, sizes in SHIPPED_SIZES.items():
+        a = gaussian_index_design(rho=0.4, w_dim=w_dim, **sizes)
+        b = gaussian_index_design(rho=0.7, w_dim=w_dim, link="sin", **sizes)
+        assert a.v_measure is b.v_measure and a.w_measure is b.w_measure
+        assert a.x2 is b.x2
+        vg, quad_v, _, _, index_of_w, _ = _index_grids(
+            w_dim, sizes.get("n_v", 41), sizes.get("n_w", 21), 3.5, 1.0, 0.7)
+        shared = (a.x2, a.v_measure.coords(), a.v_measure.points,
+                  a.v_measure.weights, a.w_measure.points, a.w_measure.weights,
+                  vg, quad_v, index_of_w)
+        for arr in shared:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+
+@pytest.mark.parametrize("w_dim", [1, 2])
+@pytest.mark.parametrize("change", [
+    {"n_v": 45}, {"n_w": 17}, {"span": 3.0}, {"v_pad": 0.75},
+    {"proportional_c": 0.4}])
+def test_a_changed_grid_argument_builds_afresh(w_dim, change):
+    sizes = SHIPPED_SIZES[w_dim]
+    gaussian_index_design(rho=0.5, w_dim=w_dim, **sizes)  # now cached
+    args = {**sizes, **change}
+    assert_same_design(gaussian_index_design(rho=0.5, w_dim=w_dim, **args),
+                       old_gaussian_index_design(0.5, w_dim, "softplus",
+                                                 **args))

@@ -67,31 +67,25 @@ class Check:
         return out
 
 
-def _run_counterexample(params: dict, seed: int) -> list[tuple]:
+def _run_counterexample(params: dict, seed: int) -> dict:
     from .identcore import counterexample_cases
 
     k_min, k_max = params["k_min"], params["k_max"]
     if k_min > k_max:
         raise ValueError(f"k_min {k_min} exceeds k_max {k_max}")
-    n_terms = params["n_terms"]
-    worst_residual = 0.0
-    worst_dev = 0.0
-    any_in_set = False
+    worst_residual = worst_dev = 0.0
+    in_set = 0
     for case in counterexample_cases(range(k_min, k_max + 1),
-                                     n_terms=n_terms):
+                                     n_terms=params["n_terms"]):
         worst_residual = max(worst_residual, case.m_norm)
         worst_dev = max(worst_dev,
                         abs(case.dev_norm - 2.0 ** (-case.k / 4.0)))
-        any_in_set = any_in_set or case.in_n
-    return [
-        (worst_residual <= 1e-12, worst_residual),
-        (worst_dev <= 1e-12, worst_dev),
-        (not any_in_set, None),
-        (case.L >= 1.0, case.L),
-    ]
+        in_set += case.in_n
+    return {"residual": worst_residual, "dev_error": worst_dev,
+            "in_set": in_set, "L": case.L}
 
 
-def _run_quantile(params: dict, seed: int) -> list[tuple]:
+def _run_quantile(params: dict, seed: int) -> dict:
     from .fnspace import FunctionStack, norm
     from .identcore import (estimate_nonlinearity, gateaux_check,
                             sample_ellipsoid_deviations, verify_local_id)
@@ -104,14 +98,11 @@ def _run_quantile(params: dict, seed: int) -> list[tuple]:
         rho=params["rho"], tau=params["tau"],
     )
     mmap, bound = quantile_moment_map(model)
-    results = [(norm(mmap.eval(mmap.base_point)) <= 1e-10, None)]
+    restriction = norm(mmap.eval(mmap.base_point))
     dec = svd(mmap.derivative)
     inside, _ = sample_ellipsoid_deviations(dec, bound, params["n_ellipsoid"],
                                             rng)
     soundness = verify_local_id(mmap, bound, inside, dec=dec)
-    results.append((soundness.failures == 0,
-                    {"fails": soundness.failures,
-                     "min_norm": soundness.min_m_norm}))
     mu = model.x_measure
     # the stream of one uniform scale per deviation, then its row
     scales = rng.uniform(0.05, 0.6, params["n_deviations"])
@@ -119,20 +110,20 @@ def _run_quantile(params: dict, seed: int) -> list[tuple]:
     devs *= scales[:, None]
     devs = FunctionStack(devs, mu)
     l_hat = estimate_nonlinearity(mmap, 2.0, devs)
-    results.append((l_hat <= 1.05 * bound.L,
-                    {"l_hat": l_hat, "bound": bound.L}))
     dirs = FunctionStack(rng.standard_normal((10, mu.size)) * 0.3, mu)
-    err = gateaux_check(mmap, dirs, 1e-4)
-    results.append((err < 1e-5, err))
-    return results
+    return {"restriction": restriction,
+            "soundness": {"fails": soundness.failures,
+                          "min_norm": soundness.min_m_norm},
+            "curvature": {"l_hat": l_hat, "bound": bound.L},
+            "gateaux_error": gateaux_check(mmap, dirs, 1e-4)}
 
 
-def _run_single_index(params: dict, seed: int) -> list[tuple]:
+def _run_single_index(params: dict, seed: int) -> dict:
     from .models.single_index import (diagnose_single_index,
                                        gaussian_index_design)
 
     rhos = np.linspace(0.4, 0.7, params["n_designs"])
-    all_consistent = True
+    inconsistent = 0
     scalar_worst = 0.0
     twodim_worst = np.inf
     for i, rho in enumerate(rhos):
@@ -144,19 +135,16 @@ def _run_single_index(params: dict, seed: int) -> list[tuple]:
             gaussian_index_design(rho=float(rho), w_dim=2, link=link,
                                   n_v=49, n_w=15)
         )
-        all_consistent = all_consistent and d1.consistent and d2.consistent
+        inconsistent += not (d1.consistent and d2.consistent)
         scalar_worst = max(
             scalar_worst, d1.lambda_min / max(d1.trace, 1e-300)
         )
         twodim_worst = min(twodim_worst, d2.lambda_min / d2.trace)
-    return [
-        (all_consistent, None),
-        (scalar_worst < 1e-8, scalar_worst),
-        (twodim_worst > 1e-4, twodim_worst),
-    ]
+    return {"inconsistent": inconsistent, "scalar_worst": scalar_worst,
+            "twodim_worst": twodim_worst}
 
 
-def _run_ccapm(params: dict, seed: int) -> list[tuple]:
+def _run_ccapm(params: dict, seed: int) -> dict:
     from .models.ccapm import (ccapm_moment_map, check_global_identification,
                                completeness_check,
                                fixed_state_completeness_operator,
@@ -173,28 +161,19 @@ def _run_ccapm(params: dict, seed: int) -> list[tuple]:
     )
     smap = ccapm_moment_map(model)
     report = partial_out(smap.split, 1e-12)
-    trace = float(np.trace(report.gram))
     cands = [
         (model.delta0, model.gamma0, model.g0 * 2.0),
         (model.delta0, model.gamma0 + 0.5, model.g0),
     ]
     gid = check_global_identification(smap, cands)
-    accepted = gid.rows[0].get("is_solution") and gid.rows[0].get("scale_ok")
-    rejected = not gid.rows[1].get("is_solution")
-    return [
-        (pair.residual <= 1e-10, pair.residual),
-        (bool((pair.g.values > 0).all()), None),
-        (pair.gap < 1.0, pair.gap),
-        (abs(pair.delta - model.delta0) <= 1e-8, pair.delta),
-        (rep.injective, rep.sigma_min),
-        (report.lambda_min > 1e-6 * trace, report.lambda_min / trace),
-        (bool(accepted), None),
-        (bool(rejected), None),
-        (gid.violations == 0, None),
-    ]
+    return {"residual": pair.residual, "g_min": float(pair.g.values.min()),
+            "gap": pair.gap, "delta": pair.delta, "delta0": model.delta0,
+            "completeness": rep, "lambda_min": report.lambda_min,
+            "trace": float(np.trace(report.gram)), "scaled": gid.rows[0],
+            "shifted": gid.rows[1], "violations": gid.violations}
 
 
-def _run_genericity(params: dict, seed: int) -> tuple[list[tuple], np.ndarray]:
+def _run_genericity(params: dict, seed: int) -> dict:
     from .fnspace import GridMeasure, cosine_basis
     from .genericity import GeneratorConfig, draw_operator, mc_injectivity
 
@@ -209,26 +188,21 @@ def _run_genericity(params: dict, seed: int) -> tuple[list[tuple], np.ndarray]:
     pos = draw_operator(positive, (basis, basis), seed)
     dens = draw_operator(replace(positive, density=True), (basis, basis), seed)
     rows = dens.operator.entries @ grid.weights
-    results = [
-        (report.fraction_below_tol == 0.0, report.fraction_below_tol),
-        (report.max_spectrum_deviation <= 1e-10,
-         report.max_spectrum_deviation),
-        (float(pos.operator.entries.min()) >= 0.0,
-         float(pos.operator.entries.min())),
-        (float(np.abs(rows - 1.0).max()) <= 1e-12,
-         float(np.abs(rows - 1.0).max())),
-    ]
-    return results, report.sigma_min
+    return {"below_tol": report.fraction_below_tol,
+            "spectrum_error": report.max_spectrum_deviation,
+            "kernel_min": float(pos.operator.entries.min()),
+            "row_sum_error": float(np.abs(rows - 1.0).max()),
+            "sigma_min": report.sigma_min}
 
 
-def _run_cone_suite(params: dict, seed: int) -> list[tuple]:
+def _run_cone_suite(params: dict, seed: int) -> dict:
     from .identcore import cone_inclusion_suite
 
-    report = cone_inclusion_suite(params["instances"], params["dim"], seed)
-    return [(report.total_violations == 0, report.violations)]
+    return {"suite": cone_inclusion_suite(params["instances"], params["dim"],
+                                          seed)}
 
 
-def _run_semiparam_pi(params: dict, seed: int) -> list[tuple]:
+def _run_semiparam_pi(params: dict, seed: int) -> dict:
     from .fnspace import GridFunction, GridMeasure
     from .linop import LinearOperator
     from .semiparam import SplitDerivative, partial_out, split_lower_bound_check
@@ -256,31 +230,42 @@ def _run_semiparam_pi(params: dict, seed: int) -> list[tuple]:
         ratio = split_lower_bound_check(split_i, rep, params["trials"],
                                         int(rng.integers(2**31)))
         worst_gap = min(worst_gap, ratio - rep.eps)
-    return [
-        (abs(hand.gram[0, 0] - 0.25) <= 1e-9, hand.gram[0, 0]),
-        (abs(hand.eps1 - np.sqrt(0.125)) <= 1e-9, hand.eps1),
-        (worst_gap >= -1e-10, worst_gap),
-    ]
+    return {"gram": hand.gram[0, 0], "eps1": hand.eps1, "worst_gap": worst_gap}
 
 
+# The one declaration of each check, in report order: name -> a function of
+# the runner's measurements giving (passed, value) or (passed, value, detail)
 EXPERIMENTS = {
     "counterexample": {
         "description": "open-ball identification failure of the smooth "
                        "sequence model and its curvature certificate",
-        "checks": ["zero residual along the sequence",
-                   "deviation norm equals tail mass to the 1/4",
-                   "sequence stays outside the identification set",
-                   "curvature constant at least one"],
+        "checks": {
+            "zero residual along the sequence":
+                lambda m: (m["residual"] <= 1e-12, m["residual"]),
+            "deviation norm equals tail mass to the 1/4":
+                lambda m: (m["dev_error"] <= 1e-12, m["dev_error"]),
+            "sequence stays outside the identification set":
+                lambda m: (m["in_set"] == 0, None),
+            "curvature constant at least one":
+                lambda m: (m["L"] >= 1.0, m["L"]),
+        },
         "defaults": {"k_min": 2, "k_max": 12, "n_terms": 64},
         "runner": _run_counterexample,
     },
     "quantile": {
         "description": "endogenous quantile map: curvature bound, source "
                        "ellipsoid soundness, derivative fidelity",
-        "checks": ["model restriction holds at the quantile curve",
-                   "ellipsoid deviations keep the map away from zero",
-                   "sampled curvature within the density bounds",
-                   "finite differences match the derivative"],
+        "checks": {
+            "model restriction holds at the quantile curve":
+                lambda m: (m["restriction"] <= 1e-10, None),
+            "ellipsoid deviations keep the map away from zero":
+                lambda m: (m["soundness"]["fails"] == 0, m["soundness"]),
+            "sampled curvature within the density bounds": lambda m: (
+                m["curvature"]["l_hat"] <= 1.05 * m["curvature"]["bound"],
+                m["curvature"]),
+            "finite differences match the derivative":
+                lambda m: (m["gateaux_error"] < 1e-5, m["gateaux_error"]),
+        },
         "defaults": {"n_x": 61, "n_w": 61, "n_y": 121, "rho": 0.6,
                      "tau": 0.5, "n_ellipsoid": 100, "n_deviations": 200},
         "runner": _run_quantile,
@@ -288,9 +273,14 @@ EXPERIMENTS = {
     "single-index": {
         "description": "index designs: instrument completeness versus "
                        "partialled Gram singularity",
-        "checks": ["completeness and Gram singularity never conflict",
-                   "scalar instrument absorbs the parametric columns",
-                   "richer instrument keeps the Gram matrix nonsingular"],
+        "checks": {
+            "completeness and Gram singularity never conflict":
+                lambda m: (m["inconsistent"] == 0, None),
+            "scalar instrument absorbs the parametric columns":
+                lambda m: (m["scalar_worst"] < 1e-8, m["scalar_worst"]),
+            "richer instrument keeps the Gram matrix nonsingular":
+                lambda m: (m["twodim_worst"] > 1e-4, m["twodim_worst"]),
+        },
         "defaults": {"n_designs": 10},
         "runner": _run_single_index,
     },
@@ -298,40 +288,70 @@ EXPERIMENTS = {
         "description": "asset pricing design: positive eigenpair, "
                        "completeness, Gram nonsingularity, global scale "
                        "identification",
-        "checks": ["power iteration reaches the residual tolerance",
-                   "eigenfunction strictly positive",
-                   "leading eigenvalue simple",
-                   "discount factor recovered",
-                   "conditional expectation injective at the midpoint state",
-                   "partialled Gram matrix nonsingular",
-                   "scaled truth accepted as the same solution",
-                   "shifted curvature rejected as a non-solution",
-                   "no global identification violations"],
+        "checks": {
+            "power iteration reaches the residual tolerance":
+                lambda m: (m["residual"] <= 1e-10, m["residual"]),
+            "eigenfunction strictly positive":
+                lambda m: (m["g_min"] > 0, None),
+            "leading eigenvalue simple": lambda m: (
+                (m["gap"] < 1.0, m["gap"]) if not math.isnan(m["gap"]) else
+                (False, None, "dense spectrum skipped above 256 states")),
+            "discount factor recovered": lambda m: (
+                abs(m["delta"] - m["delta0"]) <= 1e-8, m["delta"]),
+            "conditional expectation injective at the midpoint state":
+                lambda m: (m["completeness"].injective,
+                           m["completeness"].sigma_min),
+            "partialled Gram matrix nonsingular": lambda m: (
+                m["lambda_min"] > 1e-6 * m["trace"],
+                m["lambda_min"] / m["trace"]),
+            "scaled truth accepted as the same solution": lambda m: (
+                bool(m["scaled"].get("is_solution")
+                     and m["scaled"].get("scale_ok")), None),
+            "shifted curvature rejected as a non-solution":
+                lambda m: (not m["shifted"].get("is_solution"), None),
+            "no global identification violations":
+                lambda m: (m["violations"] == 0, None),
+        },
         "defaults": {"n_state": 21, "n_signal": 31, "pf_tol": 1e-12},
         "runner": _run_ccapm,
     },
     "genericity": {
         "description": "random operator draws: injectivity, spectrum, "
                        "positivity and density variants",
-        "checks": ["no draw loses injectivity",
-                   "spectrum equals the drawn coefficients",
-                   "positivity construction keeps the kernel nonnegative",
-                   "density construction has unit row sums"],
+        "checks": {
+            "no draw loses injectivity":
+                lambda m: (m["below_tol"] == 0.0, m["below_tol"]),
+            "spectrum equals the drawn coefficients":
+                lambda m: (m["spectrum_error"] <= 1e-10, m["spectrum_error"]),
+            "positivity construction keeps the kernel nonnegative":
+                lambda m: (m["kernel_min"] >= 0.0, m["kernel_min"]),
+            "density construction has unit row sums":
+                lambda m: (m["row_sum_error"] <= 1e-12, m["row_sum_error"]),
+        },
         "defaults": {"trunc_n": 30, "draws": 200, "tol": 1e-12, "grid_n": 48},
         "runner": _run_genericity,
     },
     "cone-suite": {
         "description": "tangential cone sets: inclusions, equalities and "
                        "transfer bounds on random instances",
-        "checks": ["all cone-set inclusions hold"],
+        "checks": {
+            "all cone-set inclusions hold": lambda m: (
+                m["suite"].total_violations == 0, m["suite"].violations),
+        },
         "defaults": {"instances": 10000, "dim": 6},
         "runner": _run_cone_suite,
     },
     "semiparam-pi": {
         "description": "partialled-out Gram matrix: hand example and the "
                        "sampled lower bound on random splits",
-        "checks": ["hand example Gram entry", "hand example eps1",
-                   "lower bound holds on random splits"],
+        "checks": {
+            "hand example Gram entry":
+                lambda m: (abs(m["gram"] - 0.25) <= 1e-9, m["gram"]),
+            "hand example eps1": lambda m: (
+                abs(m["eps1"] - np.sqrt(0.125)) <= 1e-9, m["eps1"]),
+            "lower bound holds on random splits":
+                lambda m: (m["worst_gap"] >= -1e-10, m["worst_gap"]),
+        },
         "defaults": {"n_splits": 20, "trials": 2000},
         "runner": _run_semiparam_pi,
     },
@@ -421,23 +441,17 @@ def config_hash(config: dict) -> str:
 
 
 def run_experiment(config: dict) -> tuple[dict, np.ndarray | None]:
+    """The report of one run, and the genericity runner's sigma_min samples
+    (None elsewhere), which ``--format csv`` writes."""
     spec = EXPERIMENTS[config["experiment"]]
     start = time.perf_counter()
-    samples = None
+    measured = {}
     try:
-        results = spec["runner"](config["params"], config["seed"])
-        if isinstance(results, tuple):
-            results, samples = results
+        measured = spec["runner"](config["params"], config["seed"])
+        checks = [Check(name, *check(measured))
+                  for name, check in spec["checks"].items()]
     except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
         checks = [Check("experiment completed", False, detail=str(exc))]
-    else:
-        if len(results) != len(spec["checks"]):
-            raise RuntimeError(
-                f"{config['experiment']} returned {len(results)} results for "
-                f"{len(spec['checks'])} declared checks"
-            )
-        checks = [Check(name, passed, value) for name, (passed, value)
-                  in zip(spec["checks"], results)]
     n_pass = int(sum(bool(c.passed) for c in checks))
     report = {
         "experiment": config["experiment"],
@@ -451,7 +465,7 @@ def run_experiment(config: dict) -> tuple[dict, np.ndarray | None]:
         },
         "wall_time_s": time.perf_counter() - start,
     }
-    return report, samples
+    return report, measured.get("sigma_min")
 
 
 def _write_report(report: dict, samples, out_dir: str, fmt: str) -> Path:
@@ -459,7 +473,8 @@ def _write_report(report: dict, samples, out_dir: str, fmt: str) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{report['experiment']}.json"
     with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True, default=_plain)
+        json.dump(report, fh, indent=2, sort_keys=True, default=_plain,
+                  allow_nan=False)
         fh.write("\n")
     if fmt == "csv":
         import csv as _csv
@@ -494,8 +509,7 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "list":
-        for name in EXPERIMENTS:
-            spec = EXPERIMENTS[name]
+        for name, spec in EXPERIMENTS.items():
             print(f"{name}: {spec['description']}")
             for check in spec["checks"]:
                 print(f"    - {check}")
@@ -510,7 +524,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     out_dir = args.out or config.get("out_dir") or "."
     report, samples = run_experiment(config)
-    path = _write_report(report, samples, out_dir, args.format)
+    try:
+        path = _write_report(report, samples, out_dir, args.format)
+    except OSError as exc:
+        print(f"error: cannot write report to {out_dir}: {exc}",
+              file=sys.stderr)
+        return 2
     status = "PASS" if report["summary"]["pass"] else "FAIL"
     for check in report["checks"]:
         mark = "ok" if check["passed"] else "FAIL"

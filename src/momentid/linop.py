@@ -163,7 +163,6 @@ class SvdDecomposition:
     singular_values: np.ndarray
     right_functions: OrthonormalBasis
     left_functions: OrthonormalBasis
-    tol: float
 
     def __post_init__(self):
         s = np.asarray(self.singular_values, dtype=float)
@@ -178,12 +177,6 @@ class SvdDecomposition:
     @property
     def sigma_max(self) -> float:
         return float(self.singular_values[0])
-
-    def num_numerically_zero(self) -> int:
-        """Count of values at or below tol * sigma_max (retained, not removed)."""
-        if self.singular_values.size == 0:
-            return 0
-        return int(np.sum(self.singular_values <= self.tol * self.sigma_max))
 
 
 def _weighted_svd(op: LinearOperator | OperatorStack, compute_uv: bool):
@@ -210,10 +203,8 @@ def _weighted_svd(op: LinearOperator | OperatorStack, compute_uv: bool):
 
 def svd(op: LinearOperator) -> SvdDecomposition:
     """Weighted SVD: op(phi_j) = mu_j psi_j with orthonormal phi on the domain
-    and psi on the codomain.
-
-    Values at or below 1e-12 mu_1 are reported as numerically zero by the
-    decomposition but are retained in the spectrum.
+    and psi on the codomain.  Every value is retained, however small:
+    ``identcore.zero_threshold`` is the one rule for what counts as zero.
     """
     u, s, vt = _weighted_svd(op, compute_uv=True)
     # scaled in place: the bases copy what they are given
@@ -223,7 +214,6 @@ def svd(op: LinearOperator) -> SvdDecomposition:
         s,
         OrthonormalBasis(vt.T, op.domain, check=False),
         OrthonormalBasis(u, op.codomain, check=False),
-        1e-12,
     )
 
 

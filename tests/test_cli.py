@@ -184,6 +184,11 @@ class TestCatalog:
         main(["list"])
         assert capsys.readouterr().out == first
 
+    def test_list_matches_its_golden_text(self, capsys):
+        golden = Path(__file__).resolve().parent / "golden" / "list.txt"
+        assert main(["list"]) == 0
+        assert capsys.readouterr().out == golden.read_text()
+
     def test_python_dash_m_runs_the_console_script(self, capsys,
                                                    monkeypatch):
         import runpy
@@ -415,15 +420,33 @@ class TestRun:
         check = checks["ellipsoid deviations keep the map away from zero"]
         assert not check["passed"] and check["value"]["fails"] == 1
 
-    def test_runner_result_count_must_match_the_declaration(self,
-                                                            monkeypatch):
-        spec = dict(EXPERIMENTS["cone-suite"],
-                    runner=lambda params, seed: [(True, None)] * 2)
-        monkeypatch.setitem(EXPERIMENTS, "cone-suite", spec)
-        config = {"experiment": "cone-suite", "seed": 1,
-                  "params": {"instances": 10, "dim": 2}}
-        with pytest.raises(RuntimeError, match="2 results for 1 declared"):
-            run_experiment(config)
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        path = write_config(
+            tmp_path, {"experiment": "counterexample", "seed": 1})
+        assert main(["run", path, "--out", str(blocker)]) == 2
+        captured = capsys.readouterr()
+        assert f"error: cannot write report to {blocker}" in captured.err
+        assert "PASS" not in captured.out
+
+    def test_report_is_strict_json_past_the_dense_spectrum(self, tmp_path):
+        # positive_eigenpair skips the dense spectrum above 256 states and
+        # leaves the gap NaN, which RFC 8259 JSON cannot hold
+        path = write_config(
+            tmp_path, {"experiment": "ccapm", "seed": 1,
+                       "params": {"n_state": 257, "n_signal": 3}})
+        assert main(["run", path, "--out", str(tmp_path)]) == 1
+
+        def reject(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        report = json.loads((tmp_path / "ccapm.json").read_text(),
+                            parse_constant=reject)
+        checks = {c["name"]: c for c in report["checks"]}
+        assert checks["leading eigenvalue simple"] == {
+            "name": "leading eigenvalue simple", "passed": False,
+            "detail": "dense spectrum skipped above 256 states"}
 
 
 SHIPPED = sorted(CONFIGS.glob("*.json"))
@@ -435,7 +458,7 @@ def test_shipped_config_passes_with_its_declared_checks(path):
     report, _ = run_experiment(config)
     assert report["summary"]["pass"]
     assert [c["name"] for c in report["checks"]] == \
-        EXPERIMENTS[config["experiment"]]["checks"]
+        list(EXPERIMENTS[config["experiment"]]["checks"])
 
 
 def test_shipped_configs_cover_every_experiment():

@@ -16,6 +16,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -468,9 +469,22 @@ def run_experiment(config: dict) -> tuple[dict, np.ndarray | None]:
     return report, measured.get("sigma_min")
 
 
-def _write_report(report: dict, samples, out_dir: str, fmt: str) -> Path:
+def _report_dir(out_dir: str) -> Path:
+    """The report directory, made if missing; raises OSError if it cannot
+    be written, so that a run fails before its work, not after it."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    if not os.access(out, os.W_OK | os.X_OK):
+        raise PermissionError(f"{out} is not writable")
+    return out
+
+
+def _cannot_write(out_dir: str, exc: OSError) -> int:
+    print(f"error: cannot write report to {out_dir}: {exc}", file=sys.stderr)
+    return 2
+
+
+def _write_report(report: dict, samples, out: Path, fmt: str) -> Path:
     path = out / f"{report['experiment']}.json"
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True, default=_plain,
@@ -523,13 +537,15 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out_dir = args.out or config.get("out_dir") or "."
+    try:
+        out = _report_dir(out_dir)
+    except OSError as exc:
+        return _cannot_write(out_dir, exc)
     report, samples = run_experiment(config)
     try:
-        path = _write_report(report, samples, out_dir, args.format)
+        path = _write_report(report, samples, out, args.format)
     except OSError as exc:
-        print(f"error: cannot write report to {out_dir}: {exc}",
-              file=sys.stderr)
-        return 2
+        return _cannot_write(out_dir, exc)
     status = "PASS" if report["summary"]["pass"] else "FAIL"
     for check in report["checks"]:
         mark = "ok" if check["passed"] else "FAIL"

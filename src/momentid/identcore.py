@@ -602,10 +602,13 @@ def cone_classify(
     )
 
 
-# Instances drawn and evaluated together by the cone suite.  The largest
-# buffer is the chunk's (n, dim, dim, dim) quadratic part: 0.5 MB at dim 8,
-# where the whole suite peaks at 0.8 MB of traced memory (1.6 MB with 256).
+# Instances drawn together by the cone suite, and instances classified
+# together: a block of 16 chunks.  The largest buffer is the chunk's
+# (n, dim, dim, dim) quadratic part, 0.5 MB at dim 8; the block buffer of
+# four floats per instance holds 64 kB.  At dim 8 the whole suite peaks at
+# about 0.9 MB of traced memory, whatever the number of instances.
 CONE_CHUNK = 128
+CONE_BLOCK = 16 * CONE_CHUNK
 
 
 @dataclass(frozen=True)
@@ -698,9 +701,29 @@ def draw_cone_chunk(rng: np.random.Generator, n: int, dim: int) -> ConeChunk:
                      eta=eta)
 
 
+def measure_cone_chunk(chunk: ConeChunk, out: np.ndarray) -> None:
+    """Write each instance's ||m(alpha)||, ||m'alpha||, remainder norm
+    ||m(alpha) - m'alpha|| and eta into the rows of the (4, n) ``out``.
+
+    The remainder is m(alpha) - m'alpha as computed.  Each norm is
+    ``np.linalg.norm``'s sum of squares along the instance, bit for bit,
+    taken for the three vectors at once.
+    """
+    alpha = chunk.alpha
+    vals = np.empty((3,) + alpha.shape)
+    lin_val = np.matmul(chunk.m_lin, alpha[:, :, None])[:, :, 0]
+    vals[1] = lin_val
+    np.add(lin_val, np.einsum("nbij,ni,nj->nb", chunk.quad, alpha, alpha),
+           out=vals[0])
+    np.subtract(vals[0], lin_val, out=vals[2])
+    np.multiply(vals, vals, out=vals)
+    np.sqrt(np.add.reduce(vals, axis=2), out=out[:3])
+    out[3] = chunk.eta
+
+
 @dataclass(frozen=True)
 class ConeChunkFlags:
-    """Per-instance results of one evaluated chunk: the three norms, the
+    """Per-instance results of classified instances: the three norms, the
     four set memberships, for each of the eight checks whether its premise
     held and whether the instance violates it, and for each of the two
     transfers whether its premise held with the remainder norm within
@@ -717,29 +740,37 @@ class ConeChunkFlags:
     violations: dict
     near_bound: dict
 
+    def counts(self) -> dict:
+        """The tallies of ``ConeSuiteReport``, field -> name -> count, in
+        report order: the violations, the inclusions' premises and the
+        exactly zero linear terms, and the transfers' approached bounds."""
+        premises = {name: hits for name, hits in self.premises.items()
+                    if name.startswith("inclusion_")}
+        premises["zero_linear_term"] = self.linear_norm == 0.0
+        return {
+            field: {name: int(np.count_nonzero(hits))
+                    for name, hits in flags.items()}
+            for field, flags in (("violations", self.violations),
+                                 ("premises", premises),
+                                 ("near_bound", self.near_bound))
+        }
+
 
 # A transfer's bound counts as approached by an instance whose remainder
 # norm is at least this fraction of it.
 NEAR_BOUND = 0.99
 
 
-def evaluate_cone_chunk(chunk: ConeChunk, slack: float) -> ConeChunkFlags:
-    """Classify every instance of a chunk against the four cone sets.
+def classify_cones(measured: np.ndarray, slack: float) -> ConeChunkFlags:
+    """Classify measured instances against the four cone sets.
 
-    The remainder is m(alpha) - m'alpha as computed, the unrestricted sets
-    use exact positivity of the norms, and each transfer allows the roundoff
-    slack * (1 + largest of the three norms).
+    ``measured`` holds the rows that ``measure_cone_chunk`` writes, for any
+    number of instances.  The unrestricted sets use exact positivity of the
+    norms, and each transfer allows the roundoff slack * (1 + largest of the
+    three norms).
     """
-    alpha = chunk.alpha
-    lin_val = np.matmul(chunk.m_lin, alpha[:, :, None])[:, :, 0]
-    m_val = lin_val + np.einsum("nbij,ni,nj->nb", chunk.quad, alpha, alpha)
-    rem_val = m_val - lin_val
-    m_n = np.linalg.norm(m_val, axis=1)
-    lin_n = np.linalg.norm(lin_val, axis=1)
-    rem_n = np.linalg.norm(rem_val, axis=1)
+    m_n, lin_n, rem_n, eta = measured
     eps = slack * (1.0 + np.maximum(np.maximum(m_n, lin_n), rem_n))
-
-    eta = chunk.eta
     in_n, in_np, in_ne, in_npe = cone_flags(m_n, lin_n, rem_n, eta, 0.0)
     below = eta < 1.0
     ratio = _transfer_ratio(eta)
@@ -769,6 +800,14 @@ def evaluate_cone_chunk(chunk: ConeChunk, slack: float) -> ConeChunkFlags:
             for name, (p, _, b) in relations.items() if b is not None
         },
     )
+
+
+def evaluate_cone_chunk(chunk: ConeChunk, slack: float) -> ConeChunkFlags:
+    """Classify every instance of a chunk against the four cone sets:
+    ``measure_cone_chunk`` and then ``classify_cones`` on the one chunk."""
+    measured = np.empty((4, chunk.eta.size))
+    measure_cone_chunk(chunk, measured)
+    return classify_cones(measured, slack)
 
 
 @dataclass
@@ -807,12 +846,16 @@ def cone_inclusion_suite(
     floating-point vectors, so a roundoff slack of 1e-12 times the norm
     scale is allowed.
 
-    Instances are drawn and evaluated ``CONE_CHUNK`` at a time, each padded
-    to ``dim`` with exact zeros (``ConeChunk``).  The draws run per chunk,
-    one quantity for the whole chunk at a time, so a seed fixes the
-    instances of each full chunk, and a partial last chunk is not the start
-    of a full one.  The report also counts how often each inclusion's
-    premise held, how often the linear term was exactly zero
+    Instances are drawn ``CONE_CHUNK`` at a time, each padded to ``dim``
+    with exact zeros (``ConeChunk``), and each chunk is measured as soon as
+    it is drawn (``measure_cone_chunk``).  The measured instances are
+    classified ``CONE_BLOCK`` at a time (``classify_cones``), so memory
+    stays that of one chunk and one block, whatever ``instances`` is.  The
+    draws run per chunk, one quantity for the whole chunk at a time, so a
+    seed fixes the instances of each full chunk, and a partial last chunk
+    is not the start of a full one; blocks change neither the random
+    stream nor the counts.  The report also counts how often each
+    inclusion's premise held, how often the linear term was exactly zero
     (``ConeSuiteReport.premises``), and how often each transfer's bound was
     approached (``ConeSuiteReport.near_bound``).
     """
@@ -823,22 +866,18 @@ def cone_inclusion_suite(
     if instances <= 0:
         raise ValueError("instances must be positive")
     rng = np.random.default_rng(rng_seed)
-    totals = 0
-    for start in range(0, instances, CONE_CHUNK):
-        n = min(CONE_CHUNK, instances - start)
-        flags = evaluate_cone_chunk(draw_cone_chunk(rng, n, dim), 1e-12)
-        # (report field, count name, per-instance hits), in report order
-        tallied = [("violations", name, hits)
-                   for name, hits in flags.violations.items()]
-        tallied += [("premises", name, hits)
-                    for name, hits in flags.premises.items()
-                    if name.startswith("inclusion_")]
-        tallied.append(("premises", "zero_linear_term",
-                        flags.linear_norm == 0.0))
-        tallied += [("near_bound", name, hits)
-                    for name, hits in flags.near_bound.items()]
-        totals = totals + np.stack([hits for *_, hits in tallied]).sum(axis=1)
+    block = np.empty((4, CONE_BLOCK))
     counts = {"violations": {}, "premises": {}, "near_bound": {}}
-    for (field, name, _), total in zip(tallied, totals.tolist()):
-        counts[field][name] = total
+    for first in range(0, instances, CONE_BLOCK):
+        size = min(CONE_BLOCK, instances - first)
+        for lo in range(0, size, CONE_CHUNK):
+            n = min(CONE_CHUNK, size - lo)
+            # no name holds a chunk, so it is freed before the next draw
+            measure_cone_chunk(draw_cone_chunk(rng, n, dim),
+                               block[:, lo:lo + n])
+        # no name holds the flags either, so they go before the next block
+        for field, tally in classify_cones(block[:, :size],
+                                           1e-12).counts().items():
+            for name, count in tally.items():
+                counts[field][name] = counts[field].get(name, 0) + count
     return ConeSuiteReport(instances=instances, **counts)

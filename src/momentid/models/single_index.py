@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from ..errors import GridMismatchError
-from ..fnspace import GridFunction, GridMeasure, trapezoid_weights
+from ..fnspace import GridFunction, GridMeasure, inner, trapezoid_weights
 from ..identcore import rank_condition
 from ..linop import apply, conditional_expectation
 from ..semiparam import SemiparametricMap, SplitDerivative, partial_out
@@ -179,8 +179,10 @@ def diagnose_single_index(
     can never be injective, so two-dimensional instrument grids fail the
     proxy by dimension count.  The Gram matrix is computed on the full
     grids, on the range of m_g above 1e-8 times its largest singular value,
-    and is singular when its smallest eigenvalue is at most 1e-6 times its
-    trace; ``consistent`` is the contrapositive gate: completeness and a
+    and is singular when its smallest eigenvalue is at most 1e-6 times the
+    trace of the unpartialled columns' Gram matrix.  Its own trace is no
+    scale: when m_g absorbs the columns, that trace is roundoff as well.
+    ``consistent`` is the contrapositive gate: completeness and a
     nonsingular Gram matrix must never hold together.
     """
     supported = np.flatnonzero(model.joint_ratio.max(axis=1) > 0)
@@ -195,9 +197,13 @@ def diagnose_single_index(
     rank = rank_condition(w_to_v, tol)
     ratio = rank.sigma_min / rank.sigma_max if rank.sigma_max > 0 else 0.0
 
-    report = partial_out(_split_derivative(model), 1e-8)
+    split = _split_derivative(model)
+    report = partial_out(split, 1e-8)
     trace = float(np.trace(report.gram))
-    pi_singular = report.lambda_min <= 1e-6 * max(trace, 1e-300)
+    # at least the partialled trace, which is roundoff when m_g absorbs
+    # the columns
+    scale = sum(inner(col, col) for col in split.m_beta)
+    pi_singular = report.lambda_min <= 1e-6 * scale
     return IndexDiagnosis(
         w_given_v_complete=rank.holds,
         pi_singular=pi_singular,

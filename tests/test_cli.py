@@ -430,6 +430,27 @@ class TestRun:
         assert f"error: cannot write report to {blocker}" in captured.err
         assert "PASS" not in captured.out
 
+    @pytest.mark.parametrize("why", ["under a file", "not writable"])
+    def test_unwritable_out_fails_before_the_run(self, tmp_path, monkeypatch,
+                                                 capsys, why):
+        def never(params, seed):
+            pytest.fail("the experiment ran before --out was checked")
+
+        monkeypatch.setitem(EXPERIMENTS["counterexample"], "runner", never)
+        if why == "under a file":
+            blocker = tmp_path / "a-file"
+            blocker.write_text("")
+            out = blocker / "reports"
+        else:
+            # a read-only directory is writable for root, so deny access
+            out = tmp_path / "reports"
+            monkeypatch.setattr(os, "access", lambda path, mode: False)
+        path = write_config(
+            tmp_path, {"experiment": "counterexample", "seed": 1})
+        assert main(["run", path, "--out", str(out)]) == 2
+        assert (f"error: cannot write report to {out}"
+                in capsys.readouterr().err)
+
     def test_report_is_strict_json_past_the_dense_spectrum(self, tmp_path):
         # positive_eigenpair skips the dense spectrum above 256 states and
         # leaves the gap NaN, which RFC 8259 JSON cannot hold

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from momentid.errors import GridMismatchError
 from momentid.fnspace import FunctionStack, GridFunction, GridMeasure, norm
+import momentid.identcore as identcore
 from momentid.identcore import (
+    CONE_BLOCK,
     CONE_CHUNK,
     EVAL_CHUNK,
     ConeChunk,
@@ -745,16 +747,26 @@ class TestConeSets:
         assert min(report.premises.values()) >= 1_000
         assert zero_lin >= 100
 
-    def test_suite_memory_stays_within_chunk_budget(self):
+    @staticmethod
+    def traced_suite_peak(instances):
         # numpy imports numpy.random on first use, about 0.8 MB; warm it up
         # so that the budget counts the suite alone, in any test order
         np.random.default_rng(0)
         tracemalloc.start()
         try:
-            cone_inclusion_suite(10_000, 8, rng_seed=20250809)
-            peak = tracemalloc.get_traced_memory()[1]
+            cone_inclusion_suite(instances, 8, rng_seed=20250809)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    def test_suite_memory_stays_within_chunk_budget(self):
+        peak = self.traced_suite_peak(10_000)
+        assert peak <= 1.5e6
+
+    def test_suite_memory_does_not_grow_with_instances(self):
+        # 40,000 instances make 20 blocks of 16 chunks: the suite holds one
+        # chunk and one block at a time, however many there are
+        peak = self.traced_suite_peak(40_000)
         assert peak <= 1.5e6
 
 
@@ -893,21 +905,16 @@ def test_cone_chunk_tables_match_broadcast_masks(dim, n):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-@pytest.mark.parametrize("dim", [6, 8])
-def test_suite_counts_match_one_count_per_check(dim):
-    # the reference tallies each check's hits on its own, on chunks drawn
-    # with the broadcast masks; the counts and their order are the same
-    instances, seed = 10_000, 20250809
-    rng = np.random.default_rng(seed)
+def one_count_per_check(chunk_flags):
+    """Each check's hits tallied on its own, chunk by chunk, in report
+    order: field -> name -> count."""
     want = {"violations": {}, "premises": {}, "near_bound": {}}
 
     def tally(field, name, hits):
         counts = want[field]
         counts[name] = counts.get(name, 0) + int(np.count_nonzero(hits))
 
-    for start in range(0, instances, CONE_CHUNK):
-        n = min(CONE_CHUNK, instances - start)
-        flags = evaluate_cone_chunk(broadcast_cone_chunk(rng, n, dim), 1e-12)
+    for flags in chunk_flags:
         for name, hits in flags.violations.items():
             tally("violations", name, hits)
         for name, hits in flags.premises.items():
@@ -916,11 +923,77 @@ def test_suite_counts_match_one_count_per_check(dim):
         tally("premises", "zero_linear_term", flags.linear_norm == 0.0)
         for name, hits in flags.near_bound.items():
             tally("near_bound", name, hits)
+    return want
+
+
+def chunk_sizes(instances):
+    return [min(CONE_CHUNK, instances - start)
+            for start in range(0, instances, CONE_CHUNK)]
+
+
+@pytest.mark.parametrize("dim", [6, 8])
+def test_suite_counts_match_one_count_per_check(dim):
+    # the reference tallies each check's hits on its own, on chunks drawn
+    # with the broadcast masks; the counts and their order are the same
+    instances, seed = 10_000, 20250809
+    rng = np.random.default_rng(seed)
+    want = one_count_per_check(
+        evaluate_cone_chunk(broadcast_cone_chunk(rng, n, dim), 1e-12)
+        for n in chunk_sizes(instances))
     report = cone_inclusion_suite(instances, dim, seed)
     for field, counts in want.items():
         got = getattr(report, field)
         assert list(got.items()) == list(counts.items()), field
         assert all(type(c) is int for c in got.values()), field
+
+
+def norms_one_call_each(chunk):
+    """The three norms of a chunk with one ``np.linalg.norm`` call per
+    vector, the reference for ``measure_cone_chunk``'s stacked sums."""
+    alpha = chunk.alpha
+    lin_val = np.matmul(chunk.m_lin, alpha[:, :, None])[:, :, 0]
+    m_val = lin_val + np.einsum("nbij,ni,nj->nb", chunk.quad, alpha, alpha)
+    return np.stack([np.linalg.norm(v, axis=1)
+                     for v in (m_val, lin_val, m_val - lin_val)])
+
+
+@pytest.mark.parametrize("instances", [
+    CONE_BLOCK - 1, CONE_BLOCK, CONE_BLOCK + 1,
+    2 * CONE_BLOCK + CONE_CHUNK + 1])
+@pytest.mark.parametrize("dim", [1, 6, 8])
+def test_block_edges_keep_one_count_per_check_and_chunk_norms(
+        dim, instances, monkeypatch):
+    # the suite classifies blocks of chunks; the counts must be the
+    # per-chunk tallies, and each block column the chunk's own norms
+    seed = 20250809
+    rng = np.random.default_rng(seed)
+    chunks = [draw_cone_chunk(rng, n, dim) for n in chunk_sizes(instances)]
+    flags = [evaluate_cone_chunk(chunk, 1e-12) for chunk in chunks]
+    want = one_count_per_check(flags)
+    blocks = []
+    classify = identcore.classify_cones
+
+    def recording(measured, slack):
+        blocks.append(measured.copy())
+        return classify(measured, slack)
+
+    monkeypatch.setattr(identcore, "classify_cones", recording)
+    report = cone_inclusion_suite(instances, dim, seed)
+    for field, counts in want.items():
+        got = getattr(report, field)
+        assert list(got.items()) == list(counts.items()), field
+        assert all(type(c) is int for c in got.values()), field
+
+    sizes = [block.shape[1] for block in blocks]
+    assert sizes[:-1] == [CONE_BLOCK] * (len(sizes) - 1)
+    assert 0 < sizes[-1] <= CONE_BLOCK and sum(sizes) == instances
+    measured = np.concatenate(blocks, axis=1)
+    per_chunk = np.concatenate(
+        [[f.m_norm, f.linear_norm, f.remainder_norm, c.eta]
+         for f, c in zip(flags, chunks)], axis=1)
+    before = np.concatenate([norms_one_call_each(c) for c in chunks], axis=1)
+    assert np.array_equal(measured.view(np.int64), per_chunk.view(np.int64))
+    assert np.array_equal(measured[:3].view(np.int64), before.view(np.int64))
 
 
 def test_chunk_evaluator_matches_per_instance_reference():

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from momentid.cli import load_config, run_experiment
-from momentid.fnspace import GridFunction, GridMeasure, norm, trapezoid_weights
+from momentid.fnspace import (GridFunction, GridMeasure, inner, norm,
+                              trapezoid_weights)
 from momentid.identcore import rank_condition
 from momentid.linop import apply, conditional_expectation
 from momentid.models.single_index import (
@@ -145,6 +146,19 @@ class TestDiagnosis:
         assert not diagnose_single_index(
             scalar_model, tol=d.sigma_min_ratio * 1.01).w_given_v_complete
 
+    @pytest.mark.parametrize("link", ["softplus", "sin"])
+    def test_absorbed_columns_read_singular_on_a_finer_index_grid(self, link):
+        # at n_v=49, n_w=15 m_g absorbs the columns down to roundoff: the
+        # partialled Gram matrix and its own trace are about 1e-30, so only
+        # the unpartialled columns can tell that it is singular
+        model = gaussian_index_design(rho=0.7, w_dim=1, link=link, n_v=49,
+                                      n_w=15)
+        d = diagnose_single_index(model)
+        assert d.trace < 1e-25
+        assert d.w_given_v_complete
+        assert d.pi_singular
+        assert d.consistent
+
     def test_independent_instrument_not_complete(self):
         model = gaussian_index_design(rho=0.5, w_dim=1)
         # break the dependence: the proxy operator becomes rank one
@@ -186,9 +200,11 @@ def map_based_diagnosis(model, tol=1e-10):
     the whole map, built and checked at its base point; the completeness
     proxy does not touch the map and is taken as computed."""
     got = diagnose_single_index(model, tol)
-    report = partial_out(single_index_map(model).split, 1e-8)
+    split = single_index_map(model).split
+    report = partial_out(split, 1e-8)
     trace = float(np.trace(report.gram))
-    pi_singular = report.lambda_min <= 1e-6 * max(trace, 1e-300)
+    scale = sum(inner(col, col) for col in split.m_beta)
+    pi_singular = report.lambda_min <= 1e-6 * scale
     return replace(
         got, pi_singular=pi_singular,
         consistent=not (got.w_given_v_complete and not pi_singular),

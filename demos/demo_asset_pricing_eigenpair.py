@@ -57,7 +57,7 @@ comp = completeness_check(
     tol=1e-8)
 print(f"\ncompleteness proxy at the midpoint state: {comp.injective} "
       f"(sigma_min {comp.sigma_min:.2e})")
-gram = partial_out(smap.split, 1e-12)
+gram = partial_out(smap.split)
 print(f"Gram matrix eigenvalues: "
       f"{np.linalg.eigvalsh(gram.gram).round(6).tolist()}")
 

@@ -25,9 +25,8 @@ scalar = gaussian_index_design(rho=0.5, w_dim=1)
 d1 = diagnose_single_index(scalar)
 print(f"instrument-given-index completeness proxy: {d1.w_given_v_complete} "
       f"(sigma_min ratio {d1.sigma_min_ratio:.2e})")
-print(f"Gram matrix: lambda_min/trace = "
-      f"{d1.lambda_min / max(d1.trace, 1e-300):.2e}  -> singular, the index "
-      "coefficients are not separated from the link")
+print(f"Gram matrix: lambda_min/sum ||col||^2 = {d1.gram_ratio:.2e}  -> "
+      "singular, the index coefficients are not separated from the link")
 print(f"diagnosis consistent: {d1.consistent}")
 
 print("\n--- two-dimensional instrument ---")
@@ -35,12 +34,12 @@ rich = gaussian_index_design(rho=0.5, w_dim=2, n_v=49, n_w=15)
 d2 = diagnose_single_index(rich)
 print(f"completeness proxy: {d2.w_given_v_complete} (a function of two "
       "instrument coordinates cannot be pinned by one index)")
-print(f"Gram matrix: lambda_min/trace = {d2.lambda_min / d2.trace:.3f} "
+print(f"Gram matrix: lambda_min/sum ||col||^2 = {d2.gram_ratio:.3f} "
       "-> nonsingular")
 
 smap = single_index_map(rich)
 split = smap.split
-report = partial_out(split, range_tol=1e-12)
+report = partial_out(split)
 print(f"\npartialled-out constants: eps1 = {report.eps1:.4f}, "
       f"C* = {report.c_star:.4f}, eps = {report.eps:.4f}")
 ratio = split_lower_bound_check(split, report, trials=5000, seed=3)

@@ -125,24 +125,20 @@ def _run_single_index(params: dict, seed: int) -> dict:
 
     rhos = np.linspace(0.4, 0.7, params["n_designs"])
     inconsistent = 0
-    scalar_worst = 0.0
-    twodim_worst = np.inf
+    # the largest Gram ratio of the scalar designs, the smallest of the 2-d
+    scalar_gram_ratio, twodim_gram_ratio = 0.0, np.inf
     for i, rho in enumerate(rhos):
         link = "softplus" if i % 2 == 0 else "sin"
         d1 = diagnose_single_index(
-            gaussian_index_design(rho=float(rho), w_dim=1, link=link)
-        )
-        d2 = diagnose_single_index(
-            gaussian_index_design(rho=float(rho), w_dim=2, link=link,
-                                  n_v=49, n_w=15)
-        )
+            gaussian_index_design(rho=float(rho), w_dim=1, link=link))
+        d2 = diagnose_single_index(gaussian_index_design(
+            rho=float(rho), w_dim=2, link=link, n_v=49, n_w=15))
         inconsistent += not (d1.consistent and d2.consistent)
-        scalar_worst = max(
-            scalar_worst, d1.lambda_min / max(d1.trace, 1e-300)
-        )
-        twodim_worst = min(twodim_worst, d2.lambda_min / d2.trace)
-    return {"inconsistent": inconsistent, "scalar_worst": scalar_worst,
-            "twodim_worst": twodim_worst}
+        scalar_gram_ratio = max(scalar_gram_ratio, d1.gram_ratio)
+        twodim_gram_ratio = min(twodim_gram_ratio, d2.gram_ratio)
+    return {"inconsistent": inconsistent,
+            "scalar_gram_ratio": scalar_gram_ratio,
+            "twodim_gram_ratio": twodim_gram_ratio}
 
 
 def _run_ccapm(params: dict, seed: int) -> dict:
@@ -161,7 +157,7 @@ def _run_ccapm(params: dict, seed: int) -> dict:
         tol=1e-8,
     )
     smap = ccapm_moment_map(model)
-    report = partial_out(smap.split, 1e-12)
+    report = partial_out(smap.split)
     cands = [
         (model.delta0, model.gamma0, model.g0 * 2.0),
         (model.delta0, model.gamma0 + 0.5, model.g0),
@@ -169,9 +165,9 @@ def _run_ccapm(params: dict, seed: int) -> dict:
     gid = check_global_identification(smap, cands)
     return {"residual": pair.residual, "g_min": float(pair.g.values.min()),
             "gap": pair.gap, "delta": pair.delta, "delta0": model.delta0,
-            "completeness": rep, "lambda_min": report.lambda_min,
-            "trace": float(np.trace(report.gram)), "scaled": gid.rows[0],
-            "shifted": gid.rows[1], "violations": gid.violations}
+            "completeness": rep, "gram_ratio": report.gram_ratio,
+            "scaled": gid.rows[0], "shifted": gid.rows[1],
+            "violations": gid.violations}
 
 
 def _run_genericity(params: dict, seed: int) -> dict:
@@ -213,7 +209,7 @@ def _run_semiparam_pi(params: dict, seed: int) -> dict:
     split = SplitDerivative(
         m_beta=(GridFunction([1.0, 0.0], mu),), m_g=m_g
     )
-    hand = partial_out(split, 1e-12)
+    hand = partial_out(split)
     rng = np.random.default_rng(seed)
     worst_gap = np.inf
     for _ in range(params["n_splits"]):
@@ -227,11 +223,16 @@ def _run_semiparam_pi(params: dict, seed: int) -> dict:
         cols = tuple(GridFunction(rng.standard_normal(n), grid)
                      for _ in range(p))
         split_i = SplitDerivative(m_beta=cols, m_g=op)
-        rep = partial_out(split_i, 1e-12)
+        rep = partial_out(split_i)
         ratio = split_lower_bound_check(split_i, rep, params["trials"],
                                         int(rng.integers(2**31)))
         worst_gap = min(worst_gap, ratio - rep.eps)
     return {"gram": hand.gram[0, 0], "eps1": hand.eps1, "worst_gap": worst_gap}
+
+
+def _gram_singular(gram_ratio: float) -> bool:
+    from .semiparam import gram_singular  # on use, as the runners import
+    return gram_singular(gram_ratio)
 
 
 # The one declaration of each check, in report order: name -> a function of
@@ -277,10 +278,12 @@ EXPERIMENTS = {
         "checks": {
             "completeness and Gram singularity never conflict":
                 lambda m: (m["inconsistent"] == 0, None),
-            "scalar instrument absorbs the parametric columns":
-                lambda m: (m["scalar_worst"] < 1e-8, m["scalar_worst"]),
-            "richer instrument keeps the Gram matrix nonsingular":
-                lambda m: (m["twodim_worst"] > 1e-4, m["twodim_worst"]),
+            "scalar instrument absorbs the parametric columns": lambda m: (
+                _gram_singular(m["scalar_gram_ratio"]),
+                m["scalar_gram_ratio"]),
+            "richer instrument keeps the Gram matrix nonsingular": lambda m: (
+                not _gram_singular(m["twodim_gram_ratio"]),
+                m["twodim_gram_ratio"]),
         },
         "defaults": {"n_designs": 10},
         "runner": _run_single_index,
@@ -303,8 +306,7 @@ EXPERIMENTS = {
                 lambda m: (m["completeness"].injective,
                            m["completeness"].sigma_min),
             "partialled Gram matrix nonsingular": lambda m: (
-                m["lambda_min"] > 1e-6 * m["trace"],
-                m["lambda_min"] / m["trace"]),
+                not _gram_singular(m["gram_ratio"]), m["gram_ratio"]),
             "scaled truth accepted as the same solution": lambda m: (
                 bool(m["scaled"].get("is_solution")
                      and m["scaled"].get("scale_ok")), None),

@@ -20,10 +20,11 @@ from typing import Callable
 import numpy as np
 
 from ..errors import GridMismatchError
-from ..fnspace import GridFunction, GridMeasure, inner, trapezoid_weights
+from ..fnspace import GridFunction, GridMeasure, trapezoid_weights
 from ..identcore import rank_condition
 from ..linop import apply, conditional_expectation
-from ..semiparam import SemiparametricMap, SplitDerivative, partial_out
+from ..semiparam import (SemiparametricMap, SplitDerivative, gram_singular,
+                         partial_out)
 
 
 @dataclass(frozen=True)
@@ -135,13 +136,15 @@ class IndexDiagnosis:
     ``sigma_min_ratio`` is sigma_min / sigma_max of the completeness proxy
     operator as ``rank_condition`` reports them: 0.0 when the instrument
     grid is larger than the index grid, since such an operator is never
-    injective, and 0.0 for the zero operator.
+    injective, and 0.0 for the zero operator.  ``gram_ratio`` is that of
+    ``partial_out``, which ``pi_singular`` reads through ``gram_singular``.
     """
 
     w_given_v_complete: bool
     pi_singular: bool
     consistent: bool
     sigma_min_ratio: float
+    gram_ratio: float
     lambda_min: float
     trace: float
 
@@ -177,11 +180,8 @@ def diagnose_single_index(
     structural question (scalar instrument versus richer instrument) is
     already visible at desk resolution.  A domain larger than the codomain
     can never be injective, so two-dimensional instrument grids fail the
-    proxy by dimension count.  The Gram matrix is computed on the full
-    grids, on the range of m_g above 1e-8 times its largest singular value,
-    and is singular when its smallest eigenvalue is at most 1e-6 times the
-    trace of the unpartialled columns' Gram matrix.  Its own trace is no
-    scale: when m_g absorbs the columns, that trace is roundoff as well.
+    proxy by dimension count.  The Gram matrix is ``partial_out``'s on the
+    full grids, and ``gram_singular`` reads whether it is singular.
     ``consistent`` is the contrapositive gate: completeness and a
     nonsingular Gram matrix must never hold together.
     """
@@ -197,21 +197,13 @@ def diagnose_single_index(
     rank = rank_condition(w_to_v, tol)
     ratio = rank.sigma_min / rank.sigma_max if rank.sigma_max > 0 else 0.0
 
-    split = _split_derivative(model)
-    report = partial_out(split, 1e-8)
-    trace = float(np.trace(report.gram))
-    # at least the partialled trace, which is roundoff when m_g absorbs
-    # the columns
-    scale = sum(inner(col, col) for col in split.m_beta)
-    pi_singular = report.lambda_min <= 1e-6 * scale
+    report = partial_out(_split_derivative(model))
+    pi_singular = gram_singular(report.gram_ratio)
     return IndexDiagnosis(
-        w_given_v_complete=rank.holds,
-        pi_singular=pi_singular,
+        w_given_v_complete=rank.holds, pi_singular=pi_singular,
         consistent=not (rank.holds and not pi_singular),
-        sigma_min_ratio=ratio,
-        lambda_min=report.lambda_min,
-        trace=trace,
-    )
+        sigma_min_ratio=ratio, gram_ratio=report.gram_ratio,
+        lambda_min=report.lambda_min, trace=float(np.trace(report.gram)))
 
 
 def _phi(z):

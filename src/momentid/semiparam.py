@@ -71,6 +71,17 @@ class SplitDerivative:
         return np.column_stack([c.values for c in self.m_beta])
 
 
+# m_g's range: its left singular functions above this fraction of sigma_max
+RANGE_CUTOFF = 1e-8
+# the largest gram_ratio of a singular partialled Gram matrix
+GRAM_SINGULAR = 1e-6
+
+
+def gram_singular(gram_ratio: float) -> bool:
+    """The one Gram-singularity rule, on ``PartialOutReport.gram_ratio``."""
+    return gram_ratio <= GRAM_SINGULAR
+
+
 @dataclass(frozen=True)
 class PartialOutReport:
     """Residual Gram matrix of the partialled-out parametric columns.
@@ -78,36 +89,37 @@ class PartialOutReport:
     eps1 = sqrt(lambda_min / 2) and eps = min(eps1/2, eps1/(2 c_star)) are the
     constants entering the lower bound; c_star is the measured projection
     size inflated ten percent and floored so eps1 / (sqrt(2) c_star) <= 1.
+    ``gram_ratio`` = lambda_min / sum_j ||m_beta,j||^2 (0 for zero columns)
+    is free of the scale of m, and ``gram_singular`` reads it: the Gram
+    matrix's own trace is roundoff when m_g absorbs the columns.
     ``decomposition`` is the weighted SVD of m_g the range was read from.
     """
 
     gram: np.ndarray
     zeta_star: tuple
     lambda_min: float
+    gram_ratio: float
     eps1: float
     c_star: float
     eps: float
-    range_tol: float
     range_basis: OrthonormalBasis
     tail_singular_mass: float
     decomposition: SvdDecomposition
     degenerate: bool
 
 
-def partial_out(split: SplitDerivative, range_tol: float) -> PartialOutReport:
+def partial_out(split: SplitDerivative) -> PartialOutReport:
     """Project the parametric columns off the truncated range of m_g.
 
-    The closure of the range is approximated by the left singular functions
-    with singular value above range_tol times the largest; the discarded
-    squared singular mass is reported so the truncation error is visible.  A
-    fully degenerate m_g yields the zero subspace, projections zero and the
-    plain Gram matrix of the columns, flagged but valid.
+    The range's closure is approximated by the left singular functions above
+    ``RANGE_CUTOFF`` times the largest singular value, and the discarded
+    squared singular mass is reported.  A zero m_g yields the zero subspace
+    and the plain Gram matrix of the columns, flagged as degenerate.
+    ``gram_singular(report.gram_ratio)`` reads whether G is singular.
     """
-    if range_tol <= 0:
-        raise ValueError("range_tol must be positive")
     dec = svd(split.m_g)
     mu = dec.singular_values
-    keep = mu > range_tol * mu[0] if mu[0] > 0 else np.zeros(mu.size, dtype=bool)
+    keep = mu > RANGE_CUTOFF * mu[0]  # none for a zero m_g
     tail_mass = float(np.sum(mu[~keep] ** 2))
     degenerate = not bool(keep.any())
     range_basis = OrthonormalBasis(
@@ -115,12 +127,9 @@ def partial_out(split: SplitDerivative, range_tol: float) -> PartialOutReport:
     )
     zeta = tuple(project(col, range_basis) for col in split.m_beta)
     resid = [col - z for col, z in zip(split.m_beta, zeta)]
-    p = split.p
-    gram = np.empty((p, p))
-    for j in range(p):
-        for k in range(j, p):
-            gram[j, k] = gram[k, j] = inner(resid[j], resid[k])
+    gram = np.array([[inner(a, b) for b in resid] for a in resid])
     lam_min = max(float(np.linalg.eigvalsh(gram)[0]), 0.0)
+    scale = sum(inner(col, col) for col in split.m_beta)
     eps1 = math.sqrt(lam_min / 2.0)
     c_star = 1.1 * math.sqrt(sum(norm(z) ** 2 for z in zeta))
     c_star = max(c_star, eps1 / math.sqrt(2.0))
@@ -129,10 +138,10 @@ def partial_out(split: SplitDerivative, range_tol: float) -> PartialOutReport:
         gram=gram,
         zeta_star=zeta,
         lambda_min=lam_min,
+        gram_ratio=lam_min / scale if scale > 0 else 0.0,
         eps1=eps1,
         c_star=c_star,
         eps=eps,
-        range_tol=range_tol,
         range_basis=range_basis,
         tail_singular_mass=tail_mass,
         decomposition=dec,
@@ -358,14 +367,13 @@ def verify_semiparam_linear(
 ) -> SemiparamIdReport:
     """Sampling harness for parametric identification with g linear.
 
-    Requires linearity of g -> m(beta0, g).  Partials m_g out, keeping the
-    singular values above 1e-12 times the largest as its range; a Gram
-    matrix whose smallest eigenvalue is at most 1e-10 times the
-    unpartialled column scale fails the precondition gate, and no claim is
-    made.  Otherwise checks that every sampled (beta, g) with beta != beta0
-    in the product neighborhood keeps ||m(beta, g)|| above the zero rule
-    (``zero_threshold``) of the stacked derivative.  When the rank
-    condition for m_g also holds at tolerance 1e-10, as many samples with
+    Requires linearity of g -> m(beta0, g).  A Gram matrix of
+    ``partial_out`` that ``gram_singular`` reads as singular fails the
+    precondition gate, and no claim is made.  Otherwise checks that every
+    sampled (beta, g) with beta != beta0 in the product neighborhood keeps
+    ||m(beta, g)|| above the zero rule (``zero_threshold``) of the stacked
+    derivative.  When the rank condition for m_g also holds at
+    ``RANGE_CUTOFF``, the cutoff of its range, as many samples with
     beta = beta0 are asserted nonzero too, upgrading the claim to full
     local identification.  Every drawn sample is a checked row, a g
     deviation of zero norm included.
@@ -376,11 +384,8 @@ def verify_semiparam_linear(
             f"m(beta0, .) is not linear in g (defect {defect:.2e}); the "
             "harness covers no map nonlinear in g"
         )
-    partial = partial_out(model.split, 1e-12)
-    # gate against the unpartialled column scale: a fully absorbed column
-    # leaves only projection dust in the Gram matrix
-    scale = sum(norm(c) ** 2 for c in model.split.m_beta)
-    if not partial.lambda_min > 1e-10 * max(scale, 1e-300):
+    partial = partial_out(model.split)
+    if gram_singular(partial.gram_ratio):
         return SemiparamIdReport(
             pi_nonsingular=False, samples=0, passes=0, failures=0,
             min_m_norm=math.nan, full_local_id=False, g_rank_holds=False,
@@ -389,7 +394,7 @@ def verify_semiparam_linear(
     sigma_max = float(singular_values(model.stacked_derivative())[0])
     rng = np.random.default_rng(seed)
     dec = partial.decomposition
-    g_rank = rank_condition(dec, 1e-10)
+    g_rank = rank_condition(dec, RANGE_CUTOFF)
     # the draws come first, per (beta, g) sample and then per g-only
     # sample; the arithmetic on them runs after the last draw
     n_rows = samples * (2 if g_rank.holds else 1)

@@ -166,7 +166,7 @@ def test_criterion_05_partialled_lower_bound_suite():
         m_beta=(GridFunction([1.0, 0.0], mu),),
         m_g=LinearOperator(np.ones((2, 2)), mu, mu),
     )
-    hand = partial_out(split, 1e-12)
+    hand = partial_out(split)
     hand_ok = (abs(hand.gram[0, 0] - 0.25) <= 1e-9
                and abs(hand.eps1 - np.sqrt(0.125)) <= 1e-9)
     split_lower_bound_check(split, hand, 10_000, seed=0)
@@ -182,7 +182,7 @@ def test_criterion_05_partialled_lower_bound_suite():
         cols = tuple(GridFunction(rng.standard_normal(n), cod)
                      for _ in range(p))
         split_i = SplitDerivative(m_beta=cols, m_g=op)
-        rep = partial_out(split_i, 1e-12)
+        rep = partial_out(split_i)
         try:
             split_lower_bound_check(split_i, rep, 10_000,
                                     seed=int(rng.integers(2**31)))
@@ -267,7 +267,7 @@ def test_criterion_09_pricing_identification_harness():
         tol=1e-8,
     )
     smap = ccapm_moment_map(model)
-    gram_rep = partial_out(smap.split, 1e-12)
+    gram_rep = partial_out(smap.split)
     trace = float(np.trace(gram_rep.gram))
     gid = check_global_identification(
         smap,

@@ -254,7 +254,7 @@ class TestGlobalIdentification:
 
 def test_partialled_gram_nonsingular(model, mapped):
     split = mapped.split
-    report = partial_out(split, 1e-12)
+    report = partial_out(split)
     trace = float(np.trace(report.gram))
     assert report.lambda_min > 1e-6 * trace
 

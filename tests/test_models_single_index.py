@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import momentid.models.single_index as single_index
 from momentid.cli import load_config, run_experiment
-from momentid.fnspace import (GridFunction, GridMeasure, inner, norm,
+from momentid.fnspace import (GridFunction, GridMeasure, norm,
                               trapezoid_weights)
 from momentid.identcore import rank_condition
 from momentid.linop import apply, conditional_expectation
@@ -19,8 +20,8 @@ from momentid.models.single_index import (
     gaussian_index_design,
     single_index_map,
 )
-from momentid.semiparam import (SplitDerivative, linearity_in_g_check,
-                                 partial_out)
+from momentid.semiparam import (GRAM_SINGULAR, SplitDerivative, gram_singular,
+                                linearity_in_g_check, partial_out)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # the grid sizes and rho values of the shipped single-index run
@@ -158,6 +159,29 @@ class TestDiagnosis:
         assert d.w_given_v_complete
         assert d.pi_singular
         assert d.consistent
+        # the value the single-index run reports for this design, where
+        # lambda_min over the partialled trace read 0.0080 (softplus) and
+        # 0.0089 (sin)
+        assert d.gram_ratio <= GRAM_SINGULAR
+
+    def test_run_reads_absorbed_columns_on_a_finer_index_grid(
+            self, monkeypatch):
+        # the shipped run with its scalar designs built at n_v=49, n_w=15,
+        # both links among them
+        real = single_index.gaussian_index_design
+
+        def finer(**kwargs):
+            sizes = {"n_v": 49, "n_w": 15} if kwargs["w_dim"] == 1 else {}
+            return real(**{**kwargs, **sizes})
+
+        monkeypatch.setattr(single_index, "gaussian_index_design", finer)
+        report, _ = run_experiment(
+            load_config(str(CONFIGS / "single-index.json")))
+        assert report["summary"]["pass"]
+        absorbs = report["checks"][1]
+        assert absorbs["name"] == (
+            "scalar instrument absorbs the parametric columns")
+        assert absorbs["value"] <= GRAM_SINGULAR
 
     def test_independent_instrument_not_complete(self):
         model = gaussian_index_design(rho=0.5, w_dim=1)
@@ -190,7 +214,7 @@ def test_partialled_gram_scale_free_of_loading_constant():
     # proportional second column keeps the Gram matrix exactly rank one
     model = gaussian_index_design(rho=0.55, w_dim=1, proportional_c=0.3)
     split = single_index_map(model).split
-    report = partial_out(split, 1e-8)
+    report = partial_out(split)
     eigs = np.linalg.eigvalsh(report.gram)
     assert eigs[0] <= 1e-10 * max(eigs[1], 1e-300)
 
@@ -201,14 +225,13 @@ def map_based_diagnosis(model, tol=1e-10):
     proxy does not touch the map and is taken as computed."""
     got = diagnose_single_index(model, tol)
     split = single_index_map(model).split
-    report = partial_out(split, 1e-8)
-    trace = float(np.trace(report.gram))
-    scale = sum(inner(col, col) for col in split.m_beta)
-    pi_singular = report.lambda_min <= 1e-6 * scale
+    report = partial_out(split)
+    pi_singular = gram_singular(report.gram_ratio)
     return replace(
         got, pi_singular=pi_singular,
         consistent=not (got.w_given_v_complete and not pi_singular),
-        lambda_min=report.lambda_min, trace=trace)
+        gram_ratio=report.gram_ratio, lambda_min=report.lambda_min,
+        trace=float(np.trace(report.gram)))
 
 
 @pytest.mark.parametrize("w_dim, link", [
@@ -291,13 +314,13 @@ def old_diagnosis(model, tol=1e-10):
     u = apply(-1.0 * m_g, g0p).values
     m_beta = tuple(GridFunction(-model.x2[:, k] * u, mw)
                    for k in range(model.p))
-    report = partial_out(SplitDerivative(m_beta=m_beta, m_g=m_g), 1e-8)
-    trace = float(np.trace(report.gram))
-    pi_singular = report.lambda_min <= 1e-6 * max(trace, 1e-300)
+    report = partial_out(SplitDerivative(m_beta=m_beta, m_g=m_g))
+    pi_singular = gram_singular(report.gram_ratio)
     return IndexDiagnosis(
         w_given_v_complete=rank.holds, pi_singular=pi_singular,
         consistent=not (rank.holds and not pi_singular),
-        sigma_min_ratio=ratio, lambda_min=report.lambda_min, trace=trace)
+        sigma_min_ratio=ratio, gram_ratio=report.gram_ratio,
+        lambda_min=report.lambda_min, trace=float(np.trace(report.gram)))
 
 
 def assert_same_design(got, want):

@@ -46,7 +46,7 @@ def random_split(rng, n=8, p=2):
 
 class TestPartialOut:
     def test_hand_example(self):
-        report = partial_out(hand_split(), range_tol=1e-12)
+        report = partial_out(hand_split())
         assert report.gram.shape == (1, 1)
         assert report.gram[0, 0] == pytest.approx(0.25, abs=1e-12)
         assert np.allclose(report.zeta_star[0].values, [0.5, 0.5])
@@ -59,7 +59,7 @@ class TestPartialOut:
         m_g = LinearOperator(np.ones((2, 2)), mu, mu)  # range = constants
         col = GridFunction([1.0, -1.0], mu)  # orthogonal to constants
         split = SplitDerivative(m_beta=(col,), m_g=m_g)
-        report = partial_out(split, 1e-12)
+        report = partial_out(split)
         assert norm(report.zeta_star[0]) < 1e-12
         assert report.gram[0, 0] == pytest.approx(inner(col, col))
 
@@ -68,7 +68,7 @@ class TestPartialOut:
         m_g = LinearOperator(np.ones((2, 2)), mu, mu)
         split = SplitDerivative(m_beta=(GridFunction([2.0, 2.0], mu),),
                                 m_g=m_g)
-        report = partial_out(split, 1e-12)
+        report = partial_out(split)
         assert report.gram[0, 0] <= 1e-20
         assert report.lambda_min <= 1e-20
 
@@ -78,7 +78,7 @@ class TestPartialOut:
             m_beta=(GridFunction([1.0, 2.0], mu),),
             m_g=LinearOperator.zero(mu, mu),
         )
-        report = partial_out(split, 1e-10)
+        report = partial_out(split)
         assert report.degenerate
         assert len(report.range_basis) == 0
         assert report.gram[0, 0] == pytest.approx(
@@ -89,13 +89,13 @@ class TestPartialOut:
         for _ in range(20):
             split = random_split(rng, n=int(rng.integers(3, 10)),
                                  p=int(rng.integers(1, 4)))
-            report = partial_out(split, 1e-10)
+            report = partial_out(split)
             assert np.linalg.eigvalsh(report.gram)[0] >= -1e-12
 
     def test_residuals_orthogonal_to_range(self):
         rng = np.random.default_rng(1)
         split = random_split(rng)
-        report = partial_out(split, 1e-10)
+        report = partial_out(split)
         for col, zeta in zip(split.m_beta, report.zeta_star):
             resid = col - zeta
             worst = max(abs(inner(resid, u)) for u in report.range_basis)
@@ -103,7 +103,7 @@ class TestPartialOut:
 
     def test_carries_the_decomposition_of_m_g(self):
         split = random_split(np.random.default_rng(11))
-        report = partial_out(split, 1e-12)
+        report = partial_out(split)
         dec = report.decomposition
         assert np.array_equal(dec.singular_values,
                               svd(split.m_g).singular_values)
@@ -121,18 +121,18 @@ class TestPartialOut:
 class TestLowerBound:
     def test_pure_zeta_ratio_is_one(self):
         split = hand_split()
-        report = partial_out(split, 1e-12)
+        report = partial_out(split)
         assert report.eps <= 1.0
 
     def test_hand_example_min_ratio(self):
         split = hand_split()
-        report = partial_out(split, 1e-12)
+        report = partial_out(split)
         ratio = split_lower_bound_check(split, report, 10_000, seed=3)
         assert ratio >= report.eps - 1e-10
 
     def test_beta_only_direction_respects_gram_bound(self):
         split = hand_split()
-        report = partial_out(split, 1e-12)
+        report = partial_out(split)
         # a = 1, zeta = 0: ratio = ||b|| >= eps, and the Gram form gives
         # the sharper sqrt(lambda_min) bound after removing the projection
         b = split.m_beta[0]
@@ -142,7 +142,7 @@ class TestLowerBound:
     def test_beta_only_quadratic_form_oracle(self):
         rng = np.random.default_rng(12)
         split = random_split(rng, n=9, p=3)
-        report = partial_out(split, 1e-12)
+        report = partial_out(split)
         bmat = split.beta_matrix()
         w = split.m_g.codomain.weights
         lam_min = np.linalg.eigvalsh(report.gram)[0]  # eigenvalue oracle
@@ -159,7 +159,7 @@ class TestLowerBound:
         for _ in range(25):
             split = random_split(rng, n=int(rng.integers(4, 17)),
                                  p=int(rng.integers(1, 4)))
-            report = partial_out(split, 1e-12)
+            report = partial_out(split)
             ratio = split_lower_bound_check(
                 split, report, 5000, seed=int(rng.integers(2**31)))
             assert ratio >= report.eps - 1e-10
@@ -167,7 +167,7 @@ class TestLowerBound:
     def test_one_trial_checks_nothing_and_says_so(self):
         # the only trial has a = 0 and zeta = 0: no ratio can be formed
         split = random_split(np.random.default_rng(4))
-        report = partial_out(split, 1e-12)
+        report = partial_out(split)
         with pytest.raises(ValueError, match="trials = 1"):
             split_lower_bound_check(split, report, 1, seed=3)
         assert split_lower_bound_check(split, report, 2, seed=3) < math.inf
@@ -298,7 +298,7 @@ def test_harnesses_reuse_the_partial_out_svd(harness, monkeypatch):
 def test_harnesses_share_the_gram_gate_and_pos_tol():
     """The semiparametric harness and verify_local_id on the stacked
     moment map read the same zero rule, and its Gram gate is partial_out's
-    at the harness's range tolerance."""
+    at the one range cutoff."""
     model = make_semiparam_model(np.random.default_rng(13))
     linear = verify_semiparam_linear(model, beta_radius=0.2, g_radius=0.5,
                                      samples=5, seed=1)
@@ -313,7 +313,7 @@ def test_harnesses_share_the_gram_gate_and_pos_tol():
                                            rel=1e-12)
     assert linear.pi_nonsingular
     assert (linear.partial.lambda_min
-            == partial_out(model.split, 1e-12).lambda_min)
+            == partial_out(model.split).lambda_min)
 
 
 def test_stacked_derivative_is_the_moment_map_derivative():
@@ -554,7 +554,7 @@ def test_harnesses_keep_the_per_point_draw_order(harness):
 
     SEMIPARAM_HARNESSES[harness](replace(model, eval_rows=eval_rows), 5)
     rng = np.random.default_rng(1)
-    dec = partial_out(model.split, 1e-12).decomposition
+    dec = partial_out(model.split).decomposition
 
     def g_dev():
         out = np.empty(model.g0.measure.size)

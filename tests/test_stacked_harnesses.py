@@ -57,6 +57,7 @@ from momentid.models.ccapm import (
 )
 from momentid.models.quantile import gaussian_quantile_model, quantile_moment_map
 from momentid.semiparam import (
+    RANGE_CUTOFF,
     SemiparametricMap,
     SplitDerivative,
     linearity_in_g_check,
@@ -382,7 +383,7 @@ def reference_linearity(model, rng):
 def reference_semiparam_rows(model, beta_radius, g_radius, samples, rng):
     """(||m||, the zero rule's ||d||) per sample row: one grid function
     per draw, one norm per row."""
-    dec = partial_out(model.split, 1e-12).decomposition
+    dec = partial_out(model.split).decomposition
     points = [(reference_sample_beta(rng, model, beta_radius),
                reference_sample_g_deviation(rng, dec, g_radius,
                                             model.g_norm_of))
@@ -446,8 +447,8 @@ def test_semiparam_linear_harness_equals_the_per_row_loop(which, monkeypatch):
     assert np.array_equal(dev_norms, [dev_n for _, dev_n in rows])
     assert [out for _, out in tallies] == [
         ([m_n for m_n, _ in rows], nonzero)]
-    g_rank = rank_condition(partial_out(model.split, 1e-12).decomposition,
-                            1e-10).holds
+    g_rank = rank_condition(partial_out(model.split).decomposition,
+                            RANGE_CUTOFF).holds
     assert len(rows) == 70 * (2 if g_rank else 1)
     want = {
         "pi_nonsingular": True, "samples": len(rows),
@@ -457,7 +458,7 @@ def test_semiparam_linear_harness_equals_the_per_row_loop(which, monkeypatch):
         "g_rank_holds": g_rank,
         "pos_tol": zero_threshold(sigma_max, 1.0),
     }
-    partial = partial_out(model.split, 1e-12)
+    partial = partial_out(model.split)
     for field in fields(report):
         got = getattr(report, field.name)
         if field.name == "partial":

@@ -10,11 +10,11 @@ discount factor as the reciprocal eigenvalue and g as the eigenfunction.
 import numpy as np
 
 from momentid.fnspace import inner, norm
+from momentid.identcore import rank_condition
 from momentid.linop import svd
 from momentid.models.ccapm import (
     ccapm_moment_map,
     check_global_identification,
-    completeness_check,
     fixed_state_completeness_operator,
     lognormal_ccapm_model,
     perron_frobenius,
@@ -52,10 +52,9 @@ print(f"dual pairing <psi, g> = {inner(pair.dual, pair.g):.4f} (nonzero)")
 # Beyond the eigenpair: completeness at a fixed state makes the whole
 # triple globally identified up to scale, and the partialled-out Gram
 # matrix being nonsingular is what lets the two scalars be separated.
-comp = completeness_check(
-    fixed_state_completeness_operator(model, model.c_measure.size // 2),
-    tol=1e-8)
-print(f"\ncompleteness proxy at the midpoint state: {comp.injective} "
+comp = rank_condition(
+    fixed_state_completeness_operator(model, model.c_measure.size // 2))
+print(f"\ncompleteness proxy at the midpoint state: {comp.holds} "
       f"(sigma_min {comp.sigma_min:.2e})")
 gram = partial_out(smap.split)
 print(f"Gram matrix eigenvalues: "

@@ -142,8 +142,8 @@ def _run_single_index(params: dict, seed: int) -> dict:
 
 
 def _run_ccapm(params: dict, seed: int) -> dict:
+    from .identcore import rank_condition
     from .models.ccapm import (ccapm_moment_map, check_global_identification,
-                               completeness_check,
                                fixed_state_completeness_operator,
                                lognormal_ccapm_model, perron_frobenius)
     from .semiparam import partial_out
@@ -152,10 +152,8 @@ def _run_ccapm(params: dict, seed: int) -> dict:
         n_state=params["n_state"], n_signal=params["n_signal"]
     )
     pair = perron_frobenius(model, tol=params["pf_tol"])
-    rep = completeness_check(
-        fixed_state_completeness_operator(model, model.c_measure.size // 2),
-        tol=1e-8,
-    )
+    rep = rank_condition(
+        fixed_state_completeness_operator(model, model.c_measure.size // 2))
     smap = ccapm_moment_map(model)
     report = partial_out(smap.split)
     cands = [
@@ -303,7 +301,7 @@ EXPERIMENTS = {
             "discount factor recovered": lambda m: (
                 abs(m["delta"] - m["delta0"]) <= 1e-8, m["delta"]),
             "conditional expectation injective at the midpoint state":
-                lambda m: (m["completeness"].injective,
+                lambda m: (m["completeness"].holds,
                            m["completeness"].sigma_min),
             "partialled Gram matrix nonsingular": lambda m: (
                 not _gram_singular(m["gram_ratio"]), m["gram_ratio"]),

@@ -163,17 +163,24 @@ def _chunks_at(
         mmap.eval_rows, mmap.derivative.codomain, (a0 + d for d in chunks)))
 
 
-def positivity_tol(sigma_max: float) -> float:
-    """The zero rule's coefficient 1e-10 sigma_max of the derivative."""
-    return 1e-10 * float(sigma_max)
-
-
 def zero_threshold(sigma_max: float, dev_norm):
-    """The one zero rule: ||m(alpha)|| is nonzero above this threshold,
-    1e-10 sigma_max ||d||, with ||d|| the weighted-L2 norm of alpha - alpha0
-    on the derivative's domain grid, where sigma_max is taken.  Scaling m
-    moves norm and threshold alike; sigma_max = 0 is exact positivity."""
-    return positivity_tol(sigma_max) * dev_norm
+    """The one zero rule for map values: ||m(alpha)|| is nonzero above this
+    threshold, 1e-10 sigma_max ||d||, with ||d|| the weighted-L2 norm of
+    alpha - alpha0 on the derivative's domain grid, where sigma_max is
+    taken.  Scaling m moves norm and threshold alike; sigma_max = 0 is exact
+    positivity.  ``zero_threshold(sigma_max, 1.0)`` is the coefficient."""
+    return 1e-10 * float(sigma_max) * dev_norm
+
+
+# a singular value is resolved above this fraction of sigma_max
+RANK_CUTOFF = 1e-8
+
+
+def resolved(s: np.ndarray) -> np.ndarray:
+    """The one rank rule: which of the nonincreasing singular values ``s``
+    are above ``RANK_CUTOFF`` times the largest.  Scaling the operator moves
+    values and cutoff alike; a zero operator resolves none."""
+    return s > RANK_CUTOFF * s[0]
 
 
 def _check_domain(mmap: MomentMap, stack: FunctionStack, what: str) -> None:
@@ -247,26 +254,24 @@ class RankReport:
     sigma_max: float
 
 
-def rank_condition(
-    op: LinearOperator | SvdDecomposition, tol: float
-) -> RankReport:
-    """Injectivity proxy: smallest singular value above tol * largest.
+def rank_condition(op: LinearOperator | SvdDecomposition) -> RankReport:
+    """Injectivity proxy: the smallest singular value is ``resolved``.
 
-    Given the operator's decomposition, its singular values are read from
-    it instead of computed again.
+    A domain larger than the codomain always has a null space, so there
+    the proxy fails and ``sigma_min`` is 0.0.  Given the operator's
+    decomposition, its singular values are read from it instead of computed
+    again.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if isinstance(op, SvdDecomposition):
         s = op.singular_values
         dom, cod = op.right_functions.measure, op.left_functions.measure
     else:
         s = singular_values(op)
         dom, cod = op.domain, op.codomain
-    # a domain larger than the codomain always has a null space
-    smin = 0.0 if dom.size > cod.size else float(s[-1])
-    smax = float(s[0])
-    return RankReport(holds=smin > tol * smax, sigma_min=smin, sigma_max=smax)
+    square_or_tall = dom.size <= cod.size
+    return RankReport(holds=square_or_tall and bool(resolved(s)[-1]),
+                      sigma_min=float(s[-1]) if square_or_tall else 0.0,
+                      sigma_max=float(s[0]))
 
 
 def in_ellipsoid(
@@ -355,7 +360,7 @@ class LocalIdReport:
     failures: int
     min_m_norm: float
     min_margin: float
-    pos_tol: float  # the zero rule's coefficient positivity_tol(sigma_max)
+    pos_tol: float  # the zero rule's coefficient zero_threshold(sigma_max, 1)
     rows: list
 
     @property

@@ -204,7 +204,7 @@ def _weighted_svd(op: LinearOperator | OperatorStack, compute_uv: bool):
 def svd(op: LinearOperator) -> SvdDecomposition:
     """Weighted SVD: op(phi_j) = mu_j psi_j with orthonormal phi on the domain
     and psi on the codomain.  Every value is retained, however small:
-    ``identcore.zero_threshold`` is the one rule for what counts as zero.
+    ``identcore.resolved`` is the one rule for which of them count.
     """
     u, s, vt = _weighted_svd(op, compute_uv=True)
     # scaled in place: the bases copy what they are given

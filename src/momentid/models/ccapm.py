@@ -27,8 +27,7 @@ import numpy as np
 from ..errors import ConvergenceError, GridMismatchError
 from ..fnspace import (GridFunction, GridMeasure, inner, norm,
                        trapezoid_weights, weighted_norms)
-from ..identcore import rank_condition
-from ..linop import LinearOperator, adjoint, hs_norm
+from ..linop import LinearOperator, adjoint
 from ..semiparam import SemiparametricMap, SplitDerivative
 
 
@@ -278,30 +277,6 @@ def positive_eigenpair(
 def perron_frobenius(model: CcapmModel, tol: float = 1e-12) -> EigenPair:
     """Unique positive eigenpair of the model's state-conditioned operator."""
     return positive_eigenpair(build_pf_operator(model), tol=tol)
-
-
-@dataclass(frozen=True)
-class CompletenessReport:
-    injective: bool
-    sigma_min: float
-    sigma_max: float
-    hs_value: float
-
-
-def completeness_check(op: LinearOperator, tol: float) -> CompletenessReport:
-    """Truncated-injectivity proxy with the squared Hilbert-Schmidt mass.
-
-    hs_value is the double quadrature sum of the squared kernel, finite by
-    construction on grids; injectivity additionally requires the domain not
-    to exceed the codomain, since a wider domain always has a null space.
-    """
-    rank = rank_condition(op, tol)
-    return CompletenessReport(
-        injective=rank.holds,
-        sigma_min=rank.sigma_min,
-        sigma_max=rank.sigma_max,
-        hs_value=hs_norm(op) ** 2,
-    )
 
 
 def fixed_state_completeness_operator(

@@ -136,8 +136,10 @@ class IndexDiagnosis:
     ``sigma_min_ratio`` is sigma_min / sigma_max of the completeness proxy
     operator as ``rank_condition`` reports them: 0.0 when the instrument
     grid is larger than the index grid, since such an operator is never
-    injective, and 0.0 for the zero operator.  ``gram_ratio`` is that of
-    ``partial_out``, which ``pi_singular`` reads through ``gram_singular``.
+    injective, and 0.0 for the zero operator.  ``w_given_v_complete`` holds
+    when the ratio is above ``identcore.RANK_CUTOFF``.  ``gram_ratio`` is
+    that of ``partial_out``, which ``pi_singular`` reads through
+    ``gram_singular``.
     """
 
     w_given_v_complete: bool
@@ -168,12 +170,11 @@ def _subgrid(mu: GridMeasure, idx: np.ndarray) -> GridMeasure:
     return memo[key]
 
 
-def diagnose_single_index(
-    model: SingleIndexModel, tol: float = 1e-10
-) -> IndexDiagnosis:
+def diagnose_single_index(model: SingleIndexModel) -> IndexDiagnosis:
     """Joint completeness / Gram-singularity diagnosis of the index design.
 
-    The completeness proxy tests injectivity of b(W) -> E[b(W)|V] on a
+    The completeness proxy reads ``rank_condition`` of b(W) -> E[b(W)|V],
+    at the rank rule that also cuts m_g's range in ``partial_out``, on a
     coarse subsample of the grids, at most 12 index nodes and 12^d
     instrument nodes for a d-dimensional instrument; truncated injectivity
     is only meaningful near the operator's numerical rank, and the
@@ -194,7 +195,7 @@ def diagnose_single_index(
     # renormalize so the subsampled table is again a joint mass ratio
     sub_joint = sub_joint / (sub_v.weights @ sub_joint)[None, :]
     w_to_v = conditional_expectation(sub_joint.T, sub_w, sub_v)
-    rank = rank_condition(w_to_v, tol)
+    rank = rank_condition(w_to_v)
     ratio = rank.sigma_min / rank.sigma_max if rank.sigma_max > 0 else 0.0
 
     report = partial_out(_split_derivative(model))

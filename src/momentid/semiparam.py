@@ -35,6 +35,7 @@ from .identcore import (
     _eval_stack,
     _row_norms,
     rank_condition,
+    resolved,
     zero_threshold,
 )
 from .linop import (
@@ -71,8 +72,6 @@ class SplitDerivative:
         return np.column_stack([c.values for c in self.m_beta])
 
 
-# m_g's range: its left singular functions above this fraction of sigma_max
-RANGE_CUTOFF = 1e-8
 # the largest gram_ratio of a singular partialled Gram matrix
 GRAM_SINGULAR = 1e-6
 
@@ -111,15 +110,15 @@ class PartialOutReport:
 def partial_out(split: SplitDerivative) -> PartialOutReport:
     """Project the parametric columns off the truncated range of m_g.
 
-    The range's closure is approximated by the left singular functions above
-    ``RANGE_CUTOFF`` times the largest singular value, and the discarded
+    The range's closure is approximated by the left singular functions of
+    the singular values that ``identcore.resolved`` keeps, and the discarded
     squared singular mass is reported.  A zero m_g yields the zero subspace
     and the plain Gram matrix of the columns, flagged as degenerate.
     ``gram_singular(report.gram_ratio)`` reads whether G is singular.
     """
     dec = svd(split.m_g)
     mu = dec.singular_values
-    keep = mu > RANGE_CUTOFF * mu[0]  # none for a zero m_g
+    keep = resolved(mu)  # none for a zero m_g
     tail_mass = float(np.sum(mu[~keep] ** 2))
     degenerate = not bool(keep.any())
     range_basis = OrthonormalBasis(
@@ -328,7 +327,7 @@ class SemiparamIdReport:
     full_local_id: bool
     g_rank_holds: bool
     partial: PartialOutReport
-    pos_tol: float  # positivity_tol of the stacked derivative, or NaN
+    pos_tol: float  # zero_threshold(sigma_max, 1) of stacked_derivative, or NaN
 
     @property
     def all_passed(self) -> bool:
@@ -372,8 +371,8 @@ def verify_semiparam_linear(
     precondition gate, and no claim is made.  Otherwise checks that every
     sampled (beta, g) with beta != beta0 in the product neighborhood keeps
     ||m(beta, g)|| above the zero rule (``zero_threshold``) of the stacked
-    derivative.  When the rank condition for m_g also holds at
-    ``RANGE_CUTOFF``, the cutoff of its range, as many samples with
+    derivative.  When the rank condition for m_g also holds, under the rank
+    rule that cut its range (``identcore.resolved``), as many samples with
     beta = beta0 are asserted nonzero too, upgrading the claim to full
     local identification.  Every drawn sample is a checked row, a g
     deviation of zero norm included.
@@ -394,7 +393,7 @@ def verify_semiparam_linear(
     sigma_max = float(singular_values(model.stacked_derivative())[0])
     rng = np.random.default_rng(seed)
     dec = partial.decomposition
-    g_rank = rank_condition(dec, RANGE_CUTOFF)
+    g_rank = rank_condition(dec)
     # the draws come first, per (beta, g) sample and then per g-only
     # sample; the arithmetic on them runs after the last draw
     n_rows = samples * (2 if g_rank.holds else 1)

@@ -22,6 +22,7 @@ from momentid.identcore import (
     counterexample,
     estimate_nonlinearity,
     gateaux_check,
+    rank_condition,
     sample_ellipsoid_deviations,
 )
 from momentid.linop import LinearOperator, apply, svd
@@ -29,7 +30,6 @@ from momentid.models.ccapm import (
     build_pf_operator,
     ccapm_moment_map,
     check_global_identification,
-    completeness_check,
     fixed_state_completeness_operator,
     lognormal_ccapm_model,
     perron_frobenius,
@@ -262,10 +262,8 @@ def test_criterion_08_positive_eigenpair():
 
 def test_criterion_09_pricing_identification_harness():
     model = lognormal_ccapm_model()
-    comp = completeness_check(
-        fixed_state_completeness_operator(model, model.c_measure.size // 2),
-        tol=1e-8,
-    )
+    comp = rank_condition(
+        fixed_state_completeness_operator(model, model.c_measure.size // 2))
     smap = ccapm_moment_map(model)
     gram_rep = partial_out(smap.split)
     trace = float(np.trace(gram_rep.gram))
@@ -277,11 +275,11 @@ def test_criterion_09_pricing_identification_harness():
     accepted = (gid.rows[0]["is_solution"] and gid.rows[0]["scale_ok"]
                 and gid.rows[0]["gamma_ok"] and gid.rows[0]["delta_ok"])
     rejected = not gid.rows[1]["is_solution"]
-    ok = (comp.injective and gram_rep.lambda_min > 1e-6 * trace
+    ok = (comp.holds and gram_rep.lambda_min > 1e-6 * trace
           and accepted and rejected and gid.violations == 0)
     report(9, ok,
            f"completeness sigma_min {comp.sigma_min:.2e} (injective "
-           f"{comp.injective}), Gram lambda_min/trace "
+           f"{comp.holds}), Gram lambda_min/trace "
            f"{gram_rep.lambda_min / trace:.1e}, scaled truth accepted "
            f"{accepted}, shifted curvature rejected {rejected}")
 

@@ -91,7 +91,7 @@ def coarse_difference_step(monkeypatch):
 def proxy_ignores_dimension_count(monkeypatch):
     # a wider instrument grid can never be injective; this proxy says it is
     wrap(monkeypatch, single_index, "rank_condition",
-         lambda real, op, tol: replace(real(op, tol), holds=True))
+         lambda real, op: replace(real(op), holds=True))
 
 
 def scalar_instrument_swapped(monkeypatch):
@@ -121,6 +121,11 @@ def nearly_collinear_columns(monkeypatch):
         return real(replace(split, m_beta=(
             col_delta, col_delta + 0.03 * col_gamma)))
     wrap(monkeypatch, semiparam, "partial_out", collinear)
+
+
+def rank_cutoff_above_the_midpoint_margin(monkeypatch):
+    # the midpoint operator's sigma_min / sigma_max is 5.74e-5
+    monkeypatch.setattr(identcore, "RANK_CUTOFF", 1e-4)
 
 
 def global_tolerance(value):
@@ -258,6 +263,20 @@ def test_pinned_check_passes(row, monkeypatch):
     entry = table[row.check]
     monkeypatch.setitem(table, row.check, lambda m: (True, *entry(m)[1:]))
     assert failed_checks(row, monkeypatch) == set(row.co_failing)
+
+
+# The midpoint row of ROWS fails its check by dimension count; this one
+# fails it at the shipped size, on the rank rule's cutoff alone.
+CUTOFF_ROW = Row("conditional expectation injective at the midpoint state",
+                 "ccapm", {}, rank_cutoff_above_the_midpoint_margin)
+
+
+def test_cutoff_row_fails_the_midpoint_check(monkeypatch):
+    test_row_fails_its_check(CUTOFF_ROW, monkeypatch)
+
+
+def test_cutoff_row_pinned_passes(monkeypatch):
+    test_pinned_check_passes(CUTOFF_ROW, monkeypatch)
 
 
 def test_every_declared_check_has_a_row_or_a_reason():

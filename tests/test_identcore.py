@@ -30,7 +30,6 @@ from momentid.identcore import (
     evaluate_cone_chunk,
     gateaux_check,
     in_ellipsoid,
-    positivity_tol,
     rank_condition,
     sample_ellipsoid_deviations,
     verify_local_id,
@@ -159,12 +158,12 @@ class TestEstimateNonlinearity:
 class TestRankCondition:
     def test_identity_holds(self):
         mu = GridMeasure(np.arange(4.0), np.full(4, 0.25))
-        rep = rank_condition(LinearOperator.identity(mu), 1e-10)
+        rep = rank_condition(LinearOperator.identity(mu))
         assert rep.holds and rep.sigma_min == pytest.approx(1.0)
 
     def test_rank_one_fails(self):
         mu = GridMeasure(np.arange(4.0), np.full(4, 0.25))
-        rep = rank_condition(LinearOperator(np.ones((4, 4)), mu, mu), 1e-10)
+        rep = rank_condition(LinearOperator(np.ones((4, 4)), mu, mu))
         assert not rep.holds
         assert rep.sigma_min < 1e-12
 
@@ -172,7 +171,7 @@ class TestRankCondition:
         rng = np.random.default_rng(2)
         mu = GridMeasure(np.arange(6.0), rng.uniform(0.2, 1.0, 6))
         op = LinearOperator(rng.standard_normal((6, 6)) + 3 * np.eye(6), mu, mu)
-        rep = rank_condition(op, 1e-10)
+        rep = rank_condition(op)
         assert rep.holds
         assert rep.sigma_min == pytest.approx(
             svd(op).singular_values[-1], rel=1e-9)
@@ -182,8 +181,8 @@ class TestRankCondition:
         dom = unit_grid(5)
         cod = unit_grid(3)
         op = LinearOperator(rng.standard_normal((3, 5)), dom, cod)
-        assert not rank_condition(op, 1e-10).holds
-        rep = rank_condition(svd(op), 1e-10)
+        assert not rank_condition(op).holds
+        rep = rank_condition(svd(op))
         assert not rep.holds and rep.sigma_min == 0.0
 
     @pytest.mark.parametrize("shape", [(6, 6), (9, 4), (4, 9), (5, 5)])
@@ -198,16 +197,11 @@ class TestRankCondition:
         if shape == (5, 5):
             kernel[:, -1] = kernel[:, 0]  # rank deficient
         op = LinearOperator(kernel, dom, cod)
-        want, got = rank_condition(op, 1e-10), rank_condition(svd(op), 1e-10)
+        want, got = rank_condition(op), rank_condition(svd(op))
         assert got.holds == want.holds == (shape in [(6, 6), (9, 4)])
         assert got.sigma_max == pytest.approx(want.sigma_max, rel=1e-12)
         assert got.sigma_min == pytest.approx(want.sigma_min, rel=1e-9,
                                               abs=1e-14 * want.sigma_max)
-
-    def test_decomposition_tolerance_must_be_positive(self):
-        op = LinearOperator.identity(unit_grid(2))
-        with pytest.raises(ValueError, match="tol must be positive"):
-            rank_condition(svd(op), 0.0)
 
 
 class TestIdentificationSet:
@@ -398,7 +392,7 @@ class TestVerifyLocalId:
             mmap, NonlinearityBound(L=0.0, r=1.0),
             random_deviations(np.random.default_rng(0), mu, 10), dec=dec)
         assert report.all_passed
-        assert report.pos_tol == positivity_tol(dec.sigma_max)
+        assert report.pos_tol == zero_threshold(dec.sigma_max, 1.0)
 
     def test_default_pos_tol_is_positivity_tol(self):
         mu = GridMeasure(np.arange(3.0), np.full(3, 1 / 3))
@@ -407,7 +401,7 @@ class TestVerifyLocalId:
         report = verify_local_id(
             mmap, NonlinearityBound(L=0.0, r=1.0),
             random_deviations(np.random.default_rng(0), mu, 3))
-        assert report.pos_tol == positivity_tol(sigma_max)
+        assert report.pos_tol == zero_threshold(sigma_max, 1.0)
 
 
 def stacked_linear_map(matrix, mu, calls=None):

@@ -5,12 +5,12 @@ import pytest
 
 from momentid.errors import ConvergenceError, GridMismatchError
 from momentid.fnspace import FunctionStack, GridFunction, GridMeasure, inner, norm
+from momentid.identcore import rank_condition
 from momentid.linop import LinearOperator, hs_norm, svd
 from momentid.models.ccapm import (
     build_pf_operator,
     ccapm_moment_map,
     check_global_identification,
-    completeness_check,
     fixed_state_completeness_operator,
     lognormal_ccapm_model,
     perron_frobenius,
@@ -179,35 +179,34 @@ class TestCompleteness:
         from momentid.linop import conditional_expectation
 
         op = conditional_expectation(np.ones((4, 4)), mu, mu)
-        rep = completeness_check(op, tol=1e-10)
-        assert not rep.injective
+        rep = rank_condition(op)
+        assert not rep.holds
 
     def test_two_by_two_distinct_ratios_injective(self):
         mu = unit_grid(2)
         from momentid.linop import conditional_expectation
 
         joint = np.array([[0.4, 0.1], [0.1, 0.4]])
-        rep = completeness_check(conditional_expectation(joint, mu, mu),
-                                 tol=1e-10)
-        assert rep.injective
+        rep = rank_condition(conditional_expectation(joint, mu, mu))
+        assert rep.holds
 
     def test_hs_value_matches_double_sum_oracle(self, model):
         op = fixed_state_completeness_operator(model,
                                                model.c_measure.size // 2)
-        rep = completeness_check(op, tol=1e-8)
+        # the squared Hilbert-Schmidt norm is the double quadrature sum of
+        # the squared kernel
         wc, wd = op.codomain.weights, op.domain.weights
         oracle = sum(
             wc[i] * wd[j] * op.entries[i, j] ** 2
             for i in range(op.shape[0]) for j in range(op.shape[1])
         )
-        assert abs(rep.hs_value - oracle) < 1e-9 * (1 + oracle)
-        assert rep.hs_value == pytest.approx(hs_norm(op) ** 2, rel=1e-9)
+        assert abs(hs_norm(op) ** 2 - oracle) < 1e-9 * (1 + oracle)
 
     def test_midpoint_state_operator_injective(self, model):
         op = fixed_state_completeness_operator(model,
                                                model.c_measure.size // 2)
-        rep = completeness_check(op, tol=1e-8)
-        assert rep.injective
+        rep = rank_condition(op)
+        assert rep.holds
         assert rep.sigma_min > 0
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import momentid.identcore as identcore
 import momentid.models.single_index as single_index
 from momentid.cli import load_config, run_experiment
 from momentid.fnspace import (GridFunction, GridMeasure, norm,
@@ -141,11 +142,23 @@ class TestDiagnosis:
         assert d.sigma_min_ratio == 0.0
         assert not d.w_given_v_complete
 
-    def test_scalar_ratio_is_positive_and_above_tol(self, scalar_model):
+    def test_scalar_ratio_is_positive_and_above_tol(self, scalar_model,
+                                                    monkeypatch):
         d = diagnose_single_index(scalar_model)
-        assert 1e-10 < d.sigma_min_ratio < 1.0
-        assert not diagnose_single_index(
-            scalar_model, tol=d.sigma_min_ratio * 1.01).w_given_v_complete
+        assert identcore.RANK_CUTOFF < d.sigma_min_ratio < 1.0
+        # the rank rule's cutoff just above the measured ratio
+        monkeypatch.setattr(identcore, "RANK_CUTOFF",
+                            d.sigma_min_ratio * 1.01)
+        assert not diagnose_single_index(scalar_model).w_given_v_complete
+
+    def test_shipped_scalar_ratios_clear_the_rank_cutoff(self):
+        # the proxy reads the same ratio for both links; the thinnest of
+        # the shipped run, at rho 0.4, is 4.76e-8
+        for rho in SHIPPED_RHOS:
+            d = diagnose_single_index(gaussian_index_design(rho=float(rho),
+                                                            w_dim=1))
+            assert d.sigma_min_ratio >= 3 * identcore.RANK_CUTOFF, rho
+            assert d.w_given_v_complete
 
     @pytest.mark.parametrize("link", ["softplus", "sin"])
     def test_absorbed_columns_read_singular_on_a_finer_index_grid(self, link):
@@ -219,11 +232,11 @@ def test_partialled_gram_scale_free_of_loading_constant():
     assert eigs[0] <= 1e-10 * max(eigs[1], 1e-300)
 
 
-def map_based_diagnosis(model, tol=1e-10):
+def map_based_diagnosis(model):
     """``diagnose_single_index`` with its Gram matrix read from the split of
     the whole map, built and checked at its base point; the completeness
     proxy does not touch the map and is taken as computed."""
-    got = diagnose_single_index(model, tol)
+    got = diagnose_single_index(model)
     split = single_index_map(model).split
     report = partial_out(split)
     pi_singular = gram_singular(report.gram_ratio)
@@ -293,7 +306,7 @@ def old_gaussian_index_design(rho, w_dim, link, n_v=41, n_w=21, span=3.5,
         joint_ratio=joint_ratio, x2=x2, g0=g0, g0_prime=g0p)
 
 
-def old_diagnosis(model, tol=1e-10):
+def old_diagnosis(model):
     """``diagnose_single_index`` as it was: fresh proxy grids on every
     call, and E[g0'(V) | W] read through the negative of m_g."""
     supported = np.flatnonzero(model.joint_ratio.max(axis=1) > 0)
@@ -305,7 +318,7 @@ def old_diagnosis(model, tol=1e-10):
     sub_joint = model.joint_ratio[np.ix_(iv, iw)]
     sub_joint = sub_joint / (sub_v.weights @ sub_joint)[None, :]
     rank = rank_condition(
-        conditional_expectation(sub_joint.T, sub_w, sub_v), tol)
+        conditional_expectation(sub_joint.T, sub_w, sub_v))
     ratio = rank.sigma_min / rank.sigma_max if rank.sigma_max > 0 else 0.0
 
     m_g = -1.0 * conditional_expectation(model.joint_ratio, mv, mw)

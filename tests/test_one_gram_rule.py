@@ -1,11 +1,11 @@
-"""One Gram-singularity rule and one range cutoff for partialling out.
+"""One Gram-singularity rule for partialling out.
 
 The paper's partialling-out theorem has one hypothesis: the Gram matrix of
 m_beta's residuals off the closure of m_g's range is nonsingular.  The
 library reads it once, in ``semiparam.gram_singular``, on the scale-free
 ``gram_ratio`` = lambda_min / sum_j ||m_beta,j||^2 that ``partial_out``
-reports, and ``partial_out`` cuts m_g's range at one constant,
-``semiparam.RANGE_CUTOFF``.  The scans read ``src/``, ``demos/`` and
+reports; ``partial_out`` cuts m_g's range with the one rank rule, which
+``test_one_rank_rule.py`` scans.  The scans read ``src/``, ``demos/`` and
 ``bench/`` with the standard library's ``ast``, as
 ``test_settable_values.py`` does.  The metamorphic tests scale m_beta and
 m_g together, which must move no verdict and no value above the rule's
@@ -137,24 +137,6 @@ def test_partial_out_takes_no_tolerance():
         "src/momentid/models/single_index.py"}
     for path, call in calls:
         assert (len(call.args), call.keywords) == (1, []), path
-
-
-def test_one_range_cutoff():
-    defined = {module for module, tree in library_trees()
-               for node in tree.body if isinstance(node, ast.Assign)
-               and "RANGE_CUTOFF" in tokens(node.targets[0])}
-    assert defined == {"semiparam"}
-    for top in CALLER_DIRS:
-        for path in sorted((ROOT / top).rglob("*.py")):
-            assert "range_tol" not in tokens(ast.parse(path.read_text())), (
-                path)
-    # partial_out cuts the range, and the rank condition for m_g is read
-    # at the same cutoff
-    readers = {f"{module}:{node.name}" for module, tree in library_trees()
-               for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
-               and "RANGE_CUTOFF" in tokens(node)}
-    assert readers == {"semiparam:partial_out",
-                       "semiparam:verify_semiparam_linear"}
 
 
 def scaled(split: SplitDerivative, c: float) -> SplitDerivative:

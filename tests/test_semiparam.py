@@ -11,8 +11,8 @@ from momentid.fnspace import FunctionStack, GridFunction, GridMeasure, inner, no
 from momentid.identcore import (
     EVAL_CHUNK,
     NonlinearityBound,
-    positivity_tol,
     verify_local_id,
+    zero_threshold,
 )
 from momentid.linop import LinearOperator, apply, svd
 from momentid.semiparam import (
@@ -291,14 +291,14 @@ def test_harnesses_reuse_the_partial_out_svd(harness, monkeypatch):
     assert calls == [model.split.m_g.shape]  # partial_out's, nothing more
     # the zero rule reads sigma_max from the stacked derivative
     sigma_max = svd(model.stacked_derivative()).sigma_max
-    assert report.pos_tol == pytest.approx(positivity_tol(sigma_max),
+    assert report.pos_tol == pytest.approx(zero_threshold(sigma_max, 1.0),
                                            rel=1e-12)
 
 
 def test_harnesses_share_the_gram_gate_and_pos_tol():
     """The semiparametric harness and verify_local_id on the stacked
     moment map read the same zero rule, and its Gram gate is partial_out's
-    at the one range cutoff."""
+    under the one rank rule."""
     model = make_semiparam_model(np.random.default_rng(13))
     linear = verify_semiparam_linear(model, beta_radius=0.2, g_radius=0.5,
                                      samples=5, seed=1)
@@ -309,7 +309,7 @@ def test_harnesses_share_the_gram_gate_and_pos_tol():
     local = verify_local_id(mm, NonlinearityBound(L=0.0, r=2.0), devs)
     sigma_max = svd(mm.derivative).sigma_max
     assert linear.pos_tol == pytest.approx(local.pos_tol, rel=1e-12)
-    assert linear.pos_tol == pytest.approx(positivity_tol(sigma_max),
+    assert linear.pos_tol == pytest.approx(zero_threshold(sigma_max, 1.0),
                                            rel=1e-12)
     assert linear.pi_nonsingular
     assert (linear.partial.lambda_min
@@ -361,7 +361,7 @@ def test_linear_harness_rank_verdicts_match_the_operator(which, verdict):
     model = SEMIPARAM_MODELS[which]()
     report = verify_semiparam_linear(model, beta_radius=0.1, g_radius=0.5,
                                      samples=20, seed=1)
-    assert rank_condition(model.split.m_g, 1e-10).holds == verdict
+    assert rank_condition(model.split.m_g).holds == verdict
     assert report.g_rank_holds == report.full_local_id == verdict
     assert report.failures == 0
     assert report.samples == 20 * (2 if verdict else 1)

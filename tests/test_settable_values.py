@@ -42,9 +42,6 @@ ALLOWED = {
     **_allow("models/ccapm:positive_eigenpair", ("max_iter",),
              "boundary probe: test_convergence_error_carries_budget runs "
              "the power iteration out of iterations"),
-    **_allow("models/single_index:diagnose_single_index", ("tol",),
-             "boundary probe: test_scalar_ratio_is_positive_and_above_tol "
-             "sets it just above the measured ratio"),
     **_allow("cli:main", ("argv",),
              "entry point: None reads the command line, which the console "
              "script and python -m pass; tests hand argv directly"),

@@ -57,7 +57,6 @@ from momentid.models.ccapm import (
 )
 from momentid.models.quantile import gaussian_quantile_model, quantile_moment_map
 from momentid.semiparam import (
-    RANGE_CUTOFF,
     SemiparametricMap,
     SplitDerivative,
     linearity_in_g_check,
@@ -388,7 +387,7 @@ def reference_semiparam_rows(model, beta_radius, g_radius, samples, rng):
                reference_sample_g_deviation(rng, dec, g_radius,
                                             model.g_norm_of))
               for _ in range(samples)]
-    if rank_condition(dec, 1e-10).holds:
+    if rank_condition(dec).holds:
         points += [(model.beta0, reference_sample_g_deviation(
             rng, dec, g_radius, model.g_norm_of)) for _ in range(samples)]
     w = model.split.m_g.codomain.weights
@@ -447,8 +446,7 @@ def test_semiparam_linear_harness_equals_the_per_row_loop(which, monkeypatch):
     assert np.array_equal(dev_norms, [dev_n for _, dev_n in rows])
     assert [out for _, out in tallies] == [
         ([m_n for m_n, _ in rows], nonzero)]
-    g_rank = rank_condition(partial_out(model.split).decomposition,
-                            RANGE_CUTOFF).holds
+    g_rank = rank_condition(partial_out(model.split).decomposition).holds
     assert len(rows) == 70 * (2 if g_rank else 1)
     want = {
         "pi_nonsingular": True, "samples": len(rows),

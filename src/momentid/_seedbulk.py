@@ -5,7 +5,9 @@ and seeds a PCG64 generator (O'Neill 2014) from the hash.  Both steps are
 fixed, documented algorithms on 32-bit words, so they are vectorised here
 over a block of seeds as ``uint32`` arrays, which wrap mod 2**32 as the
 algorithms require.  One PCG64 is then re-stated per seed and draws what a
-fresh ``default_rng(s)`` would draw, bit for bit.
+fresh ``default_rng(s)`` would draw, bit for bit.  Only the bulk path of
+``genericity.mc_injectivity`` uses it: for one seed, numpy's own call is
+faster than the restatement.
 
 The hash constant ``h`` advances the same way whatever the data, so it is a
 masked Python int: a numpy scalar would warn on overflow.
@@ -96,18 +98,13 @@ def spawned_seeds(seed: int, start: int, stop: int) -> np.ndarray:
 
 def spawned_uniforms(seed: int, start: int, stop: int,
                      width: int) -> np.ndarray:
-    """Row j is ``uniforms(c, width)[0]`` for the seed c of child
-    ``start + j`` of ``SeedSequence(seed)`` (:func:`spawned_seeds`)."""
+    """Row j is ``np.random.default_rng(c).uniform(-1, 1, size=width)`` for
+    the seed c of child ``start + j`` of ``SeedSequence(seed)``
+    (:func:`spawned_seeds`); width 1 also gives the scalar
+    ``uniform(-1, 1)`` draw."""
     child = spawned_seeds(seed, start, stop)
     zeros = np.zeros_like(child)
     return _uniforms([child] + [zeros] * (POOL_SIZE - 1), width)
-
-
-def uniforms(seed: int, width: int) -> np.ndarray:
-    """``np.random.default_rng(seed).uniform(-1, 1, size=width)`` as one
-    row; width 1 also gives the scalar ``uniform(-1, 1)`` draw."""
-    return _uniforms([np.array([word], dtype=np.uint32)
-                      for word in _seed_words(seed)], width)
 
 
 def _uniforms(entropy: list[np.ndarray], width: int) -> np.ndarray:

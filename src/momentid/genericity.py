@@ -9,6 +9,7 @@ dependent draws sharing a single uniform.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,8 +143,7 @@ def _draw_stack(
 
     Row i of ``u`` holds draw i's ``setup.u_width`` uniforms on [-1, 1]:
     what ``np.random.default_rng(seed).uniform(-1, 1, size=u_width)`` gives
-    for the draw's seed.  The generators are set up in bulk by
-    ``_seedbulk``, bit for bit as one ``default_rng`` per draw would.
+    for the draw's seed.
     """
     config = setup.config
     n = config.trunc_n
@@ -183,13 +183,14 @@ def draw_operator(
     and makes the kernel nonnegative at every node pair; c is the measured
     sup bound of the bases plus ten percent.  The density flag
     additionally rescales kappa so the leading coefficient contributes unit
-    kernel row sums.  This is the one-draw case of :func:`_draw_stack`.
+    kernel row sums.  This is the one-draw case of :func:`_draw_stack`, on
+    the uniforms of numpy's own ``default_rng(seed)``.
     """
-    from . import _seedbulk  # see mc_injectivity
-
     setup = _setup_draws(config, bases)
-    ops, lam, kappa = _draw_stack(setup,
-                                  _seedbulk.uniforms(seed, setup.u_width))
+    # an integer only: default_rng would also take None, OS entropy
+    u = np.random.default_rng(operator.index(seed)).uniform(
+        -1.0, 1.0, size=setup.u_width)
+    ops, lam, kappa = _draw_stack(setup, u[None])
     op = LinearOperator(ops.entries[0], setup.domain, setup.codomain)
     return OperatorDraw(operator=op, lambdas=lam[0], kappa=float(kappa[0]),
                         seed=seed, c_bound=setup.c_bound)
@@ -220,11 +221,13 @@ def mc_injectivity(
     tol * sigma_max, predicted to be zero.
 
     Draw i is ``draw_operator`` at the seed of the i-th child of
-    ``SeedSequence(seed)``, bit for bit.  The generators of ``SEED_BLOCK``
-    draws are set up at once: the child seeds and the PCG64 states are
-    hashed as arrays, and one generator is re-stated per draw.  The draws
-    are then made, checked and decomposed ``DRAW_CHUNK`` at a time, with one
-    stacked values-only SVD per chunk.
+    ``SeedSequence(seed)``, bit for bit.  Where ``draw_operator`` builds
+    numpy's own generator for its one seed, the generators of
+    ``SEED_BLOCK`` draws are set up here at once by ``_seedbulk``, which
+    restates numpy's: the child seeds and the PCG64 states are hashed as
+    arrays, and one generator is re-stated per draw.  The draws are then
+    made, checked and decomposed ``DRAW_CHUNK`` at a time, with one stacked
+    values-only SVD per chunk.
     """
     # Imported here rather than with the package: the module's import moved
     # the process heap layout that the quantile-fine benchmark's memory

@@ -76,10 +76,6 @@ class MomentMap:
         return GridFunction(
             _eval_stack(self.eval_rows, cod, alpha.values[None])[0], cod)
 
-    def norm_a_of(self, f: GridFunction) -> float:
-        """The domain norm of one deviation, as a one-function stack."""
-        return float(self.norm_a_rows(FunctionStack(f.values[None], f.measure))[0])
-
     def norm_a_rows(self, devs: FunctionStack) -> np.ndarray:
         """The domain norm of each deviation of ``devs``: ``norm_a``, or the
         weighted-L2 norm of the stack's grid."""
@@ -355,17 +351,15 @@ def sample_ellipsoid_deviations(
 
 @dataclass
 class LocalIdReport:
+    """Outcome of ``verify_local_id``: every deviation passed exactly when
+    ``failures`` is zero."""
+
     samples: int
     passes: int
     failures: int
     min_m_norm: float
-    min_margin: float
     pos_tol: float  # the zero rule's coefficient zero_threshold(sigma_max, 1)
     rows: list
-
-    @property
-    def all_passed(self) -> bool:
-        return self.failures == 0
 
 
 def verify_local_id(
@@ -408,7 +402,6 @@ def verify_local_id(
         passes=passes,
         failures=len(rows) - passes,
         min_m_norm=min(row[3] for row in rows),
-        min_margin=min(row[1] - row[2] for row in rows),
         pos_tol=zero_threshold(dec.sigma_max, 1.0),
         rows=rows,
     )
@@ -566,7 +559,6 @@ class ConeMembership:
     m_norm: float
     linear_norm: float
     remainder_norm: float
-    deviation_norm: float
 
 
 def cone_flags(m_n, lin_n, rem_n, eta, zero):
@@ -587,6 +579,7 @@ def cone_classify(
 
     The one-instance case of :func:`cone_flags`, with numerical zero set by
     the zero rule (``zero_threshold``) at the deviation alpha - alpha0.
+    The membership carries the three norms the flags were read from.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
@@ -603,7 +596,6 @@ def cone_classify(
         m_norm=m_n,
         linear_norm=lin_n,
         remainder_norm=rem_n,
-        deviation_norm=mmap.norm_a_of(delta),
     )
 
 

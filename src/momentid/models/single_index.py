@@ -139,7 +139,9 @@ class IndexDiagnosis:
     injective, and 0.0 for the zero operator.  ``w_given_v_complete`` holds
     when the ratio is above ``identcore.RANK_CUTOFF``.  ``gram_ratio`` is
     that of ``partial_out``, which ``pi_singular`` reads through
-    ``gram_singular``.
+    ``gram_singular``; it is the one scale-free reading of the partialled
+    Gram matrix, whose own smallest eigenvalue and trace are both roundoff
+    where m_g absorbs the columns.
     """
 
     w_given_v_complete: bool
@@ -147,8 +149,6 @@ class IndexDiagnosis:
     consistent: bool
     sigma_min_ratio: float
     gram_ratio: float
-    lambda_min: float
-    trace: float
 
 
 def _subsample_indices(n: int, target: int) -> np.ndarray:
@@ -203,8 +203,7 @@ def diagnose_single_index(model: SingleIndexModel) -> IndexDiagnosis:
     return IndexDiagnosis(
         w_given_v_complete=rank.holds, pi_singular=pi_singular,
         consistent=not (rank.holds and not pi_singular),
-        sigma_min_ratio=ratio, gram_ratio=report.gram_ratio,
-        lambda_min=report.lambda_min, trace=float(np.trace(report.gram)))
+        sigma_min_ratio=ratio, gram_ratio=report.gram_ratio)
 
 
 def _phi(z):

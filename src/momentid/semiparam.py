@@ -329,10 +329,6 @@ class SemiparamIdReport:
     partial: PartialOutReport
     pos_tol: float  # zero_threshold(sigma_max, 1) of stacked_derivative, or NaN
 
-    @property
-    def all_passed(self) -> bool:
-        return self.pi_nonsingular and self.failures == 0
-
 
 def _sample_g_deviation(
     rng: np.random.Generator, dec, g_radius: float, g_norm_of, out: np.ndarray

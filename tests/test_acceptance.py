@@ -36,7 +36,9 @@ from momentid.models.ccapm import (
     positive_eigenpair,
 )
 from momentid.models.quantile import gaussian_quantile_model, quantile_moment_map
-from momentid.models.single_index import diagnose_single_index, gaussian_index_design
+from momentid.models.single_index import (diagnose_single_index,
+                                          gaussian_index_design,
+                                          single_index_map)
 from momentid.semiparam import SplitDerivative, partial_out, split_lower_bound_check
 
 
@@ -200,22 +202,22 @@ def test_criterion_06_tangential_cone_suite():
     report(6, ok, f"{suite.total_violations} violations in 10000 instances")
 
 
-def test_criterion_07_index_design_consistency():
+def test_criterion_07_index_design_consistency(gram_oracle):
     rhos = np.linspace(0.4, 0.7, 10)
     all_consistent = True
     scalar_worst = 0.0
     twodim_worst = np.inf
     for i, rho in enumerate(rhos):
         link = "softplus" if i % 2 == 0 else "sin"
-        d1 = diagnose_single_index(
-            gaussian_index_design(rho=float(rho), w_dim=1, link=link))
-        d2 = diagnose_single_index(
-            gaussian_index_design(rho=float(rho), w_dim=2, link=link,
-                                  n_v=49, n_w=15))
+        m1 = gaussian_index_design(rho=float(rho), w_dim=1, link=link)
+        m2 = gaussian_index_design(rho=float(rho), w_dim=2, link=link,
+                                   n_v=49, n_w=15)
+        d1, d2 = diagnose_single_index(m1), diagnose_single_index(m2)
         all_consistent = all_consistent and d1.consistent and d2.consistent
         scalar_worst = max(scalar_worst,
-                           d1.lambda_min / max(d1.trace, 1e-300))
-        twodim_worst = min(twodim_worst, d2.lambda_min / d2.trace)
+                           gram_oracle(single_index_map(m1).split))
+        twodim_worst = min(twodim_worst,
+                           gram_oracle(single_index_map(m2).split))
     ok = all_consistent and scalar_worst < 1e-8 and twodim_worst > 1e-4
     report(7, ok,
            f"20 designs consistent: {all_consistent}, scalar ratio "
@@ -260,13 +262,12 @@ def test_criterion_08_positive_eigenpair():
            f"{oracle_ok}, hand cases {hand_ok}")
 
 
-def test_criterion_09_pricing_identification_harness():
+def test_criterion_09_pricing_identification_harness(gram_oracle):
     model = lognormal_ccapm_model()
     comp = rank_condition(
         fixed_state_completeness_operator(model, model.c_measure.size // 2))
     smap = ccapm_moment_map(model)
-    gram_rep = partial_out(smap.split)
-    trace = float(np.trace(gram_rep.gram))
+    gram_ratio = gram_oracle(smap.split)
     gid = check_global_identification(
         smap,
         [(model.delta0, model.gamma0, model.g0 * 2.0),
@@ -275,12 +276,12 @@ def test_criterion_09_pricing_identification_harness():
     accepted = (gid.rows[0]["is_solution"] and gid.rows[0]["scale_ok"]
                 and gid.rows[0]["gamma_ok"] and gid.rows[0]["delta_ok"])
     rejected = not gid.rows[1]["is_solution"]
-    ok = (comp.holds and gram_rep.lambda_min > 1e-6 * trace
+    ok = (comp.holds and gram_ratio > 1e-6
           and accepted and rejected and gid.violations == 0)
     report(9, ok,
            f"completeness sigma_min {comp.sigma_min:.2e} (injective "
-           f"{comp.holds}), Gram lambda_min/trace "
-           f"{gram_rep.lambda_min / trace:.1e}, scaled truth accepted "
+           f"{comp.holds}), Gram lambda_min/sum ||col||^2 "
+           f"{gram_ratio:.1e}, scaled truth accepted "
            f"{accepted}, shifted curvature rejected {rejected}")
 
 

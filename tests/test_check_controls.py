@@ -128,6 +128,14 @@ def rank_cutoff_above_the_midpoint_margin(monkeypatch):
     monkeypatch.setattr(identcore, "RANK_CUTOFF", 1e-4)
 
 
+def leading_eigenvalue_repeated(monkeypatch):
+    # the dense spectrum with its leading eigenvalue listed twice: gap 1.0
+    def repeated(real, a):
+        eigs = real(a)
+        return np.append(eigs, eigs[np.argmax(np.abs(eigs))])
+    wrap(monkeypatch, np.linalg, "eigvals", repeated)
+
+
 def global_tolerance(value):
     def seam(monkeypatch):
         monkeypatch.setattr(ccapm, "GLOBAL_ID_TOL", value)
@@ -277,6 +285,21 @@ def test_cutoff_row_fails_the_midpoint_check(monkeypatch):
 
 def test_cutoff_row_pinned_passes(monkeypatch):
     test_pinned_check_passes(CUTOFF_ROW, monkeypatch)
+
+
+# The gap row of ROWS fails its check by skipping the spectrum for size;
+# this one reads the spectrum at the shipped size, where a gap of 1.0
+# fails "gap < 1.0" and passes any looser comparison such as "gap < 10".
+SPECTRUM_ROW = Row("leading eigenvalue simple", "ccapm", {},
+                   leading_eigenvalue_repeated)
+
+
+def test_spectrum_row_fails_the_gap_check(monkeypatch):
+    test_row_fails_its_check(SPECTRUM_ROW, monkeypatch)
+
+
+def test_spectrum_row_pinned_passes(monkeypatch):
+    test_pinned_check_passes(SPECTRUM_ROW, monkeypatch)
 
 
 def test_every_declared_check_has_a_row_or_a_reason():

@@ -180,8 +180,8 @@ EDGE_SEEDS = [0, 1, 2**31 - 1, 2**32 - 1, 2**32 + 5, 2**64 + 1, 2**128 - 1,
 
 @pytest.mark.filterwarnings("error")
 class TestBulkSetupMatchesNumpy:
-    """The bulk generator set-up against numpy itself, not against
-    draw_operator, which shares it."""
+    """The bulk generator set-up of mc_injectivity against numpy itself,
+    whose generator draw_operator reads."""
 
     @pytest.mark.parametrize("seed", EDGE_SEEDS)
     def test_child_seeds(self, seed):
@@ -195,17 +195,8 @@ class TestBulkSetupMatchesNumpy:
             expected[-11:])
 
     @pytest.mark.parametrize("seed", EDGE_SEEDS)
-    def test_generators(self, seed):
-        for width in (1, 2, 30):
-            assert np.array_equal(
-                _seedbulk.uniforms(seed, width)[0],
-                np.random.default_rng(seed).uniform(-1.0, 1.0, size=width))
-        # the dependent_u draw is numpy's scalar draw
-        assert _seedbulk.uniforms(seed, 1)[0, 0] == \
-            np.random.default_rng(seed).uniform(-1.0, 1.0)
-
-    @pytest.mark.parametrize("seed", [0, 2**64 + 1, 20250809])
-    @pytest.mark.parametrize("width", [1, 12])
+    # 30 is the shipped trunc_n; width 1 is the dependent_u scalar draw
+    @pytest.mark.parametrize("width", [1, 12, 30])
     def test_spawned_generators(self, seed, width):
         start, stop = SEED_BLOCK - 3, SEED_BLOCK + 4
         rows = _seedbulk.spawned_uniforms(seed, start, stop, width)
@@ -222,8 +213,6 @@ class TestBulkSetupMatchesNumpy:
         with pytest.raises(ValueError, match="non-negative"):
             np.random.default_rng(-1)
         with pytest.raises(ValueError, match="non-negative"):
-            _seedbulk.uniforms(-1, 3)
-        with pytest.raises(ValueError, match="non-negative"):
             _seedbulk.spawned_seeds(-1, 0, 2)
         config = GeneratorConfig(sigma=np.ones(3), kappa=1.0, trunc_n=3)
         with pytest.raises(ValueError, match="non-negative"):
@@ -231,6 +220,17 @@ class TestBulkSetupMatchesNumpy:
         with pytest.raises(ValueError, match="non-negative"):
             mc_injectivity(config, (basis, basis), draws=2, tol=1e-12,
                            seed=-1)
+
+    @pytest.mark.parametrize("seed", [None, 1.5])
+    def test_seed_must_be_an_integer(self, grid_and_basis, seed):
+        # numpy's default_rng(None) would draw from OS entropy
+        _, basis = grid_and_basis
+        config = GeneratorConfig(sigma=np.ones(3), kappa=1.0, trunc_n=3)
+        with pytest.raises(TypeError):
+            draw_operator(config, (basis, basis), seed=seed)
+        with pytest.raises(TypeError):
+            mc_injectivity(config, (basis, basis), draws=2, tol=1e-12,
+                           seed=seed)
 
 
 class TestMcInjectivity:

@@ -121,19 +121,19 @@ def test_stack_checks_a_bad_row_past_the_first(unit_shift_map):
 
 
 class TestDiagnosis:
-    def test_scalar_design(self, scalar_model):
+    def test_scalar_design(self, scalar_model, gram_oracle):
         d = diagnose_single_index(scalar_model)
         assert d.w_given_v_complete
         assert d.pi_singular
         assert d.consistent
-        assert d.lambda_min < 1e-8 * max(d.trace, 1e-300)
+        assert gram_oracle(single_index_map(scalar_model).split) < 1e-8
 
-    def test_twodim_design(self, twodim_model):
+    def test_twodim_design(self, twodim_model, gram_oracle):
         d = diagnose_single_index(twodim_model)
         assert not d.w_given_v_complete
         assert not d.pi_singular
         assert d.consistent
-        assert d.lambda_min > 1e-4 * d.trace
+        assert gram_oracle(single_index_map(twodim_model).split) > 1e-4
 
     def test_twodim_ratio_is_zero_by_dimension_count(self, twodim_model):
         # the proxy keeps 144 instrument nodes and 12 index nodes, so the
@@ -168,7 +168,8 @@ class TestDiagnosis:
         model = gaussian_index_design(rho=0.7, w_dim=1, link=link, n_v=49,
                                       n_w=15)
         d = diagnose_single_index(model)
-        assert d.trace < 1e-25
+        partialled = partial_out(single_index_map(model).split).gram
+        assert np.trace(partialled) < 1e-25
         assert d.w_given_v_complete
         assert d.pi_singular
         assert d.consistent
@@ -223,13 +224,28 @@ class TestDiagnosis:
                 assert diagnose_single_index(model).consistent
 
 
-def test_partialled_gram_scale_free_of_loading_constant():
+def test_partialled_gram_scale_free_of_loading_constant(gram_oracle):
     # proportional second column keeps the Gram matrix exactly rank one
     model = gaussian_index_design(rho=0.55, w_dim=1, proportional_c=0.3)
     split = single_index_map(model).split
-    report = partial_out(split)
-    eigs = np.linalg.eigvalsh(report.gram)
-    assert eigs[0] <= 1e-10 * max(eigs[1], 1e-300)
+    assert gram_oracle(split) <= 1e-10
+    assert gram_singular(partial_out(split).gram_ratio)
+
+
+@pytest.mark.parametrize("cutoff", [identcore.RANK_CUTOFF, 1e-12])
+def test_shipped_verdicts_agree_with_the_least_squares_oracle(
+        cutoff, gram_oracle, monkeypatch):
+    # m_g's range cut four decades finer: roundoff on the absorbed designs
+    # then enters the partialled Gram matrix, and no verdict may move
+    monkeypatch.setattr(identcore, "RANK_CUTOFF", cutoff)
+    for i, rho in enumerate(SHIPPED_RHOS):
+        link = "softplus" if i % 2 == 0 else "sin"
+        for w_dim, sizes in SHIPPED_SIZES.items():
+            model = gaussian_index_design(rho=float(rho), w_dim=w_dim,
+                                          link=link, **sizes)
+            oracle = gram_singular(gram_oracle(single_index_map(model).split))
+            assert diagnose_single_index(model).pi_singular == oracle, (
+                rho, w_dim)
 
 
 def map_based_diagnosis(model):
@@ -243,8 +259,7 @@ def map_based_diagnosis(model):
     return replace(
         got, pi_singular=pi_singular,
         consistent=not (got.w_given_v_complete and not pi_singular),
-        gram_ratio=report.gram_ratio, lambda_min=report.lambda_min,
-        trace=float(np.trace(report.gram)))
+        gram_ratio=report.gram_ratio)
 
 
 @pytest.mark.parametrize("w_dim, link", [
@@ -332,8 +347,7 @@ def old_diagnosis(model):
     return IndexDiagnosis(
         w_given_v_complete=rank.holds, pi_singular=pi_singular,
         consistent=not (rank.holds and not pi_singular),
-        sigma_min_ratio=ratio, gram_ratio=report.gram_ratio,
-        lambda_min=report.lambda_min, trace=float(np.trace(report.gram)))
+        sigma_min_ratio=ratio, gram_ratio=report.gram_ratio)
 
 
 def assert_same_design(got, want):

@@ -419,7 +419,7 @@ def test_linear_harness_verdicts_scale_free(which):
     scaled = verify_semiparam_linear(scaled_model(model, 1e-12),
                                      beta_radius=0.1, g_radius=0.5,
                                      samples=20, seed=1)
-    assert plain.all_passed
+    assert plain.pi_nonsingular and plain.failures == 0
     assert ((scaled.samples, scaled.passes, scaled.full_local_id)
             == (plain.samples, plain.passes, plain.full_local_id))
     assert scaled.pos_tol == pytest.approx(1e-12 * plain.pos_tol)
@@ -449,7 +449,6 @@ def test_linear_tally_counts_every_failure():
     assert report.g_rank_holds and not report.full_local_id
     assert (report.samples, report.passes, report.failures) == (14, 0, 14)
     assert 0.0 < report.min_m_norm < report.pos_tol
-    assert not report.all_passed
 
 
 @functools.cache

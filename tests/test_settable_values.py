@@ -1,15 +1,28 @@
-"""Every settable value in the library has a caller that sets it.
+"""The library's surface: each knob needs a setter, each output a reader.
 
-A settable value is a parameter with a default, or a dataclass field with a
-default, anywhere in ``src/momentid``.  The scan reads every call in
-``src/``, ``demos/`` and ``bench/`` with the standard library's ``ast``.  A
-value counts as set when some call of a callable with its name passes it by
-keyword, reaches it by position, or unpacks ``*`` or ``**`` arguments.
-``dataclasses.replace`` sets fields by keyword, and ``functools.partial``
-calls the callable it wraps.  Names are matched without their module, so
-the scan can over-count callers but never under-counts them.  A value that
-no caller sets is a knob that only tests turn; it fails the scan unless
-``ALLOWED`` names it with its reason.
+A knob is a settable value: a parameter with a default, or a dataclass
+field with a default, anywhere in ``src/momentid``.  The scan reads every
+call in ``src/``, ``demos/`` and ``bench/`` with the standard library's
+``ast``.  A value counts as set when some call of a callable with its name
+passes it by keyword, reaches it by position, or unpacks ``*`` or ``**``
+arguments.  ``dataclasses.replace`` sets fields by keyword, and
+``functools.partial`` calls the callable it wraps.  A value that no caller
+sets is a knob that only tests turn; it fails the scan unless ``ALLOWED``
+names it with its reason.
+
+An output is a function, method or property of the library, or a field of
+one of its dataclasses; Python calls the special methods (``__init__``,
+``__mul__``, ...) itself, so they are left out.  A name is read where code
+loads it as a variable or an attribute, or spells it in a dotted string,
+as ``getattr`` and the benchmark's span targets do.  A function needs a
+reader in ``src/``, ``demos/`` or ``bench/``: one that only tests read is
+code the system does not run.  A field needs a reader anywhere, tests
+included, since tests read reports to check them.  An output without a
+reader fails the scan unless ``UNREAD`` names it with its reason.
+
+Both scans match names without their module or class, so they can
+over-count callers and readers but never under-count them, save for a
+name put together at run time, as in ``getattr(obj, "x" + s)``.
 """
 
 import ast
@@ -48,12 +61,58 @@ ALLOWED = {
 }
 
 
+# "module:name" or "module:Class.name" -> why it stays without a reader
+UNREAD = {
+    "identcore:in_ellipsoid":
+        "the sampler tests' oracle for the source-condition ellipsoid",
+    "identcore:evaluate_cone_chunk":
+        "the per-chunk reference for the cone suite's block counts",
+    "linop:hs_norm":
+        "the Hilbert-Schmidt reference that svd is checked against",
+    "semiparam:SemiparametricMap.to_moment_map":
+        "lets gateaux_check test the ccapm split derivative",
+    "semiparam:PartialOutReport.tail_singular_mass":
+        "the squared singular mass of m_g's discarded range, for the run "
+        "trace and the sharp lower bound that ROADMAP.md plans",
+}
+
+
+def _trees(dirs):
+    """(path, syntax tree) of every Python file under ``dirs``, each
+    absolute or relative to the repository root, in path order."""
+    for top in dirs:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            yield path, ast.parse(path.read_text())
+
+
+def _library_nodes():
+    """(module, node) for every syntax node of the library.  A function
+    in a class body carries the class as ``method_of`` by the time it is
+    yielded."""
+    for path, tree in _trees([LIBRARY]):
+        module = path.relative_to(LIBRARY).with_suffix("").as_posix()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        item.method_of = node
+            yield module, node
+
+
 def _is_dataclass(node: ast.ClassDef) -> bool:
     for dec in node.decorator_list:
         target = dec.func if isinstance(dec, ast.Call) else dec
         if getattr(target, "attr", getattr(target, "id", None)) == "dataclass":
             return True
     return False
+
+
+def _fields(node: ast.ClassDef) -> list[ast.AnnAssign]:
+    """The fields of a dataclass, in order; none for another class."""
+    if not _is_dataclass(node):
+        return []
+    return [item for item in node.body if isinstance(item, ast.AnnAssign)
+            and isinstance(item.target, ast.Name)]
 
 
 def settable_values() -> dict[str, tuple[str, int | None, bool]]:
@@ -64,37 +123,28 @@ def settable_values() -> dict[str, tuple[str, int | None, bool]]:
     def add(module, callable_, value, pos, field=False):
         found[f"{module}:{callable_}({value})"] = (callable_, pos, field)
 
-    for path in sorted(LIBRARY.rglob("*.py")):
-        module = path.relative_to(LIBRARY).with_suffix("").as_posix()
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ClassDef):
-                fields = [item for item in node.body
-                          if isinstance(item, ast.AnnAssign)
-                          and isinstance(item.target, ast.Name)]
-                if _is_dataclass(node):
-                    for pos, item in enumerate(fields):
-                        if item.value is not None:
-                            add(module, node.name, item.target.id, pos, True)
-                for item in node.body:
-                    if isinstance(item, ast.FunctionDef):
-                        item.method_of = node
-            if not isinstance(node, ast.FunctionDef):
-                continue
-            owner = getattr(node, "method_of", None)
-            # a constructor is called by its class's name
-            name = owner.name if node.name == "__init__" else node.name
-            args = node.args
-            positional = args.posonlyargs + args.args
-            # self or cls is passed implicitly
-            offset = int(owner is not None and not any(
-                getattr(d, "id", None) == "staticmethod"
-                for d in node.decorator_list))
-            first = len(positional) - len(args.defaults)
-            for pos, arg in enumerate(positional[first:], first - offset):
-                add(module, name, arg.arg, pos)
-            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-                if default is not None:
-                    add(module, name, arg.arg, None)
+    for module, node in _library_nodes():
+        if isinstance(node, ast.ClassDef):
+            for pos, item in enumerate(_fields(node)):
+                if item.value is not None:
+                    add(module, node.name, item.target.id, pos, True)
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        owner = getattr(node, "method_of", None)
+        # a constructor is called by its class's name
+        name = owner.name if node.name == "__init__" else node.name
+        args = node.args
+        positional = args.posonlyargs + args.args
+        # self or cls is passed implicitly
+        offset = int(owner is not None and not any(
+            getattr(d, "id", None) == "staticmethod"
+            for d in node.decorator_list))
+        first = len(positional) - len(args.defaults)
+        for pos, arg in enumerate(positional[first:], first - offset):
+            add(module, name, arg.arg, pos)
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                add(module, name, arg.arg, None)
     return found
 
 
@@ -106,20 +156,19 @@ def calls_in(dirs=CALLER_DIRS) -> list[tuple[str, int, set, bool]]:
     """(callable name, positional count, keyword names, unpacks) for every
     call in ``dirs``; ``partial(f, ...)`` counts as a call of f."""
     out = []
-    for top in dirs:
-        for path in sorted((ROOT / top).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if not isinstance(node, ast.Call):
-                    continue
-                name, args = _callee(node.func), node.args
-                if name == "partial" and args:
-                    name, args = _callee(args[0]), args[1:]
-                if name is None:
-                    continue
-                keywords = {k.arg for k in node.keywords if k.arg}
-                unpacks = any(isinstance(a, ast.Starred) for a in args) or (
-                    any(k.arg is None for k in node.keywords))
-                out.append((name, len(args), keywords, unpacks))
+    for _, tree in _trees(dirs):
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name, args = _callee(node.func), node.args
+            if name == "partial" and args:
+                name, args = _callee(args[0]), args[1:]
+            if name is None:
+                continue
+            keywords = {k.arg for k in node.keywords if k.arg}
+            unpacks = any(isinstance(a, ast.Starred) for a in args) or (
+                any(k.arg is None for k in node.keywords))
+            out.append((name, len(args), keywords, unpacks))
     return out
 
 
@@ -161,3 +210,78 @@ def test_scan_sees_defaults_fields_and_calls():
     assert values["identcore:MomentMap(norm_a)"] == ("MomentMap", 3, True)
     # the quantile runner hands verify_local_id its dec by keyword
     assert "identcore:verify_local_id(dec)" not in unset_values()
+
+
+def outputs() -> dict[str, tuple[str, bool]]:
+    """key -> (name, whether it is a dataclass field) for every function,
+    method, property and dataclass field of the library, special methods
+    left out.  A nested function's key is its own name in its module."""
+    found = {}
+    for module, node in _library_nodes():
+        if isinstance(node, ast.ClassDef):
+            for item in _fields(node):
+                name = item.target.id
+                found[f"{module}:{node.name}.{name}"] = (name, True)
+        elif isinstance(node, ast.FunctionDef) and not (
+                node.name.startswith("__") and node.name.endswith("__")):
+            owner = getattr(node, "method_of", None)
+            qual = node.name if owner is None else f"{owner.name}.{node.name}"
+            found[f"{module}:{qual}"] = (node.name, False)
+    return found
+
+
+def names_read_in(dirs) -> set[str]:
+    """Every name that code in ``dirs`` loads as a variable or an
+    attribute, or spells as a part of a dotted string such as
+    ``"identcore.MomentMap.eval"``."""
+    names = set()
+    for _, tree in _trees(dirs):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                names.add(node.attr)
+            elif (isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)):
+                parts = node.value.split(".")
+                if all(part.isidentifier() for part in parts):
+                    names.update(parts)
+    return names
+
+
+def unread_outputs() -> set[str]:
+    """Keys of the functions that no code in ``CALLER_DIRS`` reads, and of
+    the fields that no code reads, tests included."""
+    by_system = names_read_in(CALLER_DIRS)
+    by_anyone = by_system | names_read_in(["tests"])
+    return {key for key, (name, field) in outputs().items()
+            if name not in (by_anyone if field else by_system)}
+
+
+def test_every_output_has_a_reader():
+    assert sorted(unread_outputs() - set(UNREAD)) == []
+
+
+def test_unread_list_names_only_outputs_without_a_reader():
+    # an output that gains a reader, or is deleted, leaves the list
+    assert sorted(set(UNREAD) - unread_outputs()) == []
+
+
+def test_reader_scan_sees_functions_methods_properties_and_fields():
+    found = outputs()
+    assert found["identcore:verify_local_id"] == ("verify_local_id", False)
+    assert found["identcore:MomentMap.norm_a_rows"] == ("norm_a_rows", False)
+    assert found["semiparam:SplitDerivative.p"] == ("p", False)
+    assert found["identcore:LocalIdReport.failures"] == ("failures", True)
+    assert "identcore:MomentMap.__post_init__" not in found
+
+
+def test_reader_scan_reads_loads_and_dotted_strings(tmp_path):
+    (tmp_path / "code.py").write_text(
+        "obj.attr_loaded\nname_loaded\nname_stored = 1\n"
+        "obj.attr_stored = 2\nf(keyword=3)\ngetattr(obj, 'spelled')\n"
+        "'pkg.Owner.dotted'\n'two words'\n")
+    assert names_read_in([tmp_path]) == {
+        "obj", "attr_loaded", "name_loaded", "f", "getattr", "spelled",
+        "pkg", "Owner", "dotted"}

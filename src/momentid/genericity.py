@@ -4,7 +4,9 @@ Operators are drawn as kappa * sum_j lambda_j <phi_j, .> psi_j over supplied
 orthonormal families, with lambda_j = u_j sigma_j for uniform u_j on [-1, 1].
 Optional variants enforce a compactness decay test on sigma, a nonnegative
 kernel, unit kernel row sums (a conditional-density operator), or perfectly
-dependent draws sharing a single uniform.
+dependent draws sharing a single uniform.  A Monte Carlo study reads all
+its draws from one generator stream, the first of them being the single
+draw at the same seed.
 """
 
 from __future__ import annotations
@@ -21,9 +23,6 @@ from .linop import LinearOperator, OperatorStack, singular_values
 # chunk's buffers are a few (DRAW_CHUNK, n, n) stacks: about 0.15 MB each
 # at n = 48.
 DRAW_CHUNK = 8
-# mc_injectivity sets up the generators of this many draws at a time (a
-# multiple of DRAW_CHUNK); a block's uniforms take 0.25 MB at trunc_n = 30.
-SEED_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -40,10 +39,10 @@ class GeneratorConfig:
 
     def __post_init__(self):
         s = np.atleast_1d(np.asarray(self.sigma, dtype=float))
-        if (s <= 0).any():
-            raise ValueError("sigma entries must be positive")
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
+        if not (np.isfinite(s).all() and (s > 0).all()):
+            raise ValueError("sigma entries must be finite and positive")
+        if not 0 < self.kappa < np.inf:  # False on NaN as well
+            raise ValueError("kappa must be finite and positive")
         if self.trunc_n < 1:
             raise ValueError("trunc_n must be at least 1")
         if self.compact and self.trunc_n < 2:
@@ -141,9 +140,8 @@ def _draw_stack(
     their operators as one stack, the coefficients lambda (one row per draw)
     and the scales kappa, after the checks that depend on the coefficients.
 
-    Row i of ``u`` holds draw i's ``setup.u_width`` uniforms on [-1, 1]:
-    what ``np.random.default_rng(seed).uniform(-1, 1, size=u_width)`` gives
-    for the draw's seed.
+    Row i of ``u`` holds draw i's ``setup.u_width`` uniforms on [-1, 1],
+    the next ``u_width`` values of the caller's generator stream.
     """
     config = setup.config
     n = config.trunc_n
@@ -184,7 +182,8 @@ def draw_operator(
     sup bound of the bases plus ten percent.  The density flag
     additionally rescales kappa so the leading coefficient contributes unit
     kernel row sums.  This is the one-draw case of :func:`_draw_stack`, on
-    the uniforms of numpy's own ``default_rng(seed)``.
+    the first uniforms of numpy's ``default_rng(seed)``, so it equals draw 0
+    of :func:`mc_injectivity` at the same seed, bit for bit.
     """
     setup = _setup_draws(config, bases)
     # an integer only: default_rng would also take None, OS entropy
@@ -220,39 +219,31 @@ def mc_injectivity(
     report gives the fraction of draws with sigma_min at or below
     tol * sigma_max, predicted to be zero.
 
-    Draw i is ``draw_operator`` at the seed of the i-th child of
-    ``SeedSequence(seed)``, bit for bit.  Where ``draw_operator`` builds
-    numpy's own generator for its one seed, the generators of
-    ``SEED_BLOCK`` draws are set up here at once by ``_seedbulk``, which
-    restates numpy's: the child seeds and the PCG64 states are hashed as
-    arrays, and one generator is re-stated per draw.  The draws are then
-    made, checked and decomposed ``DRAW_CHUNK`` at a time, with one stacked
-    values-only SVD per chunk.
+    The uniforms of every draw come from one stream,
+    ``np.random.default_rng(seed)``: draw i is built from row i of
+    ``default_rng(seed).uniform(-1, 1, (draws, u_width))``, so draw 0 is
+    ``draw_operator`` at ``seed``, bit for bit.  The draws are made,
+    checked and decomposed ``DRAW_CHUNK`` at a time, each chunk continuing
+    the stream, with one stacked values-only SVD per chunk.
     """
-    # Imported here rather than with the package: the module's import moved
-    # the process heap layout that the quantile-fine benchmark's memory
-    # probe is sensitive to.
-    from . import _seedbulk
-
     if draws < 1:
         raise ValueError("draws must be at least 1")
     setup = _setup_draws(config, bases)
+    # an integer only: default_rng would also take None, OS entropy
+    rng = np.random.default_rng(operator.index(seed))
     n = config.trunc_n
     sig_min = np.empty(draws)
     worst_dev = 0.0
     below = 0
-    for block in range(0, draws, SEED_BLOCK):
-        u = _seedbulk.spawned_uniforms(seed, block,
-                                       min(block + SEED_BLOCK, draws),
-                                       setup.u_width)
-        for start in range(0, len(u), DRAW_CHUNK):
-            ops, lam, kappa = _draw_stack(setup, u[start:start + DRAW_CHUNK])
-            s = singular_values(ops)[:, :n]
-            expected = np.sort(np.abs(kappa[:, None] * lam), axis=1)[:, ::-1]
-            worst_dev = max(worst_dev, float(np.abs(s - expected).max()))
-            first = block + start
-            sig_min[first:first + len(s)] = s[:, -1]
-            below += int(np.count_nonzero(s[:, -1] <= tol * s[:, 0]))
+    for start in range(0, draws, DRAW_CHUNK):
+        u = rng.uniform(-1.0, 1.0,
+                        size=(min(DRAW_CHUNK, draws - start), setup.u_width))
+        ops, lam, kappa = _draw_stack(setup, u)
+        s = singular_values(ops)[:, :n]
+        expected = np.sort(np.abs(kappa[:, None] * lam), axis=1)[:, ::-1]
+        worst_dev = max(worst_dev, float(np.abs(s - expected).max()))
+        sig_min[start:start + len(s)] = s[:, -1]
+        below += int(np.count_nonzero(s[:, -1] <= tol * s[:, 0]))
     return InjectivityReport(
         draws=draws,
         sigma_min=sig_min,

@@ -55,13 +55,17 @@ class CcapmModel:
     def __post_init__(self):
         if not 0.0 < self.delta0 < 1.0:
             raise ValueError("the discount factor must lie in (0, 1)")
-        if self.window <= 0:
-            raise ValueError("the curvature window must be positive")
+        if not np.isfinite(self.gamma0):
+            raise ValueError("gamma0 must be finite")
+        if not 0 < self.window < np.inf:  # False on NaN as well
+            raise ValueError("the curvature window must be finite and positive")
         n_s = self.c_measure.size
         n_o = self.omega_measure.size
         p = np.asarray(self.cond_mass, dtype=float)
         if p.shape != (n_s, n_o, n_s):
             raise GridMismatchError("cond_mass must be (n_state, n_signal, n_state)")
+        if not np.isfinite(p).all():
+            raise ValueError("cond_mass table must be finite")
         if (p < 0).any():
             raise ValueError("transition masses must be nonnegative")
         if np.abs(p.sum(axis=0) - 1.0).max() > 1e-12:
@@ -69,6 +73,8 @@ class CcapmModel:
         r = np.asarray(self.returns, dtype=float)
         if r.shape != (n_o, n_s):
             raise GridMismatchError("returns must be (n_signal, n_state)")
+        if not np.isfinite(r).all():
+            raise ValueError("returns table must be finite")
         if (r <= 0).any():
             raise ValueError("gross returns must be positive")
         if (self.g0.values <= 0).any():

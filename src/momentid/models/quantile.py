@@ -190,11 +190,15 @@ class QuantileIvModel:
             raise GridMismatchError(
                 "f_y table must be (n_y, n_x, n_w) or (n_y, n_x, 1)"
             )
+        if not np.isfinite(fy).all():
+            raise ValueError("f_y table must be finite")
         if (fy < 0).any():
             raise ValueError("densities must be nonnegative")
         ratio = np.asarray(self.x_ratio, dtype=float)
         if ratio.shape != (nx, nw):
             raise GridMismatchError("x_ratio table must be (n_x, n_w)")
+        if not np.isfinite(ratio).all():
+            raise ValueError("x_ratio table must be finite")
         if (ratio < 0).any():
             raise ValueError("density ratios must be nonnegative")
         col = self.x_measure.weights @ ratio

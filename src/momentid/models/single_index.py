@@ -50,6 +50,8 @@ class SingleIndexModel:
         ratio = np.asarray(self.joint_ratio, dtype=float)
         if ratio.shape != (self.v_measure.size, self.w_measure.size):
             raise GridMismatchError("joint_ratio must be (n_v, n_w)")
+        if not np.isfinite(ratio).all():
+            raise ValueError("joint_ratio table must be finite")
         if (ratio < 0).any():
             raise ValueError("joint mass ratios must be nonnegative")
         col = self.v_measure.weights @ ratio
@@ -58,6 +60,8 @@ class SingleIndexModel:
         x2 = np.atleast_2d(np.asarray(self.x2, dtype=float))
         if x2.shape != (self.w_measure.size, b0.size):
             raise GridMismatchError("x2 must be (n_w, p)")
+        if not np.isfinite(x2).all():
+            raise ValueError("x2 table must be finite")
         gp = np.asarray(self.g0_prime(self.v_measure.coords()), dtype=float)
         if not np.isfinite(gp).all():
             raise ValueError("g0_prime must be finite on the index grid")

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from momentid import _seedbulk
+from momentid import genericity
 from momentid.fnspace import (
     GridFunction,
     GridMeasure,
@@ -13,12 +13,11 @@ from momentid.fnspace import (
 )
 from momentid.genericity import (
     DRAW_CHUNK,
-    SEED_BLOCK,
     GeneratorConfig,
     draw_operator,
     mc_injectivity,
 )
-from momentid.linop import apply, singular_values, svd
+from momentid.linop import LinearOperator, apply, singular_values, svd
 
 
 @pytest.fixture(scope="module")
@@ -127,18 +126,31 @@ def test_compact_decay_gate_needs_two_terms():
         GeneratorConfig(sigma=np.ones(3), kappa=1.0, trunc_n=1, compact=True)
 
 
+@pytest.mark.parametrize("field, kwargs", [
+    ("sigma", {"sigma": np.array([1.0, np.nan, 0.5])}),
+    ("sigma", {"sigma": np.array([1.0, np.inf, 0.5])}),
+    ("kappa", {"kappa": np.nan}),
+    ("kappa", {"kappa": np.inf}),
+], ids=["sigma-nan", "sigma-inf", "kappa-nan", "kappa-inf"])
+def test_nonfinite_config_rejected(field, kwargs):
+    # NaN compares False against zero, so a sign test alone lets it through
+    args = {"sigma": np.ones(3), "kappa": 1.0, "trunc_n": 3} | kwargs
+    with pytest.raises(ValueError, match=f"{field} .*finite"):
+        GeneratorConfig(**args)
+
+
 def test_tail_mass_reported():
     sigma = 1.0 / np.arange(1, 31) ** 2
     config = GeneratorConfig(sigma=sigma, kappa=1.0, trunc_n=20)
     assert config.tail_mass() == pytest.approx(np.sum(sigma[20:] ** 2))
 
 
-def reference_draw(config, basis, seed):
+def reference_draw(config, basis, rng):
     """One draw written out from the generator's definition, one draw at a
-    time: the coefficients, lambda_0 for the positive variants, and the
-    kernel kappa * (psi * lambda) @ phi.T."""
+    time, on the next uniforms of the generator ``rng``: the coefficients,
+    lambda_0 for the positive variants, and the kernel
+    kappa * (psi * lambda) @ phi.T."""
     n = config.trunc_n
-    rng = np.random.default_rng(seed)
     if config.dependent_u:
         u = np.full(n, rng.uniform(-1.0, 1.0))
     else:
@@ -166,54 +178,77 @@ def test_draws_match_the_one_at_a_time_reference(grid_and_basis, flags):
                              trunc_n=12, **flags)
     for seed in range(6):
         draw = draw_operator(config, (basis, basis), seed)
-        kernel, lam, kappa = reference_draw(config, basis, seed)
+        kernel, lam, kappa = reference_draw(config, basis,
+                                            np.random.default_rng(seed))
         assert np.array_equal(draw.operator.entries, kernel)
         assert np.array_equal(draw.lambdas, lam)
         assert draw.kappa == kappa
 
 
-# Seeds at the word boundaries of numpy's seed hashing: one to eight 32-bit
-# words, so roots both shorter and longer than the four-word pool.
-EDGE_SEEDS = [0, 1, 2**31 - 1, 2**32 - 1, 2**32 + 5, 2**64 + 1, 2**128 - 1,
-              2**200 + 17, 20250809]
+def reference_loop(config, basis, draws, tol, seed, decompose):
+    """mc_injectivity written out one draw at a time over one generator
+    stream: sigma_min per draw, the fraction at or below tol * sigma_max,
+    and the largest spectrum deviation, each draw's operator decomposed by
+    ``decompose``."""
+    grid = basis.measure
+    n = config.trunc_n
+    rng = np.random.default_rng(seed)
+    ref_min = np.empty(draws)
+    below, worst = 0, 0.0
+    for i in range(draws):
+        kernel, lam, kappa = reference_draw(config, basis, rng)
+        s = decompose(LinearOperator(kernel, grid, grid))[:n]
+        expected = np.sort(np.abs(kappa * lam))[::-1]
+        worst = max(worst, float(np.abs(s - expected).max()))
+        ref_min[i] = s[-1]
+        below += int(s[-1] <= tol * s[0])
+    return ref_min, below / draws, worst
 
 
 @pytest.mark.filterwarnings("error")
 class TestBulkSetupMatchesNumpy:
-    """The bulk generator set-up of mc_injectivity against numpy itself,
-    whose generator draw_operator reads."""
+    """The generator of mc_injectivity is numpy's own default_rng(seed),
+    the one draw_operator reads: its stream starts with draw_operator's
+    draw and runs on through the chunks."""
 
-    @pytest.mark.parametrize("seed", EDGE_SEEDS)
-    def test_child_seeds(self, seed):
-        children = np.random.SeedSequence(seed).spawn(SEED_BLOCK + 6)
-        expected = np.array([c.generate_state(1)[0] for c in children])
-        assert np.array_equal(
-            _seedbulk.spawned_seeds(seed, 0, SEED_BLOCK), expected[:-6])
-        # a block that crosses the mc_injectivity block boundary
-        assert np.array_equal(
-            _seedbulk.spawned_seeds(seed, SEED_BLOCK - 5, SEED_BLOCK + 6),
-            expected[-11:])
+    @pytest.mark.parametrize("flags", [{}, {"dependent_u": True}],
+                             ids=["plain", "dependent_u"])
+    def test_draw_kernels_continue_one_stream(self, grid_and_basis, flags,
+                                              monkeypatch):
+        _, basis = grid_and_basis
+        config = GeneratorConfig(sigma=1.0 / np.arange(1, 13) ** 2,
+                                 kappa=1.3, trunc_n=12, **flags)
+        seed, draws = 20250809, 2 * DRAW_CHUNK + 3
+        kernels = []
 
-    @pytest.mark.parametrize("seed", EDGE_SEEDS)
-    # 30 is the shipped trunc_n; width 1 is the dependent_u scalar draw
-    @pytest.mark.parametrize("width", [1, 12, 30])
-    def test_spawned_generators(self, seed, width):
-        start, stop = SEED_BLOCK - 3, SEED_BLOCK + 4
-        rows = _seedbulk.spawned_uniforms(seed, start, stop, width)
-        children = np.random.SeedSequence(seed).spawn(stop)[start:]
-        for row, child in zip(rows, children, strict=True):
-            rng = np.random.default_rng(child.generate_state(1)[0])
-            if width == 1:
-                assert row[0] == rng.uniform(-1.0, 1.0)
-            else:
-                assert np.array_equal(row, rng.uniform(-1.0, 1.0, size=width))
+        def recording(ops):
+            kernels.extend(ops.entries.copy())
+            return singular_values(ops)
+
+        monkeypatch.setattr(genericity, "singular_values", recording)
+        mc_injectivity(config, (basis, basis), draws=draws, tol=1e-12,
+                       seed=seed)
+        assert len(kernels) == draws
+        first = draw_operator(config, (basis, basis), seed)
+        assert np.array_equal(kernels[0], first.operator.entries)
+        rng = np.random.default_rng(seed)
+        for kernel in kernels:
+            assert np.array_equal(kernel,
+                                  reference_draw(config, basis, rng)[0])
+
+    def test_shorter_run_is_a_prefix(self, grid_and_basis):
+        _, basis = grid_and_basis
+        config = GeneratorConfig(sigma=1.0 / np.arange(1, 13) ** 2,
+                                 kappa=1.3, trunc_n=12)
+        short, long = (mc_injectivity(config, (basis, basis), draws=draws,
+                                      tol=1e-12, seed=3)
+                       for draws in (17, 200))
+        assert np.array_equal(short.sigma_min, long.sigma_min[:17])
 
     def test_negative_seed_raises_as_numpy_does(self, grid_and_basis):
         _, basis = grid_and_basis
         with pytest.raises(ValueError, match="non-negative"):
             np.random.default_rng(-1)
-        with pytest.raises(ValueError, match="non-negative"):
-            _seedbulk.spawned_seeds(-1, 0, 2)
         config = GeneratorConfig(sigma=np.ones(3), kappa=1.0, trunc_n=3)
         with pytest.raises(ValueError, match="non-negative"):
             draw_operator(config, (basis, basis), seed=-1)
@@ -275,20 +310,18 @@ class TestMcInjectivity:
         draws, tol, seed = 40, 1e-12, 17
         report = mc_injectivity(config, (basis, basis), draws=draws, tol=tol,
                                 seed=seed)
-        # the reference: one full draw_operator + svd per SeedSequence child
-        ref_min = np.empty(draws)
-        below = 0
-        for i, child in enumerate(np.random.SeedSequence(seed).spawn(draws)):
-            draw = draw_operator(config, (basis, basis),
-                                 int(child.generate_state(1)[0]))
-            s = svd(draw.operator).singular_values[:n]
-            ref_min[i] = s[-1]
-            below += int(s[-1] <= tol * s[0])
-        assert report.fraction_below_tol == below / draws
+        ref_min, fraction, _ = reference_loop(
+            config, basis, draws, tol, seed,
+            lambda op: svd(op).singular_values)
+        assert report.fraction_below_tol == fraction
         assert np.all(np.abs(report.sigma_min - ref_min) <= 1e-13 * ref_min)
         assert report.max_spectrum_deviation <= 1e-10
 
-    @pytest.mark.parametrize("draws", [1, 15, 16, 17, 200, SEED_BLOCK + 1])
+    # chunk edges, the shipped 200 draws, and a run longer than the 1000
+    # draws of the genericity-mc benchmark
+    @pytest.mark.parametrize("draws", [
+        1, DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1, 2 * DRAW_CHUNK - 1,
+        2 * DRAW_CHUNK, 2 * DRAW_CHUNK + 1, 200, 1025])
     @pytest.mark.parametrize("flags", [{}, {"dependent_u": True}],
                              ids=["plain", "dependent_u"])
     def test_chunks_reproduce_single_draws_bit_for_bit(
@@ -300,18 +333,10 @@ class TestMcInjectivity:
         tol, seed = 1e-3, 5
         report = mc_injectivity(config, (basis, basis), draws=draws, tol=tol,
                                 seed=seed)
-        ref_min = np.empty(draws)
-        below, worst = 0, 0.0
-        for i, child in enumerate(np.random.SeedSequence(seed).spawn(draws)):
-            draw = draw_operator(config, (basis, basis),
-                                 int(child.generate_state(1)[0]))
-            s = singular_values(draw.operator)[:n]
-            expected = np.sort(np.abs(draw.kappa * draw.lambdas))[::-1]
-            worst = max(worst, float(np.abs(s - expected).max()))
-            ref_min[i] = s[-1]
-            below += int(s[-1] <= tol * s[0])
+        ref_min, fraction, worst = reference_loop(
+            config, basis, draws, tol, seed, singular_values)
         assert np.array_equal(report.sigma_min, ref_min)
-        assert report.fraction_below_tol == below / draws
+        assert report.fraction_below_tol == fraction
         assert report.max_spectrum_deviation == worst
 
     def test_chunk_buffers_stay_small(self):

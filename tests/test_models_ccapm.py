@@ -28,6 +28,25 @@ def mapped(model):
     return ccapm_moment_map(model)
 
 
+@pytest.mark.parametrize("field", ["cond_mass", "returns"])
+def test_nonfinite_tables_rejected(model, field):
+    bad = np.array(getattr(model, field), dtype=float)
+    bad.flat[bad.size // 2] = np.nan
+    with pytest.raises(ValueError, match=f"{field} table must be finite"):
+        replace(model, **{field: bad})
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("gamma0", np.nan, "gamma0 must be finite"),
+    ("window", np.nan, "window must be finite"),
+    ("window", np.inf, "window must be finite"),
+], ids=["gamma0-nan", "window-nan", "window-inf"])
+def test_nonfinite_scalars_rejected(model, field, value, match):
+    # a NaN window would switch off the envelope-window guard of the map
+    with pytest.raises(ValueError, match=match):
+        replace(model, **{field: value})
+
+
 def unit_grid(n):
     return GridMeasure(np.arange(float(n)), np.ones(n))
 

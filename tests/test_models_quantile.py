@@ -35,6 +35,16 @@ def mapped(model):
     return quantile_moment_map(model)
 
 
+@pytest.mark.parametrize("field", ["f_y", "x_ratio"])
+def test_nonfinite_tables_rejected(model, field):
+    # NaN compares False, so a deviation test alone would let it through
+    # and leave the curvature bound NaN
+    bad = np.array(getattr(model, field), dtype=float)
+    bad.flat[bad.size // 2] = np.nan
+    with pytest.raises(ValueError, match=f"{field} table must be finite"):
+        replace(model, **{field: bad})
+
+
 def test_restriction_holds_at_quantile_curve(mapped):
     mmap, _ = mapped
     assert norm(mmap.eval(mmap.base_point)) <= 1e-10

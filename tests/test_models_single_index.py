@@ -40,6 +40,15 @@ def twodim_model():
     return gaussian_index_design(rho=0.5, w_dim=2, n_v=49, n_w=15)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("joint_ratio", np.nan), ("x2", np.inf)])
+def test_nonfinite_tables_rejected(scalar_model, field, value):
+    bad = np.array(getattr(scalar_model, field), dtype=float)
+    bad.flat[bad.size // 2] = value
+    with pytest.raises(ValueError, match=f"{field} table must be finite"):
+        replace(scalar_model, **{field: bad})
+
+
 def test_eval_vanishes_at_truth(twodim_model):
     smap = single_index_map(twodim_model)
     assert norm(smap.eval(smap.beta0, smap.g0)) <= 1e-12

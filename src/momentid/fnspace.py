@@ -40,6 +40,8 @@ class GridMeasure:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[1] not in (1, 2):
             raise ValueError("points must be 1-d or 2-d vectors")
+        if pts.shape[0] == 0:
+            raise ValueError("a measure needs at least one point")
         if w.shape != (pts.shape[0],):
             raise GridMismatchError(
                 f"weights shape {w.shape} does not match {pts.shape[0]} points"
@@ -73,16 +75,19 @@ class GridMeasure:
         """Number of distinct values on each coordinate axis."""
         # steps between sorted values; np.unique would import numpy.ma
         steps = np.diff(np.sort(self.points, axis=0), axis=0)
-        return tuple(((steps != 0.0).sum(axis=0) + (self.size > 0)).tolist())
+        return tuple(((steps != 0.0).sum(axis=0) + 1).tolist())
 
     def coords(self) -> np.ndarray:
         return self.points[:, 0]
 
     @staticmethod
-    def uniform(n: int, a: float = 0.0, b: float = 1.0) -> "GridMeasure":
-        """Midpoint grid on [a, b] with equal weights summing to b - a."""
-        h = (b - a) / n
-        pts = a + h * (np.arange(n) + 0.5)
+    def uniform(n: int) -> "GridMeasure":
+        """Midpoint grid of n points on [0, 1] with equal weights 1 / n."""
+        if n < 1:
+            raise ValueError(
+                f"a measure needs at least one point, got n = {n}")
+        h = 1.0 / n
+        pts = h * (np.arange(n) + 0.5)
         return GridMeasure(pts, np.full(n, h))
 
     @staticmethod

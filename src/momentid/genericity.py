@@ -38,21 +38,27 @@ class GeneratorConfig:
     dependent_u: bool = False
 
     def __post_init__(self):
+        try:
+            trunc_n = operator.index(self.trunc_n)
+        except TypeError:
+            raise TypeError(
+                f"trunc_n must be an integer, got {self.trunc_n!r}") from None
         s = np.atleast_1d(np.asarray(self.sigma, dtype=float))
         if not (np.isfinite(s).all() and (s > 0).all()):
             raise ValueError("sigma entries must be finite and positive")
         if not 0 < self.kappa < np.inf:  # False on NaN as well
             raise ValueError("kappa must be finite and positive")
-        if self.trunc_n < 1:
+        if trunc_n < 1:
             raise ValueError("trunc_n must be at least 1")
-        if self.compact and self.trunc_n < 2:
+        if self.compact and trunc_n < 2:
             raise ValueError(
                 "the compactness test fits a slope to log sigma_j^2 and needs "
-                f"trunc_n >= 2 points, got trunc_n = {self.trunc_n}"
+                f"trunc_n >= 2 points, got trunc_n = {trunc_n}"
             )
-        if s.size < self.trunc_n:
+        if s.size < trunc_n:
             raise ValueError("sigma must provide at least trunc_n entries")
         object.__setattr__(self, "sigma", s)
+        object.__setattr__(self, "trunc_n", trunc_n)
 
     def tail_mass(self) -> float:
         """Neglected squared mass sum of sigma_j^2 beyond the truncation."""

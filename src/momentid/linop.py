@@ -68,10 +68,6 @@ class LinearOperator:
     def identity(mu: GridMeasure) -> "LinearOperator":
         return LinearOperator(np.diag(1.0 / mu.weights), mu, mu)
 
-    @staticmethod
-    def zero(dom: GridMeasure, cod: GridMeasure) -> "LinearOperator":
-        return LinearOperator(np.zeros((cod.size, dom.size)), dom, cod)
-
 
 @dataclass(frozen=True)
 class OperatorStack:
@@ -169,10 +165,6 @@ class SvdDecomposition:
         if (s < 0).any() or (np.diff(s) > 0).any():
             raise ValueError("singular values must be nonnegative and nonincreasing")
         object.__setattr__(self, "singular_values", s)
-
-    @property
-    def sigma_min(self) -> float:
-        return float(self.singular_values[-1])
 
     @property
     def sigma_max(self) -> float:

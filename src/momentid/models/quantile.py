@@ -8,10 +8,9 @@ the density tables: L1 bounds the density slope in y, L2 bounds the density
 ratio of X given W against the marginal of X, and the curvature constant of
 the map is their product with exponent two.
 
-The outcome density table has a w axis of length n_w, or of length one when
-the outcome law does not depend on the instrument.  A length-one axis
-broadcasts over w, so a w-free design stores, integrates and interpolates
-its CDF once per x rather than once per (x, w).
+The outcome law does not depend on the instrument: the density, CDF and
+slope tables are (n_y, n_x), and the CDF is stored, integrated and
+interpolated once per x.
 """
 
 from __future__ import annotations
@@ -105,23 +104,22 @@ def _hermite(
 ) -> np.ndarray:
     """Cubic Hermite value, or its first derivative, at the queries xq.
 
-    ``f`` and ``d`` are (n_grid, n_col, k) tables with the grid on axis 0.
+    ``f`` and ``d`` are (n_grid, n_col) tables with the grid on axis 0.
     ``xq`` has shape (..., n_col): entry [..., c] is evaluated in column c,
-    inside the cell of ``x`` that holds it, and the result has shape
-    (..., n_col, k).  Every entry is computed by the same elementwise
-    operations whatever the leading shape, so a stack of queries gives the
-    same bits as one query at a time.
+    inside the cell of ``x`` that holds it, and the result has the shape
+    of ``xq``.  Every entry is computed by the same elementwise operations
+    whatever the leading shape, so a stack of queries gives the same bits
+    as one query at a time.
     """
     idx = _cells(x, xq)
-    n_col, k = f.shape[1:]
-    # row idx * n_col + col of the (n_grid * n_col, k) views is [idx, col]
+    n_col = f.shape[1]
+    # entry idx * n_col + col of the flat tables is [idx, col]
     flat = idx * n_col + np.arange(n_col)
-    f_rows, d_rows = f.reshape(-1, k), d.reshape(-1, k)
-    f0, f1 = f_rows[flat], f_rows[flat + n_col]
-    d0, d1 = d_rows[flat], d_rows[flat + n_col]
+    f_flat, d_flat = f.ravel(), d.ravel()
+    f0, f1 = f_flat[flat], f_flat[flat + n_col]
+    d0, d1 = d_flat[flat], d_flat[flat + n_col]
     h = x[idx + 1] - x[idx]
-    t = ((xq - x[idx]) / h)[..., None]
-    return _cubic(t, h[..., None], f0, d0, f1, d1, derivative)
+    return _cubic((xq - x[idx]) / h, h, f0, d0, f1, d1, derivative)
 
 
 def _bisect_cdf(y: np.ndarray, cdf: np.ndarray, slopes: np.ndarray,
@@ -161,9 +159,9 @@ def _bisect_cdf(y: np.ndarray, cdf: np.ndarray, slopes: np.ndarray,
 class QuantileIvModel:
     """Tabulated design for the endogenous quantile moment map.
 
-    ``f_y`` is the conditional density of the outcome given (x, w) on the y
-    grid, smooth in y, of shape (n_y, n_x, n_w); a design whose outcome law
-    does not depend on w may pass (n_y, n_x, 1), which broadcasts over w.
+    ``f_y`` is the conditional density of the outcome given x on the y
+    grid, smooth in y, of shape (n_y, n_x): the outcome law does not depend
+    on the instrument.
     ``x_ratio`` is the conditional-to-marginal mass ratio of X given W on the
     two probability grids, so columns average to one under the X measure.
     The slope bound L1 and the ratio bound L2 are recomputed from these
@@ -186,10 +184,8 @@ class QuantileIvModel:
             raise ValueError("y grid must be strictly increasing")
         fy = np.asarray(self.f_y, dtype=float)
         nx, nw = self.x_measure.size, self.w_measure.size
-        if fy.shape not in ((y.size, nx, nw), (y.size, nx, 1)):
-            raise GridMismatchError(
-                "f_y table must be (n_y, n_x, n_w) or (n_y, n_x, 1)"
-            )
+        if fy.shape != (y.size, nx):
+            raise GridMismatchError("f_y table must be (n_y, n_x)")
         if not np.isfinite(fy).all():
             raise ValueError("f_y table must be finite")
         if (fy < 0).any():
@@ -205,24 +201,22 @@ class QuantileIvModel:
         if np.abs(col - 1.0).max() > 1e-10:
             raise ValueError("x_ratio columns must average to one")
         wy = trapezoid_weights(y)
-        mass = np.einsum("y,yxw->xw", wy, fy)
+        mass = np.einsum("y,yx->x", wy, fy)
         if np.abs(mass - 1.0).max() > 1e-10:
             raise ValueError("f_y slices must integrate to one in y")
         object.__setattr__(self, "y_grid", y)
         object.__setattr__(self, "f_y", fy)
         object.__setattr__(self, "x_ratio", ratio)
         # cumulative trapezoid CDF and its monotone cubic slopes
-        increments = (y[1:] - y[:-1])[:, None, None] * (fy[1:] + fy[:-1]) / 2.0
-        cdf = np.concatenate(
-            [np.zeros((1,) + fy.shape[1:]), np.cumsum(increments, axis=0)]
-        )
+        increments = (y[1:] - y[:-1])[:, None] * (fy[1:] + fy[:-1]) / 2.0
+        cdf = np.concatenate([np.zeros((1, nx)), np.cumsum(increments, axis=0)])
         object.__setattr__(self, "_cdf", cdf)
         object.__setattr__(self, "_cdf_slopes", _pchip_slopes(y, cdf))
 
     @property
     def l1(self) -> float:
         """Largest density slope magnitude in y across the table."""
-        dy = np.diff(self.y_grid)[:, None, None]
+        dy = np.diff(self.y_grid)[:, None]
         return float(np.abs(np.diff(self.f_y, axis=0) / dy).max())
 
     @property
@@ -233,9 +227,8 @@ class QuantileIvModel:
     def _interpolate(self, alpha_values: np.ndarray,
                      derivative: bool) -> np.ndarray:
         """Interpolated CDF, or its y-derivative, at y = alpha(x) for every
-        (x, w): shape (n_x, n_w) for one curve (n_x,), (B, n_x, n_w) for a
-        stack (B, n_x).  A w-free table gives a read-only broadcast over w.
-        """
+        x, in the shape of the query: (n_x,) for one curve, (B, n_x) for a
+        stack."""
         yq = np.asarray(alpha_values, dtype=float)
         y = self.y_grid
         if not ((yq >= y[0]) & (yq <= y[-1])).all():
@@ -246,35 +239,20 @@ class QuantileIvModel:
                 "requested y values leave the tabulated range "
                 f"[{y[0]:.4g}, {y[-1]:.4g}]"
             )
-        out = _hermite(y, self._cdf, self._cdf_slopes, yq, derivative)
-        return np.broadcast_to(out, out.shape[:-2] + self.x_ratio.shape)
+        return _hermite(y, self._cdf, self._cdf_slopes, yq, derivative)
 
     def cdf_at(self, alpha_values: np.ndarray) -> np.ndarray:
-        """F(alpha(x) | x, w) for every (x, w), for one curve or a stack."""
+        """F(alpha(x) | x) for every x, for one curve or a stack."""
         return self._interpolate(alpha_values, derivative=False)
 
     def density_at(self, alpha_values: np.ndarray) -> np.ndarray:
-        """f(alpha(x) | x, w), the exact y-derivative of the interpolated
-        CDF, in the shapes of ``cdf_at``."""
+        """f(alpha(x) | x), the exact y-derivative of the interpolated CDF,
+        in the shapes of ``cdf_at``."""
         return self._interpolate(alpha_values, derivative=True)
 
     def quantile_curve(self) -> np.ndarray:
-        """Invert the interpolated CDF at the quantile level tau, per x.
-
-        Requires the conditional CDF not to depend on w (checked), which the
-        synthetic designs guarantee by construction.
-        """
-        spread = np.abs(self._cdf - self._cdf[:, :, :1]).max()
-        if spread > 1e-9:
-            raise ValueError("conditional CDF varies with w; no common quantile")
-        return _bisect_cdf(self.y_grid, self._cdf[:, :, 0],
-                           self._cdf_slopes[:, :, 0], self.tau)
-
-
-# A stack of curves is interpolated in slices of at most this many table
-# cells, so a w-dependent table's (rows, n_x, n_w) temporaries stay near
-# 1 MB each; a w-free table takes a whole harness chunk in one slice.
-SLICE_CELLS = 1 << 17
+        """Invert the interpolated CDF at the quantile level tau, per x."""
+        return _bisect_cdf(self.y_grid, self._cdf, self._cdf_slopes, self.tau)
 
 
 def quantile_moment_map(
@@ -282,7 +260,7 @@ def quantile_moment_map(
 ) -> tuple[MomentMap, NonlinearityBound]:
     """Moment map, derivative operator and curvature bound of the model.
 
-    eval(alpha)(w) averages F(alpha(x)|x,w) over the conditional mass of X
+    eval(alpha)(w) averages F(alpha(x)|x) over the conditional mass of X
     given w and subtracts the quantile level; the derivative is the
     conditional expectation weighted by the conditional density at alpha0.
     The curvature bound is L = L1 L2 with exponent 2 on the whole space.
@@ -291,24 +269,16 @@ def quantile_moment_map(
     """
     mx, mw = model.x_measure, model.w_measure
     weighted_ratio = mx.weights[:, None] * model.x_ratio
-    w_free = model.f_y.shape[2] == 1
-    rows_per_slice = max(1, SLICE_CELLS // model.f_y[0].size)
 
     def eval_rows(alphas: np.ndarray) -> np.ndarray:
         # einsum sums over x in the order of the per-curve elementwise
         # product and sum, so a stack reproduces one-curve evaluation bit
         # for bit; a matmul would not
-        out = np.empty((alphas.shape[0], mw.size))
-        for s in range(0, alphas.shape[0], rows_per_slice):
-            cdf = model.cdf_at(alphas[s:s + rows_per_slice])
-            if w_free:
-                vals = np.einsum("bi,ij->bj", cdf[..., 0], weighted_ratio)
-            else:
-                vals = np.einsum("bij,ij->bj", cdf, weighted_ratio)
-            out[s:s + rows_per_slice] = vals - model.tau
-        return out
+        cdf = model.cdf_at(alphas)
+        return np.einsum("bi,ij->bj", cdf, weighted_ratio) - model.tau
 
-    weight = model.density_at(model.alpha0.values)
+    weight = np.broadcast_to(model.density_at(model.alpha0.values)[:, None],
+                             model.x_ratio.shape)
     derivative = conditional_expectation(model.x_ratio, mx, mw, weight=weight)
     mmap = MomentMap(
         base_point=model.alpha0, eval_rows=eval_rows, derivative=derivative,
@@ -362,10 +332,9 @@ def gaussian_quantile_model(
 
     # outcome density: location family around the median curve, w-free
     curve = np.tanh(xg)  # bounded inside the y range with room for deviations
-    fy_x = phi((yg[:, None] - curve[None, :]) / sigma_u) / sigma_u
+    f_y = phi((yg[:, None] - curve[None, :]) / sigma_u) / sigma_u
     wy = trapezoid_weights(yg)
-    fy_x /= np.einsum("y,yx->x", wy, fy_x)[None, :]
-    f_y = fy_x[:, :, None]
+    f_y /= np.einsum("y,yx->x", wy, f_y)[None, :]
 
     model = QuantileIvModel(
         tau=tau,

@@ -35,6 +35,19 @@ class TestGridMeasure:
         with pytest.raises(ValueError):
             GridMeasure([1.0, 1.0], [0.5, 0.5])
 
+    def test_rejects_an_empty_support(self):
+        # an operator on it would have no singular values to read
+        with pytest.raises(ValueError, match="at least one point"):
+            GridMeasure([], [])
+        with pytest.raises(ValueError, match="at least one point"):
+            GridMeasure(np.zeros((0, 2)), [])
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_uniform_needs_a_point(self, n):
+        with pytest.raises(ValueError,
+                           match=f"at least one point, got n = {n}"):
+            GridMeasure.uniform(n)
+
     def test_probability_flag(self):
         assert two_point().is_probability
         assert not GridMeasure([0.0, 1.0], [0.5, 0.6]).is_probability
@@ -114,7 +127,7 @@ class TestTrapezoidWeights:
 
 
 @pytest.mark.parametrize("pts", [
-    np.zeros((0, 1)), [[0.0]], [[-0.0, 1.0], [0.0, 2.0], [1.0, 2.0]],
+    [[0.0, 0.0]], [[0.0]], [[-0.0, 1.0], [0.0, 2.0], [1.0, 2.0]],
     np.round(np.random.default_rng(2).uniform(0, 4, (30, 2))).astype(float)
     + np.arange(30)[:, None] * [0.0, 1e-3],
 ])

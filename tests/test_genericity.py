@@ -139,6 +139,18 @@ def test_nonfinite_config_rejected(field, kwargs):
         GeneratorConfig(**args)
 
 
+@pytest.mark.parametrize("trunc_n", [2.5, 3.0, "3"])
+def test_non_integer_trunc_n_rejected(trunc_n):
+    # 2.5 used to construct and then fail in tail_mass's slice
+    with pytest.raises(TypeError, match="trunc_n must be an integer"):
+        GeneratorConfig(sigma=np.ones(4), kappa=1.0, trunc_n=trunc_n)
+
+
+def test_numpy_integer_trunc_n_accepted():
+    config = GeneratorConfig(sigma=np.ones(4), kappa=1.0, trunc_n=np.int64(3))
+    assert config.trunc_n == 3 and config.tail_mass() == 1.0
+
+
 def test_tail_mass_reported():
     sigma = 1.0 / np.arange(1, 31) ** 2
     config = GeneratorConfig(sigma=sigma, kappa=1.0, trunc_n=20)
@@ -375,7 +387,8 @@ class TestDrawChecks:
             mc_injectivity(config, (basis, basis), draws=2, tol=1e-12, seed=0)
 
     def test_density_needs_probability_grids(self):
-        grid = GridMeasure.uniform(16, 0.0, 2.0)
+        # midpoint grid on [0, 2], total mass 2
+        grid = GridMeasure(0.125 * (np.arange(16) + 0.5), np.full(16, 0.125))
         basis = cosine_basis(grid, 4)
         config = GeneratorConfig(sigma=np.full(4, 1.0), kappa=1.0, trunc_n=4,
                                  positive=True, density=True)

@@ -130,7 +130,7 @@ class TestEstimateNonlinearity:
     def test_scalar_square_map_gives_one(self):
         mu = unit_grid(1)
         mmap = MomentMap(GridFunction.zero(mu), lambda rows: rows**2,
-                         LinearOperator.zero(mu, mu))
+                         LinearOperator(np.zeros((1, 1)), mu, mu))
         devs = FunctionStack([[0.1], [-0.7], [2.0]], mu)
         assert estimate_nonlinearity(mmap, 2.0, devs) == pytest.approx(1.0)
 

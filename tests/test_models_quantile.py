@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from momentid.errors import GridMismatchError
-from momentid.fnspace import FunctionStack, GridFunction, norm, trapezoid_weights
+from momentid.fnspace import FunctionStack, GridFunction, norm
 from momentid.identcore import (
     NonlinearityBound,
     _eval_stack,
@@ -92,7 +92,7 @@ def test_derivative_weight_is_density_at_alpha0(model, mapped):
     h = GridFunction(rng.standard_normal(model.x_measure.size),
                      model.x_measure)
     direct = (
-        model.x_measure.weights[:, None] * model.x_ratio * dens
+        model.x_measure.weights[:, None] * model.x_ratio * dens[:, None]
         * h.values[:, None]
     ).sum(axis=0)
     assert np.abs(apply(mmap.derivative, h).values - direct).max() < 1e-12
@@ -159,48 +159,22 @@ def test_quantile_level_enters_eval(model):
                   - shifted.alpha0.values).max() > 0.1
 
 
-def test_w_free_table_matches_repeated_table_bit_for_bit():
-    free = gaussian_quantile_model(n_x=23, n_w=17, n_y=81)
-    n_w = free.w_measure.size
-    assert free.f_y.shape == (81, 23, 1)
-    full = replace(free, f_y=np.repeat(free.f_y, n_w, axis=2))
-    assert full.f_y.shape == (81, 23, n_w)
-    rng = np.random.default_rng(5)
-    points = [free.alpha0.values,
-              free.alpha0.values + rng.uniform(-1.0, 1.0, 23)]
-    for yq in points:
-        assert free.cdf_at(yq).shape == (23, n_w)
-        assert np.array_equal(free.cdf_at(yq), full.cdf_at(yq))
-        assert np.array_equal(free.density_at(yq), full.density_at(yq))
-    assert free.l1 == full.l1
-    assert np.array_equal(free.quantile_curve(), full.quantile_curve())
-    assert np.array_equal(replace(free, tau=0.3).quantile_curve(),
-                          replace(full, tau=0.3).quantile_curve())
-    free_map, free_bound = quantile_moment_map(free)
-    full_map, full_bound = quantile_moment_map(full)
-    assert free_bound == full_bound
-    assert np.array_equal(free_map.derivative.entries,
-                          full_map.derivative.entries)
-    alpha = GridFunction(points[1], free.x_measure)
-    for point in (free.alpha0, alpha):
-        assert np.array_equal(free_map.eval(point).values,
-                              full_map.eval(point).values)
+def test_outcome_table_must_be_n_y_by_n_x(model):
+    # a w axis, of length one or n_w, is not a shape of the outcome table
+    column = model.f_y.reshape(model.f_y.shape[:2] + (1,))
+    for k in (1, model.w_measure.size):
+        with pytest.raises(GridMismatchError,
+                           match=r"f_y table must be \(n_y, n_x\)"):
+            replace(model, f_y=np.repeat(column, k, axis=2))
 
 
-def test_w_axis_must_be_one_or_n_w(model):
-    for k in (2, model.w_measure.size + 1):
-        with pytest.raises(GridMismatchError, match="f_y table"):
-            replace(model, f_y=np.repeat(model.f_y, k, axis=2))
-
-
-def test_quantile_curve_rejects_w_dependent_table(model):
-    f_y = np.repeat(model.f_y, model.w_measure.size, axis=2)
-    # mirror x in one w slice: still a density in y for every x, but the
-    # median curve tanh(x) is odd, so this slice's CDF differs from the rest
-    f_y[:, :, 3] = f_y[:, ::-1, 3]
-    varied = replace(model, f_y=f_y)
-    with pytest.raises(ValueError, match="conditional CDF varies with w"):
-        varied.quantile_curve()
+@pytest.mark.parametrize("at", ["cdf_at", "density_at"])
+def test_interpolation_takes_the_shape_of_its_query(model, at):
+    curve = model.alpha0.values
+    interpolate = getattr(model, at)
+    assert interpolate(curve).shape == (model.x_measure.size,)
+    stack = np.stack([curve, curve + 0.5, curve - 0.5])
+    assert interpolate(stack).shape == (3, model.x_measure.size)
 
 
 def test_fine_grid_keeps_tables_free_of_the_w_axis():
@@ -285,27 +259,11 @@ def test_shipped_span_truncates_the_spectrum(rho):
 # ---------------------------------------------------------------------------
 
 
-def w_dependent_model():
-    """Outcome law N(0, s(x, w)^2) with a scale that varies with x and w.
-
-    The y grid is symmetric about 0 and holds 0 as a node, so the zero curve
-    is the median for every (x, w) and the moment map vanishes there at
-    tau = 0.5, while the CDF at any other curve differs across w.
-    """
-    base = gaussian_quantile_model(n_x=9, n_w=7, n_y=41)
-    y = base.y_grid
-    scale = np.exp(0.1 * base.x_measure.coords()[:, None]
-                   + 0.3 * base.w_measure.coords()[None, :])
-    f_y = np.exp(-0.5 * (y[:, None, None] / scale) ** 2) / scale
-    f_y /= np.einsum("y,yxw->xw", trapezoid_weights(y), f_y)
-    return replace(base, f_y=f_y, alpha0=GridFunction.zero(base.x_measure))
-
-
 def reference_rows(model, rows):
-    """CDF and density at every (x, w), and m, for each row of ``rows``."""
+    """CDF and density at every x, and m, for each row of ``rows``."""
     y, cdf, slopes = model.y_grid, model._cdf, model._cdf_slopes
     weighted_ratio = model.x_measure.weights[:, None] * model.x_ratio
-    shape = model.x_ratio.shape
+    shape = model.x_measure.size
     cdfs, dens, maps = [], [], []
     for row in rows:
         c, g = np.empty(shape), np.empty(shape)
@@ -323,14 +281,12 @@ def reference_rows(model, rows):
                     + (-6 * t2 + 6 * t) * f1 + h * (3 * t2 - 2 * t) * d1) / h
         cdfs.append(c)
         dens.append(g)
-        maps.append((weighted_ratio * c).sum(axis=0) - model.tau)
+        maps.append((weighted_ratio * c[:, None]).sum(axis=0) - model.tau)
     return np.array(cdfs), np.array(dens), np.array(maps)
 
 
-@pytest.fixture(scope="module", params=["w-dependent", "w-free"])
-def stack_model(request):
-    if request.param == "w-dependent":
-        return w_dependent_model()
+@pytest.fixture(scope="module")
+def stack_model():
     return gaussian_quantile_model(n_x=9, n_w=7, n_y=41)
 
 
@@ -342,25 +298,8 @@ def query_rows(model, n):
     return rows
 
 
-def test_w_dependent_table_really_varies_with_w():
-    model = w_dependent_model()
-    assert model.f_y.shape == (41, 9, 7)
-    cdf = model.cdf_at(query_rows(model, 1)[0])
-    assert np.abs(cdf - cdf[:, :1]).max() > 0.05
-    mmap, _ = quantile_moment_map(model)
-    assert norm(mmap.eval(mmap.base_point)) <= 1e-10
-
-
-@pytest.mark.parametrize("slice_rows", [None, 64])
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
-def test_stacked_evaluation_matches_the_per_row_reference(
-        stack_model, n, slice_rows, monkeypatch):
-    import momentid.models.quantile as quantile
-
-    if slice_rows is not None:
-        # slice the stack 64 rows at a time, as a large w-dependent table is
-        monkeypatch.setattr(quantile, "SLICE_CELLS",
-                            slice_rows * stack_model.f_y[0].size)
+def test_stacked_evaluation_matches_the_per_row_reference(stack_model, n):
     model = stack_model
     rows = query_rows(model, n)
     cdf_ref, dens_ref, map_ref = reference_rows(model, rows)
@@ -434,8 +373,7 @@ def test_cell_lookup_equals_clipped_searchsorted(grid):
 
 def old_quantile_curve(model):
     """``quantile_curve`` as it was: 90 halvings, each a full CDF
-    evaluation with an np.searchsorted lookup and 2-D fancy indexes, read
-    at w = 0."""
+    evaluation with an np.searchsorted lookup and 2-D fancy indexes."""
     y, cdf, slopes = model.y_grid, model._cdf, model._cdf_slopes
     cols = np.arange(cdf.shape[1])
     lo, hi = np.full(cols.size, y[0]), np.full(cols.size, y[-1])
@@ -446,11 +384,10 @@ def old_quantile_curve(model):
         f0, f1 = cdf[idx, cols], cdf[idx + 1, cols]
         d0, d1 = slopes[idx, cols], slopes[idx + 1, cols]
         h = y[idx + 1] - y[idx]
-        t = ((mid - y[idx]) / h)[..., None]
-        h = h[..., None]
+        t = (mid - y[idx]) / h
         t2, t3 = t * t, t * t * t
         val = ((2 * t3 - 3 * t2 + 1) * f0 + h * (t3 - 2 * t2 + t) * d0
-               + (-2 * t3 + 3 * t2) * f1 + h * (t3 - t2) * d1)[:, 0]
+               + (-2 * t3 + 3 * t2) * f1 + h * (t3 - t2) * d1)
         lower = val < model.tau
         lo = np.where(lower, mid, lo)
         hi = np.where(lower, hi, mid)

@@ -76,7 +76,7 @@ class TestPartialOut:
         mu = two_point()
         split = SplitDerivative(
             m_beta=(GridFunction([1.0, 2.0], mu),),
-            m_g=LinearOperator.zero(mu, mu),
+            m_g=LinearOperator(np.zeros((2, 2)), mu, mu),
         )
         report = partial_out(split)
         assert report.degenerate

@@ -20,9 +20,13 @@ code the system does not run.  A field needs a reader anywhere, tests
 included, since tests read reports to check them.  An output without a
 reader fails the scan unless ``UNREAD`` names it with its reason.
 
-Both scans match names without their module or class, so they can
-over-count callers and readers but never under-count them, save for a
-name put together at run time, as in ``getattr(obj, "x" + s)``.
+Both scans match a staticmethod of the library with its class, as
+``Class.name``: it is read, and its parameters are set, only where code
+spells its class, as in ``GridMeasure.uniform(8)``, so ``rng.uniform(0.0,
+1.0)`` neither reads it nor sets its parameters.  Every other name is
+matched without its module or class, so the scans can over-count callers
+and readers but never under-count them, save for a name put together at
+run time, as in ``getattr(obj, "x" + s)``.
 """
 
 import ast
@@ -99,6 +103,20 @@ def _library_nodes():
             yield module, node
 
 
+def _is_static(node: ast.FunctionDef) -> bool:
+    return any(getattr(d, "id", None) == "staticmethod"
+               for d in node.decorator_list)
+
+
+def _name(node: ast.FunctionDef) -> str:
+    """The name a function is called and read by: ``Class.name`` for a
+    staticmethod, its own name otherwise."""
+    owner = getattr(node, "method_of", None)
+    if owner is not None and _is_static(node):
+        return f"{owner.name}.{node.name}"
+    return node.name
+
+
 def _is_dataclass(node: ast.ClassDef) -> bool:
     for dec in node.decorator_list:
         target = dec.func if isinstance(dec, ast.Call) else dec
@@ -132,13 +150,11 @@ def settable_values() -> dict[str, tuple[str, int | None, bool]]:
             continue
         owner = getattr(node, "method_of", None)
         # a constructor is called by its class's name
-        name = owner.name if node.name == "__init__" else node.name
+        name = owner.name if node.name == "__init__" else _name(node)
         args = node.args
         positional = args.posonlyargs + args.args
         # self or cls is passed implicitly
-        offset = int(owner is not None and not any(
-            getattr(d, "id", None) == "staticmethod"
-            for d in node.decorator_list))
+        offset = int(owner is not None and not _is_static(node))
         first = len(positional) - len(args.defaults)
         for pos, arg in enumerate(positional[first:], first - offset):
             add(module, name, arg.arg, pos)
@@ -148,42 +164,52 @@ def settable_values() -> dict[str, tuple[str, int | None, bool]]:
     return found
 
 
-def _callee(func: ast.expr) -> str | None:
-    return getattr(func, "attr", getattr(func, "id", None))
+def _spellings(node: ast.expr) -> set[str]:
+    """The names a loaded variable or attribute answers to: its own name,
+    and ``owner.name`` as well where code spells the owner by name."""
+    name = getattr(node, "attr", getattr(node, "id", None))
+    if name is None:
+        return set()
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return {name, f"{node.value.id}.{name}"}
+    return {name}
 
 
-def calls_in(dirs=CALLER_DIRS) -> list[tuple[str, int, set, bool]]:
-    """(callable name, positional count, keyword names, unpacks) for every
-    call in ``dirs``; ``partial(f, ...)`` counts as a call of f."""
+def calls_in(dirs=CALLER_DIRS) -> list[tuple[set, int, set, bool]]:
+    """(names the callee answers to, positional count, keyword names,
+    unpacks) for every call in ``dirs``; ``partial(f, ...)`` counts as a
+    call of f."""
     out = []
     for _, tree in _trees(dirs):
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
-            name, args = _callee(node.func), node.args
-            if name == "partial" and args:
-                name, args = _callee(args[0]), args[1:]
-            if name is None:
+            names, args = _spellings(node.func), node.args
+            if "partial" in names and args:
+                names, args = _spellings(args[0]), args[1:]
+            if not names:
                 continue
             keywords = {k.arg for k in node.keywords if k.arg}
             unpacks = any(isinstance(a, ast.Starred) for a in args) or (
                 any(k.arg is None for k in node.keywords))
-            out.append((name, len(args), keywords, unpacks))
+            out.append((names, len(args), keywords, unpacks))
     return out
 
 
-def unset_values() -> set[str]:
-    """Keys of the settable values that no call in ``CALLER_DIRS`` sets."""
-    calls = calls_in()
+def unset_values(values=None, calls=None) -> set[str]:
+    """Keys of the settable ``values``, the library's by default, that no
+    call of ``calls``, those in ``CALLER_DIRS`` by default, sets."""
+    values = settable_values() if values is None else values
+    calls = calls_in() if calls is None else calls
     unset = set()
-    for key, (owner, pos, field) in settable_values().items():
+    for key, (owner, pos, field) in values.items():
         value = key[key.index("(") + 1:-1]
 
         def sets(call):
-            callee, n_pos, keywords, unpacks = call
-            if callee == "replace":
+            callees, n_pos, keywords, unpacks = call
+            if "replace" in callees:
                 return field and value in keywords
-            return callee == owner and (
+            return owner in callees and (
                 unpacks or value in keywords
                 or (pos is not None and pos < n_pos))
 
@@ -212,6 +238,16 @@ def test_scan_sees_defaults_fields_and_calls():
     assert "identcore:verify_local_id(dec)" not in unset_values()
 
 
+def test_a_staticmethod_is_set_only_where_its_class_is_spelled(tmp_path):
+    values = {"fnspace:GridMeasure.uniform(a)":
+              ("GridMeasure.uniform", 1, False)}
+    code = tmp_path / "code.py"
+    code.write_text("rng.uniform(0.0, 1.0)\n")
+    assert unset_values(values, calls_in([tmp_path])) == set(values)
+    code.write_text("GridMeasure.uniform(16, 0.0)\n")
+    assert unset_values(values, calls_in([tmp_path])) == set()
+
+
 def outputs() -> dict[str, tuple[str, bool]]:
     """key -> (name, whether it is a dataclass field) for every function,
     method, property and dataclass field of the library, special methods
@@ -226,27 +262,27 @@ def outputs() -> dict[str, tuple[str, bool]]:
                 node.name.startswith("__") and node.name.endswith("__")):
             owner = getattr(node, "method_of", None)
             qual = node.name if owner is None else f"{owner.name}.{node.name}"
-            found[f"{module}:{qual}"] = (node.name, False)
+            found[f"{module}:{qual}"] = (_name(node), False)
     return found
 
 
 def names_read_in(dirs) -> set[str]:
     """Every name that code in ``dirs`` loads as a variable or an
     attribute, or spells as a part of a dotted string such as
-    ``"identcore.MomentMap.eval"``."""
+    ``"identcore.MomentMap.eval"``; an attribute of a named owner, or two
+    adjacent parts of a dotted string, also count as ``owner.name``."""
     names = set()
     for _, tree in _trees(dirs):
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                names.add(node.id)
-            elif (isinstance(node, ast.Attribute)
-                  and isinstance(node.ctx, ast.Load)):
-                names.add(node.attr)
+            if (isinstance(node, (ast.Name, ast.Attribute))
+                    and isinstance(node.ctx, ast.Load)):
+                names |= _spellings(node)
             elif (isinstance(node, ast.Constant)
                   and isinstance(node.value, str)):
                 parts = node.value.split(".")
                 if all(part.isidentifier() for part in parts):
                     names.update(parts)
+                    names.update(map(".".join, zip(parts, parts[1:])))
     return names
 
 
@@ -274,6 +310,8 @@ def test_reader_scan_sees_functions_methods_properties_and_fields():
     assert found["identcore:MomentMap.norm_a_rows"] == ("norm_a_rows", False)
     assert found["semiparam:SplitDerivative.p"] == ("p", False)
     assert found["identcore:LocalIdReport.failures"] == ("failures", True)
+    assert found["fnspace:GridMeasure.uniform"] == (
+        "GridMeasure.uniform", False)
     assert "identcore:MomentMap.__post_init__" not in found
 
 
@@ -283,5 +321,6 @@ def test_reader_scan_reads_loads_and_dotted_strings(tmp_path):
         "obj.attr_stored = 2\nf(keyword=3)\ngetattr(obj, 'spelled')\n"
         "'pkg.Owner.dotted'\n'two words'\n")
     assert names_read_in([tmp_path]) == {
-        "obj", "attr_loaded", "name_loaded", "f", "getattr", "spelled",
-        "pkg", "Owner", "dotted"}
+        "obj", "attr_loaded", "obj.attr_loaded", "name_loaded", "f",
+        "getattr", "spelled", "pkg", "Owner", "dotted", "pkg.Owner",
+        "Owner.dotted"}

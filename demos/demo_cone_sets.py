@@ -11,9 +11,10 @@ inclusions hold without exception.
 
 import numpy as np
 
-from momentid.fnspace import GridFunction, GridMeasure
-from momentid.identcore import MomentMap, cone_classify, cone_inclusion_suite
-from momentid.linop import LinearOperator
+from momentid.fnspace import GridFunction, GridMeasure, norm
+from momentid.identcore import (MomentMap, cone_flags, cone_inclusion_suite,
+                                zero_threshold)
+from momentid.linop import LinearOperator, apply, singular_values
 
 # One concrete instance first: a mildly quadratic map in three dimensions.
 mu = GridMeasure(np.arange(3.0), np.ones(3))
@@ -31,13 +32,21 @@ mmap = MomentMap(GridFunction.zero(mu), eval_rows,
                  LinearOperator(lin, mu, mu))
 rng = np.random.default_rng(0)
 alpha = GridFunction(rng.standard_normal(3), mu)
+# the three defining norms: the map, its linearization and the remainder
+delta = alpha - mmap.base_point
+m_val = mmap.eval(alpha)
+lin_val = apply(mmap.derivative, delta)
+m_n, lin_n, rem_n = norm(m_val), norm(lin_val), norm(m_val - lin_val)
+# numerical zero: the zero rule at this deviation
+zero = zero_threshold(singular_values(mmap.derivative)[0], norm(delta))
 for eta in (0.25, 0.75):
-    cm = cone_classify(mmap, alpha, eta)
-    print(f"eta = {eta}: map norm {cm.m_norm:.3f}, linearization "
-          f"{cm.linear_norm:.3f}, remainder {cm.remainder_norm:.3f}")
-    print(f"  in identified set {cm.in_n}, in rank set {cm.in_nprime}, "
-          f"remainder under eta*map {cm.in_n_eta}, under eta*linearization "
-          f"{cm.in_nprime_eta}")
+    in_n, in_nprime, in_n_eta, in_nprime_eta = cone_flags(
+        m_n, lin_n, rem_n, eta, zero)
+    print(f"eta = {eta}: map norm {m_n:.3f}, linearization "
+          f"{lin_n:.3f}, remainder {rem_n:.3f}")
+    print(f"  in identified set {in_n}, in rank set {in_nprime}, "
+          f"remainder under eta*map {in_n_eta}, under eta*linearization "
+          f"{in_nprime_eta}")
 
 # Now the Monte Carlo suite: inclusions between the four sets, the
 # equalities for eta < 1, and the eta/(1-eta) transfer bounds.

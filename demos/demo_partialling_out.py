@@ -12,13 +12,9 @@ bound on the derivative norm.
 from momentid.models.single_index import (
     diagnose_single_index,
     gaussian_index_design,
-    single_index_map,
+    index_split,
 )
-from momentid.semiparam import (
-    partial_out,
-    split_lower_bound_check,
-    verify_semiparam_linear,
-)
+from momentid.semiparam import partial_out, split_lower_bound_check
 
 print("--- scalar instrument ---")
 scalar = gaussian_index_design(rho=0.5, w_dim=1)
@@ -37,19 +33,12 @@ print(f"completeness proxy: {d2.w_given_v_complete} (a function of two "
 print(f"Gram matrix: lambda_min/sum ||col||^2 = {d2.gram_ratio:.3f} "
       "-> nonsingular")
 
-smap = single_index_map(rich)
-split = smap.split
+split = index_split(rich)
 report = partial_out(split)
 print(f"\npartialled-out constants: eps1 = {report.eps1:.4f}, "
       f"C* = {report.c_star:.4f}, eps = {report.eps:.4f}")
 ratio = split_lower_bound_check(split, report, trials=5000, seed=3)
 print(f"sampled lower bound: min ||b^T a + zeta|| / (|a| + ||zeta||) = "
       f"{ratio:.4f} >= eps")
-
-harness = verify_semiparam_linear(smap, beta_radius=0.04, g_radius=0.3,
-                                  samples=50, seed=5)
-print(f"\nsampling the product neighborhood: {harness.passes}/"
-      f"{harness.samples} draws keep ||m(beta, g)|| > 0 "
-      f"(min {harness.min_m_norm:.2e})")
 print("so the index coefficients are locally identified even though the "
       "link is not")

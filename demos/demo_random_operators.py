@@ -46,10 +46,3 @@ dens = draw_operator(
 )
 rows = dens.operator.entries @ grid.weights
 print(f"density variant: row sums within {np.abs(rows - 1).max():.2e} of 1")
-
-# Perfect dependence across coefficients is allowed: one shared uniform.
-shared = GeneratorConfig(sigma=sigma, kappa=1.0, trunc_n=30,
-                         dependent_u=True)
-rep2 = mc_injectivity(shared, (basis, basis), draws=100, tol=1e-12, seed=7)
-print(f"\nperfectly dependent draws: fraction below tol = "
-      f"{rep2.fraction_below_tol}")

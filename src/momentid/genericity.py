@@ -3,8 +3,8 @@
 Operators are drawn as kappa * sum_j lambda_j <phi_j, .> psi_j over supplied
 orthonormal families, with lambda_j = u_j sigma_j for uniform u_j on [-1, 1].
 Optional variants enforce a compactness decay test on sigma, a nonnegative
-kernel, unit kernel row sums (a conditional-density operator), or perfectly
-dependent draws sharing a single uniform.  A Monte Carlo study reads all
+kernel, or unit kernel row sums (a conditional-density operator).  Each
+draw reads trunc_n uniforms, one per term.  A Monte Carlo study reads all
 its draws from one generator stream, the first of them being the single
 draw at the same seed.
 """
@@ -35,7 +35,6 @@ class GeneratorConfig:
     compact: bool = False
     positive: bool = False
     density: bool = False
-    dependent_u: bool = False
 
     def __post_init__(self):
         try:
@@ -96,11 +95,6 @@ class _DrawSetup:
     codomain: GridMeasure
     c_bound: float | None
 
-    @property
-    def u_width(self) -> int:
-        """Uniforms per draw: one shared by every term, or one per term."""
-        return 1 if self.config.dependent_u else self.config.trunc_n
-
 
 def _setup_draws(
     config: GeneratorConfig,
@@ -146,8 +140,8 @@ def _draw_stack(
     their operators as one stack, the coefficients lambda (one row per draw)
     and the scales kappa, after the checks that depend on the coefficients.
 
-    Row i of ``u`` holds draw i's ``setup.u_width`` uniforms on [-1, 1],
-    the next ``u_width`` values of the caller's generator stream.
+    Row i of ``u`` holds draw i's ``trunc_n`` uniforms on [-1, 1], the
+    next ``trunc_n`` values of the caller's generator stream.
     """
     config = setup.config
     n = config.trunc_n
@@ -194,7 +188,7 @@ def draw_operator(
     setup = _setup_draws(config, bases)
     # an integer only: default_rng would also take None, OS entropy
     u = np.random.default_rng(operator.index(seed)).uniform(
-        -1.0, 1.0, size=setup.u_width)
+        -1.0, 1.0, size=config.trunc_n)
     ops, lam, kappa = _draw_stack(setup, u[None])
     op = LinearOperator(ops.entries[0], setup.domain, setup.codomain)
     return OperatorDraw(operator=op, lambdas=lam[0], kappa=float(kappa[0]),
@@ -227,13 +221,15 @@ def mc_injectivity(
 
     The uniforms of every draw come from one stream,
     ``np.random.default_rng(seed)``: draw i is built from row i of
-    ``default_rng(seed).uniform(-1, 1, (draws, u_width))``, so draw 0 is
+    ``default_rng(seed).uniform(-1, 1, (draws, trunc_n))``, so draw 0 is
     ``draw_operator`` at ``seed``, bit for bit.  The draws are made,
     checked and decomposed ``DRAW_CHUNK`` at a time, each chunk continuing
     the stream, with one stacked values-only SVD per chunk.
     """
     if draws < 1:
         raise ValueError("draws must be at least 1")
+    if not 0 < tol < np.inf:  # False on NaN as well
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     setup = _setup_draws(config, bases)
     # an integer only: default_rng would also take None, OS entropy
     rng = np.random.default_rng(operator.index(seed))
@@ -243,7 +239,7 @@ def mc_injectivity(
     below = 0
     for start in range(0, draws, DRAW_CHUNK):
         u = rng.uniform(-1.0, 1.0,
-                        size=(min(DRAW_CHUNK, draws - start), setup.u_width))
+                        size=(min(DRAW_CHUNK, draws - start), n))
         ops, lam, kappa = _draw_stack(setup, u)
         s = singular_values(ops)[:, :n]
         expected = np.sort(np.abs(kappa[:, None] * lam), axis=1)[:, ::-1]

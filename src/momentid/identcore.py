@@ -11,7 +11,6 @@ tangential-cone set inclusions on random finite-dimensional instances.
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -28,7 +27,6 @@ from .fnspace import (
 from .linop import (
     LinearOperator,
     SvdDecomposition,
-    apply,
     apply_rows,
     singular_values,
     svd,
@@ -88,6 +86,14 @@ class MomentMap:
         return out
 
 
+def _check_exponent(r: float) -> None:
+    """Reject a remainder exponent r that is not finite or below one: at
+    r = inf, L ||d||^r is 0 for every ||d|| < 1, and a NaN r compares
+    False against everything."""
+    if not 1 <= r < np.inf:
+        raise ValueError(f"r must be finite and at least 1, got {r}")
+
+
 @dataclass(frozen=True)
 class NonlinearityBound:
     """Curvature constant L and exponent r of the remainder bound
@@ -97,10 +103,9 @@ class NonlinearityBound:
     r: float
 
     def __post_init__(self):
-        if self.L < 0:
-            raise ValueError("L must be nonnegative")
-        if self.r < 1:
-            raise ValueError("r must be at least 1")
+        if not 0 <= self.L < np.inf:  # False on NaN as well
+            raise ValueError(f"L must be finite and nonnegative, got {self.L}")
+        _check_exponent(self.r)
 
     def separates(self, lin_norm: float, dev_norm: float) -> bool:
         """The identification-set test ||m' d|| > L ||d||^r, given the two
@@ -228,8 +233,7 @@ def estimate_nonlinearity(
     A lower bound for any valid L on a neighborhood covering the sampled
     deviations.
     """
-    if r < 1:
-        raise ValueError("r must be at least 1")
+    _check_exponent(r)
     _check_domain(mmap, deviations, "deviations")
     dev_norms = mmap.norm_a_rows(deviations).tolist()
     if 0.0 in dev_norms:
@@ -268,39 +272,6 @@ def rank_condition(op: LinearOperator | SvdDecomposition) -> RankReport:
     return RankReport(holds=square_or_tall and bool(resolved(s)[-1]),
                       sigma_min=float(s[-1]) if square_or_tall else 0.0,
                       sigma_max=float(s[0]))
-
-
-def in_ellipsoid(
-    b: Sequence[float], mu: Sequence[float], bound: NonlinearityBound
-) -> bool:
-    """Source-condition ellipsoid sum_j mu_j^(-2/(r-1)) b_j^2 < L^(-2/(r-1)).
-
-    Membership implies membership of the corresponding deviation in the
-    identification set for the same (L, r).  Requires r > 1 and L > 0.
-    The sum runs over the nonzero b_j only, so a zero coefficient on a null
-    direction (mu_j = 0) adds nothing; a nonzero one there is outside.
-    """
-    if bound.r <= 1 or bound.L <= 0:
-        raise ValueError("the ellipsoid test requires r > 1 and L > 0")
-    b = np.asarray(b, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    if b.shape != mu.shape:
-        raise GridMismatchError("coefficients and singular values differ in length")
-    if not b.any():
-        warnings.warn(
-            "zero coefficients encode the center point itself, which the "
-            "identification claim excludes",
-            stacklevel=2,
-        )
-        return True
-    live = b != 0.0
-    if (mu[live] == 0.0).any():
-        return False
-    p = 2.0 / (bound.r - 1.0)
-    # zeros stay in place, so the sum adds its terms in the same order
-    terms = np.zeros_like(b)
-    terms[live] = mu[live] ** (-p) * b[live] ** 2
-    return float(np.sum(terms)) < bound.L ** (-p)
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
@@ -547,20 +518,6 @@ def counterexample(k: int) -> CounterexampleCase:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConeMembership:
-    """Membership flags for the four tangential-cone sets at one alpha."""
-
-    in_n: bool
-    in_nprime: bool
-    in_n_eta: bool
-    in_nprime_eta: bool
-    eta: float
-    m_norm: float
-    linear_norm: float
-    remainder_norm: float
-
-
 def cone_flags(m_n, lin_n, rem_n, eta, zero):
     """Membership in N, N', N_eta and N'_eta from the defining norms
     ||m(a)||, ||m'(a - a0)|| and the remainder ||m(a) - m'(a - a0)||.
@@ -570,33 +527,6 @@ def cone_flags(m_n, lin_n, rem_n, eta, zero):
     arguments may be scalars or arrays of instances alike.
     """
     return m_n > zero, lin_n > zero, rem_n <= eta * m_n, rem_n <= eta * lin_n
-
-
-def cone_classify(
-    mmap: MomentMap, alpha: GridFunction, eta: float
-) -> ConeMembership:
-    """Evaluate the defining norms of the cone sets and set the four flags.
-
-    The one-instance case of :func:`cone_flags`, with numerical zero set by
-    the zero rule (``zero_threshold``) at the deviation alpha - alpha0.
-    The membership carries the three norms the flags were read from.
-    """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    delta = alpha - mmap.base_point
-    m_val = mmap.eval(alpha)
-    lin = apply(mmap.derivative, delta)
-    m_n = norm(m_val)
-    lin_n = norm(lin)
-    rem_n = norm(m_val - lin)
-    zero = zero_threshold(singular_values(mmap.derivative)[0], norm(delta))
-    return ConeMembership(
-        *cone_flags(m_n, lin_n, rem_n, eta, zero),
-        eta=eta,
-        m_norm=m_n,
-        linear_norm=lin_n,
-        remainder_norm=rem_n,
-    )
 
 
 # Instances drawn together by the cone suite, and instances classified
@@ -797,14 +727,6 @@ def classify_cones(measured: np.ndarray, slack: float) -> ConeChunkFlags:
             for name, (p, _, b) in relations.items() if b is not None
         },
     )
-
-
-def evaluate_cone_chunk(chunk: ConeChunk, slack: float) -> ConeChunkFlags:
-    """Classify every instance of a chunk against the four cone sets:
-    ``measure_cone_chunk`` and then ``classify_cones`` on the one chunk."""
-    measured = np.empty((4, chunk.eta.size))
-    measure_cone_chunk(chunk, measured)
-    return classify_cones(measured, slack)
 
 
 @dataclass

@@ -1,9 +1,9 @@
 """Dense linear operators between weighted-grid spaces.
 
 An operator stores its kernel table K on codomain x domain nodes and acts by
-quadrature, (T f)(s) = sum_t w_t K(s, t) f(t).  Adjoints, singular value
-decompositions and Hilbert-Schmidt norms are all taken with respect to the
-weighted inner products of the two grids, not the plain Euclidean ones.
+quadrature, (T f)(s) = sum_t w_t K(s, t) f(t).  Adjoints and singular value
+decompositions are taken with respect to the weighted inner products of the
+two grids, not the plain Euclidean ones.
 """
 
 from __future__ import annotations
@@ -214,14 +214,3 @@ def singular_values(op: LinearOperator | OperatorStack) -> np.ndarray:
     mode of :func:`svd`, which skips the singular functions.  A stack gets
     one row of values per operator, from one stacked LAPACK call."""
     return _weighted_svd(op, compute_uv=False)
-
-
-def hs_norm(op: LinearOperator) -> float:
-    """Hilbert-Schmidt norm sqrt(sum_{s,t} w_s w_t K(s,t)^2)."""
-    return float(
-        np.sqrt(
-            np.einsum(
-                "s,t,st->", op.codomain.weights, op.domain.weights, op.entries**2
-            )
-        )
-    )

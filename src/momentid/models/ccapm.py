@@ -111,18 +111,6 @@ class CcapmModel:
             * ((2.0 + np.log(s) ** 2) * sup_pow)[:, None, None]
         )
 
-    def g_space_norm(self) -> Callable[[GridFunction], float]:
-        """Norm weighting g(next state)^2 by the squared conditional envelope."""
-        mo = self.omega_measure.weights
-        mc = self.c_measure.weights
-        env_bar = np.einsum("soc,soc->oc", self.cond_mass, self.envelope())
-        nu = np.einsum("o,c,soc,oc->s", mo, mc, self.cond_mass, env_bar**2)
-
-        def g_norm(g: GridFunction) -> float:
-            return float(np.sqrt(np.dot(nu, g.values**2)))
-
-        return g_norm
-
 
 def ccapm_moment_map(model: CcapmModel) -> SemiparametricMap:
     """Pricing map over ((delta, gamma), g) with its split derivative.
@@ -177,7 +165,6 @@ def ccapm_moment_map(model: CcapmModel) -> SemiparametricMap:
         g0=model.g0,
         eval_rows=eval_rows,
         split=SplitDerivative(m_beta=m_beta, m_g=m_g),
-        g_norm=model.g_space_norm(),
     )
 
 
@@ -225,6 +212,8 @@ def positive_eigenpair(
     full spectrum is computed densely and the gap |rho_2| / rho_1 certifies
     that the leading eigenvalue is simple.
     """
+    if not 0 < tol < math.inf:  # False on NaN as well
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     if not op.domain.same_as(op.codomain):
         raise GridMismatchError("eigenproblem needs matching domain and codomain")
     if (op.entries <= 0).any():

@@ -23,8 +23,7 @@ from ..errors import GridMismatchError
 from ..fnspace import GridFunction, GridMeasure, trapezoid_weights
 from ..identcore import rank_condition
 from ..linop import apply, conditional_expectation
-from ..semiparam import (SemiparametricMap, SplitDerivative, gram_singular,
-                         partial_out)
+from ..semiparam import SplitDerivative, gram_singular, partial_out
 
 
 @dataclass(frozen=True)
@@ -33,8 +32,9 @@ class SingleIndexModel:
 
     ``joint_ratio`` is the joint mass of (V, W) relative to the product of
     the two probability measures.  ``x2`` holds the instrument-measurable
-    regressor values, one row per W node; the link ``g0`` and its derivative
-    are callables evaluated off-grid when the index shifts with beta.
+    regressor values, one row per W node.  The link ``g0`` and its
+    derivative ``g0_prime`` are callables; the split derivative reads
+    ``g0_prime`` on the index grid alone.
     """
 
     beta0: np.ndarray
@@ -76,9 +76,15 @@ class SingleIndexModel:
         return self.beta0.size
 
 
-def _split_derivative(model: SingleIndexModel) -> SplitDerivative:
-    """The split derivative of ``single_index_map(model)`` at the truth,
-    which ``diagnose_single_index`` partials out without building the map."""
+def index_split(model: SingleIndexModel) -> SplitDerivative:
+    """The split derivative of the index map at the truth, which
+    ``diagnose_single_index`` partials out.
+
+    The map integrates g0(v) - g(v + x2(w)^T (beta - beta0)) against the
+    conditional mass of the index given each instrument value; its
+    derivative splits into m_g h = -E[h(V)|W] and the columns
+    -x2_k(w) E[g0'(V)|W=w].  Only the derivative is built.
+    """
     mv, mw = model.v_measure, model.w_measure
     cond = conditional_expectation(model.joint_ratio, mv, mw)
     # E[g0'(V) | W], from the operator whose negative is m_g
@@ -88,49 +94,6 @@ def _split_derivative(model: SingleIndexModel) -> SplitDerivative:
         GridFunction(-model.x2[:, k] * u, mw) for k in range(model.p)
     )
     return SplitDerivative(m_beta=m_beta, m_g=m_g)
-
-
-def single_index_map(model: SingleIndexModel) -> SemiparametricMap:
-    """Moment map over (beta, g) and its split derivative at the truth.
-
-    The map integrates g0(v) - g(v + x2(w)^T (beta - beta0)) against the
-    conditional mass of the index given each instrument value, row by row;
-    g is interpolated linearly for the shifted index, and shifts that leave
-    the tabulated index range raise.  The derivative splits into
-    m_g h = -E[h(V)|W] and columns -x2_k(w) E[g0'(V)|W=w].
-    """
-    split = _split_derivative(model)
-    mv, mw = model.v_measure, model.w_measure
-    vg = mv.coords()
-    cond_mass = mv.weights[:, None] * model.joint_ratio
-    # rows carrying conditional mass; the rest of the grid is padding that
-    # lets the index shift with beta without leaving the tabulated domain
-    inner = np.flatnonzero(cond_mass.max(axis=1) > 0)
-    vg_inner = vg[inner]
-    mass_inner = cond_mass[inner]
-    g0_v = np.asarray(model.g0(vg), dtype=float)
-    g0_inner = g0_v[inner][:, None]
-
-    def eval_rows(rows: np.ndarray) -> np.ndarray:
-        out = np.empty((len(rows), mw.size))
-        for b, row in enumerate(rows):
-            shift = model.x2 @ (row[:model.p] - model.beta0)
-            pts = vg_inner[:, None] + shift[None, :]
-            if pts.min() < vg[0] or pts.max() > vg[-1]:
-                raise ValueError(
-                    "index values leave the tabulated domain "
-                    f"[{vg[0]:.4g}, {vg[-1]:.4g}]; shrink the beta deviation"
-                )
-            g_shift = np.interp(pts, vg, row[model.p:])
-            out[b] = (mass_inner * (g0_inner - g_shift)).sum(axis=0)
-        return out
-
-    return SemiparametricMap(
-        beta0=model.beta0,
-        g0=GridFunction(g0_v, mv),
-        eval_rows=eval_rows,
-        split=split,
-    )
 
 
 @dataclass(frozen=True)
@@ -202,7 +165,7 @@ def diagnose_single_index(model: SingleIndexModel) -> IndexDiagnosis:
     rank = rank_condition(w_to_v)
     ratio = rank.sigma_min / rank.sigma_max if rank.sigma_max > 0 else 0.0
 
-    report = partial_out(_split_derivative(model))
+    report = partial_out(index_split(model))
     pi_singular = gram_singular(report.gram_ratio)
     return IndexDiagnosis(
         w_given_v_complete=rank.holds, pi_singular=pi_singular,
@@ -221,7 +184,8 @@ def _index_grids(w_dim, n_v, n_w, span, v_pad, proportional_c):
     grid, its trapezoid weights, the index and instrument measures, the
     index as a function of the instrument, and the regressors x2.  The
     arrays are read-only, so every design built at one key shares them."""
-    # pad the index grid so eval can shift the index with beta deviations
+    # the index grid reaches v_pad past the span; the padded nodes carry no
+    # index mass, and the shipped designs' grids keep them
     vg = np.linspace(-span - v_pad, span + v_pad, n_v)
     v_measure = GridMeasure.from_density(vg, _phi(vg))
     quad_v = trapezoid_weights(vg)

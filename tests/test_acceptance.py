@@ -37,9 +37,9 @@ from momentid.models.ccapm import (
 )
 from momentid.models.quantile import gaussian_quantile_model, quantile_moment_map
 from momentid.models.single_index import (diagnose_single_index,
-                                          gaussian_index_design,
-                                          single_index_map)
+                                          gaussian_index_design, index_split)
 from momentid.semiparam import SplitDerivative, partial_out, split_lower_bound_check
+from oracles import to_moment_map
 
 
 def report(criterion, ok, detail=""):
@@ -214,10 +214,8 @@ def test_criterion_07_index_design_consistency(gram_oracle):
                                    n_v=49, n_w=15)
         d1, d2 = diagnose_single_index(m1), diagnose_single_index(m2)
         all_consistent = all_consistent and d1.consistent and d2.consistent
-        scalar_worst = max(scalar_worst,
-                           gram_oracle(single_index_map(m1).split))
-        twodim_worst = min(twodim_worst,
-                           gram_oracle(single_index_map(m2).split))
+        scalar_worst = max(scalar_worst, gram_oracle(index_split(m1)))
+        twodim_worst = min(twodim_worst, gram_oracle(index_split(m2)))
     ok = all_consistent and scalar_worst < 1e-8 and twodim_worst > 1e-4
     report(7, ok,
            f"20 designs consistent: {all_consistent}, scalar ratio "
@@ -296,7 +294,7 @@ def test_criterion_10_derivative_fidelity():
 
     ccapm = lognormal_ccapm_model()
     smap = ccapm_moment_map(ccapm)
-    mm = smap.to_moment_map()
+    mm = to_moment_map(smap)
     mu = mm.base_point.measure
     c_dirs = FunctionStack(rng.standard_normal((10, mu.size)) * 0.2, mu)
     c_err = gateaux_check(mm, c_dirs, 1e-4)

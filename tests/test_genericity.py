@@ -67,16 +67,6 @@ def test_operator_reproduces_the_sum(grid_and_basis):
     assert np.abs(apply(draw.operator, f).values - direct).max() < 1e-12
 
 
-def test_dependent_draws_share_one_uniform(grid_and_basis):
-    _, basis = grid_and_basis
-    sigma = np.array([1.0, 2.0, 4.0])
-    config = GeneratorConfig(sigma=sigma, kappa=1.0, trunc_n=3,
-                             dependent_u=True)
-    draw = draw_operator(config, (basis, basis), seed=2)
-    u = draw.lambdas / sigma
-    assert np.ptp(u) < 1e-15
-
-
 def test_positive_flag_kernel_nonnegative(grid_and_basis):
     _, basis = grid_and_basis
     sigma = 1.0 / np.arange(1, 9) ** 2
@@ -163,10 +153,7 @@ def reference_draw(config, basis, rng):
     lambda_0 for the positive variants, and the kernel
     kappa * (psi * lambda) @ phi.T."""
     n = config.trunc_n
-    if config.dependent_u:
-        u = np.full(n, rng.uniform(-1.0, 1.0))
-    else:
-        u = rng.uniform(-1.0, 1.0, size=n)
+    u = rng.uniform(-1.0, 1.0, size=n)
     lam = u * config.sigma[:n]
     kappa = config.kappa
     mat = basis.matrix()[:, :n]
@@ -182,8 +169,7 @@ def reference_draw(config, basis, rng):
     {},
     {"positive": True},
     {"positive": True, "density": True},
-    {"dependent_u": True},
-], ids=["plain", "positive", "density", "dependent_u"])
+], ids=["plain", "positive", "density"])
 def test_draws_match_the_one_at_a_time_reference(grid_and_basis, flags):
     _, basis = grid_and_basis
     config = GeneratorConfig(sigma=1.0 / np.arange(1, 13) ** 2, kappa=1.3,
@@ -223,8 +209,7 @@ class TestBulkSetupMatchesNumpy:
     the one draw_operator reads: its stream starts with draw_operator's
     draw and runs on through the chunks."""
 
-    @pytest.mark.parametrize("flags", [{}, {"dependent_u": True}],
-                             ids=["plain", "dependent_u"])
+    @pytest.mark.parametrize("flags", [{}], ids=["plain"])
     def test_draw_kernels_continue_one_stream(self, grid_and_basis, flags,
                                               monkeypatch):
         _, basis = grid_and_basis
@@ -289,6 +274,20 @@ class TestMcInjectivity:
                                 tol=1e-12, seed=4)
         assert report.max_spectrum_deviation <= 1e-10
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-12])
+    def test_tol_must_be_finite_and_positive(self, grid_and_basis, tol,
+                                             monkeypatch):
+        # at tol = nan or tol <= 0 no draw reads as below it, a vacuous pass
+        _, basis = grid_and_basis
+        config = GeneratorConfig(sigma=np.ones(4), kappa=1.0, trunc_n=4)
+
+        def no_work(*args):
+            raise AssertionError("draws set up before tol was checked")
+
+        monkeypatch.setattr(genericity, "_setup_draws", no_work)
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            mc_injectivity(config, (basis, basis), draws=10, tol=tol, seed=0)
+
     def test_fraction_zero_at_numerical_scale(self, grid_and_basis):
         _, basis = grid_and_basis
         sigma = 1.0 / np.arange(1, 21) ** 2
@@ -298,22 +297,11 @@ class TestMcInjectivity:
         assert report.fraction_below_tol == 0.0
         assert report.sigma_min.min() > 0.0
 
-    def test_dependent_draws_also_injective(self, grid_and_basis):
-        _, basis = grid_and_basis
-        sigma = 1.0 / np.arange(1, 16) ** 2
-        config = GeneratorConfig(sigma=sigma, kappa=1.0, trunc_n=15,
-                                 dependent_u=True)
-        report = mc_injectivity(config, (basis, basis), draws=50,
-                                tol=1e-12, seed=13)
-        assert report.fraction_below_tol == 0.0
-        assert report.max_spectrum_deviation <= 1e-10
-
     @pytest.mark.parametrize("flags", [
         {},
         {"positive": True},
         {"positive": True, "density": True},
-        {"dependent_u": True},
-    ], ids=["plain", "positive", "density", "dependent_u"])
+    ], ids=["plain", "positive", "density"])
     def test_matches_reference_loop(self, grid_and_basis, flags):
         _, basis = grid_and_basis
         n = 12
@@ -334,8 +322,7 @@ class TestMcInjectivity:
     @pytest.mark.parametrize("draws", [
         1, DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1, 2 * DRAW_CHUNK - 1,
         2 * DRAW_CHUNK, 2 * DRAW_CHUNK + 1, 200, 1025])
-    @pytest.mark.parametrize("flags", [{}, {"dependent_u": True}],
-                             ids=["plain", "dependent_u"])
+    @pytest.mark.parametrize("flags", [{}], ids=["plain"])
     def test_chunks_reproduce_single_draws_bit_for_bit(
             self, grid_and_basis, flags, draws):
         _, basis = grid_and_basis

@@ -19,7 +19,6 @@ from momentid.identcore import (
     MomentMap,
     NonlinearityBound,
     _eval_stack,
-    cone_classify,
     cone_inclusion_suite,
     counterexample,
     counterexample_cases,
@@ -27,9 +26,7 @@ from momentid.identcore import (
     draw_cone_chunk,
     dyadic_weights,
     estimate_nonlinearity,
-    evaluate_cone_chunk,
     gateaux_check,
-    in_ellipsoid,
     rank_condition,
     sample_ellipsoid_deviations,
     verify_local_id,
@@ -43,6 +40,7 @@ from momentid.linop import (
     singular_values,
     svd,
 )
+from oracles import cone_classify, evaluate_cone_chunk, in_ellipsoid
 
 
 def unit_grid(n):
@@ -154,6 +152,15 @@ class TestEstimateNonlinearity:
         with pytest.raises(GridMismatchError, match="deviations"):
             estimate_nonlinearity(mmap, 2.0, FunctionStack([[1.0, 0.0]], other))
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf, 0.5])
+    def test_rejects_an_exponent_that_is_not_finite_or_below_one(self, r):
+        # max(0.0, nan, ...) keeps 0.0: a NaN r read as a perfect pass
+        mu = unit_grid(1)
+        mmap = MomentMap(GridFunction.zero(mu), lambda rows: rows**2,
+                         LinearOperator(np.zeros((1, 1)), mu, mu))
+        with pytest.raises(ValueError, match="r must be finite and at least 1"):
+            estimate_nonlinearity(mmap, r, FunctionStack([[0.1]], mu))
+
 
 class TestRankCondition:
     def test_identity_holds(self):
@@ -205,6 +212,14 @@ class TestRankCondition:
 
 
 class TestIdentificationSet:
+    @pytest.mark.parametrize("L, r, field", [
+        (math.nan, 2.0, "L"), (math.inf, 2.0, "L"), (-1.0, 2.0, "L"),
+        (1.0, math.nan, "r"), (1.0, math.inf, "r"), (1.0, 0.5, "r")])
+    def test_bound_must_be_finite(self, L, r, field):
+        # at r = inf, L * 0.5**r is 0: any nonzero ||m'd|| would separate
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            NonlinearityBound(L=L, r=r)
+
     def test_zero_deviation_excluded(self):
         mu = unit_grid(2)
         op = LinearOperator.identity(mu)
@@ -366,11 +381,9 @@ class TestVerifyLocalId:
             calls.append((op, rows.shape[0]))
             return apply_rows(op, rows)
 
-        def no_apply(op, f):
-            raise AssertionError("per-row apply")
-
+        # the module holds no per-row apply to fall back on
+        assert not hasattr(identcore, "apply")
         monkeypatch.setattr(identcore, "apply_rows", counting_apply_rows)
-        monkeypatch.setattr(identcore, "apply", no_apply)
         report = verify_local_id(mmap, NonlinearityBound(L=0.1, r=2.0),
                                  random_deviations(rng, mu, 20))
         assert calls == [(mmap.derivative, 20)] and report.samples == 20

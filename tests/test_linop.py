@@ -14,10 +14,10 @@ from momentid.linop import (
     apply_rows,
     apply_values,
     conditional_expectation,
-    hs_norm,
     singular_values,
     svd,
 )
+from oracles import hs_norm
 
 
 def unit_grid(n):

@@ -12,7 +12,6 @@ from momentid.identcore import (
     _eval_stack,
     estimate_nonlinearity,
     gateaux_check,
-    in_ellipsoid,
     sample_ellipsoid_deviations,
     verify_local_id,
 )
@@ -23,6 +22,7 @@ from momentid.models.quantile import (
     gaussian_quantile_model,
     quantile_moment_map,
 )
+from oracles import in_ellipsoid
 
 
 @pytest.fixture(scope="module")

@@ -8,8 +8,7 @@ import pytest
 import momentid.identcore as identcore
 import momentid.models.single_index as single_index
 from momentid.cli import load_config, run_experiment
-from momentid.fnspace import (GridFunction, GridMeasure, norm,
-                              trapezoid_weights)
+from momentid.fnspace import GridFunction, GridMeasure, trapezoid_weights
 from momentid.identcore import rank_condition
 from momentid.linop import apply, conditional_expectation
 from momentid.models.single_index import (
@@ -19,10 +18,10 @@ from momentid.models.single_index import (
     _subsample_indices,
     diagnose_single_index,
     gaussian_index_design,
-    single_index_map,
+    index_split,
 )
 from momentid.semiparam import (GRAM_SINGULAR, SplitDerivative, gram_singular,
-                                linearity_in_g_check, partial_out)
+                                partial_out)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # the grid sizes and rho values of the shipped single-index run
@@ -49,16 +48,6 @@ def test_nonfinite_tables_rejected(scalar_model, field, value):
         replace(scalar_model, **{field: bad})
 
 
-def test_eval_vanishes_at_truth(twodim_model):
-    smap = single_index_map(twodim_model)
-    assert norm(smap.eval(smap.beta0, smap.g0)) <= 1e-12
-
-
-def test_map_linear_in_g(twodim_model):
-    smap = single_index_map(twodim_model)
-    assert linearity_in_g_check(smap, seed=0) < 1e-12
-
-
 def test_linear_link_collapses_to_linear_iv(scalar_model):
     model = SingleIndexModel(
         beta0=scalar_model.beta0,
@@ -69,14 +58,14 @@ def test_linear_link_collapses_to_linear_iv(scalar_model):
         g0=lambda v: 2.0 + 3.0 * v,
         g0_prime=lambda v: np.full_like(np.asarray(v, dtype=float), 3.0),
     )
-    split = single_index_map(model).split
+    split = index_split(model)
     # m_beta_k = -x2_k(w) * slope since E[g0'(V)|W] is the constant slope
     for k, col in enumerate(split.m_beta):
         assert np.allclose(col.values, -3.0 * model.x2[:, k], atol=1e-10)
 
 
 def test_m_g_matches_direct_conditional_expectation(scalar_model):
-    split = single_index_map(scalar_model).split
+    split = index_split(scalar_model)
     rng = np.random.default_rng(0)
     h = GridFunction(rng.standard_normal(scalar_model.v_measure.size),
                      scalar_model.v_measure)
@@ -86,63 +75,20 @@ def test_m_g_matches_direct_conditional_expectation(scalar_model):
     assert np.abs(apply(split.m_g, h).values - direct).max() < 1e-9
 
 
-def test_domain_guard_on_large_beta_shift(twodim_model):
-    smap = single_index_map(twodim_model)
-    with pytest.raises(ValueError, match="tabulated domain"):
-        smap.eval(smap.beta0 + np.array([5.0, 5.0]), smap.g0)
-
-
-@pytest.fixture(scope="module")
-def unit_shift_map():
-    """Index map on a dyadic grid whose first regressor loads 1 at every
-    instrument node and whose second loads 0: a beta shift (t, s) moves
-    every index node by exactly t."""
-    design = gaussian_index_design(rho=0.5, w_dim=1, n_v=33, n_w=29,
-                                   v_pad=0.5)
-    n_w = design.w_measure.size
-    x2 = np.column_stack([np.ones(n_w), np.zeros(n_w)])
-    return single_index_map(replace(design, x2=x2))
-
-
-def test_stack_equals_rows(unit_shift_map):
-    smap = unit_shift_map
-    vg = smap.g0.measure.coords()
-    assert (vg[0], vg[-1]) == (-4.0, 4.0) and np.all(np.diff(vg) == 0.25)
-    rng = np.random.default_rng(4)
-    # the mass sits on [-3.5, 3.5]: shifts of -0.5, 0.25 and 0.5 land it
-    # exactly on the first node, on interior nodes and on the last node
-    shifts = np.concatenate([[-0.5, 0.25, 0.5], rng.uniform(-0.5, 0.5, 62)])
-    betas = smap.beta0 + np.column_stack(
-        [shifts, rng.uniform(-1.0, 1.0, 65)])
-    gs = smap.g0.values + rng.standard_normal((65, vg.size))
-    rows = np.hstack([betas, gs])
-    one_by_one = np.stack([smap.eval_rows(row[None])[0] for row in rows])
-    assert np.array_equal(smap.eval_rows(rows), one_by_one)
-    assert np.array_equal(np.stack(list(smap.eval_stack(rows))), one_by_one)
-
-
-def test_stack_checks_a_bad_row_past_the_first(unit_shift_map):
-    smap = unit_shift_map
-    rows = np.tile(np.concatenate([smap.beta0, smap.g0.values]), (65, 1))
-    rows[40, 0] += 0.75
-    with pytest.raises(ValueError, match="tabulated domain"):
-        smap.eval_rows(rows)
-
-
 class TestDiagnosis:
     def test_scalar_design(self, scalar_model, gram_oracle):
         d = diagnose_single_index(scalar_model)
         assert d.w_given_v_complete
         assert d.pi_singular
         assert d.consistent
-        assert gram_oracle(single_index_map(scalar_model).split) < 1e-8
+        assert gram_oracle(index_split(scalar_model)) < 1e-8
 
     def test_twodim_design(self, twodim_model, gram_oracle):
         d = diagnose_single_index(twodim_model)
         assert not d.w_given_v_complete
         assert not d.pi_singular
         assert d.consistent
-        assert gram_oracle(single_index_map(twodim_model).split) > 1e-4
+        assert gram_oracle(index_split(twodim_model)) > 1e-4
 
     def test_twodim_ratio_is_zero_by_dimension_count(self, twodim_model):
         # the proxy keeps 144 instrument nodes and 12 index nodes, so the
@@ -177,7 +123,7 @@ class TestDiagnosis:
         model = gaussian_index_design(rho=0.7, w_dim=1, link=link, n_v=49,
                                       n_w=15)
         d = diagnose_single_index(model)
-        partialled = partial_out(single_index_map(model).split).gram
+        partialled = partial_out(index_split(model)).gram
         assert np.trace(partialled) < 1e-25
         assert d.w_given_v_complete
         assert d.pi_singular
@@ -236,7 +182,7 @@ class TestDiagnosis:
 def test_partialled_gram_scale_free_of_loading_constant(gram_oracle):
     # proportional second column keeps the Gram matrix exactly rank one
     model = gaussian_index_design(rho=0.55, w_dim=1, proportional_c=0.3)
-    split = single_index_map(model).split
+    split = index_split(model)
     assert gram_oracle(split) <= 1e-10
     assert gram_singular(partial_out(split).gram_ratio)
 
@@ -252,32 +198,9 @@ def test_shipped_verdicts_agree_with_the_least_squares_oracle(
         for w_dim, sizes in SHIPPED_SIZES.items():
             model = gaussian_index_design(rho=float(rho), w_dim=w_dim,
                                           link=link, **sizes)
-            oracle = gram_singular(gram_oracle(single_index_map(model).split))
+            oracle = gram_singular(gram_oracle(index_split(model)))
             assert diagnose_single_index(model).pi_singular == oracle, (
                 rho, w_dim)
-
-
-def map_based_diagnosis(model):
-    """``diagnose_single_index`` with its Gram matrix read from the split of
-    the whole map, built and checked at its base point; the completeness
-    proxy does not touch the map and is taken as computed."""
-    got = diagnose_single_index(model)
-    split = single_index_map(model).split
-    report = partial_out(split)
-    pi_singular = gram_singular(report.gram_ratio)
-    return replace(
-        got, pi_singular=pi_singular,
-        consistent=not (got.w_given_v_complete and not pi_singular),
-        gram_ratio=report.gram_ratio)
-
-
-@pytest.mark.parametrize("w_dim, link", [
-    (1, "softplus"), (1, "sin"), (2, "softplus"), (2, "sin")])
-@pytest.mark.parametrize("rho", [0.4, 0.7])
-def test_split_only_diagnosis_matches_the_map(w_dim, link, rho):
-    sizes = {} if w_dim == 1 else {"n_v": 49, "n_w": 15}
-    model = gaussian_index_design(rho=rho, w_dim=w_dim, link=link, **sizes)
-    assert diagnose_single_index(model) == map_based_diagnosis(model)
 
 
 @pytest.mark.parametrize("target", [1, 2, 7, 12, 144])

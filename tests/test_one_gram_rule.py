@@ -133,8 +133,7 @@ def test_partial_out_takes_no_tolerance():
     assert [arg.arg for arg in definition.args.args] == ["split"]
     calls = list(calls_of("partial_out"))
     assert {path for path, _ in calls} >= {
-        "src/momentid/cli.py", "src/momentid/semiparam.py",
-        "src/momentid/models/single_index.py"}
+        "src/momentid/cli.py", "src/momentid/models/single_index.py"}
     for path, call in calls:
         assert (len(call.args), call.keywords) == (1, []), path
 

@@ -136,8 +136,7 @@ def test_rank_condition_takes_no_tolerance():
                 found.append(path)
                 assert (len(node.args), node.keywords) == (1, []), path
     assert set(found) >= {
-        "src/momentid/cli.py", "src/momentid/semiparam.py",
-        "src/momentid/models/single_index.py",
+        "src/momentid/cli.py", "src/momentid/models/single_index.py",
         "demos/demo_asset_pricing_eigenpair.py"}
 
 

@@ -2,22 +2,23 @@
 
 A knob is a settable value: a parameter with a default, or a dataclass
 field with a default, anywhere in ``src/momentid``.  The scan reads every
-call in ``src/``, ``demos/`` and ``bench/`` with the standard library's
-``ast``.  A value counts as set when some call of a callable with its name
-passes it by keyword, reaches it by position, or unpacks ``*`` or ``**``
-arguments.  ``dataclasses.replace`` sets fields by keyword, and
-``functools.partial`` calls the callable it wraps.  A value that no caller
-sets is a knob that only tests turn; it fails the scan unless ``ALLOWED``
-names it with its reason.
+call in ``src/`` with the standard library's ``ast``: the library is what a
+run reads, so a call in ``demos/``, ``bench/`` or ``tests/`` sets nothing.
+A value counts as set when some call of a callable with its name passes it
+by keyword, reaches it by position, or unpacks ``*`` or ``**`` arguments.
+``dataclasses.replace`` sets fields by keyword, and ``functools.partial``
+calls the callable it wraps.  A value that no caller sets is a knob that
+only tests turn; it fails the scan unless ``ALLOWED`` names it with its
+reason.
 
 An output is a function, method or property of the library, or a field of
 one of its dataclasses; Python calls the special methods (``__init__``,
 ``__mul__``, ...) itself, so they are left out.  A name is read where code
 loads it as a variable or an attribute, or spells it in a dotted string,
-as ``getattr`` and the benchmark's span targets do.  A function needs a
-reader in ``src/``, ``demos/`` or ``bench/``: one that only tests read is
-code the system does not run.  A field needs a reader anywhere, tests
-included, since tests read reports to check them.  An output without a
+as ``getattr`` does.  A function needs a reader in ``src/``: one that only
+tests, demos or the benchmark read is code that no run reaches, and a test
+oracle belongs in ``tests/``.  A field needs a reader in ``src/`` or
+``tests/``, since tests read reports to check them.  An output without a
 reader fails the scan unless ``UNREAD`` names it with its reason.
 
 Both scans match a staticmethod of the library with its class, as
@@ -34,7 +35,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = ROOT / "src" / "momentid"
-CALLER_DIRS = ("src", "demos", "bench")
+CALLER_DIRS = ("src",)
 
 
 def _allow(callable_, names, reason):
@@ -67,25 +68,17 @@ ALLOWED = {
 
 # "module:name" or "module:Class.name" -> why it stays without a reader
 UNREAD = {
-    "identcore:in_ellipsoid":
-        "the sampler tests' oracle for the source-condition ellipsoid",
-    "identcore:evaluate_cone_chunk":
-        "the per-chunk reference for the cone suite's block counts",
-    "linop:hs_norm":
-        "the Hilbert-Schmidt reference that svd is checked against",
-    "semiparam:SemiparametricMap.to_moment_map":
-        "lets gateaux_check test the ccapm split derivative",
     "semiparam:PartialOutReport.tail_singular_mass":
         "the squared singular mass of m_g's discarded range, for the run "
         "trace and the sharp lower bound that ROADMAP.md plans",
 }
 
 
-def _trees(dirs):
+def _trees(dirs, root=ROOT):
     """(path, syntax tree) of every Python file under ``dirs``, each
-    absolute or relative to the repository root, in path order."""
+    absolute or relative to ``root``, in path order."""
     for top in dirs:
-        for path in sorted((ROOT / top).rglob("*.py")):
+        for path in sorted((root / top).rglob("*.py")):
             yield path, ast.parse(path.read_text())
 
 
@@ -175,12 +168,12 @@ def _spellings(node: ast.expr) -> set[str]:
     return {name}
 
 
-def calls_in(dirs=CALLER_DIRS) -> list[tuple[set, int, set, bool]]:
+def calls_in(dirs=CALLER_DIRS, root=ROOT) -> list[tuple[set, int, set, bool]]:
     """(names the callee answers to, positional count, keyword names,
-    unpacks) for every call in ``dirs``; ``partial(f, ...)`` counts as a
-    call of f."""
+    unpacks) for every call in ``dirs`` under ``root``; ``partial(f, ...)``
+    counts as a call of f."""
     out = []
-    for _, tree in _trees(dirs):
+    for _, tree in _trees(dirs, root):
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -266,13 +259,13 @@ def outputs() -> dict[str, tuple[str, bool]]:
     return found
 
 
-def names_read_in(dirs) -> set[str]:
+def names_read_in(dirs, root=ROOT) -> set[str]:
     """Every name that code in ``dirs`` loads as a variable or an
     attribute, or spells as a part of a dotted string such as
     ``"identcore.MomentMap.eval"``; an attribute of a named owner, or two
     adjacent parts of a dotted string, also count as ``owner.name``."""
     names = set()
-    for _, tree in _trees(dirs):
+    for _, tree in _trees(dirs, root):
         for node in ast.walk(tree):
             if (isinstance(node, (ast.Name, ast.Attribute))
                     and isinstance(node.ctx, ast.Load)):
@@ -286,12 +279,14 @@ def names_read_in(dirs) -> set[str]:
     return names
 
 
-def unread_outputs() -> set[str]:
-    """Keys of the functions that no code in ``CALLER_DIRS`` reads, and of
-    the fields that no code reads, tests included."""
-    by_system = names_read_in(CALLER_DIRS)
-    by_anyone = by_system | names_read_in(["tests"])
-    return {key for key, (name, field) in outputs().items()
+def unread_outputs(found=None, root=ROOT) -> set[str]:
+    """Keys of the ``found`` outputs, the library's by default, among the
+    functions that no code in ``CALLER_DIRS`` reads and the fields that no
+    code there or in ``tests/`` reads, both under ``root``."""
+    found = outputs() if found is None else found
+    by_system = names_read_in(CALLER_DIRS, root)
+    by_anyone = by_system | names_read_in(["tests"], root)
+    return {key for key, (name, field) in found.items()
             if name not in (by_anyone if field else by_system)}
 
 
@@ -324,3 +319,24 @@ def test_reader_scan_reads_loads_and_dotted_strings(tmp_path):
         "obj", "attr_loaded", "obj.attr_loaded", "name_loaded", "f",
         "getattr", "spelled", "pkg", "Owner", "dotted", "pkg.Owner",
         "Owner.dotted"}
+
+
+def test_a_demo_or_the_benchmark_keeps_no_name_alive(tmp_path):
+    found = {"m:helper": ("helper", False), "m:Report.field": ("field", True)}
+    values = {"m:GeneratorConfig(knob)": ("GeneratorConfig", 3, True)}
+    code = {"src": "x = 1\n",
+            "demos": "helper()\nreport.field\nGeneratorConfig(knob=True)\n",
+            "bench": "'m.helper'\nGeneratorConfig(1, 2, 3, 4)\n",
+            "tests": "helper()\nGeneratorConfig(knob=True)\n"}
+    for top, text in code.items():
+        (tmp_path / top).mkdir()
+        (tmp_path / top / "code.py").write_text(text)
+    assert unread_outputs(found, tmp_path) == set(found)
+    assert unset_values(values, calls_in(root=tmp_path)) == set(values)
+    # a test reads a field, and library code reads and sets anything
+    (tmp_path / "tests" / "code.py").write_text("report.field\n")
+    assert unread_outputs(found, tmp_path) == {"m:helper"}
+    (tmp_path / "src" / "code.py").write_text(
+        "helper()\nGeneratorConfig(knob=True)\n")
+    assert unread_outputs(found, tmp_path) == set()
+    assert unset_values(values, calls_in(root=tmp_path)) == set()

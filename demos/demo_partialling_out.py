@@ -38,6 +38,8 @@ report = partial_out(split)
 print(f"\npartialled-out constants: eps1 = {report.eps1:.4f}, "
       f"C* = {report.c_star:.4f}, eps = {report.eps:.4f}")
 ratio = split_lower_bound_check(split, report, trials=5000, seed=3)
+if ratio < report.eps - 1e-10:
+    raise SystemExit(f"lower bound violated: {ratio:.4f} < eps")
 print(f"sampled lower bound: min ||b^T a + zeta|| / (|a| + ||zeta||) = "
       f"{ratio:.4f} >= eps")
 print("so the index coefficients are locally identified even though the "

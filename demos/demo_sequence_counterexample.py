@@ -10,7 +10,7 @@ which identification is rescued.
 import numpy as np
 
 from momentid.identcore import (
-    counterexample,
+    counterexample_cases,
     counterexample_map,
     verify_local_id,
 )
@@ -21,12 +21,12 @@ from momentid.fnspace import FunctionStack
 # make the tail cheap: setting all coordinates past k to 1 produces a zero
 # of the map whose distance to the origin is the tail mass to the 1/4 power.
 print("k   ||m(alpha_k)||   ||alpha_k - alpha_0||   inside identified set?")
-for k in range(2, 13):
-    case = counterexample(k)
-    print(f"{k:2d}  {case.m_norm:14.3e}  {case.dev_norm:20.6f}   {case.in_n}")
+cases = counterexample_cases(range(2, 13))
+for case in cases:
+    print(f"{case.k:2d}  {case.m_norm:14.3e}  {case.dev_norm:20.6f}   "
+          f"{case.in_n}")
 
-case = counterexample(4)
-print(f"\nmeasured curvature constant L = sup|f''|/2 = {case.L:.4f} >= 1")
+print(f"\nmeasured curvature constant L = sup|f''|/2 = {cases[0].L:.4f} >= 1")
 print("so the deviation sequence can never satisfy the curvature inequality")
 print("||m'(alpha - alpha_0)|| > L ||alpha - alpha_0||^2,")
 print("which is exactly what excludes it from the identified set.\n")

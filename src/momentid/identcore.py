@@ -254,21 +254,14 @@ class RankReport:
     sigma_max: float
 
 
-def rank_condition(op: LinearOperator | SvdDecomposition) -> RankReport:
+def rank_condition(op: LinearOperator) -> RankReport:
     """Injectivity proxy: the smallest singular value is ``resolved``.
 
     A domain larger than the codomain always has a null space, so there
-    the proxy fails and ``sigma_min`` is 0.0.  Given the operator's
-    decomposition, its singular values are read from it instead of computed
-    again.
+    the proxy fails and ``sigma_min`` is 0.0.
     """
-    if isinstance(op, SvdDecomposition):
-        s = op.singular_values
-        dom, cod = op.right_functions.measure, op.left_functions.measure
-    else:
-        s = singular_values(op)
-        dom, cod = op.domain, op.codomain
-    square_or_tall = dom.size <= cod.size
+    s = singular_values(op)
+    square_or_tall = op.domain.size <= op.codomain.size
     return RankReport(holds=square_or_tall and bool(resolved(s)[-1]),
                       sigma_min=float(s[-1]) if square_or_tall else 0.0,
                       sigma_max=float(s[0]))
@@ -384,8 +377,9 @@ def verify_local_id(
 # ---------------------------------------------------------------------------
 
 
-def default_counterexample_f(x):
-    """x (1 - x) exp(-x^2): zeros exactly at 0 and 1, unit slope at 0."""
+def counterexample_f(x):
+    """x (1 - x) exp(-x^2), the scalar map of the sequence model: zeros
+    exactly at 0 and 1, unit slope at 0."""
     x = np.asarray(x, dtype=float)
     return x * (1.0 - x) * np.exp(-(x**2))
 
@@ -397,27 +391,11 @@ def dyadic_weights(n_terms: int) -> np.ndarray:
     return p
 
 
-def measure_curvature_constant(f: Callable) -> float:
-    """sup |f''| / 2 by central second differences on a 24,001-point scan
-    of [-6, 6], once f is checked on the same values: finite, zero at 0 and
-    1 and nowhere else, and of unit slope at 0."""
+def measure_curvature_constant() -> float:
+    """sup |f''| / 2 of ``counterexample_f`` by central second differences
+    on a 24,001-point scan of [-6, 6]."""
     scan = np.linspace(-6.0, 6.0, 24001)
-    vals = np.asarray(f(scan), dtype=float)
-    if not np.isfinite(vals).all():
-        raise ValueError("f must be finite on the scan range")
-    for root in (0.0, 1.0):
-        if abs(float(f(root))) > 1e-12:
-            raise ValueError(f"f must vanish at {root}")
-    slope = (float(f(1e-6)) - float(f(-1e-6))) / 2e-6
-    if abs(slope - 1.0) > 1e-4:
-        raise ValueError(f"f must have unit slope at 0, measured {slope:.6f}")
-    sign_changes = np.flatnonzero(vals[:-1] * vals[1:] < 0)
-    for idx in sign_changes:
-        lo, hi = scan[idx], scan[idx + 1]
-        if not any(lo - 1e-9 <= root <= hi + 1e-9 for root in (0.0, 1.0)):
-            raise ValueError(
-                f"f changes sign away from {{0, 1}} in [{lo:.4f}, {hi:.4f}]"
-            )
+    vals = counterexample_f(scan)
     h = scan[1] - scan[0]
     second = (vals[2:] - 2 * vals[1:-1] + vals[:-2]) / h**2
     return float(np.abs(second).max() / 2.0)
@@ -432,29 +410,21 @@ def quartic_norm(devs: FunctionStack) -> np.ndarray:
 
 
 def counterexample_map(
-    f: Callable | None = None, n_terms: int = 64
+    n_terms: int = 64
 ) -> tuple[MomentMap, NonlinearityBound]:
     """The truncated sequence model as a moment map with quartic domain norm.
 
-    The map sends a sequence to f applied to each term, on ``n_terms``
-    dyadic weights; ``f`` acts elementwise and must accept a 2-D stack of
-    sequences, since the map's ``eval_rows`` hands it one.  ``f`` must be
-    finite, vanish exactly at 0 and 1 and nowhere else, and have unit slope
-    at 0; the bound has r = 2 and L = sup|f''|/2, which must be at least one.
+    The map sends a sequence to ``counterexample_f`` applied to each term,
+    on ``n_terms`` dyadic weights.  The bound has r = 2 and the measured
+    L = sup|f''|/2; since f vanishes at 0 and 1 with unit slope at 0, L is
+    at least one, which the counterexample run checks.
     """
-    if f is None:
-        f = default_counterexample_f
-    L = measure_curvature_constant(f)
-    if L < 1.0:
-        raise ValueError(
-            f"measured curvature constant {L:.6f} < 1 contradicts f(1) = 0 "
-            "with unit slope at 0; check the supplied f"
-        )
+    L = measure_curvature_constant()
     mu = GridMeasure(np.arange(1, n_terms + 1, dtype=float),
                      dyadic_weights(n_terms))
     mmap = MomentMap(
         base_point=GridFunction.zero(mu),
-        eval_rows=lambda rows: np.asarray(f(rows), dtype=float),
+        eval_rows=counterexample_f,
         derivative=LinearOperator.identity(mu),
         norm_a=quartic_norm,
     )
@@ -472,11 +442,13 @@ class CounterexampleCase:
 
 
 def counterexample_cases(
-    ks: Sequence[int], f: Callable | None = None, n_terms: int = 64
+    ks: Sequence[int], n_terms: int = 64
 ) -> list[CounterexampleCase]:
-    """``counterexample(k)`` for every k in ``ks``, in order, read through
-    one ``counterexample_map``: its evaluation, its quartic deviation norm
-    and its bound's identification-set test, each on the whole stack."""
+    """The sequences alpha^k = (0,...,0,1,1,...), zero in the first k
+    terms, for every k in ``ks``, in order, read through one
+    ``counterexample_map``: the residual norm (exactly zero), the quartic
+    deviation norm (tail mass to the 1/4 power) and membership in the
+    identification set, each on the whole stack, with the measured L."""
     for k in ks:
         if k < 1:
             raise ValueError("k must be at least 1")
@@ -485,7 +457,7 @@ def counterexample_cases(
                 f"k = {k} must be below n_terms = {n_terms}: alpha^k is "
                 "zero beyond the last term"
             )
-    mmap, bound = counterexample_map(f, n_terms)
+    mmap, bound = counterexample_map(n_terms)
     # alpha^k: zero in the first k terms, one in the rest
     alphas = FunctionStack(np.arange(n_terms) >= np.asarray(ks)[:, None],
                            mmap.base_point.measure)
@@ -500,17 +472,6 @@ def counterexample_cases(
             for k, alpha, m_n, lin, dev in zip(
                 ks, alphas.values, m_norms, lins,
                 mmap.norm_a_rows(alphas).tolist())]
-
-
-def counterexample(k: int) -> CounterexampleCase:
-    """Evaluate the sequence alpha^k = (0,...,0,1,1,...) in the truncated
-    model of the default f on 64 terms: ``counterexample_cases([k])[0]``.
-
-    Returns the residual norm (exactly zero), the quartic deviation norm
-    (tail mass to the 1/4 power), membership in the identification set with
-    L = sup|f''|/2, and the measured L itself, which must be at least one.
-    """
-    return counterexample_cases([k])[0]
 
 
 # ---------------------------------------------------------------------------

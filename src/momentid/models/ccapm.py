@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,6 +31,13 @@ from ..linop import LinearOperator, adjoint
 from ..semiparam import SemiparametricMap, SplitDerivative
 
 
+# Half width of the curvature interval on which the integrability envelope
+# is valid.
+WINDOW = 1.0
+# The power iteration's budget.
+PF_MAX_ITER = 10000
+
+
 @dataclass(frozen=True)
 class CcapmModel:
     """Discrete pricing design on growth states.
@@ -39,8 +46,8 @@ class CcapmModel:
     given signal node i and current state j; columns sum to one exactly.
     ``returns`` holds the gross return, measurable with respect to the
     instruments (signal, current state).  ``g0`` is positive with unit norm
-    under the stationary state measure.  ``window`` is the half width of the
-    curvature interval on which the integrability envelope is valid.
+    under the stationary state measure.  The integrability envelope holds
+    for curvatures within ``WINDOW`` of ``gamma0``.
     """
 
     delta0: float
@@ -50,15 +57,12 @@ class CcapmModel:
     cond_mass: np.ndarray
     returns: np.ndarray
     g0: GridFunction
-    window: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.delta0 < 1.0:
             raise ValueError("the discount factor must lie in (0, 1)")
         if not np.isfinite(self.gamma0):
             raise ValueError("gamma0 must be finite")
-        if not 0 < self.window < np.inf:  # False on NaN as well
-            raise ValueError("the curvature window must be finite and positive")
         n_s = self.c_measure.size
         n_o = self.omega_measure.size
         p = np.asarray(self.cond_mass, dtype=float)
@@ -104,7 +108,7 @@ class CcapmModel:
         """Dominating table (1 + R)(2 + ln(s)^2) sup_gamma s^(-gamma), per
         (next state, signal, state)."""
         s = self.states
-        lo, hi = self.gamma0 - self.window, self.gamma0 + self.window
+        lo, hi = self.gamma0 - WINDOW, self.gamma0 + WINDOW
         sup_pow = np.where(s >= 1.0, s**(-lo), s**(-hi))
         return (
             (1.0 + self.returns)[None, :, :]
@@ -133,12 +137,12 @@ def ccapm_moment_map(model: CcapmModel) -> SemiparametricMap:
 
     def eval_rows(rows: np.ndarray) -> np.ndarray:
         delta, gamma, g = rows[:, 0], rows[:, 1], rows[:, 2:]
-        outside = np.abs(gamma - model.gamma0) > model.window
+        outside = np.abs(gamma - model.gamma0) > WINDOW
         if outside.any():
             raise ValueError(
                 f"gamma = {gamma[outside.argmax()]:.4f} leaves the envelope "
-                f"window [{model.gamma0 - model.window:.4f}, "
-                f"{model.gamma0 + model.window:.4f}]"
+                f"window [{model.gamma0 - WINDOW:.4f}, "
+                f"{model.gamma0 + WINDOW:.4f}]"
             )
         if (delta <= 0).any():
             raise ValueError("the discount factor must be positive")
@@ -199,18 +203,15 @@ class EigenPair:
     iterations: int
 
 
-def positive_eigenpair(
-    op: LinearOperator,
-    tol: float = 1e-12,
-    max_iter: int = 10000,
-) -> EigenPair:
+def positive_eigenpair(op: LinearOperator, tol: float = 1e-12) -> EigenPair:
     """Power iteration for the leading eigenpair of a positive operator.
 
     Starts from the constant function, normalizes in the weighted norm of
-    the grid, and stops when ||Tg / rho - g|| falls below tol.  The dual
-    eigenfunction comes from the adjoint; on grids of up to 256 nodes the
-    full spectrum is computed densely and the gap |rho_2| / rho_1 certifies
-    that the leading eigenvalue is simple.
+    the grid, and stops when ||Tg / rho - g|| falls below tol, within
+    ``PF_MAX_ITER`` iterations.  The dual eigenfunction comes from the
+    adjoint; on grids of up to 256 nodes the full spectrum is computed
+    densely and the gap |rho_2| / rho_1 certifies that the leading
+    eigenvalue is simple.
     """
     if not 0 < tol < math.inf:  # False on NaN as well
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -229,7 +230,7 @@ def positive_eigenpair(
         v /= math.sqrt(np.dot(w, v * v))
         rho = math.nan
         res = math.inf
-        for it in range(1, max_iter + 1):
+        for it in range(1, PF_MAX_ITER + 1):
             u = mat @ v
             rho = float(np.dot(w, u * v))
             res = float(np.sqrt(np.dot(w, (u / rho - v) ** 2)))
@@ -238,7 +239,7 @@ def positive_eigenpair(
                 return rho, v, res, it
         raise ConvergenceError(
             f"power iteration residual {res:.3e} > tol {tol:.1e} after "
-            f"{max_iter} iterations"
+            f"{PF_MAX_ITER} iterations"
         )
 
     rho, v, res, iters = iterate(amat)
@@ -344,26 +345,22 @@ def check_global_identification(
         for row in solutions))
 
 
-def lognormal_ccapm_model(
-    n_state: int = 21,
-    n_signal: int = 31,
-    gamma0: float = 2.0,
-    delta0: float = 0.96,
-    phi: float = 0.6,
-    mean_growth: float = 0.02,
-    sigma_signal: float = 0.045,
-    sigma_noise: float = 0.02,
-    span: float = 3.5,
-    window: float = 1.0,
-    g0_fn: Callable | None = None,
-) -> CcapmModel:
+def lognormal_ccapm_model(n_state: int = 21,
+                          n_signal: int = 31) -> CcapmModel:
     """Gaussian autoregression in log growth with an observed one-step signal.
 
-    The return is the reciprocal price of a unit payoff under the model's
-    stochastic discount factor, hence measurable with respect to the
-    instruments and strictly positive, and the pricing equation holds on the
-    grid by construction.
+    The design is fixed apart from its grid sizes: curvature gamma0 = 2,
+    discount factor delta0 = 0.96, autoregressive coefficient 0.6 around a
+    mean log growth of 0.02, and a next-state innovation split into an
+    observed signal (standard deviation 0.045) and noise (0.02).  Both grids
+    span 3.5 standard deviations, and g0 is one plus half a Gaussian bump
+    at the stationary mean.  The return is the reciprocal price of a unit
+    payoff under the model's stochastic discount factor, hence measurable
+    with respect to the instruments and strictly positive, and the pricing
+    equation holds on the grid by construction.
     """
+    gamma0, delta0, phi, mean_growth = 2.0, 0.96, 0.6, 0.02
+    sigma_signal, sigma_noise, span = 0.045, 0.02, 3.5
     sigma_tot = math.hypot(sigma_signal, sigma_noise)
     s_x = sigma_tot / math.sqrt(1.0 - phi * phi)
     xg = np.linspace(mean_growth - span * s_x, mean_growth + span * s_x, n_state)
@@ -387,12 +384,7 @@ def lognormal_ccapm_model(
     cond_mass = cond / cond.sum(axis=0, keepdims=True)
 
     states = np.exp(xg)
-    if g0_fn is None:
-        g0_raw = 1.0 + 0.5 * np.exp(-0.5 * ((xg - mean_growth) / s_x) ** 2)
-    else:
-        g0_raw = np.asarray(g0_fn(states), dtype=float)
-        if (g0_raw <= 0).any():
-            raise ValueError("g0_fn must be strictly positive on the grid")
+    g0_raw = 1.0 + 0.5 * np.exp(-0.5 * ((xg - mean_growth) / s_x) ** 2)
     g0_vals = g0_raw / math.sqrt(np.dot(mass_c, g0_raw**2))
     g0 = GridFunction(g0_vals, c_measure)
 
@@ -408,5 +400,4 @@ def lognormal_ccapm_model(
         cond_mass=cond_mass,
         returns=returns,
         g0=g0,
-        window=window,
     )

@@ -293,11 +293,11 @@ def gaussian_quantile_model(
     n_y: int = 161,
     rho: float = 0.6,
     tau: float = 0.5,
-    sigma_u: float = 1.0,
     x_span: float = 3.0,
     y_span: float = 7.5,
 ) -> QuantileIvModel:
-    """Gaussian triangular design: X and W correlated, Y = alpha0(X) + noise.
+    """Gaussian triangular design: X and W correlated, Y = alpha0(X) + noise,
+    the noise standard normal (sigma_u = 1).
 
     The true quantile curve is recovered from the discretized tables by CDF
     inversion, so the model restriction holds on the grid to rounding error,
@@ -331,6 +331,7 @@ def gaussian_quantile_model(
     ratio = cond_mass / x_measure.weights[:, None]
 
     # outcome density: location family around the median curve, w-free
+    sigma_u = 1.0
     curve = np.tanh(xg)  # bounded inside the y range with room for deviations
     f_y = phi((yg[:, None] - curve[None, :]) / sigma_u) / sigma_u
     wy = trapezoid_weights(yg)

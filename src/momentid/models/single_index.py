@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -32,21 +31,18 @@ class SingleIndexModel:
 
     ``joint_ratio`` is the joint mass of (V, W) relative to the product of
     the two probability measures.  ``x2`` holds the instrument-measurable
-    regressor values, one row per W node.  The link ``g0`` and its
-    derivative ``g0_prime`` are callables; the split derivative reads
-    ``g0_prime`` on the index grid alone.
+    regressor values, one row per W node and one column per index
+    coefficient.  ``g0_prime`` holds the link's derivative at the index
+    nodes, which is all of the link that the split derivative reads.
     """
 
-    beta0: np.ndarray
     v_measure: GridMeasure
     w_measure: GridMeasure
     joint_ratio: np.ndarray
     x2: np.ndarray
-    g0: Callable
-    g0_prime: Callable
+    g0_prime: np.ndarray
 
     def __post_init__(self):
-        b0 = np.atleast_1d(np.asarray(self.beta0, dtype=float))
         ratio = np.asarray(self.joint_ratio, dtype=float)
         if ratio.shape != (self.v_measure.size, self.w_measure.size):
             raise GridMismatchError("joint_ratio must be (n_v, n_w)")
@@ -57,23 +53,23 @@ class SingleIndexModel:
         col = self.v_measure.weights @ ratio
         if np.abs(col - 1.0).max() > 1e-10:
             raise ValueError("joint_ratio columns must average to one")
-        x2 = np.atleast_2d(np.asarray(self.x2, dtype=float))
-        if x2.shape != (self.w_measure.size, b0.size):
+        x2 = np.asarray(self.x2, dtype=float)
+        if x2.ndim != 2 or x2.shape[0] != self.w_measure.size:
             raise GridMismatchError("x2 must be (n_w, p)")
         if not np.isfinite(x2).all():
             raise ValueError("x2 table must be finite")
-        gp = np.asarray(self.g0_prime(self.v_measure.coords()), dtype=float)
+        gp = np.asarray(self.g0_prime, dtype=float)
+        if gp.shape != (self.v_measure.size,):
+            raise GridMismatchError("g0_prime must be (n_v,)")
         if not np.isfinite(gp).all():
             raise ValueError("g0_prime must be finite on the index grid")
-        object.__setattr__(self, "beta0", b0)
         object.__setattr__(self, "joint_ratio", ratio)
         object.__setattr__(self, "x2", x2)
-        # the split derivative reads g0' here rather than evaluating it again
-        object.__setattr__(self, "_g0_prime_values", gp)
+        object.__setattr__(self, "g0_prime", gp)
 
     @property
     def p(self) -> int:
-        return self.beta0.size
+        return self.x2.shape[1]
 
 
 def index_split(model: SingleIndexModel) -> SplitDerivative:
@@ -88,7 +84,7 @@ def index_split(model: SingleIndexModel) -> SplitDerivative:
     mv, mw = model.v_measure, model.w_measure
     cond = conditional_expectation(model.joint_ratio, mv, mw)
     # E[g0'(V) | W], from the operator whose negative is m_g
-    u = apply(cond, GridFunction(model._g0_prime_values, mv)).values
+    u = apply(cond, GridFunction(model.g0_prime, mv)).values
     m_g = -1.0 * cond
     m_beta = tuple(
         GridFunction(-model.x2[:, k] * u, mw) for k in range(model.p)
@@ -153,8 +149,7 @@ def diagnose_single_index(model: SingleIndexModel) -> IndexDiagnosis:
     ``consistent`` is the contrapositive gate: completeness and a
     nonsingular Gram matrix must never hold together.
     """
-    supported = np.flatnonzero(model.joint_ratio.max(axis=1) > 0)
-    iv = supported[_subsample_indices(supported.size, 12)]
+    iv = _subsample_indices(model.v_measure.size, 12)
     iw = _subsample_indices(model.w_measure.size, 12**model.w_measure.dim)
     sub_v = _subgrid(model.v_measure, iv)
     sub_w = _subgrid(model.w_measure, iw)
@@ -179,21 +174,20 @@ def _phi(z):
 
 # typed, so that n_v=41.0 still reaches np.linspace and raises there
 @functools.lru_cache(maxsize=8, typed=True)
-def _index_grids(w_dim, n_v, n_w, span, v_pad, proportional_c):
+def _index_grids(w_dim, n_v, n_w):
     """The rho- and link-free part of ``gaussian_index_design``: the index
     grid, its trapezoid weights, the index and instrument measures, the
     index as a function of the instrument, and the regressors x2.  The
     arrays are read-only, so every design built at one key shares them."""
-    # the index grid reaches v_pad past the span; the padded nodes carry no
-    # index mass, and the shipped designs' grids keep them
-    vg = np.linspace(-span - v_pad, span + v_pad, n_v)
+    span = 3.5  # both grids reach 3.5 standard deviations
+    vg = np.linspace(-span, span, n_v)
     v_measure = GridMeasure.from_density(vg, _phi(vg))
     quad_v = trapezoid_weights(vg)
     wg = np.linspace(-span, span, n_w)
     if w_dim == 1:
         w_measure = GridMeasure.from_density(wg, _phi(wg))
         index_of_w = wg
-        x2 = np.column_stack([wg, proportional_c * wg])
+        x2 = np.column_stack([wg, 0.7 * wg])
     else:
         axis = GridMeasure.from_density(wg, _phi(wg))
         w_measure = GridMeasure.tensor(axis, axis)
@@ -213,11 +207,7 @@ def gaussian_index_design(
     w_dim: int = 1,
     n_v: int = 41,
     n_w: int = 21,
-    span: float = 3.5,
-    v_pad: float = 1.0,
     link: str = "softplus",
-    loading: float = 0.6,
-    proportional_c: float = 0.7,
 ) -> SingleIndexModel:
     """Jointly Gaussian index design with instrument-measurable regressors.
 
@@ -225,9 +215,9 @@ def gaussian_index_design(
     transform of W (the fully absorbed case); with a two-dimensional
     instrument each regressor loads on its own coordinate while the index
     depends only on the average, which is the exclusion structure that makes
-    the partialled-out Gram matrix nonsingular.  Designs built with the
-    same grid arguments share their measures and ``x2``, which are
-    read-only.
+    the partialled-out Gram matrix nonsingular.  The link is the softplus
+    log(1 + e^v) or v + sin(v)/2.  Designs built with the same grid
+    arguments share their measures and ``x2``, which are read-only.
     """
     if w_dim not in (1, 2):
         raise ValueError("w_dim must be 1 or 2")
@@ -235,32 +225,25 @@ def gaussian_index_design(
         raise ValueError("rho must lie in (-1, 0) or (0, 1)")
 
     vg, quad_v, v_measure, w_measure, index_of_w, x2 = _index_grids(
-        w_dim, n_v, n_w, span, v_pad, proportional_c
+        w_dim, n_v, n_w
     )
     s = math.sqrt(1 - rho * rho)
     cond = _phi((vg[:, None] - rho * index_of_w[None, :]) / s) / s
-    cond[np.abs(vg) > span] = 0.0  # index mass stays off the padded edges
     cond_mass = quad_v[:, None] * cond
     cond_mass /= cond_mass.sum(axis=0, keepdims=True)
     joint_ratio = cond_mass / v_measure.weights[:, None]
 
     if link == "softplus":
-        g0 = lambda v: np.logaddexp(0.0, v)  # noqa: E731
-        g0p = lambda v: 1.0 / (1.0 + np.exp(-v))  # noqa: E731
+        g0_prime = 1.0 / (1.0 + np.exp(-vg))
     elif link == "sin":
-        g0 = lambda v: v + 0.5 * np.sin(v)  # noqa: E731
-        g0p = lambda v: 1.0 + 0.5 * np.cos(v)  # noqa: E731
+        g0_prime = 1.0 + 0.5 * np.cos(vg)
     else:
         raise ValueError(f"unknown link {link!r}")
 
-    p = 2
-    beta0 = np.full(p, loading)
     return SingleIndexModel(
-        beta0=beta0,
         v_measure=v_measure,
         w_measure=w_measure,
         joint_ratio=joint_ratio,
         x2=x2,
-        g0=g0,
-        g0_prime=g0p,
+        g0_prime=g0_prime,
     )

@@ -135,8 +135,9 @@ def split_lower_bound_check(
 
     Half of the draws build zeta from coefficients on the truncated range
     basis, half push random domain functions through m_g.  Returns the
-    minimum observed ratio and raises if it undercuts report.eps beyond
-    floating slack, or if no trial has a nonzero |a| + ||zeta||.
+    minimum observed ratio ||b^T a + zeta|| / (|a| + ||zeta||), which the
+    caller compares with report.eps; raises if no trial has a nonzero
+    |a| + ||zeta||.
     """
     rng = np.random.default_rng(seed)
     p = split.p
@@ -166,13 +167,7 @@ def split_lower_bound_check(
     if not live.any():  # trials = 1 draws only a = 0 and zeta = 0
         raise ValueError(f"no trial has a nonzero |a| + ||zeta|| at trials "
                          f"= {trials}: the bound was not checked")
-    min_ratio = float((ratios[live] / denom[live]).min())
-    if min_ratio < report.eps - 1e-10:
-        raise RuntimeError(
-            f"lower bound violated: min ratio {min_ratio:.3e} < eps "
-            f"{report.eps:.3e}"
-        )
-    return min_ratio
+    return float((ratios[live] / denom[live]).min())
 
 
 @dataclass(frozen=True)

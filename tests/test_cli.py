@@ -217,18 +217,18 @@ class TestRun:
         import momentid.identcore as identcore
 
         scans = []
-        f = identcore.default_counterexample_f
+        f = identcore.counterexample_f
 
         def counting(x):
             if np.size(x) == 24001:
                 scans.append(x)
             return f(x)
 
-        monkeypatch.setattr(identcore, "default_counterexample_f", counting)
+        monkeypatch.setattr(identcore, "counterexample_f", counting)
         path = write_config(
             tmp_path, {"experiment": "counterexample", "seed": 3})
         assert main(["run", path, "--out", str(tmp_path)]) == 0
-        # one scan both checks f and measures its curvature constant
+        # one scan measures the curvature constant of f
         assert len(scans) == 1
 
     def test_ccapm_builds_its_pricing_map_once(self, monkeypatch):

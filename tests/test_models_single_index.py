@@ -49,15 +49,9 @@ def test_nonfinite_tables_rejected(scalar_model, field, value):
 
 
 def test_linear_link_collapses_to_linear_iv(scalar_model):
-    model = SingleIndexModel(
-        beta0=scalar_model.beta0,
-        v_measure=scalar_model.v_measure,
-        w_measure=scalar_model.w_measure,
-        joint_ratio=scalar_model.joint_ratio,
-        x2=scalar_model.x2,
-        g0=lambda v: 2.0 + 3.0 * v,
-        g0_prime=lambda v: np.full_like(np.asarray(v, dtype=float), 3.0),
-    )
+    # the link 2 + 3v
+    model = replace(scalar_model,
+                    g0_prime=np.full(scalar_model.v_measure.size, 3.0))
     split = index_split(model)
     # m_beta_k = -x2_k(w) * slope since E[g0'(V)|W] is the constant slope
     for k, col in enumerate(split.m_beta):
@@ -156,15 +150,7 @@ class TestDiagnosis:
         model = gaussian_index_design(rho=0.5, w_dim=1)
         # break the dependence: the proxy operator becomes rank one
         flat = np.ones_like(model.joint_ratio)
-        indep = SingleIndexModel(
-            beta0=model.beta0,
-            v_measure=model.v_measure,
-            w_measure=model.w_measure,
-            joint_ratio=flat,
-            x2=model.x2,
-            g0=model.g0,
-            g0_prime=model.g0_prime,
-        )
+        indep = replace(model, joint_ratio=flat)
         d = diagnose_single_index(indep)
         assert not d.w_given_v_complete
         assert d.consistent  # no inconsistency is possible here
@@ -181,7 +167,9 @@ class TestDiagnosis:
 
 def test_partialled_gram_scale_free_of_loading_constant(gram_oracle):
     # proportional second column keeps the Gram matrix exactly rank one
-    model = gaussian_index_design(rho=0.55, w_dim=1, proportional_c=0.3)
+    model = gaussian_index_design(rho=0.55, w_dim=1)
+    w = model.x2[:, 0]
+    model = replace(model, x2=np.column_stack([w, 0.3 * w]))
     split = index_split(model)
     assert gram_oracle(split) <= 1e-10
     assert gram_singular(partial_out(split).gram_ratio)
@@ -212,24 +200,22 @@ def test_subsample_indices_are_the_distinct_rounded_nodes(target):
         assert got.dtype == want.dtype and np.array_equal(got, want), n
 
 
-def old_gaussian_index_design(rho, w_dim, link, n_v=41, n_w=21, span=3.5,
-                              v_pad=1.0, loading=0.6, proportional_c=0.7):
-    """``gaussian_index_design`` as it was: every call builds and checks
-    its own grids."""
+def old_gaussian_index_design(rho, w_dim, link, n_v=41, n_w=21):
+    """``gaussian_index_design`` built from scratch: every call builds and
+    checks its own grids."""
 
     def phi(z):
         return np.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
 
-    vg = np.linspace(-span - v_pad, span + v_pad, n_v)
+    vg = np.linspace(-3.5, 3.5, n_v)
     v_measure = GridMeasure.from_density(vg, phi(vg))
     quad_v = trapezoid_weights(vg)
+    wg = np.linspace(-3.5, 3.5, n_w)
     if w_dim == 1:
-        wg = np.linspace(-span, span, n_w)
         w_measure = GridMeasure.from_density(wg, phi(wg))
         index_of_w = wg
-        x2 = np.column_stack([wg, proportional_c * wg])
+        x2 = np.column_stack([wg, 0.7 * wg])
     else:
-        wg = np.linspace(-span, span, n_w)
         axis = GridMeasure.from_density(wg, phi(wg))
         w_measure = GridMeasure.tensor(axis, axis)
         w1 = w_measure.points[:, 0]
@@ -238,26 +224,22 @@ def old_gaussian_index_design(rho, w_dim, link, n_v=41, n_w=21, span=3.5,
         x2 = np.column_stack([w1, w2**2 - 1.0])
     s = math.sqrt(1 - rho * rho)
     cond = phi((vg[:, None] - rho * index_of_w[None, :]) / s) / s
-    cond[np.abs(vg) > span] = 0.0
     cond_mass = quad_v[:, None] * cond
     cond_mass /= cond_mass.sum(axis=0, keepdims=True)
     joint_ratio = cond_mass / v_measure.weights[:, None]
     if link == "softplus":
-        g0 = lambda v: np.logaddexp(0.0, v)  # noqa: E731
-        g0p = lambda v: 1.0 / (1.0 + np.exp(-v))  # noqa: E731
+        g0_prime = 1.0 / (1.0 + np.exp(-vg))
     else:
-        g0 = lambda v: v + 0.5 * np.sin(v)  # noqa: E731
-        g0p = lambda v: 1.0 + 0.5 * np.cos(v)  # noqa: E731
+        g0_prime = 1.0 + 0.5 * np.cos(vg)
     return SingleIndexModel(
-        beta0=np.full(2, loading), v_measure=v_measure, w_measure=w_measure,
-        joint_ratio=joint_ratio, x2=x2, g0=g0, g0_prime=g0p)
+        v_measure=v_measure, w_measure=w_measure, joint_ratio=joint_ratio,
+        x2=x2, g0_prime=g0_prime)
 
 
 def old_diagnosis(model):
     """``diagnose_single_index`` as it was: fresh proxy grids on every
     call, and E[g0'(V) | W] read through the negative of m_g."""
-    supported = np.flatnonzero(model.joint_ratio.max(axis=1) > 0)
-    iv = supported[_subsample_indices(supported.size, 12)]
+    iv = _subsample_indices(model.v_measure.size, 12)
     iw = _subsample_indices(model.w_measure.size, 12**model.w_measure.dim)
     mv, mw = model.v_measure, model.w_measure
     sub_v = GridMeasure(mv.points[iv], mv.weights[iv] / mv.weights[iv].sum())
@@ -269,9 +251,7 @@ def old_diagnosis(model):
     ratio = rank.sigma_min / rank.sigma_max if rank.sigma_max > 0 else 0.0
 
     m_g = -1.0 * conditional_expectation(model.joint_ratio, mv, mw)
-    g0p = GridFunction(np.asarray(model.g0_prime(mv.coords()), dtype=float),
-                       mv)
-    u = apply(-1.0 * m_g, g0p).values
+    u = apply(-1.0 * m_g, GridFunction(model.g0_prime, mv)).values
     m_beta = tuple(GridFunction(-model.x2[:, k] * u, mw)
                    for k in range(model.p))
     report = partial_out(SplitDerivative(m_beta=m_beta, m_g=m_g))
@@ -285,7 +265,7 @@ def old_diagnosis(model):
 def assert_same_design(got, want):
     assert got.v_measure.same_as(want.v_measure)
     assert got.w_measure.same_as(want.w_measure)
-    for name in ("beta0", "joint_ratio", "x2"):
+    for name in ("joint_ratio", "x2", "g0_prime"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
@@ -326,7 +306,7 @@ def test_designs_share_read_only_grids():
         assert a.v_measure is b.v_measure and a.w_measure is b.w_measure
         assert a.x2 is b.x2
         vg, quad_v, _, _, index_of_w, _ = _index_grids(
-            w_dim, sizes.get("n_v", 41), sizes.get("n_w", 21), 3.5, 1.0, 0.7)
+            w_dim, sizes.get("n_v", 41), sizes.get("n_w", 21))
         shared = (a.x2, a.v_measure.coords(), a.v_measure.points,
                   a.v_measure.weights, a.w_measure.points, a.w_measure.weights,
                   vg, quad_v, index_of_w)
@@ -336,9 +316,7 @@ def test_designs_share_read_only_grids():
 
 
 @pytest.mark.parametrize("w_dim", [1, 2])
-@pytest.mark.parametrize("change", [
-    {"n_v": 45}, {"n_w": 17}, {"span": 3.0}, {"v_pad": 0.75},
-    {"proportional_c": 0.4}])
+@pytest.mark.parametrize("change", [{"n_v": 45}, {"n_w": 17}])
 def test_a_changed_grid_argument_builds_afresh(w_dim, change):
     sizes = SHIPPED_SIZES[w_dim]
     gaussian_index_design(rho=0.5, w_dim=w_dim, **sizes)  # now cached

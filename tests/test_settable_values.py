@@ -14,10 +14,12 @@ reason.
 An output is a function, method or property of the library, or a field of
 one of its dataclasses; Python calls the special methods (``__init__``,
 ``__mul__``, ...) itself, so they are left out.  A name is read where code
-loads it as a variable or an attribute, or spells it in a dotted string,
-as ``getattr`` does.  A function needs a reader in ``src/``: one that only
-tests, demos or the benchmark read is code that no run reaches, and a test
-oracle belongs in ``tests/``.  A field needs a reader in ``src/`` or
+loads it as a variable or an attribute, spells it in a dotted string, or
+hands it to ``getattr`` or ``hasattr`` as the attribute's name; any other
+string without a dot, such as an experiment's name, reads nothing.  A
+function needs a reader in ``src/``: one that only tests, demos or the
+benchmark read is code that no run reaches, and a test oracle belongs in
+``tests/``.  A field needs a reader in ``src/`` or
 ``tests/``, since tests read reports to check them.  An output without a
 reader fails the scan unless ``UNREAD`` names it with its reason.
 
@@ -45,21 +47,10 @@ def _allow(callable_, names, reason):
 # "module:callable(value)" -> why it stays without a caller
 ALLOWED = {
     **_allow("models/quantile:gaussian_quantile_model",
-             ("sigma_u", "x_span", "y_span"),
-             "data-generating argument of the synthetic quantile design"),
-    **_allow("models/single_index:gaussian_index_design",
-             ("loading", "proportional_c", "span", "v_pad"),
-             "data-generating argument of the synthetic index design"),
-    **_allow("models/ccapm:lognormal_ccapm_model",
-             ("delta0", "gamma0", "phi", "mean_growth", "sigma_signal",
-              "sigma_noise", "span", "window", "g0_fn"),
-             "data-generating argument of the synthetic pricing design"),
-    **_allow("identcore:counterexample_cases", ("f",),
-             "data-generating argument of the sequence model, the scalar "
-             "map applied to each term"),
-    **_allow("models/ccapm:positive_eigenpair", ("max_iter",),
-             "boundary probe: test_convergence_error_carries_budget runs "
-             "the power iteration out of iterations"),
+             ("x_span", "y_span"),
+             "truncation of the synthetic quantile design: the Mehler-"
+             "spectrum oracle of test_models_quantile.py widens the grids "
+             "to compare the spectrum with rho^k"),
     **_allow("cli:main", ("argv",),
              "entry point: None reads the command line, which the console "
              "script and python -m pass; tests hand argv directly"),
@@ -259,13 +250,23 @@ def outputs() -> dict[str, tuple[str, bool]]:
     return found
 
 
+def _attribute_names(tree: ast.AST) -> set[int]:
+    """The ids of the string constants that ``tree`` hands to ``getattr``
+    or ``hasattr`` as the attribute's name."""
+    return {id(node.args[1]) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and len(node.args) > 1
+            and getattr(node.func, "id", None) in ("getattr", "hasattr")}
+
+
 def names_read_in(dirs, root=ROOT) -> set[str]:
     """Every name that code in ``dirs`` loads as a variable or an
-    attribute, or spells as a part of a dotted string such as
-    ``"identcore.MomentMap.eval"``; an attribute of a named owner, or two
-    adjacent parts of a dotted string, also count as ``owner.name``."""
+    attribute, spells as a part of a dotted string such as
+    ``"identcore.MomentMap.eval"``, or hands to ``getattr`` or ``hasattr``
+    as a string; an attribute of a named owner, or two adjacent parts of a
+    dotted string, also count as ``owner.name``."""
     names = set()
     for _, tree in _trees(dirs, root):
+        attribute_names = _attribute_names(tree)
         for node in ast.walk(tree):
             if (isinstance(node, (ast.Name, ast.Attribute))
                     and isinstance(node.ctx, ast.Load)):
@@ -273,7 +274,8 @@ def names_read_in(dirs, root=ROOT) -> set[str]:
             elif (isinstance(node, ast.Constant)
                   and isinstance(node.value, str)):
                 parts = node.value.split(".")
-                if all(part.isidentifier() for part in parts):
+                if (len(parts) > 1 or id(node) in attribute_names) and all(
+                        part.isidentifier() for part in parts):
                     names.update(parts)
                     names.update(map(".".join, zip(parts, parts[1:])))
     return names
@@ -314,11 +316,23 @@ def test_reader_scan_reads_loads_and_dotted_strings(tmp_path):
     (tmp_path / "code.py").write_text(
         "obj.attr_loaded\nname_loaded\nname_stored = 1\n"
         "obj.attr_stored = 2\nf(keyword=3)\ngetattr(obj, 'spelled')\n"
-        "'pkg.Owner.dotted'\n'two words'\n")
+        "hasattr(obj, 'probed')\n'pkg.Owner.dotted'\n'two words'\n"
+        "'bare'\nf('passed')\n")
     assert names_read_in([tmp_path]) == {
         "obj", "attr_loaded", "obj.attr_loaded", "name_loaded", "f",
-        "getattr", "spelled", "pkg", "Owner", "dotted", "pkg.Owner",
-        "Owner.dotted"}
+        "getattr", "spelled", "hasattr", "probed", "pkg", "Owner", "dotted",
+        "pkg.Owner", "Owner.dotted"}
+
+
+def test_a_bare_string_keeps_no_function_alive(tmp_path):
+    # an experiment named like a library function does not read it
+    found = {"m:helper": ("helper", False)}
+    (tmp_path / "src").mkdir()
+    code = tmp_path / "src" / "code.py"
+    code.write_text("EXPERIMENTS = {'helper': run}\n")
+    assert unread_outputs(found, tmp_path) == set(found)
+    code.write_text("getattr(module, 'helper')\n")
+    assert unread_outputs(found, tmp_path) == set()
 
 
 def test_a_demo_or_the_benchmark_keeps_no_name_alive(tmp_path):

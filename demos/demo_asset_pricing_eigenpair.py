@@ -21,7 +21,8 @@ from momentid.models.ccapm import (
 )
 from momentid.semiparam import partial_out
 
-model = lognormal_ccapm_model()  # desk scale: more signal nodes than states
+# desk scale: more signal nodes than states
+model = lognormal_ccapm_model(n_state=21, n_signal=31)
 smap = ccapm_moment_map(model)
 
 print(f"true discount factor {model.delta0}, curvature {model.gamma0}")

@@ -17,7 +17,7 @@ from momentid.models.single_index import (
 from momentid.semiparam import partial_out, split_lower_bound_check
 
 print("--- scalar instrument ---")
-scalar = gaussian_index_design(rho=0.5, w_dim=1)
+scalar = gaussian_index_design(rho=0.5, w_dim=1, link="softplus")
 d1 = diagnose_single_index(scalar)
 print(f"instrument-given-index completeness proxy: {d1.w_given_v_complete} "
       f"(sigma_min ratio {d1.sigma_min_ratio:.2e})")
@@ -26,7 +26,8 @@ print(f"Gram matrix: lambda_min/sum ||col||^2 = {d1.gram_ratio:.2e}  -> "
 print(f"diagnosis consistent: {d1.consistent}")
 
 print("\n--- two-dimensional instrument ---")
-rich = gaussian_index_design(rho=0.5, w_dim=2, n_v=49, n_w=15)
+rich = gaussian_index_design(rho=0.5, w_dim=2, link="softplus", n_v=49,
+                             n_w=15)
 d2 = diagnose_single_index(rich)
 print(f"completeness proxy: {d2.w_given_v_complete} (a function of two "
       "instrument coordinates cannot be pinned by one index)")

@@ -17,7 +17,7 @@ from momentid.linop import svd
 from momentid.models.quantile import gaussian_quantile_model, \
     quantile_moment_map
 
-model = gaussian_quantile_model(n_x=81, n_w=81)
+model = gaussian_quantile_model(n_x=81, n_w=81, n_y=161, rho=0.6, tau=0.5)
 mmap, bound = quantile_moment_map(model)
 
 print(f"quantile level tau = {model.tau}")

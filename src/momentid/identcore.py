@@ -29,7 +29,6 @@ from .linop import (
     SvdDecomposition,
     apply_rows,
     singular_values,
-    svd,
 )
 
 
@@ -330,7 +329,7 @@ def verify_local_id(
     mmap: MomentMap,
     bound: NonlinearityBound,
     deviations: FunctionStack,
-    dec: SvdDecomposition | None = None,
+    dec: SvdDecomposition,
 ) -> LocalIdReport:
     """Check the identification inequality at each of the given deviations.
 
@@ -339,13 +338,11 @@ def verify_local_id(
     ||m(alpha) - m' d|| is below ||m' d||, and ||m(alpha)|| is above the
     zero rule, at alpha = alpha0 + d.  A deviation outside the set, the
     zero deviation included, is a failed row.  ``dec`` is the derivative's
-    SVD, if the caller holds it.  The report's ``rows`` hold (||d||,
-    ||m'd||, remainder norm, ||m||, passed) per deviation, in order.
+    SVD; the zero rule reads its sigma_max.  The report's ``rows`` hold
+    (||d||, ||m'd||, remainder norm, ||m||, passed) per deviation, in order.
     """
     _check_domain(mmap, deviations, "deviations")
     op = mmap.derivative
-    if dec is None:
-        dec = svd(op)
     w_a, w_b = deviations.measure.weights, op.codomain.weights
     # the zero rule's ||d|| is weighted L2, whatever norm_a is
     l2s, lins, rems, ms = [], [], [], []
@@ -409,9 +406,7 @@ def quartic_norm(devs: FunctionStack) -> np.ndarray:
     return np.array([x ** 0.25 for x in sums.ravel().tolist()])
 
 
-def counterexample_map(
-    n_terms: int = 64
-) -> tuple[MomentMap, NonlinearityBound]:
+def counterexample_map(n_terms: int) -> tuple[MomentMap, NonlinearityBound]:
     """The truncated sequence model as a moment map with quartic domain norm.
 
     The map sends a sequence to ``counterexample_f`` applied to each term,
@@ -442,7 +437,7 @@ class CounterexampleCase:
 
 
 def counterexample_cases(
-    ks: Sequence[int], n_terms: int = 64
+    ks: Sequence[int], n_terms: int
 ) -> list[CounterexampleCase]:
     """The sequences alpha^k = (0,...,0,1,1,...), zero in the first k
     terms, for every k in ``ks``, in order, read through one

@@ -135,11 +135,14 @@ def conditional_expectation(
             f"zero conditional mass at codomain point index {j}, "
             f"coordinates {cod.points[j]}"
         )
-    a = np.ones_like(joint) if weight is None else np.asarray(weight, dtype=float)
-    if a.shape != joint.shape:
-        raise GridMismatchError("weight table must match the joint table shape")
-    kernel = (a * joint / marg[None, :]).T
-    return LinearOperator(kernel, dom, cod)
+    kernel = joint
+    if weight is not None:
+        kernel = np.asarray(weight, dtype=float)
+        if kernel.shape != joint.shape:
+            raise GridMismatchError(
+                "weight table must match the joint table shape")
+        kernel = kernel * joint
+    return LinearOperator((kernel / marg[None, :]).T, dom, cod)
 
 
 def adjoint(op: LinearOperator) -> LinearOperator:

@@ -203,7 +203,7 @@ class EigenPair:
     iterations: int
 
 
-def positive_eigenpair(op: LinearOperator, tol: float = 1e-12) -> EigenPair:
+def positive_eigenpair(op: LinearOperator, tol: float) -> EigenPair:
     """Power iteration for the leading eigenpair of a positive operator.
 
     Starts from the constant function, normalizes in the weighted norm of
@@ -270,7 +270,7 @@ def positive_eigenpair(op: LinearOperator, tol: float = 1e-12) -> EigenPair:
     )
 
 
-def perron_frobenius(model: CcapmModel, tol: float = 1e-12) -> EigenPair:
+def perron_frobenius(model: CcapmModel, tol: float) -> EigenPair:
     """Unique positive eigenpair of the model's state-conditioned operator."""
     return positive_eigenpair(build_pf_operator(model), tol=tol)
 
@@ -345,8 +345,7 @@ def check_global_identification(
         for row in solutions))
 
 
-def lognormal_ccapm_model(n_state: int = 21,
-                          n_signal: int = 31) -> CcapmModel:
+def lognormal_ccapm_model(n_state: int, n_signal: int) -> CcapmModel:
     """Gaussian autoregression in log growth with an observed one-step signal.
 
     The design is fixed apart from its grid sizes: curvature gamma0 = 2,

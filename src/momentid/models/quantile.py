@@ -288,11 +288,11 @@ def quantile_moment_map(
 
 
 def gaussian_quantile_model(
-    n_x: int = 101,
-    n_w: int = 101,
-    n_y: int = 161,
-    rho: float = 0.6,
-    tau: float = 0.5,
+    n_x: int,
+    n_w: int,
+    n_y: int,
+    rho: float,
+    tau: float,
     x_span: float = 3.0,
     y_span: float = 7.5,
 ) -> QuantileIvModel:

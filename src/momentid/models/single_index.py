@@ -203,11 +203,11 @@ def _index_grids(w_dim, n_v, n_w):
 
 
 def gaussian_index_design(
-    rho: float = 0.5,
-    w_dim: int = 1,
+    rho: float,
+    w_dim: int,
+    link: str,
     n_v: int = 41,
     n_w: int = 21,
-    link: str = "softplus",
 ) -> SingleIndexModel:
     """Jointly Gaussian index design with instrument-measurable regressors.
 

@@ -55,7 +55,7 @@ def test_criterion_01_counterexample_reproduction():
     in_set = False
     L = np.inf
     for k in range(2, 13):
-        case = counterexample_cases([k])[0]
+        case = counterexample_cases([k], 64)[0]
         worst_m = max(worst_m, case.m_norm)
         worst_dev = max(worst_dev, abs(case.dev_norm - 2.0 ** (-k / 4.0)))
         in_set = in_set or case.in_n
@@ -70,7 +70,8 @@ def test_criterion_01_counterexample_reproduction():
 
 def test_criterion_02_ellipsoid_soundness_on_quantile_model():
     start = time.perf_counter()
-    model = gaussian_quantile_model(n_x=101, n_w=101)
+    model = gaussian_quantile_model(n_x=101, n_w=101, n_y=161, rho=0.6,
+                                    tau=0.5)
     mmap, bound = quantile_moment_map(model)
     rng = np.random.default_rng(20250809)
     dec = svd(mmap.derivative)
@@ -260,7 +261,7 @@ def test_criterion_08_positive_eigenpair():
 
 
 def test_criterion_09_pricing_identification_harness(gram_oracle):
-    model = lognormal_ccapm_model()
+    model = lognormal_ccapm_model(n_state=21, n_signal=31)
     comp = rank_condition(
         fixed_state_completeness_operator(model, model.c_measure.size // 2))
     smap = ccapm_moment_map(model)
@@ -284,14 +285,14 @@ def test_criterion_09_pricing_identification_harness(gram_oracle):
 
 def test_criterion_10_derivative_fidelity():
     rng = np.random.default_rng(10)
-    model = gaussian_quantile_model(n_x=61, n_w=61)
+    model = gaussian_quantile_model(n_x=61, n_w=61, n_y=161, rho=0.6, tau=0.5)
     q_map, _ = quantile_moment_map(model)
     q_dirs = FunctionStack(
         rng.standard_normal((10, model.x_measure.size)) * 0.3,
         model.x_measure)
     q_err = gateaux_check(q_map, q_dirs, 1e-4)
 
-    ccapm = lognormal_ccapm_model()
+    ccapm = lognormal_ccapm_model(n_state=21, n_signal=31)
     smap = ccapm_moment_map(ccapm)
     mm = to_moment_map(smap)
     mu = mm.base_point.measure

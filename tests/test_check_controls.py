@@ -104,7 +104,8 @@ def scalar_instrument_swapped(monkeypatch):
 def richer_instrument_dropped(monkeypatch):
     # the richer instrument's designs built as the scalar one
     wrap(monkeypatch, single_index, "gaussian_index_design",
-         lambda real, **kwargs: real(rho=kwargs["rho"], link=kwargs["link"]))
+         lambda real, **kwargs: real(rho=kwargs["rho"], w_dim=1,
+                                      link=kwargs["link"]))
 
 
 def discount_factor_off(monkeypatch):

@@ -212,8 +212,8 @@ class TestRun:
         assert report["summary"]["pass"]
         assert report["config_sha256"]
 
-    def test_counterexample_validates_f_once_per_run(self, tmp_path,
-                                                     monkeypatch):
+    def test_counterexample_scans_f_once_per_run(self, tmp_path,
+                                                 monkeypatch):
         import momentid.identcore as identcore
 
         scans = []
@@ -258,8 +258,8 @@ class TestRun:
                 return fn(op, *args, **kwargs)
             return wrapper
 
+        monkeypatch.setattr(linop, "svd", counted("svd", linop.svd))
         for module in (linop, identcore):
-            monkeypatch.setattr(module, "svd", counted("svd", linop.svd))
             monkeypatch.setattr(module, "singular_values",
                                 counted("values", linop.singular_values))
         config = load_config(str(CONFIGS / "quantile.json"))

@@ -303,7 +303,8 @@ class TestVerifyLocalId:
         mu = GridMeasure(np.arange(4.0), np.full(4, 0.25))
         mmap = linear_map(rng.standard_normal((4, 4)) + 2 * np.eye(4), mu, mu)
         report = verify_local_id(mmap, NonlinearityBound(L=0.0, r=1.0),
-                                 random_deviations(rng, mu, 50))
+                                 random_deviations(rng, mu, 50),
+                                 dec=svd(mmap.derivative))
         assert report.failures == 0 and report.samples == 50
         assert report.min_m_norm > report.pos_tol
 
@@ -314,7 +315,8 @@ class TestVerifyLocalId:
         mmap = linear_map(np.eye(3), mu, mu)
         report = verify_local_id(mmap, NonlinearityBound(L=1.0, r=2.0),
                                  FunctionStack(np.outer([0.5, 2.0, 0.9],
-                                                        np.ones(3)), mu))
+                                                        np.ones(3)), mu),
+                                 dec=svd(mmap.derivative))
         assert [row[4] for row in report.rows] == [True, False, True]
         assert (report.samples, report.passes, report.failures) == (3, 2, 1)
         dev_n, lin_n, rem, m_n, _ = report.rows[1]
@@ -327,7 +329,8 @@ class TestVerifyLocalId:
         devs = FunctionStack([[0.0, 0.0, 0.0], [0.1, 0.0, 0.2]], mu)
         for bound in (NonlinearityBound(L=1.0, r=2.0),
                       NonlinearityBound(L=0.0, r=1.0)):
-            report = verify_local_id(mmap, bound, devs)
+            report = verify_local_id(mmap, bound, devs,
+                                     dec=svd(mmap.derivative))
             assert report.rows[0] == (0.0, 0.0, 0.0, 0.0, False)
             assert report.rows[1][4]
             assert (report.passes, report.failures) == (1, 1)
@@ -338,7 +341,8 @@ class TestVerifyLocalId:
         mmap = linear_map(np.eye(2), mu, mu)
         with pytest.raises(ValueError, match="at least one function"):
             verify_local_id(mmap, NonlinearityBound(L=0.0, r=1.0),
-                            FunctionStack(np.empty((0, 2)), mu))
+                            FunctionStack(np.empty((0, 2)), mu),
+                            dec=svd(mmap.derivative))
 
     def test_rejects_deviations_on_another_grid(self):
         mu = unit_grid(2)
@@ -346,7 +350,8 @@ class TestVerifyLocalId:
         other = GridMeasure(np.arange(2.0), np.full(2, 0.5))
         with pytest.raises(GridMismatchError, match="deviations"):
             verify_local_id(mmap, NonlinearityBound(L=0.0, r=1.0),
-                            FunctionStack([[1.0, 0.0]], other))
+                            FunctionStack([[1.0, 0.0]], other),
+                            dec=svd(mmap.derivative))
 
     def test_one_derivative_application_per_draw(self, monkeypatch):
         # one batched application covers every row; none is made per row
@@ -365,7 +370,8 @@ class TestVerifyLocalId:
         assert not hasattr(identcore, "apply")
         monkeypatch.setattr(identcore, "apply_rows", counting_apply_rows)
         report = verify_local_id(mmap, NonlinearityBound(L=0.1, r=2.0),
-                                 random_deviations(rng, mu, 20))
+                                 random_deviations(rng, mu, 20),
+                                 dec=svd(mmap.derivative))
         assert calls == [(mmap.derivative, 20)] and report.samples == 20
 
     def test_given_dec_needs_no_svd(self, monkeypatch):
@@ -378,7 +384,8 @@ class TestVerifyLocalId:
         def no_svd(op):
             raise AssertionError("spectrum computed")
 
-        monkeypatch.setattr(identcore, "svd", no_svd)
+        # the module holds no svd to fall back on
+        assert not hasattr(identcore, "svd")
         monkeypatch.setattr(identcore, "singular_values", no_svd)
         report = verify_local_id(
             mmap, NonlinearityBound(L=0.0, r=1.0),
@@ -386,13 +393,14 @@ class TestVerifyLocalId:
         assert report.failures == 0
         assert report.pos_tol == zero_threshold(dec.sigma_max, 1.0)
 
-    def test_default_pos_tol_is_positivity_tol(self):
+    def test_pos_tol_is_the_zero_rule_at_sigma_max(self):
         mu = GridMeasure(np.arange(3.0), np.full(3, 1 / 3))
         mmap = linear_map(3.0 * np.eye(3), mu, mu)
         sigma_max = svd(mmap.derivative).sigma_max
         report = verify_local_id(
             mmap, NonlinearityBound(L=0.0, r=1.0),
-            random_deviations(np.random.default_rng(0), mu, 3))
+            random_deviations(np.random.default_rng(0), mu, 3),
+            dec=svd(mmap.derivative))
         assert report.pos_tol == zero_threshold(sigma_max, 1.0)
 
 
@@ -495,7 +503,8 @@ def stacked_square_map(mu, poison=None):
 
 HARNESSES = {
     "verify_local_id": lambda mmap, devs: verify_local_id(
-        mmap, NonlinearityBound(L=0.0, r=1.0), devs).rows,
+        mmap, NonlinearityBound(L=0.0, r=1.0), devs,
+        dec=svd(mmap.derivative)).rows,
     "estimate_nonlinearity":
         lambda mmap, devs: estimate_nonlinearity(mmap, 2.0, devs),
     "gateaux_check": lambda mmap, devs: gateaux_check(mmap, devs, 1e-3),
@@ -546,10 +555,11 @@ class TestVerifyLocalIdBatching:
         mmap = stacked_linear_map(3.0 * np.eye(4), mu, calls)
         # a stack is drawn whole before it is passed
         devs = random_deviations(np.random.default_rng(0), mu, 150)
-        report = verify_local_id(mmap, bound, devs)
+        dec = svd(mmap.derivative)
+        report = verify_local_id(mmap, bound, devs, dec=dec)
         assert calls == [64, 64, 22]
         plain = verify_local_id(linear_map(3.0 * np.eye(4), mu, mu), bound,
-                                devs)
+                                devs, dec=dec)
         assert plain.rows == report.rows
 
 
@@ -559,18 +569,18 @@ class TestCounterexample:
         assert p.sum() == 1.0
 
     def test_k4_values(self):
-        case = counterexample_cases([4])[0]
+        case = counterexample_cases([4], 64)[0]
         assert case.m_norm == 0.0
         assert case.dev_norm == pytest.approx(0.5, abs=1e-15)
 
     @pytest.mark.parametrize("k", [1, 2, 5, 9, 12])
     def test_never_in_identification_set(self, k):
-        case = counterexample_cases([k])[0]
+        case = counterexample_cases([k], 64)[0]
         assert case.L >= 1.0
         assert not case.in_n
 
     def test_small_uniform_sequences_are_inside(self):
-        mmap, bound = counterexample_map()
+        mmap, bound = counterexample_map(64)
         alpha = GridFunction(np.full(64, 0.5 / bound.L),
                              mmap.base_point.measure)
         lin = norm(apply(mmap.derivative, alpha))
@@ -578,14 +588,15 @@ class TestCounterexample:
         assert bound.separates(lin, mmap.norm_a_rows(devs)[0])
 
     def test_deviation_norm_decreasing_to_zero(self):
-        devs = [counterexample_cases([k])[0].dev_norm for k in range(1, 13)]
+        devs = [counterexample_cases([k], 64)[0].dev_norm
+                for k in range(1, 13)]
         assert all(a > b for a, b in zip(devs, devs[1:]))
         assert devs[-1] < 0.13
 
     def test_cases_match_single_k_calls(self):
         ks = [1, 3, 12]
-        for case, k in zip(counterexample_cases(ks), ks):
-            single = counterexample_cases([k])[0]
+        for case, k in zip(counterexample_cases(ks, 64), ks):
+            single = counterexample_cases([k], 64)[0]
             assert case.k == k
             assert (case.m_norm, case.dev_norm, case.in_n, case.L) == (
                 single.m_norm, single.dev_norm, single.in_n, single.L)
@@ -593,7 +604,7 @@ class TestCounterexample:
 
     def test_cases_reject_any_bad_k(self):
         with pytest.raises(ValueError, match="k must be at least 1"):
-            counterexample_cases([2, 0])
+            counterexample_cases([2, 0], 64)
 
     def test_cases_reject_k_past_the_last_term(self):
         # alpha^k would be all zero: no term left to set to one
@@ -614,22 +625,24 @@ class TestCounterexample:
                 norm(apply(mmap.derivative, alpha)), case.dev_norm)
 
     def test_map_passes_inside_the_set(self):
-        mmap, bound = counterexample_map()
+        mmap, bound = counterexample_map(64)
         mu = mmap.base_point.measure
         cap = 0.9 / bound.L
         report = verify_local_id(mmap, bound, random_deviations(
-            np.random.default_rng(1), mu, 100, scale=cap))
+            np.random.default_rng(1), mu, 100, scale=cap),
+            dec=svd(mmap.derivative))
         assert report.failures == 0
 
     def test_map_fails_on_open_balls(self):
-        mmap, bound = counterexample_map()
+        mmap, bound = counterexample_map(64)
         mu = mmap.base_point.measure
         p = mu.weights
         holes = FunctionStack(
             (np.arange(mu.size) >= np.arange(10, 15)[:, None]).astype(float),
             mu)
         norms = [float(np.dot(p, h**4) ** 0.25) for h in holes.values]
-        report = verify_local_id(mmap, bound, holes)
+        report = verify_local_id(mmap, bound, holes,
+                                 dec=svd(mmap.derivative))
         assert report.failures == 5  # zeros of the map arbitrarily close
         assert all(row[3] == 0.0 for row in report.rows)
         assert max(norms) < 0.2  # inside a small open ball around the truth
@@ -1016,7 +1029,8 @@ def test_local_id_report_rows_csv():
     mu = GridMeasure(np.arange(4.0), np.full(4, 0.25))
     mmap = linear_map(rng.standard_normal((4, 4)) + 2 * np.eye(4), mu, mu)
     report = verify_local_id(mmap, NonlinearityBound(L=0.0, r=1.0),
-                             random_deviations(rng, mu, 8))
+                             random_deviations(rng, mu, 8),
+                             dec=svd(mmap.derivative))
     assert len(report.rows) == 8
 
 
@@ -1150,7 +1164,8 @@ def test_local_id_verdicts_invariant_under_node_order_and_scale(setup, c):
         (quadratic_map(c * matrix, c * quads, mu_a, mu_b),
          replace(bound, L=c * bound.L), FunctionStack(values, mu_a)),
     ]
-    reports = [(verify_local_id(mmap, b, devs), b) for mmap, b, devs in cases]
+    reports = [(verify_local_id(mmap, b, devs, dec=svd(mmap.derivative)), b)
+               for mmap, b, devs in cases]
     assume(min(local_id_margin(rep, b) for rep, b in reports) > MARGIN)
     plain, permuted_nodes, scaled = (rep for rep, _ in reports)
     for rep in (permuted_nodes, scaled):
@@ -1222,10 +1237,11 @@ def test_local_id_verdicts_scale_free(quad_scale):
     quads = quad_scale * rng.standard_normal((4, 4, 4))
 
     def report(c):
+        mmap = quadratic_map(c * matrix, c * quads, mu, mu)
         return verify_local_id(
-            quadratic_map(c * matrix, c * quads, mu, mu),
-            NonlinearityBound(L=0.0, r=1.0),
-            random_deviations(np.random.default_rng(3), mu, 40))
+            mmap, NonlinearityBound(L=0.0, r=1.0),
+            random_deviations(np.random.default_rng(3), mu, 40),
+            dec=svd(mmap.derivative))
 
     plain, scaled = report(1.0), report(1e-12)
     assert plain.passes > 0

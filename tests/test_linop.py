@@ -117,6 +117,21 @@ class TestConditionalExpectation:
         assert np.allclose(apply(op, f).values, 4.0)
         assert svd(op).singular_values[1] < 1e-12
 
+    def test_no_weight_keeps_the_bits_of_a_weight_of_one(self):
+        rng = np.random.default_rng(5)
+        dom = GridMeasure(np.arange(7.0), rng.uniform(0.1, 1.0, 7))
+        cod = GridMeasure(np.arange(5.0), rng.uniform(0.1, 1.0, 5))
+        joint = rng.uniform(0.1, 2.0, (7, 5))
+        plain = conditional_expectation(joint, dom, cod)
+        ones = conditional_expectation(joint, dom, cod, weight=np.ones((7, 5)))
+        assert np.array_equal(plain.entries, ones.entries)
+
+    def test_weight_must_match_the_joint_table(self):
+        mu = unit_grid(2)
+        with pytest.raises(GridMismatchError, match="weight table"):
+            conditional_expectation(np.ones((2, 2)), mu, mu,
+                                    weight=np.ones((2, 3)))
+
     def test_degenerate_marginal_names_the_point(self):
         mu = unit_grid(2)
         joint = np.array([[1.0, 0.0], [1.0, 0.0]])

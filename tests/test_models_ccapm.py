@@ -23,7 +23,7 @@ from oracles import hs_norm, to_moment_map
 
 @pytest.fixture(scope="module")
 def model():
-    return lognormal_ccapm_model()
+    return lognormal_ccapm_model(n_state=21, n_signal=31)
 
 
 @pytest.fixture(scope="module")
@@ -157,7 +157,7 @@ class TestPerronFrobenius:
         mu = unit_grid(2)
         op = LinearOperator(np.array([[1.0, 0.0], [1.0, 1.0]]), mu, mu)
         with pytest.raises(ValueError, match="strictly positive"):
-            positive_eigenpair(op)
+            positive_eigenpair(op, tol=1e-12)
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-12])
     def test_tol_must_be_finite_and_positive(self, tol):

@@ -27,7 +27,8 @@ from oracles import in_ellipsoid
 
 @pytest.fixture(scope="module")
 def model():
-    return gaussian_quantile_model(n_x=41, n_w=41, n_y=121)
+    return gaussian_quantile_model(n_x=41, n_w=41, n_y=121, rho=0.6,
+                                   tau=0.5)
 
 
 @pytest.fixture(scope="module")
@@ -151,7 +152,8 @@ def test_non_finite_queries_are_rejected(model, bad):
 
 
 def test_quantile_level_enters_eval(model):
-    shifted = gaussian_quantile_model(n_x=21, n_w=21, n_y=81, tau=0.3)
+    shifted = gaussian_quantile_model(n_x=21, n_w=21, n_y=81, rho=0.6,
+                                      tau=0.3)
     mmap, _ = quantile_moment_map(shifted)
     assert norm(mmap.eval(mmap.base_point)) <= 1e-10
     # the 0.5-quantile curve is not the 0.3-quantile curve
@@ -179,7 +181,7 @@ def test_interpolation_takes_the_shape_of_its_query(model, at):
 
 def test_fine_grid_keeps_tables_free_of_the_w_axis():
     n = 481
-    fine = gaussian_quantile_model(n_x=n, n_w=n, n_y=n)
+    fine = gaussian_quantile_model(n_x=n, n_w=n, n_y=n, rho=0.6, tau=0.5)
     mmap, _ = quantile_moment_map(fine)
     assert norm(mmap.eval(mmap.base_point)) <= 1e-10
     for table in (fine.f_y, fine._cdf, fine._cdf_slopes):
@@ -209,8 +211,8 @@ def hermite_he(k, x):
                                         (0.6, 0.25), (0.6, 0.5)])
 def wide_spectrum(request):
     rho, tau = request.param
-    wide = gaussian_quantile_model(n_x=121, n_w=121, rho=rho, tau=tau,
-                                   x_span=7.0, y_span=14.5)
+    wide = gaussian_quantile_model(n_x=121, n_w=121, n_y=161, rho=rho,
+                                   tau=tau, x_span=7.0, y_span=14.5)
     mmap, _ = quantile_moment_map(wide)
     return rho, tau, wide, svd(mmap.derivative)
 
@@ -246,7 +248,8 @@ def test_singular_functions_are_hermite_polynomials(wide_spectrum):
 def test_shipped_span_truncates_the_spectrum(rho):
     # x_span = 3 cuts the Gaussian tails: the sixth ratio falls far below
     # the untruncated model's rho^6
-    mmap, _ = quantile_moment_map(gaussian_quantile_model(rho=rho))
+    mmap, _ = quantile_moment_map(gaussian_quantile_model(
+        n_x=101, n_w=101, n_y=161, rho=rho, tau=0.5))
     s = svd(mmap.derivative).singular_values
     assert s[6] / s[0] < rho**6 / 4
 
@@ -287,7 +290,7 @@ def reference_rows(model, rows):
 
 @pytest.fixture(scope="module")
 def stack_model():
-    return gaussian_quantile_model(n_x=9, n_w=7, n_y=41)
+    return gaussian_quantile_model(n_x=9, n_w=7, n_y=41, rho=0.6, tau=0.5)
 
 
 def query_rows(model, n):
@@ -331,7 +334,9 @@ def test_harnesses_are_bit_identical_with_and_without_stacking(stack_model):
             == estimate_nonlinearity(plain, 2.0, devs))
     assert (gateaux_check(mmap, dirs, 1e-4)
             == gateaux_check(plain, dirs, 1e-4))
-    reports = [verify_local_id(m, NonlinearityBound(L=0.0, r=1.0), devs)
+    dec = svd(mmap.derivative)
+    reports = [verify_local_id(m, NonlinearityBound(L=0.0, r=1.0), devs,
+                               dec=dec)
                for m in (mmap, plain)]
     assert reports[0].rows == reports[1].rows
 
@@ -416,5 +421,6 @@ def test_one_model_build_runs_post_init_once(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(QuantileIvModel, "__post_init__", counted)
-    model = gaussian_quantile_model(n_x=21, n_w=21, n_y=41)
+    model = gaussian_quantile_model(n_x=21, n_w=21, n_y=41, rho=0.6,
+                                    tau=0.5)
     assert len(built) == 1 and built[0] is model

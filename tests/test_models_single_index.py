@@ -31,12 +31,13 @@ SHIPPED_RHOS = np.linspace(0.4, 0.7, 10)
 
 @pytest.fixture(scope="module")
 def scalar_model():
-    return gaussian_index_design(rho=0.5, w_dim=1)
+    return gaussian_index_design(rho=0.5, w_dim=1, link="softplus")
 
 
 @pytest.fixture(scope="module")
 def twodim_model():
-    return gaussian_index_design(rho=0.5, w_dim=2, n_v=49, n_w=15)
+    return gaussian_index_design(rho=0.5, w_dim=2, link="softplus",
+                                 n_v=49, n_w=15)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -104,8 +105,8 @@ class TestDiagnosis:
         # the proxy reads the same ratio for both links; the thinnest of
         # the shipped run, at rho 0.4, is 4.76e-8
         for rho in SHIPPED_RHOS:
-            d = diagnose_single_index(gaussian_index_design(rho=float(rho),
-                                                            w_dim=1))
+            d = diagnose_single_index(gaussian_index_design(
+                rho=float(rho), w_dim=1, link="softplus"))
             assert d.sigma_min_ratio >= 3 * identcore.RANK_CUTOFF, rho
             assert d.w_given_v_complete
 
@@ -147,7 +148,7 @@ class TestDiagnosis:
         assert absorbs["value"] <= GRAM_SINGULAR
 
     def test_independent_instrument_not_complete(self):
-        model = gaussian_index_design(rho=0.5, w_dim=1)
+        model = gaussian_index_design(rho=0.5, w_dim=1, link="softplus")
         # break the dependence: the proxy operator becomes rank one
         flat = np.ones_like(model.joint_ratio)
         indep = replace(model, joint_ratio=flat)
@@ -167,7 +168,7 @@ class TestDiagnosis:
 
 def test_partialled_gram_scale_free_of_loading_constant(gram_oracle):
     # proportional second column keeps the Gram matrix exactly rank one
-    model = gaussian_index_design(rho=0.55, w_dim=1)
+    model = gaussian_index_design(rho=0.55, w_dim=1, link="softplus")
     w = model.x2[:, 0]
     model = replace(model, x2=np.column_stack([w, 0.3 * w]))
     split = index_split(model)
@@ -301,7 +302,8 @@ def test_one_run_builds_each_grid_once(monkeypatch):
 
 def test_designs_share_read_only_grids():
     for w_dim, sizes in SHIPPED_SIZES.items():
-        a = gaussian_index_design(rho=0.4, w_dim=w_dim, **sizes)
+        a = gaussian_index_design(rho=0.4, w_dim=w_dim, link="softplus",
+                                  **sizes)
         b = gaussian_index_design(rho=0.7, w_dim=w_dim, link="sin", **sizes)
         assert a.v_measure is b.v_measure and a.w_measure is b.w_measure
         assert a.x2 is b.x2
@@ -319,8 +321,10 @@ def test_designs_share_read_only_grids():
 @pytest.mark.parametrize("change", [{"n_v": 45}, {"n_w": 17}])
 def test_a_changed_grid_argument_builds_afresh(w_dim, change):
     sizes = SHIPPED_SIZES[w_dim]
-    gaussian_index_design(rho=0.5, w_dim=w_dim, **sizes)  # now cached
+    gaussian_index_design(rho=0.5, w_dim=w_dim, link="softplus",
+                          **sizes)  # now cached
     args = {**sizes, **change}
-    assert_same_design(gaussian_index_design(rho=0.5, w_dim=w_dim, **args),
+    assert_same_design(gaussian_index_design(rho=0.5, w_dim=w_dim,
+                                             link="softplus", **args),
                        old_gaussian_index_design(0.5, w_dim, "softplus",
                                                  **args))

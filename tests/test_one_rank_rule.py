@@ -159,7 +159,7 @@ def resolved_count(op: LinearOperator) -> int:
 
 @pytest.fixture(scope="module")
 def ccapm_model():
-    return lognormal_ccapm_model()
+    return lognormal_ccapm_model(n_state=21, n_signal=31)
 
 
 @pytest.mark.parametrize("c", [1e-6, 1e6])

@@ -243,7 +243,8 @@ def test_eval_rejects_a_g_on_another_grid_before_evaluating():
 def ccapm_map():
     from momentid.models.ccapm import ccapm_moment_map, lognormal_ccapm_model
 
-    return ccapm_moment_map(lognormal_ccapm_model())
+    return ccapm_moment_map(lognormal_ccapm_model(n_state=21,
+                                                  n_signal=31))
 
 
 def recording(model, calls):

@@ -9,6 +9,11 @@ by keyword, reaches it by position, or unpacks ``*`` or ``**`` arguments.
 ``dataclasses.replace`` sets fields by keyword, and ``functools.partial``
 calls the callable it wraps.  A value that no caller sets is a knob that
 only tests turn; it fails the scan unless ``ALLOWED`` names it with its
+reason.  A default needs a call in ``src/`` that may leave it out, one
+that neither passes the value nor reaches its position; a call that
+unpacks counts as leaving it out, as it counts as setting it above.  A
+default that every call passes is never read, so the value is a required
+argument; it fails the scan unless ``ALWAYS_PASSED`` names it with its
 reason.
 
 An output is a function, method or property of the library, or a field of
@@ -54,6 +59,15 @@ ALLOWED = {
     **_allow("cli:main", ("argv",),
              "entry point: None reads the command line, which the console "
              "script and python -m pass; tests hand argv directly"),
+}
+
+
+# "module:callable(value)" -> why it keeps a default that every call in
+# src/ passes
+ALWAYS_PASSED = {
+    "genericity:GeneratorConfig(compact)":
+        "every run passes compact; the tests draw flat spectra that need "
+        "the False default",
 }
 
 
@@ -180,6 +194,13 @@ def calls_in(dirs=CALLER_DIRS, root=ROOT) -> list[tuple[set, int, set, bool]]:
     return out
 
 
+def _passes(call, value, pos) -> bool:
+    """Whether ``call`` passes ``value`` by keyword or reaches its
+    position ``pos``, None for a keyword-only value."""
+    _, n_pos, keywords, _ = call
+    return value in keywords or (pos is not None and pos < n_pos)
+
+
 def unset_values(values=None, calls=None) -> set[str]:
     """Keys of the settable ``values``, the library's by default, that no
     call of ``calls``, those in ``CALLER_DIRS`` by default, sets."""
@@ -190,16 +211,34 @@ def unset_values(values=None, calls=None) -> set[str]:
         value = key[key.index("(") + 1:-1]
 
         def sets(call):
-            callees, n_pos, keywords, unpacks = call
+            callees, _, keywords, unpacks = call
             if "replace" in callees:
                 return field and value in keywords
-            return owner in callees and (
-                unpacks or value in keywords
-                or (pos is not None and pos < n_pos))
+            return owner in callees and (unpacks or _passes(call, value, pos))
 
         if not any(sets(call) for call in calls):
             unset.add(key)
     return unset
+
+
+def defaults_never_read(values=None, calls=None) -> set[str]:
+    """Keys of the settable ``values``, the library's by default, whose
+    default no call of ``calls``, those in ``CALLER_DIRS`` by default, may
+    read: no call of the callable leaves the value out or unpacks."""
+    values = settable_values() if values is None else values
+    calls = calls_in() if calls is None else calls
+    never_read = set()
+    for key, (owner, pos, _) in values.items():
+        value = key[key.index("(") + 1:-1]
+
+        def may_leave_out(call):
+            callees, _, _, unpacks = call
+            return owner in callees and (
+                unpacks or not _passes(call, value, pos))
+
+        if not any(may_leave_out(call) for call in calls):
+            never_read.add(key)
+    return never_read
 
 
 def test_every_settable_value_has_a_caller():
@@ -211,15 +250,34 @@ def test_allowlist_names_only_values_without_a_caller():
     assert sorted(set(ALLOWED) - unset_values()) == []
 
 
+def test_every_default_has_a_call_that_may_leave_it_out():
+    assert sorted(defaults_never_read() - set(ALWAYS_PASSED)) == []
+
+
+def test_always_passed_names_only_defaults_that_no_call_reads():
+    # a default that some call leaves out, or is deleted, leaves the list
+    assert sorted(set(ALWAYS_PASSED) - defaults_never_read()) == []
+
+
+def test_a_default_that_every_call_passes_is_never_read(tmp_path):
+    values = {"m:design(size)": ("design", 0, False)}
+    code = tmp_path / "code.py"
+    code.write_text("design(8)\ndesign(size=9)\n")
+    assert defaults_never_read(values, calls_in([tmp_path])) == set(values)
+    for leaves_out in ("design()", "design(**sizes)", "design(*args)"):
+        code.write_text(f"design(8)\n{leaves_out}\n")
+        assert defaults_never_read(values, calls_in([tmp_path])) == set()
+
+
 def test_scan_sees_defaults_fields_and_calls():
     values = settable_values()
-    assert values["identcore:verify_local_id(dec)"] == (
-        "verify_local_id", 3, False)
+    assert values["linop:conditional_expectation(weight)"] == (
+        "conditional_expectation", 3, False)
     assert values["fnspace:OrthonormalBasis(check)"][:2] == (
         "OrthonormalBasis", 2)
     assert values["identcore:MomentMap(norm_a)"] == ("MomentMap", 3, True)
-    # the quantile runner hands verify_local_id its dec by keyword
-    assert "identcore:verify_local_id(dec)" not in unset_values()
+    # the quantile model hands conditional_expectation its weight by keyword
+    assert "linop:conditional_expectation(weight)" not in unset_values()
 
 
 def test_a_staticmethod_is_set_only_where_its_class_is_spelled(tmp_path):

@@ -174,7 +174,7 @@ def test_quantile_harnesses_equal_the_per_row_loop(n_x, n_w, n_y):
 
 def test_counterexample_harnesses_equal_the_per_row_loop():
     # the quartic norm_a, on a stack of rows and one row at a time
-    mmap, bound = counterexample_map()
+    mmap, bound = counterexample_map(64)
     mu = mmap.base_point.measure
     rng = np.random.default_rng(7)
     cap = 0.9 / bound.L
@@ -186,13 +186,14 @@ def test_counterexample_harnesses_equal_the_per_row_loop():
         [row_norm_a(mmap, GridFunction(v, mu)) for v in devs.values])
     assert_harnesses_match(mmap, bound, devs, FunctionStack(
         devs.values[:10], mu))
-    report = verify_local_id(mmap, bound, holes)
-    assert report.rows == reference_verify_rows(mmap, bound, holes,
-                                                svd(mmap.derivative))
+    dec = svd(mmap.derivative)
+    report = verify_local_id(mmap, bound, holes, dec=dec)
+    assert report.rows == reference_verify_rows(mmap, bound, holes, dec)
 
 
 def test_ccapm_stacked_map_harnesses_equal_the_per_row_loop():
-    mmap = to_moment_map(ccapm_moment_map(lognormal_ccapm_model()))
+    mmap = to_moment_map(ccapm_moment_map(
+        lognormal_ccapm_model(n_state=21, n_signal=31)))
     mu = mmap.base_point.measure
     rng = np.random.default_rng(7)
     devs = FunctionStack(0.05 * rng.standard_normal((70, mu.size)), mu)
@@ -202,7 +203,7 @@ def test_ccapm_stacked_map_harnesses_equal_the_per_row_loop():
 
 def test_ellipsoid_draws_equal_the_per_draw_loop():
     mmap, bound = quantile_moment_map(gaussian_quantile_model(
-        n_x=61, n_w=61, n_y=121))
+        n_x=61, n_w=61, n_y=121, rho=0.6, tau=0.5))
     dec = svd(mmap.derivative)
     rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
     inside, coefs = sample_ellipsoid_deviations(dec, bound, 70, rng)
@@ -266,7 +267,7 @@ def test_harness_work_does_not_grow_with_the_stack(monkeypatch):
         raise AssertionError("per-row call")
 
     mmap, bound = quantile_moment_map(gaussian_quantile_model(
-        n_x=21, n_w=21, n_y=41))
+        n_x=21, n_w=21, n_y=41, rho=0.6, tau=0.5))
     dec = svd(mmap.derivative)
     monkeypatch.setattr(GridFunction, "__post_init__", counting)
     # the module holds no per-row apply to call
@@ -285,7 +286,7 @@ def test_harness_work_does_not_grow_with_the_stack(monkeypatch):
 
 
 def test_global_identification_equals_the_per_row_loop():
-    model = lognormal_ccapm_model()
+    model = lognormal_ccapm_model(n_state=21, n_signal=31)
     smap = ccapm_moment_map(model)
     candidates = [
         (model.delta0, model.gamma0, model.g0 * 2.0),

@@ -486,10 +486,10 @@ def cone_flags(m_n, lin_n, rem_n, eta, zero):
 
 
 # Instances drawn together by the cone suite, and instances classified
-# together: a block of 16 chunks.  The largest buffer is the chunk's
-# (n, dim, dim, dim) quadratic part, 0.5 MB at dim 8; the block buffer of
-# four floats per instance holds 64 kB.  At dim 8 the whole suite peaks at
-# about 0.9 MB of traced memory, whatever the number of instances.
+# together: a block of 16 chunks.  At dim 8 the chunk's (n, dim, dim)
+# linear part and the block's four floats per instance hold 64 kB each,
+# and the suite peaks at about 0.21 MB of traced memory, whatever the
+# number of instances.
 CONE_CHUNK = 128
 CONE_BLOCK = 16 * CONE_CHUNK
 
@@ -499,16 +499,16 @@ class ConeChunk:
     """Random cone-suite instances, each padded to ``dim`` coordinates.
 
     Instance i maps R^da[i] to R^db[i]: its linear part is
-    ``m_lin[i, :db, :da]``, its quadratic remainder
-    ``quad[i, :db, :da, :da]`` (m(a) = m_lin a + a' quad_b a per output b)
-    and its deviation ``alpha[i, :da]``.  Every entry outside an instance's
-    own block is an exact zero, so the padding changes no norm.
+    ``m_lin[i, :db, :da]``, its deviation ``alpha[i, :da]`` and its
+    remainder at that deviation ``rem[i, :db]``, so that m(alpha) =
+    m_lin alpha + rem.  Every entry outside an instance's own block is an
+    exact zero, so the padding changes no norm.
     """
 
     da: np.ndarray
     db: np.ndarray
     m_lin: np.ndarray
-    quad: np.ndarray
+    rem: np.ndarray
     alpha: np.ndarray
     eta: np.ndarray
 
@@ -519,18 +519,15 @@ def _transfer_ratio(eta: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _live_masks(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _live_masks(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Live-entry masks of one cone instance padded to ``dim`` coordinates,
     for every size: the (dim,) mask of the first k coordinates at row
-    k - 1, and for sizes (da, db) the linear part's (dim, dim) and the
-    quadratic part's (dim, dim, dim) masks at row (db - 1) dim + (da - 1).
-    Read-only, built once per dim."""
+    k - 1, and for sizes (da, db) the linear part's (dim, dim) mask at row
+    (db - 1) dim + (da - 1).  Read-only, built once per dim."""
     coord = np.arange(dim)
     col = coord < coord[:, None] + 1
     lin = col[:, None, :, None] & col[None, :, None, :]
-    quad = lin[..., None] & col[None, :, None, None, :]
-    masks = (col, lin.reshape(dim * dim, dim, dim),
-             quad.reshape(dim * dim, dim, dim, dim))
+    masks = (col, lin.reshape(dim * dim, dim, dim))
     for mask in masks:
         mask.flags.writeable = False
     return masks
@@ -539,48 +536,52 @@ def _live_masks(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def draw_cone_chunk(rng: np.random.Generator, n: int, dim: int) -> ConeChunk:
     """Draw ``n`` instances of at most ``dim`` coordinates per side.
 
-    Sizes are uniform on 1..dim; the linear and quadratic parts are standard
-    normal, and with probability 0.15 the first k rows of the linear part
-    vanish (k uniform on 1..db), so rank-deficient and zero linear terms
-    occur.  The deviation is standard normal scaled by 10^U(-3, 0.5), and
-    eta is uniform on [0.05, 1.5].
+    Sizes are uniform on 1..dim; the linear part is standard normal, and
+    with probability 0.15 its first k rows vanish (k uniform on 1..db), so
+    rank-deficient and zero linear terms occur.  The deviation is standard
+    normal scaled by 10^U(-3, 0.5), and eta is uniform on [0.05, 1.5].
 
-    With probability 0.1 the quadratic part is replaced by one with a
-    single nonzero coefficient per output, on the first coordinate squared,
-    whose remainder at the deviation is k times the linear term, with k just
-    inside the premise of one transfer, picked with probability 1/2 each:
-    k = u eta/(1-eta) (zero when eta >= 1) or k = -u eta, for u uniform on
-    [0.99, 1].  Those instances come close to the transfers' eta/(1-eta)
-    bounds, which independent normal parts almost never do.
+    The remainder is a'Q_b a per output b for a quadratic part Q_b with iid
+    N(0, 1) entries, independent of (m_lin, alpha), drawn at the deviation
+    alone: given alpha, a'Q_b a = sum_ij Q_bij a_i a_j ~ N(0, |alpha|^4),
+    independently over b.  So rem = |alpha|^2 z, z standard normal on the
+    db live rows, gives (m_lin, alpha, eta, rem) the same joint law.
+
+    With probability 0.1 the remainder is k times the linear term instead,
+    k just inside the premise of one transfer, each picked with probability
+    1/2: k = u eta/(1-eta) (zero when eta >= 1) or k = -u eta, u uniform on
+    [0.99, 1].  Those instances come close to the transfers' bounds, which
+    independent normal parts almost never do.
+
+    Each draw covers the whole chunk, in this order: da, db, the linear
+    part, the deficient flags and their zeroed row counts, z, alpha and its
+    scales, eta, the aligned flags, u and the transfer picks.
     """
     da = rng.integers(1, dim + 1, size=n)
     db = rng.integers(1, dim + 1, size=n)
-    col_masks, lin_masks, quad_masks = _live_masks(dim)
-    pair = (db - 1) * dim + (da - 1)
+    col_masks, lin_masks = _live_masks(dim)
     col = col_masks.take(da - 1, axis=0)
     # only the live entries are drawn; the padding stays exactly zero
-    lin_live = lin_masks.take(pair, axis=0)
+    lin_live = lin_masks.take((db - 1) * dim + (da - 1), axis=0)
     m_lin = np.zeros((n, dim, dim))
     m_lin[lin_live] = rng.standard_normal(int(np.count_nonzero(lin_live)))
     deficient = rng.uniform(size=n) < 0.15
     zeroed = rng.integers(1, db + 1)
     m_lin[deficient[:, None] & col_masks.take(zeroed - 1, axis=0)] = 0.0
-    quad_live = quad_masks.take(pair, axis=0)
-    quad = np.zeros((n, dim, dim, dim))
-    quad[quad_live] = rng.standard_normal(int(np.count_nonzero(quad_live)))
+    row = col_masks.take(db - 1, axis=0)
+    rem = np.zeros((n, dim))
+    rem[row] = rng.standard_normal(int(np.count_nonzero(row)))
     alpha = np.zeros((n, dim))
     alpha[col] = rng.standard_normal(int(np.count_nonzero(col)))
     alpha *= 10.0 ** rng.uniform(-3, 0.5, size=n)[:, None]
+    rem *= np.add.reduce(alpha * alpha, axis=1)[:, None]
     eta = rng.uniform(0.05, 1.5, size=n)
     aligned = np.flatnonzero(rng.uniform(size=n) < 0.1)
     k = rng.uniform(0.99, 1.0, size=n) * np.where(
         rng.uniform(size=n) < 0.5, _transfer_ratio(eta), -eta)
-    # quad_b[0, 0] = k lin_b / alpha_0^2, and nothing else, gives rem = k lin
-    a = alpha[aligned]
-    lin = np.matmul(m_lin[aligned], a[:, :, None])[:, :, 0]
-    quad[aligned] = 0.0
-    quad[aligned, :, 0, 0] = (k[aligned] / a[:, 0] ** 2)[:, None] * lin
-    return ConeChunk(da=da, db=db, m_lin=m_lin, quad=quad, alpha=alpha,
+    rem[aligned] = k[aligned, None] * np.matmul(
+        m_lin[aligned], alpha[aligned, :, None])[:, :, 0]
+    return ConeChunk(da=da, db=db, m_lin=m_lin, rem=rem, alpha=alpha,
                      eta=eta)
 
 
@@ -588,17 +589,14 @@ def measure_cone_chunk(chunk: ConeChunk, out: np.ndarray) -> None:
     """Write each instance's ||m(alpha)||, ||m'alpha||, remainder norm
     ||m(alpha) - m'alpha|| and eta into the rows of the (4, n) ``out``.
 
-    The remainder is m(alpha) - m'alpha as computed.  Each norm is
-    ``np.linalg.norm``'s sum of squares along the instance, bit for bit,
-    taken for the three vectors at once.
+    The remainder is m(alpha) - m'alpha as computed, with m(alpha) =
+    m'alpha + rem.  Each norm is ``np.linalg.norm``'s sum of squares along
+    the instance, bit for bit, taken for the three vectors at once.
     """
-    alpha = chunk.alpha
-    vals = np.empty((3,) + alpha.shape)
-    lin_val = np.matmul(chunk.m_lin, alpha[:, :, None])[:, :, 0]
-    vals[1] = lin_val
-    np.add(lin_val, np.einsum("nbij,ni,nj->nb", chunk.quad, alpha, alpha),
-           out=vals[0])
-    np.subtract(vals[0], lin_val, out=vals[2])
+    vals = np.empty((3,) + chunk.alpha.shape)
+    np.matmul(chunk.m_lin, chunk.alpha[:, :, None], out=vals[1, :, :, None])
+    np.add(vals[1], chunk.rem, out=vals[0])
+    np.subtract(vals[0], vals[1], out=vals[2])
     np.multiply(vals, vals, out=vals)
     np.sqrt(np.add.reduce(vals, axis=2), out=out[:3])
     out[3] = chunk.eta
@@ -713,11 +711,11 @@ def cone_inclusion_suite(
 ) -> ConeSuiteReport:
     """Random finite-dimensional stress test of the cone-set relations.
 
-    Each instance draws a linear part, a quadratic remainder vanishing at the
-    base point, a deviation and an eta (see ``draw_cone_chunk``), then checks
-    every inclusion between the four sets (the eta < 1 ones only when
-    eta < 1), the two equalities that hold for eta < 1, and the two
-    eta/(1-eta) transfers.  The transfers compare norms of the same
+    Each instance draws a linear part, a deviation, the remainder at that
+    deviation of a standard normal quadratic part, and an eta (see
+    ``draw_cone_chunk``), then checks every inclusion between the four sets
+    (the eta < 1 ones only when eta < 1), the two equalities that hold for
+    eta < 1, and the two eta/(1-eta) transfers.  The transfers compare norms of the same
     floating-point vectors, so a roundoff slack of 1e-12 times the norm
     scale is allowed.
 

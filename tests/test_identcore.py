@@ -394,14 +394,25 @@ class TestVerifyLocalId:
         assert report.pos_tol == zero_threshold(dec.sigma_max, 1.0)
 
     def test_pos_tol_is_the_zero_rule_at_sigma_max(self):
+        # the zero rule is scale-free: scaling the map by c scales pos_tol
+        # and every ||m|| alike, so no verdict and no margin moves
         mu = GridMeasure(np.arange(3.0), np.full(3, 1 / 3))
-        mmap = linear_map(3.0 * np.eye(3), mu, mu)
-        sigma_max = svd(mmap.derivative).sigma_max
-        report = verify_local_id(
-            mmap, NonlinearityBound(L=0.0, r=1.0),
-            random_deviations(np.random.default_rng(0), mu, 3),
-            dec=svd(mmap.derivative))
-        assert report.pos_tol == zero_threshold(sigma_max, 1.0)
+        devs = random_deviations(np.random.default_rng(0), mu, 3)
+        reports = {}
+        for c in (1.0, 1e6, 1e-6):
+            mmap = linear_map(c * 3.0 * np.eye(3), mu, mu)
+            dec = svd(mmap.derivative)
+            reports[c] = verify_local_id(
+                mmap, NonlinearityBound(L=0.0, r=1.0), devs, dec=dec)
+            assert reports[c].pos_tol == zero_threshold(dec.sigma_max, 1.0)
+            assert reports[c].failures == 0
+        base = reports[1.0]
+        for c in (1e6, 1e-6):
+            assert reports[c].pos_tol == pytest.approx(c * base.pos_tol,
+                                                       rel=1e-12)
+            assert (reports[c].min_m_norm / reports[c].pos_tol
+                    == pytest.approx(base.min_m_norm / base.pos_tol,
+                                     rel=1e-12))
 
 
 def stacked_linear_map(matrix, mu, calls=None):
@@ -751,13 +762,13 @@ class TestConeSets:
 
     def test_suite_memory_stays_within_chunk_budget(self):
         peak = self.traced_suite_peak(10_000)
-        assert peak <= 1.5e6
+        assert peak <= 0.6e6
 
     def test_suite_memory_does_not_grow_with_instances(self):
         # 40,000 instances make 20 blocks of 16 chunks: the suite holds one
         # chunk and one block at a time, however many there are
         peak = self.traced_suite_peak(40_000)
-        assert peak <= 1.5e6
+        assert peak <= 0.6e6
 
 
 E2P, P2E = "cone_transfer_eta_to_etaprime", "cone_transfer_etaprime_to_eta"
@@ -773,13 +784,13 @@ def boundary_chunk(dim):
     ||m|| is attained.
     """
     m_lin = np.zeros((2, dim, dim))
-    quad = np.zeros((2, dim, dim, dim))
+    rem = np.zeros((2, dim))
     alpha = np.zeros((2, dim))
     m_lin[:, 0, 0] = 1.0, -2.0
-    quad[:, 0, 0, 0] = 1.0
+    rem[:, 0] = 1.0
     alpha[:, 0] = 1.0
     return ConeChunk(da=np.ones(2, dtype=int), db=np.ones(2, dtype=int),
-                     m_lin=m_lin, quad=quad, alpha=alpha,
+                     m_lin=m_lin, rem=rem, alpha=alpha,
                      eta=np.full(2, 0.5))
 
 
@@ -813,10 +824,11 @@ def test_suite_approaches_the_transfer_bounds(dim):
     assert min(report.near_bound.values()) >= 50
 
 
-def reference_cone_flags(m_lin, quad, alpha, eta, slack):
-    """One unpadded instance classified from the cone-set definitions."""
+def reference_cone_flags(m_lin, rem, alpha, eta, slack):
+    """One instance, with remainder ``rem`` at its deviation, classified
+    from the cone-set definitions."""
     lin = m_lin @ alpha
-    m_val = lin + np.einsum("bij,i,j->b", quad, alpha, alpha)
+    m_val = lin + rem
     m_n = float(np.linalg.norm(m_val))
     lin_n = float(np.linalg.norm(lin))
     rem_n = float(np.linalg.norm(m_val - lin))
@@ -845,7 +857,9 @@ def reference_cone_flags(m_lin, quad, alpha, eta, slack):
 
 def broadcast_cone_chunk(rng, n, dim):
     """``draw_cone_chunk`` as it built the live-entry masks before the
-    per-dim tables: by broadcasting the instances' sizes, per chunk."""
+    per-dim tables: by broadcasting the instances' sizes, per chunk.
+    Returns the chunk, the indices of its aligned instances and every
+    instance's k."""
     da = rng.integers(1, dim + 1, size=n)
     db = rng.integers(1, dim + 1, size=n)
     coord = np.arange(dim)
@@ -857,24 +871,23 @@ def broadcast_cone_chunk(rng, n, dim):
     deficient = rng.uniform(size=n) < 0.15
     zeroed = rng.integers(1, db + 1)
     m_lin[deficient[:, None] & (coord < zeroed[:, None])] = 0.0
-    quad_live = lin_live[:, :, :, None] & col[:, None, None, :]
-    quad = np.zeros((n, dim, dim, dim))
-    quad[quad_live] = rng.standard_normal(int(np.count_nonzero(quad_live)))
+    rem = np.zeros((n, dim))
+    rem[row] = rng.standard_normal(int(np.count_nonzero(row)))
     alpha = np.zeros((n, dim))
     alpha[col] = rng.standard_normal(int(np.count_nonzero(col)))
     alpha *= 10.0 ** rng.uniform(-3, 0.5, size=n)[:, None]
+    rem *= np.add.reduce(alpha * alpha, axis=1)[:, None]
     eta = rng.uniform(0.05, 1.5, size=n)
     aligned = np.flatnonzero(rng.uniform(size=n) < 0.1)
     ratio = np.divide(eta, 1.0 - eta, out=np.zeros_like(eta),
                       where=eta < 1.0)
     k = rng.uniform(0.99, 1.0, size=n) * np.where(
         rng.uniform(size=n) < 0.5, ratio, -eta)
-    a = alpha[aligned]
-    lin = np.matmul(m_lin[aligned], a[:, :, None])[:, :, 0]
-    quad[aligned] = 0.0
-    quad[aligned, :, 0, 0] = (k[aligned] / a[:, 0] ** 2)[:, None] * lin
-    return ConeChunk(da=da, db=db, m_lin=m_lin, quad=quad, alpha=alpha,
-                     eta=eta)
+    lin = np.matmul(m_lin[aligned], alpha[aligned, :, None])[:, :, 0]
+    rem[aligned] = k[aligned, None] * lin
+    chunk = ConeChunk(da=da, db=db, m_lin=m_lin, rem=rem, alpha=alpha,
+                      eta=eta)
+    return chunk, aligned, k
 
 
 @pytest.mark.parametrize("n", [1, 37, CONE_CHUNK])
@@ -886,13 +899,74 @@ def test_cone_chunk_tables_match_broadcast_masks(dim, n):
     rng, ref_rng = (np.random.default_rng(100 * dim + n) for _ in range(2))
     for _ in range(2):
         got = draw_cone_chunk(rng, n, dim)
-        want = broadcast_cone_chunk(ref_rng, n, dim)
-        for name in ("da", "db", "m_lin", "quad", "alpha", "eta"):
+        want, _, _ = broadcast_cone_chunk(ref_rng, n, dim)
+        for name in ("da", "db", "m_lin", "rem", "alpha", "eta"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.shape == b.shape, name
             assert np.array_equal(a, b), name
             assert np.array_equal(np.signbit(a), np.signbit(b)), name
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def ks_to_normal(z):
+    """The Kolmogorov-Smirnov distance of the sample ``z`` to N(0, 1)."""
+    z = np.sort(z)
+    cdf = np.array([0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+                    for x in z.tolist()])
+    steps = np.arange(z.size + 1) / z.size
+    return max((steps[1:] - cdf).max(), (cdf - steps[:-1]).max())
+
+
+def assert_standard_normal(z, pairs):
+    """``z`` reads as an iid N(0, 1) sample, and the two columns of
+    ``pairs``, two rows of one instance each, as uncorrelated.  Each bound
+    is five standard errors, and the KS bound 1.95/sqrt(N) is Kolmogorov's
+    0.1% quantile, so a sample at these fixed seeds passes by a margin."""
+    n, m = z.size, len(pairs)
+    assert abs(z.mean()) < 5.0 / math.sqrt(n)
+    assert abs(z.var() - 1.0) < 5.0 * math.sqrt(2.0 / n)
+    assert abs(np.corrcoef(pairs.T)[0, 1]) < 5.0 / math.sqrt(m)
+    assert ks_to_normal(z) < 1.95 / math.sqrt(n)
+
+
+def test_remainder_draw_has_the_quadratic_parts_law():
+    # the old draw: iid (db, da, da) tensors Q at a few fixed alphas, read
+    # as alpha'Q_b alpha / |alpha|^2
+    rng = np.random.default_rng(31)
+    old = []
+    for da, scale in [(1, 1e-3), (3, 1.0), (8, 3.0)]:
+        alpha = scale * rng.standard_normal(da)
+        quads = rng.standard_normal((6000, 3, da, da))
+        z = np.einsum("nbij,i,j->nb", quads, alpha, alpha) / (alpha @ alpha)
+        assert_standard_normal(z.ravel(), z[:, :2])
+        old.append(z.ravel())
+    # the new one: rem / |alpha|^2 on the live rows of the instances that
+    # are not aligned, found by replaying the stream
+    rng, replay = np.random.default_rng(32), np.random.default_rng(32)
+    new, pairs = [], []
+    for _ in range(40):
+        chunk = draw_cone_chunk(rng, CONE_CHUNK, 8)
+        _, aligned, k = broadcast_cone_chunk(replay, CONE_CHUNK, 8)
+        lin = np.matmul(chunk.m_lin[aligned],
+                        chunk.alpha[aligned, :, None])[:, :, 0]
+        assert np.array_equal(chunk.rem[aligned], k[aligned, None] * lin)
+        free = np.ones(CONE_CHUNK, dtype=bool)
+        free[aligned] = False
+        z = chunk.rem[free] / (chunk.alpha[free] ** 2).sum(axis=1)[:, None]
+        db = chunk.db[free]
+        new.append(z[np.arange(8) < db[:, None]])
+        pairs.append(z[db >= 2, :2])
+    new = np.concatenate(new)
+    assert_standard_normal(new, np.concatenate(pairs))
+    # and the two draws read alike: a two-sample KS distance at its 0.1%
+    # quantile
+    old = np.sort(np.concatenate(old))
+    grid = np.concatenate([old, new])
+    gap = np.abs(np.searchsorted(old, grid, side="right") / old.size
+                 - np.searchsorted(np.sort(new), grid, side="right")
+                 / new.size).max()
+    assert gap < 1.95 * math.sqrt((old.size + new.size)
+                                  / (old.size * new.size))
 
 
 def one_count_per_check(chunk_flags):
@@ -928,7 +1002,7 @@ def test_suite_counts_match_one_count_per_check(dim):
     instances, seed = 10_000, 20250809
     rng = np.random.default_rng(seed)
     want = one_count_per_check(
-        evaluate_cone_chunk(broadcast_cone_chunk(rng, n, dim), 1e-12)
+        evaluate_cone_chunk(broadcast_cone_chunk(rng, n, dim)[0], 1e-12)
         for n in chunk_sizes(instances))
     report = cone_inclusion_suite(instances, dim, seed)
     for field, counts in want.items():
@@ -940,9 +1014,8 @@ def test_suite_counts_match_one_count_per_check(dim):
 def norms_one_call_each(chunk):
     """The three norms of a chunk with one ``np.linalg.norm`` call per
     vector, the reference for ``measure_cone_chunk``'s stacked sums."""
-    alpha = chunk.alpha
-    lin_val = np.matmul(chunk.m_lin, alpha[:, :, None])[:, :, 0]
-    m_val = lin_val + np.einsum("nbij,ni,nj->nb", chunk.quad, alpha, alpha)
+    lin_val = np.matmul(chunk.m_lin, chunk.alpha[:, :, None])[:, :, 0]
+    m_val = lin_val + chunk.rem
     return np.stack([np.linalg.norm(v, axis=1)
                      for v in (m_val, lin_val, m_val - lin_val)])
 
@@ -994,15 +1067,20 @@ def test_chunk_evaluator_matches_per_instance_reference():
     for i in range(CONE_CHUNK):
         da, db = int(chunk.da[i]), int(chunk.db[i])
         m_lin = chunk.m_lin[i, :db, :da]
-        quad = chunk.quad[i, :db, :da, :da]
+        rem = chunk.rem[i, :db]
         alpha = chunk.alpha[i, :da]
         # the padding around the instance's own block is exactly zero
         assert np.count_nonzero(chunk.m_lin[i]) == np.count_nonzero(m_lin)
-        assert np.count_nonzero(chunk.quad[i]) == np.count_nonzero(quad)
+        assert np.count_nonzero(chunk.rem[i]) == np.count_nonzero(rem)
         assert np.count_nonzero(chunk.alpha[i]) == np.count_nonzero(alpha)
         deficient += not m_lin[0].any()
+        # the reference reads the padded instance: a linear term summed
+        # over its own block alone may round differently, and where
+        # m(alpha) = m'alpha + rem cancels, as at this seed, one rounding
+        # of m'alpha moves ||m(alpha)|| by more than 1e-14
         norms, members, violations = reference_cone_flags(
-            m_lin, quad, alpha, float(chunk.eta[i]), 1e-12)
+            chunk.m_lin[i], chunk.rem[i], chunk.alpha[i],
+            float(chunk.eta[i]), 1e-12)
         got = (flags.m_norm[i], flags.linear_norm[i], flags.remainder_norm[i])
         assert np.allclose(got, norms, rtol=1e-14, atol=0.0)
         for name, flag in members.items():

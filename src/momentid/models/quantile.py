@@ -23,7 +23,7 @@ import numpy as np
 from ..errors import GridMismatchError
 from ..fnspace import GridFunction, GridMeasure, trapezoid_weights
 from ..identcore import MomentMap, NonlinearityBound
-from ..linop import conditional_expectation
+from ..linop import apply_rows, conditional_expectation
 
 
 def _pchip_slopes(x: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -260,22 +260,20 @@ def quantile_moment_map(
 ) -> tuple[MomentMap, NonlinearityBound]:
     """Moment map, derivative operator and curvature bound of the model.
 
-    eval(alpha)(w) averages F(alpha(x)|x) over the conditional mass of X
-    given w and subtracts the quantile level; the derivative is the
-    conditional expectation weighted by the conditional density at alpha0.
+    eval(alpha)(w) is E[F(alpha(X)|X) | W=w] minus the quantile level, with
+    E[. | W] the conditional expectation operator of the x_ratio table; the
+    derivative is that operator weighted by the conditional density at
+    alpha0, so map and derivative share one normalisation.
     The curvature bound is L = L1 L2 with exponent 2 on the whole space.
     The map's ``eval_rows`` evaluates a stack of curves in one pass of the
-    Hermite kernel, bit-identical to evaluating each curve alone.
+    Hermite kernel, then applies E[. | W] to each curve's CDF row with one
+    matrix-vector product, so a stack gives the bits of each curve alone.
     """
     mx, mw = model.x_measure, model.w_measure
-    weighted_ratio = mx.weights[:, None] * model.x_ratio
+    given_w = conditional_expectation(model.x_ratio, mx, mw)
 
     def eval_rows(alphas: np.ndarray) -> np.ndarray:
-        # einsum sums over x in the order of the per-curve elementwise
-        # product and sum, so a stack reproduces one-curve evaluation bit
-        # for bit; a matmul would not
-        cdf = model.cdf_at(alphas)
-        return np.einsum("bi,ij->bj", cdf, weighted_ratio) - model.tau
+        return apply_rows(given_w, model.cdf_at(alphas)) - model.tau
 
     weight = np.broadcast_to(model.density_at(model.alpha0.values)[:, None],
                              model.x_ratio.shape)

@@ -1,3 +1,4 @@
+import math
 import warnings
 from dataclasses import replace
 from statistics import NormalDist
@@ -15,7 +16,12 @@ from momentid.identcore import (
     sample_ellipsoid_deviations,
     verify_local_id,
 )
-from momentid.linop import apply, svd
+from momentid.linop import (
+    apply,
+    apply_values,
+    conditional_expectation,
+    svd,
+)
 from momentid.models.quantile import (
     QuantileIvModel,
     _cells,
@@ -257,15 +263,16 @@ def test_shipped_span_truncates_the_spectrum(rho):
 # ---------------------------------------------------------------------------
 # Stacked evaluation.  A reference written from the cubic Hermite cell
 # formulas, one row and one x at a time, must agree bit for bit with the
-# stacked kernel, and the moment map must equal the per-row elementwise
-# product and sum over x.
+# stacked kernel, and the moment map must equal E[. | W] applied to one CDF
+# row per call.  An exactly rounded sum over x checks the map's value.
 # ---------------------------------------------------------------------------
 
 
 def reference_rows(model, rows):
     """CDF and density at every x, and m, for each row of ``rows``."""
     y, cdf, slopes = model.y_grid, model._cdf, model._cdf_slopes
-    weighted_ratio = model.x_measure.weights[:, None] * model.x_ratio
+    given_w = conditional_expectation(model.x_ratio, model.x_measure,
+                                      model.w_measure)
     shape = model.x_measure.size
     cdfs, dens, maps = [], [], []
     for row in rows:
@@ -284,7 +291,7 @@ def reference_rows(model, rows):
                     + (-6 * t2 + 6 * t) * f1 + h * (3 * t2 - 2 * t) * d1) / h
         cdfs.append(c)
         dens.append(g)
-        maps.append((weighted_ratio * c[:, None]).sum(axis=0) - model.tau)
+        maps.append(apply_values(given_w, c) - model.tau)
     return np.array(cdfs), np.array(dens), np.array(maps)
 
 
@@ -317,6 +324,34 @@ def test_stacked_evaluation_matches_the_per_row_reference(stack_model, n):
     for b, row in enumerate(rows):
         assert np.array_equal(
             mmap.eval(GridFunction(row, model.x_measure)).values, map_ref[b])
+
+
+def fsum_map_rows(model, rows):
+    """m at each row of ``rows``: per w, an exactly rounded sum over x of
+    w_x ratio[x, w] F(alpha(x) | x) / marg[w], minus tau, with marg[w] the
+    exactly rounded sum over x of w_x ratio[x, w]."""
+    w, ratio = model.x_measure.weights, model.x_ratio
+    terms = w[:, None] * ratio
+    marg = [math.fsum(col) for col in terms.T]
+    return np.array([
+        [math.fsum(terms[:, j] * c / marg[j]) - model.tau
+         for j in range(ratio.shape[1])]
+        for c in model.cdf_at(rows)
+    ])
+
+
+@pytest.mark.parametrize("n", [1, 64, 65])
+@pytest.mark.parametrize("n_w", [7, 9])
+def test_stacked_map_equals_the_fsum_oracle(n_w, n):
+    # at n_w == n_x a reduction over the wrong axis of the ratio table
+    # still has the right shape, so only its values can fail it
+    model = gaussian_quantile_model(n_x=9, n_w=n_w, n_y=41, rho=0.6, tau=0.5)
+    mmap, _ = quantile_moment_map(model)
+    rows = query_rows(model, n)
+    got = _eval_stack(mmap.eval_rows, mmap.derivative.codomain, rows)
+    # F, its conditional mean and tau all lie in [0, 1]: the scale is one
+    np.testing.assert_allclose(got, fsum_map_rows(model, rows), rtol=0,
+                               atol=4 * np.finfo(float).eps)
 
 
 def test_harnesses_are_bit_identical_with_and_without_stacking(stack_model):

@@ -2,11 +2,12 @@
 
 Operators are drawn as kappa * sum_j lambda_j <phi_j, .> psi_j over supplied
 orthonormal families, with lambda_j = u_j sigma_j for uniform u_j on [-1, 1].
-Optional variants enforce a compactness decay test on sigma, a nonnegative
-kernel, or unit kernel row sums (a conditional-density operator).  Each
-draw reads trunc_n uniforms, one per term.  A Monte Carlo study reads all
-its draws from one generator stream, the first of them being the single
-draw at the same seed.
+Optional variants enforce a compactness decay test on sigma, or construct
+a nonnegative kernel or unit kernel row sums (a conditional-density
+operator): the library checks each construction's preconditions, and a run
+checks the property it built.  Each draw reads trunc_n uniforms, one per
+term.  A Monte Carlo study reads all its draws from one generator stream,
+the first of them being the single draw at the same seed.
 """
 
 from __future__ import annotations
@@ -138,7 +139,9 @@ def _draw_stack(
 ) -> tuple[OperatorStack, np.ndarray, np.ndarray]:
     """The realizations for the uniforms ``u`` on validated bases, in order:
     their operators as one stack, the coefficients lambda (one row per draw)
-    and the scales kappa, after the checks that depend on the coefficients.
+    and the scales kappa.  It checks no property of the kernels it builds:
+    the positive and density constructions rest on the preconditions that
+    :func:`_setup_draws` checked.
 
     Row i of ``u`` holds draw i's ``trunc_n`` uniforms on [-1, 1], the
     next ``trunc_n`` values of the caller's generator stream.
@@ -157,15 +160,7 @@ def _draw_stack(
     kernels = np.matmul(
         kappa[:, None, None] * (setup.psi_mat[None] * lam[:, None, :]),
         setup.phi_mat.T)
-    ops = OperatorStack(kernels, setup.domain, setup.codomain)
-
-    if config.density:
-        worst = np.abs(ops.entries @ setup.domain.weights - 1.0).max(axis=1)
-        over = np.flatnonzero(worst > 1e-12)
-        if over.size:
-            raise ValueError(
-                f"density kernel row sums deviate by {worst[over[0]]:.2e}")
-    return ops, lam, kappa
+    return OperatorStack(kernels, setup.domain, setup.codomain), lam, kappa
 
 
 def draw_operator(

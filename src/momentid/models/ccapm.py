@@ -212,6 +212,10 @@ def positive_eigenpair(op: LinearOperator, tol: float) -> EigenPair:
     adjoint; on grids of up to 256 nodes the full spectrum is computed
     densely and the gap |rho_2| / rho_1 certifies that the leading
     eigenvalue is simple.
+
+    A computed eigenfunction that is not strictly positive raises: this
+    guard is the one comparison of that property, which roundoff breaks
+    on a strictly positive kernel when an entry underflows to 0.
     """
     if not 0 < tol < math.inf:  # False on NaN as well
         raise ValueError(f"tol must be finite and positive, got {tol}")

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -26,6 +27,21 @@ def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def assert_value_cells_read_back(out, experiment):
+    """Each value cell of the checks table, read as JSON, is the check's
+    value in the report; a check without a value has an empty cell."""
+    report = json.loads((out / f"{experiment}.json").read_text())
+    with open(out / f"{experiment}.checks.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [row[0] for row in rows] == [c["name"] for c in report["checks"]]
+    for (_, _, cell), check in zip(rows, report["checks"]):
+        if "value" in check:
+            assert json.loads(cell) == check["value"]
+        else:
+            assert cell == ""
+    return report
 
 
 class TestConfigValidation:
@@ -330,6 +346,20 @@ class TestRun:
         samples = np.loadtxt(tmp_path / "genericity.sigma_min.csv",
                              skiprows=1)
         assert samples.shape == (10,)
+        assert_value_cells_read_back(tmp_path, "genericity")
+
+    def test_csv_dict_values_are_json(self, tmp_path):
+        # the quantile soundness and curvature checks report dicts
+        path = write_config(
+            tmp_path,
+            {"experiment": "quantile", "seed": 5,
+             "params": {"n_x": 21, "n_w": 21, "n_y": 41, "n_ellipsoid": 5,
+                        "n_deviations": 10}},
+        )
+        assert main(["run", path, "--out", str(tmp_path),
+                     "--format", "csv"]) == 0
+        report = assert_value_cells_read_back(tmp_path, "quantile")
+        assert any(isinstance(c.get("value"), dict) for c in report["checks"])
 
     def test_numeric_failure_becomes_failed_check(self, tmp_path):
         # an impossible tolerance makes the eigensolver give up; the runner

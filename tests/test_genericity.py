@@ -382,18 +382,6 @@ class TestDrawChecks:
         with pytest.raises(ValueError, match="probability grids"):
             mc_injectivity(config, (basis, basis), draws=2, tol=1e-12, seed=0)
 
-    def test_density_row_sums_checked_per_draw(self, grid_and_basis):
-        grid, basis = grid_and_basis
-        # an element not orthogonal to the constant breaks the unit row sums
-        mat = basis.matrix()[:, :3].copy()
-        mat[:, 1] += 0.2
-        skewed = OrthonormalBasis(mat, grid, check=False)
-        config = GeneratorConfig(sigma=np.full(3, 1.0), kappa=1.0, trunc_n=3,
-                                 positive=True, density=True)
-        with pytest.raises(ValueError, match="row sums deviate"):
-            mc_injectivity(config, (skewed, skewed), draws=2, tol=1e-12,
-                           seed=0)
-
     def test_nonfinite_entries_rejected(self, grid_and_basis):
         _, basis = grid_and_basis
         config = GeneratorConfig(sigma=np.full(3, 1e300), kappa=1e300,

@@ -1102,6 +1102,25 @@ def test_moment_map_rejects_nonzero_base_residual():
         )
 
 
+@pytest.mark.parametrize("residual, rejected", [(2e-10, True),
+                                                 (0.5e-10, False)])
+def test_base_residual_bound_is_1e_10(residual, rejected):
+    # a constant offset on a probability grid: its norm is the offset, at
+    # twice and half RESIDUAL_TOL
+    mu = GridMeasure([0.0, 1.0], [0.5, 0.5])
+
+    def build():
+        return MomentMap(base_point=GridFunction.zero(mu),
+                         eval_rows=lambda rows: np.full_like(rows, residual),
+                         derivative=LinearOperator.identity(mu))
+
+    if rejected:
+        with pytest.raises(ValueError, match="m\\(alpha0\\) = 0"):
+            build()
+    else:
+        build()
+
+
 def test_local_id_report_rows_csv():
     rng = np.random.default_rng(11)
     mu = GridMeasure(np.arange(4.0), np.full(4, 0.25))

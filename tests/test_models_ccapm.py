@@ -159,6 +159,16 @@ class TestPerronFrobenius:
         with pytest.raises(ValueError, match="strictly positive"):
             positive_eigenpair(op, tol=1e-12)
 
+    def test_underflowing_eigenfunction_rejected(self):
+        # a finite, strictly positive kernel whose eigenfunction's second
+        # entry, about 1e-325 of the first, underflows to 0
+        mu = GridMeasure([0.0, 1.0], [0.5, 0.5])
+        op = LinearOperator(np.array([[1e20, 1e20], [1e-305, 1e-305]]),
+                            mu, mu)
+        with pytest.raises(ValueError, match="computed eigenfunction is not "
+                                             "strictly positive"):
+            positive_eigenpair(op, tol=1e-12)
+
     @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-12])
     def test_tol_must_be_finite_and_positive(self, tol):
         # a NaN or nonpositive tol would run out the whole iteration budget

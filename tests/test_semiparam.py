@@ -240,6 +240,26 @@ def test_eval_rejects_a_g_on_another_grid_before_evaluating():
     assert calls == []
 
 
+@pytest.mark.parametrize("residual, rejected", [(2e-10, True),
+                                                 (0.5e-10, False)])
+def test_base_residual_bound_is_1e_10(residual, rejected):
+    # a constant offset on a probability grid: its norm is the offset, at
+    # twice and half identcore.RESIDUAL_TOL
+    split = hand_split()
+
+    def build():
+        return SemiparametricMap(
+            beta0=np.zeros(1), g0=GridFunction.zero(two_point()),
+            eval_rows=lambda rows: np.full((len(rows), 2), residual),
+            split=split)
+
+    if rejected:
+        with pytest.raises(ValueError, match="m\\(beta0, g0\\) = 0"):
+            build()
+    else:
+        build()
+
+
 def ccapm_map():
     from momentid.models.ccapm import ccapm_moment_map, lognormal_ccapm_model
 

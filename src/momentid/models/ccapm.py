@@ -309,8 +309,12 @@ def check_global_identification(
     The truth is that of ``smap``, a ``ccapm_moment_map``: its beta0 is
     (delta0, gamma0) and its g0 lives on the growth states.  Candidates
     must live on that grid, the domain of m_g, and be bounded away from
-    zero.  Those violating the moment equation are reported as
-    non-solutions, which is informative, not a failure.
+    zero.  A candidate solves the moment equation when ||m|| is at most
+    ``GLOBAL_ID_TOL`` times ||g||, the codomain norm of the -g(c) term the
+    equation cancels; the rule reads no other scale, so it does not move
+    with the scale of g, which the model does not identify.  Candidates
+    that do not solve it are reported as non-solutions, which is
+    informative, not a failure.
     Every candidate that does satisfy it must match the truth in delta and
     gamma and match g0 up to scale; an accepted pair also gets the
     ratio-identity check that states^(gamma - gamma0) times g0/g is constant.
@@ -322,15 +326,21 @@ def check_global_identification(
         raise GridMismatchError("candidate g must live on the domain of m_g")
     if any((g.values <= 0).any() for _, _, g in candidates):
         raise ValueError("candidate g must be bounded away from zero")
-    # m at (beta0, 2 g0), which sets the scale, and at each candidate
-    points = [(*smap.beta0, *(g0.values * 2.0))]
-    points += [(delta, gamma, *g.values) for delta, gamma, g in candidates]
-    scale, *m_norms = weighted_norms(smap.eval_stack(np.array(points)),
-                                     smap.split.m_g.codomain.weights).tolist()
+    if not candidates:
+        return GlobalIdReport(rows=[], vacuous=True, violations=0)
+    codomain = smap.split.m_g.codomain
+    points = np.array([(delta, gamma, *g.values)
+                       for delta, gamma, g in candidates])
+    m_norms = weighted_norms(smap.eval_stack(points), codomain.weights)
+    # the -g(c) term on the codomain: g's values at every signal node
+    gs = points[:, 2:]
+    g_norms = weighted_norms(np.tile(gs, codomain.size // gs.shape[1]),
+                             codomain.weights)
     rows = []
-    for (delta, gamma, g), m_n in zip(candidates, m_norms):
+    for (delta, gamma, g), m_n, g_n in zip(candidates, m_norms.tolist(),
+                                           g_norms.tolist()):
         rows.append({"delta": delta, "gamma": gamma, "moment_norm": m_n,
-                     "is_solution": m_n <= tol * (1.0 + scale)})
+                     "is_solution": m_n <= tol * g_n})
         if not rows[-1]["is_solution"]:
             continue
         cosine = inner(g, g0) / (norm(g) * norm(g0))

@@ -3,11 +3,16 @@
 The outcome is a smooth link of a linear index plus noise that is mean
 independent of the instruments.  The nonparametric direction is the link
 function of the index, so partialling it out asks whether the parametric
-derivative columns escape the closure of {E[h(V) | W]}.  The diagnosis
-couples two discrete proxies: injectivity of b(W) -> E[b(W) | V] (the
-completeness of W given V) and singularity of the partialled-out Gram
-matrix.  Nonsingularity together with completeness is impossible, and the
-harness treats that as a hard invariant.
+derivative columns escape the closure of {E[h(V) | W]}.  If W is complete
+given V, that closure holds every function of W, the columns cannot escape,
+and the partialled Gram matrix is singular.
+
+A grid cannot test completeness (Canay, Santos & Shaikh 2013), so the
+designs settle it.  With a scalar instrument, W given V is a Gaussian
+location family, which is complete (Newey & Powell 2003): the Gram matrix
+must read singular.  With a two-dimensional instrument the index law sees
+only w1 + w2, so E[b(W) | V] vanishes for b = w1 - w2 and W is not
+complete given V: the loadings keep the Gram matrix nonsingular.
 """
 
 from __future__ import annotations
@@ -20,9 +25,8 @@ import numpy as np
 
 from ..errors import GridMismatchError
 from ..fnspace import GridFunction, GridMeasure, trapezoid_weights
-from ..identcore import rank_condition
 from ..linop import apply, conditional_expectation
-from ..semiparam import SplitDerivative, gram_singular, partial_out
+from ..semiparam import PartialOutReport, SplitDerivative, partial_out
 
 
 @dataclass(frozen=True)
@@ -92,80 +96,16 @@ def index_split(model: SingleIndexModel) -> SplitDerivative:
     return SplitDerivative(m_beta=m_beta, m_g=m_g)
 
 
-@dataclass(frozen=True)
-class IndexDiagnosis:
-    """Outcome of ``diagnose_single_index``.
+def diagnose_single_index(model: SingleIndexModel) -> PartialOutReport:
+    """``partial_out`` of the design's split derivative.
 
-    ``sigma_min_ratio`` is sigma_min / sigma_max of the completeness proxy
-    operator as ``rank_condition`` reports them: 0.0 when the instrument
-    grid is larger than the index grid, since such an operator is never
-    injective, and 0.0 for the zero operator.  ``w_given_v_complete`` holds
-    when the ratio is above ``identcore.RANK_CUTOFF``.  ``gram_ratio`` is
-    that of ``partial_out``, which ``pi_singular`` reads through
-    ``gram_singular``; it is the one scale-free reading of the partialled
-    Gram matrix, whose own smallest eigenvalue and trace are both roundoff
-    where m_g absorbs the columns.
+    ``gram_singular`` of the report's ``gram_ratio`` reads whether m_g
+    absorbs the parametric columns; the ratio is the one scale-free reading
+    of the partialled Gram matrix, whose own smallest eigenvalue and trace
+    are both roundoff where the columns are absorbed.  The module docstring
+    says which designs must read singular, and why.
     """
-
-    w_given_v_complete: bool
-    pi_singular: bool
-    consistent: bool
-    sigma_min_ratio: float
-    gram_ratio: float
-
-
-def _subsample_indices(n: int, target: int) -> np.ndarray:
-    if n <= target:
-        return np.arange(n)
-    # the nodes are more than one apart, so their rounded values are
-    # distinct and increasing: no deduplication (np.unique) is needed
-    return np.linspace(0, n - 1, target).round().astype(int)
-
-
-def _subgrid(mu: GridMeasure, idx: np.ndarray) -> GridMeasure:
-    """The nodes ``idx`` of ``mu`` with their weights renormalized to one,
-    memoised on ``mu`` itself, so designs that share a grid share it."""
-    memo = vars(mu).setdefault("_subgrids", {})
-    key = idx.tobytes()
-    if key not in memo:
-        w = mu.weights[idx]
-        memo[key] = GridMeasure(mu.points[idx], w / w.sum())
-    return memo[key]
-
-
-def diagnose_single_index(model: SingleIndexModel) -> IndexDiagnosis:
-    """Joint completeness / Gram-singularity diagnosis of the index design.
-
-    The completeness proxy reads ``rank_condition`` of b(W) -> E[b(W)|V],
-    at the rank rule that also cuts m_g's range in ``partial_out``, on a
-    coarse subsample of the grids, at most 12 index nodes and 12^d
-    instrument nodes for a d-dimensional instrument; truncated injectivity
-    is only meaningful near the operator's numerical rank, and the
-    structural question (scalar instrument versus richer instrument) is
-    already visible at desk resolution.  A domain larger than the codomain
-    can never be injective, so two-dimensional instrument grids fail the
-    proxy by dimension count.  The Gram matrix is ``partial_out``'s on the
-    full grids, and ``gram_singular`` reads whether it is singular.
-    ``consistent`` is the contrapositive gate: completeness and a
-    nonsingular Gram matrix must never hold together.
-    """
-    iv = _subsample_indices(model.v_measure.size, 12)
-    iw = _subsample_indices(model.w_measure.size, 12**model.w_measure.dim)
-    sub_v = _subgrid(model.v_measure, iv)
-    sub_w = _subgrid(model.w_measure, iw)
-    sub_joint = model.joint_ratio[np.ix_(iv, iw)]
-    # renormalize so the subsampled table is again a joint mass ratio
-    sub_joint = sub_joint / (sub_v.weights @ sub_joint)[None, :]
-    w_to_v = conditional_expectation(sub_joint.T, sub_w, sub_v)
-    rank = rank_condition(w_to_v)
-    ratio = rank.sigma_min / rank.sigma_max if rank.sigma_max > 0 else 0.0
-
-    report = partial_out(index_split(model))
-    pi_singular = gram_singular(report.gram_ratio)
-    return IndexDiagnosis(
-        w_given_v_complete=rank.holds, pi_singular=pi_singular,
-        consistent=not (rank.holds and not pi_singular),
-        sigma_min_ratio=ratio, gram_ratio=report.gram_ratio)
+    return partial_out(index_split(model))
 
 
 def _phi(z):

@@ -83,12 +83,6 @@ def coarse_difference_step(monkeypatch):
          lambda real, mmap, dirs, h: real(mmap, dirs, 10 * h))
 
 
-def proxy_ignores_dimension_count(monkeypatch):
-    # a wider instrument grid can never be injective; this proxy says it is
-    wrap(monkeypatch, single_index, "rank_condition",
-         lambda real, op: replace(real(op), holds=True))
-
-
 def scalar_instrument_swapped(monkeypatch):
     # the scalar instrument's designs built with the richer one
     wrap(monkeypatch, single_index, "gaussian_index_design",
@@ -230,8 +224,6 @@ ROWS = [
         SMALL_QUANTILE, zero_ellipsoid_draw),
     Row("finite differences match the derivative", "quantile",
         SMALL_QUANTILE, coarse_difference_step),
-    Row("completeness and Gram singularity never conflict", "single-index",
-        {"n_designs": 2}, proxy_ignores_dimension_count),
     Row("scalar instrument absorbs the parametric columns", "single-index",
         {"n_designs": 2}, scalar_instrument_swapped),
     Row("richer instrument keeps the Gram matrix nonsingular",

@@ -30,13 +30,15 @@ def write_config(tmp_path, payload, name="config.json"):
 
 
 def assert_value_cells_read_back(out, experiment):
-    """Each value cell of the checks table, read as JSON, is the check's
-    value in the report; a check without a value has an empty cell."""
+    """Each passed and value cell of the checks table, read as JSON, is the
+    check's verdict and value in the report; a check without a value has an
+    empty value cell."""
     report = json.loads((out / f"{experiment}.json").read_text())
     with open(out / f"{experiment}.checks.csv", newline="") as fh:
         rows = list(csv.reader(fh))[1:]
     assert [row[0] for row in rows] == [c["name"] for c in report["checks"]]
-    for (_, _, cell), check in zip(rows, report["checks"]):
+    for (_, passed, cell), check in zip(rows, report["checks"]):
+        assert json.loads(passed) is check["passed"]
         if "value" in check:
             assert json.loads(cell) == check["value"]
         else:

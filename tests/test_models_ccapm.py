@@ -255,6 +255,25 @@ class TestGlobalIdentification:
         assert not report.rows[0]["is_solution"]
         assert report.vacuous
 
+    @pytest.mark.parametrize("c", [1e-9, 1e9])
+    def test_verdicts_do_not_move_with_the_scale_of_g(self, model, mapped,
+                                                      c):
+        # the run's candidates; ||m|| / ||g|| reads about 1e-16 for the
+        # scaled truth and 0.0284 for the shifted curvature at every scale
+        candidates = [(model.delta0, model.gamma0, model.g0 * 2.0),
+                      (model.delta0, model.gamma0 + 0.5, model.g0)]
+        want = check_global_identification(mapped, candidates)
+        got = check_global_identification(
+            mapped, [(delta, gamma, g * c) for delta, gamma, g in candidates])
+        assert [row["is_solution"] for row in got.rows] == [
+            row["is_solution"] for row in want.rows] == [True, False]
+        assert got.violations == want.violations == 0
+
+    def test_no_candidates_screen_vacuously(self, mapped):
+        report = check_global_identification(mapped, [])
+        assert (report.rows, report.vacuous, report.violations) == (
+            [], True, 0)
+
     def test_candidate_must_live_on_the_state_grid(self, model, mapped):
         calls = []
 

@@ -8,14 +8,12 @@ import pytest
 import momentid.identcore as identcore
 import momentid.models.single_index as single_index
 from momentid.cli import load_config, run_experiment
-from momentid.fnspace import GridFunction, GridMeasure, trapezoid_weights
-from momentid.identcore import rank_condition
+from momentid.fnspace import (GridFunction, GridMeasure, norm,
+                              trapezoid_weights)
 from momentid.linop import apply, conditional_expectation
 from momentid.models.single_index import (
-    IndexDiagnosis,
     SingleIndexModel,
     _index_grids,
-    _subsample_indices,
     diagnose_single_index,
     gaussian_index_design,
     index_split,
@@ -70,45 +68,38 @@ def test_m_g_matches_direct_conditional_expectation(scalar_model):
     assert np.abs(apply(split.m_g, h).values - direct).max() < 1e-9
 
 
+def instrument_given_index(model):
+    """b(W) -> E[b(W) | V] of the design."""
+    return conditional_expectation(model.joint_ratio.T, model.w_measure,
+                                   model.v_measure)
+
+
 class TestDiagnosis:
     def test_scalar_design(self, scalar_model, gram_oracle):
         d = diagnose_single_index(scalar_model)
-        assert d.w_given_v_complete
-        assert d.pi_singular
-        assert d.consistent
+        assert gram_singular(d.gram_ratio)
         assert gram_oracle(index_split(scalar_model)) < 1e-8
 
     def test_twodim_design(self, twodim_model, gram_oracle):
         d = diagnose_single_index(twodim_model)
-        assert not d.w_given_v_complete
-        assert not d.pi_singular
-        assert d.consistent
+        assert not gram_singular(d.gram_ratio)
         assert gram_oracle(index_split(twodim_model)) > 1e-4
 
-    def test_twodim_ratio_is_zero_by_dimension_count(self, twodim_model):
-        # the proxy keeps 144 instrument nodes and 12 index nodes, so the
-        # operator has a null space and rank_condition reports sigma_min 0
-        d = diagnose_single_index(twodim_model)
-        assert d.sigma_min_ratio == 0.0
-        assert not d.w_given_v_complete
-
-    def test_scalar_ratio_is_positive_and_above_tol(self, scalar_model,
-                                                    monkeypatch):
-        d = diagnose_single_index(scalar_model)
-        assert identcore.RANK_CUTOFF < d.sigma_min_ratio < 1.0
-        # the rank rule's cutoff just above the measured ratio
-        monkeypatch.setattr(identcore, "RANK_CUTOFF",
-                            d.sigma_min_ratio * 1.01)
-        assert not diagnose_single_index(scalar_model).w_given_v_complete
-
-    def test_shipped_scalar_ratios_clear_the_rank_cutoff(self):
-        # the proxy reads the same ratio for both links; the thinnest of
-        # the shipped run, at rho 0.4, is 4.76e-8
-        for rho in SHIPPED_RHOS:
-            d = diagnose_single_index(gaussian_index_design(
-                rho=float(rho), w_dim=1, link="softplus"))
-            assert d.sigma_min_ratio >= 3 * identcore.RANK_CUTOFF, rho
-            assert d.w_given_v_complete
+    def test_twodim_instrument_is_incomplete_by_construction(self):
+        # the index law sees only w1 + w2, and the grid and its weights are
+        # symmetric in the two coordinates: E[w1 - w2 | V] is roundoff
+        # (1.6e-17 to 2.6e-17 of ||w1 - w2||), while E[w1 + w2 | V] is
+        # sqrt(2) rho V, of norm 0.56 at rho 0.4
+        for i, rho in enumerate(SHIPPED_RHOS):
+            model = gaussian_index_design(
+                rho=float(rho), w_dim=2,
+                link="softplus" if i % 2 == 0 else "sin", **SHIPPED_SIZES[2])
+            w_to_v = instrument_given_index(model)
+            w1, w2 = model.w_measure.points.T
+            odd = GridFunction(w1 - w2, model.w_measure)
+            even = GridFunction(w1 + w2, model.w_measure)
+            assert norm(apply(w_to_v, odd)) <= 1e-14 * norm(odd), rho
+            assert norm(apply(w_to_v, even)) >= 0.5, rho
 
     @pytest.mark.parametrize("link", ["softplus", "sin"])
     def test_absorbed_columns_read_singular_on_a_finer_index_grid(self, link):
@@ -118,11 +109,7 @@ class TestDiagnosis:
         model = gaussian_index_design(rho=0.7, w_dim=1, link=link, n_v=49,
                                       n_w=15)
         d = diagnose_single_index(model)
-        partialled = partial_out(index_split(model)).gram
-        assert np.trace(partialled) < 1e-25
-        assert d.w_given_v_complete
-        assert d.pi_singular
-        assert d.consistent
+        assert np.trace(d.gram) < 1e-25
         # the value the single-index run reports for this design, where
         # lambda_min over the partialled trace read 0.0080 (softplus) and
         # 0.0089 (sin)
@@ -142,28 +129,33 @@ class TestDiagnosis:
         report, _ = run_experiment(
             load_config(str(CONFIGS / "single-index.json")))
         assert report["summary"]["pass"]
-        absorbs = report["checks"][1]
+        absorbs = report["checks"][0]
         assert absorbs["name"] == (
             "scalar instrument absorbs the parametric columns")
         assert absorbs["value"] <= GRAM_SINGULAR
 
     def test_independent_instrument_not_complete(self):
         model = gaussian_index_design(rho=0.5, w_dim=1, link="softplus")
-        # break the dependence: the proxy operator becomes rank one
-        flat = np.ones_like(model.joint_ratio)
-        indep = replace(model, joint_ratio=flat)
-        d = diagnose_single_index(indep)
-        assert not d.w_given_v_complete
-        assert d.consistent  # no inconsistency is possible here
+        # break the dependence: E[b(W) | V] is the mean of b at every
+        # index node, so every centred b maps to zero, and the closure of
+        # {E[h(V) | W]} is the constants
+        indep = replace(model, joint_ratio=np.ones_like(model.joint_ratio))
+        b = GridFunction(model.x2[:, 0], model.w_measure)  # mean zero
+        assert norm(apply(instrument_given_index(indep), b)) <= (
+            1e-14 * norm(b))
+        assert len(diagnose_single_index(indep).range_basis) == 1
 
     def test_consistency_across_designs(self):
+        # the Gram matrix is singular exactly on the designs whose
+        # instrument is complete given the index, the scalar ones
         rhos = np.linspace(0.4, 0.7, 5)
         for i, rho in enumerate(rhos):
             link = "softplus" if i % 2 == 0 else "sin"
             for w_dim, kwargs in ((1, {}), (2, {"n_v": 49, "n_w": 13})):
                 model = gaussian_index_design(rho=float(rho), w_dim=w_dim,
                                               link=link, **kwargs)
-                assert diagnose_single_index(model).consistent
+                assert gram_singular(
+                    diagnose_single_index(model).gram_ratio) == (w_dim == 1)
 
 
 def test_partialled_gram_scale_free_of_loading_constant(gram_oracle):
@@ -188,17 +180,9 @@ def test_shipped_verdicts_agree_with_the_least_squares_oracle(
             model = gaussian_index_design(rho=float(rho), w_dim=w_dim,
                                           link=link, **sizes)
             oracle = gram_singular(gram_oracle(index_split(model)))
-            assert diagnose_single_index(model).pi_singular == oracle, (
+            assert gram_singular(
+                diagnose_single_index(model).gram_ratio) == oracle, (
                 rho, w_dim)
-
-
-@pytest.mark.parametrize("target", [1, 2, 7, 12, 144])
-def test_subsample_indices_are_the_distinct_rounded_nodes(target):
-    for n in range(1, target + 400):
-        got = _subsample_indices(n, target)
-        want = np.arange(n) if n <= target else np.unique(
-            np.linspace(0, n - 1, target).round().astype(int))
-        assert got.dtype == want.dtype and np.array_equal(got, want), n
 
 
 def old_gaussian_index_design(rho, w_dim, link, n_v=41, n_w=21):
@@ -238,29 +222,14 @@ def old_gaussian_index_design(rho, w_dim, link, n_v=41, n_w=21):
 
 
 def old_diagnosis(model):
-    """``diagnose_single_index`` as it was: fresh proxy grids on every
-    call, and E[g0'(V) | W] read through the negative of m_g."""
-    iv = _subsample_indices(model.v_measure.size, 12)
-    iw = _subsample_indices(model.w_measure.size, 12**model.w_measure.dim)
+    """``diagnose_single_index`` with E[g0'(V) | W] read through the
+    negative of m_g."""
     mv, mw = model.v_measure, model.w_measure
-    sub_v = GridMeasure(mv.points[iv], mv.weights[iv] / mv.weights[iv].sum())
-    sub_w = GridMeasure(mw.points[iw], mw.weights[iw] / mw.weights[iw].sum())
-    sub_joint = model.joint_ratio[np.ix_(iv, iw)]
-    sub_joint = sub_joint / (sub_v.weights @ sub_joint)[None, :]
-    rank = rank_condition(
-        conditional_expectation(sub_joint.T, sub_w, sub_v))
-    ratio = rank.sigma_min / rank.sigma_max if rank.sigma_max > 0 else 0.0
-
     m_g = -1.0 * conditional_expectation(model.joint_ratio, mv, mw)
     u = apply(-1.0 * m_g, GridFunction(model.g0_prime, mv)).values
     m_beta = tuple(GridFunction(-model.x2[:, k] * u, mw)
                    for k in range(model.p))
-    report = partial_out(SplitDerivative(m_beta=m_beta, m_g=m_g))
-    pi_singular = gram_singular(report.gram_ratio)
-    return IndexDiagnosis(
-        w_given_v_complete=rank.holds, pi_singular=pi_singular,
-        consistent=not (rank.holds and not pi_singular),
-        sigma_min_ratio=ratio, gram_ratio=report.gram_ratio)
+    return partial_out(SplitDerivative(m_beta=m_beta, m_g=m_g))
 
 
 def assert_same_design(got, want):
@@ -279,7 +248,9 @@ def test_shared_grids_keep_every_diagnosis_bit(w_dim, link):
                                       **sizes)
         fresh = old_gaussian_index_design(float(rho), w_dim, link, **sizes)
         assert_same_design(model, fresh)
-        assert diagnose_single_index(model) == old_diagnosis(fresh), rho
+        got, want = diagnose_single_index(model), old_diagnosis(fresh)
+        assert np.array_equal(got.gram, want.gram), rho
+        assert got.gram_ratio == want.gram_ratio, rho
 
 
 def test_one_run_builds_each_grid_once(monkeypatch):
@@ -295,9 +266,9 @@ def test_one_run_builds_each_grid_once(monkeypatch):
     monkeypatch.setattr(GridMeasure, "__post_init__", counted)
     report, _ = run_experiment(config)
     assert report["summary"]["pass"]
-    # per w_dim: the index grid, the instrument grid (and for w_dim 2 its
-    # axis), and the two proxy subgrids
-    assert len(built) == 9
+    # per w_dim: the index grid and the instrument grid, and for w_dim 2
+    # the instrument's axis
+    assert len(built) == 5
 
 
 def test_designs_share_read_only_grids():

@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import momentid.models.single_index as single_index
 from momentid.fnspace import GridFunction, GridMeasure
 from momentid.identcore import RANK_CUTOFF, rank_condition, resolved
 from momentid.linop import LinearOperator, singular_values
@@ -42,12 +41,6 @@ EXCEPTIONS = {
         "the genericity config's tol is echoed in the report and hashed "
         "into config_sha256",
 }
-# the shipped single-index run's designs, as _run_single_index builds them
-SHIPPED_DESIGNS = [
-    {"rho": float(rho), "w_dim": w_dim,
-     "link": "softplus" if i % 2 == 0 else "sin", **sizes}
-    for i, rho in enumerate(np.linspace(0.4, 0.7, 10))
-    for w_dim, sizes in ((1, {}), (2, {"n_v": 49, "n_w": 15}))]
 
 
 def caller_trees():
@@ -136,8 +129,7 @@ def test_rank_condition_takes_no_tolerance():
                 found.append(path)
                 assert (len(node.args), node.keywords) == (1, []), path
     assert set(found) >= {
-        "src/momentid/cli.py", "src/momentid/models/single_index.py",
-        "demos/demo_asset_pricing_eigenpair.py"}
+        "src/momentid/cli.py", "demos/demo_asset_pricing_eigenpair.py"}
 
 
 def test_removed_tolerances_appear_nowhere():
@@ -180,25 +172,6 @@ def test_ccapm_range_is_scale_free(ccapm_model, c):
     m_g = ccapm_moment_map(ccapm_model).split.m_g
     assert not rank_condition(m_g).holds and not rank_condition(m_g * c).holds
     assert resolved_count(m_g) == resolved_count(m_g * c) == 20
-
-
-@pytest.mark.parametrize("c", [1e-6, 1e6])
-def test_single_index_proxies_are_scale_free(c, monkeypatch):
-    # the completeness proxy of each of the shipped run's 20 designs
-    want = [single_index.diagnose_single_index(
-        single_index.gaussian_index_design(**kwargs))
-        for kwargs in SHIPPED_DESIGNS]
-    real = single_index.rank_condition
-    monkeypatch.setattr(single_index, "rank_condition",
-                        lambda op: real(op * c))
-    for kwargs, plain in zip(SHIPPED_DESIGNS, want):
-        got = single_index.diagnose_single_index(
-            single_index.gaussian_index_design(**kwargs))
-        assert got.w_given_v_complete == plain.w_given_v_complete, kwargs
-        assert got.w_given_v_complete == (kwargs["w_dim"] == 1), kwargs
-        # sigma_min moves by roundoff of sigma_max
-        assert got.sigma_min_ratio == pytest.approx(
-            plain.sigma_min_ratio, rel=1e-9, abs=1e-14), kwargs
 
 
 def random_split(rng, rank_deficient: bool):
